@@ -1,15 +1,16 @@
 // Engine throughput baseline: the first entry of the repo's perf
 // trajectory (BENCH_pdes.json).
 //
-// Runs one deterministic synthetic workload — a ring of LPs exchanging
+// Runs the golden ring (pdes/golden_ring.hpp) — a ring of LPs exchanging
 // cross-LP events at exactly the lookahead plus local self-chains inside
-// each window — through both executors and reports *real* events/sec, the
-// window count, and the real barrier overhead measured by the telemetry
-// probe. Subsequent perf PRs diff this file's output; the schema
-// ("massf.bench_pdes.v1") is documented in DESIGN.md and README.md.
+// each window — through the sequential and threaded executors and reports
+// *real* events/sec, the window count, and the real synchronization
+// overhead measured by the telemetry probe. Subsequent perf PRs diff this
+// file's output; the schema ("massf.bench_pdes.v3") is documented in
+// DESIGN.md and README.md.
 //
 // Usage: bench_pdes [--lps=32] [--chain=64] [--hops=2000] [--threads=N]
-//                   [--sweep=1,2,4] [--repeats=3] [--sync=both] [--shards=2]
+//                   [--sweep=1,2,4] [--repeats=3] [--shards=2]
 //                   [--out=BENCH_pdes.json] [--print-golden]
 //
 // --shards runs the same workload once more under the multi-process
@@ -17,14 +18,14 @@
 // wants the hard failure) and records a "sharded" entry carrying the
 // pdes.shard.* transport counters (ring stalls, batch bytes, cross-shard
 // events, control-page waits) plus `ring_wait_share`, the fraction of
-// total worker-seconds spent blocked on the rings/control page —
-// check_bench.py gates it like --min-wait-reduction. The sharded
-// checksum must agree with the sequential reference or the bench fails.
-// Pass --shards=0 (or 1) to skip the row.
+// total worker-seconds spent blocked on the rings/control page, which
+// check_bench.py gates. The sharded checksum must agree with the
+// sequential reference or the bench fails. Pass --shards=0 (or 1) to skip
+// the row.
 //
 // --print-golden runs the sequential reference once and prints only the
-// workload checksum — the value pinned by BENCH_pdes.json, the checkpoint
-// golden test, and scripts/check_bench.py (regenerate it after an
+// workload checksum — the value pinned by BENCH_pdes.json,
+// pdes/golden_ring.hpp, and scripts/check_bench.py (regenerate it after an
 // intentional workload change with tests/regen_golden.sh).
 //
 // --sweep runs the threaded executor at each listed thread count (in
@@ -33,32 +34,26 @@
 // Pass --sweep=none to skip it. Every run's checksum must agree with the
 // sequential reference or the bench fails.
 //
-// --sync selects the threaded synchronization protocol(s): barrier,
-// channel, or both (the default — one "threaded" + "threaded_channel"
-// entry pair plus a per-mode sweep, so one report carries baselines for
-// both protocols and check_bench.py gates them independently).
-//
 // Wait-time semantics: every entry reports `barrier_wait_s`, the *summed*
-// idle/blocked thread-seconds the probe attributed to synchronization
-// (legitimately larger than wall_s — it is a thread-seconds quantity), and
+// thread-seconds the probe attributed to synchronization — channel stalls
+// plus epoch parks (SyncStats in channel_sync.hpp); legitimately larger
+// than wall_s, since it is a thread-seconds quantity — and
 // `barrier_wait_mean_s`, the per-thread mean, which is the number to read
-// against wall_s. Barrier entries measure idle time inside the processing
-// phase (span x threads - busy); channel entries measure protocol-imposed
-// blocking (channel stalls + epoch parks, SyncStats in channel_sync.hpp).
+// against wall_s.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "guard/watchdog.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
-#include "pdes/engine.hpp"
+#include "pdes/golden_ring.hpp"
 #include "shard/supervisor.hpp"
 #include "util/flags.hpp"
 
@@ -66,50 +61,29 @@ namespace {
 
 using namespace massf;
 
-// Each kEvHop event forwards to the next LP in the ring after the
-// lookahead; each hop also spawns a short same-window self-chain so LPs do
-// real per-window work between barriers.
-constexpr std::int32_t kEvHop = 1;
-constexpr std::int32_t kEvLocal = 2;
-
-class RingLp final : public LogicalProcess {
- public:
-  RingLp(LpId next, std::int64_t chain) : next_(next), chain_(chain) {}
-
-  void handle(Engine& engine, const Event& ev) override {
-    checksum = checksum * 1099511628211ULL + static_cast<std::uint64_t>(ev.time);
-    if (ev.type == kEvHop) {
-      if (ev.a > 0) {
-        engine.schedule(next_, ev.time + engine.options().lookahead, kEvHop,
-                        ev.a - 1);
-      }
-      if (chain_ > 0) {
-        engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                        kEvLocal, static_cast<std::uint64_t>(chain_ - 1));
-      }
-    } else if (ev.a > 0) {
-      engine.schedule(engine.current_lp(), ev.time + microseconds(1), kEvLocal,
-                      ev.a - 1);
-    }
-  }
-
-  std::uint64_t checksum = 0;
-
- private:
-  LpId next_;
-  std::int64_t chain_;
-};
-
 struct Workload {
   std::int64_t lps = 32;
   std::int64_t chain = 64;
   std::int64_t hops = 2000;
 };
 
+/// The golden ring at the bench's shape with its true topology declared:
+/// LP i only ever sends to its successor, at exactly the lookahead, so the
+/// threaded executor synchronizes per edge instead of all-pairs.
+GoldenRing build_ring(const Workload& w, const EngineOptions& o) {
+  GoldenRing ring = build_golden_ring(o, w.lps, w.chain, w.hops);
+  ChannelGraph graph;
+  for (std::int64_t i = 0; i < w.lps; ++i) {
+    graph.add(static_cast<LpId>(i), static_cast<LpId>((i + 1) % w.lps),
+              o.lookahead);
+  }
+  ring.engine->set_channels(std::move(graph));
+  return ring;
+}
+
 struct Measurement {
   RunStats stats;
   std::int32_t threads = 0;
-  const char* sync = "none";  ///< "none" (sequential), "barrier", "channel"
   double wall_s = 0;
   double events_per_sec = 0;
   std::uint64_t checksum = 0;
@@ -122,20 +96,16 @@ struct Measurement {
   double hook_s = 0;
   double process_s = 0;
   double merge_s = 0;
-  std::uint64_t null_events = 0;        ///< channel runs only
-  std::uint64_t quiescence_epochs = 0;  ///< channel runs only
+  std::uint64_t null_events = 0;        ///< threaded runs only
+  std::uint64_t quiescence_epochs = 0;  ///< threaded runs only
   bool guard = false;                   ///< run under an armed watchdog
 };
 
 Measurement measure(const Workload& w, std::int32_t threads, int repeats,
-                    SyncMode sync = SyncMode::kBarrier,
                     bool guarded = false) {
   Measurement best;
   for (int rep = 0; rep < repeats; ++rep) {
-    EngineOptions o;
-    o.lookahead = milliseconds(1);
-    o.end_time = seconds(3600);
-    o.sync = sync;
+    EngineOptions o = golden_ring_options();
     if (guarded) {
       // Supervised row (DESIGN.md section 5h): liveness telemetry on and
       // the watchdog armed, with a deadline the healthy run never hits —
@@ -144,27 +114,8 @@ Measurement measure(const Workload& w, std::int32_t threads, int repeats,
       o.guard.stall_deadline_s = 300.0;
       o.guard.poll_interval_s = 0.05;
     }
-    Engine engine(o);
-    std::vector<RingLp*> lps;
-    for (std::int64_t i = 0; i < w.lps; ++i) {
-      auto lp = std::make_unique<RingLp>(
-          static_cast<LpId>((i + 1) % w.lps), w.chain);
-      lps.push_back(lp.get());
-      engine.add_lp(std::move(lp));
-    }
-    // The ring's true topology: LP i only ever sends to its successor, at
-    // exactly the lookahead. Declaring it lets the channel executor
-    // synchronize per edge instead of all-pairs.
-    ChannelGraph graph;
-    for (std::int64_t i = 0; i < w.lps; ++i) {
-      graph.add(static_cast<LpId>(i), static_cast<LpId>((i + 1) % w.lps),
-                o.lookahead);
-    }
-    engine.set_channels(std::move(graph));
-    for (std::int64_t i = 0; i < w.lps; ++i) {
-      engine.schedule(static_cast<LpId>(i), 0, kEvHop,
-                      static_cast<std::uint64_t>(w.hops));
-    }
+    GoldenRing ring = build_ring(w, o);
+    Engine& engine = *ring.engine;
 
     obs::WindowProbe probe;
     engine.set_probe(&probe);
@@ -182,14 +133,11 @@ Measurement measure(const Workload& w, std::int32_t threads, int repeats,
     Measurement m;
     m.stats = stats;
     m.threads = threads;
-    m.sync = threads > 0 ? sync_mode_name(sync) : "none";
     m.guard = guarded;
     m.wall_s = wall_s;
     m.events_per_sec =
         wall_s > 0 ? static_cast<double>(stats.total_events) / wall_s : 0;
-    for (const RingLp* lp : lps) {
-      m.checksum = m.checksum * 31 + lp->checksum;
-    }
+    m.checksum = ring.checksum();
     const obs::WindowProbe::Summary s = probe.summary();
     m.barrier_wait_s = s.barrier_wait_s;
     m.barrier_wait_mean_s =
@@ -216,36 +164,6 @@ struct ShardMeasurement {
   double ring_wait_share = 0;
 };
 
-shard::ShardWorkload build_shard_workload(const Workload& w) {
-  EngineOptions o;
-  o.lookahead = milliseconds(1);
-  o.end_time = seconds(3600);
-  auto engine = std::make_unique<Engine>(o);
-  auto lps = std::make_shared<std::vector<RingLp*>>();
-  for (std::int64_t i = 0; i < w.lps; ++i) {
-    auto lp =
-        std::make_unique<RingLp>(static_cast<LpId>((i + 1) % w.lps), w.chain);
-    lps->push_back(lp.get());
-    engine->add_lp(std::move(lp));
-  }
-  ChannelGraph graph;
-  for (std::int64_t i = 0; i < w.lps; ++i) {
-    graph.add(static_cast<LpId>(i), static_cast<LpId>((i + 1) % w.lps),
-              o.lookahead);
-  }
-  engine->set_channels(std::move(graph));
-  for (std::int64_t i = 0; i < w.lps; ++i) {
-    engine->schedule(static_cast<LpId>(i), 0, kEvHop,
-                     static_cast<std::uint64_t>(w.hops));
-  }
-  shard::ShardWorkload sw;
-  sw.engine = std::move(engine);
-  sw.lp_checksum = [lps](LpId i) {
-    return (*lps)[static_cast<std::size_t>(i)]->checksum;
-  };
-  return sw;
-}
-
 ShardMeasurement measure_sharded(const Workload& w, std::int32_t shards,
                                  int repeats, obs::Registry* registry) {
   ShardMeasurement best;
@@ -255,7 +173,12 @@ ShardMeasurement measure_sharded(const Workload& w, std::int32_t shards,
     so.fallback = false;  // the bench wants the hard failure, not a rung
     const auto t0 = std::chrono::steady_clock::now();
     shard::ShardResult r = shard::run_sharded(
-        so, [&w] { return build_shard_workload(w); },
+        so,
+        [&w] {
+          GoldenRing ring = build_ring(w, golden_ring_options());
+          return shard::ShardWorkload{std::move(ring.engine),
+                                      std::move(ring.lp_checksum)};
+        },
         rep == 0 ? registry : nullptr);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -306,7 +229,6 @@ std::string measurement_json(const Measurement& m, const char* indent) {
   const std::string in(indent);
   std::string out = "{\n";
   out += in + "  \"threads\": " + std::to_string(m.threads) + ",\n";
-  out += in + "  \"sync\": \"" + std::string(m.sync) + "\",\n";
   if (m.guard) out += in + "  \"guard\": true,\n";
   out += in + "  \"events\": " + std::to_string(m.stats.total_events) + ",\n";
   out += in + "  \"windows\": " + std::to_string(m.stats.num_windows) + ",\n";
@@ -320,7 +242,7 @@ std::string measurement_json(const Measurement& m, const char* indent) {
   out += in + "  \"barrier_wait_mean_s\": " +
          format_double(m.barrier_wait_mean_s) + ",\n";
   out += in + "  \"merge_s\": " + format_double(m.merge_s) + ",\n";
-  if (std::string(m.sync) == "channel") {
+  if (m.threads > 0) {
     out += in + "  \"null_events\": " + std::to_string(m.null_events) + ",\n";
     out += in + "  \"quiescence_epochs\": " +
            std::to_string(m.quiescence_epochs) + ",\n";
@@ -368,21 +290,8 @@ int main(int argc, char** argv) {
       flags.get_string("out", "BENCH_pdes.json");
   const std::vector<std::int32_t> sweep =
       parse_sweep(flags.get_string("sweep", "1,2,4"));
-  const std::string sync_spec = flags.get_string("sync", "both");
   if (threads < 1 || repeats < 1) {
     std::fprintf(stderr, "[bench_pdes] --threads and --repeats must be >= 1\n");
-    return 2;
-  }
-  std::vector<SyncMode> modes;
-  if (sync_spec == "barrier" || sync_spec == "both") {
-    modes.push_back(SyncMode::kBarrier);
-  }
-  if (sync_spec == "channel" || sync_spec == "both") {
-    modes.push_back(SyncMode::kChannel);
-  }
-  if (modes.empty()) {
-    std::fprintf(stderr,
-                 "[bench_pdes] --sync must be barrier, channel, or both\n");
     return 2;
   }
 
@@ -411,8 +320,8 @@ int main(int argc, char** argv) {
 
   // The supervision-cost row: same sequential reference with telemetry on
   // and the watchdog armed. check_bench.py gates the overhead.
-  const Measurement seq_guard = measure(w, /*threads=*/0, repeats,
-                                        SyncMode::kBarrier, /*guarded=*/true);
+  const Measurement seq_guard =
+      measure(w, /*threads=*/0, repeats, /*guarded=*/true);
   std::fprintf(stderr,
                "[bench_pdes] sequential+guard: %.0f events/s "
                "(%.1f%% overhead vs unguarded)\n",
@@ -430,50 +339,32 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const auto measure_threaded = [&](std::int32_t t, Measurement* out) {
+    *out = measure(w, t, repeats);
+    std::fprintf(stderr, "[bench_pdes] threaded(%d): %.0f events/s\n", t,
+                 out->events_per_sec);
+    if (agrees(*out)) return true;
+    std::fprintf(stderr,
+                 "[bench_pdes] ERROR: executors disagree at %d threads "
+                 "(checksum %llu vs %llu)\n",
+                 t, static_cast<unsigned long long>(seq.checksum),
+                 static_cast<unsigned long long>(out->checksum));
+    return false;
+  };
+
   std::vector<Measurement> sweep_runs;
-  Measurement thr_barrier;
-  Measurement thr_channel;
-  bool have_barrier = false;
-  bool have_channel = false;
-  for (const SyncMode mode : modes) {
-    Measurement* top =
-        mode == SyncMode::kChannel ? &thr_channel : &thr_barrier;
-    bool* have = mode == SyncMode::kChannel ? &have_channel : &have_barrier;
-    for (const std::int32_t t : sweep) {
-      const Measurement m = measure(w, t, repeats, mode);
-      std::fprintf(stderr, "[bench_pdes] threaded(%d, %s): %.0f events/s\n",
-                   t, sync_mode_name(mode), m.events_per_sec);
-      if (!agrees(m)) {
-        std::fprintf(stderr,
-                     "[bench_pdes] ERROR: executors disagree at %d threads "
-                     "(%s sync, checksum %llu vs %llu)\n",
-                     t, sync_mode_name(mode),
-                     static_cast<unsigned long long>(seq.checksum),
-                     static_cast<unsigned long long>(m.checksum));
-        return 1;
-      }
-      sweep_runs.push_back(m);
-      if (t == threads) {
-        *top = m;
-        *have = true;
-      }
-    }
-    if (!*have) {
-      *top = measure(w, threads, repeats, mode);
-      std::fprintf(stderr, "[bench_pdes] threaded(%d, %s): %.0f events/s\n",
-                   threads, sync_mode_name(mode), top->events_per_sec);
-      if (!agrees(*top)) {
-        std::fprintf(stderr,
-                     "[bench_pdes] ERROR: executors disagree (%s sync, "
-                     "checksum %llu vs %llu)\n",
-                     sync_mode_name(mode),
-                     static_cast<unsigned long long>(seq.checksum),
-                     static_cast<unsigned long long>(top->checksum));
-        return 1;
-      }
-      *have = true;
+  Measurement thr;
+  bool have_thr = false;
+  for (const std::int32_t t : sweep) {
+    Measurement m;
+    if (!measure_threaded(t, &m)) return 1;
+    sweep_runs.push_back(m);
+    if (t == threads) {
+      thr = m;
+      have_thr = true;
     }
   }
+  if (!have_thr && !measure_threaded(threads, &thr)) return 1;
 
   obs::Registry shard_registry;
   ShardMeasurement sharded;
@@ -504,14 +395,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto speedup = [&seq](const Measurement& m) {
-    return m.events_per_sec > 0 && seq.events_per_sec > 0
-               ? m.events_per_sec / seq.events_per_sec
-               : 0;
-  };
+  const double speedup = thr.events_per_sec > 0 && seq.events_per_sec > 0
+                             ? thr.events_per_sec / seq.events_per_sec
+                             : 0;
 
   using obs::format_double;
-  std::string json = "{\n  \"schema\": \"massf.bench_pdes.v2\",\n";
+  std::string json = "{\n  \"schema\": \"massf.bench_pdes.v3\",\n";
   json += "  \"config\": {\"lps\": " + std::to_string(w.lps) +
           ", \"chain\": " + std::to_string(w.chain) +
           ", \"hops\": " + std::to_string(w.hops) +
@@ -520,10 +409,7 @@ int main(int argc, char** argv) {
           std::to_string(std::thread::hardware_concurrency()) + "},\n";
   json += executor_json("sequential", seq) + ",\n";
   json += executor_json("sequential_guard", seq_guard) + ",\n";
-  if (have_barrier) json += executor_json("threaded", thr_barrier) + ",\n";
-  if (have_channel) {
-    json += executor_json("threaded_channel", thr_channel) + ",\n";
-  }
+  json += executor_json("threaded", thr) + ",\n";
   if (have_sharded) {
     json += "  \"sharded\": " + shard_measurement_json(sharded) + ",\n";
   }
@@ -533,16 +419,7 @@ int main(int argc, char** argv) {
     json += measurement_json(sweep_runs[i], "    ");
   }
   json += sweep_runs.empty() ? "],\n" : "\n  ],\n";
-  if (have_barrier) {
-    json += "  \"speedup\": " + format_double(speedup(thr_barrier)) + ",\n";
-  }
-  if (have_channel) {
-    json += "  \"speedup_channel\": " + format_double(speedup(thr_channel)) +
-            ",\n";
-  }
-  // Trailing comma cleanup: replace the final ",\n" with "\n}\n".
-  json.erase(json.size() - 2);
-  json += "\n}\n";
+  json += "  \"speedup\": " + format_double(speedup) + "\n}\n";
 
   if (!obs::write_file(out_path, json)) {
     std::fprintf(stderr, "[bench_pdes] failed to write %s\n",

@@ -16,7 +16,7 @@
 // watchdog and the GuardedRun recovery ladder (DESIGN.md section 5h).
 // With --inject-stall one LP's channel clock is frozen mid-run, the
 // watchdog cancels the wedged attempt (writing the massf.guard.v1 dump),
-// and the ladder's barrier fallback reruns clean — the recovered result
+// and the ladder's sequential fallback reruns clean — the recovered result
 // must STILL be bit-identical to the sequential reference.
 //
 //   chaos_beacon [--smoke] [--guard] [--inject-stall]
@@ -63,7 +63,6 @@ struct RunResult {
 
 /// Supervision config for one guarded attempt (nullptr = plain run).
 struct GuardConfig {
-  SyncMode sync = SyncMode::kChannel;
   std::int32_t threads = 0;
   guard::GuardOptions options;
   bool inject_stall = false;
@@ -121,10 +120,7 @@ RunResult run_once(const Scale& scale, bool threaded,
   EngineOptions eo;
   eo.lookahead = lookahead;
   eo.end_time = scale.end;
-  if (guarded != nullptr) {
-    eo.sync = guarded->sync;
-    eo.guard = guarded->options;
-  }
+  if (guarded != nullptr) eo.guard = guarded->options;
   Engine engine(eo);
   NetSim sim(net, fp, map, engine, NetSimOptions{});
   TrafficManager manager(sim);
@@ -183,9 +179,9 @@ RunResult run_once(const Scale& scale, bool threaded,
   manager.start(engine, sim);
   RunResult r;
   if (guarded != nullptr) {
-    // Stall injection only exists on the channel-clock protocol; the
-    // barrier rungs of the recovery ladder run clean by construction.
-    if (guarded->inject_stall && guarded->sync == SyncMode::kChannel) {
+    // The freeze only bites on the threaded executor; the ladder's
+    // sequential rung ignores it and runs clean by construction.
+    if (guarded->inject_stall) {
       engine.test_freeze_lp_clock(scale.lps - 1, /*after_windows=*/100);
     }
     guard::Watchdog watchdog(engine, guarded->options, guarded->registry);
@@ -276,10 +272,9 @@ int main(int argc, char** argv) {
     guard::GuardedRun runner(gopts, &guard_registry);
     bool have_result = false;
     const guard::GuardedRunReport report = runner.run(
-        SyncMode::kChannel, scale.threads,
+        scale.threads,
         [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
           GuardConfig gc;
-          gc.sync = plan.sync;
           gc.threads = plan.threads;
           gc.options.enabled = true;
           gc.options.stall_deadline_s = guard_deadline_s;

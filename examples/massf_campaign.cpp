@@ -17,7 +17,9 @@
 //                            result.kv, log.txt (subprocess mode)
 //
 // Exit status: 0 when every run completed, 1 when any failed (the failed
-// list is in the roll-up and the table), 2 on usage/parse errors.
+// list is in the roll-up and the table) or the campaign file is invalid
+// (a line-numbered error, as massf_cli reports scenario files), 2 on usage
+// errors.
 #include <unistd.h>
 
 #include <cstdio>
@@ -72,7 +74,7 @@ int main(int argc, char** argv) {
   const auto spec = load_campaign_file(campaign_path, &error);
   if (!spec) {
     std::fprintf(stderr, "%s: %s\n", campaign_path.c_str(), error.c_str());
-    return 2;
+    return 1;
   }
 
   const std::int64_t worker_run = flags.get_int("worker-run");

@@ -151,9 +151,8 @@ int main(int argc, char** argv) {
       gro.max_retries = spec.guard_retries;
       guard::GuardedRun runner(gro, &guard_registry);
       const auto report = runner.run(
-          opts.sync, opts.executor_threads,
+          opts.executor_threads,
           [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-            scenario.set_sync(plan.sync);
             scenario.set_executor_threads(plan.threads);
             CkptOptions attempt_ckpt = opts.ckpt;
             if (plan.restore && !attempt_ckpt.path.empty() &&

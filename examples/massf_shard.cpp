@@ -23,14 +23,12 @@
 // inject a worker SIGKILL for supervision/recovery drills; pair them with
 // --ring-dump to capture the control page + ring cursors on failure.
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "campaign/golden.hpp"
-#include "ckpt/ckpt.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "pdes/golden_ring.hpp"
 #include "shard/supervisor.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
@@ -45,68 +43,10 @@ struct RingSpec {
   std::int64_t hops = 2000;
 };
 
-constexpr std::int32_t kEvHop = 1;
-constexpr std::int32_t kEvLocal = 2;
-
-class RingLp final : public LogicalProcess {
- public:
-  RingLp(LpId next, std::int64_t chain) : next_(next), chain_(chain) {}
-
-  void handle(Engine& engine, const Event& ev) override {
-    checksum =
-        checksum * 1099511628211ULL + static_cast<std::uint64_t>(ev.time);
-    if (ev.type == kEvHop) {
-      if (ev.a > 0) {
-        engine.schedule(next_, ev.time + engine.options().lookahead, kEvHop,
-                        ev.a - 1);
-      }
-      if (chain_ > 0) {
-        engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                        kEvLocal, static_cast<std::uint64_t>(chain_ - 1));
-      }
-    } else if (ev.a > 0) {
-      engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                      kEvLocal, ev.a - 1);
-    }
-  }
-
-  // The fold is LP state: without it a checkpoint-restored run resumes
-  // the trace correctly but loses the prefix already folded in.
-  void save(ckpt::Writer& w) const override { w.u64(checksum); }
-  bool load(ckpt::Reader& r) override {
-    checksum = r.u64();
-    return r.ok();
-  }
-
-  std::uint64_t checksum = 0;
-
- private:
-  LpId next_;
-  std::int64_t chain_;
-};
-
 shard::ShardWorkload build_ring(const RingSpec& spec) {
-  EngineOptions o;
-  o.lookahead = milliseconds(1);
-  o.end_time = seconds(3600);
-  auto engine = std::make_unique<Engine>(o);
-  auto lps = std::make_shared<std::vector<RingLp*>>();
-  for (std::int64_t i = 0; i < spec.lps; ++i) {
-    auto lp = std::make_unique<RingLp>(
-        static_cast<LpId>((i + 1) % spec.lps), spec.chain);
-    lps->push_back(lp.get());
-    engine->add_lp(std::move(lp));
-  }
-  for (std::int64_t i = 0; i < spec.lps; ++i) {
-    engine->schedule(static_cast<LpId>(i), 0, kEvHop,
-                     static_cast<std::uint64_t>(spec.hops));
-  }
-  shard::ShardWorkload w;
-  w.engine = std::move(engine);
-  w.lp_checksum = [lps](LpId i) {
-    return (*lps)[static_cast<std::size_t>(i)]->checksum;
-  };
-  return w;
+  GoldenRing ring = build_golden_ring(golden_ring_options(), spec.lps,
+                                      spec.chain, spec.hops);
+  return {std::move(ring.engine), std::move(ring.lp_checksum)};
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 Schemas understood (dispatched on the current report's "schema" field):
 
-  massf.bench_pdes.v2 — compare a fresh `bench_pdes --json` run against the
+  massf.bench_pdes.v3 — compare a fresh `bench_pdes --out` run against the
   committed BENCH_pdes.json baseline. Checks:
     * Determinism (exact): every executor entry must report the pinned
       golden checksum plus the exact event and window counts. Any drift
@@ -13,22 +13,14 @@ Schemas understood (dispatched on the current report's "schema" field):
       (fractional, default 0.5 — CI runners are noisy and slower than the
       machine that produced the baseline; the gate exists to catch
       order-of-magnitude cliffs, not single-digit noise). Entries are
-      matched by (sync, threads) so barrier and channel rows are gated
-      against their own baselines, never each other.
+      matched by (threads, guard, shards). A row whose thread or shard
+      count exceeds the current report's config.host_cpus is skipped with
+      a note: its workers share cores, so its events/s measures the OS
+      scheduler, not the executor.
     * Wait accounting (exact-ish): barrier_wait_s is a summed thread-
       seconds quantity; barrier_wait_mean_s must equal it divided by the
       thread count, so the two fields cannot drift apart and a reader
       comparing waits against wall_s compares like with like.
-    * Channel-wait reduction (self-contained): when the current report
-      carries both a "threaded" (barrier) and "threaded_channel" entry at
-      the same thread count, the channel protocol's summed wait must be at
-      least --min-wait-reduction (default 0.5) below the barrier's — same
-      machine, same run, identical event counts by the determinism check.
-      Applied only when config.host_cpus >= threads: on an oversubscribed
-      host the summed wait is pinned near (threads - 1) * wall_s by the OS
-      scheduler for *any* protocol, so the comparison would measure core
-      starvation, not synchronization. (Channel sync still shows up there
-      as lower wall_s / higher events/s, which the throughput check gates.)
     * Supervision overhead (self-contained): when the current report
       carries a "sequential_guard" entry (armed liveness watchdog, DESIGN.md
       section 5h), its events/s must stay within --max-guard-overhead
@@ -43,9 +35,9 @@ Schemas understood (dispatched on the current report's "schema" field):
       never gate against thread rows), and its ring_wait_share — the share
       of total worker-seconds spent blocked on the cross-shard rings and
       control page — must stay under --max-ring-wait-share (default 0.5).
-      Like the channel-wait check, the share gate is skipped when
-      config.host_cpus < shards: an oversubscribed host pins workers in
-      transport waits by scheduling, not by protocol cost.
+      The share gate is skipped when config.host_cpus < shards: an
+      oversubscribed host pins workers in transport waits by scheduling,
+      not by protocol cost.
 
   massf.bench_rebalance.v1 — self-contained gate on a
   `bench_rebalance --json` run (no baseline file needed):
@@ -86,7 +78,7 @@ Usage:
                                   # overwrite the committed baseline
   scripts/check_bench.py [--baseline BENCH_pdes.json] [--current current.json]
                          [--tolerance 0.5] [--allow-missing-baseline]
-                         [--min-improvement 0.15] [--min-wait-reduction 0.5]
+                         [--min-improvement 0.15]
 
 Exit status: 0 on pass, 1 on any failed check, 2 on missing/malformed input
 (one-line actionable message on stderr, no traceback).
@@ -132,28 +124,11 @@ def entries(doc, filename):
     yield "sequential", get(doc, "sequential", filename)
     if "sequential_guard" in doc:
         yield "sequential_guard", doc["sequential_guard"]
-    named = [name for name in ("threaded", "threaded_channel") if name in doc]
-    if not named:
-        die(f"{filename}: no threaded entry ('threaded' or "
-            f"'threaded_channel') — the report schema changed or the bench "
-            f"was interrupted; regenerate it")
-    for name in named:
-        yield name, doc[name]
+    yield "threaded", get(doc, "threaded", filename)
     if "sharded" in doc:
         yield "sharded", doc["sharded"]
     for sweep in doc.get("sweep", []):
-        label = (f"sweep[sync={sweep.get('sync', 'barrier')},"
-                 f"threads={sweep.get('threads', '?')}]")
-        yield label, sweep
-
-
-def sync_of(entry):
-    """Sync-protocol tag of an entry; reports predating the channel-clock
-    executor carry no "sync" field and were barrier-threaded (or
-    sequential, tagged "none")."""
-    if "sync" in entry:
-        return entry["sync"]
-    return "none" if entry.get("threads", 0) == 0 else "barrier"
+        yield f"sweep[threads={sweep.get('threads', '?')}]", sweep
 
 
 def field(entry, label, name, filename):
@@ -165,9 +140,9 @@ def field(entry, label, name, filename):
 
 def check_pdes(baseline, current, args):
     for doc, name in ((baseline, args.baseline), (current, args.current)):
-        if doc.get("schema") != "massf.bench_pdes.v2":
+        if doc.get("schema") != "massf.bench_pdes.v3":
             die(f"{name}: unexpected schema {doc.get('schema')!r} "
-                f"(want massf.bench_pdes.v2)")
+                f"(want massf.bench_pdes.v3)")
 
     golden = get(baseline, "sequential.checksum", args.baseline)
     golden_events = get(baseline, "sequential.events", args.baseline)
@@ -182,23 +157,30 @@ def check_pdes(baseline, current, args):
             if got != want:
                 failures.append(f"{label}: {name} {got} != golden {want}")
 
-    # Throughput: compare matching (sync, threads, guard, shards) keys —
-    # like with like; runner core counts differ, so entries absent from
-    # either report are skipped, not failed. The guard flag is part of the
-    # key so the supervised row never gates (or hides behind) the unguarded
-    # one; shards (0 for every in-process row) keeps the multi-process row
-    # in its own lane — it has no "threads" field at all.
+    # Throughput: compare matching (threads, guard, shards) keys — like
+    # with like; runner core counts differ, so entries absent from either
+    # report are skipped, not failed. The guard flag is part of the key so
+    # the supervised row never gates (or hides behind) the unguarded one;
+    # shards (0 for every in-process row) keeps the multi-process row in
+    # its own lane — it has no "threads" field at all.
     def entry_key(label, e, filename):
         shards = e.get("shards", 0)
         if shards:
-            return ("sharded", 0, False, shards)
-        return (sync_of(e), field(e, label, "threads", filename),
+            return (0, False, shards)
+        return (field(e, label, "threads", filename),
                 bool(e.get("guard", False)), 0)
 
+    host_cpus = current.get("config", {}).get("host_cpus", 0)
     base_by_key = {
         entry_key(label, e, args.baseline): (label, e)
         for label, e in entries(baseline, args.baseline)}
     for label, entry in entries(current, args.current):
+        workers = max(entry.get("threads", 0), entry.get("shards", 0))
+        if workers > host_cpus:
+            print(f"check_bench: note: {label} runs {workers} workers on "
+                  f"{host_cpus} cpus — events/s is scheduler-bound, "
+                  f"skipping throughput check", file=sys.stderr)
+            continue
         match = base_by_key.get(entry_key(label, entry, args.current))
         if match is None:
             print(f"check_bench: note: no baseline for {label}, "
@@ -227,41 +209,13 @@ def check_pdes(baseline, current, args):
                 f"{label}: barrier_wait_mean_s {mean} inconsistent with "
                 f"barrier_wait_s {wait_sum} over {threads} threads")
 
-    # Channel-wait reduction, within the current report only (same machine,
-    # same run): channel sync must cut the summed wait vs the barrier run
-    # at the same thread count. Skipped when the barrier wait is too small
-    # to measure a reduction against, and on oversubscribed hosts (see the
-    # module docstring: there the summed wait measures core starvation).
-    cur = {label: e for label, e in entries(current, args.current)}
-    barrier_top, channel_top = cur.get("threaded"), cur.get("threaded_channel")
-    if (barrier_top is not None and channel_top is not None
-            and barrier_top.get("threads") == channel_top.get("threads")
-            and barrier_top.get("barrier_wait_s", 0) > 1e-3):
-        host_cpus = current.get("config", {}).get("host_cpus", 0)
-        threads = barrier_top.get("threads", 0)
-        if host_cpus < threads:
-            print(f"check_bench: note: host has {host_cpus} cpus for "
-                  f"{threads} threads — summed wait is scheduler-bound, "
-                  f"skipping channel-wait-reduction check", file=sys.stderr)
-        else:
-            barrier_wait = barrier_top["barrier_wait_s"]
-            channel_wait = field(channel_top, "threaded_channel",
-                                 "barrier_wait_s", args.current)
-            ceiling = barrier_wait * (1.0 - args.min_wait_reduction)
-            if channel_wait > ceiling:
-                failures.append(
-                    f"threaded_channel: summed sync wait {channel_wait:.4f}s "
-                    f"exceeds {ceiling:.4f}s ({args.min_wait_reduction:.0%} "
-                    f"reduction gate vs barrier {barrier_wait:.4f}s)")
-
     # Sharded transport share, within the current report only: the fraction
     # of total worker-seconds the multi-process executor spent blocked on
-    # its rings + control page. Skipped on oversubscribed hosts for the
-    # same reason as the channel-wait check — there the waits measure core
-    # starvation, not transport cost.
+    # its rings + control page. Skipped on oversubscribed hosts — there the
+    # waits measure core starvation, not transport cost.
+    cur = {label: e for label, e in entries(current, args.current)}
     sharded_top = cur.get("sharded")
     if sharded_top is not None:
-        host_cpus = current.get("config", {}).get("host_cpus", 0)
         shards = field(sharded_top, "sharded", "shards", args.current)
         share = field(sharded_top, "sharded", "ring_wait_share", args.current)
         if host_cpus < shards:
@@ -427,18 +381,13 @@ def main():
     parser.add_argument("--min-improvement", type=float, default=0.15,
                         help="massf.bench_rebalance.v1: minimum modeled-time "
                              "improvement fraction (default 0.15)")
-    parser.add_argument("--min-wait-reduction", type=float, default=0.5,
-                        help="massf.bench_pdes.v2: minimum fractional summed-"
-                             "wait reduction of channel sync vs the barrier "
-                             "run at the same thread count (default 0.5; "
-                             "skipped on oversubscribed hosts)")
     parser.add_argument("--max-guard-overhead", type=float, default=0.10,
-                        help="massf.bench_pdes.v2: max fractional events/s "
+                        help="massf.bench_pdes.v3: max fractional events/s "
                              "cost of the armed-watchdog sequential_guard "
                              "row vs the unguarded sequential row in the "
                              "same report (default 0.10)")
     parser.add_argument("--max-ring-wait-share", type=float, default=0.5,
-                        help="massf.bench_pdes.v2: max share of sharded "
+                        help="massf.bench_pdes.v3: max share of sharded "
                              "worker-seconds spent blocked on the cross-"
                              "shard rings/control page (default 0.5; "
                              "skipped on oversubscribed hosts)")

@@ -5,8 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <tuple>
-
-#include "pdes/channel_sync.hpp"
+#include <utility>
 
 namespace massf {
 namespace {
@@ -105,8 +104,8 @@ bool unknown_key(const DmlAttribute& a, const char* where,
 
 bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
                  std::string* error) {
-  Axis over{"override", {}}, mapping{"mapping", {}}, sync{"sync", {}},
-      threads{"threads", {}}, shards{"shards", {}}, seed{"seed", {}};
+  Axis over{"override", {}}, mapping{"mapping", {}}, threads{"threads", {}},
+      shards{"shards", {}}, seed{"seed", {}};
   for (const DmlAttribute& a : node.attributes) {
     if (ignored_key(a.key)) continue;
     if (a.key == "override" && a.child) {
@@ -148,21 +147,23 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
                                                 : "executor_shards";
       ax.points.push_back(
           {a.atom, {{std::string(dotted), a.atom, a.line}}});
-    } else if (a.key == "sync" || a.key == "mapping") {
+    } else if (a.key == "mapping") {
       // Value validity is checked when the merged run re-parses, with
       // this atom's line.
-      Axis& ax = a.key == "sync" ? sync : mapping;
-      ax.points.push_back({a.atom, {{a.key, a.atom, a.line}}});
+      mapping.points.push_back({a.atom, {{a.key, a.atom, a.line}}});
+    } else if (a.key == "sync") {
+      if (error) *error = line_err(a.line, kSyncRemoved);
+      return false;
     } else {
       if (error) {
         *error = line_err(a.line, "unknown sweep axis '" + a.key +
-                                      "' (seed|sync|threads|shards|mapping|"
+                                      "' (seed|threads|shards|mapping|"
                                       "override)");
       }
       return false;
     }
   }
-  for (Axis* ax : {&over, &mapping, &sync, &threads, &shards, &seed}) {
+  for (Axis* ax : {&over, &mapping, &threads, &shards, &seed}) {
     if (!ax->points.empty()) axes->push_back(std::move(*ax));
   }
   return true;
@@ -340,27 +341,21 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
   }
 
   if (spec.golden) {
-    // One calibration row per distinct (sync, threads, shards) the
-    // expansion exercises, in first-appearance order. The shards suffix
-    // only appears for sharded rows, keeping single-process row ids (the
-    // values artifacts and gates already pin) stable.
-    std::vector<std::tuple<SyncMode, std::int32_t, std::int32_t>> seen;
+    // One calibration row per distinct (threads, shards) the expansion
+    // exercises, in first-appearance order. The shards suffix only
+    // appears for sharded rows.
+    std::vector<std::pair<std::int32_t, std::int32_t>> seen;
     for (const CampaignRun& r : spec.runs) {
-      const auto key = std::make_tuple(r.spec.options.sync,
-                                       r.spec.options.executor_threads,
-                                       r.spec.options.executor_shards);
+      const auto key = std::make_pair(r.spec.options.executor_threads,
+                                      r.spec.options.executor_shards);
       if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
       seen.push_back(key);
       CampaignRun g;
       g.golden = true;
-      g.spec.options.sync = std::get<0>(key);
-      g.spec.options.executor_threads = std::get<1>(key);
-      g.spec.options.executor_shards = std::get<2>(key);
-      g.id = std::string("golden[sync=") + sync_mode_name(std::get<0>(key)) +
-             ",threads=" + std::to_string(std::get<1>(key));
-      if (std::get<2>(key) > 1) {
-        g.id += ",shards=" + std::to_string(std::get<2>(key));
-      }
+      g.spec.options.executor_threads = key.first;
+      g.spec.options.executor_shards = key.second;
+      g.id = "golden[threads=" + std::to_string(key.first);
+      if (key.second > 1) g.id += ",shards=" + std::to_string(key.second);
       g.id += "]";
       spec.runs.push_back(std::move(g));
     }

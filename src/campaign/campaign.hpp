@@ -11,15 +11,15 @@
 //     golden 1              # add PDES-ring calibration rows (golden.hpp)
 //     sweep [
 //       seed 1   seed 2     # each repeated atom is one point on its axis
-//       sync barrier  sync channel
 //       threads 0  threads 2
+//       shards 1  shards 2  # golden rows only; scenario runs stay in-process
 //       mapping HPROF
 //       override [ tag small  routers 80  rebalance.enabled 1 ]
 //     ]
 //   ]
 //
 // Expansion is the cross product over the non-empty axes, in the fixed
-// order override > mapping > sync > threads > seed (outer to inner), so
+// order override > mapping > threads > shards > seed (outer to inner), so
 // the run list — ids, directories, roll-up rows — is identical no matter
 // where or with how many workers the campaign executes. Each run's id is
 // the joined "axis=value" labels ("base" when there are no axes).
@@ -30,9 +30,9 @@
 // parser, so a typo'd key or bad value fails with the campaign file's
 // line number. `tag` names the point in run ids (default o0, o1, ...).
 //
-// With `golden 1`, one calibration row per distinct (sync, threads)
+// With `golden 1`, one calibration row per distinct (threads, shards)
 // combination in the expansion runs the pinned PDES ring workload
-// (tests/pdes_golden_test.cpp) instead of a scenario — putting the
+// (pdes/golden_ring.hpp) instead of a scenario — putting the
 // engine-determinism golden checksum in every campaign roll-up.
 #pragma once
 
@@ -46,7 +46,7 @@
 
 namespace massf {
 
-/// One axis assignment of an expanded run, e.g. {"sync", "channel"}.
+/// One axis assignment of an expanded run, e.g. {"threads", "2"}.
 struct CampaignAxisValue {
   std::string axis;
   std::string label;
@@ -54,12 +54,13 @@ struct CampaignAxisValue {
 
 /// A fully-resolved unit of campaign work.
 struct CampaignRun {
-  std::string id;  ///< "seed=1,sync=barrier" / "base" / "golden[...]"
+  std::string id;  ///< "threads=2,seed=1" / "base" / "golden[...]"
   std::vector<CampaignAxisValue> axis;
   ScenarioSpec spec;
   /// True for a PDES-ring calibration row: the runner executes the
-  /// golden workload under spec.options.{sync, executor_threads} and
-  /// records its checksum instead of running the scenario.
+  /// golden workload under spec.options.{executor_threads,
+  /// executor_shards} and records its checksum instead of running the
+  /// scenario.
   bool golden = false;
 };
 

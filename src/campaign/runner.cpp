@@ -83,9 +83,8 @@ void execute_scenario(const CampaignRun& run, obs::Registry* registry,
     gro.max_retries = s.guard_retries;
     guard::GuardedRun runner(gro, registry);
     const auto report = runner.run(
-        opts.sync, opts.executor_threads,
+        opts.executor_threads,
         [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-          scenario.set_sync(plan.sync);
           scenario.set_executor_threads(plan.threads);
           CkptOptions attempt_ckpt = opts.ckpt;
           if (plan.restore && !attempt_ckpt.path.empty() &&
@@ -146,8 +145,7 @@ RunRecord execute_run(const CampaignRun& run, const std::string& run_dir) {
   obs::Registry registry;
   try {
     if (run.golden) {
-      rec.checksum = golden_ring_checksum(run.spec.options.sync,
-                                          run.spec.options.executor_threads,
+      rec.checksum = golden_ring_checksum(run.spec.options.executor_threads,
                                           &rec.events, &rec.windows,
                                           run.spec.options.executor_shards);
       rec.has_checksum = true;

@@ -8,34 +8,26 @@
 namespace massf::guard {
 
 GuardedRunReport GuardedRun::run(
-    SyncMode sync, std::int32_t threads,
+    std::int32_t threads,
     const std::function<AttemptOutcome(const AttemptPlan&)>& attempt) {
   // Build the ladder up front: rung 0 is the requested configuration
-  // (1 + max_retries tries), rung 1 swaps channel clocks for global
-  // barriers, rung 2 drops to the sequential reference executor. Rungs
-  // that would not change anything are skipped.
+  // (1 + max_retries tries), rung 1 drops to the sequential reference
+  // executor — skipped when the request already is sequential.
   struct Rung {
-    SyncMode sync;
     std::int32_t threads;
     int rung;
     int tries;
   };
   std::vector<Rung> ladder;
   const int retries = opts_.max_retries < 0 ? 0 : opts_.max_retries;
-  ladder.push_back(Rung{sync, threads, 0, 1 + retries});
-  if (sync == SyncMode::kChannel && threads > 1) {
-    ladder.push_back(Rung{SyncMode::kBarrier, threads, 1, 1});
-  }
-  if (threads > 1) {
-    ladder.push_back(Rung{SyncMode::kBarrier, 1, 2, 1});
-  }
+  ladder.push_back(Rung{threads, 0, 1 + retries});
+  if (threads > 1) ladder.push_back(Rung{1, 1, 1});
 
   GuardedRunReport report;
   for (const Rung& rung : ladder) {
     for (int t = 0; t < rung.tries; ++t) {
       AttemptPlan plan;
       plan.attempt = report.attempts;
-      plan.sync = rung.sync;
       plan.threads = rung.threads;
       plan.rung = rung.rung;
       // First attempt starts fresh; every later attempt resumes from the
@@ -46,10 +38,10 @@ GuardedRunReport GuardedRun::run(
 
       if (report.attempts > 1) {
         std::fprintf(stderr,
-                     "massf guard: recovery attempt %d (sync=%s threads=%d "
-                     "rung=%d restore=%d)\n",
-                     plan.attempt, sync_mode_name(plan.sync),
-                     plan.threads, plan.rung, plan.restore ? 1 : 0);
+                     "massf guard: recovery attempt %d (threads=%d rung=%d "
+                     "restore=%d)\n",
+                     plan.attempt, plan.threads, plan.rung,
+                     plan.restore ? 1 : 0);
         std::fflush(stderr);
         if (registry_ != nullptr) registry_->counter("guard.retries").inc();
       }

@@ -9,13 +9,12 @@
 // under a progressively safer configuration:
 //
 //   rung 0   retry the same configuration (x max_retries)
-//   rung 1   fall back sync = channel -> barrier (global gates cannot
-//            deadlock on a misdeclared channel clock)
-//   rung 2   reduce to one thread (the sequential reference executor)
+//   rung 1   reduce to one thread (the sequential reference executor,
+//            which has no synchronization protocol to stall)
 //   fail     re-raise with diagnostics
 //
 // Determinism contract: recovery replays from a bit-identical checkpoint,
-// and both executors produce the bit-identical trace — so a recovered run
+// and every executor produces the bit-identical trace — so a recovered run
 // yields the same results (golden checksum included) as an uninterrupted
 // one. Every action lands in guard.* metrics (DESIGN.md section 5h).
 #pragma once
@@ -23,8 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-
-#include "pdes/channel_sync.hpp"
 
 namespace massf::obs {
 class Registry;
@@ -35,7 +32,6 @@ namespace massf::guard {
 /// The configuration GuardedRun asks one attempt to run under.
 struct AttemptPlan {
   int attempt = 0;  ///< 0-based attempt index
-  SyncMode sync = SyncMode::kChannel;
   std::int32_t threads = 0;  ///< 0/1 = sequential
   /// True when a previous attempt made progress worth resuming: the
   /// attempt fn should restore the latest checkpoint if it has one.
@@ -77,11 +73,11 @@ class GuardedRun {
   explicit GuardedRun(Options options, obs::Registry* registry = nullptr)
       : opts_(options), registry_(registry) {}
 
-  /// Runs `attempt` under the ladder starting from (sync, threads).
-  /// The attempt fn must be re-entrant: each call rebuilds its engine
-  /// stack from scratch (plus checkpoint restore when plan.restore).
+  /// Runs `attempt` under the ladder starting from `threads`. The attempt
+  /// fn must be re-entrant: each call rebuilds its engine stack from
+  /// scratch (plus checkpoint restore when plan.restore).
   GuardedRunReport run(
-      SyncMode sync, std::int32_t threads,
+      std::int32_t threads,
       const std::function<AttemptOutcome(const AttemptPlan&)>& attempt);
 
  private:

@@ -60,7 +60,7 @@ struct GuardOptions {
 
 /// Process-default guard options: enabled when MASSF_GUARD is set to
 /// anything but "0"/"off"/"" ; MASSF_GUARD_DEADLINE_S overrides the
-/// deadline. Read once and cached (mirrors default_sync_mode()).
+/// deadline. Read once and cached.
 inline GuardOptions default_guard_options() {
   static const GuardOptions cached = [] {
     GuardOptions g;

@@ -134,9 +134,7 @@ std::string Watchdog::render_diagnostic(const Engine& engine,
   j += "  \"reason\": \"no-progress\",\n";
   j += "  \"stalled_for_s\": " + obs::format_double(stalled_for_s) + ",\n";
   j += "  \"deadline_s\": " + obs::format_double(deadline_s) + ",\n";
-  j += "  \"sync\": {\"mode\": \"";
-  j += sync_mode_name(o.sync);
-  j += "\", \"channels\": " + std::to_string(graph.size());
+  j += "  \"sync\": {\"channels\": " + std::to_string(graph.size());
   j += ", \"stalls\": " +
        std::to_string(t.sync_stalls.load(std::memory_order_relaxed));
   j += ", \"quiescence_epochs\": " +

@@ -134,28 +134,15 @@ class NetSim {
   void schedule_app_timer(Engine& engine, NodeId host, SimTime when,
                           std::uint64_t b = 0, std::uint64_t c = 0);
 
-  /// DEPRECATED shim (one PR): call link_model().schedule_link_state().
-  /// Takes `link` down (or back up) at `when` in both directions.
-  void schedule_link_state(Engine& engine, LinkId link, SimTime when,
-                           bool up) {
-    model_->schedule_link_state(engine, link, when, up);
-  }
-
   /// Fault injection: crashes (or restores) a router at virtual time
   /// `when`. While down, packets arriving at the router are blackholed
   /// (dropped_node_down) and app timers on its attached hosts are dropped
   /// (the hosts are off the network). Incident interfaces are NOT touched
   /// here — callers (the fault injector) down them with
-  /// schedule_link_state so the control plane can observe the withdrawals.
+  /// link_model().schedule_link_state so the control plane can observe
+  /// the withdrawals.
   void schedule_node_state(Engine& engine, NodeId router, SimTime when,
                            bool up);
-
-  /// DEPRECATED shim (one PR): call link_model().schedule_loss_state().
-  /// Sets the loss/corruption rate of `link` (both directions) at `when`.
-  void schedule_loss_state(Engine& engine, LinkId link, SimTime when,
-                           double loss_rate) {
-    model_->schedule_loss_state(engine, link, when, loss_rate);
-  }
 
   void set_flow_complete(FlowCompleteFn fn) { on_flow_complete_ = std::move(fn); }
   void set_udp_receive(UdpReceiveFn fn) { on_udp_ = std::move(fn); }
@@ -188,22 +175,6 @@ class NetSim {
   /// Per-network-node processed-event counts (empty unless
   /// collect_node_profile). Index = NodeId.
   const std::vector<std::uint64_t>& node_profile() const { return profile_; }
-
-  /// DEPRECATED shim (one PR): call link_model().link_bytes(). Bytes
-  /// carried by each directed interface (slot = link*2 + direction;
-  /// direction 0 transmits from NetLink::a). Empty unless
-  /// collect_link_stats. Valid after the run.
-  const std::vector<std::uint64_t>& link_bytes() const {
-    return model_->link_bytes();
-  }
-
-  /// DEPRECATED shim (one PR): call link_model().link_utilization().
-  /// Utilization of one direction of a link over `duration`: carried bits
-  /// over capacity. Requires collect_link_stats.
-  double link_utilization(LinkId link, int direction,
-                          SimTime duration) const {
-    return model_->link_utilization(link, direction, duration);
-  }
 
   /// All finished flows: packet TCP flows merged across LPs in
   /// (LP, finish-order), followed by the link model's background flows in

@@ -13,14 +13,14 @@
 //
 // Quiescence detection: the thread that completes the window's last merge
 // observes merged_count == n — every channel clock has collapsed to the
-// window end, which is exactly the global quiescent point the barrier
-// executor reaches after its close gate. That thread becomes the *epoch
+// window end, which is exactly the global quiescent point the sequential
+// loop reaches after its merge phase. That thread becomes the *epoch
 // closer*: it runs the unchanged boundary sequence (probe, outbox
 // accounting, EngineHooks stages 1-3, next-floor scan) single-threadedly,
 // then publishes the next epoch with one release store on the epoch word
 // (the only futex wake of the whole window). Hook/rebalance/ckpt semantics
-// are therefore identical to the barrier executor and the sequential
-// reference — only who waits on whom changed.
+// are therefore identical to the sequential reference — only who waits on
+// whom changed.
 //
 // Memory ordering. Claims CAS the stage word acq_rel (synchronizing with
 // the previous owner's release store); merge-readiness reads neighbor
@@ -36,36 +36,21 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include <mutex>
-#include <string>
-
 #include "obs/probe.hpp"
-#include "pdes/barrier.hpp"
 #include "pdes/engine.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace massf {
-
-SyncMode default_sync_mode() {
-  static const SyncMode mode = [] {
-    const char* env = std::getenv("MASSF_SYNC");
-    if (env != nullptr && std::strcmp(env, "barrier") == 0) {
-      return SyncMode::kBarrier;
-    }
-    return SyncMode::kChannel;
-  }();
-  return mode;
-}
-
-const char* sync_mode_name(SyncMode mode) {
-  return mode == SyncMode::kChannel ? "channel" : "barrier";
-}
 
 void ChannelGraph::add(LpId src, LpId dst, SimTime lookahead) {
   MASSF_ENFORCE(!finalized_, ErrorCategory::kTopology,
@@ -128,6 +113,25 @@ double elapsed_s(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Busy-wait budget for `parties` synchronizing threads. Spinning only
+/// pays when every party plus the main thread can run at once; a host
+/// reporting fewer cores — or 0, hardware_concurrency()'s "unknown" value
+/// — is treated as oversubscribed and yields immediately (spinning there
+/// only delays whichever thread everyone is waiting for).
+std::int32_t spin_budget(std::int32_t parties) {
+  const unsigned hc = std::thread::hardware_concurrency();
+  if (hc == 0) return 0;  // unknown host: assume oversubscribed
+  return hc >= static_cast<unsigned>(parties) + 1 ? 512 : 0;
+}
+
 // Stage word layout: (epoch << kPhaseBits) | phase. Monotonic over a run.
 constexpr std::uint64_t kIdle = 0;
 constexpr std::uint64_t kProcessed = 2;
@@ -157,10 +161,9 @@ void add_relaxed(std::atomic<double>& a, double d) {
 
 }  // namespace
 
-RunStats Engine::run_threaded_channel(std::int32_t num_threads) {
+RunStats Engine::run_channel_sync(std::int32_t num_threads) {
   MASSF_CHECK(num_threads >= 2);
   begin_run();
-  sync_stats_.mode = SyncMode::kChannel;
   const LpId n = num_lps();
   const bool timed = probe_ != nullptr;
 

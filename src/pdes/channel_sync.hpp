@@ -1,20 +1,18 @@
 // Topology-aware channel-clock synchronization for the threaded executor.
 //
-// The barrier executor (threaded.cpp) makes every worker cross three global
-// sense-reversing barriers per window, so each window costs 3 x num_threads
-// futex/spin round-trips even when most engine pairs never exchange an
-// event. This module replaces the global gates with per-engine-pair
-// progress tracking in the null-message/channel-clock tradition: each LP
-// carries an epoch-tagged stage word (idle -> processing -> processed ->
-// merging -> merged), a merge becomes ready as soon as the LP itself and
-// its *in-neighbors on the channel graph* are processed (their channel
-// clocks have reached the window end), and engines whose neighbors are
-// already ahead run free with no gate at all. A quiescence detector — the
-// thread that completes a window's last merge observes every channel clock
-// at the window end — collapses the per-pair clocks into a global epoch
-// and runs the EngineHooks boundary (hooks -> rebalance -> ckpt) exactly
-// where the barrier executor ran it, so boundary semantics, checkpoints,
-// and the bit-exact event trace are unchanged (DESIGN.md section 5g).
+// Instead of global gates that make every worker wait for the slowest one,
+// the executor tracks progress per engine pair in the null-message/
+// channel-clock tradition: each LP carries an epoch-tagged stage word
+// (idle -> processing -> processed -> merging -> merged), a merge becomes
+// ready as soon as the LP itself and its *in-neighbors on the channel
+// graph* are processed (their channel clocks have reached the window end),
+// and engines whose neighbors are already ahead run free with no gate at
+// all. A quiescence detector — the thread that completes a window's last
+// merge observes every channel clock at the window end — collapses the
+// per-pair clocks into a global epoch and runs the EngineHooks boundary
+// (hooks -> rebalance -> ckpt) exactly where the sequential window loop
+// runs it, so boundary semantics, checkpoints, and the bit-exact event
+// trace are unchanged (DESIGN.md section 5g).
 //
 // The ChannelGraph is the topology the sync protocol exploits. Channels
 // are directional (src may send cross-LP events to dst) with a per-channel
@@ -33,19 +31,6 @@
 #include "pdes/event.hpp"
 
 namespace massf {
-
-/// Executor synchronization protocol for Engine::run_threaded.
-enum class SyncMode : std::uint8_t {
-  kBarrier,  ///< three global sense-reversing barriers per window
-  kChannel,  ///< per-engine-pair channel clocks + quiescence epochs
-};
-
-/// Process-wide default sync mode: SyncMode::kChannel unless the
-/// environment sets MASSF_SYNC=barrier (the CI matrix uses this to run the
-/// whole suite under both protocols). Read once and cached.
-SyncMode default_sync_mode();
-
-const char* sync_mode_name(SyncMode mode);
 
 /// Directed cross-LP communication topology with per-channel lookahead.
 /// Build with add(), then hand to Engine::set_channels (which finalizes).
@@ -95,11 +80,10 @@ class ChannelGraph {
 
 /// Aggregates of one run's synchronization behaviour, published as
 /// `pdes.sync.*` when a registry is attached (schema in DESIGN.md 5g).
-/// Only the channel executor fills the dynamic fields; wait times are
+/// Only the threaded executor fills the dynamic fields; wait times are
 /// measured only while a WindowProbe is attached (the hot path performs no
 /// clock reads otherwise).
 struct SyncStats {
-  SyncMode mode = SyncMode::kBarrier;
   /// Declared channels (0 = all-pairs fallback).
   std::uint64_t channels = 0;
   /// Channel advances that carried no events: at each merge, an

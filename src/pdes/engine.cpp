@@ -322,8 +322,6 @@ void Engine::publish_run_metrics() {
   r.gauge("pdes.sched.threads").set(static_cast<double>(run_threads_));
   // Synchronization protocol aggregates (schema massf.metrics.v1,
   // DESIGN.md section 5g). Wait gauges are zero unless a probe timed them.
-  r.gauge("pdes.sync.mode")
-      .set(sync_stats_.mode == SyncMode::kChannel ? 1.0 : 0.0);
   r.gauge("pdes.sync.channels").set(static_cast<double>(sync_stats_.channels));
   r.counter("pdes.sync.null_events").inc(sync_stats_.null_events);
   r.counter("pdes.sync.stalls").inc(sync_stats_.stalls);

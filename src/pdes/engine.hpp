@@ -14,7 +14,7 @@
 // DESIGN.md: per window it charges each LP `cost_per_event` for every event
 // processed and the whole machine one synchronization cost, accumulating a
 // *modeled* parallel wall clock from which simulation time, load imbalance,
-// and parallel efficiency are derived. A threaded executor (threaded.hpp)
+// and parallel efficiency are derived. A threaded executor (channel_sync.hpp)
 // really runs LPs on worker threads and produces identical simulation
 // results.
 #pragma once
@@ -52,8 +52,8 @@ class ShardDriver;
 class Engine;
 
 /// Every hook the engine fires at a window boundary, installed as one
-/// struct (set_hooks / hooks()). Firing order at each boundary, on the
-/// coordinator thread under both executors (workers quiescent, no handler
+/// struct (set_hooks / hooks()). Firing order at each boundary, on one
+/// thread under every executor (other workers quiescent, no handler
 /// running):
 ///
 ///   1. barrier hooks, in registration order — online pacing, fault
@@ -116,10 +116,6 @@ struct EngineOptions {
   /// When > 0, per-LP event counts are recorded into virtual-time bins of
   /// this width (for load-variation traces, paper Figure 3).
   SimTime load_bin = 0;
-  /// Synchronization protocol for run_threaded (run() is unaffected; both
-  /// protocols produce the bit-identical trace). Defaults to channel
-  /// clocks; MASSF_SYNC=barrier flips the process default.
-  SyncMode sync = default_sync_mode();
   /// Supervision (src/guard). When enabled the engine maintains liveness
   /// telemetry (guard::GuardTelemetry) a watchdog can sample; off by
   /// default, flipped process-wide by MASSF_GUARD. The engine itself never
@@ -183,7 +179,7 @@ class Engine {
 
   /// Timestamp of the event being handled (valid inside handle()); inside a
   /// barrier hook, the start time (floor) of the window about to open —
-  /// identical under both executors.
+  /// identical under every executor.
   SimTime now() const {
     return (threaded_ && tls_ctx_.engine == this) ? tls_ctx_.now : now_;
   }
@@ -209,8 +205,7 @@ class Engine {
   /// each LP is processed serially by exactly one thread, and the merge
   /// assigns arrival seqs in an order independent of thread scheduling
   /// (DESIGN.md sections 5d and 5g). Modeled-time statistics are identical
-  /// as well — only real wall clock differs. The synchronization protocol
-  /// is selected by EngineOptions::sync: global barriers (threaded.cpp) or
+  /// as well — only real wall clock differs. Threads synchronize through
   /// per-channel clocks with quiescence epochs (channel_sync.cpp).
   /// num_threads == 1 short-circuits to the sequential window loop — one
   /// thread has nothing to synchronize with.
@@ -237,15 +232,14 @@ class Engine {
   /// Forcibly cancels the in-flight run from another thread (the watchdog's
   /// stall policy). Beyond request_stop() — which only takes effect at the
   /// next window boundary, a boundary a stalled run never reaches — this
-  /// additionally wakes the channel-clock executor's parked/stalling
-  /// workers so they observe the stop and return. Returns true when the
-  /// active executor supports forced cancellation (currently the channel
-  /// executor); false otherwise (sequential and barrier executors can only
-  /// honor the boundary stop — a run wedged *inside* a window or at a
-  /// SpinBarrier cannot be recovered in-process). After a cancelled run,
-  /// run_cancelled() is true, the RunStats are a truncated prefix, and the
-  /// engine must not be reused — recovery restores a checkpoint into a
-  /// fresh engine (guard/guarded_run.hpp).
+  /// additionally wakes the threaded executor's parked/stalling workers so
+  /// they observe the stop and return. Returns true for every multi-thread
+  /// run; false for the sequential window loop (run(), run_threaded(1)),
+  /// which can only honor the boundary stop — a run wedged *inside* a
+  /// window on the calling thread cannot be recovered in-process. After a
+  /// cancelled run, run_cancelled() is true, the RunStats are a truncated
+  /// prefix, and the engine must not be reused — recovery restores a
+  /// checkpoint into a fresh engine (guard/guarded_run.hpp).
   bool cancel_run();
 
   /// True when the last run ended via cancel_run() rather than reaching
@@ -260,11 +254,12 @@ class Engine {
   const guard::GuardTelemetry& guard_telemetry() const { return guard_; }
 
   /// Test-only stall injection: once `after_windows` windows have been
-  /// accounted, the channel-clock executor stops claiming `lp`, freezing
-  /// its channel clock mid-run — in-neighbors can never merge, the epoch
-  /// never closes, and the protocol stalls exactly the way a lost/wedged
-  /// component would. Other executors ignore the freeze (the degradation
-  /// ladder's barrier fallback must complete). kInvalidLp (default) disarms.
+  /// accounted, the threaded executor stops claiming `lp`, freezing its
+  /// channel clock mid-run — in-neighbors can never merge, the epoch never
+  /// closes, and the protocol stalls exactly the way a lost/wedged
+  /// component would. The sequential window loop (run(), run_threaded(1))
+  /// ignores the freeze, so the degradation ladder's sequential fallback
+  /// completes. kInvalidLp (default) disarms.
   void test_freeze_lp_clock(LpId lp, std::uint64_t after_windows = 0) {
     freeze_lp_ = lp;
     freeze_after_windows_ = after_windows;
@@ -280,19 +275,6 @@ class Engine {
   EngineHooks& hooks() { return hooks_; }
   const EngineHooks& hooks() const { return hooks_; }
 
-  /// DEPRECATED shim (one PR): append to hooks().barrier instead. Barrier
-  /// hooks run at every window boundary with the window start time,
-  /// outside of any handler, in registration order (stage 1 of the
-  /// EngineHooks contract).
-  void add_barrier_hook(std::function<void(Engine&, SimTime)> hook) {
-    hooks_.barrier.push_back(std::move(hook));
-  }
-
-  /// DEPRECATED shim (one PR): append to hooks().barrier instead.
-  void set_barrier_hook(std::function<void(Engine&, SimTime)> hook) {
-    add_barrier_hook(std::move(hook));
-  }
-
   /// Attaches a window telemetry probe (obs/probe.hpp): per window the
   /// engine records per-LP events, queue depths, outbox sizes, and real
   /// wall-clock per protocol phase. Null (the default) detaches; without a
@@ -304,19 +286,6 @@ class Engine {
   /// published as `pdes.*` counters/gauges when a run finishes (schema in
   /// DESIGN.md). Null (the default) publishes nothing.
   void set_registry(obs::Registry* registry) { registry_ = registry; }
-
-  /// DEPRECATED shim (one PR): set hooks().ckpt_every / hooks().ckpt
-  /// instead. The ckpt stage fires every `every_windows` completed windows
-  /// at the window boundary, after the barrier and rebalance stages (stage
-  /// 3 of the EngineHooks contract — the snapshot captures post-hook
-  /// state). The fn typically drives Participants::save + a file write and
-  /// may call request_stop() to end the run at this boundary (checkpoint-
-  /// then-exit). every_windows == 0 disarms.
-  void set_ckpt_hook(std::uint64_t every_windows,
-                     std::function<void(Engine&, SimTime)> fn) {
-    hooks_.ckpt_every = every_windows;
-    hooks_.ckpt = std::move(fn);
-  }
 
   /// Moves the pending events of LP `from` that satisfy `pred` to LP `to`:
   /// the matching events are extracted in (time, seq) order, serialized
@@ -491,9 +460,9 @@ class Engine {
   /// The sequential window loop shared by run() and the single-thread
   /// run_threaded short-circuit (begin_run/run_threads_ already done).
   RunStats run_window_loop();
-  /// The channel-clock executor (channel_sync.cpp). Requires
-  /// num_threads >= 2; run_threaded dispatches here for SyncMode::kChannel.
-  RunStats run_threaded_channel(std::int32_t num_threads);
+  /// The channel-clock executor (channel_sync.cpp); run_threaded dispatches
+  /// here for num_threads >= 2.
+  RunStats run_channel_sync(std::int32_t num_threads);
 
   // Handler context for worker threads; each LP is owned by exactly one
   // thread within a window, so all queue/outbox mutations stay LP-local.

@@ -1,41 +1,15 @@
-// Threaded executor for the conservative engine: the same window protocol
-// as Engine::run(), with both the per-window LP processing and the barrier
-// outbox merge distributed over threads (the coordinator doubles as worker
-// 0). Work is claimed dynamically: each phase pops LP ids off a shared
-// atomic index, so load balance is limited only by the slowest single LP,
-// not by a static LP→thread bucket. Claim order cannot affect results —
-// within a window every LP is still processed serially by exactly one
-// thread, and the merge phase claims *destinations*, whose arrival order
-// (src id, send order) is fixed by the Outbox layout (sched.hpp).
-//
-// Window shape: three sense-reversing barriers (barrier.hpp) —
-//   open  : coordinator has reset claim counters, run hooks, set the window
-//   mid   : all LPs processed; outboxes frozen, merge may begin
-//   close : all destinations merged; coordinator accounts and picks the
-//           next floor
-// Per-LP state is handed between threads exclusively across these barriers,
-// which is the entire synchronization story (no locks on the hot path).
+// Engine::run_threaded: validates the thread count and picks the executor.
+// One thread runs the sequential window loop; two or more run the
+// channel-clock executor (channel_sync.cpp).
 #include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <string>
 #include <thread>
-#include <vector>
 
-#include "obs/probe.hpp"
-#include "pdes/barrier.hpp"
 #include "pdes/engine.hpp"
 #include "util/check.hpp"
 #include "util/warn.hpp"
 
 namespace massf {
-
-namespace {
-using Clock = std::chrono::steady_clock;
-
-double elapsed_s(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-}  // namespace
 
 RunStats Engine::run_threaded(std::int32_t num_threads) {
   MASSF_CHECK(num_threads >= 1);
@@ -52,150 +26,13 @@ RunStats Engine::run_threaded(std::int32_t num_threads) {
   warn_unknown_host_concurrency(std::thread::hardware_concurrency());
   if (num_threads == 1) {
     // One thread has nobody to synchronize with: run the sequential window
-    // loop instead of paying three self-barrier arrivals per window. Only
-    // the reported thread count differs from run() — RunStats, probe rows,
-    // and the event trace are identical.
+    // loop. Only the reported thread count differs from run() — RunStats,
+    // probe rows, and the event trace are identical.
     begin_run();
     run_threads_ = 1;
     return run_window_loop();
   }
-  if (opts_.sync == SyncMode::kChannel) {
-    return run_threaded_channel(num_threads);
-  }
-  begin_run();
-  threaded_ = true;
-  run_threads_ = num_threads;
-
-  const LpId n = num_lps();
-  const std::int32_t spin = spin_budget(num_threads);
-  SpinBarrier open_gate(num_threads, spin);
-  SpinBarrier mid_gate(num_threads, spin);
-  SpinBarrier close_gate(num_threads, spin);
-  std::atomic<std::int32_t> process_claim{0};
-  std::atomic<std::int32_t> merge_claim{0};
-  bool done = false;  // written by coordinator between barrier phases only
-
-  // Per-thread busy time in the processing phase (seconds); written by the
-  // owning thread inside the window, read by the coordinator after the mid
-  // barrier. Only maintained when a probe is attached.
-  std::vector<double> busy_s(static_cast<std::size_t>(num_threads), 0.0);
-
-  // A throw from a handler must not unwind past a barrier: the other
-  // threads would wait forever at a gate nobody reaches. The first error
-  // is recorded (which raises the stop flag), the protocol completes the
-  // window, and the run rethrows after the join.
-  const auto guarded_process = [&](std::int32_t i) {
-    try {
-      process_lp_window(i);
-    } catch (...) {
-      record_run_error();
-    }
-  };
-  const auto guarded_merge = [&](std::int32_t d) {
-    try {
-      merge_lp_inbox(d);
-    } catch (...) {
-      record_run_error();
-    }
-  };
-
-  // Processing phase then merge phase, claiming dynamically in each.
-  const auto window_phase = [&](std::int32_t self) {
-    const auto t0 = probe_ ? Clock::now() : Clock::time_point{};
-    std::int32_t i;
-    while ((i = process_claim.fetch_add(1, std::memory_order_relaxed)) < n) {
-      guarded_process(i);
-    }
-    if (probe_) {
-      busy_s[static_cast<std::size_t>(self)] = elapsed_s(t0, Clock::now());
-    }
-    mid_gate.arrive_and_wait();
-    std::int32_t d;
-    while ((d = merge_claim.fetch_add(1, std::memory_order_relaxed)) < n) {
-      guarded_merge(d);
-    }
-  };
-
-  std::vector<std::jthread> workers;
-  workers.reserve(static_cast<std::size_t>(num_threads - 1));
-  for (std::int32_t t = 1; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      for (;;) {
-        open_gate.arrive_and_wait();  // window opened (or done raised)
-        if (done) return;
-        window_phase(t);
-        close_gate.arrive_and_wait();
-      }
-    });
-  }
-
-  SimTime floor = next_event_floor();
-  // The boundary sequence runs hooks that may throw while every worker is
-  // parked at the open gate; the catch below records the error and falls
-  // through to the normal shutdown (raise done, release the gate, join).
-  try {
-  while (floor < opts_.end_time && floor != kSimTimeMax && !stop_requested()) {
-    // Coordinator-only: workers are parked at the open gate, so the whole
-    // boundary sequence (barrier hooks → rebalance → ckpt, EngineHooks
-    // contract) sees the same quiescent state the sequential executor does.
-    process_claim.store(0, std::memory_order_relaxed);
-    merge_claim.store(0, std::memory_order_relaxed);
-    if (probe_ == nullptr) {
-      if (!open_window_boundary(floor)) break;  // checkpoint-then-exit
-      open_gate.arrive_and_wait();
-      window_phase(0);
-      close_gate.arrive_and_wait();
-      clear_outboxes();
-      account_window();
-    } else {
-      const auto t0 = Clock::now();
-      const bool go = open_window_boundary(floor);
-      const auto t1 = Clock::now();
-      if (!go) break;  // checkpoint-then-exit
-      open_gate.arrive_and_wait();
-      // Inlined window_phase so the end of the processing phase (everyone
-      // through the mid barrier) can be timestamped.
-      std::int32_t i;
-      while ((i = process_claim.fetch_add(1, std::memory_order_relaxed)) <
-             n) {
-        guarded_process(i);
-      }
-      busy_s[0] = elapsed_s(t1, Clock::now());
-      mid_gate.arrive_and_wait();
-      const auto t2 = Clock::now();
-      std::int32_t d;
-      while ((d = merge_claim.fetch_add(1, std::memory_order_relaxed)) < n) {
-        guarded_merge(d);
-      }
-      close_gate.arrive_and_wait();
-      probe_window(floor);
-      clear_outboxes();
-      account_window();
-      const auto t3 = Clock::now();
-      // Barrier wait = idle thread-seconds in the processing phase: the
-      // phase span charged to every thread minus the time it was busy.
-      const double span = elapsed_s(t1, t2);
-      double busy = 0;
-      for (std::int32_t t = 0; t < num_threads; ++t) {
-        busy += busy_s[static_cast<std::size_t>(t)];
-      }
-      const double wait = std::max(0.0, span * num_threads - busy);
-      probe_->end_window(elapsed_s(t0, t1), span, wait, elapsed_s(t2, t3));
-    }
-    floor = next_event_floor();
-  }
-  } catch (...) {
-    record_run_error();
-  }
-
-  done = true;
-  open_gate.arrive_and_wait();  // release workers to observe `done`
-
-  workers.clear();  // join
-  threaded_ = false;
-  finish_run(floor);
-  rethrow_run_error();
-  return stats_;
+  return run_channel_sync(num_threads);
 }
 
 }  // namespace massf

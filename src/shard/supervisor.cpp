@@ -355,9 +355,9 @@ ShardResult run_sharded(const ShardOptions& options, const WorkloadFn& workload,
   guard::GuardedRun ladder(guard::GuardedRun::Options{opts.max_retries},
                            registry);
   // threads=2 gives the ladder its sequential rung; the attempt fn maps
-  // rung 0 -> sharded, any later rung -> single-process fallback.
+  // rung 0 -> sharded, rung 1 -> single-process fallback.
   const guard::GuardedRunReport report = ladder.run(
-      SyncMode::kBarrier, /*threads=*/2,
+      /*threads=*/2,
       [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
         try {
           if (plan.rung == 0) {

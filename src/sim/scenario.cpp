@@ -227,7 +227,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   eo.sync_cost_s = opts_.cluster.sync_cost_s();
   eo.end_time = opts_.end_time;
   eo.load_bin = opts_.load_bin;
-  eo.sync = opts_.sync;
   eo.guard = opts_.guard;
   Engine engine(eo);
 

@@ -81,10 +81,6 @@ struct ScenarioOptions {
   /// 0 = sequential reference executor; > 0 = threaded executor with that
   /// many workers (identical simulation results, different wall clock).
   std::int32_t executor_threads = 0;
-  /// Threaded synchronization protocol (ignored when executor_threads <=
-  /// 1): global barriers or per-channel clocks (DESIGN.md section 5g).
-  /// Either way the simulation results are bit-identical to sequential.
-  SyncMode sync = default_sync_mode();
   /// Multi-process executor width (DESIGN.md section 5j). Scenario runs
   /// accept the knob for campaign sweeps but execute single-process for
   /// now (sharding a NetSim workload needs a deterministic workload
@@ -166,7 +162,6 @@ class Scenario {
   /// Run-control mutators for subsequent run() calls — the degradation
   /// ladder (guard/guarded_run.hpp) re-runs one Scenario under
   /// progressively safer configurations without rebuilding the topology.
-  void set_sync(SyncMode sync) { opts_.sync = sync; }
   void set_executor_threads(std::int32_t threads) {
     opts_.executor_threads = threads;
   }

@@ -32,7 +32,6 @@ constexpr ScenarioSchemaKey kSchema[] = {
     {"", "file_mean_bytes", nullptr},
     {"", "executor_threads", nullptr},
     {"", "executor_shards", nullptr},
-    {"", "sync", nullptr},
     {"", "load_bin_s", nullptr},
     {"", "seed", nullptr},
     {"", "link_model", "link-model"},
@@ -422,7 +421,6 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
              static_cast<std::int64_t>(o.executor_threads));
   e.add_atom("executor_shards",
              static_cast<std::int64_t>(o.executor_shards));
-  e.add_atom("sync", std::string(sync_mode_name(o.sync)));
   e.add_atom("load_bin_s", to_seconds(o.load_bin));
   e.add_atom("seed", static_cast<std::int64_t>(o.seed));
   e.add_atom("link_model",
@@ -596,17 +594,8 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
       }
       o.executor_shards = static_cast<std::int32_t>(i);
     } else if (a.key == "sync") {
-      if (a.atom == "barrier") {
-        o.sync = SyncMode::kBarrier;
-      } else if (a.atom == "channel") {
-        o.sync = SyncMode::kChannel;
-      } else {
-        if (error) {
-          *error = line_err(a.line, "unknown sync '" + a.atom +
-                                        "' (barrier|channel)");
-        }
-        return std::nullopt;
-      }
+      if (error) *error = line_err(a.line, kSyncRemoved);
+      return std::nullopt;
     } else if (a.key == "load_bin_s") {
       if (!atom_double(a, &d, error)) return std::nullopt;
       o.load_bin = from_seconds(d);

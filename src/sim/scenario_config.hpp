@@ -20,7 +20,6 @@
 //     seconds 8  profile_seconds 3
 //     think_time_s 1.0  file_mean_bytes 12000
 //     executor_threads 0    # 0 = sequential reference executor
-//     sync barrier          # barrier | channel (threaded protocol)
 //     load_bin_s 0          # per-engine load-trace bin (0 = off)
 //     seed 42
 //     link_model packet     # packet | hybrid (fluid background fast path)
@@ -92,6 +91,12 @@ struct ScenarioSchemaKey {
 
 /// The full scenario-file schema, in emission order.
 std::span<const ScenarioSchemaKey> scenario_schema();
+
+/// The error for the removed `sync` atom (and the removed campaign `sync`
+/// axis), after the "line N: " prefix: the threaded executor has one
+/// protocol, so there is nothing left to select.
+inline constexpr const char* kSyncRemoved =
+    "'sync' was removed: the threaded executor always uses channel clocks";
 
 /// Serializes the options alone (a ScenarioSpec with defaults elsewhere).
 DmlNode scenario_options_to_dml(const ScenarioOptions& options);

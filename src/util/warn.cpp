@@ -55,8 +55,8 @@ bool warn_unknown_host_concurrency(unsigned hardware_concurrency) {
   if (warned.exchange(true, std::memory_order_relaxed)) return false;
   warn(ErrorCategory::kConfig,
        "hardware_concurrency() == 0: host parallelism is unreportable, "
-       "spin budgets are disabled and every sync gate falls back to "
-       "blocking waits (pdes/barrier.hpp)");
+       "spin budgets are disabled and every channel-clock stall yields "
+       "at once (pdes/channel_sync.cpp)");
   return true;
 }
 

@@ -50,7 +50,7 @@ void warn(ErrorCategory category, std::string message);
 
 /// The hardware_concurrency()==0 fallback, surfaced: when the host's
 /// concurrency is unreportable the spin budgets collapse to zero and every
-/// barrier/channel gate parks on atomic waits (pdes/barrier.hpp). Emits a
+/// channel-clock stall yields at once (pdes/channel_sync.cpp). Emits a
 /// config-category warning once per process and returns true on the call
 /// that emitted it; later calls (or hc > 0) return false.
 bool warn_unknown_host_concurrency(unsigned hardware_concurrency);

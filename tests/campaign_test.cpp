@@ -52,8 +52,12 @@ TEST(Campaign, ErrorMatrix) {
        "line 2: unknown key 'turbo' in Campaign (prefix with x_ to ignore)"},
       {"Campaign [\n" + std::string(kTinyBase) +
            "  sweep [\n    flavor mild\n  ]\n]",
-       "line 13: unknown sweep axis 'flavor' (seed|sync|threads|shards|"
-       "mapping|override)"},
+       "line 13: unknown sweep axis 'flavor' (seed|threads|shards|mapping|"
+       "override)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    seed 1\n    sync barrier\n  ]\n]",
+       "line 14: 'sync' was removed: the threaded executor always uses "
+       "channel clocks"},
       {"Campaign [\n" + std::string(kTinyBase) +
            "  sweep [\n    seed minus\n  ]\n]",
        "line 13: 'seed' wants a non-negative integer, got 'minus'"},
@@ -81,8 +85,8 @@ TEST(Campaign, ErrorMatrix) {
 TEST(Campaign, BadAxisValueIsLineNumbered) {
   const std::string error = parse_error(
       "Campaign [\n" + std::string(kTinyBase) +
-      "  sweep [\n    sync warp\n  ]\n]");
-  EXPECT_EQ(error, "line 13: unknown sync 'warp' (barrier|channel)");
+      "  sweep [\n    mapping WARP\n  ]\n]");
+  EXPECT_EQ(error, "line 13: unknown mapping 'WARP'");
 }
 
 TEST(Campaign, OverrideTypoIsLineNumbered) {
@@ -102,17 +106,17 @@ TEST(Campaign, ExpansionOrderAndIds) {
       "Campaign [\n" + std::string(kTinyBase) +
           "  sweep [\n"
           "    seed 1\n    seed 2\n"
-          "    sync barrier\n    sync channel\n"
+          "    threads 0\n    threads 2\n"
           "  ]\n]",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
   ASSERT_EQ(spec->runs.size(), 4u);
-  // sync is the outer axis, seed the inner one.
-  EXPECT_EQ(spec->runs[0].id, "sync=barrier,seed=1");
-  EXPECT_EQ(spec->runs[1].id, "sync=barrier,seed=2");
-  EXPECT_EQ(spec->runs[2].id, "sync=channel,seed=1");
-  EXPECT_EQ(spec->runs[3].id, "sync=channel,seed=2");
-  EXPECT_EQ(spec->runs[2].spec.options.sync, SyncMode::kChannel);
+  // threads is the outer axis, seed the inner one.
+  EXPECT_EQ(spec->runs[0].id, "threads=0,seed=1");
+  EXPECT_EQ(spec->runs[1].id, "threads=0,seed=2");
+  EXPECT_EQ(spec->runs[2].id, "threads=2,seed=1");
+  EXPECT_EQ(spec->runs[3].id, "threads=2,seed=2");
+  EXPECT_EQ(spec->runs[2].spec.options.executor_threads, 2);
   EXPECT_EQ(spec->runs[3].spec.options.seed, 2u);
 }
 
@@ -147,31 +151,30 @@ TEST(Campaign, OverrideAxisMergesAndTags) {
   EXPECT_EQ(spec->runs[1].spec.options.seed, 7u);
 }
 
-// Golden rows: one per distinct (sync, threads) in the expansion,
+// Golden rows: one per distinct (threads, shards) in the expansion,
 // appended after all scenario rows.
-TEST(Campaign, GoldenRowsPerSyncThreadsCombination) {
+TEST(Campaign, GoldenRowsPerThreadsShardsCombination) {
   std::string error;
   const auto spec = parse_campaign(
       "Campaign [\n  golden 1\n" + std::string(kTinyBase) +
           "  sweep [\n"
-          "    sync barrier\n    sync channel\n"
           "    threads 0\n    threads 2\n"
+          "    shards 1\n    shards 2\n"
           "    seed 1\n    seed 2\n"
           "  ]\n]",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  // 2 sync x 2 threads x 2 seeds scenario rows + 4 golden rows.
+  // 2 threads x 2 shards x 2 seeds scenario rows + 4 golden rows.
   ASSERT_EQ(spec->runs.size(), 12u);
   std::vector<std::string> golden_ids;
   for (const auto& run : spec->runs) {
     if (run.golden) golden_ids.push_back(run.id);
   }
   EXPECT_EQ(golden_ids,
-            (std::vector<std::string>{
-                "golden[sync=barrier,threads=0]",
-                "golden[sync=barrier,threads=2]",
-                "golden[sync=channel,threads=0]",
-                "golden[sync=channel,threads=2]"}));
+            (std::vector<std::string>{"golden[threads=0]",
+                                      "golden[threads=0,shards=2]",
+                                      "golden[threads=2]",
+                                      "golden[threads=2,shards=2]"}));
   // All golden rows trail the scenario rows.
   EXPECT_FALSE(spec->runs[7].golden);
   EXPECT_TRUE(spec->runs[8].golden);
@@ -181,14 +184,14 @@ TEST(Campaign, GoldenRowsPerSyncThreadsCombination) {
 
 TEST(Campaign, RunDirNameIsShellSafe) {
   CampaignRun run;
-  run.id = "golden[sync=barrier,threads=2]";
-  EXPECT_EQ(run_dir_name(7, run), "007-golden_sync_barrier_threads_2_");
+  run.id = "golden[threads=0,shards=2]";
+  EXPECT_EQ(run_dir_name(7, run), "007-golden_threads_0_shards_2_");
 }
 
 TEST(Campaign, RunRecordKvRoundTrip) {
   RunRecord rec;
-  rec.id = "sync=channel,seed=2";
-  rec.axis = {{"sync", "channel"}, {"seed", "2"}};
+  rec.id = "threads=2,seed=2";
+  rec.axis = {{"threads", "2"}, {"seed", "2"}};
   rec.ok = true;
   rec.mapping = "HPROF";
   rec.events = 123456;
@@ -260,11 +263,11 @@ TEST(Campaign, RollupIsBitIdenticalAcrossWorkerCounts) {
           std::string(kTinyBase) +
           "  sweep [\n"
           "    seed 2\n    seed 3\n"
-          "    sync barrier\n    sync channel\n"
+          "    threads 0\n    threads 2\n"
           "  ]\n]",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  ASSERT_EQ(spec->runs.size(), 6u);  // 4 scenario + 2 golden (per sync)
+  ASSERT_EQ(spec->runs.size(), 6u);  // 4 scenario + 2 golden (per threads)
 
   auto rollup = [&](std::int32_t workers) {
     CampaignExecOptions opts;

@@ -326,14 +326,15 @@ TEST_P(ChaosCkpt, MidOutageRestoreMatchesUninterrupted) {
   ChaosStack cut;
   ckpt::Participants cut_parts = cut.participants();
   std::vector<std::uint8_t> image;
-  cut.engine->set_ckpt_hook(
-      1, [&cut_parts, &image](Engine& eng, SimTime floor) {
-        if (!image.empty() || floor < seconds(10)) return;
-        ckpt::Checkpoint ck;
-        cut_parts.save(ck);
-        image = ck.serialize();
-        eng.request_stop();
-      });
+  cut.engine->hooks().ckpt_every = 1;
+  cut.engine->hooks().ckpt = [&cut_parts, &image](Engine& eng,
+                                                  SimTime floor) {
+    if (!image.empty() || floor < seconds(10)) return;
+    ckpt::Checkpoint ck;
+    cut_parts.save(ck);
+    image = ck.serialize();
+    eng.request_stop();
+  };
   const RunStats cut_stats = cut.run(threads);
   ASSERT_FALSE(image.empty());
   ASSERT_LT(cut_stats.num_windows, want.num_windows);

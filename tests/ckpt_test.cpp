@@ -23,7 +23,7 @@
 
 #include "ckpt/ckpt.hpp"
 #include "obs/probe.hpp"
-#include "pdes/engine.hpp"
+#include "pdes/golden_ring.hpp"
 
 namespace massf {
 namespace {
@@ -425,14 +425,14 @@ TEST_P(CkptFuzz, RestoredRunMatchesUninterrupted) {
   FuzzStack cut(seed);
   ckpt::Participants cut_parts = cut.participants();
   std::vector<std::uint8_t> image;
-  cut.engine->set_ckpt_hook(
-      ckpt_window, [&cut_parts, &image](Engine& eng, SimTime) {
-        if (!image.empty()) return;  // keep the first snapshot only
-        ckpt::Checkpoint ck;
-        cut_parts.save(ck);
-        image = ck.serialize();
-        eng.request_stop();
-      });
+  cut.engine->hooks().ckpt_every = ckpt_window;
+  cut.engine->hooks().ckpt = [&cut_parts, &image](Engine& eng, SimTime) {
+    if (!image.empty()) return;  // keep the first snapshot only
+    ckpt::Checkpoint ck;
+    cut_parts.save(ck);
+    image = ck.serialize();
+    eng.request_stop();
+  };
   cut.run(cut.sc.ckpt_threads);
   ASSERT_FALSE(image.empty())
       << "seed=" << seed << ": run ended before window " << ckpt_window;
@@ -457,86 +457,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CkptFuzz,
 
 // ---- golden restore ---------------------------------------------------------
 
-// Mirrors RingLp in bench/bench_pdes.cpp (the BENCH_pdes.json workload).
-constexpr std::uint64_t kGoldenChecksum = 807988445054369792ULL;
-constexpr std::uint64_t kGoldenEvents = 4162080ULL;
-constexpr std::uint64_t kGoldenWindows = 2001ULL;
-constexpr std::int32_t kEvHop = 1;
-constexpr std::int32_t kEvLocal = 2;
-
-class RingLp final : public LogicalProcess {
- public:
-  RingLp(LpId next, std::int64_t chain) : next_(next), chain_(chain) {}
-
-  void handle(Engine& engine, const Event& ev) override {
-    checksum = checksum * 1099511628211ULL +
-               static_cast<std::uint64_t>(ev.time);
-    if (ev.type == kEvHop) {
-      if (ev.a > 0) {
-        engine.schedule(next_, ev.time + engine.options().lookahead, kEvHop,
-                        ev.a - 1);
-      }
-      if (chain_ > 0) {
-        engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                        kEvLocal, static_cast<std::uint64_t>(chain_ - 1));
-      }
-    } else if (ev.a > 0) {
-      engine.schedule(engine.current_lp(), ev.time + microseconds(1), kEvLocal,
-                      ev.a - 1);
-    }
-  }
-
-  void save(ckpt::Writer& w) const override { w.u64(checksum); }
-  bool load(ckpt::Reader& r) override {
-    checksum = r.u64();
-    return r.ok();
-  }
-
-  std::uint64_t checksum = 0;
-
- private:
-  LpId next_;
-  std::int64_t chain_;
-};
-
-struct GoldenStack {
-  GoldenStack() {
-    constexpr std::int64_t kLps = 32;
-    constexpr std::int64_t kChain = 64;
-    constexpr std::uint64_t kHops = 2000;
-    EngineOptions o;
-    o.lookahead = milliseconds(1);
-    o.end_time = seconds(3600);
-    engine = std::make_unique<Engine>(o);
-    for (std::int64_t i = 0; i < kLps; ++i) {
-      auto lp =
-          std::make_unique<RingLp>(static_cast<LpId>((i + 1) % kLps), kChain);
-      lps.push_back(lp.get());
-      engine->add_lp(std::move(lp));
-    }
-    for (std::int64_t i = 0; i < kLps; ++i) {
-      engine->schedule(static_cast<LpId>(i), 0, kEvHop, kHops);
-    }
-  }
-
-  ckpt::Participants participants() {
-    ckpt::Participants parts;
-    Engine* eng = engine.get();
-    parts.add(
-        "engine", [eng](ckpt::Writer& w) { eng->save_state(w); },
-        [eng](ckpt::Reader& r) { return eng->restore_state(r); });
-    return parts;
-  }
-
-  std::uint64_t checksum() const {
-    std::uint64_t c = 0;
-    for (const RingLp* lp : lps) c = c * 31 + lp->checksum;
-    return c;
-  }
-
-  std::unique_ptr<Engine> engine;
-  std::vector<RingLp*> lps;
-};
+// The golden ring (pdes/golden_ring.hpp, the BENCH_pdes.json workload)
+// with its engine as the only checkpoint participant: the LP checksums are
+// LogicalProcess state, saved with the engine.
+ckpt::Participants engine_participants(Engine* eng) {
+  ckpt::Participants parts;
+  parts.add(
+      "engine", [eng](ckpt::Writer& w) { eng->save_state(w); },
+      [eng](ckpt::Reader& r) { return eng->restore_state(r); });
+  return parts;
+}
 
 class CkptGolden : public ::testing::TestWithParam<int> {};
 
@@ -546,17 +476,17 @@ class CkptGolden : public ::testing::TestWithParam<int> {};
 TEST_P(CkptGolden, RestoreAtHalfwayReproducesPinnedChecksum) {
   const std::int32_t threads = GetParam();
 
-  GoldenStack cut;
-  ckpt::Participants cut_parts = cut.participants();
+  GoldenRing cut = build_golden_ring();
+  ckpt::Participants cut_parts = engine_participants(cut.engine.get());
   std::vector<std::uint8_t> image;
-  cut.engine->set_ckpt_hook(1000,
-                            [&cut_parts, &image](Engine& eng, SimTime) {
-                              if (!image.empty()) return;
-                              ckpt::Checkpoint ck;
-                              cut_parts.save(ck);
-                              image = ck.serialize();
-                              eng.request_stop();
-                            });
+  cut.engine->hooks().ckpt_every = 1000;
+  cut.engine->hooks().ckpt = [&cut_parts, &image](Engine& eng, SimTime) {
+    if (!image.empty()) return;
+    ckpt::Checkpoint ck;
+    cut_parts.save(ck);
+    image = ck.serialize();
+    eng.request_stop();
+  };
   const RunStats cut_stats = threads > 0
                                  ? cut.engine->run_threaded(threads)
                                  : cut.engine->run();
@@ -568,14 +498,16 @@ TEST_P(CkptGolden, RestoreAtHalfwayReproducesPinnedChecksum) {
                                               &error);
   ASSERT_TRUE(parsed.has_value()) << error;
 
-  GoldenStack resumed;
-  ASSERT_TRUE(resumed.participants().restore(*parsed, &error)) << error;
+  GoldenRing resumed = build_golden_ring();
+  ASSERT_TRUE(engine_participants(resumed.engine.get()).restore(*parsed,
+                                                                &error))
+      << error;
   const RunStats stats = threads > 0
                              ? resumed.engine->run_threaded(threads)
                              : resumed.engine->run();
-  EXPECT_EQ(resumed.checksum(), kGoldenChecksum);
-  EXPECT_EQ(stats.total_events, kGoldenEvents);
-  EXPECT_EQ(stats.num_windows, kGoldenWindows);
+  EXPECT_EQ(resumed.checksum(), kGoldenRingChecksum);
+  EXPECT_EQ(stats.total_events, kGoldenRingEvents);
+  EXPECT_EQ(stats.num_windows, kGoldenRingWindows);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CkptGolden, ::testing::Values(0, 2, 4));

@@ -4,17 +4,16 @@
 //
 // The headline property mirrors the checkpoint suite's: a run that *stalls*
 // (here: a test-injected frozen channel clock) and is recovered by
-// GuardedRun — restore the latest massf.ckpt.v1 checkpoint, degrade channel
-// clocks to global barriers — must still produce the exact golden trace
-// checksum (807988445054369792) that pdes_golden_test.cpp and
-// BENCH_pdes.json pin for uninterrupted runs. Recovery is allowed to change
-// who waits on whom, never what happens.
+// GuardedRun — restore the latest massf.ckpt.v1 checkpoint, degrade to the
+// sequential executor — must still produce the exact golden trace checksum
+// (807988445054369792) that pdes_golden_test.cpp and BENCH_pdes.json pin
+// for uninterrupted runs. Recovery is allowed to change who waits on whom,
+// never what happens.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +23,7 @@
 #include "guard/options.hpp"
 #include "guard/watchdog.hpp"
 #include "obs/metrics.hpp"
-#include "pdes/engine.hpp"
+#include "pdes/golden_ring.hpp"
 #include "util/error.hpp"
 
 namespace massf {
@@ -63,78 +62,9 @@ TEST(EngineErrorTaxonomy, CategoryNamesAreStable) {
 
 // ---- shared workload --------------------------------------------------------
 
-// Mirrors RingLp in bench/bench_pdes.cpp (the BENCH_pdes.json workload).
-constexpr std::uint64_t kGoldenChecksum = 807988445054369792ULL;
-constexpr std::uint64_t kGoldenEvents = 4162080ULL;
-constexpr std::uint64_t kGoldenWindows = 2001ULL;
-constexpr std::int32_t kEvHop = 1;
-constexpr std::int32_t kEvLocal = 2;
-
-class RingLp final : public LogicalProcess {
- public:
-  RingLp(LpId next, std::int64_t chain) : next_(next), chain_(chain) {}
-
-  void handle(Engine& engine, const Event& ev) override {
-    checksum = checksum * 1099511628211ULL +
-               static_cast<std::uint64_t>(ev.time);
-    if (ev.type == kEvHop) {
-      if (ev.a > 0) {
-        engine.schedule(next_, ev.time + engine.options().lookahead, kEvHop,
-                        ev.a - 1);
-      }
-      if (chain_ > 0) {
-        engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                        kEvLocal, static_cast<std::uint64_t>(chain_ - 1));
-      }
-    } else if (ev.a > 0) {
-      engine.schedule(engine.current_lp(), ev.time + microseconds(1), kEvLocal,
-                      ev.a - 1);
-    }
-  }
-
-  void save(ckpt::Writer& w) const override { w.u64(checksum); }
-  bool load(ckpt::Reader& r) override {
-    checksum = r.u64();
-    return r.ok();
-  }
-
-  std::uint64_t checksum = 0;
-
- private:
-  LpId next_;
-  std::int64_t chain_;
-};
-
-struct RingStack {
-  RingStack(const EngineOptions& o, std::int64_t num_lps, std::int64_t chain,
-            std::uint64_t hops) {
-    engine = std::make_unique<Engine>(o);
-    for (std::int64_t i = 0; i < num_lps; ++i) {
-      auto lp = std::make_unique<RingLp>(
-          static_cast<LpId>((i + 1) % num_lps), chain);
-      lps.push_back(lp.get());
-      engine->add_lp(std::move(lp));
-    }
-    for (std::int64_t i = 0; i < num_lps; ++i) {
-      engine->schedule(static_cast<LpId>(i), 0, kEvHop, hops);
-    }
-  }
-
-  std::uint64_t checksum() const {
-    std::uint64_t c = 0;
-    for (const RingLp* lp : lps) c = c * 31 + lp->checksum;
-    return c;
-  }
-
-  std::unique_ptr<Engine> engine;
-  std::vector<RingLp*> lps;
-};
-
+// The golden ring (pdes/golden_ring.hpp) with the watchdog's telemetry on.
 EngineOptions guarded_options(double deadline_s, const std::string& dump) {
-  EngineOptions o;
-  o.lookahead = milliseconds(1);
-  o.end_time = seconds(3600);
-  o.sync = SyncMode::kChannel;
+  EngineOptions o = golden_ring_options();
   o.guard.enabled = true;
   o.guard.stall_deadline_s = deadline_s;
   o.guard.poll_interval_s = 0.02;
@@ -183,13 +113,13 @@ bool json_balanced(const std::string& s) {
 // A healthy run never trips the watchdog, however long it runs.
 TEST(Watchdog, StaysQuietOnHealthyRun) {
   EngineOptions o = guarded_options(/*deadline_s=*/10.0, /*dump=*/"");
-  RingStack stack(o, /*num_lps=*/4, /*chain=*/4, /*hops=*/200);
-  guard::Watchdog watchdog(*stack.engine, o.guard);
+  GoldenRing ring = build_golden_ring(o, /*lps=*/4, /*chain=*/4, /*hops=*/200);
+  guard::Watchdog watchdog(*ring.engine, o.guard);
   watchdog.arm();
-  const RunStats stats = stack.engine->run_threaded(2);
+  const RunStats stats = ring.engine->run_threaded(2);
   watchdog.disarm();
   EXPECT_FALSE(watchdog.fired());
-  EXPECT_FALSE(stack.engine->run_cancelled());
+  EXPECT_FALSE(ring.engine->run_cancelled());
   EXPECT_GT(stats.total_events, 0u);
   EXPECT_TRUE(watchdog.last_diagnostic().empty());
 }
@@ -202,17 +132,18 @@ TEST(Watchdog, FiresOnFrozenLpClockAndWritesDump) {
   std::remove(dump.c_str());
 
   EngineOptions o = guarded_options(/*deadline_s=*/0.25, dump);
-  RingStack stack(o, /*num_lps=*/4, /*chain=*/4, /*hops=*/200000);
-  stack.engine->test_freeze_lp_clock(/*lp=*/2, /*after_windows=*/5);
+  GoldenRing ring =
+      build_golden_ring(o, /*lps=*/4, /*chain=*/4, /*hops=*/200000);
+  ring.engine->test_freeze_lp_clock(/*lp=*/2, /*after_windows=*/5);
 
   obs::Registry registry;
-  guard::Watchdog watchdog(*stack.engine, o.guard, &registry);
+  guard::Watchdog watchdog(*ring.engine, o.guard, &registry);
   watchdog.arm();
-  const RunStats stats = stack.engine->run_threaded(2);
+  const RunStats stats = ring.engine->run_threaded(2);
   watchdog.disarm();
 
   EXPECT_TRUE(watchdog.fired());
-  EXPECT_TRUE(stack.engine->run_cancelled());
+  EXPECT_TRUE(ring.engine->run_cancelled());
   // The run was cancelled well before its 3.6e6-window horizon.
   EXPECT_LT(stats.num_windows, 100u);
   EXPECT_EQ(registry.counter("guard.stalls_detected").value(), 1u);
@@ -233,9 +164,9 @@ TEST(Watchdog, FiresOnFrozenLpClockAndWritesDump) {
 // render_diagnostic is usable as a one-shot state dump on an idle engine.
 TEST(Watchdog, RenderDiagnosticOnIdleEngineIsWellFormed) {
   EngineOptions o = guarded_options(/*deadline_s=*/1.0, /*dump=*/"");
-  RingStack stack(o, /*num_lps=*/3, /*chain=*/0, /*hops=*/1);
+  GoldenRing ring = build_golden_ring(o, /*lps=*/3, /*chain=*/0, /*hops=*/1);
   const std::string json =
-      guard::Watchdog::render_diagnostic(*stack.engine, 0.0, 1.0);
+      guard::Watchdog::render_diagnostic(*ring.engine, 0.0, 1.0);
   EXPECT_TRUE(json_balanced(json)) << json;
   EXPECT_NE(json.find("massf.guard.v1"), std::string::npos);
   // Telemetry cells are allocated by the run itself; pre-run every LP row
@@ -245,48 +176,44 @@ TEST(Watchdog, RenderDiagnosticOnIdleEngineIsWellFormed) {
 
 // ---- degradation ladder (no engine involved) --------------------------------
 
-TEST(GuardedRunLadder, WalksRetryThenBarrierThenSequential) {
+TEST(GuardedRunLadder, WalksRetryThenSequential) {
   obs::Registry registry;
   guard::GuardedRun::Options opts;
   opts.max_retries = 1;
   guard::GuardedRun runner(opts, &registry);
 
   std::vector<guard::AttemptPlan> plans;
-  const guard::GuardedRunReport report = runner.run(
-      SyncMode::kChannel, 4, [&](const guard::AttemptPlan& plan) {
+  const guard::GuardedRunReport report =
+      runner.run(4, [&](const guard::AttemptPlan& plan) {
         plans.push_back(plan);
         return guard::AttemptOutcome{guard::AttemptStatus::kStalled, "frozen"};
       });
 
-  // rung 0 twice (1 + max_retries), then barrier fallback, then one thread.
-  ASSERT_EQ(plans.size(), 4u);
-  EXPECT_EQ(plans[0].sync, SyncMode::kChannel);
+  // rung 0 twice (1 + max_retries), then one thread.
+  ASSERT_EQ(plans.size(), 3u);
   EXPECT_EQ(plans[0].threads, 4);
   EXPECT_EQ(plans[0].rung, 0);
   EXPECT_FALSE(plans[0].restore);
-  EXPECT_EQ(plans[1].sync, SyncMode::kChannel);
+  EXPECT_EQ(plans[1].threads, 4);
   EXPECT_EQ(plans[1].rung, 0);
   EXPECT_TRUE(plans[1].restore);
-  EXPECT_EQ(plans[2].sync, SyncMode::kBarrier);
-  EXPECT_EQ(plans[2].threads, 4);
+  EXPECT_EQ(plans[2].threads, 1);
   EXPECT_EQ(plans[2].rung, 1);
-  EXPECT_EQ(plans[3].sync, SyncMode::kBarrier);
-  EXPECT_EQ(plans[3].threads, 1);
-  EXPECT_EQ(plans[3].rung, 2);
+  EXPECT_TRUE(plans[2].restore);
 
   EXPECT_FALSE(report.completed);
-  EXPECT_EQ(report.attempts, 4);
-  EXPECT_EQ(report.stalls, 4u);
+  EXPECT_EQ(report.attempts, 3);
+  EXPECT_EQ(report.stalls, 3u);
   EXPECT_EQ(report.degraded_rung, -1);
-  EXPECT_EQ(registry.counter("guard.retries").value(), 3u);
+  EXPECT_EQ(registry.counter("guard.retries").value(), 2u);
   EXPECT_EQ(registry.gauge("guard.degraded_mode").value(), -1.0);
 }
 
 TEST(GuardedRunLadder, SequentialRequestHasNoDegradationRungs) {
   guard::GuardedRun runner({}, nullptr);
   int calls = 0;
-  const guard::GuardedRunReport report = runner.run(
-      SyncMode::kBarrier, 0, [&](const guard::AttemptPlan&) {
+  const guard::GuardedRunReport report =
+      runner.run(0, [&](const guard::AttemptPlan&) {
         ++calls;
         return guard::AttemptOutcome{guard::AttemptStatus::kFailed, "boom"};
       });
@@ -299,8 +226,8 @@ TEST(GuardedRunLadder, SequentialRequestHasNoDegradationRungs) {
 TEST(GuardedRunLadder, FirstTryCompletionIsNotARecovery) {
   obs::Registry registry;
   guard::GuardedRun runner({}, &registry);
-  const guard::GuardedRunReport report = runner.run(
-      SyncMode::kChannel, 2, [](const guard::AttemptPlan&) {
+  const guard::GuardedRunReport report =
+      runner.run(2, [](const guard::AttemptPlan&) {
         return guard::AttemptOutcome{};
       });
   EXPECT_TRUE(report.completed);
@@ -313,11 +240,12 @@ TEST(GuardedRunLadder, FirstTryCompletionIsNotARecovery) {
 
 // ---- end-to-end recovery ----------------------------------------------------
 
-// The headline: the golden bench workload under channel clocks, one LP's
-// clock frozen at window 1000 (after the window-1000 checkpoint lands).
-// The watchdog cancels the stalled attempt; GuardedRun restores the
-// checkpoint under the barrier fallback and the run must finish with the
-// same checksum, event count, and window count as an uninterrupted run.
+// The headline: the golden ring on the threaded executor, one LP's clock
+// frozen at window 1000 (after the window-1000 checkpoint lands). The
+// watchdog cancels the stalled attempt; GuardedRun restores the checkpoint
+// on the sequential fallback — which ignores the freeze — and the run must
+// finish with the same checksum, event count, and window count as an
+// uninterrupted run.
 TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   const std::string ckpt_path =
       ::testing::TempDir() + "/massf_guard_golden.ckpt";
@@ -331,11 +259,10 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
 
   auto attempt = [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
     EngineOptions o = guarded_options(/*deadline_s=*/0.3, dump);
-    o.sync = plan.sync;
-    RingStack stack(o, /*num_lps=*/32, /*chain=*/64, /*hops=*/2000);
+    GoldenRing ring = build_golden_ring(o);
 
     ckpt::Participants parts;
-    Engine* eng = stack.engine.get();
+    Engine* eng = ring.engine.get();
     parts.add(
         "engine", [eng](ckpt::Writer& w) { eng->save_state(w); },
         [eng](ckpt::Reader& r) { return eng->restore_state(r); });
@@ -350,17 +277,16 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
         return {guard::AttemptStatus::kFailed, "checkpoint restore: " + error};
       }
     }
-    eng->set_ckpt_hook(500, [&parts, &ckpt_path](Engine&, SimTime) {
+    eng->hooks().ckpt_every = 500;
+    eng->hooks().ckpt = [&parts, &ckpt_path](Engine&, SimTime) {
       ckpt::Checkpoint ck;
       parts.save(ck);
       std::string error;
       ASSERT_TRUE(ck.write_file(ckpt_path, &error)) << error;
-    });
-    if (plan.sync == SyncMode::kChannel) {
-      // The stall injection only exists on the channel-clock protocol; the
-      // barrier fallback runs clean — exactly the degradation contract.
-      eng->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
-    }
+    };
+    // Armed on every attempt: the sequential fallback ignores the freeze
+    // and runs clean — exactly the degradation contract.
+    eng->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
 
     guard::Watchdog watchdog(*eng, o.guard, &registry);
     watchdog.arm();
@@ -371,25 +297,24 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
     if (eng->run_cancelled()) {
       return {guard::AttemptStatus::kStalled, watchdog.last_diagnostic()};
     }
-    checksum = stack.checksum();
+    checksum = ring.checksum();
     final_stats = stats;
     return {};
   };
 
   guard::GuardedRun::Options opts;
-  opts.max_retries = 0;  // straight to the barrier fallback after the stall
+  opts.max_retries = 0;  // straight to the sequential fallback after the stall
   guard::GuardedRun runner(opts, &registry);
-  const guard::GuardedRunReport report =
-      runner.run(SyncMode::kChannel, 2, attempt);
+  const guard::GuardedRunReport report = runner.run(2, attempt);
 
   ASSERT_TRUE(report.completed) << report.last_error;
   EXPECT_EQ(report.attempts, 2);
   EXPECT_EQ(report.stalls, 1u);
   EXPECT_EQ(report.degraded_rung, 1);
 
-  EXPECT_EQ(checksum, kGoldenChecksum);
-  EXPECT_EQ(final_stats.total_events, kGoldenEvents);
-  EXPECT_EQ(final_stats.num_windows, kGoldenWindows);
+  EXPECT_EQ(checksum, kGoldenRingChecksum);
+  EXPECT_EQ(final_stats.total_events, kGoldenRingEvents);
+  EXPECT_EQ(final_stats.num_windows, kGoldenRingWindows);
 
   EXPECT_GE(registry.counter("guard.stalls_detected").value(), 1u);
   EXPECT_GE(registry.counter("guard.dump_writes").value(), 1u);

@@ -1,6 +1,6 @@
 // Unit tests for the channel-clock sync layer (src/pdes/channel_sync):
-// ChannelGraph construction/queries, the pdes.sync.* aggregates both
-// executors report, topology enforcement in Engine::schedule, and the
+// ChannelGraph construction/queries, the pdes.sync.* aggregates the
+// threaded executor reports, topology enforcement in Engine::schedule, and the
 // quiescence contract — boundary-only operations (hook-driven migration)
 // must abort when attempted from inside a handler, i.e. outside a
 // quiescent epoch.
@@ -84,18 +84,11 @@ TEST(ChannelGraph, InNeighborsAreSortedPerDestination) {
   EXPECT_TRUE(g.in_neighbors(2).empty());
 }
 
-TEST(SyncModeName, NamesBothModes) {
-  EXPECT_STREQ(sync_mode_name(SyncMode::kBarrier), "barrier");
-  EXPECT_STREQ(sync_mode_name(SyncMode::kChannel), "channel");
-}
-
-std::unique_ptr<Engine> make_ring_engine(std::int32_t lps, SyncMode sync,
-                                         bool declare,
+std::unique_ptr<Engine> make_ring_engine(std::int32_t lps, bool declare,
                                          std::uint64_t hops = 64) {
   EngineOptions o;
   o.lookahead = milliseconds(1);
   o.end_time = seconds(3600);
-  o.sync = sync;
   auto engine = std::make_unique<Engine>(o);
   for (std::int32_t i = 0; i < lps; ++i) {
     engine->add_lp(std::make_unique<HopLp>((i + 1) % lps));
@@ -114,10 +107,9 @@ std::unique_ptr<Engine> make_ring_engine(std::int32_t lps, SyncMode sync,
 }
 
 TEST(ChannelSync, QuiescenceEpochsMatchWindows) {
-  auto engine = make_ring_engine(4, SyncMode::kChannel, /*declare=*/true);
+  auto engine = make_ring_engine(4, /*declare=*/true);
   const RunStats stats = engine->run_threaded(2);
   const SyncStats& sync = engine->sync_stats();
-  EXPECT_EQ(sync.mode, SyncMode::kChannel);
   EXPECT_EQ(sync.channels, 4u);
   // Every window boundary the channel executor ran was a detected
   // quiescent epoch — the hook/ckpt contract depends on exactly this.
@@ -131,7 +123,7 @@ TEST(ChannelSync, NullEventsAreDeterministicAndExecutorInvariant) {
   std::uint64_t reference = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (const std::int32_t threads : {2, 3}) {
-      auto engine = make_ring_engine(3, SyncMode::kChannel, /*declare=*/true);
+      auto engine = make_ring_engine(3, /*declare=*/true);
       engine->run_threaded(threads);
       if (reference == 0) reference = engine->sync_stats().null_events;
       EXPECT_EQ(engine->sync_stats().null_events, reference)
@@ -141,16 +133,9 @@ TEST(ChannelSync, NullEventsAreDeterministicAndExecutorInvariant) {
   EXPECT_GT(reference, 0u);
 }
 
-TEST(ChannelSync, BarrierModeReportsBarrierIdentity) {
-  auto engine = make_ring_engine(4, SyncMode::kBarrier, /*declare=*/true);
-  engine->run_threaded(2);
-  EXPECT_EQ(engine->sync_stats().mode, SyncMode::kBarrier);
-  EXPECT_EQ(engine->sync_stats().quiescence_epochs, 0u);
-}
-
 TEST(ChannelSync, SingleThreadShortCircuitMatchesSequential) {
-  auto seq = make_ring_engine(4, SyncMode::kChannel, /*declare=*/true);
-  auto one = make_ring_engine(4, SyncMode::kChannel, /*declare=*/true);
+  auto seq = make_ring_engine(4, /*declare=*/true);
+  auto one = make_ring_engine(4, /*declare=*/true);
   const RunStats a = seq->run();
   const RunStats b = one->run_threaded(1);
   EXPECT_EQ(a.total_events, b.total_events);
@@ -213,7 +198,6 @@ TEST_P(QuiescenceError, BoundaryOpsOutsideQuiescentEpochThrow) {
   EngineOptions o;
   o.lookahead = milliseconds(1);
   o.end_time = seconds(3600);
-  o.sync = SyncMode::kChannel;
   Engine engine(o);
   engine.add_lp(std::make_unique<HopLp>(1, /*misbehave=*/true));
   engine.add_lp(std::make_unique<HopLp>(0));

@@ -11,9 +11,8 @@
 // handlers), then asserts that the full result signature — per-LP event
 // counts and checksums, RunStats (including the modeled-time doubles, bit
 // for bit), and the window probe's deterministic counters — is identical
-// across the sequential executor and several thread counts, under both
-// threaded synchronization protocols (global barriers and channel clocks,
-// EngineOptions::sync).
+// across the sequential executor and several thread counts, over both the
+// dense all-pairs fallback and a declared ChannelGraph.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -139,15 +138,13 @@ std::uint64_t double_bits(double v) {
 }
 
 /// Runs one scenario on the given executor and folds everything
-/// deterministic about the run into a comparable signature. `sync` picks
-/// the threaded synchronization protocol (ignored by the sequential
-/// reference); `declare_channels` additionally declares the full all-pairs
-/// ChannelGraph, exercising the per-neighbor merge path and schedule()'s
-/// topology enforcement instead of the dense fallback.
+/// deterministic about the run into a comparable signature.
+/// `declare_channels` declares the full all-pairs ChannelGraph, exercising
+/// the per-neighbor merge path and schedule()'s topology enforcement
+/// instead of the dense fallback.
 std::vector<std::uint64_t> run_signature(std::uint64_t seed,
                                          std::int32_t threads,
-                                         SyncMode sync = SyncMode::kBarrier,
-                                         bool declare_channels = false,
+                                         bool declare_channels,
                                          std::uint64_t* null_events = nullptr) {
   const Scenario sc = make_scenario(seed);
   EngineOptions o;
@@ -155,7 +152,6 @@ std::vector<std::uint64_t> run_signature(std::uint64_t seed,
   o.end_time = sc.end_time;
   o.cost_per_event_s = 1e-6;
   o.sync_cost_s = 1e-5;
-  o.sync = sync;
   Engine engine(o);
   std::vector<FuzzLp*> lps;
   for (std::int32_t i = 0; i < sc.lps; ++i) {
@@ -234,40 +230,24 @@ std::vector<std::uint64_t> run_signature(std::uint64_t seed,
   return sig;
 }
 
+// For every seed the full signature must match the sequential reference at
+// several thread counts, both with the dense all-pairs fallback (odd
+// seeds) and with a declared all-pairs ChannelGraph (even seeds —
+// per-neighbor merges, null tallies, topology-checked sends). The
+// null-event count is part of the protocol's determinism promise
+// (DESIGN.md section 5g): it may not vary with the thread count.
 class PdesFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(PdesFuzz, ThreadedMatchesSequential) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  const std::vector<std::uint64_t> reference = run_signature(seed, 0);
-  for (const std::int32_t threads : {2, 3, 5}) {
-    EXPECT_EQ(reference, run_signature(seed, threads, SyncMode::kBarrier))
-        << "seed=" << seed << " threads=" << threads;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PdesFuzz, ::testing::Range(0, kNumSeeds));
-
-// ---- channel-clock sync axis (DESIGN.md section 5g) -------------------------
-//
-// Same differential contract, against the channel executor: for every seed
-// the full signature must match the sequential reference at several thread
-// counts, both with the dense all-pairs fallback (odd seeds) and with a
-// declared all-pairs ChannelGraph (even seeds — per-neighbor merges, null
-// tallies, topology-checked sends). The null-event count is part of the
-// protocol's determinism promise: it may not vary with the thread count.
-class PdesChannelFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(PdesChannelFuzz, ChannelSyncMatchesSequential) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
   const bool declare = seed % 2 == 0;
   const std::vector<std::uint64_t> reference =
-      run_signature(seed, 0, SyncMode::kBarrier, declare);
+      run_signature(seed, 0, declare);
   std::uint64_t reference_nulls = 0;
   bool have_nulls = false;
   for (const std::int32_t threads : {2, 3, 5}) {
     std::uint64_t nulls = 0;
-    EXPECT_EQ(reference, run_signature(seed, threads, SyncMode::kChannel,
-                                       declare, &nulls))
+    EXPECT_EQ(reference, run_signature(seed, threads, declare, &nulls))
         << "seed=" << seed << " threads=" << threads;
     if (!have_nulls) {
       reference_nulls = nulls;
@@ -280,7 +260,7 @@ TEST_P(PdesChannelFuzz, ChannelSyncMatchesSequential) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PdesChannelFuzz, ::testing::Range(0, 32));
+INSTANTIATE_TEST_SUITE_P(Seeds, PdesFuzz, ::testing::Range(0, kNumSeeds));
 
 }  // namespace
 }  // namespace massf

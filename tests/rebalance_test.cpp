@@ -3,8 +3,7 @@
 //
 // Coverage:
 //  * router_mobile / migrate_router invariants on hand-built networks;
-//  * EngineHooks firing order (barrier -> rebalance -> ckpt) and the
-//    deprecated one-PR shims;
+//  * EngineHooks firing order (barrier -> rebalance -> ckpt);
 //  * the controller's trigger/debounce/improvement behavior on an
 //    imbalance-ramp ring (miniature of bench/bench_rebalance.cpp);
 //  * a >= 24-seed differential fuzz: with rebalancing live, the sequential
@@ -60,8 +59,8 @@ void expect_same_stats(const RunStats& a, const RunStats& b) {
 }
 
 /// The worker-count gauge and the pdes.sync.* protocol counters describe
-/// the executor (which sync protocol ran and what it did), not the
-/// simulation — the legitimate metrics differences between executors (see
+/// the executor (what its synchronization did), not the simulation — the
+/// legitimate metrics differences between executors (see
 /// bench/bench_rebalance.cpp).
 std::string strip_executor_identity(std::string json) {
   for (const char* key : {"\"pdes.sched.threads\":", "\"pdes.sync."}) {
@@ -246,25 +245,6 @@ TEST(EngineHooks, FiringOrderBarrierRebalanceCkpt) {
     if (w > 0 && w % 4 == 0) want += 'c';
     EXPECT_EQ(boundaries[w], want) << "boundary w=" << w;
   }
-}
-
-TEST(EngineHooks, DeprecatedShimsComposeWithHooksStruct) {
-  TickRig rig(/*windows=*/3);
-  std::string order;
-  // Old-style registration must land in the same struct and fire in the
-  // documented stages alongside direct hooks() use.
-  rig.engine->set_barrier_hook(
-      [&order](Engine&, SimTime) { order += 'x'; });
-  rig.engine->add_barrier_hook(
-      [&order](Engine&, SimTime) { order += 'y'; });
-  rig.engine->set_ckpt_hook(1,
-                            [&order](Engine&, SimTime) { order += 'c'; });
-  EXPECT_EQ(rig.engine->hooks().barrier.size(), 2u);
-  EXPECT_EQ(rig.engine->hooks().ckpt_every, 1u);
-  rig.engine->run();
-  // Boundaries w=0 (ckpt skips w==0), w=1, w=2 — shims fire through the
-  // same staged path as direct hooks() registration.
-  EXPECT_EQ(order, "xyxycxyc");
 }
 
 // ---- controller behavior on an imbalance ramp -------------------------------

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Regenerates the golden trace checksum pinned by the regression gates.
 #
-# The value is the bench_pdes workload checksum (lps=32, chain=64,
-# hops=2000, lookahead 1 ms) that appears in:
+# The value is the golden-ring checksum (lps=32, chain=64, hops=2000,
+# lookahead 1 ms) that appears in:
 #   - BENCH_pdes.json            ("checksum" of every executor entry)
-#   - tests/pdes_golden_test.cpp (kGoldenChecksum)
-#   - tests/ckpt_test.cpp        (kGoldenChecksum, restore-equality pin)
-#   - scripts/check_bench.py     (compared exactly, no tolerance)
+#   - src/pdes/golden_ring.hpp   (kGoldenRingChecksum, which every golden
+#                                 test and campaign golden row compares to)
+#   - scripts/check_bench.py     (--golden-checksum default)
 #
 # Only regenerate after an *intentional* change to the workload or the
 # event-ordering contract; an unexpected drift is a regression, not a
@@ -26,5 +26,5 @@ fi
 
 checksum="$("${bench}" --print-golden)"
 echo "golden checksum: ${checksum}"
-echo "pin this value in BENCH_pdes.json, tests/pdes_golden_test.cpp,"
-echo "and tests/ckpt_test.cpp (kGoldenChecksum)."
+echo "pin this value in BENCH_pdes.json, src/pdes/golden_ring.hpp"
+echo "(kGoldenRingChecksum), and scripts/check_bench.py."

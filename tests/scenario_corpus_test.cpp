@@ -36,7 +36,7 @@ std::vector<std::string> discover(const std::string& dir) {
 }
 
 // Scales a corpus scenario down to smoke-test size: same shape (app kind,
-// sync mode, rebalance/ckpt/guard/fault wiring all preserved), a few
+// executor, rebalance/ckpt/guard/fault wiring all preserved), a few
 // hundred milliseconds of virtual time.
 ScenarioSpec shrink(ScenarioSpec spec, const std::string& tmp) {
   spec.options.num_routers = 60;

@@ -35,8 +35,9 @@ TEST(ScenarioSpec, ErrorMatrix) {
       {"Experiment [\n  warp_drive 1\n]",
        "line 2: unknown key 'warp_drive' in Experiment (prefix with x_ to "
        "ignore)"},
-      {"Experiment [\n  routers 60\n  sync optimistic\n]",
-       "line 3: unknown sync 'optimistic' (barrier|channel)"},
+      {"Experiment [\n  routers 60\n  sync channel\n]",
+       "line 3: 'sync' was removed: the threaded executor always uses "
+       "channel clocks"},
       {"Experiment [\n\n  app fortran\n]",
        "line 3: unknown app 'fortran' (scalapack|gridnpb|none)"},
       {"Experiment [\n  routers many\n]",
@@ -109,7 +110,6 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   spec.name = "fixture";
   spec.options.num_routers = 123;
   spec.options.executor_threads = 2;
-  spec.options.sync = SyncMode::kChannel;
   spec.options.app = AppKind::kGridNpb;
   spec.options.rebalance.enabled = true;
   spec.options.guard.enabled = true;
@@ -129,7 +129,7 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
 
   EXPECT_EQ(reparsed->name, "fixture");
   EXPECT_EQ(reparsed->options.num_routers, 123);
-  EXPECT_EQ(reparsed->options.sync, SyncMode::kChannel);
+  EXPECT_EQ(reparsed->options.executor_threads, 2);
   EXPECT_EQ(reparsed->options.guard.on_stall, guard::OnStall::kAbort);
   EXPECT_EQ(reparsed->mappings,
             (std::vector<MappingKind>{MappingKind::kTop2,
@@ -212,7 +212,7 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
       "  name all\n  multi_as 0\n  routers 60\n  hosts 40\n  as 4\n"
       "  clients 10\n  servers 4\n  app none\n  app_hosts 4\n  engines 4\n"
       "  seconds 1\n  profile_seconds 0.3\n  think_time_s 1.0\n"
-      "  file_mean_bytes 9000\n  executor_threads 2\n  sync channel\n"
+      "  file_mean_bytes 9000\n  executor_threads 2\n"
       "  load_bin_s 0.5\n  seed 9\n  link_model hybrid\n  mapping TOP\n"
       "  background_flows [ sources 6  think_time_s 2.0  mean_bytes 50000\n"
       "                     fidelity flow  recompute_every 4\n"

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
-#include "pdes/engine.hpp"
+#include "pdes/golden_ring.hpp"
 #include "shard/driver.hpp"
 #include "shard/ring.hpp"
 #include "shard/shm.hpp"
@@ -181,67 +181,10 @@ TEST(ShardDriver, InitialOwnersPartitionIsContiguousAndComplete) {
 
 // ---- calibration-ring equality ---------------------------------------------
 
-constexpr std::int32_t kEvHop = 1;
-constexpr std::int32_t kEvLocal = 2;
-
-class RingLp final : public LogicalProcess {
- public:
-  RingLp(LpId next, std::int64_t chain) : next_(next), chain_(chain) {}
-
-  void handle(Engine& engine, const Event& ev) override {
-    checksum =
-        checksum * 1099511628211ULL + static_cast<std::uint64_t>(ev.time);
-    if (ev.type == kEvHop) {
-      if (ev.a > 0) {
-        engine.schedule(next_, ev.time + engine.options().lookahead, kEvHop,
-                        ev.a - 1);
-      }
-      if (chain_ > 0) {
-        engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                        kEvLocal, static_cast<std::uint64_t>(chain_ - 1));
-      }
-    } else if (ev.a > 0) {
-      engine.schedule(engine.current_lp(), ev.time + microseconds(1),
-                      kEvLocal, ev.a - 1);
-    }
-  }
-
-  void save(ckpt::Writer& w) const override { w.u64(checksum); }
-  bool load(ckpt::Reader& r) override {
-    checksum = r.u64();
-    return r.ok();
-  }
-
-  std::uint64_t checksum = 0;
-
- private:
-  LpId next_;
-  std::int64_t chain_;
-};
-
 ShardWorkload build_ring(std::int64_t lps, std::int64_t chain,
                          std::int64_t hops) {
-  EngineOptions o;
-  o.lookahead = milliseconds(1);
-  o.end_time = seconds(3600);
-  auto engine = std::make_unique<Engine>(o);
-  auto ptrs = std::make_shared<std::vector<RingLp*>>();
-  for (std::int64_t i = 0; i < lps; ++i) {
-    auto lp = std::make_unique<RingLp>(static_cast<LpId>((i + 1) % lps),
-                                       chain);
-    ptrs->push_back(lp.get());
-    engine->add_lp(std::move(lp));
-  }
-  for (std::int64_t i = 0; i < lps; ++i) {
-    engine->schedule(static_cast<LpId>(i), 0, kEvHop,
-                     static_cast<std::uint64_t>(hops));
-  }
-  ShardWorkload w;
-  w.engine = std::move(engine);
-  w.lp_checksum = [ptrs](LpId i) {
-    return (*ptrs)[static_cast<std::size_t>(i)]->checksum;
-  };
-  return w;
+  GoldenRing ring = build_golden_ring(golden_ring_options(), lps, chain, hops);
+  return {std::move(ring.engine), std::move(ring.lp_checksum)};
 }
 
 std::uint64_t double_bits(double v) {

@@ -407,7 +407,6 @@ TEST(ScenarioConfig, RoundTrip) {
   o.profile_end_time = from_seconds(2.25);
   o.http.think_time_mean_s = 0.75;
   o.executor_threads = 2;
-  o.sync = SyncMode::kBarrier;
   o.seed = 99;
 
   const DmlNode dml = scenario_options_to_dml(o);
@@ -424,7 +423,6 @@ TEST(ScenarioConfig, RoundTrip) {
   EXPECT_EQ(back->end_time, o.end_time);
   EXPECT_DOUBLE_EQ(back->http.think_time_mean_s, 0.75);
   EXPECT_EQ(back->executor_threads, 2);
-  EXPECT_EQ(back->sync, SyncMode::kBarrier);
   EXPECT_EQ(back->seed, 99u);
 }
 
@@ -448,9 +446,9 @@ TEST(ScenarioConfig, RejectsBadValues) {
   parsed = parse_dml("Experiment [ routers 0 ]");
   EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
 
-  parsed = parse_dml("Experiment [ sync optimistic ]");
+  parsed = parse_dml("Experiment [ sync channel ]");
   EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
-  EXPECT_NE(error.find("optimistic"), std::string::npos);
+  EXPECT_NE(error.find("'sync' was removed"), std::string::npos);
 
   parsed = parse_dml("Other [ ]");
   EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
