@@ -230,17 +230,12 @@ std::vector<std::uint64_t> run_signature(std::uint64_t seed,
   return sig;
 }
 
-// For every seed the full signature must match the sequential reference at
-// several thread counts, both with the dense all-pairs fallback (odd
-// seeds) and with a declared all-pairs ChannelGraph (even seeds —
-// per-neighbor merges, null tallies, topology-checked sends). The
-// null-event count is part of the protocol's determinism promise
+// The full signature must match the sequential reference at several thread
+// counts, over either the dense all-pairs fallback or a declared all-pairs
+// ChannelGraph (per-neighbor merges, null tallies, topology-checked sends).
+// The null-event count is part of the protocol's determinism promise
 // (DESIGN.md section 5g): it may not vary with the thread count.
-class PdesFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(PdesFuzz, ThreadedMatchesSequential) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const bool declare = seed % 2 == 0;
+void expect_threaded_matches_sequential(std::uint64_t seed, bool declare) {
   const std::vector<std::uint64_t> reference =
       run_signature(seed, 0, declare);
   std::uint64_t reference_nulls = 0;
@@ -260,7 +255,27 @@ TEST_P(PdesFuzz, ThreadedMatchesSequential) {
   }
 }
 
+// Dense fallback on odd seeds, declared channels on even seeds.
+class PdesFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(PdesFuzz, ThreadedMatchesSequential) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  expect_threaded_matches_sequential(seed, seed % 2 == 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PdesFuzz, ::testing::Range(0, kNumSeeds));
+
+// The complementary channel setup for the first 32 seeds (declared channels
+// on odd seeds, dense fallback on even ones), so each of those seeds is
+// checked over both.
+class PdesChannelFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(PdesChannelFuzz, ChannelSyncMatchesSequential) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  expect_threaded_matches_sequential(seed, seed % 2 == 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PdesChannelFuzz, ::testing::Range(0, 32));
 
 }  // namespace
 }  // namespace massf
