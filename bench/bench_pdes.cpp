@@ -275,27 +275,42 @@ std::vector<std::int32_t> parse_sweep(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  Workload w;
-  w.lps = flags.get_int("lps", 32);
-  w.chain = flags.get_int("chain", 64);
-  w.hops = flags.get_int("hops", 2000);
-  const auto threads = static_cast<std::int32_t>(flags.get_int(
-      "threads",
-      std::max(2u, std::min(8u, std::thread::hardware_concurrency()))));
-  const int repeats = static_cast<int>(flags.get_int("repeats", 3));
-  const auto shards =
-      static_cast<std::int32_t>(flags.get_int("shards", 2));
-  const std::string out_path =
-      flags.get_string("out", "BENCH_pdes.json");
-  const std::vector<std::int32_t> sweep =
-      parse_sweep(flags.get_string("sweep", "1,2,4"));
-  if (threads < 1 || repeats < 1) {
-    std::fprintf(stderr, "[bench_pdes] --threads and --repeats must be >= 1\n");
-    return 2;
-  }
+  const auto at_least_one = [](std::int64_t v) {
+    return v >= 1 ? "" : "must be >= 1";
+  };
+  FlagTable flags("bench_pdes",
+                  "Engine throughput baseline on the golden ring; emits "
+                  "massf.bench_pdes.v3 JSON.");
+  flags.add_int("lps", 32, "golden ring size (logical processes)");
+  flags.add_int("chain", 64, "self-chain length spawned by each hop");
+  flags.add_int("hops", 2000, "hop events forwarded around the ring");
+  flags.add_int("threads",
+                std::max(2u, std::min(8u, std::thread::hardware_concurrency())),
+                "threaded-executor worker count of the headline row",
+                at_least_one);
+  flags.add_int("repeats", 3, "runs per row; the fastest is kept",
+                at_least_one);
+  flags.add_int("shards", 2,
+                "worker processes of the sharded row (0 or 1 skips it)");
+  flags.add_string("out", "BENCH_pdes.json", "JSON report path");
+  flags.add_string("sweep", "1,2,4",
+                   "comma-separated thread counts to sweep, or none");
+  flags.add_bool("print-golden", false,
+                 "print the sequential workload checksum and exit");
+  flags.parse_or_exit(argc, argv);
 
-  if (flags.get_bool("print-golden", false)) {
+  Workload w;
+  w.lps = flags.get_int("lps");
+  w.chain = flags.get_int("chain");
+  w.hops = flags.get_int("hops");
+  const auto threads = static_cast<std::int32_t>(flags.get_int("threads"));
+  const auto repeats = static_cast<int>(flags.get_int("repeats"));
+  const auto shards = static_cast<std::int32_t>(flags.get_int("shards"));
+  const std::string out_path = flags.get_string("out");
+  const std::vector<std::int32_t> sweep =
+      parse_sweep(flags.get_string("sweep"));
+
+  if (flags.get_bool("print-golden")) {
     const Measurement m = measure(w, /*threads=*/0, /*repeats=*/1);
     std::printf("%llu\n", static_cast<unsigned long long>(m.checksum));
     return 0;

@@ -36,6 +36,7 @@ ForwardingPlane ForwardingPlane::build_flat(
   // thousands of routers; keeping distances would multiply table memory.
   fp.flat_.emplace(net, all, /*use_inter_as_links=*/true,
                    /*keep_distances=*/false);
+  fp.flat_->reserve_destinations(dest_routers.size());
   for (NodeId d : dest_routers) fp.register_destination(d);
   return fp;
 }
@@ -55,6 +56,26 @@ ForwardingPlane ForwardingPlane::build_multi_as(
       members[static_cast<std::size_t>(i)] = info.first_router + i;
     }
     fp.domains_.emplace_back(net, members, /*use_inter_as_links=*/false);
+  }
+  // Size each domain's tables once for every router that can become one
+  // of its destinations: traffic destinations and border routers (egress
+  // targets, now or after a failover).
+  std::vector<char> is_dest(static_cast<std::size_t>(net.num_routers), 0);
+  for (const AsAdjacency& adj : net.as_adjacency) {
+    const NetLink& l = net.links[static_cast<std::size_t>(adj.link)];
+    is_dest[static_cast<std::size_t>(l.a)] = 1;
+    is_dest[static_cast<std::size_t>(l.b)] = 1;
+  }
+  for (const NodeId d : dest_routers) is_dest[static_cast<std::size_t>(d)] = 1;
+  std::vector<std::size_t> per_as(num_as, 0);
+  for (NodeId r = 0; r < net.num_routers; ++r) {
+    if (is_dest[static_cast<std::size_t>(r)] != 0) {
+      ++per_as[static_cast<std::size_t>(
+          net.nodes[static_cast<std::size_t>(r)].as_id)];
+    }
+  }
+  for (std::size_t a = 0; a < num_as; ++a) {
+    fp.domains_[a].reserve_destinations(per_as[a]);
   }
 
   fp.bgp_.emplace(net.num_as(), net.as_adjacency);
@@ -93,7 +114,7 @@ void ForwardingPlane::select_egress() {
                                    static_cast<AsId>(a)
                                ? l.a
                                : l.b;
-      domains_[a].add_destination(net, local);
+      domains_[a].add_destination(local);
     }
   }
 
@@ -149,20 +170,20 @@ void ForwardingPlane::set_link_state(LinkId link, bool up) {
 
 void ForwardingPlane::reconverge() {
   if (flat_) {
-    flat_->recompute(*net_);
+    flat_->recompute();
     return;
   }
   select_egress();
-  for (OspfDomain& d : domains_) d.recompute(*net_);
+  for (OspfDomain& d : domains_) d.recompute();
 }
 
 void ForwardingPlane::register_destination(NodeId dest) {
   MASSF_CHECK(net_->is_router(dest));
   if (flat_) {
-    flat_->add_destination(*net_, dest);
+    flat_->add_destination(dest);
   } else {
     const AsId a = net_->nodes[static_cast<std::size_t>(dest)].as_id;
-    domains_[static_cast<std::size_t>(a)].add_destination(*net_, dest);
+    domains_[static_cast<std::size_t>(a)].add_destination(dest);
   }
 }
 
@@ -260,8 +281,8 @@ bool ForwardingPlane::load(ckpt::Reader& r) {
   if (!r.ok()) return false;
   const std::unordered_set<LinkId> want(down.begin(), down.end());
   if (want == down_links_) return true;  // tables already match
-  // Replay the delta, then one SPF pass: the tables and egress choices are
-  // pure functions of (topology, down-set), so this reproduces the
+  // Replay the delta, then reconverge once: the tables and egress choices
+  // are pure functions of (topology, down-set), so this reproduces the
   // interrupted run's forwarding state exactly.
   const std::vector<LinkId> current(down_links_.begin(), down_links_.end());
   for (const LinkId l : current)

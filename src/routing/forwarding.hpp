@@ -76,15 +76,16 @@ class ForwardingPlane {
   /// — mutate only at a window barrier.
   void set_link_state(LinkId link, bool up);
 
-  /// Recomputes every routing table under the current link states (the
-  /// SPF run after the flooding delay). Mutate-at-barrier only.
+  /// Brings every routing table up to date with the link states changed
+  /// since the last call (the SPF run after the flooding delay): OSPF
+  /// repairs only the trees the changes can move. Mutate-at-barrier only.
   void reconverge();
 
   /// Checkpoint hooks (ckpt/ckpt.hpp): only the failed-link set is
   /// serialized. Restore replays it through set_link_state + reconverge,
-  /// which rebuilds every OSPF table and egress selection — the tables are
-  /// pure functions of (topology, down-set), so replay reproduces them
-  /// exactly without serializing them wholesale.
+  /// which brings every OSPF table and egress selection to that down-set —
+  /// the tables are pure functions of (topology, down-set), so replay
+  /// reproduces them exactly without serializing them wholesale.
   void save(ckpt::Writer& writer) const;
   bool load(ckpt::Reader& reader);
 

@@ -1,102 +1,154 @@
 #include "routing/ospf.hpp"
 
-#include <queue>
-
-#include "util/check.hpp"
+#include <algorithm>
+#include <functional>
+#include <limits>
 
 namespace massf {
 
+namespace {
+
+// Workspace distance of a router no usable path connects to the
+// destination.
+constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
+
+// flag_ws_ bits.
+constexpr std::uint8_t kHasNew = 1;  // new_ws_ holds the repaired distance
+constexpr std::uint8_t kListed = 2;  // in list_ws_
+
+}  // namespace
+
 OspfDomain::OspfDomain(const Network& net, std::span<const NodeId> members,
                        bool use_inter_as_links, bool keep_distances)
-    : members_(members.begin(), members.end()),
-      keep_distances_(keep_distances) {
-  local_.reserve(members_.size());
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    MASSF_CHECK(net.is_router(members_[i]));
-    const bool inserted =
-        local_.emplace(members_[i], static_cast<std::int32_t>(i)).second;
-    MASSF_CHECK(inserted);
+    : n_(members.size()), keep_distances_(keep_distances) {
+  if (!members.empty()) {
+    base_ = *std::min_element(members.begin(), members.end());
   }
-  arcs_.resize(members_.size());
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    for (const auto& inc : net.incident(members_[i])) {
+  std::vector<char> seen(n_, 0);  // members must cover the range once
+  for (const NodeId m : members) {
+    MASSF_CHECK(net.is_router(m));
+    const std::int32_t i = local_index(m);
+    MASSF_CHECK(i >= 0 && seen[static_cast<std::size_t>(i)] == 0);
+    seen[static_cast<std::size_t>(i)] = 1;
+  }
+  slot_.assign(n_, -1);
+
+  // Each domain link once, seen from its lower local endpoint. Positive
+  // latencies are what make the repairs in recompute() exact.
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto u = static_cast<std::int32_t>(i);
+    for (const auto& inc : net.incident(base_ + u)) {
       const NetLink& l = net.links[static_cast<std::size_t>(inc.link)];
       if (l.inter_as && !use_inter_as_links) continue;
-      auto it = local_.find(inc.peer);
-      if (it == local_.end()) continue;
-      arcs_[i].push_back({inc.link, it->second, l.latency});
+      const std::int32_t v = local_index(inc.peer);
+      if (v <= u) continue;
+      MASSF_CHECK(l.latency > 0);
+      links_.push_back({inc.link, u, v, l.latency});
     }
   }
+  std::sort(links_.begin(), links_.end(),
+            [](const DomainLink& a, const DomainLink& b) { return a.id < b.id; });
+
+  // Adjacency in CSR form, filled in link-id order so every router's arcs
+  // are sorted by link id.
+  arc_begin_.assign(n_ + 1, 0);
+  for (const DomainLink& l : links_) {
+    ++arc_begin_[static_cast<std::size_t>(l.u) + 1];
+    ++arc_begin_[static_cast<std::size_t>(l.v) + 1];
+  }
+  for (std::size_t i = 0; i < n_; ++i) arc_begin_[i + 1] += arc_begin_[i];
+  arcs_.resize(2 * links_.size());
+  std::vector<std::int32_t> fill(arc_begin_.begin(), arc_begin_.end() - 1);
+  for (std::size_t k = 0; k < links_.size(); ++k) {
+    const DomainLink& l = links_[k];
+    const auto dl = static_cast<std::int32_t>(k);
+    arcs_[static_cast<std::size_t>(fill[static_cast<std::size_t>(l.u)]++)] =
+        {dl, l.v, l.cost};
+    arcs_[static_cast<std::size_t>(fill[static_cast<std::size_t>(l.v)]++)] =
+        {dl, l.u, l.cost};
+  }
+
+  excluded_.assign(links_.size(), 0);
+  applied_.assign(links_.size(), 0);
+  dist_ws_.assign(n_, kUnreached);
+  new_ws_.assign(n_, kUnreached);
+  stamp_ws_.assign(n_, 0);
+  flag_ws_.assign(n_, 0);
 }
 
-std::int32_t OspfDomain::local_index(NodeId router) const {
-  auto it = local_.find(router);
-  return it == local_.end() ? -1 : it->second;
+void OspfDomain::reserve_destinations(std::size_t count) {
+  dests_.reserve(count);
+  next_.reserve(count * n_);
+  if (keep_distances_) dist_.reserve(count * n_);
 }
 
-void OspfDomain::add_destination(const Network& net, NodeId dest) {
-  (void)net;
-  if (tables_.count(dest) > 0) return;
+void OspfDomain::add_destination(NodeId dest) {
+  if (has_destination(dest)) return;
   const std::int32_t d = local_index(dest);
   MASSF_CHECK(d >= 0);
+  if (!changed_.empty()) recompute();
 
-  Table t;
-  t.next.assign(members_.size(), kInvalidLink);
-  t.dist.assign(members_.size(), -1);
-
-  // Dijkstra outward from the destination; because links are symmetric the
-  // tree rooted at dest gives, for every router, the first link of its
-  // shortest path *toward* dest. Ties are broken toward the lower link id
-  // so tables are deterministic.
-  using QItem = std::pair<std::int64_t, std::int32_t>;  // (dist, local idx)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  t.dist[static_cast<std::size_t>(d)] = 0;
-  pq.push({0, d});
-  while (!pq.empty()) {
-    const auto [dist, v] = pq.top();
-    pq.pop();
-    if (dist != t.dist[static_cast<std::size_t>(v)]) continue;
-    for (const Arc& a : arcs_[static_cast<std::size_t>(v)]) {
-      if (!excluded_.empty() && excluded_.count(a.link) > 0) continue;
-      const std::int64_t nd = dist + a.cost;
-      auto& cur = t.dist[static_cast<std::size_t>(a.peer)];
-      auto& nxt = t.next[static_cast<std::size_t>(a.peer)];
-      if (cur < 0 || nd < cur || (nd == cur && a.link < nxt)) {
-        cur = nd;
-        nxt = a.link;
-        pq.push({nd, a.peer});
-      }
-    }
+  const std::size_t slot = dests_.size();
+  dests_.push_back(d);
+  slot_[static_cast<std::size_t>(d)] = static_cast<std::int32_t>(slot);
+  // Past the reserved capacity, grow by exactly one table: doubling would
+  // hold the old and the new copy at once and raise the peak footprint.
+  const std::size_t size = (slot + 1) * n_;
+  if (next_.capacity() < size) next_.reserve(size);
+  next_.resize(size);
+  if (keep_distances_) {
+    if (dist_.capacity() < size) dist_.reserve(size);
+    dist_.resize(size);
   }
-  if (!keep_distances_) {
-    t.dist.clear();
-    t.dist.shrink_to_fit();
-  }
-  tables_.emplace(dest, std::move(t));
+  build_tree(slot);
 }
 
 void OspfDomain::set_link_excluded(LinkId link, bool excluded) {
-  if (excluded) {
-    excluded_.insert(link);
-  } else {
-    excluded_.erase(link);
+  const auto it = std::lower_bound(
+      links_.begin(), links_.end(), link,
+      [](const DomainLink& l, LinkId id) { return l.id < id; });
+  if (it == links_.end() || it->id != link) return;  // not a domain link
+  const auto dl = static_cast<std::size_t>(it - links_.begin());
+  if ((excluded_[dl] != 0) == excluded) return;
+  excluded_[dl] = excluded ? 1 : 0;
+  changed_.push_back(static_cast<std::int32_t>(dl));
+}
+
+// The tables hold, for every router x of a tree rooted at destination t,
+// the lowest-id non-excluded link on a shortest path from x to t. A batch
+// of exclusion changes moves that function only in trees where
+//   * a withdrawn link is some router's next hop (otherwise every tree
+//     path survives, no distance grows, and each old next hop is still
+//     the lowest tight link), or
+//   * a restored link (u, v, c) satisfies d(u) + c <= d(v) in either
+//     direction under the old distances (otherwise those distances still
+//     solve the shortest-path equations and the link is tight nowhere).
+// A tree hit by one kind only is repaired in place; one hit by both is
+// rebuilt.
+void OspfDomain::recompute() {
+  withdrawn_.clear();
+  restored_.clear();
+  for (const std::int32_t dl : changed_) {
+    const auto i = static_cast<std::size_t>(dl);
+    if (excluded_[i] == applied_[i]) continue;  // flipped back, or seen
+    applied_[i] = excluded_[i];
+    (excluded_[i] != 0 ? withdrawn_ : restored_).push_back(dl);
   }
-}
+  changed_.clear();
+  if (withdrawn_.empty() && restored_.empty()) return;
 
-void OspfDomain::recompute(const Network& net) {
-  std::vector<NodeId> dests;
-  dests.reserve(tables_.size());
-  for (const auto& [dest, table] : tables_) dests.push_back(dest);
-  tables_.clear();
-  for (const NodeId d : dests) add_destination(net, d);
-}
-
-LinkId OspfDomain::next_link(NodeId from, NodeId dest) const {
-  auto it = tables_.find(dest);
-  MASSF_CHECK(it != tables_.end());
-  const std::int32_t f = local_index(from);
-  MASSF_CHECK(f >= 0);
-  return it->second.next[static_cast<std::size_t>(f)];
+  for (std::size_t slot = 0; slot < dests_.size(); ++slot) {
+    begin_tree();
+    const bool cut = !withdrawn_.empty() && uses_withdrawn(slot);
+    const bool shortcut = !restored_.empty() && gains_restored(slot);
+    if (cut && shortcut) {
+      build_tree(slot);
+    } else if (cut) {
+      repair_withdrawn(slot);
+    } else if (shortcut) {
+      repair_restored(slot);
+    }
+  }
 }
 
 NodeId OspfDomain::next_hop(const Network& net, NodeId from,
@@ -109,11 +161,269 @@ NodeId OspfDomain::next_hop(const Network& net, NodeId from,
 
 std::int64_t OspfDomain::distance(NodeId from, NodeId dest) const {
   MASSF_CHECK(keep_distances_);
-  auto it = tables_.find(dest);
-  MASSF_CHECK(it != tables_.end());
+  const std::int32_t s = slot_of(dest);
+  MASSF_CHECK(s >= 0);
   const std::int32_t f = local_index(from);
   MASSF_CHECK(f >= 0);
-  return it->second.dist[static_cast<std::size_t>(f)];
+  return dist_[static_cast<std::size_t>(s) * n_ + static_cast<std::size_t>(f)];
+}
+
+// ---- tree maintenance --------------------------------------------------------
+
+const OspfDomain::Arc& OspfDomain::parent_arc(std::int32_t x,
+                                              LinkId next) const {
+  const std::span<const Arc> out = arcs(x);
+  const auto it = std::lower_bound(
+      out.begin(), out.end(), next, [this](const Arc& a, LinkId id) {
+        return links_[static_cast<std::size_t>(a.dlink)].id < id;
+      });
+  MASSF_DCHECK(it != out.end() &&
+               links_[static_cast<std::size_t>(it->dlink)].id == next);
+  return *it;
+}
+
+void OspfDomain::push(std::int64_t dist, std::int32_t x) {
+  heap_.emplace_back(dist, x);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+}
+
+std::pair<std::int64_t, std::int32_t> OspfDomain::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+  const auto top = heap_.back();
+  heap_.pop_back();
+  return top;
+}
+
+// Dijkstra outward from the destination; because links are symmetric the
+// tree rooted at dest gives, for every router, the first link of its
+// shortest path *toward* dest. Ties are broken toward the lower link id,
+// which makes each next hop the lowest tight link (the repairs pick it
+// with lowest_tight_link instead).
+void OspfDomain::build_tree(std::size_t slot) {
+  LinkId* next = tree(slot);
+  std::fill(next, next + n_, kInvalidLink);
+  std::fill(dist_ws_.begin(), dist_ws_.end(), kUnreached);
+  const std::int32_t t = dests_[slot];
+  dist_ws_[static_cast<std::size_t>(t)] = 0;
+  heap_.clear();
+  push(0, t);
+  while (!heap_.empty()) {
+    const auto [d, x] = pop();
+    if (d != dist_ws_[static_cast<std::size_t>(x)]) continue;
+    for (const Arc& a : arcs(x)) {
+      if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
+      const std::int64_t nd = d + a.cost;
+      const auto pi = static_cast<std::size_t>(a.peer);
+      if (nd > dist_ws_[pi]) continue;
+      const LinkId link = links_[static_cast<std::size_t>(a.dlink)].id;
+      if (nd < dist_ws_[pi]) {
+        dist_ws_[pi] = nd;
+        next[pi] = link;
+        push(nd, a.peer);
+      } else if (link < next[pi]) {
+        next[pi] = link;
+      }
+    }
+  }
+  if (keep_distances_) {
+    std::int64_t* out = dist_.data() + slot * n_;
+    for (std::size_t x = 0; x < n_; ++x) {
+      out[x] = dist_ws_[x] == kUnreached ? -1 : dist_ws_[x];
+    }
+  }
+}
+
+// The repairs below work in the neighbourhood of the change, without a
+// pass over the whole tree. Distances under the tree as it stood are read
+// by walking next-hop pointers toward the destination (old_distance, which
+// memoizes every router it walks through for the tree at hand); a repaired
+// distance lives in new_ws_ for the routers flagged kHasNew; the routers
+// whose next hop is re-picked are listed in list_ws_.
+
+void OspfDomain::begin_tree() {
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may match
+    std::fill(stamp_ws_.begin(), stamp_ws_.end(), 0);
+    epoch_ = 1;
+  }
+}
+
+std::int64_t OspfDomain::old_distance(std::size_t slot, std::int32_t x) {
+  const LinkId* next = tree(slot);
+  std::int32_t y = x;
+  while (stamp_ws_[static_cast<std::size_t>(y)] != epoch_) {
+    if (next[y] == kInvalidLink) {  // the destination, or cut off
+      dist_ws_[static_cast<std::size_t>(y)] =
+          y == dests_[slot] ? 0 : kUnreached;
+      stamp_ws_[static_cast<std::size_t>(y)] = epoch_;
+      break;
+    }
+    const Arc& a = parent_arc(y, next[y]);
+    stack_ws_.emplace_back(y, static_cast<std::int32_t>(&a - arcs_.data()));
+    y = a.peer;
+  }
+  while (!stack_ws_.empty()) {
+    const auto [z, arc] = stack_ws_.back();
+    stack_ws_.pop_back();
+    const Arc& a = arcs_[static_cast<std::size_t>(arc)];
+    dist_ws_[static_cast<std::size_t>(z)] =
+        dist_ws_[static_cast<std::size_t>(a.peer)] + a.cost;
+    stamp_ws_[static_cast<std::size_t>(z)] = epoch_;
+  }
+  return dist_ws_[static_cast<std::size_t>(x)];
+}
+
+std::int64_t OspfDomain::cur_distance(std::size_t slot, std::int32_t x) {
+  const auto i = static_cast<std::size_t>(x);
+  return (flag_ws_[i] & kHasNew) != 0 ? new_ws_[i] : old_distance(slot, x);
+}
+
+LinkId OspfDomain::lowest_tight_link(std::size_t slot, std::int32_t x) {
+  const std::int64_t d = cur_distance(slot, x);
+  if (d == kUnreached) return kInvalidLink;
+  for (const Arc& a : arcs(x)) {
+    if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
+    const std::int64_t pd = cur_distance(slot, a.peer);
+    if (pd != kUnreached && pd + a.cost == d) {
+      return links_[static_cast<std::size_t>(a.dlink)].id;
+    }
+  }
+  return kInvalidLink;  // x is the destination
+}
+
+void OspfDomain::list(std::int32_t x, std::uint8_t flags) {
+  std::uint8_t& f = flag_ws_[static_cast<std::size_t>(x)];
+  if ((f & kListed) == 0) list_ws_.push_back(x);
+  f |= kListed | flags;
+}
+
+bool OspfDomain::uses_withdrawn(std::size_t slot) const {
+  const LinkId* next = tree(slot);
+  for (const std::int32_t dl : withdrawn_) {
+    const DomainLink& l = links_[static_cast<std::size_t>(dl)];
+    if (next[l.u] == l.id || next[l.v] == l.id) return true;
+  }
+  return false;
+}
+
+bool OspfDomain::gains_restored(std::size_t slot) {
+  for (const std::int32_t dl : restored_) {
+    const DomainLink& l = links_[static_cast<std::size_t>(dl)];
+    const std::int64_t du = old_distance(slot, l.u);
+    const std::int64_t dv = old_distance(slot, l.v);
+    if ((du != kUnreached && du + l.cost <= dv) ||
+        (dv != kUnreached && dv + l.cost <= du)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Withdrawals only lengthen paths, and only for the routers whose tree path
+// crossed a withdrawn link (the cut routers: the subtrees hanging off the
+// withdrawn next hops); every other router keeps its distance and next
+// hop. Dijkstra over the cut routers alone, seeded from their uncut
+// neighbours, gives their new distances.
+void OspfDomain::repair_withdrawn(std::size_t slot) {
+  const LinkId* next = tree(slot);
+  for (const std::int32_t dl : withdrawn_) {
+    const DomainLink& l = links_[static_cast<std::size_t>(dl)];
+    if (next[l.u] == l.id) list(l.u, kHasNew);
+    if (next[l.v] == l.id) list(l.v, kHasNew);
+  }
+  for (std::size_t i = 0; i < list_ws_.size(); ++i) {  // grows: a BFS
+    const std::int32_t x = list_ws_[i];
+    for (const Arc& a : arcs(x)) {
+      if (next[a.peer] == links_[static_cast<std::size_t>(a.dlink)].id) {
+        list(a.peer, kHasNew);  // routes through x
+      }
+    }
+  }
+
+  heap_.clear();
+  for (const std::int32_t x : list_ws_) {
+    std::int64_t best = kUnreached;
+    for (const Arc& a : arcs(x)) {
+      if (excluded_[static_cast<std::size_t>(a.dlink)] != 0 ||
+          (flag_ws_[static_cast<std::size_t>(a.peer)] & kHasNew) != 0) {
+        continue;
+      }
+      const std::int64_t pd = old_distance(slot, a.peer);
+      if (pd != kUnreached) best = std::min(best, pd + a.cost);
+    }
+    new_ws_[static_cast<std::size_t>(x)] = best;
+    if (best != kUnreached) push(best, x);
+  }
+  while (!heap_.empty()) {
+    const auto [d, x] = pop();
+    if (d != new_ws_[static_cast<std::size_t>(x)]) continue;
+    for (const Arc& a : arcs(x)) {
+      const auto pi = static_cast<std::size_t>(a.peer);
+      if (excluded_[static_cast<std::size_t>(a.dlink)] != 0 ||
+          (flag_ws_[pi] & kHasNew) == 0) {
+        continue;
+      }
+      if (d + a.cost < new_ws_[pi]) {
+        new_ws_[pi] = d + a.cost;
+        push(d + a.cost, a.peer);
+      }
+    }
+  }
+  finish_repair(slot);
+}
+
+// Restorations only shorten paths. The decrease spreads Dijkstra-style from
+// the restored links' endpoints; a next hop can change only at a router
+// whose distance fell, at its neighbours (a link to it may have become
+// tight) and at the restored links' endpoints.
+void OspfDomain::repair_restored(std::size_t slot) {
+  const auto lower = [this, slot](std::int32_t x, std::int64_t d) {
+    if (d < cur_distance(slot, x)) {
+      new_ws_[static_cast<std::size_t>(x)] = d;
+      list(x, kHasNew);
+      push(d, x);
+    }
+  };
+  heap_.clear();
+  for (const std::int32_t dl : restored_) {
+    const DomainLink& l = links_[static_cast<std::size_t>(dl)];
+    list(l.u, 0);
+    list(l.v, 0);
+    const std::int64_t du = cur_distance(slot, l.u);
+    const std::int64_t dv = cur_distance(slot, l.v);
+    if (du != kUnreached) lower(l.v, du + l.cost);
+    if (dv != kUnreached) lower(l.u, dv + l.cost);
+  }
+  while (!heap_.empty()) {
+    const auto [d, x] = pop();
+    if (d != new_ws_[static_cast<std::size_t>(x)]) continue;
+    for (const Arc& a : arcs(x)) {
+      if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
+      list(a.peer, 0);
+      lower(a.peer, d + a.cost);
+    }
+  }
+  finish_repair(slot);
+}
+
+// Re-picks the next hop of every listed router, stores the repaired
+// distances and clears the flags. Every pick is made before any next hop
+// is written: old_distance walks the tree as it stood.
+void OspfDomain::finish_repair(std::size_t slot) {
+  pick_ws_.clear();
+  for (const std::int32_t x : list_ws_) {
+    pick_ws_.push_back(lowest_tight_link(slot, x));
+  }
+  LinkId* next = tree(slot);
+  std::int64_t* dist = keep_distances_ ? dist_.data() + slot * n_ : nullptr;
+  for (std::size_t i = 0; i < list_ws_.size(); ++i) {
+    const auto x = static_cast<std::size_t>(list_ws_[i]);
+    next[x] = pick_ws_[i];
+    if (dist != nullptr && (flag_ws_[x] & kHasNew) != 0) {
+      dist[x] = new_ws_[x] == kUnreached ? -1 : new_ws_[x];
+    }
+    flag_ws_[x] = 0;
+  }
+  list_ws_.clear();
 }
 
 }  // namespace massf

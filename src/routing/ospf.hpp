@@ -3,15 +3,23 @@
 // router. Computing trees per destination (rather than per source) keeps
 // large networks feasible: only routers that actually terminate or egress
 // traffic need tables.
+//
+// Tables are dense: one slot-major LinkId array holds every (destination,
+// router) next hop, so a lookup reads the destination's slot and then the
+// table. A link-state batch repairs only the trees it can change (dynamic
+// SPT maintenance after Ramalingam & Reps, J. Algorithms 1996, and
+// Narváez, Siu & Tzeng, IEEE/ACM ToN 8(6), 2000); the tables stay a pure
+// function of (topology, excluded links): next hop = lowest-id usable link
+// on a shortest path.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "topology/network.hpp"
+#include "util/check.hpp"
 
 namespace massf {
 
@@ -20,66 +28,138 @@ namespace massf {
 /// links).
 class OspfDomain {
  public:
-  /// `members` are the global router ids of the domain. Only links with
-  /// both endpoints in `members` (and not marked inter_as unless
-  /// `use_inter_as_links`) are considered. With `keep_distances` false the
-  /// per-destination distance arrays are discarded after the SPT is built
-  /// (they cost 8 bytes x routers x destinations — prohibitive for a
-  /// 20,000-router flat domain with thousands of destinations); distance()
-  /// is then unavailable.
+  /// `members` are the global router ids of the domain, a contiguous id
+  /// range in any order (a router's local index is its offset from the
+  /// lowest). Only links with both endpoints in `members` (and not marked
+  /// inter_as unless `use_inter_as_links`) are considered; their latencies
+  /// must be > 0. With `keep_distances` false the per-destination distances
+  /// are not stored (they cost 8 bytes x routers x destinations —
+  /// prohibitive for a 20,000-router flat domain with thousands of
+  /// destinations); distance() is then unavailable.
   OspfDomain(const Network& net, std::span<const NodeId> members,
              bool use_inter_as_links, bool keep_distances = true);
 
-  /// Computes the reverse shortest-path tree toward `dest` (a member) and
-  /// stores the per-router next hop. Safe to call for the same dest twice.
-  void add_destination(const Network& net, NodeId dest);
+  /// Sizes the tables for `count` destinations in one allocation, so later
+  /// add_destination calls neither reallocate nor copy them.
+  void reserve_destinations(std::size_t count);
 
-  bool has_destination(NodeId dest) const {
-    return tables_.count(dest) > 0;
-  }
+  /// Computes the reverse shortest-path tree toward `dest` (a member) and
+  /// stores the per-router next hop. Pending exclusions are applied to the
+  /// existing tables first, so every table describes the same link states.
+  /// Safe to call for the same dest twice.
+  void add_destination(NodeId dest);
+
+  bool has_destination(NodeId dest) const { return slot_of(dest) >= 0; }
 
   /// Next link from `from` (a member router) toward `dest` (a registered
   /// destination). Returns kInvalidLink when from == dest or unreachable.
-  LinkId next_link(NodeId from, NodeId dest) const;
+  LinkId next_link(NodeId from, NodeId dest) const {
+    const std::int32_t s = slot_of(dest);
+    MASSF_CHECK(s >= 0);
+    const std::int32_t f = local_index(from);
+    MASSF_CHECK(f >= 0);
+    return next_[static_cast<std::size_t>(s) * n_ +
+                 static_cast<std::size_t>(f)];
+  }
 
   /// Next router on the path (the peer across next_link).
   NodeId next_hop(const Network& net, NodeId from, NodeId dest) const;
 
   /// Administratively excludes (or restores) a link; takes effect at the
-  /// next recompute(). Models the SPF view after an LSA withdrawal.
+  /// next recompute(). Models the SPF view after an LSA withdrawal. Links
+  /// outside the domain are ignored.
   void set_link_excluded(LinkId link, bool excluded);
 
-  /// Recomputes every registered destination's tree under the current
-  /// exclusions.
-  void recompute(const Network& net);
+  /// Brings every registered destination's tree up to date with the
+  /// exclusions changed since the last recompute, repairing only the trees
+  /// the batch can change.
+  void recompute();
 
   /// Latency distance (ns) from `from` to registered `dest`; -1 if
   /// unreachable. Requires keep_distances.
   std::int64_t distance(NodeId from, NodeId dest) const;
 
-  std::size_t num_destinations() const { return tables_.size(); }
+  std::size_t num_destinations() const { return dests_.size(); }
 
  private:
-  struct Table {
-    std::vector<LinkId> next;        // per local index
-    std::vector<std::int64_t> dist;  // ns, -1 unreachable; empty when
-                                     // distances are not kept
-  };
-
-  std::int32_t local_index(NodeId router) const;
-
-  std::vector<NodeId> members_;
-  std::unordered_map<NodeId, std::int32_t> local_;
-  // Local adjacency restricted to the domain: (link, peer local idx, cost).
+  // One direction of a domain link, in the adjacency of its tail router.
   struct Arc {
-    LinkId link;
-    std::int32_t peer;
+    std::int32_t dlink;  // domain link index (order of the global id)
+    std::int32_t peer;   // local index of the head router
+    std::int64_t cost;   // latency, ns
+  };
+  struct DomainLink {
+    LinkId id;
+    std::int32_t u, v;  // local endpoints
     std::int64_t cost;
   };
-  std::vector<std::vector<Arc>> arcs_;
-  std::unordered_map<NodeId, Table> tables_;
-  std::unordered_set<LinkId> excluded_;
+
+  std::int32_t local_index(NodeId router) const {
+    const auto off = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(router) - base_);
+    return off < n_ ? static_cast<std::int32_t>(off) : -1;
+  }
+  std::int32_t slot_of(NodeId dest) const {
+    const std::int32_t d = local_index(dest);
+    return d < 0 ? -1 : slot_[static_cast<std::size_t>(d)];
+  }
+  std::span<const Arc> arcs(std::int32_t x) const {
+    const auto i = static_cast<std::size_t>(x);
+    return {arcs_.data() + arc_begin_[i],
+            static_cast<std::size_t>(arc_begin_[i + 1] - arc_begin_[i])};
+  }
+  LinkId* tree(std::size_t slot) { return next_.data() + slot * n_; }
+  const LinkId* tree(std::size_t slot) const {
+    return next_.data() + slot * n_;
+  }
+  const Arc& parent_arc(std::int32_t x, LinkId next) const;
+  void push(std::int64_t dist, std::int32_t x);
+  std::pair<std::int64_t, std::int32_t> pop();
+
+  // Tree construction and repair (ospf.cpp).
+  void build_tree(std::size_t slot);
+  void begin_tree();
+  std::int64_t old_distance(std::size_t slot, std::int32_t x);
+  std::int64_t cur_distance(std::size_t slot, std::int32_t x);
+  LinkId lowest_tight_link(std::size_t slot, std::int32_t x);
+  void list(std::int32_t x, std::uint8_t flags);
+  bool uses_withdrawn(std::size_t slot) const;
+  bool gains_restored(std::size_t slot);
+  void repair_withdrawn(std::size_t slot);
+  void repair_restored(std::size_t slot);
+  void finish_repair(std::size_t slot);
+
+  std::size_t n_ = 0;  // member count
+  NodeId base_ = 0;    // lowest member id
   bool keep_distances_ = true;
+  std::vector<std::int32_t> slot_;  // per router: table slot or -1
+
+  std::vector<DomainLink> links_;  // sorted by global id
+  std::vector<std::int32_t> arc_begin_;
+  std::vector<Arc> arcs_;  // per router, sorted by link id
+  std::vector<std::uint8_t> excluded_;  // per domain link, as requested
+  std::vector<std::uint8_t> applied_;   // per domain link, as in the tables
+  std::vector<std::int32_t> changed_;   // links flipped since recompute
+  std::vector<std::int32_t> withdrawn_, restored_;  // the batch at hand
+
+  std::vector<std::int32_t> dests_;  // slot -> local index
+  std::vector<LinkId> next_;         // slot-major, n_ per slot
+  std::vector<std::int64_t> dist_;   // slot-major; empty unless kept
+
+  // Workspace reused across trees, all per router unless noted: Dijkstra
+  // distances (the memoized old distances during a repair, valid where
+  // stamp_ws_ == epoch_), repaired distances, flags, the Dijkstra heap,
+  // the climb stack of (router, parent arc), and the routers to re-pick
+  // with their picks.
+  std::vector<std::int64_t> dist_ws_;
+  std::vector<std::int64_t> new_ws_;
+  std::vector<std::uint32_t> stamp_ws_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint8_t> flag_ws_;
+  std::vector<std::pair<std::int64_t, std::int32_t>> heap_;
+  std::vector<std::pair<std::int32_t, std::int32_t>> stack_ws_;
+  std::vector<std::int32_t> list_ws_;
+  std::vector<LinkId> pick_ws_;
 };
 
 }  // namespace massf

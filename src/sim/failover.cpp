@@ -22,9 +22,13 @@ void FailoverController::attach(Engine& engine) {
 void FailoverController::schedule(Engine& engine, NetSim& sim, LinkId link,
                                   SimTime when, bool up) {
   sim.link_model().schedule_link_state(engine, link, when, up);
-  pending_.push_back({when + delay_, link, up, when});
-  std::sort(pending_.begin(), pending_.end(),
-            [](const Pending& a, const Pending& b) { return a.at < b.at; });
+  // After every earlier change due at the same time: equal-time changes
+  // apply in schedule order, as the data plane's same-time events fire.
+  const SimTime at = when + delay_;
+  const auto pos = std::upper_bound(
+      pending_.begin(), pending_.end(), at,
+      [](SimTime t, const Pending& p) { return t < p.at; });
+  pending_.insert(pos, {at, link, up, when});
 }
 
 void FailoverController::fail_link(Engine& engine, NetSim& sim, LinkId link,

@@ -2,7 +2,7 @@
 //
 // Two layers:
 //  * Flags — the legacy ad-hoc parser (--name=value lookups with inline
-//    defaults). Still used by the bench binaries.
+//    defaults). Still used by the small example binaries.
 //  * FlagTable — a declarative flag table: each flag is registered once
 //    with its name, type, default, help text, and optional validator, and
 //    the table generates the parser and the --help screen from that single

@@ -8,6 +8,7 @@
 #include "routing/ospf.hpp"
 #include "topology/brite.hpp"
 #include "topology/mabrite.hpp"
+#include "util/rng.hpp"
 
 namespace massf {
 namespace {
@@ -49,7 +50,7 @@ TEST(Ospf, LineNextHops) {
   const Network net = line_network();
   std::vector<NodeId> members{0, 1, 2, 3};
   OspfDomain ospf(net, members, /*use_inter_as_links=*/true);
-  ospf.add_destination(net, 3);
+  ospf.add_destination(3);
   EXPECT_EQ(ospf.next_hop(net, 0, 3), 1);
   EXPECT_EQ(ospf.next_hop(net, 1, 3), 2);
   EXPECT_EQ(ospf.next_hop(net, 2, 3), 3);
@@ -82,13 +83,15 @@ TEST(Ospf, PrefersShorterLatencyPath) {
 
   std::vector<NodeId> members{0, 1, 2};
   OspfDomain ospf(net, members, true);
-  ospf.add_destination(net, 1);
+  ospf.add_destination(1);
   EXPECT_EQ(ospf.next_hop(net, 0, 1), 2);
   EXPECT_EQ(ospf.distance(0, 1), milliseconds(2));
 }
 
-// Brute-force Dijkstra for cross-checking on generated networks.
-std::vector<std::int64_t> brute_distances(const Network& net, NodeId dest) {
+// Brute-force Dijkstra for cross-checking on generated networks; links
+// flagged in `excluded` (indexed by link id, may be empty) are skipped.
+std::vector<std::int64_t> brute_distances(
+    const Network& net, NodeId dest, const std::vector<char>& excluded = {}) {
   std::vector<std::int64_t> dist(net.nodes.size(), -1);
   using Q = std::pair<std::int64_t, NodeId>;
   std::priority_queue<Q, std::vector<Q>, std::greater<>> pq;
@@ -100,6 +103,9 @@ std::vector<std::int64_t> brute_distances(const Network& net, NodeId dest) {
     if (d != dist[static_cast<std::size_t>(v)]) continue;
     for (const auto& inc : net.incident(v)) {
       if (!net.is_router(inc.peer)) continue;
+      if (!excluded.empty() && excluded[static_cast<std::size_t>(inc.link)]) {
+        continue;
+      }
       const std::int64_t nd =
           d + net.links[static_cast<std::size_t>(inc.link)].latency;
       auto& cur = dist[static_cast<std::size_t>(inc.peer)];
@@ -122,7 +128,7 @@ TEST(Ospf, MatchesBruteForceOnGeneratedNetwork) {
   std::iota(members.begin(), members.end(), NodeId{0});
   OspfDomain ospf(net, members, true);
   for (NodeId dest : {NodeId{0}, NodeId{57}, NodeId{123}}) {
-    ospf.add_destination(net, dest);
+    ospf.add_destination(dest);
     const auto brute = brute_distances(net, dest);
     for (NodeId r = 0; r < net.num_routers; ++r) {
       EXPECT_EQ(ospf.distance(r, dest), brute[static_cast<std::size_t>(r)]);
@@ -140,7 +146,7 @@ TEST(Ospf, FollowingNextHopsReachesDest) {
   std::iota(members.begin(), members.end(), NodeId{0});
   OspfDomain ospf(net, members, true);
   const NodeId dest = 77;
-  ospf.add_destination(net, dest);
+  ospf.add_destination(dest);
   for (NodeId start : {NodeId{0}, NodeId{50}, NodeId{149}}) {
     NodeId cur = start;
     int hops = 0;
@@ -176,28 +182,255 @@ TEST(Ospf, LinkExclusionReroutesAfterRecompute) {
 
   std::vector<NodeId> members{0, 1, 2};
   OspfDomain ospf(net, members, true);
-  ospf.add_destination(net, 1);
+  ospf.add_destination(1);
   EXPECT_EQ(ospf.next_hop(net, 0, 1), 1);
 
   ospf.set_link_excluded(0, true);
-  ospf.recompute(net);
+  ospf.recompute();
   EXPECT_EQ(ospf.next_hop(net, 0, 1), 2);
   EXPECT_EQ(ospf.distance(0, 1), milliseconds(4));
 
   ospf.set_link_excluded(0, false);
-  ospf.recompute(net);
+  ospf.recompute();
   EXPECT_EQ(ospf.next_hop(net, 0, 1), 1);
+}
+
+TEST(Ospf, EqualCostPathsPickLowestLinkId) {
+  // Diamond 0-{1,2}-3 with unit latencies: router 0 reaches 3 over two
+  // equal-cost paths and takes the lower link id, link 0 (toward 2).
+  Network net;
+  for (int i = 0; i < 4; ++i) {
+    NetNode r;
+    r.kind = NodeKind::kRouter;
+    net.nodes.push_back(r);
+  }
+  net.num_routers = 4;
+  const auto link = [&](NodeId a, NodeId b) {
+    NetLink l;
+    l.a = a;
+    l.b = b;
+    l.latency = milliseconds(1);
+    l.bandwidth_bps = 1e9;
+    net.links.push_back(l);
+  };
+  link(0, 2);  // link 0
+  link(0, 1);  // link 1
+  link(1, 3);  // link 2
+  link(2, 3);  // link 3
+  net.build_adjacency();
+
+  std::vector<NodeId> members{0, 1, 2, 3};
+  OspfDomain ospf(net, members, true);
+  ospf.add_destination(3);
+  EXPECT_EQ(ospf.next_link(0, 3), 0);
+  ospf.set_link_excluded(3, true);
+  ospf.recompute();
+  EXPECT_EQ(ospf.next_link(0, 3), 1);
+  // Restoring link 3 ties the distances again; the tie-break moves back.
+  ospf.set_link_excluded(3, false);
+  ospf.recompute();
+  EXPECT_EQ(ospf.next_link(0, 3), 0);
+  EXPECT_EQ(ospf.distance(0, 3), milliseconds(2));
 }
 
 TEST(Ospf, ExclusionCanDisconnect) {
   Network net = line_network();
   std::vector<NodeId> members{0, 1, 2, 3};
   OspfDomain ospf(net, members, true);
-  ospf.add_destination(net, 3);
+  ospf.add_destination(3);
   ospf.set_link_excluded(1, true);  // the only 1-2 link
-  ospf.recompute(net);
+  ospf.recompute();
   EXPECT_EQ(ospf.next_link(0, 3), kInvalidLink);
   EXPECT_EQ(ospf.distance(0, 3), -1);
+}
+
+// Random link-state churn over a flat network's router links: link downs
+// and ups, router crashes (every router link of the router down) and
+// restores. A link is excluded while it is down or either end is crashed.
+class LinkChurn {
+ public:
+  LinkChurn(const Network& net, std::uint64_t seed)
+      : net_(&net),
+        rng_(seed),
+        down_(net.links.size(), 0),
+        crashed_(static_cast<std::size_t>(net.num_routers), 0) {
+    for (LinkId l = 0; l < static_cast<LinkId>(net.links.size()); ++l) {
+      const NetLink& link = net.links[static_cast<std::size_t>(l)];
+      if (net.is_router(link.a) && net.is_router(link.b)) routed_.push_back(l);
+    }
+  }
+
+  /// One batch of 1-4 changes; returns the links whose exclusion may have
+  /// changed (with repeats).
+  std::vector<LinkId> batch() {
+    std::vector<LinkId> touched;
+    const auto changes = 1 + rng_.uniform(4);
+    for (std::uint64_t c = 0; c < changes; ++c) {
+      switch (rng_.uniform(4)) {
+        case 0:  // link down
+        case 1: {  // link up, when one is down
+          const bool up = down_links_.empty() ? false : rng_.uniform(2) == 1;
+          LinkId l;
+          if (up) {
+            const auto i = rng_.uniform(down_links_.size());
+            l = down_links_[i];
+            down_links_.erase(down_links_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+          } else {
+            l = routed_[rng_.uniform(routed_.size())];
+            if (down_[static_cast<std::size_t>(l)] == 0) {
+              down_links_.push_back(l);
+            }
+          }
+          down_[static_cast<std::size_t>(l)] = up ? 0 : 1;
+          touched.push_back(l);
+          break;
+        }
+        default: {  // router crash, or restore of a crashed router
+          NodeId r;
+          if (!crashed_routers_.empty() && rng_.uniform(2) == 1) {
+            const auto i = rng_.uniform(crashed_routers_.size());
+            r = crashed_routers_[i];
+            crashed_routers_.erase(crashed_routers_.begin() +
+                                   static_cast<std::ptrdiff_t>(i));
+            crashed_[static_cast<std::size_t>(r)] = 0;
+          } else {
+            r = static_cast<NodeId>(
+                rng_.uniform(static_cast<std::uint64_t>(net_->num_routers)));
+            if (crashed_[static_cast<std::size_t>(r)] == 0) {
+              crashed_routers_.push_back(r);
+            }
+            crashed_[static_cast<std::size_t>(r)] = 1;
+          }
+          for (const auto& inc : net_->incident(r)) {
+            if (net_->is_router(inc.peer)) touched.push_back(inc.link);
+          }
+          break;
+        }
+      }
+    }
+    return touched;
+  }
+
+  bool excluded(LinkId l) const {
+    const NetLink& link = net_->links[static_cast<std::size_t>(l)];
+    return down_[static_cast<std::size_t>(l)] != 0 ||
+           crashed_[static_cast<std::size_t>(link.a)] != 0 ||
+           crashed_[static_cast<std::size_t>(link.b)] != 0;
+  }
+
+  std::vector<char> excluded_links() const {
+    std::vector<char> out(net_->links.size(), 0);
+    for (const LinkId l : routed_) out[static_cast<std::size_t>(l)] = excluded(l);
+    return out;
+  }
+
+  const std::vector<LinkId>& routed() const { return routed_; }
+
+ private:
+  const Network* net_;
+  Rng rng_;
+  std::vector<LinkId> routed_;
+  std::vector<char> down_;
+  std::vector<char> crashed_;
+  std::vector<LinkId> down_links_;
+  std::vector<NodeId> crashed_routers_;
+};
+
+// recompute() repairs only the trees a batch can change; after every batch
+// its tables must equal a fresh SPF: a domain whose exclusions were set
+// before add_destination, which never repairs a tree.
+TEST(Ospf, IncrementalRecomputeMatchesFreshSpf) {
+  struct Case {
+    std::int32_t routers;
+    std::int32_t links_per_node;
+    std::uint64_t seed;
+    SimTime quantum;  // > 0: latencies rounded up to a multiple of it
+  };
+  // links_per_node 1 grows trees: there a crash cuts destinations off.
+  // BRITE latencies are distinct reals, so equal-cost paths (where the
+  // lowest-link-id tie-break decides) come from coarse latency quanta; a
+  // 1 s quantum makes every link cost the same (hop-count routing).
+  const Case cases[] = {{60, 1, 11, 0},
+                        {60, 2, 12, seconds(1)},
+                        {100, 2, 13, 0},
+                        {150, 3, 14, milliseconds(5)},
+                        {200, 2, 15, 0},
+                        {120, 1, 16, milliseconds(2)},
+                        {250, 2, 17, seconds(1)},
+                        {300, 2, 18, milliseconds(10)}};
+  constexpr int kBatches = 50;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+    BriteOptions o;
+    o.num_routers = c.routers;
+    o.num_hosts = 10;
+    o.links_per_node = c.links_per_node;
+    o.seed = c.seed;
+    Network net = generate_flat(o);
+    if (c.quantum > 0) {
+      for (NetLink& l : net.links) {
+        l.latency = (l.latency + c.quantum - 1) / c.quantum * c.quantum;
+      }
+    }
+    std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
+    std::iota(members.begin(), members.end(), NodeId{0});
+    // Every fourth router is a destination.
+    std::vector<NodeId> dests;
+    for (NodeId r = static_cast<NodeId>(c.seed % 4); r < net.num_routers;
+         r += 4) {
+      dests.push_back(r);
+    }
+
+    OspfDomain kept(net, members, true, /*keep_distances=*/true);
+    OspfDomain lean(net, members, true, /*keep_distances=*/false);
+    for (const NodeId d : dests) {
+      kept.add_destination(d);
+      lean.add_destination(d);
+    }
+    LinkChurn churn(net, c.seed);
+    std::int64_t unreachable = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      for (const LinkId l : churn.batch()) {
+        kept.set_link_excluded(l, churn.excluded(l));
+        lean.set_link_excluded(l, churn.excluded(l));
+      }
+      kept.recompute();
+      lean.recompute();
+
+      OspfDomain fresh(net, members, true);
+      for (const LinkId l : churn.routed()) {
+        if (churn.excluded(l)) fresh.set_link_excluded(l, true);
+      }
+      const std::vector<char> excluded = churn.excluded_links();
+      int mismatches = 0;
+      for (const NodeId d : dests) {
+        fresh.add_destination(d);
+        const auto brute = brute_distances(net, d, excluded);
+        for (NodeId r = 0; r < net.num_routers; ++r) {
+          const LinkId want = fresh.next_link(r, d);
+          const std::int64_t dist = fresh.distance(r, d);
+          unreachable += dist < 0 ? 1 : 0;
+          if (dist != brute[static_cast<std::size_t>(r)] ||
+              kept.next_link(r, d) != want || lean.next_link(r, d) != want ||
+              kept.distance(r, d) != dist) {
+            if (++mismatches <= 3) {
+              ADD_FAILURE() << "batch " << b << " router " << r << " dest "
+                            << d << ": fresh " << want << "/" << dist
+                            << ", kept " << kept.next_link(r, d) << "/"
+                            << kept.distance(r, d) << ", lean "
+                            << lean.next_link(r, d) << ", brute "
+                            << brute[static_cast<std::size_t>(r)];
+            }
+          }
+        }
+      }
+      ASSERT_EQ(mismatches, 0) << "batch " << b;
+    }
+    if (c.links_per_node == 1) {
+      EXPECT_GT(unreachable, 0);
+    }
+  }
 }
 
 // ---- BGP -------------------------------------------------------------
@@ -347,6 +580,39 @@ TEST(ForwardingFlat, ArrivedReturnsInvalid) {
   const LinkId l = fp.next_link(3, 5);
   const NetLink& link = net.links[static_cast<std::size_t>(l)];
   EXPECT_TRUE(link.a == 5 || link.b == 5);
+}
+
+// A plane driven through link flaps and router crashes and back to the
+// all-up state routes every (router, host) pair like a freshly built one.
+TEST(ForwardingFlat, FlapSequenceReturnsToFreshTables) {
+  BriteOptions o;
+  o.num_routers = 150;
+  o.num_hosts = 60;
+  o.seed = 21;
+  const Network net = generate_flat(o);
+  std::vector<NodeId> dests;
+  for (NodeId h = net.num_routers; h < static_cast<NodeId>(net.nodes.size());
+       ++h) {
+    dests.push_back(net.nodes[static_cast<std::size_t>(h)].attach_router);
+  }
+  ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
+  LinkChurn churn(net, o.seed);
+  for (int b = 0; b < 40; ++b) {
+    for (const LinkId l : churn.batch()) fp.set_link_state(l, !churn.excluded(l));
+    fp.reconverge();
+  }
+  for (const LinkId l : churn.routed()) fp.set_link_state(l, true);
+  fp.reconverge();
+
+  const ForwardingPlane fresh = ForwardingPlane::build_flat(net, dests);
+  int mismatches = 0;
+  for (NodeId r = 0; r < net.num_routers; ++r) {
+    for (NodeId h = net.num_routers;
+         h < static_cast<NodeId>(net.nodes.size()); ++h) {
+      mismatches += fp.next_link(r, h) != fresh.next_link(r, h) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 class ForwardingMultiAs : public ::testing::Test {

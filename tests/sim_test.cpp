@@ -258,6 +258,25 @@ TEST(Failover, RestoreReturnsToPrimaryPath) {
   EXPECT_EQ(rig.fp.next_link(0, 3), 0);  // primary restored
 }
 
+TEST(Failover, EqualTimeChangesApplyInScheduleOrder) {
+  // 16 pending flaps of the slow branch, then a down and an up of the fast
+  // link at one instant among them: enough entries for an unstable sort to
+  // swap the pair. The control plane must apply them in schedule order, as
+  // the data plane does, and route over the link.
+  failover_detail::Rig rig;
+  FailoverController ctl(rig.fp, milliseconds(100));
+  ctl.attach(*rig.engine);
+  for (int i = 0; i < 8; ++i) {
+    ctl.fail_link(*rig.engine, *rig.sim, 3, seconds(1 + 2 * i));
+    ctl.restore_link(*rig.engine, *rig.sim, 3, seconds(2 + 2 * i));
+  }
+  ctl.fail_link(*rig.engine, *rig.sim, 0, milliseconds(2500));
+  ctl.restore_link(*rig.engine, *rig.sim, 0, milliseconds(2500));
+  rig.engine->run();
+  EXPECT_GE(ctl.reconvergences(), 1);
+  EXPECT_EQ(rig.fp.next_link(0, 3), 0);
+}
+
 TEST(Failover, LinkDownRerouteRestoreBitIdenticalAcrossExecutors) {
   // The full kEvLinkState episode — down, OSPF reroute, back up, return to
   // the primary path — must be bit-identical under the sequential and
