@@ -2,29 +2,43 @@
 // For each candidate threshold, prints the contracted-graph size, the
 // achieved MLL, and the evaluator terms Es, Ec, E — exposing the
 // parallelism-vs-decoupling tradeoff the evaluator navigates, and where the
-// chosen threshold falls.
+// chosen threshold falls. The network and engine count come from a
+// scenario file (default: scenarios/fig06.dml).
+//
+//   ./abl_tmll_sweep [--config=scenarios/paper-full.dml]
 #include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <numeric>
 
-#include "common.hpp"
 #include "graph/union_find.hpp"
 #include "lb/graph_prep.hpp"
 #include "partition/partition.hpp"
+#include "sim/scenario.hpp"
+#include "sim/scenario_config.hpp"
+#include "util/flags.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace massf;
-  using namespace massf::bench;
 
-  ScenarioOptions sopts =
-      experiment_options(/*multi_as=*/false, AppKind::kNone);
-  Scenario scenario(sopts);
+  FlagTable flags("abl_tmll_sweep",
+                  "Ablation: HPROF's Tmll threshold sweep.");
+  flags.add_string("config", MASSF_SCENARIO_DIR "/fig06.dml",
+                   "scenario DML file");
+  flags.parse_or_exit(argc, argv);
+  std::string error;
+  const auto spec = load_scenario_file(flags.get_string("config"), &error);
+  if (!spec) {
+    std::fprintf(stderr, "%s: %s\n", flags.get_string("config").c_str(),
+                 error.c_str());
+    return 1;
+  }
+
+  Scenario scenario(spec->options);
   const Network& net = scenario.network();
-
-  MappingOptions mopts;
-  mopts.num_engines = sopts.num_engines;
-  mopts.cluster.num_engine_nodes = sopts.num_engines;
+  // The mapping options as the Scenario resolved them (engine count and
+  // cluster model filled in).
+  const MappingOptions& mopts = scenario.options().mapping;
   std::vector<std::int64_t> lats;
   const Graph g =
       prepare_graph(net, MappingKind::kTop, nullptr, mopts, &lats);

@@ -1,22 +1,39 @@
 // Reproduces paper Figure 3: load variation over the lifetime of the
-// simulation. Runs the single-AS ScaLapack scenario under the HPROF mapping
-// with per-engine load tracing enabled and prints, per virtual-time bin,
-// the min / mean / max / stddev of the per-engine event counts — the spread
+// simulation. Runs a scenario file (default: the reduced single-AS
+// ScaLapack experiment, scenarios/fig06.dml) under the HPROF mapping with
+// per-engine load tracing enabled and prints, per virtual-time bin, the
+// min / mean / max / stddev of the per-engine event counts — the spread
 // the paper's chart visualizes (the load on each physical node varies
 // greatly over time).
+//
+//   ./fig03_load_variation [--config=scenarios/paper-full.dml]
 #include <algorithm>
 #include <cstdio>
 
-#include "common.hpp"
+#include "sim/scenario.hpp"
+#include "sim/scenario_config.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace massf;
-  using namespace massf::bench;
 
-  ScenarioOptions opts =
-      experiment_options(/*multi_as=*/false, AppKind::kScaLapack);
-  opts.load_bin = milliseconds(250);
+  FlagTable flags("fig03_load_variation",
+                  "Figure 3: per-engine load over the simulation lifetime.");
+  flags.add_string("config", MASSF_SCENARIO_DIR "/fig06.dml",
+                   "scenario DML file");
+  flags.parse_or_exit(argc, argv);
+  std::string error;
+  const auto spec = load_scenario_file(flags.get_string("config"), &error);
+  if (!spec) {
+    std::fprintf(stderr, "%s: %s\n", flags.get_string("config").c_str(),
+                 error.c_str());
+    return 1;
+  }
+
+  ScenarioOptions opts = spec->options;
+  // The figure needs a load trace: 250 ms bins unless the file sets one.
+  if (opts.load_bin == 0) opts.load_bin = milliseconds(250);
   Scenario scenario(opts);
   const ExperimentResult r = scenario.run(MappingKind::kHProf);
 

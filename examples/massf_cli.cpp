@@ -32,24 +32,13 @@
 // run and retries down the degradation ladder — restoring the latest
 // checkpoint when --ckpt-every/--ckpt-path are armed.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
+#include "campaign/runner.hpp"
 #include "fault/injector.hpp"
-#include "guard/guarded_run.hpp"
-#include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_config.hpp"
-#include "util/error.hpp"
 #include "util/flags.hpp"
-
-namespace {
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace massf;
@@ -117,79 +106,28 @@ int main(int argc, char** argv) {
               opts.num_hosts, opts.num_engines, app_kind_name(opts.app),
               to_seconds(opts.end_time));
   Scenario scenario(opts);
-
-  // The injector lives a layer above the Scenario (fault -> sim), so it is
-  // attached through the pre-run callback, which hands us the engine and
-  // NetSim of the measured run right before it executes.
-  std::unique_ptr<FaultInjector> injector;
-  if (!spec.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(scenario.network(),
-                                               scenario.forwarding_mut());
-    const FaultSchedule* sched = &spec.faults;
-    FaultInjector* inj = injector.get();
-    scenario.set_pre_run([inj, sched](Engine& engine, NetSim& sim) {
-      inj->arm(engine, sim, *sched);
-    });
-  }
-
-  // Recovery metrics (guard.* schema): the GuardedRun wrapper and the
-  // watchdog both record into this registry.
-  obs::Registry guard_registry;
+  const std::unique_ptr<FaultInjector> injector =
+      attach_faults(scenario, spec);
 
   std::printf("%-7s %10s %9s %9s %8s %12s\n", "mapping", "T(sec)", "MLL(ms)",
               "imbal", "PE", "events");
   for (const MappingKind kind : spec.mappings) {
-    ExperimentResult r;
-    if (opts.guard.enabled &&
-        opts.guard.on_stall == guard::OnStall::kCancel) {
-      // Supervised execution: each attempt re-runs the scenario under the
-      // plan's configuration, resuming from the newest checkpoint once one
-      // exists. Recovery replays bit-identical state, so a recovered run
-      // reports the same results as an uninterrupted one.
-      bool have_result = false;
-      guard::GuardedRun::Options gro;
-      gro.max_retries = spec.guard_retries;
-      guard::GuardedRun runner(gro, &guard_registry);
-      const auto report = runner.run(
-          opts.executor_threads,
-          [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-            scenario.set_executor_threads(plan.threads);
-            CkptOptions attempt_ckpt = opts.ckpt;
-            if (plan.restore && !attempt_ckpt.path.empty() &&
-                file_exists(attempt_ckpt.path)) {
-              attempt_ckpt.restore_path = attempt_ckpt.path;
-            }
-            scenario.set_ckpt(attempt_ckpt);
-            try {
-              r = scenario.run(kind);
-            } catch (const EngineError& e) {
-              if (e.category() == ErrorCategory::kInternal) throw;
-              return {guard::AttemptStatus::kFailed, e.what()};
-            }
-            if (scenario.last_run_cancelled()) {
-              return {guard::AttemptStatus::kStalled,
-                      "watchdog cancelled the run"};
-            }
-            have_result = true;
-            return {guard::AttemptStatus::kCompleted, ""};
-          });
-      if (!have_result) {
-        std::fprintf(stderr, "guarded run failed permanently: %s\n",
-                     report.last_error.c_str());
-        return 1;
-      }
-      if (report.attempts > 1) {
-        std::printf(
-            "        guard: recovered after %d attempts "
-            "(stalls=%llu errors=%llu rung=%d)\n",
-            report.attempts,
-            static_cast<unsigned long long>(report.stalls),
-            static_cast<unsigned long long>(report.errors),
-            report.degraded_rung);
-      }
-    } else {
-      r = scenario.run(kind);
+    const MappingRun run = run_mapping(scenario, spec, kind, nullptr);
+    if (!run.result) {
+      std::fprintf(stderr, "guarded run failed permanently: %s\n",
+                   run.guard.last_error.c_str());
+      return 1;
     }
+    if (run.guard.attempts > 1) {
+      std::printf(
+          "        guard: recovered after %d attempts "
+          "(stalls=%llu errors=%llu rung=%d)\n",
+          run.guard.attempts,
+          static_cast<unsigned long long>(run.guard.stalls),
+          static_cast<unsigned long long>(run.guard.errors),
+          run.guard.degraded_rung);
+    }
+    const ExperimentResult& r = *run.result;
     std::printf("%-7s %10.3f %9.3f %9.3f %8.3f %12llu\n",
                 mapping_kind_name(kind), r.metrics.simulation_time_s,
                 to_milliseconds(r.mapping.achieved_mll),

@@ -138,9 +138,9 @@ std::string campaign_table(const CampaignSpec& spec,
   }
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "%-*s %-7s %10s %9s %7s %6s %7s  %s\n",
+                "%-*s %-7s %10s %9s %8s %7s %6s %7s  %s\n",
                 static_cast<int>(id_width), "id", "mapping", "events",
-                "T(s)", "imbal", "PE", "wall(s)", "status");
+                "T(s)", "MLL(ms)", "imbal", "PE", "wall(s)", "status");
   std::string out = spec.name.empty() ? "" : "campaign: " + spec.name + "\n";
   out += buf;
   for (const RunRecord& r : outcome.runs) {
@@ -149,12 +149,12 @@ std::string campaign_table(const CampaignSpec& spec,
       status += " checksum=" + std::to_string(r.checksum);
     }
     std::snprintf(buf, sizeof buf,
-                  "%-*s %-7s %10llu %9.3f %7.3f %6.3f %7.2f  %s\n",
+                  "%-*s %-7s %10llu %9.3f %8.3f %7.3f %6.3f %7.2f  %s\n",
                   static_cast<int>(id_width), r.id.c_str(),
                   r.mapping.empty() ? "-" : r.mapping.c_str(),
                   static_cast<unsigned long long>(r.events),
-                  r.modeled_time_s, r.load_imbalance, r.parallel_efficiency,
-                  r.wall_s, status.c_str());
+                  r.modeled_time_s, r.mll_ms, r.load_imbalance,
+                  r.parallel_efficiency, r.wall_s, status.c_str());
     out += buf;
   }
   return out;

@@ -43,7 +43,9 @@ namespace massf {
 std::string campaign_to_json(const CampaignSpec& spec,
                              const CampaignOutcome& outcome);
 
-/// Fixed-width table of the run list, one row per run, for terminals.
+/// Fixed-width table of the run list, one row per run, for terminals:
+/// events, then all four paper figure metrics (T, achieved MLL, load
+/// imbalance, parallel efficiency), wall time and status.
 std::string campaign_table(const CampaignSpec& spec,
                            const CampaignOutcome& outcome);
 

@@ -54,65 +54,23 @@ std::string sanitize_error(std::string s) {
   return s;
 }
 
-// The massf_cli run loop for one mapping, minus the printing: supervised
-// (GuardedRun + checkpoint resume) when the guard is armed with the
-// recover policy, plain otherwise.
+// Builds the run's Scenario (metrics into `registry`) and executes its
+// first mapping; the campaign sweeps mappings as an axis.
 void execute_scenario(const CampaignRun& run, obs::Registry* registry,
                       RunRecord* rec) {
   const ScenarioSpec& s = run.spec;
   ScenarioOptions opts = s.options;
   opts.registry = registry;
   Scenario scenario(opts);
-
-  std::unique_ptr<FaultInjector> injector;
-  if (!s.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(scenario.network(),
-                                               scenario.forwarding_mut());
-    const FaultSchedule* sched = &s.faults;
-    FaultInjector* inj = injector.get();
-    scenario.set_pre_run([inj, sched](Engine& engine, NetSim& sim) {
-      inj->arm(engine, sim, *sched);
-    });
-  }
+  const std::unique_ptr<FaultInjector> injector = attach_faults(scenario, s);
 
   const MappingKind kind = s.mappings.front();
-  ExperimentResult r;
-  if (opts.guard.enabled && opts.guard.on_stall == guard::OnStall::kCancel) {
-    bool have_result = false;
-    guard::GuardedRun::Options gro;
-    gro.max_retries = s.guard_retries;
-    guard::GuardedRun runner(gro, registry);
-    const auto report = runner.run(
-        opts.executor_threads,
-        [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-          scenario.set_executor_threads(plan.threads);
-          CkptOptions attempt_ckpt = opts.ckpt;
-          if (plan.restore && !attempt_ckpt.path.empty() &&
-              file_exists(attempt_ckpt.path)) {
-            attempt_ckpt.restore_path = attempt_ckpt.path;
-          }
-          scenario.set_ckpt(attempt_ckpt);
-          try {
-            r = scenario.run(kind);
-          } catch (const EngineError& e) {
-            if (e.category() == ErrorCategory::kInternal) throw;
-            return {guard::AttemptStatus::kFailed, e.what()};
-          }
-          if (scenario.last_run_cancelled()) {
-            return {guard::AttemptStatus::kStalled,
-                    "watchdog cancelled the run"};
-          }
-          have_result = true;
-          return {guard::AttemptStatus::kCompleted, ""};
-        });
-    if (!have_result) {
-      rec->error = "guarded run failed permanently: " + report.last_error;
-      return;
-    }
-  } else {
-    r = scenario.run(kind);
+  const MappingRun m = run_mapping(scenario, s, kind, registry);
+  if (!m.result) {
+    rec->error = "guarded run failed permanently: " + m.guard.last_error;
+    return;
   }
-
+  const ExperimentResult& r = *m.result;
   rec->ok = true;
   rec->mapping = mapping_kind_name(kind);
   rec->events = r.metrics.total_events;
@@ -130,6 +88,60 @@ std::string kv_line(const std::string& key, const std::string& value) {
 }
 
 }  // namespace
+
+std::unique_ptr<FaultInjector> attach_faults(Scenario& scenario,
+                                             const ScenarioSpec& spec) {
+  if (spec.faults.empty()) return nullptr;
+  auto injector = std::make_unique<FaultInjector>(scenario.network(),
+                                                  scenario.forwarding_mut());
+  // The injector lives a layer above the Scenario (fault -> sim), so it
+  // is armed through the pre-run hook, which hands over the engine and
+  // NetSim of each measured run right before it executes.
+  const FaultSchedule* sched = &spec.faults;
+  FaultInjector* inj = injector.get();
+  scenario.set_pre_run([inj, sched](Engine& engine, NetSim& sim) {
+    inj->arm(engine, sim, *sched);
+  });
+  return injector;
+}
+
+MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
+                       MappingKind kind, obs::Registry* registry) {
+  const ScenarioOptions& opts = spec.options;
+  MappingRun out;
+  if (!opts.guard.enabled || opts.guard.on_stall != guard::OnStall::kCancel) {
+    out.result = scenario.run(kind);
+    return out;
+  }
+  guard::GuardedRun::Options gro;
+  gro.max_retries = spec.guard_retries;
+  guard::GuardedRun runner(gro, registry);
+  out.guard = runner.run(
+      opts.executor_threads,
+      [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
+        scenario.set_executor_threads(plan.threads);
+        CkptOptions attempt_ckpt = opts.ckpt;
+        if (plan.restore && !attempt_ckpt.path.empty() &&
+            file_exists(attempt_ckpt.path)) {
+          attempt_ckpt.restore_path = attempt_ckpt.path;
+        }
+        scenario.set_ckpt(attempt_ckpt);
+        ExperimentResult r;
+        try {
+          r = scenario.run(kind);
+        } catch (const EngineError& e) {
+          if (e.category() == ErrorCategory::kInternal) throw;
+          return {guard::AttemptStatus::kFailed, e.what()};
+        }
+        if (scenario.last_run_cancelled()) {
+          return {guard::AttemptStatus::kStalled,
+                  "watchdog cancelled the run"};
+        }
+        out.result = std::move(r);
+        return {guard::AttemptStatus::kCompleted, ""};
+      });
+  return out;
+}
 
 std::span<const std::string_view> timing_metric_excludes() {
   return kTimingExcludes;

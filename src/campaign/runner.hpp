@@ -1,5 +1,7 @@
 // Campaign execution: one resolved run at a time, or the whole expansion
-// across parallel workers.
+// across parallel workers. The run loop for one mapping (run_mapping) is
+// the one massf_cli executes too, so a scenario file means the same thing
+// to both.
 //
 // Every run executes hermetically — its own Scenario (or golden ring),
 // its own obs::Registry — so the result is a pure function of the run's
@@ -19,14 +21,49 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "guard/guarded_run.hpp"
+#include "sim/scenario.hpp"
 
 namespace massf {
+
+class FaultInjector;
+
+namespace obs {
+class Registry;
+}  // namespace obs
+
+/// Arms `spec.faults` on every measured run of `scenario` through its
+/// pre-run hook. Null when the schedule is empty; otherwise the injector
+/// must outlive the scenario's runs, and `spec` the injector.
+std::unique_ptr<FaultInjector> attach_faults(Scenario& scenario,
+                                             const ScenarioSpec& spec);
+
+/// One mapping's measured run, as massf_cli and the campaign runner both
+/// execute it.
+struct MappingRun {
+  /// Empty when a guarded run failed permanently (guard.last_error says
+  /// why).
+  std::optional<ExperimentResult> result;
+  /// The GuardedRun accounting; attempts == 0 for an unsupervised run.
+  guard::GuardedRunReport guard;
+};
+
+/// Runs `kind` on `scenario` (built from `spec.options`): supervised —
+/// GuardedRun down the degradation ladder, each retry resuming from the
+/// newest checkpoint once one exists — when the spec arms the guard with
+/// the recover policy, plain otherwise. Recovery replays bit-identical
+/// state, so a recovered run reports the same results as an uninterrupted
+/// one. `registry` (optional) receives the guard.* recovery metrics.
+MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
+                       MappingKind kind, obs::Registry* registry);
 
 /// The outcome of one campaign run: the deterministic result columns the
 /// roll-up reports, plus `wall_s` (timing; excluded from canonical

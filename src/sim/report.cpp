@@ -4,16 +4,6 @@
 
 namespace massf {
 
-std::string format_figure(const std::string& title, const std::string& unit,
-                          const std::vector<FigureRow>& rows) {
-  std::ostringstream os;
-  os << "# " << title << " (" << unit << ")\n";
-  for (const FigureRow& r : rows) {
-    os << r.application << "\t" << r.mapping << "\t" << r.value << "\n";
-  }
-  return os.str();
-}
-
 std::string summarize(const ExperimentResult& r) {
   std::ostringstream os;
   os << mapping_kind_name(r.mapping.kind) << ": T=" << r.metrics.simulation_time_s

@@ -1,27 +1,11 @@
-// Textual reporting helpers shared by the figure harnesses: each bench
-// prints one self-describing block per paper figure, with one row per
-// (application, mapping) combination, matching the series of the original
-// charts.
+// Textual reporting helper for logs and examples.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "sim/scenario.hpp"
 
 namespace massf {
-
-struct FigureRow {
-  std::string application;
-  std::string mapping;
-  double value = 0;
-};
-
-/// Formats a figure block:
-///   # <title> (<unit>)
-///   <application>\t<mapping>\t<value>
-std::string format_figure(const std::string& title, const std::string& unit,
-                          const std::vector<FigureRow>& rows);
 
 /// One-line experiment summary for logs and examples.
 std::string summarize(const ExperimentResult& result);

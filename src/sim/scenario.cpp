@@ -29,28 +29,6 @@ const char* app_kind_name(AppKind kind) {
   return "?";
 }
 
-ScenarioOptions paper_full_scale_single_as() {
-  ScenarioOptions o;
-  o.multi_as = false;
-  o.num_routers = 20000;
-  o.num_hosts = 10000;
-  // The paper's 8000 clients + 2000 servers saturate its 10,000 hosts; we
-  // carve the application hosts out of the client pool (the paper ran
-  // applications on separate physical nodes outside the virtual network).
-  o.num_clients = 7950;
-  o.num_servers = 2000;
-  o.num_engines = 90;
-  o.num_app_hosts = 32;
-  return o;
-}
-
-ScenarioOptions paper_full_scale_multi_as() {
-  ScenarioOptions o = paper_full_scale_single_as();
-  o.multi_as = true;
-  o.num_as = 100;  // 100 ASes x 200 routers
-  return o;
-}
-
 Scenario::Scenario(const ScenarioOptions& options) : opts_(options) {
   MASSF_CHECK(opts_.num_engines >= 1);
   opts_.cluster.num_engine_nodes = opts_.num_engines;

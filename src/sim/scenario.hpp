@@ -118,10 +118,6 @@ struct ScenarioOptions {
   obs::WindowProbe* probe = nullptr;
 };
 
-/// Paper-scale option presets.
-ScenarioOptions paper_full_scale_single_as();
-ScenarioOptions paper_full_scale_multi_as();
-
 struct ExperimentResult {
   Mapping mapping;
   RunStats stats;

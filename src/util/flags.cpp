@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -54,11 +53,6 @@ bool Flags::get_bool(const std::string& name, bool default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
-bool full_scale_requested() {
-  const char* env = std::getenv("MASSF_FULL");
-  return env != nullptr && std::strcmp(env, "1") == 0;
 }
 
 namespace {

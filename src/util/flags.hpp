@@ -36,10 +36,6 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-/// True when the environment asks for paper-scale experiments
-/// (MASSF_FULL=1); benches default to reduced shape-preserving scales.
-bool full_scale_requested();
-
 /// One declared flag: everything the generated parser and --help screen
 /// need, in one row of the table.
 struct FlagSpec {

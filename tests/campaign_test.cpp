@@ -235,6 +235,32 @@ TEST(Campaign, RunRecordKvRoundTrip) {
   EXPECT_EQ(error, "result.kv has no `ok` line");
 }
 
+// The roll-up table carries every figure metric: T (Figures 6/10),
+// achieved MLL (7/11), imbalance (8/12) and PE (9/13).
+TEST(Campaign, TableShowsAllFourFigureMetrics) {
+  CampaignSpec spec;
+  spec.name = "paper";
+  CampaignOutcome outcome;
+  RunRecord rec;
+  rec.id = "override=single-scalapack,mapping=HPROF";
+  rec.ok = true;
+  rec.mapping = "HPROF";
+  rec.events = 123456;
+  rec.modeled_time_s = 3.717;
+  rec.mll_ms = 1.916;
+  rec.load_imbalance = 0.099;
+  rec.parallel_efficiency = 0.325;
+  rec.wall_s = 1.5;
+  outcome.runs.push_back(rec);
+
+  EXPECT_EQ(campaign_table(spec, outcome),
+            "campaign: paper\n"
+            "id                                      mapping     events"
+            "      T(s)  MLL(ms)   imbal     PE wall(s)  status\n"
+            "override=single-scalapack,mapping=HPROF HPROF       123456"
+            "     3.717    1.916   0.099  0.325    1.50  ok\n");
+}
+
 // ---- execution + determinism ----------------------------------------------
 
 TEST(Campaign, GoldenRowReproducesPinnedChecksum) {

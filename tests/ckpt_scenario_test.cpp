@@ -7,7 +7,7 @@
 //    set_ckpt) — a run checkpoints to a file and stops, a second run on the
 //    same Scenario restores from the file, and the resumed run's
 //    ExperimentResult and probe rows must equal the uninterrupted run's,
-//    under both executors.
+//    under both executors and both traffic applications.
 //
 //  * The chaos stack (NetSim + dynamic BGP + FaultInjector, as in
 //    bench/chaos_beacon.cpp): the checkpoint is taken mid-outage — after a
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -113,14 +114,25 @@ ScenarioOptions tiny_options() {
   return o;
 }
 
-class ScenarioCkpt : public ::testing::TestWithParam<int> {};
+struct ScenarioCkptCase {
+  AppKind app;
+  std::int32_t threads;
+};
+
+// Prints the thread count alone, so test names read
+// "<instantiation>/ScenarioCkpt.RestoredRunMatchesUninterrupted/<threads>".
+void PrintTo(const ScenarioCkptCase& c, std::ostream* os) { *os << c.threads; }
+
+class ScenarioCkpt : public ::testing::TestWithParam<ScenarioCkptCase> {};
 
 TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
-  const std::int32_t threads = GetParam();
-  const std::string path = ::testing::TempDir() + "/scenario_t" +
+  const auto [app, threads] = GetParam();
+  const std::string path = ::testing::TempDir() + "/scenario_" +
+                           app_kind_name(app) + "_t" +
                            std::to_string(threads) + ".ckpt";
 
   ScenarioOptions base = tiny_options();
+  base.app = app;
   base.executor_threads = threads;
 
   // Uninterrupted reference run.
@@ -157,7 +169,15 @@ TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
   expect_same_probe_rows(probe_ref, probe_res);
 }
 
-INSTANTIATE_TEST_SUITE_P(Executors, ScenarioCkpt, ::testing::Values(0, 3));
+INSTANTIATE_TEST_SUITE_P(
+    Executors, ScenarioCkpt,
+    ::testing::Values(ScenarioCkptCase{AppKind::kScaLapack, 0},
+                      ScenarioCkptCase{AppKind::kScaLapack, 3}));
+// GridNPB's mixed dataflow graphs (three workloads over the 9 app hosts).
+INSTANTIATE_TEST_SUITE_P(
+    GridNpbExecutors, ScenarioCkpt,
+    ::testing::Values(ScenarioCkptCase{AppKind::kGridNpb, 0},
+                      ScenarioCkptCase{AppKind::kGridNpb, 3}));
 
 // ---- chaos stack ------------------------------------------------------------
 

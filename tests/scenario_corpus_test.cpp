@@ -103,6 +103,19 @@ TEST(ScenarioCorpus, EveryScenarioSmokeRuns) {
   }
 }
 
+// The paper's full-scale dimensions (Section 4) are configured in one
+// file; a campaign over it runs the evaluation at the paper's scale.
+TEST(ScenarioCorpus, PaperFullHasThePaperDimensions) {
+  std::string error;
+  const auto spec = load_scenario_file(
+      std::string(MASSF_SCENARIO_DIR) + "/paper-full.dml", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->options.num_routers, 20000);
+  EXPECT_EQ(spec->options.num_hosts, 10000);
+  EXPECT_EQ(spec->options.num_as, 100);
+  EXPECT_EQ(spec->options.num_engines, 90);
+}
+
 TEST(ScenarioCorpus, EveryCampaignParsesAndExpands) {
   const std::string dir = std::string(MASSF_SCENARIO_DIR) + "/campaigns";
   ASSERT_TRUE(fs::is_directory(dir));

@@ -395,14 +395,6 @@ TEST(Failover, ScenarioTrafficSurvivesBackboneFailure) {
   EXPECT_GT(sim.totals().flows_completed, 50u);
 }
 
-TEST(Report, FormatFigure) {
-  std::vector<FigureRow> rows{{"ScaLapack", "HPROF", 1.5},
-                              {"GridNPB", "TOP2", 2.25}};
-  const std::string s = format_figure("Simulation Time", "sec", rows);
-  EXPECT_NE(s.find("Simulation Time"), std::string::npos);
-  EXPECT_NE(s.find("ScaLapack\tHPROF\t1.5"), std::string::npos);
-}
-
 TEST(Report, SummaryMentionsMapping) {
   Scenario scenario(small_options(false));
   const ExperimentResult r = scenario.run(MappingKind::kTop2);
@@ -478,16 +470,6 @@ TEST(ScenarioConfig, MappingKindNames) {
   EXPECT_EQ(mapping_kind_from_name("GREEDY"), MappingKind::kGreedy);
   EXPECT_EQ(mapping_kind_from_name("PLACE"), MappingKind::kPlace);
   EXPECT_FALSE(mapping_kind_from_name("nope").has_value());
-}
-
-TEST(PaperPresets, FullScaleShapes) {
-  const ScenarioOptions single = paper_full_scale_single_as();
-  EXPECT_EQ(single.num_routers, 20000);
-  EXPECT_EQ(single.num_engines, 90);
-  EXPECT_FALSE(single.multi_as);
-  const ScenarioOptions multi = paper_full_scale_multi_as();
-  EXPECT_TRUE(multi.multi_as);
-  EXPECT_EQ(multi.num_as, 100);
 }
 
 }  // namespace
