@@ -1,15 +1,21 @@
-// Microbenchmark for the packet-level layer: end-to-end simulated packet
+// Microbenchmarks for the network layer: end-to-end simulated packet
 // throughput (events/second of wall clock) through NetSim including
 // forwarding lookups, queue model, and TCP processing — the constant that
 // determines how much virtual time per second of wall clock the simulator
-// delivers.
+// delivers — and the fluid model's max-min water-fill, the cost of one
+// background-rate recompute.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "net/fluid_link.hpp"
 #include "net/netsim.hpp"
 #include "routing/forwarding.hpp"
 #include "topology/brite.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -51,6 +57,68 @@ void BM_NetSimTcpThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_NetSimTcpThroughput)->Arg(200)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+// One WaterFill::fill on the bench_e2e hybrid_background shape: flat
+// BRITE with 2000 routers and 3500 hosts (~15k directed slots), 500
+// background flows from seeded sources to 100 servers, and the servers'
+// access links partly taken by packet traffic (a seeded 0-30% of their
+// bandwidth). Capped at 1e7 bps the fill runs 7 bottleneck rounds, as
+// hybrid_background's recomputes do on average; uncapped, 100.
+// Arg: the per-flow rate cap in bps, 0 = uncapped.
+void BM_FluidWaterFill(benchmark::State& state) {
+  constexpr int kServers = 100;
+  constexpr int kFlows = 500;
+  BriteOptions o;
+  o.num_routers = 2000;
+  o.num_hosts = 3500;
+  o.seed = 2004;
+  const Network net = generate_flat(o);
+  std::vector<NodeId> dests;
+  for (int k = 0; k < kServers; ++k) {
+    dests.push_back(
+        net.nodes[static_cast<std::size_t>(net.num_routers + k)].attach_router);
+  }
+  const ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
+
+  Rng rng(7);
+  const std::size_t slots = net.links.size() * 2;
+  std::vector<double> cap(slots);
+  for (std::size_t s = 0; s < slots; ++s) {
+    cap[s] = net.links[s / 2].bandwidth_bps;
+  }
+  for (int k = 0; k < kServers; ++k) {
+    const auto server = static_cast<NodeId>(net.num_routers + k);
+    for (const auto& inc : net.incident(server)) {
+      for (const std::size_t s : {static_cast<std::size_t>(inc.link) * 2,
+                                  static_cast<std::size_t>(inc.link) * 2 + 1}) {
+        cap[s] *= 1.0 - rng.uniform_real(0, 0.3);
+      }
+    }
+  }
+  std::vector<std::vector<std::uint32_t>> paths(kFlows);
+  for (auto& path : paths) {
+    const auto src = static_cast<NodeId>(
+        net.num_routers + kServers + rng.uniform(o.num_hosts - kServers));
+    const auto dst = static_cast<NodeId>(net.num_routers + rng.uniform(kServers));
+    route_slots(net, fp, src, dst, path);
+  }
+  const std::vector<std::span<const std::uint32_t>> spans(paths.begin(),
+                                                          paths.end());
+  const double rate_cap = static_cast<double>(state.range(0));
+  WaterFill water_fill(slots);
+  for (auto _ : state) {
+    const std::vector<double>& rates = water_fill.fill(
+        spans, [&cap](std::uint32_t s) { return cap[s]; }, rate_cap);
+    benchmark::DoNotOptimize(rates.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kFlows);
+  state.SetLabel(std::to_string(slots) + " slots, " +
+                 (rate_cap > 0 ? "capped" : "uncapped"));
+}
+BENCHMARK(BM_FluidWaterFill)->Arg(10000000)->Arg(0)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

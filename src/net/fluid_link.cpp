@@ -19,9 +19,156 @@ constexpr double kFluidMinShare = 0.01;
 
 }  // namespace
 
+void route_slots(const Network& net, const ForwardingPlane& fp, NodeId src,
+                 NodeId dst, std::vector<std::uint32_t>& path) {
+  path.clear();
+  NodeId cur = src;
+  while (cur != dst) {
+    LinkId next = kInvalidLink;
+    if (net.is_host(cur)) {
+      const auto inc = net.incident(cur);
+      if (inc.size() == 1) next = inc[0].link;
+    } else {
+      next = fp.next_link(cur, dst);
+    }
+    if (next == kInvalidLink ||
+        path.size() > net.nodes.size()) {  // no route / routing loop
+      path.clear();
+      return;
+    }
+    const NetLink& l = net.links[static_cast<std::size_t>(next)];
+    const bool fwd = l.a == cur;
+    path.push_back(static_cast<std::uint32_t>(next) * 2 + (fwd ? 0 : 1));
+    cur = fwd ? l.b : l.a;
+  }
+}
+
+WaterFill::WaterFill(std::size_t num_slots) : dense_(num_slots, -1) {}
+
+const std::vector<double>& WaterFill::fill(
+    std::span<const std::span<const std::uint32_t>> paths,
+    const std::function<double(std::uint32_t)>& capacity, double rate_cap) {
+  const std::size_t n = paths.size();
+  MASSF_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
+  for (const std::uint32_t s : slot_) dense_[s] = -1;
+  slot_.clear();
+  load_.clear();
+  rates_.assign(n, 0.0);
+  frozen_.assign(n, 0);
+
+  // Index the slots unblocked flows load, in first-touch order.
+  std::size_t unfrozen = 0;
+  std::size_t crossings = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (paths[i].empty()) {
+      frozen_[i] = 1;  // blocked: stays at rate 0
+      continue;
+    }
+    ++unfrozen;
+    crossings += paths[i].size();
+    for (const std::uint32_t s : paths[i]) {
+      MASSF_CHECK(s < dense_.size());
+      if (dense_[s] < 0) {
+        dense_[s] = static_cast<std::int32_t>(slot_.size());
+        slot_.push_back(s);
+        load_.push_back(0);
+      }
+      ++load_[static_cast<std::size_t>(dense_[s])];
+    }
+  }
+  const std::size_t loaded = slot_.size();
+  cap_.resize(loaded);
+  share_.resize(loaded);
+  for (std::size_t d = 0; d < loaded; ++d) {
+    cap_[d] = capacity(slot_[d]);
+    share_[d] = cap_[d] / load_[d];
+  }
+
+  // Slot -> flow lists. first_[d + 1] starts as slot d's offset and is
+  // advanced past each member, ending as slot d + 1's offset.
+  first_.assign(loaded + 1, 0);
+  for (std::size_t d = 1; d < loaded; ++d) {
+    first_[d + 1] = first_[d] + static_cast<std::size_t>(load_[d - 1]);
+  }
+  members_.resize(crossings);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::uint32_t s : paths[i]) {
+      const auto d = static_cast<std::size_t>(dense_[s]);
+      members_[first_[d + 1]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  // Bottleneck candidates: the loaded slots whose fair share is at most
+  // the rate cap (all of them when uncapped). A share above the cap only
+  // matters when every share is, and then all remaining flows freeze at
+  // the cap whichever slot is the minimum. Shares change only where a
+  // freeze touches a slot, so that is where a slot joins the list.
+  const double limit =
+      rate_cap > 0 ? rate_cap : std::numeric_limits<double>::infinity();
+  listed_.assign(loaded, 0);
+  live_.clear();
+  for (std::size_t d = 0; d < loaded; ++d) {
+    if (share_[d] <= limit) {
+      listed_[d] = 1;
+      live_.push_back(static_cast<std::uint32_t>(d));
+    }
+  }
+  while (unfrozen > 0) {
+    // Bottleneck: the minimum (fair share, slot id) over the candidates —
+    // the slot a scan of every slot in id order picks. Slots whose flows
+    // all froze leave the list.
+    std::size_t bn = loaded;
+    double share = 0;
+    std::size_t keep = 0;
+    for (std::size_t k = 0; k < live_.size(); ++k) {
+      const std::uint32_t d = live_[k];
+      if (load_[d] <= 0) continue;
+      live_[keep++] = d;
+      if (bn == loaded || share_[d] < share ||
+          (share_[d] == share && slot_[d] < slot_[bn])) {
+        bn = d;
+        share = share_[d];
+      }
+    }
+    live_.resize(keep);
+    share = std::max(share, 0.0);
+    if (bn == loaded || (rate_cap > 0 && rate_cap < share)) {
+      // Every remaining flow is window-limited below any fair share, so
+      // all freeze at the cap at once (feasible: each loaded slot's fair
+      // share exceeds the cap, hence cap * load < capacity). With flows
+      // left unfrozen, only a capped fill can run out of candidates.
+      MASSF_DCHECK(rate_cap > 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!frozen_[i]) rates_[i] = rate_cap;
+      }
+      break;
+    }
+    for (std::size_t k = first_[bn]; k < first_[bn + 1]; ++k) {
+      const std::uint32_t i = members_[k];
+      if (frozen_[i]) continue;
+      rates_[i] = share;
+      frozen_[i] = 1;
+      --unfrozen;
+      for (const std::uint32_t s : paths[i]) {
+        const auto d = static_cast<std::size_t>(dense_[s]);
+        cap_[d] = std::max(cap_[d] - share, 0.0);
+        if (--load_[d] <= 0) continue;
+        share_[d] = cap_[d] / load_[d];
+        if (!listed_[d] && share_[d] <= limit) {
+          listed_[d] = 1;
+          live_.push_back(static_cast<std::uint32_t>(d));
+        }
+      }
+    }
+  }
+  return rates_;
+}
+
 FluidLinkModel::FluidLinkModel(const Network& net, const ForwardingPlane& fp,
                                const NetSimOptions& opts)
-    : PacketLinkModel(net, opts), fp_(&fp) {
+    : PacketLinkModel(net, opts),
+      fp_(&fp),
+      water_fill_(net.links.size() * 2) {
   const std::size_t slots = net.links.size() * 2;
   fluid_share_bps_.assign(slots, 0.0);
   packet_window_bytes_.assign(slots, 0);
@@ -175,11 +322,7 @@ void FluidLinkModel::advance_to(Engine& engine, SimTime floor) {
     finish_flow(engine, active_[d.idx], d.at, /*failed=*/false);
     dead[d.idx] = 1;
   }
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (!dead[i]) active_[out++] = std::move(active_[i]);
-  }
-  active_.resize(out);
+  drop_flows(dead);
   dirty_ = true;  // departures free bandwidth
 }
 
@@ -234,26 +377,7 @@ void FluidLinkModel::admit_pending(SimTime floor) {
 }
 
 void FluidLinkModel::repath(ActiveFlow& f) const {
-  f.path.clear();
-  NodeId cur = f.src;
-  while (cur != f.dst) {
-    LinkId next = kInvalidLink;
-    if (net_->is_host(cur)) {
-      const auto inc = net_->incident(cur);
-      if (inc.size() == 1) next = inc[0].link;
-    } else {
-      next = fp_->next_link(cur, f.dst);
-    }
-    if (next == kInvalidLink ||
-        f.path.size() > net_->nodes.size()) {  // no route / routing loop
-      f.path.clear();
-      return;
-    }
-    const NetLink& l = net_->links[static_cast<std::size_t>(next)];
-    const bool fwd = l.a == cur;
-    f.path.push_back(static_cast<std::uint32_t>(next) * 2 + (fwd ? 0 : 1));
-    cur = fwd ? l.b : l.a;
-  }
+  route_slots(*net_, *fp_, f.src, f.dst, f.path);
 }
 
 bool FluidLinkModel::path_blocked(const ActiveFlow& f) const {
@@ -262,6 +386,18 @@ bool FluidLinkModel::path_blocked(const ActiveFlow& f) const {
     if (!iface_up_[slot]) return true;
   }
   return false;
+}
+
+void FluidLinkModel::drop_flows(const std::vector<char>& dead) {
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (dead[i]) continue;
+    // Never self-move: libstdc++'s vector move-assignment empties a vector
+    // assigned to itself, which would erase the survivor's path.
+    if (out != i) active_[out] = std::move(active_[i]);
+    ++out;
+  }
+  active_.resize(out);
 }
 
 void FluidLinkModel::recompute(Engine& engine, SimTime floor) {
@@ -284,81 +420,30 @@ void FluidLinkModel::recompute(Engine& engine, SimTime floor) {
   packet_bytes_snapshot_ = packet_window_bytes_;
   last_recompute_floor_ = floor;
 
-  // Re-path around failed links before rating.
+  // Re-path around failed links before rating; flows still blocked stay
+  // at rate 0 and are handled by the stall machinery.
+  fill_paths_.clear();
   for (ActiveFlow& f : active_) {
     if (path_blocked(f)) repath(f);
+    using Path = std::span<const std::uint32_t>;
+    fill_paths_.push_back(path_blocked(f) ? Path() : Path(f.path));
   }
 
   // Max-min water-fill over residual slot capacities. Loss bursts scale a
   // slot's usable capacity by the delivery probability (goodput view).
-  std::vector<double> cap(slots, 0.0);
-  std::vector<std::int32_t> load(slots, 0);
-  for (std::size_t s = 0; s < slots; ++s) {
-    if (!iface_up_[s]) continue;
-    const NetLink& l = net_->links[s / 2];
-    double c = std::max(l.bandwidth_bps - packet_bps_[s],
-                        kFluidMinShare * l.bandwidth_bps);
-    c *= 1.0 - static_cast<double>(loss_rate_ppm_[s]) / 1e6;
-    cap[s] = c;
-  }
-  std::vector<char> frozen(active_.size(), 0);
-  std::int32_t unfrozen = 0;
+  // Only slots on unblocked paths are loaded, and those are all up.
+  const std::vector<double>& rates = water_fill_.fill(
+      fill_paths_,
+      [this](std::uint32_t s) {
+        const NetLink& l = net_->links[s / 2];
+        double c = std::max(l.bandwidth_bps - packet_bps_[s],
+                            kFluidMinShare * l.bandwidth_bps);
+        c *= 1.0 - static_cast<double>(loss_rate_ppm_[s]) / 1e6;
+        return c;
+      },
+      opts_.link_model.fluid_flow_rate_cap_bps);
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    ActiveFlow& f = active_[i];
-    f.rate_bps = 0;
-    if (path_blocked(f)) {
-      frozen[i] = 1;  // stays at rate 0; handled by the stall machinery
-      continue;
-    }
-    for (const std::uint32_t slot : f.path) ++load[slot];
-    ++unfrozen;
-  }
-  const double rate_cap = opts_.link_model.fluid_flow_rate_cap_bps;
-  while (unfrozen > 0) {
-    // Bottleneck slot: smallest fair share among loaded slots.
-    std::size_t bn = slots;
-    double share = 0;
-    for (std::size_t s = 0; s < slots; ++s) {
-      if (load[s] <= 0) continue;
-      const double sh = cap[s] / load[s];
-      if (bn == slots || sh < share) {
-        bn = s;
-        share = sh;
-      }
-    }
-    if (bn == slots) break;
-    share = std::max(share, 0.0);
-    if (rate_cap > 0 && rate_cap < share) {
-      // Every remaining flow is window-limited below any fair share, so
-      // all freeze at the cap at once (feasible: each loaded slot's fair
-      // share exceeds the cap, hence cap * load[s] < cap[s]).
-      for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (frozen[i]) continue;
-        active_[i].rate_bps = rate_cap;
-        frozen[i] = 1;
-      }
-      unfrozen = 0;
-      break;
-    }
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (frozen[i]) continue;
-      ActiveFlow& f = active_[i];
-      bool crosses = false;
-      for (const std::uint32_t slot : f.path) {
-        if (slot == bn) {
-          crosses = true;
-          break;
-        }
-      }
-      if (!crosses) continue;
-      f.rate_bps = share;
-      frozen[i] = 1;
-      --unfrozen;
-      for (const std::uint32_t slot : f.path) {
-        cap[slot] = std::max(cap[slot] - share, 0.0);
-        --load[slot];
-      }
-    }
+    active_[i].rate_bps = rates[i];
   }
 
   // Publish the flow -> packet coupling for the coming windows.
@@ -392,16 +477,12 @@ void FluidLinkModel::recompute(Engine& engine, SimTime floor) {
     }
   }
   if (!failed.empty()) {
+    std::vector<char> dead(active_.size(), 0);
     for (const std::size_t i : failed) {
       finish_flow(engine, active_[i], floor, /*failed=*/true);
+      dead[i] = 1;
     }
-    std::vector<char> dead(active_.size(), 0);
-    for (const std::size_t i : failed) dead[i] = 1;
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (!dead[i]) active_[out++] = std::move(active_[i]);
-    }
-    active_.resize(out);
+    drop_flows(dead);
     dirty_ = true;  // the freed shares redistribute at the next recompute
   }
 }

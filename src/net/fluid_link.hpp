@@ -10,9 +10,10 @@
 //     window boundary the queues are merged in (when, lp, submit-order)
 //     order — an executor-independent order — and flows are admitted with
 //     sequentially assigned ids.
-//   * Rates. A recompute runs the classic max-min water-fill over the
-//     directed-slot capacities left by the packet class (measured from
-//     per-slot packet byte counters over the elapsed windows). Recomputes
+//   * Rates. A recompute runs the classic max-min water-fill (WaterFill
+//     below) over the directed-slot capacities left by the packet class
+//     (measured from per-slot packet byte counters over the elapsed
+//     windows); it touches only the slots unblocked flows cross. Recomputes
 //     are batched: at most one per `fluid_recompute_every` boundaries,
 //     plus one whenever a completion falls due. Between recomputes, rates
 //     are piecewise-constant, so per-flow progress and completion times
@@ -40,9 +41,54 @@
 #include "routing/forwarding.hpp"
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
+#include <vector>
 
 namespace massf {
+
+/// Fills `path` with the directed slots (link * 2, +1 when the link is
+/// crossed b -> a) of the forwarding route from host or router `src` to
+/// `dst`. Leaves `path` empty when no route exists or the route loops.
+void route_slots(const Network& net, const ForwardingPlane& fp, NodeId src,
+                 NodeId dst, std::vector<std::uint32_t>& path);
+
+/// Max-min fair rates over directed slots (progressive filling): each
+/// round finds the bottleneck slot — the smallest fair share, ties to the
+/// lowest slot id — and freezes every flow crossing it at that share.
+/// One fill costs at most O(sum of unblocked path lengths + loaded slots
+/// x rounds): slots no unblocked flow crosses are never read, and the
+/// workspace is reused across fills.
+class WaterFill {
+ public:
+  explicit WaterFill(std::size_t num_slots);
+
+  /// `paths[i]` is flow i's slot path; an empty path marks a blocked flow,
+  /// whose rate is 0. `capacity(slot)` is called once per slot an
+  /// unblocked flow crosses and must return a finite value >= 0. A
+  /// positive `rate_cap` bounds every rate. Returns one rate per flow,
+  /// valid until the next fill.
+  const std::vector<double>& fill(
+      std::span<const std::span<const std::uint32_t>> paths,
+      const std::function<double(std::uint32_t)>& capacity, double rate_cap);
+
+ private:
+  std::vector<std::int32_t> dense_;  ///< slot -> loaded index, -1 = unloaded
+  std::vector<std::uint32_t> slot_;  ///< loaded index -> slot
+  std::vector<double> cap_;          ///< residual capacity, per loaded index
+  std::vector<std::int32_t> load_;   ///< unfrozen crossings, per loaded index
+  std::vector<double> share_;        ///< cap_ / load_ while load_ > 0
+  /// Flows crossing each loaded slot, in flow-index order:
+  /// members_[first_[d] .. first_[d + 1]).
+  std::vector<std::size_t> first_;
+  std::vector<std::uint32_t> members_;
+  std::vector<std::uint32_t> live_;  ///< bottleneck candidates
+  std::vector<char> listed_;         ///< per loaded index: in live_
+  std::vector<char> frozen_;
+  std::vector<double> rates_;
+};
 
 class FluidLinkModel : public PacketLinkModel {
  public:
@@ -111,6 +157,7 @@ class FluidLinkModel : public PacketLinkModel {
   void recompute(Engine& engine, SimTime floor);
   void repath(ActiveFlow& f) const;
   bool path_blocked(const ActiveFlow& f) const;
+  void drop_flows(const std::vector<char>& dead);
   void finish_flow(Engine& engine, const ActiveFlow& f, SimTime finished_at,
                    bool failed);
   void schedule_wake(Engine& engine, SimTime floor);
@@ -126,6 +173,8 @@ class FluidLinkModel : public PacketLinkModel {
 
   // Coordinator-owned fluid state (boundary hook only).
   std::vector<ActiveFlow> active_;
+  WaterFill water_fill_;
+  std::vector<std::span<const std::uint32_t>> fill_paths_;  ///< fill input
   std::uint64_t next_flow_seq_ = 0;
   std::uint64_t boundaries_ = 0;
   std::int64_t last_recompute_boundary_ = 0;

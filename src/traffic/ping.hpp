@@ -36,7 +36,7 @@ class PingProbe final : public TrafficComponent {
   std::size_t replies() const;
 
   // ---- TrafficComponent ---------------------------------------------------
-  void start(Engine& engine, NetSim& sim) override {}
+  void start(Engine&, NetSim&) override {}
   void on_timer(Engine& engine, NetSim& sim, NodeId host,
                 std::uint64_t payload, std::uint64_t c) override;
   void on_udp(Engine& engine, NetSim& sim, const Packet& packet) override;

@@ -45,7 +45,7 @@ class VmHosts final : public TrafficComponent {
   double capacity_ops() const { return capacity_; }
 
   // ---- TrafficComponent ---------------------------------------------------
-  void start(Engine& engine, NetSim& sim) override {}
+  void start(Engine&, NetSim&) override {}
   void on_timer(Engine& engine, NetSim& sim, NodeId host,
                 std::uint64_t payload, std::uint64_t c) override;
 

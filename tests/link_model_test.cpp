@@ -1,17 +1,23 @@
 // LinkModel boundary tests: utilization/byte-accounting edge cases on the
-// packet model, the fluid fast path's analytic correctness, flow<->packet
-// coupling in both directions, executor-independence of the hybrid model,
-// and checkpoint round trips.
+// packet model, the fluid fast path's analytic correctness and its
+// water-fill against a full-slot reference, flow<->packet coupling in both
+// directions, executor-independence of the hybrid model, and checkpoint
+// round trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "ckpt/ckpt.hpp"
 #include "net/fluid_link.hpp"
 #include "net/netsim.hpp"
 #include "routing/forwarding.hpp"
+#include "topology/brite.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace massf {
 namespace {
@@ -223,6 +229,216 @@ TEST(LinkModelFluid, DownLinkStallFailsFlow) {
   ASSERT_NE(fluid, nullptr);
   EXPECT_EQ(fluid->bg_counters().failed, 1u);
   EXPECT_EQ(fluid->active_background_flows(), 0u);
+}
+
+// A stall failure must not disturb the flows that survive it: the 20 MB
+// flow on links 3 -> 0 -> 4 sits before the failed flow in the active list
+// and keeps its path, so every byte it carries is accounted on link 0.
+TEST(LinkModelFluid, StallFailureKeepsSurvivorsAccounted) {
+  NetSimOptions no = hybrid_opts();
+  no.link_model.fluid_stall_timeout_s = 0.5;
+  Fixture f({0, 0, 0, 0}, no);
+  f.sim->link_model().schedule_link_state(*f.engine, 2, microseconds(1),
+                                          false);
+  ASSERT_TRUE(f.sim->start_background_flow(*f.engine, milliseconds(5),
+                                           f.host(0), f.host(1), 20000000, 0));
+  ASSERT_TRUE(f.sim->start_background_flow(*f.engine, milliseconds(5),
+                                           f.host(2), f.host(3), 1000000, 1));
+  f.engine->run();
+  const auto* fluid =
+      dynamic_cast<const FluidLinkModel*>(&f.sim->link_model());
+  ASSERT_NE(fluid, nullptr);
+  EXPECT_EQ(fluid->bg_counters().failed, 1u);
+  EXPECT_EQ(fluid->bg_counters().completed, 1u);
+  EXPECT_NEAR(static_cast<double>(f.sim->link_model().link_bytes()[0 * 2 + 0]),
+              2e7, 1e4);
+}
+
+// ---- water-fill oracle ------------------------------------------------------
+
+// Reference water-fill in its plain full-slot form: every round scans every
+// slot for the bottleneck and every flow for the ones crossing it. `cap`
+// holds every slot's capacity; blocked flows keep rate 0.
+std::vector<double> reference_water_fill(
+    const std::vector<std::vector<std::uint32_t>>& paths,
+    const std::vector<char>& blocked, std::vector<double> cap,
+    double rate_cap) {
+  const std::size_t slots = cap.size();
+  std::vector<std::int32_t> load(slots, 0);
+  std::vector<double> rate(paths.size(), 0.0);
+  std::vector<char> frozen(paths.size(), 0);
+  std::int32_t unfrozen = 0;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (blocked[i]) {
+      frozen[i] = 1;
+      continue;
+    }
+    for (const std::uint32_t slot : paths[i]) ++load[slot];
+    ++unfrozen;
+  }
+  while (unfrozen > 0) {
+    std::size_t bn = slots;
+    double share = 0;
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (load[s] <= 0) continue;
+      const double sh = cap[s] / load[s];
+      if (bn == slots || sh < share) {
+        bn = s;
+        share = sh;
+      }
+    }
+    if (bn == slots) break;
+    share = std::max(share, 0.0);
+    if (rate_cap > 0 && rate_cap < share) {
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        if (frozen[i]) continue;
+        rate[i] = rate_cap;
+        frozen[i] = 1;
+      }
+      break;
+    }
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (frozen[i]) continue;
+      const auto& path = paths[i];
+      if (std::find(path.begin(), path.end(), bn) == path.end()) continue;
+      rate[i] = share;
+      frozen[i] = 1;
+      --unfrozen;
+      for (const std::uint32_t slot : path) {
+        cap[slot] = std::max(cap[slot] - share, 0.0);
+        --load[slot];
+      }
+    }
+  }
+  return rate;
+}
+
+// WaterFill must reproduce the reference bit for bit on BRITE routes to a
+// few servers: with equal link bandwidths or coarse capacities forcing
+// bottleneck ties, with measured packet load, loss-scaled and down slots,
+// and with the rate cap off, at a typical fair share, and below it.
+// Capacity is read exactly once per slot an unblocked flow crosses.
+TEST(LinkModelFluid, WaterFillMatchesReference) {
+  constexpr int kServers = 30;
+  for (std::uint64_t topo = 1; topo <= 3; ++topo) {
+    BriteOptions o;
+    o.num_routers = 150;
+    o.num_hosts = 300;
+    o.seed = topo;
+    const Network net = generate_flat(o);
+    std::vector<NodeId> dests;
+    for (int k = 0; k < kServers; ++k) {
+      dests.push_back(
+          net.nodes[static_cast<std::size_t>(net.num_routers + k)]
+              .attach_router);
+    }
+    const ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
+    const std::size_t slots = net.links.size() * 2;
+    WaterFill water_fill(slots);  // reused across instances, as in the model
+
+    for (std::uint64_t inst = 0; inst < 12; ++inst) {
+      SCOPED_TRACE(testing::Message() << "topology " << topo << " instance "
+                                      << inst);
+      Rng rng(topo * 1000 + inst);
+      std::vector<char> down(slots, 0);
+      std::vector<double> cap(slots, 0.0);
+      for (std::size_t s = 0; s < slots; ++s) {
+        if (rng.uniform(40) == 0) {
+          down[s] = 1;
+          continue;
+        }
+        if (inst % 2 == 1) {
+          // Coarse capacities: exact fair-share ties between slots that
+          // share flows, where the tie-break decides the rounding.
+          cap[s] = 1e7 * static_cast<double>(1 + rng.uniform(4));
+          continue;
+        }
+        // As the model measures it: bandwidth less packet load (floored at
+        // 1%), times a loss burst's delivery probability.
+        const double bw = net.links[s / 2].bandwidth_bps;
+        double c = bw;
+        if (rng.uniform(6) == 0) {
+          c = std::max(bw - rng.uniform_real(0, 1.2 * bw), 0.01 * bw);
+        }
+        if (rng.uniform(10) == 0) {
+          c *= 1.0 - static_cast<double>(rng.uniform(1000000)) / 1e6;
+        }
+        cap[s] = c;
+      }
+
+      const std::size_t flows = 20 + rng.uniform(300);
+      std::vector<std::vector<std::uint32_t>> paths(flows);
+      std::vector<char> blocked(flows, 0);
+      std::vector<std::span<const std::uint32_t>> spans(flows);
+      std::vector<char> loaded(slots, 0);
+      for (std::size_t i = 0; i < flows; ++i) {
+        const auto src = static_cast<NodeId>(
+            net.num_routers + kServers +
+            rng.uniform(static_cast<std::uint64_t>(o.num_hosts - kServers)));
+        const auto dst = static_cast<NodeId>(
+            net.num_routers + rng.uniform(kServers));
+        route_slots(net, fp, src, dst, paths[i]);
+        ASSERT_FALSE(paths[i].empty());
+        blocked[i] = std::any_of(paths[i].begin(), paths[i].end(),
+                                 [&](std::uint32_t s) { return down[s]; });
+        if (blocked[i]) continue;
+        spans[i] = paths[i];
+        for (const std::uint32_t s : paths[i]) loaded[s] = 1;
+      }
+
+      for (const double rate_cap : {0.0, 1e7, 3e6}) {
+        SCOPED_TRACE(testing::Message() << "rate cap " << rate_cap);
+        std::vector<int> reads(slots, 0);
+        const std::vector<double> got = water_fill.fill(
+            spans,
+            [&](std::uint32_t s) {
+              ++reads[s];
+              return cap[s];
+            },
+            rate_cap);
+        const std::vector<double> want =
+            reference_water_fill(paths, blocked, cap, rate_cap);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < flows; ++i) {
+          EXPECT_EQ(got[i], want[i]) << "flow " << i;
+        }
+        for (std::size_t s = 0; s < slots; ++s) {
+          EXPECT_EQ(reads[s], loaded[s]) << "slot " << s;
+        }
+      }
+    }
+  }
+}
+
+// WaterFill only scans slots whose fair share is at most the rate cap. A
+// slot one ulp above the cap can round below it once a freeze at the cap
+// takes some of its flows; it must then become the next bottleneck, so
+// its other flows get that share, not the cap.
+TEST(LinkModelFluid, WaterFillRelistsSlotRoundingBelowCap) {
+  const double rate_cap = 12345678.9;
+  // Slot 0 carries flows 0-3 at a fair share of exactly the cap; slot 1
+  // carries flows 0-9 at one ulp above it.
+  const std::vector<double> cap = {4 * rate_cap,
+                                   std::nextafter(10 * rate_cap, 1e300)};
+  ASSERT_GT(cap[1] / 10, rate_cap);
+  std::vector<std::vector<std::uint32_t>> paths(10);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    paths[i] = i < 4 ? std::vector<std::uint32_t>{0, 1}
+                     : std::vector<std::uint32_t>{1};
+  }
+  const std::vector<std::span<const std::uint32_t>> spans(paths.begin(),
+                                                          paths.end());
+  WaterFill water_fill(cap.size());
+  const std::vector<double> got = water_fill.fill(
+      spans, [&](std::uint32_t s) { return cap[s]; }, rate_cap);
+  const std::vector<double> want = reference_water_fill(
+      paths, std::vector<char>(paths.size(), 0), cap, rate_cap);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "flow " << i;
+  }
+  EXPECT_EQ(got[0], rate_cap);
+  EXPECT_LT(got[9], rate_cap);
 }
 
 // ---- flow <-> packet coupling ----------------------------------------------

@@ -110,7 +110,9 @@ TEST(FmRefine, PinnedVerticesNeverMove) {
   opts.pinned = pinned;
   fm_refine_bisection(g, part, opts);
   for (std::size_t i = 0; i < part.size(); ++i) {
-    if (pinned[i]) EXPECT_EQ(part[i], before[i]) << "pinned vertex " << i;
+    if (pinned[i]) {
+      EXPECT_EQ(part[i], before[i]) << "pinned vertex " << i;
+    }
   }
 }
 

@@ -726,7 +726,7 @@ TEST_F(ForwardingMultiAs, BorderLinkFailureDropsThenRestores) {
   // Pick an adjacency whose far side actually hosts traffic endpoints
   // (hosts live only in stub ASes).
   const AsAdjacency* chosen = nullptr;
-  AsId dest_as = -1, near_as = -1;
+  AsId near_as = -1;
   NodeId dest = kInvalidNode;
   for (const AsAdjacency& adj : net_.as_adjacency) {
     for (NodeId h = net_.num_routers;
@@ -735,7 +735,6 @@ TEST_F(ForwardingMultiAs, BorderLinkFailureDropsThenRestores) {
       if (ha == adj.as_a || ha == adj.as_b) {
         chosen = &adj;
         dest = h;
-        dest_as = ha;
         near_as = ha == adj.as_a ? adj.as_b : adj.as_a;
         break;
       }

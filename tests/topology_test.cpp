@@ -228,8 +228,12 @@ TEST(MaBrite, ProviderIsHigherClass) {
   for (const AsAdjacency& e : net.as_adjacency) {
     const int ra = rank(net.as_info[static_cast<std::size_t>(e.as_a)].cls);
     const int rb = rank(net.as_info[static_cast<std::size_t>(e.as_b)].cls);
-    if (e.rel_ab == AsRel::kCustomer) EXPECT_GT(ra, rb);
-    if (e.rel_ab == AsRel::kProvider) EXPECT_LT(ra, rb);
+    if (e.rel_ab == AsRel::kCustomer) {
+      EXPECT_GT(ra, rb);
+    }
+    if (e.rel_ab == AsRel::kProvider) {
+      EXPECT_LT(ra, rb);
+    }
   }
 }
 
