@@ -10,18 +10,8 @@
 // DESIGN.md and README.md.
 //
 // Usage: bench_pdes [--lps=32] [--chain=64] [--hops=2000] [--threads=N]
-//                   [--sweep=1,2,4] [--repeats=3] [--shards=2]
+//                   [--sweep=1,2,4] [--repeats=3]
 //                   [--out=BENCH_pdes.json] [--print-golden]
-//
-// --shards runs the same workload once more under the multi-process
-// executor (src/shard, fork mode, no degradation fallback — the bench
-// wants the hard failure) and records a "sharded" entry carrying the
-// pdes.shard.* transport counters (ring stalls, batch bytes, cross-shard
-// events, control-page waits) plus `ring_wait_share`, the fraction of
-// total worker-seconds spent blocked on the rings/control page, which
-// check_bench.py gates. The sharded checksum must agree with the
-// sequential reference or the bench fails. Pass --shards=0 (or 1) to skip
-// the row.
 //
 // --print-golden runs the sequential reference once and prints only the
 // workload checksum — the value pinned by BENCH_pdes.json,
@@ -51,10 +41,8 @@
 
 #include "guard/watchdog.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "pdes/golden_ring.hpp"
-#include "shard/supervisor.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -152,78 +140,6 @@ Measurement measure(const Workload& w, std::int32_t threads, int repeats,
   return best;
 }
 
-/// One multi-process run (best of `repeats`): the same ring workload under
-/// shard::run_sharded, plus its transport counters.
-struct ShardMeasurement {
-  shard::ShardResult result;
-  std::int32_t shards = 0;
-  double wall_s = 0;
-  double events_per_sec = 0;
-  /// (ring_wait_s + control_wait_s) / (wall_s * shards): the share of
-  /// total worker-seconds spent blocked on the cross-shard transport.
-  double ring_wait_share = 0;
-};
-
-ShardMeasurement measure_sharded(const Workload& w, std::int32_t shards,
-                                 int repeats, obs::Registry* registry) {
-  ShardMeasurement best;
-  for (int rep = 0; rep < repeats; ++rep) {
-    shard::ShardOptions so;
-    so.shards = shards;
-    so.fallback = false;  // the bench wants the hard failure, not a rung
-    const auto t0 = std::chrono::steady_clock::now();
-    shard::ShardResult r = shard::run_sharded(
-        so,
-        [&w] {
-          GoldenRing ring = build_ring(w, golden_ring_options());
-          return shard::ShardWorkload{std::move(ring.engine),
-                                      std::move(ring.lp_checksum)};
-        },
-        rep == 0 ? registry : nullptr);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    ShardMeasurement m;
-    m.shards = r.shards;
-    m.wall_s = wall_s;
-    m.events_per_sec =
-        wall_s > 0 ? static_cast<double>(r.stats.total_events) / wall_s : 0;
-    m.ring_wait_share =
-        wall_s > 0 ? (r.metrics.ring_wait_s + r.metrics.control_wait_s) /
-                         (wall_s * r.shards)
-                   : 0;
-    m.result = std::move(r);
-    if (rep == 0 || m.wall_s < best.wall_s) best = m;
-  }
-  return best;
-}
-
-std::string shard_measurement_json(const ShardMeasurement& m) {
-  using obs::format_double;
-  const shard::ShardMetrics& t = m.result.metrics;
-  std::string out = "{\n";
-  out += "    \"shards\": " + std::to_string(m.shards) + ",\n";
-  out += "    \"events\": " + std::to_string(m.result.stats.total_events) +
-         ",\n";
-  out += "    \"windows\": " + std::to_string(m.result.stats.num_windows) +
-         ",\n";
-  out += "    \"wall_s\": " + format_double(m.wall_s) + ",\n";
-  out += "    \"events_per_sec\": " + format_double(m.events_per_sec) + ",\n";
-  out += "    \"cross_shard_events\": " +
-         std::to_string(t.cross_shard_events) + ",\n";
-  out += "    \"batch_bytes\": " + std::to_string(t.batch_bytes) + ",\n";
-  out += "    \"frames\": " + std::to_string(t.frames) + ",\n";
-  out += "    \"ring_stalls\": " + std::to_string(t.ring_stalls) + ",\n";
-  out += "    \"ring_wait_s\": " + format_double(t.ring_wait_s) + ",\n";
-  out += "    \"control_waits\": " + std::to_string(t.control_waits) + ",\n";
-  out += "    \"control_wait_s\": " + format_double(t.control_wait_s) + ",\n";
-  out += "    \"ring_wait_share\": " + format_double(m.ring_wait_share) +
-         ",\n";
-  out += "    \"checksum\": " + std::to_string(m.result.checksum) + "\n";
-  out += "  }";
-  return out;
-}
-
 std::string measurement_json(const Measurement& m, const char* indent) {
   using obs::format_double;
   const std::string in(indent);
@@ -290,8 +206,6 @@ int main(int argc, char** argv) {
                 at_least_one);
   flags.add_int("repeats", 3, "runs per row; the fastest is kept",
                 at_least_one);
-  flags.add_int("shards", 2,
-                "worker processes of the sharded row (0 or 1 skips it)");
   flags.add_string("out", "BENCH_pdes.json", "JSON report path");
   flags.add_string("sweep", "1,2,4",
                    "comma-separated thread counts to sweep, or none");
@@ -305,7 +219,6 @@ int main(int argc, char** argv) {
   w.hops = flags.get_int("hops");
   const auto threads = static_cast<std::int32_t>(flags.get_int("threads"));
   const auto repeats = static_cast<int>(flags.get_int("repeats"));
-  const auto shards = static_cast<std::int32_t>(flags.get_int("shards"));
   const std::string out_path = flags.get_string("out");
   const std::vector<std::int32_t> sweep =
       parse_sweep(flags.get_string("sweep"));
@@ -381,35 +294,6 @@ int main(int argc, char** argv) {
   }
   if (!have_thr && !measure_threaded(threads, &thr)) return 1;
 
-  obs::Registry shard_registry;
-  ShardMeasurement sharded;
-  const bool have_sharded = shards >= 2;
-  if (have_sharded) {
-    try {
-      sharded = measure_sharded(w, shards, repeats, &shard_registry);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[bench_pdes] ERROR: sharded run failed: %s\n",
-                   e.what());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "[bench_pdes] sharded(%d): %.0f events/s "
-                 "(%llu cross-shard events, ring_wait_share %.3f)\n",
-                 sharded.shards, sharded.events_per_sec,
-                 static_cast<unsigned long long>(
-                     sharded.result.metrics.cross_shard_events),
-                 sharded.ring_wait_share);
-    if (seq.checksum != sharded.result.checksum ||
-        seq.stats.total_events != sharded.result.stats.total_events) {
-      std::fprintf(stderr,
-                   "[bench_pdes] ERROR: sharded executor disagrees "
-                   "(checksum %llu vs %llu)\n",
-                   static_cast<unsigned long long>(seq.checksum),
-                   static_cast<unsigned long long>(sharded.result.checksum));
-      return 1;
-    }
-  }
-
   const double speedup = thr.events_per_sec > 0 && seq.events_per_sec > 0
                              ? thr.events_per_sec / seq.events_per_sec
                              : 0;
@@ -425,9 +309,6 @@ int main(int argc, char** argv) {
   json += executor_json("sequential", seq) + ",\n";
   json += executor_json("sequential_guard", seq_guard) + ",\n";
   json += executor_json("threaded", thr) + ",\n";
-  if (have_sharded) {
-    json += "  \"sharded\": " + shard_measurement_json(sharded) + ",\n";
-  }
   json += "  \"sweep\": [";
   for (std::size_t i = 0; i < sweep_runs.size(); ++i) {
     json += i == 0 ? "\n    " : ",\n    ";

@@ -17,13 +17,21 @@
 
 int main(int argc, char** argv) {
   using namespace massf;
-  const Flags flags(argc, argv);
+  FlagTable flags("bgp_beacon",
+                  "One AS withdraws and re-announces its prefix; observers "
+                  "across the AS hierarchy record when each change "
+                  "arrives.");
+  flags.add_int("as", 20, "autonomous systems");
+  flags.add_int("seed", 5, "topology seed");
+  flags.add_int("period-ms", 20000, "beacon toggle period in milliseconds");
+  flags.add_int("toggles", 4, "withdraw/announce toggles");
+  flags.parse_or_exit(argc, argv);
 
   MaBriteOptions mo;
-  mo.num_as = static_cast<std::int32_t>(flags.get_int("as", 20));
+  mo.num_as = static_cast<std::int32_t>(flags.get_int("as"));
   mo.routers_per_as = 10;
   mo.num_hosts = 20;
-  mo.seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+  mo.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   Network net = generate_multi_as(mo);
   const std::vector<NodeId> speakers_hosts = add_bgp_speaker_hosts(net);
 
@@ -46,10 +54,8 @@ int main(int argc, char** argv) {
   manager.add(TrafficKind::kBgp, std::move(speakers_ptr));
 
   const AsId beacon = mo.num_as - 1;
-  const SimTime period =
-      milliseconds(flags.get_int("period-ms", 20000));
-  const auto toggles =
-      static_cast<std::int32_t>(flags.get_int("toggles", 4));
+  const SimTime period = milliseconds(flags.get_int("period-ms"));
+  const auto toggles = static_cast<std::int32_t>(flags.get_int("toggles"));
   speakers.schedule_beacon(engine, sim, beacon, seconds(10), period, toggles);
 
   manager.start(engine, sim);

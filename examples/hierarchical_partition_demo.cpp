@@ -19,16 +19,21 @@
 
 int main(int argc, char** argv) {
   using namespace massf;
-  const Flags flags(argc, argv);
+  FlagTable flags("hierarchical_partition_demo",
+                  "Walks HPROF's Tmll sweep on a flat network and reports "
+                  "the chosen partition.");
+  flags.add_int("routers", 2000, "routers in the flat network");
+  flags.add_int("engines", 32, "simulation engines to partition onto");
+  flags.parse_or_exit(argc, argv);
 
   BriteOptions bo;
-  bo.num_routers = static_cast<std::int32_t>(flags.get_int("routers", 2000));
+  bo.num_routers = static_cast<std::int32_t>(flags.get_int("routers"));
   bo.num_hosts = 100;
   bo.seed = 3;
   const Network net = generate_flat(bo);
 
   MappingOptions mo;
-  mo.num_engines = static_cast<std::int32_t>(flags.get_int("engines", 32));
+  mo.num_engines = static_cast<std::int32_t>(flags.get_int("engines"));
   mo.cluster.num_engine_nodes = mo.num_engines;
 
   std::vector<std::int64_t> lats;

@@ -18,10 +18,18 @@
 
 int main(int argc, char** argv) {
   using namespace massf;
-  const Flags flags(argc, argv);
+  FlagTable flags("link_failure",
+                  "A backbone link carrying TCP traffic fails and returns; "
+                  "prints the goodput time line.");
+  flags.add_int("routers", 300, "routers in the flat network");
+  flags.add_double("fail-at", 4.0, "link failure time in seconds");
+  flags.add_double("restore-at", 8.0, "link restore time in seconds");
+  flags.add_int("convergence-ms", 200,
+                "OSPF reconvergence delay in milliseconds");
+  flags.parse_or_exit(argc, argv);
 
   BriteOptions bo;
-  bo.num_routers = static_cast<std::int32_t>(flags.get_int("routers", 300));
+  bo.num_routers = static_cast<std::int32_t>(flags.get_int("routers"));
   bo.num_hosts = 100;
   bo.seed = 29;
   const Network net = generate_flat(bo);
@@ -79,11 +87,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  FailoverController ctl(
-      fp, milliseconds(flags.get_int("convergence-ms", 200)));
+  FailoverController ctl(fp, milliseconds(flags.get_int("convergence-ms")));
   ctl.attach(engine);
-  const double fail_at = flags.get_double("fail-at", 4.0);
-  const double restore_at = flags.get_double("restore-at", 8.0);
+  const double fail_at = flags.get_double("fail-at");
+  const double restore_at = flags.get_double("restore-at");
   ctl.fail_link(engine, sim, victim, from_seconds(fail_at));
   ctl.restore_link(engine, sim, victim, from_seconds(restore_at));
 

@@ -15,19 +15,25 @@
 
 int main(int argc, char** argv) {
   using namespace massf;
-  const Flags flags(argc, argv);
+  FlagTable flags("multi_as_bgp",
+                  "maBrite multi-AS topology, BGP routes and a short "
+                  "simulation over them.");
+  flags.add_int("as", 20, "autonomous systems");
+  flags.add_int("routers-per-as", 50, "routers in each AS");
+  flags.add_int("seed", 7, "scenario seed");
+  flags.parse_or_exit(argc, argv);
 
   ScenarioOptions opts;
   opts.multi_as = true;
-  opts.num_as = static_cast<std::int32_t>(flags.get_int("as", 20));
-  opts.num_routers = opts.num_as * static_cast<std::int32_t>(
-                                       flags.get_int("routers-per-as", 50));
+  opts.num_as = static_cast<std::int32_t>(flags.get_int("as"));
+  opts.num_routers =
+      opts.num_as * static_cast<std::int32_t>(flags.get_int("routers-per-as"));
   opts.num_hosts = opts.num_routers / 2;
   opts.num_clients = opts.num_hosts / 4;
   opts.num_servers = opts.num_hosts / 10;
   opts.num_engines = 12;
   opts.end_time = seconds(4);
-  opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   opts.http.think_time_mean_s = 0.5;
 
   Scenario scenario(opts);

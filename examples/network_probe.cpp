@@ -18,10 +18,15 @@
 
 int main(int argc, char** argv) {
   using namespace massf;
-  const Flags flags(argc, argv);
+  FlagTable flags("network_probe",
+                  "Echo pings under background HTTP and CBR load, then the "
+                  "most utilized links.");
+  flags.add_int("routers", 400, "routers in the flat network");
+  flags.add_double("seconds", 10.0, "simulated seconds");
+  flags.parse_or_exit(argc, argv);
 
   BriteOptions bo;
-  bo.num_routers = static_cast<std::int32_t>(flags.get_int("routers", 400));
+  bo.num_routers = static_cast<std::int32_t>(flags.get_int("routers"));
   bo.num_hosts = 120;
   bo.seed = 23;
   const Network net = generate_flat(bo);
@@ -35,7 +40,7 @@ int main(int argc, char** argv) {
 
   EngineOptions eo;
   eo.lookahead = milliseconds(1);
-  eo.end_time = from_seconds(flags.get_double("seconds", 10.0));
+  eo.end_time = from_seconds(flags.get_double("seconds"));
   Engine engine(eo);
   const std::vector<LpId> map(static_cast<std::size_t>(net.num_routers), 0);
   NetSimOptions no;

@@ -18,10 +18,16 @@
 
 int main(int argc, char** argv) {
   using namespace massf;
-  const Flags flags(argc, argv);
-  const int rounds = static_cast<int>(flags.get_int("rounds", 5));
-  const auto bytes =
-      static_cast<std::uint32_t>(flags.get_int("bytes", 100000));
+  FlagTable flags("online_app",
+                  "A live application thread ping-pongs a message between "
+                  "two simulated hosts through VSockets.");
+  flags.add_int("rounds", 5, "ping-pong round trips");
+  flags.add_int("bytes", 100000, "message size in bytes");
+  flags.add_double("slowdown", 0,
+                   "wall seconds per virtual second (0 = unpaced)");
+  flags.parse_or_exit(argc, argv);
+  const int rounds = static_cast<int>(flags.get_int("rounds"));
+  const auto bytes = static_cast<std::uint32_t>(flags.get_int("bytes"));
 
   // A modest network with two endpoint hosts.
   BriteOptions bo;
@@ -45,7 +51,7 @@ int main(int argc, char** argv) {
   TrafficManager manager(sim);
 
   AgentOptions ao;
-  ao.slowdown = flags.get_double("slowdown", 0);
+  ao.slowdown = flags.get_double("slowdown");
   auto agent_ptr = std::make_unique<Agent>(ao);
   Agent& agent = *agent_ptr;
   manager.add(TrafficKind::kOnline, std::move(agent_ptr));

@@ -13,10 +13,10 @@ Schemas understood (dispatched on the current report's "schema" field):
       (fractional, default 0.5 — CI runners are noisy and slower than the
       machine that produced the baseline; the gate exists to catch
       order-of-magnitude cliffs, not single-digit noise). Entries are
-      matched by (threads, guard, shards). A row whose thread or shard
-      count exceeds the current report's config.host_cpus is skipped with
-      a note: its workers share cores, so its events/s measures the OS
-      scheduler, not the executor.
+      matched by (threads, guard). A row whose thread count exceeds the
+      current report's config.host_cpus is skipped with a note: its
+      workers share cores, so its events/s measures the OS scheduler, not
+      the executor.
     * Wait accounting (exact-ish): barrier_wait_s is a summed thread-
       seconds quantity; barrier_wait_mean_s must equal it divided by the
       thread count, so the two fields cannot drift apart and a reader
@@ -27,17 +27,6 @@ Schemas understood (dispatched on the current report's "schema" field):
       (default 0.10) of the unguarded sequential row from the same run.
       Guarded entries carry "guard": true and are matched against their own
       baselines in the throughput check, never against unguarded rows.
-    * Sharded transport (self-contained): when the current report carries a
-      "sharded" entry (multi-process executor, DESIGN.md section 5j), its
-      checksum/events/windows ride the determinism check like every other
-      row, its events/s is gated against the baseline entry with the same
-      "shards" count (the key carries shards, default 0, so process rows
-      never gate against thread rows), and its ring_wait_share — the share
-      of total worker-seconds spent blocked on the cross-shard rings and
-      control page — must stay under --max-ring-wait-share (default 0.5).
-      The share gate is skipped when config.host_cpus < shards: an
-      oversubscribed host pins workers in transport waits by scheduling,
-      not by protocol cost.
 
   massf.bench_rebalance.v1 — self-contained gate on a
   `bench_rebalance --json` run (no baseline file needed):
@@ -125,8 +114,6 @@ def entries(doc, filename):
     if "sequential_guard" in doc:
         yield "sequential_guard", doc["sequential_guard"]
     yield "threaded", get(doc, "threaded", filename)
-    if "sharded" in doc:
-        yield "sharded", doc["sharded"]
     for sweep in doc.get("sweep", []):
         yield f"sweep[threads={sweep.get('threads', '?')}]", sweep
 
@@ -157,25 +144,20 @@ def check_pdes(baseline, current, args):
             if got != want:
                 failures.append(f"{label}: {name} {got} != golden {want}")
 
-    # Throughput: compare matching (threads, guard, shards) keys — like
-    # with like; runner core counts differ, so entries absent from either
-    # report are skipped, not failed. The guard flag is part of the key so
-    # the supervised row never gates (or hides behind) the unguarded one;
-    # shards (0 for every in-process row) keeps the multi-process row in
-    # its own lane — it has no "threads" field at all.
+    # Throughput: compare matching (threads, guard) keys — like with like;
+    # runner core counts differ, so entries absent from either report are
+    # skipped, not failed. The guard flag is part of the key so the
+    # supervised row never gates (or hides behind) the unguarded one.
     def entry_key(label, e, filename):
-        shards = e.get("shards", 0)
-        if shards:
-            return (0, False, shards)
         return (field(e, label, "threads", filename),
-                bool(e.get("guard", False)), 0)
+                bool(e.get("guard", False)))
 
     host_cpus = current.get("config", {}).get("host_cpus", 0)
     base_by_key = {
         entry_key(label, e, args.baseline): (label, e)
         for label, e in entries(baseline, args.baseline)}
     for label, entry in entries(current, args.current):
-        workers = max(entry.get("threads", 0), entry.get("shards", 0))
+        workers = entry.get("threads", 0)
         if workers > host_cpus:
             print(f"check_bench: note: {label} runs {workers} workers on "
                   f"{host_cpus} cpus — events/s is scheduler-bound, "
@@ -209,30 +191,12 @@ def check_pdes(baseline, current, args):
                 f"{label}: barrier_wait_mean_s {mean} inconsistent with "
                 f"barrier_wait_s {wait_sum} over {threads} threads")
 
-    # Sharded transport share, within the current report only: the fraction
-    # of total worker-seconds the multi-process executor spent blocked on
-    # its rings + control page. Skipped on oversubscribed hosts — there the
-    # waits measure core starvation, not transport cost.
-    cur = {label: e for label, e in entries(current, args.current)}
-    sharded_top = cur.get("sharded")
-    if sharded_top is not None:
-        shards = field(sharded_top, "sharded", "shards", args.current)
-        share = field(sharded_top, "sharded", "ring_wait_share", args.current)
-        if host_cpus < shards:
-            print(f"check_bench: note: host has {host_cpus} cpus for "
-                  f"{shards} shard workers — transport waits are scheduler-"
-                  f"bound, skipping ring-wait-share check", file=sys.stderr)
-        elif share > args.max_ring_wait_share:
-            failures.append(
-                f"sharded: ring_wait_share {share:.3f} exceeds the "
-                f"{args.max_ring_wait_share:.2f} gate — workers spend too "
-                f"much of the run blocked on the cross-shard transport")
-
     # Supervision overhead, within the current report only (same machine,
     # same run): the armed-watchdog sequential row must stay within
     # --max-guard-overhead of the unguarded sequential row. The watchdog
     # only reads atomics on a sleepy cadence, so the true cost is ~0; the
     # gate's slack absorbs run-to-run noise, not a real cost.
+    cur = {label: e for label, e in entries(current, args.current)}
     guard_top = cur.get("sequential_guard")
     if guard_top is not None:
         seq_eps = field(cur["sequential"], "sequential", "events_per_sec",
@@ -386,11 +350,6 @@ def main():
                              "cost of the armed-watchdog sequential_guard "
                              "row vs the unguarded sequential row in the "
                              "same report (default 0.10)")
-    parser.add_argument("--max-ring-wait-share", type=float, default=0.5,
-                        help="massf.bench_pdes.v3: max share of sharded "
-                             "worker-seconds spent blocked on the cross-"
-                             "shard rings/control page (default 0.5; "
-                             "skipped on oversubscribed hosts)")
     parser.add_argument("--min-host-scale", type=float, default=10,
                         help="massf.bench_hybrid.v1: minimum source "
                              "multiplier the hybrid model must carry within "

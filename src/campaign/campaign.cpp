@@ -105,7 +105,7 @@ bool unknown_key(const DmlAttribute& a, const char* where,
 bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
                  std::string* error) {
   Axis over{"override", {}}, mapping{"mapping", {}}, threads{"threads", {}},
-      shards{"shards", {}}, seed{"seed", {}};
+      seed{"seed", {}};
   for (const DmlAttribute& a : node.attributes) {
     if (ignored_key(a.key)) continue;
     if (a.key == "override" && a.child) {
@@ -127,24 +127,18 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
       }
       if (p.label.empty()) p.label = "o" + std::to_string(over.points.size());
       over.points.push_back(std::move(p));
-    } else if (a.key == "seed" || a.key == "threads" || a.key == "shards") {
+    } else if (a.key == "seed" || a.key == "threads") {
       std::int64_t v = 0;
-      if (!parse_i64(a.atom, &v) || (a.key == "threads" && v < 0) ||
-          (a.key == "shards" && v < 1)) {
+      if (!parse_i64(a.atom, &v) || (a.key == "threads" && v < 0)) {
         if (error) {
-          *error = line_err(
-              a.line, "'" + a.key + "' wants a " +
-                          (a.key == "shards" ? "positive" : "non-negative") +
-                          " integer, got '" + a.atom + "'");
+          *error = line_err(a.line, "'" + a.key +
+                                        "' wants a non-negative integer, "
+                                        "got '" + a.atom + "'");
         }
         return false;
       }
-      Axis& ax = a.key == "seed" ? seed
-                 : a.key == "threads" ? threads
-                                      : shards;
-      const char* dotted = a.key == "seed"      ? "seed"
-                           : a.key == "threads" ? "executor_threads"
-                                                : "executor_shards";
+      Axis& ax = a.key == "seed" ? seed : threads;
+      const char* dotted = a.key == "seed" ? "seed" : "executor_threads";
       ax.points.push_back(
           {a.atom, {{std::string(dotted), a.atom, a.line}}});
     } else if (a.key == "mapping") {
@@ -157,13 +151,13 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
     } else {
       if (error) {
         *error = line_err(a.line, "unknown sweep axis '" + a.key +
-                                      "' (seed|threads|shards|mapping|"
+                                      "' (seed|threads|mapping|"
                                       "override)");
       }
       return false;
     }
   }
-  for (Axis* ax : {&over, &mapping, &threads, &shards, &seed}) {
+  for (Axis* ax : {&over, &mapping, &threads, &seed}) {
     if (!ax->points.empty()) axes->push_back(std::move(*ax));
   }
   return true;
@@ -341,22 +335,23 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
   }
 
   if (spec.golden) {
-    // One calibration row per distinct (threads, shards) the expansion
-    // exercises, in first-appearance order. The shards suffix only
-    // appears for sharded rows.
-    std::vector<std::pair<std::int32_t, std::int32_t>> seen;
+    // One calibration row per distinct thread count the expansion
+    // exercises, in first-appearance order. The counts are collected
+    // first: appending to spec.runs while iterating it would invalidate
+    // the iteration.
+    std::vector<std::int32_t> thread_counts;
     for (const CampaignRun& r : spec.runs) {
-      const auto key = std::make_pair(r.spec.options.executor_threads,
-                                      r.spec.options.executor_shards);
-      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-      seen.push_back(key);
+      const std::int32_t threads = r.spec.options.executor_threads;
+      if (std::find(thread_counts.begin(), thread_counts.end(), threads) ==
+          thread_counts.end()) {
+        thread_counts.push_back(threads);
+      }
+    }
+    for (const std::int32_t threads : thread_counts) {
       CampaignRun g;
       g.golden = true;
-      g.spec.options.executor_threads = key.first;
-      g.spec.options.executor_shards = key.second;
-      g.id = "golden[threads=" + std::to_string(key.first);
-      if (key.second > 1) g.id += ",shards=" + std::to_string(key.second);
-      g.id += "]";
+      g.spec.options.executor_threads = threads;
+      g.id = "golden[threads=" + std::to_string(threads) + "]";
       spec.runs.push_back(std::move(g));
     }
   }

@@ -12,14 +12,13 @@
 //     sweep [
 //       seed 1   seed 2     # each repeated atom is one point on its axis
 //       threads 0  threads 2
-//       shards 1  shards 2  # golden rows only; scenario runs stay in-process
 //       mapping HPROF
 //       override [ tag small  routers 80  rebalance.enabled 1 ]
 //     ]
 //   ]
 //
 // Expansion is the cross product over the non-empty axes, in the fixed
-// order override > mapping > threads > shards > seed (outer to inner), so
+// order override > mapping > threads > seed (outer to inner), so
 // the run list — ids, directories, roll-up rows — is identical no matter
 // where or with how many workers the campaign executes. Each run's id is
 // the joined "axis=value" labels ("base" when there are no axes).
@@ -30,8 +29,8 @@
 // parser, so a typo'd key or bad value fails with the campaign file's
 // line number. `tag` names the point in run ids (default o0, o1, ...).
 //
-// With `golden 1`, one calibration row per distinct (threads, shards)
-// combination in the expansion runs the pinned PDES ring workload
+// With `golden 1`, one calibration row per distinct thread count in the
+// expansion runs the pinned PDES ring workload
 // (pdes/golden_ring.hpp) instead of a scenario — putting the
 // engine-determinism golden checksum in every campaign roll-up.
 #pragma once
@@ -58,9 +57,8 @@ struct CampaignRun {
   std::vector<CampaignAxisValue> axis;
   ScenarioSpec spec;
   /// True for a PDES-ring calibration row: the runner executes the
-  /// golden workload under spec.options.{executor_threads,
-  /// executor_shards} and records its checksum instead of running the
-  /// scenario.
+  /// golden workload under spec.options.executor_threads and records
+  /// its checksum instead of running the scenario.
   bool golden = false;
 };
 

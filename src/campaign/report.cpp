@@ -20,7 +20,10 @@ std::string escape_json(const std::string& s) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + escape_json(s) + "\"";
+  std::string out = "\"";
+  out += escape_json(s);
+  out += '"';
+  return out;
 }
 
 struct Aggregate {

@@ -26,10 +26,6 @@ constexpr std::string_view kTimingExcludes[] = {
     "guard.",
     "pdes.sched.arena_slots",
     "pdes.sched.heap_peak",
-    "pdes.shard.control_wait_s",
-    "pdes.shard.control_waits",
-    "pdes.shard.ring_stalls",
-    "pdes.shard.ring_wait_s",
     "pdes.sync.channel_wait_s",
     "pdes.sync.epoch_wait_s",
     "pdes.sync.null_events",
@@ -158,8 +154,7 @@ RunRecord execute_run(const CampaignRun& run, const std::string& run_dir) {
   try {
     if (run.golden) {
       rec.checksum = golden_ring_checksum(run.spec.options.executor_threads,
-                                          &rec.events, &rec.windows,
-                                          run.spec.options.executor_shards);
+                                          &rec.events, &rec.windows);
       rec.has_checksum = true;
       rec.ok = true;
       registry.counter("pdes.events").inc(rec.events);

@@ -67,9 +67,7 @@ std::vector<std::uint8_t> Checkpoint::serialize() const {
   }
 
   // Header: magic, version, section count, payload length, payload checksum.
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + 4 + 4 + 8 + 8 + payload.size());
-  out.insert(out.end(), kMagic, kMagic + 8);
+  std::vector<std::uint8_t> out(kMagic, kMagic + 8);
   append_u32(out, kFormatVersion);
   append_u32(out, static_cast<std::uint32_t>(sections_.size()));
   append_u64(out, payload.size());

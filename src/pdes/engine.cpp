@@ -12,7 +12,7 @@
 
 namespace massf {
 
-thread_local Engine::HandlerCtx Engine::tls_ctx_;
+constinit thread_local Engine::HandlerCtx Engine::tls_ctx_;
 
 void LogicalProcess::save(ckpt::Writer&) const {}
 bool LogicalProcess::load(ckpt::Reader&) { return true; }

@@ -45,10 +45,6 @@ class Reader;
 class Writer;
 }  // namespace ckpt
 
-namespace shard {
-class ShardDriver;
-}  // namespace shard
-
 class Engine;
 
 /// Every hook the engine fires at a window boundary, installed as one
@@ -332,13 +328,6 @@ class Engine {
   bool restore_state(ckpt::Reader& reader);
 
  private:
-  /// The multi-process executor (src/shard) drives the same window
-  /// protocol as run()/run_threaded() over a subset of the LPs, splicing
-  /// remote arrivals into the outboxes so merge_lp_inbox assigns the
-  /// bit-identical sequence numbers. It reuses the private protocol steps
-  /// rather than duplicating them.
-  friend class shard::ShardDriver;
-
   struct Lp {
     std::unique_ptr<LogicalProcess> process;
     EventSched queue;
@@ -475,7 +464,12 @@ class Engine {
     SimTime now = 0;
     LpId lp = kInvalidLp;
   };
-  static thread_local HandlerCtx tls_ctx_;
+  // constinit tells every translation unit that the context needs no
+  // dynamic initialization, so inline readers (now(), current_lp()) reach
+  // it directly instead of testing for a TLS init function first. That
+  // test's flags were reused by GCC 12's UBSan null check on the second
+  // read in one function, which then reported a null HandlerCtx.
+  static constinit thread_local HandlerCtx tls_ctx_;
 };
 
 }  // namespace massf

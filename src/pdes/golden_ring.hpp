@@ -6,7 +6,7 @@
 // the LP checksums in id order, so any change to execution order, event
 // count, or LP assignment moves it. At the default shape (32 LPs, chain 64,
 // 2000 hops) under golden_ring_options() the trace is pinned: sequential,
-// threaded, checkpoint-restored, and sharded runs must all reproduce
+// threaded, and checkpoint-restored runs must all reproduce
 // kGoldenRingChecksum, kGoldenRingEvents, and kGoldenRingWindows. The same
 // values appear in BENCH_pdes.json and in every campaign golden row;
 // regenerate them only through tests/regen_golden.sh.
@@ -33,8 +33,7 @@ EngineOptions golden_ring_options();
 struct GoldenRing {
   std::unique_ptr<Engine> engine;
   /// Checksum of LP `i`'s handled events. It reads LP state the engine
-  /// owns, so it stays valid wherever the engine is moved (for example
-  /// into a shard::ShardWorkload).
+  /// owns, so it stays valid wherever the engine is moved.
   std::function<std::uint64_t(LpId)> lp_checksum;
 
   /// The ring checksum: the LP checksums folded in id order.

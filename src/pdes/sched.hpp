@@ -184,18 +184,6 @@ class Outbox {
     return nullptr;
   }
 
-  /// Destinations with at least one buffered send, sorted by LP id. The
-  /// sharded executor walks this to frame per-(src,dst) ring batches in
-  /// the same deterministic order the barrier merge drains them.
-  std::vector<LpId> dsts() const {
-    std::vector<LpId> out;
-    for (const Bucket& b : buckets_) {
-      if (!b.events.empty()) out.push_back(b.dst);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
   /// Buffered events this window (all destinations).
   std::size_t total() const { return total_; }
 

@@ -13,7 +13,6 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/warn.hpp"
 
 namespace massf {
 
@@ -318,16 +317,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   // liveness telemetry for the duration of the run and applies the stall
   // policy — under kCancel a wedged run comes back with
   // last_run_cancelled() set instead of hanging the process.
-  if (opts_.executor_shards > 1) {
-    warn(ErrorCategory::kConfig,
-         "executor_shards=" + std::to_string(opts_.executor_shards) +
-             " requested, but scenario runs execute single-process for now: "
-             "this is the ROADMAP.md \"Multi-process sharded execution\" "
-             "follow-up (wiring NetSim-backed scenarios through "
-             "shard::run_sharded needs the workload-rebuild closure over "
-             "full scenario construction) — running unsharded; see also "
-             "README \"Sharded runs\"");
-  }
   {
     guard::Watchdog watchdog(engine, opts_.guard, opts_.registry);
     watchdog.arm();

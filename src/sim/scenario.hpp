@@ -81,12 +81,6 @@ struct ScenarioOptions {
   /// 0 = sequential reference executor; > 0 = threaded executor with that
   /// many workers (identical simulation results, different wall clock).
   std::int32_t executor_threads = 0;
-  /// Multi-process executor width (DESIGN.md section 5j). Scenario runs
-  /// accept the knob for campaign sweeps but execute single-process for
-  /// now (sharding a NetSim workload needs a deterministic workload
-  /// builder — tracked in ROADMAP.md); > 1 warns (config category) and
-  /// falls back. The sharded golden/bench paths use it for real.
-  std::int32_t executor_shards = 1;
   SimTime end_time = seconds(10);
   SimTime profile_end_time = seconds(3);
   /// Virtual-time bin for per-engine load traces (0 = off).

@@ -31,7 +31,6 @@ constexpr ScenarioSchemaKey kSchema[] = {
     {"", "think_time_s", nullptr},
     {"", "file_mean_bytes", nullptr},
     {"", "executor_threads", nullptr},
-    {"", "executor_shards", nullptr},
     {"", "load_bin_s", nullptr},
     {"", "seed", nullptr},
     {"", "link_model", "link-model"},
@@ -419,8 +418,6 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
   e.add_atom("file_mean_bytes", o.http.file_mean_bytes);
   e.add_atom("executor_threads",
              static_cast<std::int64_t>(o.executor_threads));
-  e.add_atom("executor_shards",
-             static_cast<std::int64_t>(o.executor_shards));
   e.add_atom("load_bin_s", to_seconds(o.load_bin));
   e.add_atom("seed", static_cast<std::int64_t>(o.seed));
   e.add_atom("link_model",
@@ -584,15 +581,6 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
     } else if (a.key == "executor_threads") {
       if (!atom_int(a, &i, error)) return std::nullopt;
       o.executor_threads = static_cast<std::int32_t>(i);
-    } else if (a.key == "executor_shards") {
-      if (!atom_int(a, &i, error) || i < 1) {
-        if (error && i < 1) {
-          *error = line_err(a.line, "'executor_shards' wants an integer "
-                                    ">= 1, got '" + a.atom + "'");
-        }
-        return std::nullopt;
-      }
-      o.executor_shards = static_cast<std::int32_t>(i);
     } else if (a.key == "sync") {
       if (error) *error = line_err(a.line, kSyncRemoved);
       return std::nullopt;

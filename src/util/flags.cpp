@@ -8,53 +8,6 @@
 #include "util/error.hpp"
 
 namespace massf {
-
-Flags::Flags(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (!arg.starts_with("--")) {
-      std::fprintf(stderr, "unexpected positional argument: %s\n", argv[i]);
-      std::exit(2);
-    }
-    arg.remove_prefix(2);
-    const auto eq = arg.find('=');
-    if (eq != std::string_view::npos) {
-      values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      values_[std::string(arg)] = argv[++i];
-    } else {
-      values_[std::string(arg)] = "true";
-    }
-  }
-}
-
-bool Flags::has(const std::string& name) const {
-  return values_.count(name) > 0;
-}
-
-std::string Flags::get_string(const std::string& name,
-                              const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
-}
-
-std::int64_t Flags::get_int(const std::string& name,
-                            std::int64_t default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Flags::get_double(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::strtod(it->second.c_str(), nullptr);
-}
-
-bool Flags::get_bool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
 namespace {
 
 const char* type_name(FlagSpec::Type t) {

@@ -1,13 +1,10 @@
 // Command-line flag parsing for the example and bench binaries.
 //
-// Two layers:
-//  * Flags — the legacy ad-hoc parser (--name=value lookups with inline
-//    defaults). Still used by the small example binaries.
-//  * FlagTable — a declarative flag table: each flag is registered once
-//    with its name, type, default, help text, and optional validator, and
-//    the table generates the parser and the --help screen from that single
-//    declaration. Errors carry the argv position in the fault parser's
-//    "line N: what" idiom ("arg N (--flag=value): what") and exit 2.
+// FlagTable is a declarative flag table: each flag is registered once with
+// its name, type, default, help text, and optional validator, and the
+// table generates the parser and the --help screen from that single
+// declaration. Errors carry the argv position in the fault parser's
+// "line N: what" idiom ("arg N (--flag=value): what") and exit 2.
 #pragma once
 
 #include <cstdint>
@@ -17,24 +14,6 @@
 #include <vector>
 
 namespace massf {
-
-class Flags {
- public:
-  /// Parses argv; aborts with a usage message on malformed input.
-  Flags(int argc, const char* const* argv);
-
-  bool has(const std::string& name) const;
-
-  std::string get_string(const std::string& name,
-                         const std::string& default_value) const;
-  std::int64_t get_int(const std::string& name,
-                       std::int64_t default_value) const;
-  double get_double(const std::string& name, double default_value) const;
-  bool get_bool(const std::string& name, bool default_value) const;
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// One declared flag: everything the generated parser and --help screen
 /// need, in one row of the table.

@@ -1,7 +1,6 @@
 // Recoverable configuration/environment complaints, surfaced instead of
-// silently papered over (ISSUE: run_threaded used to fall back without a
-// trace when hardware_concurrency() == 0; shard worker counts are clamped
-// to the LP count the same way).
+// silently papered over (run_threaded used to fall back without a trace
+// when hardware_concurrency() == 0).
 //
 // A warning is an EngineError that did not need to be fatal: same
 // category vocabulary (util/error.hpp), but the run continues under the

@@ -52,7 +52,11 @@ TEST(Campaign, ErrorMatrix) {
        "line 2: unknown key 'turbo' in Campaign (prefix with x_ to ignore)"},
       {"Campaign [\n" + std::string(kTinyBase) +
            "  sweep [\n    flavor mild\n  ]\n]",
-       "line 13: unknown sweep axis 'flavor' (seed|threads|shards|mapping|"
+       "line 13: unknown sweep axis 'flavor' (seed|threads|mapping|"
+       "override)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    shards 2\n  ]\n]",
+       "line 13: unknown sweep axis 'shards' (seed|threads|mapping|"
        "override)"},
       {"Campaign [\n" + std::string(kTinyBase) +
            "  sweep [\n    seed 1\n    sync barrier\n  ]\n]",
@@ -151,41 +155,40 @@ TEST(Campaign, OverrideAxisMergesAndTags) {
   EXPECT_EQ(spec->runs[1].spec.options.seed, 7u);
 }
 
-// Golden rows: one per distinct (threads, shards) in the expansion,
-// appended after all scenario rows.
-TEST(Campaign, GoldenRowsPerThreadsShardsCombination) {
+// Golden rows: one per distinct thread count in the expansion, appended
+// after all scenario rows.
+TEST(Campaign, GoldenRowsPerDistinctThreadCount) {
   std::string error;
   const auto spec = parse_campaign(
       "Campaign [\n  golden 1\n" + std::string(kTinyBase) +
           "  sweep [\n"
           "    threads 0\n    threads 2\n"
-          "    shards 1\n    shards 2\n"
           "    seed 1\n    seed 2\n"
           "  ]\n]",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  // 2 threads x 2 shards x 2 seeds scenario rows + 4 golden rows.
-  ASSERT_EQ(spec->runs.size(), 12u);
+  // 2 threads x 2 seeds scenario rows + 2 golden rows.
+  ASSERT_EQ(spec->runs.size(), 6u);
   std::vector<std::string> golden_ids;
   for (const auto& run : spec->runs) {
     if (run.golden) golden_ids.push_back(run.id);
   }
-  EXPECT_EQ(golden_ids,
-            (std::vector<std::string>{"golden[threads=0]",
-                                      "golden[threads=0,shards=2]",
-                                      "golden[threads=2]",
-                                      "golden[threads=2,shards=2]"}));
+  EXPECT_EQ(golden_ids, (std::vector<std::string>{"golden[threads=0]",
+                                                  "golden[threads=2]"}));
+  EXPECT_EQ(spec->runs[5].spec.options.executor_threads, 2);
   // All golden rows trail the scenario rows.
-  EXPECT_FALSE(spec->runs[7].golden);
-  EXPECT_TRUE(spec->runs[8].golden);
+  EXPECT_FALSE(spec->runs[3].golden);
+  EXPECT_TRUE(spec->runs[4].golden);
 }
 
 // ---- run directories + wire format -----------------------------------------
 
 TEST(Campaign, RunDirNameIsShellSafe) {
   CampaignRun run;
-  run.id = "golden[threads=0,shards=2]";
-  EXPECT_EQ(run_dir_name(7, run), "007-golden_threads_0_shards_2_");
+  run.id = "threads=0,seed=2";
+  EXPECT_EQ(run_dir_name(7, run), "007-threads_0_seed_2");
+  run.id = "golden[threads=2]";
+  EXPECT_EQ(run_dir_name(8, run), "008-golden_threads_2_");
 }
 
 TEST(Campaign, RunRecordKvRoundTrip) {

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "dml/dml.hpp"
-#include "dml/network_dml.hpp"
-#include "topology/brite.hpp"
-#include "topology/mabrite.hpp"
 
 namespace massf {
 namespace {
@@ -124,109 +121,6 @@ TEST(Dml, MixedAtomAndChildSameKey) {
   EXPECT_EQ(root->require_int("x"), 5);
   ASSERT_NE(root->find("x"), nullptr);
   EXPECT_EQ(root->find("x")->require_int("y"), 6);
-}
-
-// ---- network round trips -------------------------------------------------
-
-void expect_networks_equal(const Network& a, const Network& b) {
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  ASSERT_EQ(a.num_routers, b.num_routers);
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].kind, b.nodes[i].kind);
-    EXPECT_EQ(a.nodes[i].as_id, b.nodes[i].as_id);
-    EXPECT_EQ(a.nodes[i].attach_router, b.nodes[i].attach_router);
-    EXPECT_DOUBLE_EQ(a.nodes[i].x, b.nodes[i].x);
-  }
-  ASSERT_EQ(a.links.size(), b.links.size());
-  for (std::size_t i = 0; i < a.links.size(); ++i) {
-    EXPECT_EQ(a.links[i].a, b.links[i].a);
-    EXPECT_EQ(a.links[i].b, b.links[i].b);
-    EXPECT_EQ(a.links[i].latency, b.links[i].latency);
-    EXPECT_DOUBLE_EQ(a.links[i].bandwidth_bps, b.links[i].bandwidth_bps);
-    EXPECT_EQ(a.links[i].inter_as, b.links[i].inter_as);
-  }
-  ASSERT_EQ(a.as_info.size(), b.as_info.size());
-  for (std::size_t i = 0; i < a.as_info.size(); ++i) {
-    EXPECT_EQ(a.as_info[i].cls, b.as_info[i].cls);
-    EXPECT_EQ(a.as_info[i].first_router, b.as_info[i].first_router);
-    EXPECT_EQ(a.as_info[i].num_routers, b.as_info[i].num_routers);
-  }
-  ASSERT_EQ(a.as_adjacency.size(), b.as_adjacency.size());
-  for (std::size_t i = 0; i < a.as_adjacency.size(); ++i) {
-    EXPECT_EQ(a.as_adjacency[i].as_a, b.as_adjacency[i].as_a);
-    EXPECT_EQ(a.as_adjacency[i].as_b, b.as_adjacency[i].as_b);
-    EXPECT_EQ(a.as_adjacency[i].rel_ab, b.as_adjacency[i].rel_ab);
-    EXPECT_EQ(a.as_adjacency[i].link, b.as_adjacency[i].link);
-  }
-}
-
-TEST(NetworkDml, FlatRoundTrip) {
-  BriteOptions o;
-  o.num_routers = 120;
-  o.num_hosts = 40;
-  o.seed = 8;
-  const Network net = generate_flat(o);
-  const std::string text = network_to_dml_text(net);
-  std::string error;
-  const auto back = network_from_dml_text(text, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  expect_networks_equal(net, *back);
-  EXPECT_EQ(back->validate(), "");
-}
-
-TEST(NetworkDml, MultiAsRoundTrip) {
-  MaBriteOptions o;
-  o.num_as = 8;
-  o.routers_per_as = 10;
-  o.num_hosts = 30;
-  o.seed = 8;
-  const Network net = generate_multi_as(o);
-  const std::string text = network_to_dml_text(net);
-  std::string error;
-  const auto back = network_from_dml_text(text, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  expect_networks_equal(net, *back);
-  EXPECT_EQ(back->validate(), "");
-}
-
-TEST(NetworkDml, RejectsMissingNetBlock) {
-  std::string error;
-  EXPECT_FALSE(network_from_dml_text("foo [ bar 1 ]", &error).has_value());
-  EXPECT_NE(error.find("Net"), std::string::npos);
-}
-
-TEST(NetworkDml, RejectsInvalidNetwork) {
-  // A host attached to a non-existent router fails validation.
-  std::string error;
-  const auto net = network_from_dml_text(R"(
-    Net [
-      router [ id 0 ]
-      host [ id 1 attach 5 ]
-      link [ a 0 b 1 latency_ns 1000 bandwidth_bps 1e8 ]
-    ]
-  )", &error);
-  EXPECT_FALSE(net.has_value());
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(NetworkDml, HandWrittenMinimalNetwork) {
-  std::string error;
-  const auto net = network_from_dml_text(R"(
-    # Two routers, one host each side.
-    Net [
-      router [ id 0 x 0 y 0 ]
-      router [ id 1 x 100 y 0 ]
-      host [ id 2 attach 0 ]
-      host [ id 3 attach 1 ]
-      link [ a 0 b 1 latency_ns 1000000 bandwidth_bps 1e9 ]
-      link [ a 0 b 2 latency_ns 10000 bandwidth_bps 1e8 ]
-      link [ a 1 b 3 latency_ns 10000 bandwidth_bps 1e8 ]
-    ]
-  )", &error);
-  ASSERT_TRUE(net.has_value()) << error;
-  EXPECT_EQ(net->num_routers, 2);
-  EXPECT_EQ(net->num_hosts(), 2);
-  EXPECT_EQ(net->min_link_latency(), microseconds(10));
 }
 
 }  // namespace

@@ -46,7 +46,9 @@ TEST_P(PdesGoldenTraceThreaded, MatchesPinnedChecksum) {
 INSTANTIATE_TEST_SUITE_P(Threads, PdesGoldenTraceThreaded,
                          ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -1,18 +1,23 @@
 // The scenario corpus: every file under scenarios/ must parse, round-trip
-// through the canonical serializer, and actually run (at a shrunken
-// scale). New scenario files are picked up automatically — drop a .dml in
-// scenarios/ and it is under test; campaign files under
-// scenarios/campaigns/ are parsed and expanded the same way.
+// through the canonical serializer, actually run (at a shrunken scale),
+// and run bit-identically on the sequential and threaded executors. New
+// scenario files are picked up automatically — drop a .dml in scenarios/
+// and it is under test; campaign files under scenarios/campaigns/ are
+// parsed and expanded the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/runner.hpp"
 #include "dml/dml.hpp"
+#include "fault/injector.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scenario_config.hpp"
 
 #ifndef MASSF_SCENARIO_DIR
@@ -35,10 +40,16 @@ std::vector<std::string> discover(const std::string& dir) {
   return files;
 }
 
-// Scales a corpus scenario down to smoke-test size: same shape (app kind,
-// executor, rebalance/ckpt/guard/fault wiring all preserved), a few
-// hundred milliseconds of virtual time.
-ScenarioSpec shrink(ScenarioSpec spec, const std::string& tmp) {
+std::string stem_of(const std::string& path) {
+  return fs::path(path).stem().string();
+}
+
+// Scales a corpus scenario down to test size: same shape (app kind,
+// executor, rebalance/ckpt/guard/fault wiring all preserved), `end_time`
+// of virtual time. Checkpoint and guard-dump files go to `scratch` plus a
+// suffix, so cases running in parallel processes never share a file.
+ScenarioSpec shrink(ScenarioSpec spec, const std::string& scratch,
+                    SimTime end_time) {
   spec.options.num_routers = 60;
   spec.options.num_hosts = 40;
   spec.options.num_as = std::min(spec.options.num_as, 4);
@@ -49,28 +60,35 @@ ScenarioSpec shrink(ScenarioSpec spec, const std::string& tmp) {
   // on >= 9; 12 keeps every app kind happy while staying tiny.
   spec.options.num_app_hosts = std::min(spec.options.num_app_hosts, 12);
   spec.options.num_engines = 4;
-  spec.options.end_time = from_seconds(0.4);
+  spec.options.end_time = end_time;
   spec.options.profile_end_time = from_seconds(0.2);
   spec.options.executor_threads =
       std::min(spec.options.executor_threads, std::int32_t{2});
   if (!spec.options.ckpt.path.empty()) {
-    spec.options.ckpt.path = tmp + "/corpus-smoke.ckpt";
+    spec.options.ckpt.path = scratch + ".ckpt";
     spec.options.ckpt.every_windows =
         std::min<std::uint64_t>(spec.options.ckpt.every_windows, 5);
   }
   spec.options.ckpt.restore_path.clear();
   if (!spec.options.guard.dump_path.empty()) {
-    spec.options.guard.dump_path = tmp + "/corpus-guard.json";
+    spec.options.guard.dump_path = scratch + "-guard.json";
   }
-  if (spec.mappings.size() > 1) spec.mappings.resize(1);
+  if (spec.mappings.size() > 1) {
+    spec.mappings.erase(spec.mappings.begin() + 1, spec.mappings.end());
+  }
   return spec;
 }
 
-TEST(ScenarioCorpus, HasAtLeastSixScenarios) {
+// One fixture for the whole suite: the executor check below is
+// value-parameterized, and gtest requires every test of a suite to share
+// one fixture class.
+class ScenarioCorpus : public ::testing::TestWithParam<std::string> {};
+
+TEST_F(ScenarioCorpus, HasAtLeastSixScenarios) {
   EXPECT_GE(discover(MASSF_SCENARIO_DIR).size(), 6u);
 }
 
-TEST(ScenarioCorpus, EveryScenarioParsesAndRoundTrips) {
+TEST_F(ScenarioCorpus, EveryScenarioParsesAndRoundTrips) {
   for (const std::string& path : discover(MASSF_SCENARIO_DIR)) {
     std::string error;
     const auto spec = load_scenario_file(path, &error);
@@ -87,16 +105,16 @@ TEST(ScenarioCorpus, EveryScenarioParsesAndRoundTrips) {
   }
 }
 
-TEST(ScenarioCorpus, EveryScenarioSmokeRuns) {
-  const std::string tmp = ::testing::TempDir();
+TEST_F(ScenarioCorpus, EveryScenarioSmokeRuns) {
   for (const std::string& path : discover(MASSF_SCENARIO_DIR)) {
     std::string error;
     const auto spec = load_scenario_file(path, &error);
     ASSERT_TRUE(spec.has_value()) << path << ": " << error;
 
     CampaignRun run;
-    run.id = fs::path(path).stem().string();
-    run.spec = shrink(*spec, tmp);
+    run.id = stem_of(path);
+    run.spec = shrink(*spec, ::testing::TempDir() + "corpus-smoke-" + run.id,
+                      from_seconds(0.4));
     const RunRecord rec = execute_run(run, "");
     EXPECT_TRUE(rec.ok) << path << ": " << rec.error;
     EXPECT_GT(rec.windows, 0u) << path;
@@ -105,7 +123,7 @@ TEST(ScenarioCorpus, EveryScenarioSmokeRuns) {
 
 // The paper's full-scale dimensions (Section 4) are configured in one
 // file; a campaign over it runs the evaluation at the paper's scale.
-TEST(ScenarioCorpus, PaperFullHasThePaperDimensions) {
+TEST_F(ScenarioCorpus, PaperFullHasThePaperDimensions) {
   std::string error;
   const auto spec = load_scenario_file(
       std::string(MASSF_SCENARIO_DIR) + "/paper-full.dml", &error);
@@ -116,7 +134,7 @@ TEST(ScenarioCorpus, PaperFullHasThePaperDimensions) {
   EXPECT_EQ(spec->options.num_engines, 90);
 }
 
-TEST(ScenarioCorpus, EveryCampaignParsesAndExpands) {
+TEST_F(ScenarioCorpus, EveryCampaignParsesAndExpands) {
   const std::string dir = std::string(MASSF_SCENARIO_DIR) + "/campaigns";
   ASSERT_TRUE(fs::is_directory(dir));
   const auto files = discover(dir);
@@ -135,6 +153,81 @@ TEST(ScenarioCorpus, EveryCampaignParsesAndExpands) {
         << path;
   }
 }
+
+// What one executor run of a corpus scenario computed.
+struct ExecutorRun {
+  RunStats stats;
+  double modeled_time_s = 0;
+  std::uint64_t faults_injected = 0;
+  /// The canonical metrics export, minus pdes.sched.threads (the worker
+  /// count itself).
+  std::string metrics;
+};
+
+ExecutorRun run_with_threads(ScenarioSpec spec, std::int32_t threads) {
+  obs::Registry registry;
+  spec.options.executor_threads = threads;
+  spec.options.registry = &registry;
+  Scenario scenario(spec.options);
+  const std::unique_ptr<FaultInjector> injector =
+      attach_faults(scenario, spec);
+  const MappingRun m =
+      run_mapping(scenario, spec, spec.mappings.front(), &registry);
+  EXPECT_TRUE(m.result.has_value()) << m.guard.last_error;
+  if (!m.result) return {};
+
+  std::vector<std::string_view> excludes(timing_metric_excludes().begin(),
+                                         timing_metric_excludes().end());
+  excludes.push_back("pdes.sched.threads");
+  ExecutorRun out;
+  out.stats = m.result->stats;
+  out.modeled_time_s = m.result->metrics.simulation_time_s;
+  out.faults_injected =
+      injector != nullptr ? injector->faults_injected() : 0;
+  out.metrics = obs::to_json_excluding(registry, excludes);
+  return out;
+}
+
+// The determinism contract on the network simulation itself, not just the
+// golden ring: every corpus scenario, run for up to 3 s of virtual time
+// (long enough for chaos's faults to fire and hybrid-fidelity's fluid
+// flows to complete), computes the same trace and the same metrics
+// sequentially and on 2 and 4 threaded workers.
+TEST_P(ScenarioCorpus, SequentialEqualsThreaded) {
+  const std::string& path = GetParam();
+  std::string error;
+  const auto loaded = load_scenario_file(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << path << ": " << error;
+  const ScenarioSpec spec = shrink(
+      *loaded, ::testing::TempDir() + "corpus-executors-" + stem_of(path),
+      std::min(loaded->options.end_time, seconds(3)));
+
+  const ExecutorRun seq = run_with_threads(spec, 0);
+  EXPECT_GT(seq.stats.num_windows, 0u);
+  for (const std::int32_t threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const ExecutorRun thr = run_with_threads(spec, threads);
+    EXPECT_EQ(thr.stats.total_events, seq.stats.total_events);
+    EXPECT_EQ(thr.stats.num_windows, seq.stats.num_windows);
+    EXPECT_EQ(thr.stats.events_per_lp, seq.stats.events_per_lp);
+    EXPECT_EQ(thr.modeled_time_s, seq.modeled_time_s);
+    EXPECT_EQ(thr.faults_injected, seq.faults_injected);
+    EXPECT_EQ(thr.metrics, seq.metrics);
+  }
+}
+
+// gtest parameter names allow only [A-Za-z0-9_].
+std::string case_name(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = stem_of(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+// No instantiation prefix: the cases are ScenarioCorpus.
+// SequentialEqualsThreaded/<scenario>, one ctest entry per corpus file.
+INSTANTIATE_TEST_SUITE_P(, ScenarioCorpus,
+                         ::testing::ValuesIn(discover(MASSF_SCENARIO_DIR)),
+                         case_name);
 
 }  // namespace
 }  // namespace massf

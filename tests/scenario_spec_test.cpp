@@ -35,6 +35,9 @@ TEST(ScenarioSpec, ErrorMatrix) {
       {"Experiment [\n  warp_drive 1\n]",
        "line 2: unknown key 'warp_drive' in Experiment (prefix with x_ to "
        "ignore)"},
+      {"Experiment [\n  executor_shards 2\n]",
+       "line 2: unknown key 'executor_shards' in Experiment (prefix with x_ "
+       "to ignore)"},
       {"Experiment [\n  routers 60\n  sync channel\n]",
        "line 3: 'sync' was removed: the threaded executor always uses "
        "channel clocks"},

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -232,16 +233,39 @@ TEST(TimeSeries, FormatContainsLabel) {
   EXPECT_NE(out.find("2"), std::string::npos);
 }
 
-TEST(Flags, ParsesForms) {
-  const char* argv[] = {"prog", "--alpha=3", "--beta", "hello", "--gamma"};
-  Flags f(5, argv);
-  EXPECT_EQ(f.get_int("alpha", 0), 3);
-  EXPECT_EQ(f.get_string("beta", ""), "hello");
-  EXPECT_TRUE(f.get_bool("gamma", false));
-  EXPECT_EQ(f.get_int("missing", 7), 7);
-  EXPECT_DOUBLE_EQ(f.get_double("alpha", 0), 3.0);
-  EXPECT_TRUE(f.has("alpha"));
-  EXPECT_FALSE(f.has("missing"));
+TEST(FlagTable, ParsesForms) {
+  const auto table = [] {
+    FlagTable t("prog", "");
+    t.add_int("alpha", 0, "");
+    t.add_string("beta", "", "");
+    t.add_bool("gamma", false, "");
+    t.add_double("delta", 0.5, "");
+    t.add_int("missing", 7, "");
+    return t;
+  };
+  std::string error;
+
+  FlagTable f = table();
+  const char* argv[] = {"prog",  "--alpha=3", "--beta",
+                        "hello", "--gamma",   "--delta=2.5"};
+  ASSERT_TRUE(f.parse(6, argv, &error)) << error;
+  EXPECT_EQ(f.get_int("alpha"), 3);
+  EXPECT_EQ(f.get_string("beta"), "hello");
+  EXPECT_TRUE(f.get_bool("gamma"));
+  EXPECT_DOUBLE_EQ(f.get_double("delta"), 2.5);
+  EXPECT_EQ(f.get_int("missing"), 7);
+  EXPECT_TRUE(f.set("alpha"));
+  EXPECT_FALSE(f.set("missing"));
+
+  FlagTable unknown = table();
+  const char* typo[] = {"prog", "--alpha=3", "--alhpa=4"};
+  EXPECT_FALSE(unknown.parse(3, typo, &error));
+  EXPECT_EQ(error, "arg 2 (--alhpa=4): unknown flag (see --help)");
+
+  FlagTable malformed = table();
+  const char* bad[] = {"prog", "--alpha", "3x"};
+  EXPECT_FALSE(malformed.parse(3, bad, &error));
+  EXPECT_EQ(error, "arg 1 (--alpha=3x): expects an integer");
 }
 
 }  // namespace

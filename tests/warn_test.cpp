@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "pdes/engine.hpp"
 #include "util/warn.hpp"
@@ -22,7 +23,9 @@ TEST(WarningLog, KeepsEntriesAndCountsOverflow) {
   auto& log = WarningLog::instance();
   log.clear();
   for (std::size_t i = 0; i < WarningLog::kMaxKept + 10; ++i) {
-    warn(ErrorCategory::kTopology, "w" + std::to_string(i));
+    std::string message = "w";
+    message += std::to_string(i);
+    warn(ErrorCategory::kTopology, message);
   }
   EXPECT_EQ(log.count(), WarningLog::kMaxKept + 10);
   const auto kept = log.snapshot();
