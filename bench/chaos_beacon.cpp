@@ -20,12 +20,11 @@
 // must STILL be bit-identical to the sequential reference.
 //
 //   chaos_beacon [--smoke] [--guard] [--inject-stall]
-//                [--guard-deadline S] [--guard-dump PATH]
+//                [--guard-deadline=S] [--guard-dump=PATH]
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +39,7 @@
 #include "topology/mabrite.hpp"
 #include "traffic/http.hpp"
 #include "traffic/manager.hpp"
+#include "util/flags.hpp"
 
 namespace massf {
 namespace {
@@ -217,36 +217,35 @@ bool same_stats(const RunStats& a, const RunStats& b) {
 
 int main(int argc, char** argv) {
   using namespace massf;
+  FlagTable flags("chaos_beacon",
+                  "BGP beacon under scripted faults; checks that the "
+                  "sequential and threaded executors agree bit for bit.");
+  flags.add_bool("smoke", false, "reduced scale (the tier-1 ctest entry)");
+  flags.add_bool("guard", false,
+                 "run the threaded leg under the watchdog and the "
+                 "GuardedRun recovery ladder");
+  flags.add_bool("inject-stall", false,
+                 "freeze one LP's channel clock mid-run (requires --guard)");
+  flags.add_double("guard-deadline", 5.0,
+                   "seconds without progress before the watchdog fires",
+                   [](double v) { return v > 0 ? "" : "must be > 0"; });
+  flags.add_string("guard-dump", "guard_stall.json",
+                   "stall diagnostic JSON file");
+  flags.parse_or_exit(argc, argv);
+
   Scale scale;
-  bool guard_mode = false;
-  bool inject_stall = false;
-  double guard_deadline_s = 5.0;
-  std::string guard_dump = "guard_stall.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      scale.num_as = 6;
-      scale.routers_per_as = 4;
-      scale.num_hosts = 24;
-      scale.lps = 2;
-      scale.threads = 2;
-      scale.end = seconds(30);
-    } else if (std::strcmp(argv[i], "--guard") == 0) {
-      guard_mode = true;
-    } else if (std::strcmp(argv[i], "--inject-stall") == 0) {
-      inject_stall = true;
-    } else if (std::strcmp(argv[i], "--guard-deadline") == 0 &&
-               i + 1 < argc) {
-      guard_deadline_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--guard-dump") == 0 && i + 1 < argc) {
-      guard_dump = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--guard] [--inject-stall] "
-                   "[--guard-deadline S] [--guard-dump PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (flags.get_bool("smoke")) {
+    scale.num_as = 6;
+    scale.routers_per_as = 4;
+    scale.num_hosts = 24;
+    scale.lps = 2;
+    scale.threads = 2;
+    scale.end = seconds(30);
   }
+  const bool guard_mode = flags.get_bool("guard");
+  const bool inject_stall = flags.get_bool("inject-stall");
+  const double guard_deadline_s = flags.get_double("guard-deadline");
+  const std::string guard_dump = flags.get_string("guard-dump");
   if (inject_stall && !guard_mode) {
     std::fprintf(stderr, "--inject-stall requires --guard\n");
     return 2;

@@ -4,12 +4,11 @@
 //   ./massf_campaign --campaign=nightly.dml --out=out/ [--workers=4]
 //   ./massf_campaign --campaign=nightly.dml --dry-run     # just the list
 //
-// Runs execute in worker subprocesses by default (each re-invokes this
-// binary with --worker-run=K, so one crashing run cannot take down the
-// campaign); --in-process switches to worker threads inside this
-// process. Either way — and at any worker count — the per-run metrics
-// and the roll-up are bit-identical apart from the "timing" section,
-// because every run is a pure function of its resolved spec.
+// Runs execute in worker subprocesses (each re-invokes this binary with
+// --worker-run=K, so one crashing run cannot take down the campaign). At
+// any worker count the per-run metrics and the roll-up are bit-identical
+// apart from the "timing" section, because every run is a pure function
+// of its resolved spec.
 //
 // Artifacts under --out:
 //   campaign.json            massf.campaign.v1 roll-up (report.hpp)
@@ -59,8 +58,6 @@ int main(int argc, char** argv) {
                 });
   flags.add_bool("dry-run", false,
                  "print the expanded run list and exit");
-  flags.add_bool("in-process", false,
-                 "execute runs on worker threads instead of subprocesses");
   flags.add_int("worker-run", -1,
                 "internal: execute one expanded run by index and exit");
   flags.parse_or_exit(argc, argv);
@@ -118,10 +115,8 @@ int main(int argc, char** argv) {
   eo.workers = flags.get_int("workers") > 0
                    ? static_cast<std::int32_t>(flags.get_int("workers"))
                    : spec->workers;
-  if (!flags.get_bool("in-process")) {
-    eo.self_exe = self_exe_path(argv[0]);
-    eo.campaign_path = campaign_path;
-  }
+  eo.self_exe = self_exe_path(argv[0]);
+  eo.campaign_path = campaign_path;
 
   const CampaignOutcome outcome = run_campaign(*spec, eo);
   obs::write_file(eo.out_dir + "/campaign.json",

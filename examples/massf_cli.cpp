@@ -1,38 +1,32 @@
 // The experiment driver: runs a complete load-balance study from a
 // declarative scenario file.
 //
-//   ./massf_cli --template            # print a scenario template and exit
-//   ./massf_cli --config=exp.dml [--mapping=HPROF,TOP2]
-//   ./massf_cli --help                # the full flag table
+//   ./massf_cli --config=exp.dml                  # run the file's study
+//   ./massf_cli --config=exp.dml --override='mapping HPROF rebalance.enabled 1'
+//   ./massf_cli --template                        # print a scenario template
 //
-// The scenario file (sim/scenario_config.hpp) describes the whole
-// experiment — topology scale, traffic mix, fault schedule, rebalance /
-// checkpoint / guard policy, mapping run list. Every run-control flag
-// below maps onto a scenario atom (the shared declaration lives in
-// add_run_control_flags); flags the user explicitly passes override the
-// file. Validation errors carry the argv position ("arg N
-// (--flag=value): what") and exit 2.
+// The scenario file (sim/scenario_config.hpp) is the whole experiment —
+// topology scale, traffic mix, fault schedule, rebalance / checkpoint /
+// guard policy, mapping run list — and the only place a run is
+// configured. --override changes it for one run: its value is the body of
+// a campaign `override [ ]` block, scalar atoms with dotted keys for
+// sub-blocks, merged over the file exactly as a campaign sweep merges
+// one. Repeating a key makes a list (`mapping TOP2 mapping HPROF`).
 //
 // Checkpoint/restore (format massf.ckpt.v1, DESIGN.md section 5e):
-//   --ckpt-every=N --ckpt-path=f.ckpt [--ckpt-stop]   # snapshot every N
-//   --restore=f.ckpt                                  # resume from snapshot
+//   --override='mapping HPROF ckpt.every 200 ckpt.path f.ckpt
+//               ckpt.stop_after 1'
+//   --override='mapping HPROF ckpt.restore f.ckpt'
 // Both require exactly one mapping: a checkpoint captures one run, and a
 // restored run must rebuild the identical stack before loading it.
 //
-// Fault injection: embed a faults [ ] block in the scenario, or pass
-// --faults=schedule.txt (the line-based format of fault/fault.hpp).
-//
-// Online rebalancing (DESIGN.md section 5f): --rebalance enables the LP
-// migration controller; --rebalance-threshold / --rebalance-every /
-// --rebalance-sustain / --rebalance-max-moves tune it.
-//
-// Supervised runs (DESIGN.md section 5h): --guard arms a liveness watchdog
-// over every measured run; on a no-progress deadline it dumps a stall
-// diagnostic (--guard-dump) and, under --guard-policy=recover, cancels the
-// run and retries down the degradation ladder — restoring the latest
-// checkpoint when --ckpt-every/--ckpt-path are armed.
+// Exit status: 0 on success, 1 when the scenario file, the override or a
+// run fails, 2 on usage errors (a missing --config, an unknown or repeated
+// flag).
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "campaign/runner.hpp"
 #include "fault/injector.hpp"
@@ -47,8 +41,11 @@ int main(int argc, char** argv) {
                   "Runs a load-balance study from a scenario file.");
   flags.add_bool("template", false,
                  "print a scenario file template and exit");
-  flags.add_string("config", "", "scenario DML file");
-  add_run_control_flags(flags);
+  flags.add_string("config", "", "scenario DML file (required)");
+  flags.add_string("override", "",
+                   "scenario atoms merged over the file, as in a campaign "
+                   "override [ ] block (e.g. 'mapping HPROF "
+                   "rebalance.enabled 1')");
   flags.parse_or_exit(argc, argv);
 
   if (flags.get_bool("template")) {
@@ -59,37 +56,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  ScenarioSpec spec;
-  if (flags.set("config")) {
-    std::string error;
-    const auto parsed = load_scenario_file(flags.get_string("config"), &error);
-    if (!parsed) {
-      std::fprintf(stderr, "%s: %s\n", flags.get_string("config").c_str(),
-                   error.c_str());
-      return 1;
-    }
-    spec = *parsed;
-  } else {
+  if (!flags.set("config")) {
     std::fprintf(stderr,
-                 "no --config given; using built-in defaults "
-                 "(print one with --template)\n");
-    spec.options.num_routers = 800;
-    spec.options.num_hosts = 400;
-    spec.options.num_clients = 120;
-    spec.options.num_servers = 30;
-    spec.options.num_engines = 12;
-    spec.options.end_time = seconds(5);
-    spec.options.app = AppKind::kScaLapack;
-    // The historical CLI default study: the four headline mappings.
-    spec.mappings = {MappingKind::kHProf, MappingKind::kProf2,
-                     MappingKind::kHTop, MappingKind::kTop2};
+                 "missing --config=<file> (print a template with "
+                 "--template)\n");
+    return 2;
   }
-
+  const std::string config = flags.get_string("config");
   std::string error;
-  if (!apply_run_control_flags(flags, &spec, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
+  std::optional<ScenarioSpec> loaded = load_scenario_file(config, &error);
+  if (!loaded) {
+    std::fprintf(stderr, "%s: %s\n", config.c_str(), error.c_str());
     return 1;
   }
+  if (flags.set("override")) {
+    // The file is valid on its own, so whatever fails now is the
+    // override's doing.
+    loaded = load_scenario_file(config, &error, flags.get_string("override"));
+    if (!loaded) {
+      std::fprintf(stderr, "--override: %s\n", error.c_str());
+      return 1;
+    }
+  }
+  ScenarioSpec& spec = *loaded;
 
   ScenarioOptions& opts = spec.options;
   if ((opts.ckpt.every_windows > 0 || !opts.ckpt.restore_path.empty()) &&

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 namespace massf {
@@ -33,59 +32,11 @@ std::string dirname_of(const std::string& path) {
   return slash == std::string::npos ? std::string() : path.substr(0, slash);
 }
 
-// DmlNode is move-only (unique_ptr children); expansion stamps each run's
-// overrides onto its own copy of the base tree.
-DmlNode clone_dml(const DmlNode& node) {
-  DmlNode out;
-  out.attributes.reserve(node.attributes.size());
-  for (const DmlAttribute& a : node.attributes) {
-    DmlAttribute copy;
-    copy.key = a.key;
-    copy.atom = a.atom;
-    copy.line = a.line;
-    if (a.child) {
-      copy.child = std::make_unique<DmlNode>(clone_dml(*a.child));
-    }
-    out.attributes.push_back(std::move(copy));
-  }
-  return out;
-}
-
-// Sets `dotted` (path segments separated by '.') to `value` in the
-// Experiment tree: existing attributes under the leaf key are replaced
-// (all of them — `mapping` repeats), missing sub-blocks are created. The
-// campaign-file line rides along so the strict scenario parser reports
-// bad values against the campaign file.
-void merge_atom(DmlNode* node, const std::string& dotted,
-                const std::string& value, int line) {
-  const auto dot = dotted.find('.');
-  if (dot == std::string::npos) {
-    std::erase_if(node->attributes, [&](const DmlAttribute& a) {
-      return a.key == dotted;
-    });
-    DmlAttribute a;
-    a.key = dotted;
-    a.atom = value;
-    a.line = line;
-    node->attributes.push_back(std::move(a));
-    return;
-  }
-  const std::string head = dotted.substr(0, dot);
-  const std::string rest = dotted.substr(dot + 1);
-  for (DmlAttribute& a : node->attributes) {
-    if (a.key == head && a.child) {
-      merge_atom(a.child.get(), rest, value, line);
-      return;
-    }
-  }
-  merge_atom(&node->add_child(head), rest, value, line);
-}
-
-/// One sweep axis: a name plus its points; each point is a list of
-/// (dotted key, value, line) assignments and a label for the run id.
+/// One sweep axis: a name plus its points; each point is an override body
+/// (merge_override) and a label for the run id.
 struct AxisPoint {
   std::string label;
-  std::vector<std::tuple<std::string, std::string, int>> assignments;
+  DmlNode assignments;
 };
 struct Axis {
   std::string name;
@@ -102,6 +53,14 @@ bool unknown_key(const DmlAttribute& a, const char* where,
   return false;
 }
 
+// A one-atom axis point: `key` set to the sweep atom's value, at its line.
+AxisPoint scalar_point(const DmlAttribute& a, const char* key) {
+  AxisPoint p{a.atom, {}};
+  p.assignments.add_atom(key, a.atom);
+  p.assignments.attributes.back().line = a.line;
+  return p;
+}
+
 bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
                  std::string* error) {
   Axis over{"override", {}}, mapping{"mapping", {}}, threads{"threads", {}},
@@ -109,22 +68,14 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
   for (const DmlAttribute& a : node.attributes) {
     if (ignored_key(a.key)) continue;
     if (a.key == "override" && a.child) {
-      AxisPoint p;
-      for (const DmlAttribute& o : a.child->attributes) {
-        if (ignored_key(o.key)) continue;
-        if (o.child) {
-          if (error) {
-            *error = line_err(o.line, "override entries must be scalar "
-                                      "(use dotted keys for sub-blocks)");
-          }
-          return false;
-        }
-        if (o.key == "tag") {
-          p.label = o.atom;
-        } else {
-          p.assignments.emplace_back(o.key, o.atom, o.line);
-        }
+      AxisPoint p{"", clone_dml(*a.child)};
+      const auto is_tag = [](const DmlAttribute& o) {
+        return o.key == "tag" && !o.child;
+      };
+      for (const DmlAttribute& o : p.assignments.attributes) {
+        if (is_tag(o)) p.label = o.atom;
       }
+      std::erase_if(p.assignments.attributes, is_tag);
       if (p.label.empty()) p.label = "o" + std::to_string(over.points.size());
       over.points.push_back(std::move(p));
     } else if (a.key == "seed" || a.key == "threads") {
@@ -137,17 +88,15 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
         }
         return false;
       }
-      Axis& ax = a.key == "seed" ? seed : threads;
-      const char* dotted = a.key == "seed" ? "seed" : "executor_threads";
-      ax.points.push_back(
-          {a.atom, {{std::string(dotted), a.atom, a.line}}});
+      if (a.key == "seed") {
+        seed.points.push_back(scalar_point(a, "seed"));
+      } else {
+        threads.points.push_back(scalar_point(a, "executor_threads"));
+      }
     } else if (a.key == "mapping") {
       // Value validity is checked when the merged run re-parses, with
       // this atom's line.
-      mapping.points.push_back({a.atom, {{a.key, a.atom, a.line}}});
-    } else if (a.key == "sync") {
-      if (error) *error = line_err(a.line, kSyncRemoved);
-      return false;
+      mapping.points.push_back(scalar_point(a, "mapping"));
     } else {
       if (error) {
         *error = line_err(a.line, "unknown sweep axis '" + a.key +
@@ -298,16 +247,10 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
   std::vector<std::size_t> idx(axes.size(), 0);
   while (true) {
     DmlNode merged = clone_dml(*base);
-    DmlNode* exp = nullptr;
-    for (DmlAttribute& a : merged.attributes) {
-      if (a.key == "Experiment" && a.child) exp = a.child.get();
-    }
     CampaignRun run;
     for (std::size_t i = 0; i < axes.size(); ++i) {
       const AxisPoint& p = axes[i].points[idx[i]];
-      for (const auto& [key, value, line] : p.assignments) {
-        merge_atom(exp, key, value, line);
-      }
+      if (!merge_override(&merged, p.assignments, error)) return std::nullopt;
       run.axis.push_back({axes[i].name, p.label});
       if (!run.id.empty()) run.id += ",";
       run.id += axes[i].name + "=" + p.label;

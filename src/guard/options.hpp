@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,8 +42,8 @@ inline const char* on_stall_name(OnStall p) {
 }
 
 struct GuardOptions {
-  /// Master switch. Off by default; flip via the MASSF_GUARD env
-  /// (default_guard_options), EngineOptions::guard, or massf_cli --guard.
+  /// Master switch. Off by default; a scenario's `guard [ enabled 1 ]`
+  /// or EngineOptions::guard turns it on.
   bool enabled = false;
   /// Wall-clock seconds without progress (windows closed or events
   /// processed) before the watchdog declares a stall.
@@ -57,26 +56,6 @@ struct GuardOptions {
   std::string dump_path;
   OnStall on_stall = OnStall::kCancel;
 };
-
-/// Process-default guard options: enabled when MASSF_GUARD is set to
-/// anything but "0"/"off"/"" ; MASSF_GUARD_DEADLINE_S overrides the
-/// deadline. Read once and cached.
-inline GuardOptions default_guard_options() {
-  static const GuardOptions cached = [] {
-    GuardOptions g;
-    if (const char* env = std::getenv("MASSF_GUARD")) {
-      const std::string v(env);
-      g.enabled = !v.empty() && v != "0" && v != "off";
-    }
-    if (const char* env = std::getenv("MASSF_GUARD_DEADLINE_S")) {
-      char* end = nullptr;
-      const double d = std::strtod(env, &end);
-      if (end != env && d > 0) g.stall_deadline_s = d;
-    }
-    return g;
-  }();
-  return cached;
-}
 
 /// Per-LP liveness cell, padded so the owning worker's relaxed stores do
 /// not false-share with neighbours or with the watchdog's scan.

@@ -114,9 +114,9 @@ struct EngineOptions {
   SimTime load_bin = 0;
   /// Supervision (src/guard). When enabled the engine maintains liveness
   /// telemetry (guard::GuardTelemetry) a watchdog can sample; off by
-  /// default, flipped process-wide by MASSF_GUARD. The engine itself never
-  /// starts the monitor thread — guard::Watchdog does.
-  guard::GuardOptions guard = guard::default_guard_options();
+  /// default. The engine itself never starts the monitor thread —
+  /// guard::Watchdog does.
+  guard::GuardOptions guard;
 };
 
 struct RunStats {

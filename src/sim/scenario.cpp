@@ -324,7 +324,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
                        ? engine.run_threaded(opts_.executor_threads)
                        : engine.run();
     watchdog.disarm();
-    last_guard_fired_ = watchdog.fired();
     last_run_cancelled_ = engine.run_cancelled();
   }
   result.metrics = compute_metrics(result.stats, opts_.cluster);

@@ -91,9 +91,8 @@ struct ScenarioOptions {
   CkptOptions ckpt;        ///< measured-run checkpointing (off by default)
   /// Supervision for the measured run (DESIGN.md section 5h): when
   /// enabled, a guard::Watchdog is armed around the engine run and the
-  /// engine maintains liveness telemetry. Off by default; MASSF_GUARD
-  /// flips the process default.
-  guard::GuardOptions guard = guard::default_guard_options();
+  /// engine maintains liveness telemetry. Off by default.
+  guard::GuardOptions guard;
   /// Online LP rebalancing during the measured run (off by default; forces
   /// collect_node_profile on when enabled). DESIGN.md section 5f.
   RebalanceOptions rebalance;
@@ -149,18 +148,15 @@ class Scenario {
   /// (same topology, host selection, and cached profile) back to back.
   void set_ckpt(const CkptOptions& ckpt) { opts_.ckpt = ckpt; }
 
-  /// Run-control mutators for subsequent run() calls — the degradation
+  /// Run-control mutator for subsequent run() calls — the degradation
   /// ladder (guard/guarded_run.hpp) re-runs one Scenario under
   /// progressively safer configurations without rebuilding the topology.
   void set_executor_threads(std::int32_t threads) {
     opts_.executor_threads = threads;
   }
-  void set_guard(const guard::GuardOptions& guard) { opts_.guard = guard; }
 
   /// True when the last run() was cancelled by the watchdog (stall).
   bool last_run_cancelled() const { return last_run_cancelled_; }
-  /// True when the watchdog fired during the last run().
-  bool last_guard_fired() const { return last_guard_fired_; }
 
   /// Replaces the pre-run callback (ScenarioOptions::pre_run) for
   /// subsequent run() calls — needed by callers whose attachments (e.g. a
@@ -185,7 +181,6 @@ class Scenario {
 
   ScenarioOptions opts_;
   bool last_run_cancelled_ = false;
-  bool last_guard_fired_ = false;
   Network net_;
   std::unique_ptr<ForwardingPlane> fp_;
   std::vector<NodeId> clients_, servers_, app_hosts_, bg_sources_;

@@ -2,69 +2,16 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
-
-#include "util/flags.hpp"
 
 namespace massf {
 namespace {
 
-// ---- schema table -----------------------------------------------------------
-//
-// Emission order. Every atom the parser accepts (and only those) appears
-// here; the strict parser, the serializer, and the flag cross-check test
-// all read this table, so a knob added in one place shows up everywhere
-// or the tests fail.
-constexpr ScenarioSchemaKey kSchema[] = {
-    {"", "name", nullptr},
-    {"", "multi_as", nullptr},
-    {"", "routers", nullptr},
-    {"", "hosts", nullptr},
-    {"", "as", nullptr},
-    {"", "clients", nullptr},
-    {"", "servers", nullptr},
-    {"", "app", nullptr},
-    {"", "app_hosts", nullptr},
-    {"", "engines", nullptr},
-    {"", "seconds", nullptr},
-    {"", "profile_seconds", nullptr},
-    {"", "think_time_s", nullptr},
-    {"", "file_mean_bytes", nullptr},
-    {"", "executor_threads", nullptr},
-    {"", "load_bin_s", nullptr},
-    {"", "seed", nullptr},
-    {"", "link_model", "link-model"},
-    {"", "mapping", "mapping"},
-    {"background_flows", "sources", nullptr},
-    {"background_flows", "think_time_s", nullptr},
-    {"background_flows", "mean_bytes", nullptr},
-    {"background_flows", "fidelity", nullptr},
-    {"background_flows", "recompute_every", nullptr},
-    {"background_flows", "stall_timeout_s", nullptr},
-    {"background_flows", "rate_cap_bps", nullptr},
-    {"rebalance", "enabled", "rebalance"},
-    {"rebalance", "threshold", "rebalance-threshold"},
-    {"rebalance", "every", "rebalance-every"},
-    {"rebalance", "sustain", "rebalance-sustain"},
-    {"rebalance", "max_moves", "rebalance-max-moves"},
-    {"rebalance", "fm_tolerance", nullptr},
-    {"rebalance", "fm_passes", nullptr},
-    {"ckpt", "every", "ckpt-every"},
-    {"ckpt", "path", "ckpt-path"},
-    {"ckpt", "stop_after", "ckpt-stop"},
-    {"ckpt", "restore", "restore"},
-    {"guard", "enabled", "guard"},
-    {"guard", "deadline_s", "guard-deadline"},
-    {"guard", "poll_s", nullptr},
-    {"guard", "dump", "guard-dump"},
-    {"guard", "policy", "guard-policy"},
-    {"guard", "retries", "guard-retries"},
-    {"faults", "file", "faults"},
-    {"faults", "event", nullptr},
-};
-
+// Atoms with no source line (line 0: an override given on the command
+// line) report the bare message.
 std::string line_err(int line, const std::string& what) {
-  return "line " + std::to_string(line) + ": " + what;
+  return line > 0 ? "line " + std::to_string(line) + ": " + what : what;
 }
 
 bool parse_i64(const std::string& s, std::int64_t* out) {
@@ -382,9 +329,40 @@ bool parse_faults(const DmlNode& node, const std::string& include_dir,
   return true;
 }
 
-}  // namespace
+// Sets `dotted` (path segments separated by '.') under `node` to the
+// atom's value, creating missing sub-blocks with the atom's line. With
+// `replace`, every existing attribute under the leaf key goes first (all
+// of them: `mapping` repeats).
+void merge_atom(DmlNode* node, std::string_view dotted,
+                const DmlAttribute& atom, bool replace) {
+  const auto dot = dotted.find('.');
+  if (dot == std::string_view::npos) {
+    if (replace) {
+      std::erase_if(node->attributes, [&](const DmlAttribute& a) {
+        return a.key == dotted;
+      });
+    }
+    DmlAttribute a;
+    a.key = std::string(dotted);
+    a.atom = atom.atom;
+    a.line = atom.line;
+    node->attributes.push_back(std::move(a));
+    return;
+  }
+  const std::string_view head = dotted.substr(0, dot);
+  const std::string_view rest = dotted.substr(dot + 1);
+  for (DmlAttribute& a : node->attributes) {
+    if (a.key == head && a.child) {
+      merge_atom(a.child.get(), rest, atom, replace);
+      return;
+    }
+  }
+  DmlNode& block = node->add_child(std::string(head));
+  node->attributes.back().line = atom.line;
+  merge_atom(&block, rest, atom, replace);
+}
 
-std::span<const ScenarioSchemaKey> scenario_schema() { return kSchema; }
+}  // namespace
 
 std::optional<MappingKind> mapping_kind_from_name(const std::string& name) {
   for (const MappingKind k :
@@ -474,12 +452,6 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
     }
   }
   return root;
-}
-
-DmlNode scenario_options_to_dml(const ScenarioOptions& options) {
-  ScenarioSpec spec;
-  spec.options = options;
-  return scenario_spec_to_dml(spec);
 }
 
 std::optional<ScenarioSpec> scenario_spec_from_dml(
@@ -581,9 +553,6 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
     } else if (a.key == "executor_threads") {
       if (!atom_int(a, &i, error)) return std::nullopt;
       o.executor_threads = static_cast<std::int32_t>(i);
-    } else if (a.key == "sync") {
-      if (error) *error = line_err(a.line, kSyncRemoved);
-      return std::nullopt;
     } else if (a.key == "load_bin_s") {
       if (!atom_double(a, &d, error)) return std::nullopt;
       o.load_bin = from_seconds(d);
@@ -621,13 +590,6 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
   return spec;
 }
 
-std::optional<ScenarioOptions> scenario_options_from_dml(
-    const DmlNode& root, std::string* error) {
-  const auto spec = scenario_spec_from_dml(root, error);
-  if (!spec) return std::nullopt;
-  return spec->options;
-}
-
 std::optional<ScenarioSpec> parse_scenario(std::string_view text,
                                            std::string* error,
                                            const std::string& include_dir) {
@@ -641,7 +603,8 @@ std::optional<ScenarioSpec> parse_scenario(std::string_view text,
 }
 
 std::optional<ScenarioSpec> load_scenario_file(const std::string& path,
-                                               std::string* error) {
+                                               std::string* error,
+                                               std::string_view override_text) {
   std::ifstream in(path);
   if (!in) {
     if (error) *error = "cannot open '" + path + "'";
@@ -649,168 +612,64 @@ std::optional<ScenarioSpec> load_scenario_file(const std::string& path,
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return parse_scenario(buf.str(), error, dirname_of(path));
+  DmlParseError perr;
+  auto root = parse_dml(buf.str(), &perr);
+  if (!root) {
+    if (error) *error = line_err(perr.line, perr.message);
+    return std::nullopt;
+  }
+  if (!override_text.empty()) {
+    auto body = parse_dml(override_text, &perr);
+    if (!body) {
+      if (error) *error = perr.message;
+      return std::nullopt;
+    }
+    // The override is not part of the file: no line of it to report.
+    for (DmlAttribute& a : body->attributes) a.line = 0;
+    if (!merge_override(&*root, *body, error)) return std::nullopt;
+  }
+  return scenario_spec_from_dml(*root, error, dirname_of(path));
 }
 
-void add_run_control_flags(FlagTable& flags) {
-  flags.add_string("mapping", "",
-                   "comma-separated mapping kinds overriding the scenario's "
-                   "`mapping` list");
-  flags.add_int("ckpt-every", 0,
-                "checkpoint every N sync windows (0 = off)",
-                [](std::int64_t v) {
-                  return v >= 0 ? "" : "must be >= 0";
-                });
-  flags.add_string("ckpt-path", "", "checkpoint file to write");
-  flags.add_bool("ckpt-stop", false, "stop after the first checkpoint");
-  flags.add_string("restore", "", "checkpoint file to resume from");
-  flags.add_string("faults", "",
-                   "fault schedule file (link flaps, crashes, loss bursts); "
-                   "replaces the scenario's faults [ ] block");
-  flags.add_string("link-model", "packet",
-                   "network fidelity: 'packet' (per-packet events only) or "
-                   "'hybrid' (analytic fluid background flows)",
-                   [](const std::string& v) {
-                     LinkModelKind k;
-                     return parse_link_model_kind(v, &k)
-                                ? ""
-                                : "must be 'packet' or 'hybrid'";
-                   });
-  flags.add_bool("rebalance", false,
-                 "enable online LP rebalancing at window boundaries");
-  flags.add_double("rebalance-threshold", 1.25,
-                   "trigger when max/avg engine load exceeds this",
-                   [](double v) {
-                     return v >= 1.0 ? "" : "must be >= 1.0";
-                   });
-  flags.add_int("rebalance-every", 64,
-                "check imbalance every N sync windows",
-                [](std::int64_t v) {
-                  return v >= 1 ? "" : "must be >= 1";
-                });
-  flags.add_int("rebalance-sustain", 2,
-                "consecutive over-threshold checks before migrating",
-                [](std::int64_t v) {
-                  return v >= 1 ? "" : "must be >= 1";
-                });
-  flags.add_int("rebalance-max-moves", 8,
-                "max routers migrated per trigger",
-                [](std::int64_t v) {
-                  return v >= 1 ? "" : "must be >= 1";
-                });
-  flags.add_bool("guard", guard::default_guard_options().enabled,
-                 "arm the liveness watchdog over every run (MASSF_GUARD=1 "
-                 "flips this default)");
-  flags.add_double("guard-deadline",
-                   guard::default_guard_options().stall_deadline_s,
-                   "seconds without progress before declaring a stall",
-                   [](double v) { return v > 0 ? "" : "must be > 0"; });
-  flags.add_string("guard-dump", "guard_stall.json",
-                   "stall diagnostic JSON file (empty = stderr only)");
-  flags.add_string("guard-policy", "recover",
-                   "on stall: 'recover' (cancel + retry ladder) or 'abort'",
-                   [](const std::string& v) {
-                     return v == "recover" || v == "abort"
-                                ? ""
-                                : "must be 'recover' or 'abort'";
-                   });
-  flags.add_int("guard-retries", 1,
-                "same-configuration retries before degrading",
-                [](std::int64_t v) {
-                  return v >= 0 ? "" : "must be >= 0";
-                });
+DmlNode clone_dml(const DmlNode& node) {
+  DmlNode out;
+  out.attributes.reserve(node.attributes.size());
+  for (const DmlAttribute& a : node.attributes) {
+    DmlAttribute copy;
+    copy.key = a.key;
+    copy.atom = a.atom;
+    copy.line = a.line;
+    if (a.child) {
+      copy.child = std::make_unique<DmlNode>(clone_dml(*a.child));
+    }
+    out.attributes.push_back(std::move(copy));
+  }
+  return out;
 }
 
-bool apply_run_control_flags(const FlagTable& flags, ScenarioSpec* spec,
-                             std::string* error) {
-  ScenarioOptions& o = spec->options;
-  if (flags.set("mapping")) {
-    spec->mappings.clear();
-    std::stringstream ss(flags.get_string("mapping"));
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-      const auto k = mapping_kind_from_name(name);
-      if (!k) {
-        if (error) *error = "unknown mapping '" + name + "'";
-        return false;
-      }
-      spec->mappings.push_back(*k);
-    }
-    if (spec->mappings.empty()) {
-      if (error) *error = "--mapping lists no mapping";
-      return false;
+bool merge_override(DmlNode* root, const DmlNode& body, std::string* error) {
+  DmlNode* exp = nullptr;
+  for (DmlAttribute& a : root->attributes) {
+    if (a.key == "Experiment" && a.child) {
+      exp = a.child.get();
+      break;
     }
   }
-
-  if (flags.set("ckpt-every")) {
-    o.ckpt.every_windows =
-        static_cast<std::uint64_t>(flags.get_int("ckpt-every"));
-  }
-  if (flags.set("ckpt-path")) o.ckpt.path = flags.get_string("ckpt-path");
-  if (flags.set("ckpt-stop")) o.ckpt.stop_after = flags.get_bool("ckpt-stop");
-  if (flags.set("restore")) o.ckpt.restore_path = flags.get_string("restore");
-  if (o.ckpt.every_windows > 0 && o.ckpt.path.empty()) {
-    if (error) {
-      *error = "checkpointing every N windows requires a checkpoint path "
-               "(--ckpt-path / ckpt [ path ])";
-    }
+  if (exp == nullptr) {
+    if (error) *error = "missing top-level Experiment [ ] block";
     return false;
   }
-
-  if (flags.set("faults")) {
-    const std::string path = flags.get_string("faults");
-    std::ifstream in(path);
-    if (!in) {
-      if (error) *error = "cannot open '" + path + "'";
+  std::set<std::string> replaced;  // keys whose base atoms are gone
+  for (const DmlAttribute& a : body.attributes) {
+    if (ignored_key(a.key)) continue;
+    if (a.child) {
+      if (error) {
+        *error = line_err(a.line, "override entries must be scalar (use "
+                                  "dotted keys for sub-blocks)");
+      }
       return false;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string what;
-    const auto parsed = parse_fault_schedule(buf.str(), &what);
-    if (!parsed) {
-      if (error) *error = "fault schedule '" + path + "': " + what;
-      return false;
-    }
-    spec->faults = *parsed;  // the flag replaces the file's faults block
-  }
-
-  if (flags.set("link-model")) {
-    // Validated by the flag's own validator; parse cannot fail here.
-    parse_link_model_kind(flags.get_string("link-model"),
-                          &o.netsim.link_model.kind);
-  }
-
-  if (flags.set("rebalance")) o.rebalance.enabled = flags.get_bool("rebalance");
-  if (flags.set("rebalance-threshold")) {
-    o.rebalance.threshold = flags.get_double("rebalance-threshold");
-  }
-  if (flags.set("rebalance-every")) {
-    o.rebalance.every_windows =
-        static_cast<std::uint64_t>(flags.get_int("rebalance-every"));
-  }
-  if (flags.set("rebalance-sustain")) {
-    o.rebalance.sustain =
-        static_cast<std::int32_t>(flags.get_int("rebalance-sustain"));
-  }
-  if (flags.set("rebalance-max-moves")) {
-    o.rebalance.max_moves =
-        static_cast<std::int32_t>(flags.get_int("rebalance-max-moves"));
-  }
-
-  if (flags.set("guard")) o.guard.enabled = flags.get_bool("guard");
-  if (flags.set("guard-deadline")) {
-    o.guard.stall_deadline_s = flags.get_double("guard-deadline");
-  }
-  if (flags.set("guard-dump")) o.guard.dump_path = flags.get_string("guard-dump");
-  if (flags.set("guard-policy")) {
-    o.guard.on_stall = flags.get_string("guard-policy") == "abort"
-                           ? guard::OnStall::kAbort
-                           : guard::OnStall::kCancel;
-  }
-  if (flags.set("guard-retries")) {
-    spec->guard_retries =
-        static_cast<std::int32_t>(flags.get_int("guard-retries"));
+    merge_atom(exp, a.key, a, replaced.insert(a.key).second);
   }
   return true;
 }

@@ -2,9 +2,9 @@
 // traffic mix, simulated cluster, run control, fault schedule, rebalance /
 // checkpoint / guard policy, and the mapping run list — round-trips
 // through one DML file, so experiments are reproducible from a single
-// checked-in file (the MicroGrid workflow). Everything massf_cli can be
-// told with a run-control flag has an atom here; a test cross-checks the
-// two surfaces so no knob can exist on one side only.
+// checked-in file (the MicroGrid workflow). The file is the only place a
+// run is configured: massf_cli changes it only through an override
+// (merge_override), the same dotted-key override a campaign sweeps.
 //
 // Schema (scenario_spec_to_dml emits every key; all are optional on input
 // and default to the ScenarioOptions defaults):
@@ -35,7 +35,7 @@
 //     rebalance [ enabled 0  threshold 1.25  every 64  sustain 2
 //                 max_moves 8  fm_tolerance 1.05  fm_passes 4 ]
 //     ckpt [ every 0  path ""  stop_after 0  restore "" ]
-//     guard [ enabled 0  deadline_s 30  poll_s 0  dump "guard_stall.json"
+//     guard [ enabled 0  deadline_s 30  poll_s 0  dump ""
 //             policy recover  retries 1 ]
 //     faults [              # chaos schedule: embedded lines and/or a file
 //       file "chaos.txt"    # include, relative to the scenario file
@@ -50,7 +50,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,8 +59,6 @@
 #include "sim/scenario.hpp"
 
 namespace massf {
-
-class FlagTable;
 
 /// A fully-specified experiment: ScenarioOptions plus the layers that live
 /// above the Scenario object (fault schedule, mapping run list, supervised
@@ -78,34 +75,6 @@ struct ScenarioSpec {
   /// (guard::GuardedRun::Options::max_retries).
   std::int32_t guard_retries = 1;
 };
-
-/// One row of the scenario-file schema: where the atom lives and which
-/// massf_cli run-control flag (if any) sets the same knob. The table is
-/// the single source of truth for strict parsing, the emitted template,
-/// and the no-orphan-knobs cross-check test.
-struct ScenarioSchemaKey {
-  const char* block;  ///< "" = Experiment top level, else sub-block key
-  const char* key;    ///< atom key inside the block
-  const char* flag;   ///< equivalent run-control flag, or nullptr
-};
-
-/// The full scenario-file schema, in emission order.
-std::span<const ScenarioSchemaKey> scenario_schema();
-
-/// The error for the removed `sync` atom (and the removed campaign `sync`
-/// axis), after the "line N: " prefix: the threaded executor has one
-/// protocol, so there is nothing left to select.
-inline constexpr const char* kSyncRemoved =
-    "'sync' was removed: the threaded executor always uses channel clocks";
-
-/// Serializes the options alone (a ScenarioSpec with defaults elsewhere).
-DmlNode scenario_options_to_dml(const ScenarioOptions& options);
-
-/// Parses an Experiment block into options; missing keys keep their
-/// defaults, unknown keys are line-numbered errors (see ScenarioSpec
-/// parsing below). Returns nullopt with `error` set on failure.
-std::optional<ScenarioOptions> scenario_options_from_dml(
-    const DmlNode& root, std::string* error = nullptr);
 
 /// Serializes the complete spec; the output re-parses to an equal spec
 /// (parse -> to_dml -> parse is a fixed point, which the corpus test
@@ -127,22 +96,30 @@ std::optional<ScenarioSpec> parse_scenario(std::string_view text,
                                            const std::string& include_dir = "");
 
 /// Reads and parses a scenario file; relative fault includes resolve
-/// against the file's directory.
-std::optional<ScenarioSpec> load_scenario_file(const std::string& path,
-                                               std::string* error = nullptr);
+/// against the file's directory. A non-empty `override_text` — the body of
+/// an `override [ ]` block, e.g. "mapping HPROF ckpt.every 200" — is merged
+/// over the file (merge_override) before the one validation. Its atoms
+/// have no source line, so the errors they cause carry none.
+std::optional<ScenarioSpec> load_scenario_file(
+    const std::string& path, std::string* error = nullptr,
+    std::string_view override_text = {});
 
 /// Mapping-kind name round trip ("HPROF" <-> MappingKind::kHProf, etc.).
 std::optional<MappingKind> mapping_kind_from_name(const std::string& name);
 
-/// Registers every run-control flag (the scenario-file override surface)
-/// on `flags`, exactly as massf_cli and massf_campaign expose them. Kept
-/// next to the schema table so the two cannot drift.
-void add_run_control_flags(FlagTable& flags);
+/// Deep copy (DmlNode is move-only).
+DmlNode clone_dml(const DmlNode& node);
 
-/// Applies explicitly-set run-control flags over `spec` (file values keep
-/// precedence for flags the user did not pass). Returns false with
-/// `error` set on a malformed value or an inconsistent combination.
-bool apply_run_control_flags(const FlagTable& flags, ScenarioSpec* spec,
-                             std::string* error);
+/// Merges an override into the Experiment block of `root`. `body` holds
+/// what a campaign `override [ ]` block or `massf_cli --override` holds:
+/// scalar atoms, with dotted keys for sub-block atoms (`ckpt.every 200`).
+/// The first atom for a key replaces every atom the base has under it and
+/// later ones append, so `mapping TOP2 mapping HPROF` is a run list.
+/// Missing sub-blocks are created; `x_` keys are skipped. Atoms keep their
+/// line, so the strict parser reports a bad value where the override
+/// wrote it. Fails on a nested block or a root with no Experiment block;
+/// validating the merged tree is the caller's job (scenario_spec_from_dml).
+bool merge_override(DmlNode* root, const DmlNode& body,
+                    std::string* error = nullptr);
 
 }  // namespace massf

@@ -167,6 +167,7 @@ bool FlagTable::parse(int argc, const char* const* argv, std::string* error) {
       value = "true";
     }
     const std::string shown_kv = "--" + name + "=" + value;
+    if (values_.count(name) > 0) return fail(arg_no, shown_kv, "given twice");
     switch (spec->type) {
       case FlagSpec::kBool: {
         bool b = false;

@@ -44,8 +44,9 @@ class FlagTable {
                             validate = {});
 
   /// Parses argv against the table. Returns false with `*error` set to
-  /// "arg N (--flag=value): what" on an unknown flag, a value of the wrong
-  /// type, or a validator rejection. `--help` sets help_requested().
+  /// "arg N (--flag=value): what" on an unknown flag, a flag given twice,
+  /// a value of the wrong type, or a validator rejection. `--help` sets
+  /// help_requested().
   bool parse(int argc, const char* const* argv, std::string* error);
 
   /// parse() + error handling for main(): prints the error (exit 2) or the
@@ -53,10 +54,6 @@ class FlagTable {
   void parse_or_exit(int argc, const char* const* argv);
 
   bool help_requested() const { return help_requested_; }
-  /// The declared flags, in registration order — the single source of
-  /// truth tests cross-check against other declarative surfaces (e.g. the
-  /// scenario-file schema must cover every run-control flag).
-  const std::vector<FlagSpec>& specs() const { return specs_; }
   /// The generated --help screen: usage line, description, one row per
   /// declared flag with its type, default, and help text.
   std::string help_text() const;

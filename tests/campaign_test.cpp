@@ -60,8 +60,8 @@ TEST(Campaign, ErrorMatrix) {
        "override)"},
       {"Campaign [\n" + std::string(kTinyBase) +
            "  sweep [\n    seed 1\n    sync barrier\n  ]\n]",
-       "line 14: 'sync' was removed: the threaded executor always uses "
-       "channel clocks"},
+       "line 14: unknown sweep axis 'sync' (seed|threads|mapping|"
+       "override)"},
       {"Campaign [\n" + std::string(kTinyBase) +
            "  sweep [\n    seed minus\n  ]\n]",
        "line 13: 'seed' wants a non-negative integer, got 'minus'"},

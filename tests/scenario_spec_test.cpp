@@ -1,17 +1,17 @@
 // The declarative scenario format: strict line-numbered parsing, the x_
 // forward-compatibility escape, to_dml/from_dml round trips, and the
-// no-orphan-knobs cross-check between the run-control flag table and the
-// scenario-file schema.
+// dotted-key override massf_cli --override merges over a file.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/scenario_config.hpp"
-#include "util/flags.hpp"
 
 namespace massf {
 namespace {
@@ -39,10 +39,12 @@ TEST(ScenarioSpec, ErrorMatrix) {
        "line 2: unknown key 'executor_shards' in Experiment (prefix with x_ "
        "to ignore)"},
       {"Experiment [\n  routers 60\n  sync channel\n]",
-       "line 3: 'sync' was removed: the threaded executor always uses "
-       "channel clocks"},
+       "line 3: unknown key 'sync' in Experiment (prefix with x_ to "
+       "ignore)"},
       {"Experiment [\n\n  app fortran\n]",
        "line 3: unknown app 'fortran' (scalapack|gridnpb|none)"},
+      {"Experiment [ app warp_drive ]",
+       "line 1: unknown app 'warp_drive' (scalapack|gridnpb|none)"},
       {"Experiment [\n  routers many\n]",
        "line 2: 'routers' wants an integer, got 'many'"},
       {"Experiment [\n  seconds fast\n]",
@@ -66,6 +68,8 @@ TEST(ScenarioSpec, ErrorMatrix) {
       {"Experiment [\n  faults [\n    file no-such-file.txt\n  ]\n]",
        "line 3: cannot open fault file 'no-such-file.txt'"},
       {"Experiment [\n  routers 1\n]", "routers/hosts/engines out of range"},
+      {"Experiment [ routers 0 ]", "routers/hosts/engines out of range"},
+      {"Other [ ]", "missing top-level Experiment [ ] block"},
   };
   for (const auto& c : kCases) {
     EXPECT_EQ(parse_error(c.text), c.error) << c.text;
@@ -100,6 +104,7 @@ TEST(ScenarioSpec, DefaultsSurviveSparseFile) {
   EXPECT_EQ(spec->options.app, AppKind::kGridNpb);
   const ScenarioOptions defaults;
   EXPECT_EQ(spec->options.num_hosts, defaults.num_hosts);
+  EXPECT_EQ(spec->options.num_engines, defaults.num_engines);
   EXPECT_EQ(spec->options.seed, defaults.seed);
   ASSERT_EQ(spec->mappings.size(), 1u);
   EXPECT_EQ(spec->mappings[0], MappingKind::kHProf);
@@ -111,14 +116,26 @@ TEST(ScenarioSpec, DefaultsSurviveSparseFile) {
 TEST(ScenarioSpec, SerializeParseFixedPoint) {
   ScenarioSpec spec;
   spec.name = "fixture";
-  spec.options.num_routers = 123;
-  spec.options.executor_threads = 2;
-  spec.options.app = AppKind::kGridNpb;
-  spec.options.rebalance.enabled = true;
-  spec.options.guard.enabled = true;
-  spec.options.guard.on_stall = guard::OnStall::kAbort;
-  spec.options.ckpt.every_windows = 10;
-  spec.options.ckpt.path = "x.ckpt";
+  ScenarioOptions& o = spec.options;
+  o.multi_as = true;
+  o.num_routers = 1234;
+  o.num_hosts = 567;
+  o.num_as = 17;
+  o.num_clients = 89;
+  o.num_servers = 12;
+  o.num_app_hosts = 21;
+  o.num_engines = 33;
+  o.end_time = from_seconds(7.5);
+  o.profile_end_time = from_seconds(2.25);
+  o.http.think_time_mean_s = 0.75;
+  o.seed = 99;
+  o.executor_threads = 2;
+  o.app = AppKind::kGridNpb;
+  o.rebalance.enabled = true;
+  o.guard.enabled = true;
+  o.guard.on_stall = guard::OnStall::kAbort;
+  o.ckpt.every_windows = 10;
+  o.ckpt.path = "x.ckpt";
   spec.mappings = {MappingKind::kTop2, MappingKind::kHProf};
   spec.guard_retries = 3;
   spec.faults.link_down(seconds(1), 3).link_up(seconds(2), 3);
@@ -131,9 +148,22 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   EXPECT_EQ(text1, text2);
 
   EXPECT_EQ(reparsed->name, "fixture");
-  EXPECT_EQ(reparsed->options.num_routers, 123);
-  EXPECT_EQ(reparsed->options.executor_threads, 2);
-  EXPECT_EQ(reparsed->options.guard.on_stall, guard::OnStall::kAbort);
+  const ScenarioOptions& back = reparsed->options;
+  EXPECT_TRUE(back.multi_as);
+  EXPECT_EQ(back.num_routers, 1234);
+  EXPECT_EQ(back.num_hosts, 567);
+  EXPECT_EQ(back.num_as, 17);
+  EXPECT_EQ(back.num_clients, 89);
+  EXPECT_EQ(back.num_servers, 12);
+  EXPECT_EQ(back.app, AppKind::kGridNpb);
+  EXPECT_EQ(back.num_app_hosts, 21);
+  EXPECT_EQ(back.num_engines, 33);
+  EXPECT_EQ(back.end_time, o.end_time);
+  EXPECT_EQ(back.profile_end_time, o.profile_end_time);
+  EXPECT_DOUBLE_EQ(back.http.think_time_mean_s, 0.75);
+  EXPECT_EQ(back.seed, 99u);
+  EXPECT_EQ(back.executor_threads, 2);
+  EXPECT_EQ(back.guard.on_stall, guard::OnStall::kAbort);
   EXPECT_EQ(reparsed->mappings,
             (std::vector<MappingKind>{MappingKind::kTop2,
                                       MappingKind::kHProf}));
@@ -180,35 +210,31 @@ TEST(ScenarioSpec, FaultFileErrorsKeepBothCoordinates) {
   std::remove(path.c_str());
 }
 
-// ---- flag surface cross-check ----------------------------------------------
-//
-// The no-orphan-knobs contract: every run-control flag maps onto a
-// scenario atom and every schema row naming a flag names a declared one.
-// A knob added on one side only fails here.
-TEST(ScenarioSpec, RunControlFlagsAndSchemaCover) {
-  FlagTable flags("test", "");
-  add_run_control_flags(flags);
-
-  std::set<std::string> schema_flags;
-  for (const ScenarioSchemaKey& k : scenario_schema()) {
-    if (k.flag != nullptr) schema_flags.insert(k.flag);
+// (block, key) for every atom of the Experiment block and of its
+// sub-blocks; block "" is the Experiment level.
+std::set<std::pair<std::string, std::string>> experiment_keys(
+    const DmlNode& root) {
+  std::set<std::pair<std::string, std::string>> keys;
+  const DmlNode* e = root.find("Experiment");
+  EXPECT_NE(e, nullptr);
+  if (e == nullptr) return keys;
+  for (const DmlAttribute& a : e->attributes) {
+    if (!a.child) {
+      keys.insert({"", a.key});
+      continue;
+    }
+    for (const DmlAttribute& b : a.child->attributes) {
+      keys.insert({a.key, b.key});
+    }
   }
-  std::set<std::string> declared;
-  for (const FlagSpec& s : flags.specs()) declared.insert(s.name);
-
-  for (const std::string& f : declared) {
-    EXPECT_TRUE(schema_flags.count(f))
-        << "run-control flag --" << f << " has no scenario-file atom";
-  }
-  for (const std::string& f : schema_flags) {
-    EXPECT_TRUE(declared.count(f))
-        << "schema names flag --" << f << " which add_run_control_flags "
-        << "does not declare";
-  }
+  return keys;
 }
 
-// Every schema row must be accepted by the parser (nothing documented but
-// rejected) — exercised by feeding a file that sets all of them.
+// A file that sets every key parses, and the keys it sets are exactly the
+// ones scenario_spec_to_dml emits: nothing is emitted that a file cannot
+// set, and nothing parses that the template omits. `faults [ file ]` is
+// the one input-only key — emission inlines the included lines as
+// `event` atoms (FaultFileIncludeMergesWithEmbeddedEvents covers it).
 TEST(ScenarioSpec, EverySchemaKeyParses) {
   const std::string text =
       "Experiment [\n"
@@ -231,79 +257,113 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
   const auto spec = parse_scenario(text, &error);
   ASSERT_TRUE(spec.has_value()) << error;
 
-  // Count the distinct keys the text sets against the schema table: every
-  // schema row must be represented (this test must be updated in lockstep
-  // with the schema).
-  std::set<std::pair<std::string, std::string>> rows;
-  for (const ScenarioSchemaKey& k : scenario_schema()) {
-    rows.insert({k.block, k.key});
+  const auto written = experiment_keys(*parse_dml(text));
+  const auto emitted = experiment_keys(scenario_spec_to_dml(*spec));
+  for (const auto& [block, key] : emitted) {
+    EXPECT_TRUE(written.count({block, key}))
+        << block << "." << key << " is emitted but the text does not set it";
   }
-  EXPECT_EQ(rows.size(), scenario_schema().size()) << "duplicate schema row";
-  for (const ScenarioSchemaKey& k : scenario_schema()) {
-    if (std::string(k.block) == "faults" && std::string(k.key) == "file") {
-      continue;  // exercised by FaultFileIncludeMergesWithEmbeddedEvents
-    }
-    // Presence is asserted structurally: the parse above fails on any
-    // unknown key, and to_dml emits every row, so the fixed-point test
-    // covers emission. Here we just keep the table non-empty and sane.
-    EXPECT_NE(std::string(k.key), "");
+  for (const auto& [block, key] : written) {
+    EXPECT_TRUE(emitted.count({block, key}))
+        << block << "." << key << " parses but is never emitted";
   }
 }
 
-// ---- flag application ------------------------------------------------------
+// ---- overrides -------------------------------------------------------------
+//
+// massf_cli --config=<file> --override=<text>: `base` is written to a
+// scratch file and loaded with the override merged over it.
+std::optional<ScenarioSpec> load_overridden(const std::string& base,
+                                            const std::string& override_text,
+                                            std::string* error) {
+  const std::string path = ::testing::TempDir() + "/override-base.dml";
+  {
+    std::ofstream out(path);
+    out << base;
+  }
+  auto spec = load_scenario_file(path, error, override_text);
+  std::remove(path.c_str());
+  return spec;
+}
 
+constexpr const char* kOverrideBase =
+    "Experiment [\n"
+    "  routers 60\n"
+    "  mapping HTOP\n"
+    "  rebalance [ enabled 1  threshold 2.0 ]\n"
+    "  faults [ event \"at 1.0 link_down link=3\" ]\n"
+    "]";
+
+// An override changes the keys it names, creating the sub-blocks the
+// file lacks (guard, ckpt); every other atom keeps the file's value.
 TEST(ScenarioSpec, FlagsOverrideFileOnlyWhenSet) {
-  ScenarioSpec spec;
-  ASSERT_TRUE(parse_scenario("Experiment [\n  routers 60\n  rebalance [ "
-                             "enabled 1  threshold 2.0 ]\n]")
-                  .has_value());
-  spec = *parse_scenario(
-      "Experiment [\n  routers 60\n  rebalance [ enabled 1  threshold "
-      "2.0 ]\n]");
-
-  FlagTable flags("test", "");
-  add_run_control_flags(flags);
-  const char* argv[] = {"test", "--rebalance-every=16", "--guard"};
   std::string error;
-  ASSERT_TRUE(flags.parse(3, argv, &error)) << error;
-  ASSERT_TRUE(apply_run_control_flags(flags, &spec, &error)) << error;
+  const auto spec = load_overridden(
+      kOverrideBase,
+      "rebalance.every 16  seed 7  guard.enabled 1  guard.deadline_s 12\n"
+      "ckpt.restore r.ckpt",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->options.rebalance.every_windows, 16u);
+  EXPECT_EQ(spec->options.seed, 7u);
+  EXPECT_TRUE(spec->options.guard.enabled);
+  EXPECT_DOUBLE_EQ(spec->options.guard.stall_deadline_s, 12.0);
+  EXPECT_EQ(spec->options.ckpt.restore_path, "r.ckpt");
 
-  // Explicit flags win; everything else keeps the file's values.
-  EXPECT_EQ(spec.options.rebalance.every_windows, 16u);
-  EXPECT_TRUE(spec.options.guard.enabled);
-  EXPECT_TRUE(spec.options.rebalance.enabled);
-  EXPECT_DOUBLE_EQ(spec.options.rebalance.threshold, 2.0);
+  EXPECT_TRUE(spec->options.rebalance.enabled);
+  EXPECT_DOUBLE_EQ(spec->options.rebalance.threshold, 2.0);
+  EXPECT_EQ(spec->options.num_routers, 60);
+  EXPECT_EQ(spec->mappings, std::vector<MappingKind>{MappingKind::kHTop});
+  EXPECT_EQ(spec->faults.size(), 1u);
 }
 
+// Repeated atoms of one key in one override replace the file's atoms for
+// that key together, so a repeated `mapping` is the new run list.
 TEST(ScenarioSpec, MappingFlagReplacesRunList) {
-  ScenarioSpec spec;
-  FlagTable flags("test", "");
-  add_run_control_flags(flags);
-  const char* argv[] = {"test", "--mapping=TOP2,HPROF"};
   std::string error;
-  ASSERT_TRUE(flags.parse(2, argv, &error)) << error;
-  ASSERT_TRUE(apply_run_control_flags(flags, &spec, &error)) << error;
-  EXPECT_EQ(spec.mappings,
+  const auto spec = load_overridden(kOverrideBase,
+                                    "mapping TOP2 mapping HPROF", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->mappings,
             (std::vector<MappingKind>{MappingKind::kTop2,
                                       MappingKind::kHProf}));
 
-  const char* bad[] = {"test", "--mapping=WARP"};
-  FlagTable flags2("test", "");
-  add_run_control_flags(flags2);
-  ASSERT_TRUE(flags2.parse(2, bad, &error)) << error;
-  EXPECT_FALSE(apply_run_control_flags(flags2, &spec, &error));
+  EXPECT_FALSE(load_overridden(kOverrideBase, "mapping WARP", &error));
   EXPECT_EQ(error, "unknown mapping 'WARP'");
 }
 
 TEST(ScenarioSpec, CkptEveryWithoutPathRejected) {
-  ScenarioSpec spec;
-  FlagTable flags("test", "");
-  add_run_control_flags(flags);
-  const char* argv[] = {"test", "--ckpt-every=5"};
   std::string error;
-  ASSERT_TRUE(flags.parse(2, argv, &error)) << error;
-  EXPECT_FALSE(apply_run_control_flags(flags, &spec, &error));
-  EXPECT_NE(error.find("requires a checkpoint path"), std::string::npos);
+  EXPECT_FALSE(load_overridden(kOverrideBase, "ckpt.every 5", &error));
+  EXPECT_EQ(error, "ckpt [ every > 0 ] requires a path");
+  EXPECT_TRUE(load_overridden(kOverrideBase, "ckpt.every 5 ckpt.path c.ckpt",
+                              &error))
+      << error;
+}
+
+// Override values go through the strict parser, so a bad one gets the
+// parser's own message — without a line, since the override is not part
+// of the file.
+TEST(ScenarioSpec, OverrideBadValueGivesParserMessage) {
+  const struct {
+    const char* override_text;
+    const char* error;
+  } kCases[] = {
+      {"rebalance.threshold 0.5", "'threshold' must be >= 1.0"},
+      {"routers many", "'routers' wants an integer, got 'many'"},
+      {"warp_drive 1",
+       "unknown key 'warp_drive' in Experiment (prefix with x_ to ignore)"},
+      {"rebalance.vigor 9",
+       "unknown key 'vigor' in rebalance [ ] (prefix with x_ to ignore)"},
+      {"rebalance [ enabled 0 ]",
+       "override entries must be scalar (use dotted keys for sub-blocks)"},
+  };
+  for (const auto& c : kCases) {
+    std::string error;
+    EXPECT_FALSE(load_overridden(kOverrideBase, c.override_text, &error))
+        << c.override_text;
+    EXPECT_EQ(error, c.error) << c.override_text;
+  }
 }
 
 }  // namespace

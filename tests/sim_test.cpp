@@ -403,68 +403,6 @@ TEST(Report, SummaryMentionsMapping) {
   EXPECT_NE(s.find("PE="), std::string::npos);
 }
 
-TEST(ScenarioConfig, RoundTrip) {
-  ScenarioOptions o;
-  o.multi_as = true;
-  o.num_routers = 1234;
-  o.num_hosts = 567;
-  o.num_as = 17;
-  o.num_clients = 89;
-  o.num_servers = 12;
-  o.app = AppKind::kGridNpb;
-  o.num_app_hosts = 21;
-  o.num_engines = 33;
-  o.end_time = from_seconds(7.5);
-  o.profile_end_time = from_seconds(2.25);
-  o.http.think_time_mean_s = 0.75;
-  o.executor_threads = 2;
-  o.seed = 99;
-
-  const DmlNode dml = scenario_options_to_dml(o);
-  std::string error;
-  const auto back = scenario_options_from_dml(dml, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(back->multi_as, o.multi_as);
-  EXPECT_EQ(back->num_routers, o.num_routers);
-  EXPECT_EQ(back->num_hosts, o.num_hosts);
-  EXPECT_EQ(back->num_as, o.num_as);
-  EXPECT_EQ(back->num_clients, o.num_clients);
-  EXPECT_EQ(back->app, AppKind::kGridNpb);
-  EXPECT_EQ(back->num_engines, o.num_engines);
-  EXPECT_EQ(back->end_time, o.end_time);
-  EXPECT_DOUBLE_EQ(back->http.think_time_mean_s, 0.75);
-  EXPECT_EQ(back->executor_threads, 2);
-  EXPECT_EQ(back->seed, 99u);
-}
-
-TEST(ScenarioConfig, TextRoundTripAndDefaults) {
-  const auto parsed = parse_dml("Experiment [ routers 321 app gridnpb ]");
-  ASSERT_TRUE(parsed.has_value());
-  const auto o = scenario_options_from_dml(*parsed);
-  ASSERT_TRUE(o.has_value());
-  EXPECT_EQ(o->num_routers, 321);
-  EXPECT_EQ(o->app, AppKind::kGridNpb);
-  EXPECT_EQ(o->num_engines, ScenarioOptions{}.num_engines);  // default kept
-}
-
-TEST(ScenarioConfig, RejectsBadValues) {
-  std::string error;
-  auto parsed = parse_dml("Experiment [ app warp_drive ]");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
-  EXPECT_NE(error.find("warp_drive"), std::string::npos);
-
-  parsed = parse_dml("Experiment [ routers 0 ]");
-  EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
-
-  parsed = parse_dml("Experiment [ sync channel ]");
-  EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
-  EXPECT_NE(error.find("'sync' was removed"), std::string::npos);
-
-  parsed = parse_dml("Other [ ]");
-  EXPECT_FALSE(scenario_options_from_dml(*parsed, &error).has_value());
-}
-
 TEST(ScenarioConfig, MappingKindNames) {
   EXPECT_EQ(mapping_kind_from_name("HPROF"), MappingKind::kHProf);
   EXPECT_EQ(mapping_kind_from_name("GREEDY"), MappingKind::kGreedy);

@@ -266,6 +266,19 @@ TEST(FlagTable, ParsesForms) {
   const char* bad[] = {"prog", "--alpha", "3x"};
   EXPECT_FALSE(malformed.parse(3, bad, &error));
   EXPECT_EQ(error, "arg 1 (--alpha=3x): expects an integer");
+
+  // A repeated flag is an error, not "the last one wins", in either form:
+  // dropping the first value would lose half of a repeated massf_cli
+  // --override.
+  FlagTable twice = table();
+  const char* repeated[] = {"prog", "--beta", "a", "--beta=b"};
+  EXPECT_FALSE(twice.parse(4, repeated, &error));
+  EXPECT_EQ(error, "arg 3 (--beta=b): given twice");
+
+  FlagTable twice_bool = table();
+  const char* repeated_bool[] = {"prog", "--gamma", "--gamma=false"};
+  EXPECT_FALSE(twice_bool.parse(3, repeated_bool, &error));
+  EXPECT_EQ(error, "arg 2 (--gamma=false): given twice");
 }
 
 }  // namespace
