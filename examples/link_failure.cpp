@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "sim/failover.hpp"
+#include "fault/injector.hpp"
 #include "topology/brite.hpp"
 #include "traffic/http.hpp"
 #include "traffic/manager.hpp"
@@ -87,20 +87,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  FailoverController ctl(fp, milliseconds(flags.get_int("convergence-ms")));
-  ctl.attach(engine);
+  FaultInjectorOptions fo;
+  fo.ospf_convergence_delay = milliseconds(flags.get_int("convergence-ms"));
+  FaultInjector injector(net, fp, fo);
   const double fail_at = flags.get_double("fail-at");
   const double restore_at = flags.get_double("restore-at");
-  ctl.fail_link(engine, sim, victim, from_seconds(fail_at));
-  ctl.restore_link(engine, sim, victim, from_seconds(restore_at));
+  FaultSchedule schedule;
+  schedule.link_down(from_seconds(fail_at), victim)
+      .link_up(from_seconds(restore_at), victim);
+  injector.arm(engine, sim, schedule);
 
   manager.start(engine, sim);
   engine.run();
 
   std::printf("backbone link %d (at hub router %d, degree %zu) failed at "
-              "t=%.1fs, restored at t=%.1fs; %d reconvergences\n",
+              "t=%.1fs, restored at t=%.1fs; %zu reconvergences\n",
               victim, hub, net.incident(hub).size(), fail_at, restore_at,
-              ctl.reconvergences());
+              injector.ospf_reconvergence_s().size());
   const auto c = sim.totals();
   std::printf("totals: %llu flows completed, %llu link-down drops, "
               "%llu retransmits, %llu abandoned\n",

@@ -24,12 +24,11 @@
 // run fails, 2 on usage errors (a missing --config, an unknown or repeated
 // flag).
 #include <cstdio>
-#include <memory>
+#include <exception>
 #include <optional>
 #include <string>
 
 #include "campaign/runner.hpp"
-#include "fault/injector.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_config.hpp"
 #include "util/flags.hpp"
@@ -94,39 +93,44 @@ int main(int argc, char** argv) {
               opts.multi_as ? "multi-AS" : "single-AS", opts.num_routers,
               opts.num_hosts, opts.num_engines, app_kind_name(opts.app),
               to_seconds(opts.end_time));
-  Scenario scenario(opts);
-  const std::unique_ptr<FaultInjector> injector =
-      attach_faults(scenario, spec);
-
-  std::printf("%-7s %10s %9s %9s %8s %12s\n", "mapping", "T(sec)", "MLL(ms)",
-              "imbal", "PE", "events");
-  for (const MappingKind kind : spec.mappings) {
-    const MappingRun run = run_mapping(scenario, spec, kind, nullptr);
-    if (!run.result) {
-      std::fprintf(stderr, "guarded run failed permanently: %s\n",
-                   run.guard.last_error.c_str());
-      return 1;
+  try {
+    Scenario scenario(opts);
+    std::printf("%-7s %10s %9s %9s %8s %12s\n", "mapping", "T(sec)",
+                "MLL(ms)", "imbal", "PE", "events");
+    for (const MappingKind kind : spec.mappings) {
+      const MappingRun run = run_mapping(scenario, spec, kind, nullptr);
+      if (!run.result) {
+        std::fprintf(stderr, "guarded run failed permanently: %s\n",
+                     run.guard.last_error.c_str());
+        return 1;
+      }
+      if (run.guard.attempts > 1) {
+        std::printf(
+            "        guard: recovered after %d attempts "
+            "(stalls=%llu errors=%llu rung=%d)\n",
+            run.guard.attempts,
+            static_cast<unsigned long long>(run.guard.stalls),
+            static_cast<unsigned long long>(run.guard.errors),
+            run.guard.degraded_rung);
+      }
+      const ExperimentResult& r = *run.result;
+      std::printf("%-7s %10.3f %9.3f %9.3f %8.3f %12llu\n",
+                  mapping_kind_name(kind), r.metrics.simulation_time_s,
+                  to_milliseconds(r.mapping.achieved_mll),
+                  r.metrics.load_imbalance, r.metrics.parallel_efficiency,
+                  static_cast<unsigned long long>(r.metrics.total_events));
+      if (!opts.faults.empty()) {
+        std::printf("        faults injected: %llu\n",
+                    static_cast<unsigned long long>(r.faults_injected));
+      }
     }
-    if (run.guard.attempts > 1) {
-      std::printf(
-          "        guard: recovered after %d attempts "
-          "(stalls=%llu errors=%llu rung=%d)\n",
-          run.guard.attempts,
-          static_cast<unsigned long long>(run.guard.stalls),
-          static_cast<unsigned long long>(run.guard.errors),
-          run.guard.degraded_rung);
-    }
-    const ExperimentResult& r = *run.result;
-    std::printf("%-7s %10.3f %9.3f %9.3f %8.3f %12llu\n",
-                mapping_kind_name(kind), r.metrics.simulation_time_s,
-                to_milliseconds(r.mapping.achieved_mll),
-                r.metrics.load_imbalance, r.metrics.parallel_efficiency,
-                static_cast<unsigned long long>(r.metrics.total_events));
-    if (injector != nullptr) {
-      std::printf("        faults injected: %llu\n",
-                  static_cast<unsigned long long>(
-                      injector->faults_injected()));
-    }
+  } catch (const std::exception& e) {
+    // A run the scenario cannot carry (a missing checkpoint, a fault
+    // aimed past the network, more hosts than the network has) is a
+    // failed run, not a crash.
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", config.c_str(), e.what());
+    return 1;
   }
   return 0;
 }

@@ -6,12 +6,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <thread>
 
 #include "campaign/golden.hpp"
-#include "fault/injector.hpp"
 #include "guard/guarded_run.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -24,6 +22,10 @@ namespace {
 constexpr std::string_view kTimingExcludes[] = {
     "ckpt.write_ms",
     "guard.",
+    "pdes.probe.barrier_wait_s",
+    "pdes.probe.hook_s",
+    "pdes.probe.merge_s",
+    "pdes.probe.process_s",
     "pdes.sched.arena_slots",
     "pdes.sched.heap_peak",
     "pdes.sync.channel_wait_s",
@@ -58,7 +60,6 @@ void execute_scenario(const CampaignRun& run, obs::Registry* registry,
   ScenarioOptions opts = s.options;
   opts.registry = registry;
   Scenario scenario(opts);
-  const std::unique_ptr<FaultInjector> injector = attach_faults(scenario, s);
 
   const MappingKind kind = s.mappings.front();
   const MappingRun m = run_mapping(scenario, s, kind, registry);
@@ -75,8 +76,7 @@ void execute_scenario(const CampaignRun& run, obs::Registry* registry,
   rec->load_imbalance = r.metrics.load_imbalance;
   rec->parallel_efficiency = r.metrics.parallel_efficiency;
   rec->mll_ms = to_milliseconds(r.mapping.achieved_mll);
-  rec->faults_injected =
-      injector != nullptr ? injector->faults_injected() : 0;
+  rec->faults_injected = r.faults_injected;
 }
 
 std::string kv_line(const std::string& key, const std::string& value) {
@@ -84,22 +84,6 @@ std::string kv_line(const std::string& key, const std::string& value) {
 }
 
 }  // namespace
-
-std::unique_ptr<FaultInjector> attach_faults(Scenario& scenario,
-                                             const ScenarioSpec& spec) {
-  if (spec.faults.empty()) return nullptr;
-  auto injector = std::make_unique<FaultInjector>(scenario.network(),
-                                                  scenario.forwarding_mut());
-  // The injector lives a layer above the Scenario (fault -> sim), so it
-  // is armed through the pre-run hook, which hands over the engine and
-  // NetSim of each measured run right before it executes.
-  const FaultSchedule* sched = &spec.faults;
-  FaultInjector* inj = injector.get();
-  scenario.set_pre_run([inj, sched](Engine& engine, NetSim& sim) {
-    inj->arm(engine, sim, *sched);
-  });
-  return injector;
-}
 
 MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
                        MappingKind kind, obs::Registry* registry) {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -34,17 +33,9 @@
 
 namespace massf {
 
-class FaultInjector;
-
 namespace obs {
 class Registry;
 }  // namespace obs
-
-/// Arms `spec.faults` on every measured run of `scenario` through its
-/// pre-run hook. Null when the schedule is empty; otherwise the injector
-/// must outlive the scenario's runs, and `spec` the injector.
-std::unique_ptr<FaultInjector> attach_faults(Scenario& scenario,
-                                             const ScenarioSpec& spec);
 
 /// One mapping's measured run, as massf_cli and the campaign runner both
 /// execute it.

@@ -77,41 +77,42 @@ FaultSchedule& FaultSchedule::append(const FaultSchedule& other) {
   return *this;
 }
 
+std::string fault_event_text(const FaultEvent& e) {
+  char buf[160];
+  const double at_s = to_seconds(e.at);
+  switch (e.kind) {
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+      std::snprintf(buf, sizeof buf, "at %g %s link=%d", at_s,
+                    fault_kind_name(e.kind), e.target);
+      break;
+    case FaultKind::kRouterCrash:
+    case FaultKind::kRouterRestore:
+      std::snprintf(buf, sizeof buf, "at %g %s router=%d", at_s,
+                    fault_kind_name(e.kind), e.target);
+      break;
+    case FaultKind::kLossBurst:
+      std::snprintf(buf, sizeof buf, "at %g loss link=%d duration=%g rate=%g",
+                    at_s, e.target, to_seconds(e.duration), e.rate);
+      break;
+    case FaultKind::kBgpReset:
+      std::snprintf(buf, sizeof buf,
+                    "at %g bgp_reset as=%d peer=%d downtime=%g", at_s,
+                    e.target, e.peer, to_seconds(e.duration));
+      break;
+  }
+  return buf;
+}
+
 std::string FaultSchedule::to_text() const {
   std::vector<FaultEvent> sorted = events_;
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
-  std::ostringstream out;
-  char buf[160];
-  for (const FaultEvent& e : sorted) {
-    const double at_s = to_seconds(e.at);
-    switch (e.kind) {
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkUp:
-        std::snprintf(buf, sizeof buf, "at %g %s link=%d", at_s,
-                      fault_kind_name(e.kind), e.target);
-        break;
-      case FaultKind::kRouterCrash:
-      case FaultKind::kRouterRestore:
-        std::snprintf(buf, sizeof buf, "at %g %s router=%d", at_s,
-                      fault_kind_name(e.kind), e.target);
-        break;
-      case FaultKind::kLossBurst:
-        std::snprintf(buf, sizeof buf,
-                      "at %g loss link=%d duration=%g rate=%g", at_s,
-                      e.target, to_seconds(e.duration), e.rate);
-        break;
-      case FaultKind::kBgpReset:
-        std::snprintf(buf, sizeof buf,
-                      "at %g bgp_reset as=%d peer=%d downtime=%g", at_s,
-                      e.target, e.peer, to_seconds(e.duration));
-        break;
-    }
-    out << buf << '\n';
-  }
-  return out.str();
+  std::string out;
+  for (const FaultEvent& e : sorted) out += fault_event_text(e) + '\n';
+  return out;
 }
 
 namespace {

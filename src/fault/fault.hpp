@@ -53,6 +53,9 @@ struct FaultEvent {
 
 const char* fault_kind_name(FaultKind kind);
 
+/// One event as a line of the text format below (no newline).
+std::string fault_event_text(const FaultEvent& event);
+
 /// Builder + container for a chaos scenario. Events may be added in any
 /// order; the injector sorts by time when compiling.
 class FaultSchedule {

@@ -1,9 +1,11 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace massf {
 namespace {
@@ -25,35 +27,70 @@ FaultInjector::FaultInjector(const Network& net, ForwardingPlane& fp,
   MASSF_CHECK(opts_.ospf_convergence_delay >= 0);
 }
 
+void FaultInjector::validate(const FaultSchedule& schedule) const {
+  const auto num_links = static_cast<LinkId>(net_->links.size());
+  for (const FaultEvent& e : schedule.events()) {
+    std::string problem;
+    switch (e.kind) {
+      case FaultKind::kLinkDown:
+      case FaultKind::kLinkUp:
+      case FaultKind::kLossBurst:
+        if (e.target < 0 || e.target >= num_links) {
+          problem = "link " + std::to_string(e.target) +
+                    " is out of range (the network has " +
+                    std::to_string(num_links) + " links)";
+        }
+        break;
+      case FaultKind::kRouterCrash:
+      case FaultKind::kRouterRestore:
+        if (e.target < 0 || !net_->is_router(e.target)) {
+          problem = "node " + std::to_string(e.target) +
+                    " is not a router (the network has " +
+                    std::to_string(net_->num_routers) + " routers)";
+        }
+        break;
+      case FaultKind::kBgpReset:
+        if (speakers_ == nullptr) {
+          problem = "BGP session resets need dynamic BGP speakers "
+                    "(FaultInjector::set_bgp), and this run has none";
+        }
+        break;
+    }
+    if (!problem.empty()) {
+      MASSF_THROW(ErrorCategory::kConfig,
+                  "fault '" + fault_event_text(e) + "': " + problem);
+    }
+  }
+}
+
+void FaultInjector::schedule_ospf(Engine& engine, NetSim& sim, LinkId link,
+                                  SimTime when, bool up) {
+  sim.link_model().schedule_link_state(engine, link, when, up);
+  // After every earlier change due at the same time: equal-time changes
+  // apply in schedule order, as the data plane's same-time events fire.
+  const SimTime at = when + opts_.ospf_convergence_delay;
+  const auto pos = std::upper_bound(
+      pending_.begin(), pending_.end(), at,
+      [](SimTime t, const PendingOspf& p) { return t < p.at; });
+  pending_.insert(pos, {at, link, up, when});
+}
+
 void FaultInjector::arm(Engine& engine, NetSim& sim,
                         const FaultSchedule& schedule) {
   MASSF_CHECK(sim_ == nullptr && "arm() may be called once");
+  validate(schedule);
   sim_ = &sim;
-  controller_ = std::make_unique<FailoverController>(
-      *fp_, opts_.ospf_convergence_delay);
-  controller_->set_observer(
-      [this](SimTime applied_at, LinkId, bool, SimTime requested_at) {
-        ospf_reconverge_s_.push_back(to_seconds(applied_at - requested_at));
-      });
-  controller_->attach(engine);
 
-  const auto num_links = static_cast<LinkId>(net_->links.size());
   for (const FaultEvent& e : schedule.events()) {
     ++injected_;
     ++count_[static_cast<std::size_t>(e.kind)];
     switch (e.kind) {
       case FaultKind::kLinkDown:
       case FaultKind::kLinkUp: {
-        MASSF_CHECK(e.target >= 0 && e.target < num_links);
         const NetLink& l = net_->links[static_cast<std::size_t>(e.target)];
         const bool up = e.kind == FaultKind::kLinkUp;
         if (net_->is_router(l.a) && net_->is_router(l.b)) {
-          // Routed link: data plane now, OSPF one convergence delay later.
-          if (up) {
-            controller_->restore_link(engine, sim, e.target, e.at);
-          } else {
-            controller_->fail_link(engine, sim, e.target, e.at);
-          }
+          schedule_ospf(engine, sim, e.target, e.at, up);
         } else {
           // Host access link: no routing choice exists — pure data plane.
           sim.link_model().schedule_link_state(engine, e.target, e.at, up);
@@ -62,7 +99,6 @@ void FaultInjector::arm(Engine& engine, NetSim& sim,
       }
       case FaultKind::kRouterCrash:
       case FaultKind::kRouterRestore: {
-        MASSF_CHECK(net_->is_router(e.target));
         const bool up = e.kind == FaultKind::kRouterRestore;
         // The router itself blackholes (kEvNodeState, which also drops the
         // crashed node's pending host app timers), and every incident
@@ -70,11 +106,7 @@ void FaultInjector::arm(Engine& engine, NetSim& sim,
         sim.schedule_node_state(engine, e.target, e.at, up);
         for (const Network::Incidence& inc : net_->incident(e.target)) {
           if (net_->is_router(inc.peer)) {
-            if (up) {
-              controller_->restore_link(engine, sim, inc.link, e.at);
-            } else {
-              controller_->fail_link(engine, sim, inc.link, e.at);
-            }
+            schedule_ospf(engine, sim, inc.link, e.at, up);
           } else {
             sim.link_model().schedule_link_state(engine, inc.link, e.at, up);
           }
@@ -82,15 +114,12 @@ void FaultInjector::arm(Engine& engine, NetSim& sim,
         break;
       }
       case FaultKind::kLossBurst: {
-        MASSF_CHECK(e.target >= 0 && e.target < num_links);
         sim.link_model().schedule_loss_state(engine, e.target, e.at, e.rate);
         sim.link_model().schedule_loss_state(engine, e.target,
                                              e.at + e.duration, 0.0);
         break;
       }
       case FaultKind::kBgpReset: {
-        MASSF_CHECK(speakers_ != nullptr &&
-                    "kBgpReset requires set_bgp() before arm()");
         speakers_->schedule_session_reset(engine, sim, e.target, e.peer,
                                           e.at, e.duration);
         bgp_reconverge_.push_back({e.at, -1});
@@ -103,17 +132,26 @@ void FaultInjector::arm(Engine& engine, NetSim& sim,
               return a.at < b.at;
             });
 
-  if (speakers_ != nullptr) {
-    engine.hooks().barrier.push_back([this](Engine& eng, SimTime window_start) {
-      on_barrier(eng, window_start);
-    });
-  }
+  engine.hooks().barrier.push_back(
+      [this](Engine&, SimTime window_start) { on_barrier(window_start); });
 }
 
-void FaultInjector::on_barrier(Engine&, SimTime) {
-  // Workers are quiescent at a barrier, so reading speaker state is safe;
-  // barriers fall at identical virtual times under both executors, so the
-  // samples — and the derived settle times — are deterministic.
+void FaultInjector::on_barrier(SimTime window_start) {
+  // Workers are quiescent at a barrier, so mutating the shared routing
+  // tables and reading speaker state is safe; barriers fall at identical
+  // virtual times under both executors, so the applied changes, the BGP
+  // samples and the derived settle times are deterministic.
+  bool any = false;
+  while (!pending_.empty() && pending_.front().at <= window_start) {
+    const PendingOspf p = pending_.front();
+    fp_->set_link_state(p.link, p.up);
+    pending_.erase(pending_.begin());
+    ospf_reconverge_s_.push_back(to_seconds(window_start - p.requested_at));
+    any = true;
+  }
+  if (any) fp_->reconverge();
+
+  if (speakers_ == nullptr) return;
   const SimTime change = speakers_->last_change();
   if (change <= last_bgp_change_seen_) return;
   last_bgp_change_seen_ = change;
@@ -151,6 +189,7 @@ void FaultInjector::publish_metrics(obs::Registry& registry) const {
 }
 
 void FaultInjector::save(ckpt::Writer& w) const {
+  MASSF_CHECK(sim_ != nullptr && "save() requires arm()");
   w.u64(injected_);
   for (const std::uint64_t c : count_) w.u64(c);
   ckpt::write_f64_vec(w, ospf_reconverge_s_);
@@ -160,16 +199,21 @@ void FaultInjector::save(ckpt::Writer& w) const {
     w.f64(r.settle_s);
   }
   w.i64(last_bgp_change_seen_);
-  MASSF_CHECK(controller_ != nullptr && "save() requires arm()");
-  controller_->save(w);
+  w.u64(pending_.size());
+  for (const PendingOspf& p : pending_) {
+    w.i64(p.at);
+    w.i32(p.link);
+    w.u8(p.up ? 1 : 0);
+    w.i64(p.requested_at);
+  }
 }
 
 bool FaultInjector::load(ckpt::Reader& r) {
-  if (controller_ == nullptr) return false;  // must be armed first
+  if (sim_ == nullptr) return false;  // must be armed first
   injected_ = r.u64();
   for (std::uint64_t& c : count_) c = r.u64();
   if (!ckpt::read_f64_vec(r, ospf_reconverge_s_)) return false;
-  const std::uint64_t n = r.u64();
+  std::uint64_t n = r.u64();
   if (!r.ok() || n > (1ULL << 32)) return false;
   bgp_reconverge_.assign(static_cast<std::size_t>(n), BgpReconvergence{});
   for (BgpReconvergence& b : bgp_reconverge_) {
@@ -177,8 +221,18 @@ bool FaultInjector::load(ckpt::Reader& r) {
     b.settle_s = r.f64();
   }
   last_bgp_change_seen_ = r.i64();
-  if (!r.ok()) return false;
-  return controller_->load(r);
+  n = r.u64();
+  if (!r.ok() || n > (1ULL << 32)) return false;
+  pending_.assign(static_cast<std::size_t>(n), PendingOspf{});
+  const auto num_links = static_cast<LinkId>(net_->links.size());
+  for (PendingOspf& p : pending_) {
+    p.at = r.i64();
+    p.link = r.i32();
+    p.up = r.u8() != 0;
+    p.requested_at = r.i64();
+    if (p.link < 0 || p.link >= num_links) return false;
+  }
+  return r.ok();
 }
 
 }  // namespace massf

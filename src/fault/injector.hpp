@@ -3,17 +3,23 @@
 // The injector is armed once, before the run. Every fault is realized
 // through the engine's existing deterministic channels:
 //
-//   link down/up    -> FailoverController (data plane immediately, OSPF
-//                      reconvergence one convergence delay later, applied
-//                      at a window barrier)
+//   link down/up    -> the data plane changes at the fault time; OSPF
+//                      reconverges one convergence delay later, at a
+//                      window barrier (router-router links only: host
+//                      access links have no routing choice)
 //   router crash    -> kEvNodeState blackhole at the router + all incident
-//                      links down (router-router links go through the
-//                      controller so OSPF reroutes; host access links are
-//                      pure data-plane)
+//                      links down (router-router links reconverge as
+//                      above; host access links are pure data-plane)
 //   loss burst      -> kEvLossState on both directions of the link; drop
 //                      decisions hash a per-slot counter with the fault
 //                      seed, owned by the transmitting LP
 //   bgp reset       -> BgpSpeakers::schedule_session_reset
+//
+// A link failure has two timescales: the data plane loses the link at
+// once (packets offered to it drop), while the control plane reroutes only
+// after detection + LSA flooding + SPF. The routing tables are shared by
+// every logical process, so the injector mutates them only at a window
+// barrier, where all workers are quiescent.
 //
 // Because everything is pre-scheduled or applied at barriers, a given
 // (schedule, seed) pair is bit-identical under the sequential and threaded
@@ -22,26 +28,26 @@
 // Reconvergence accounting (the massf.fault.v1 metrics schema, DESIGN.md
 // Section 5c):
 //   - OSPF: per applied link-state change, barrier-apply time minus the
-//     data-plane change time (observer on the FailoverController).
+//     data-plane change time.
 //   - BGP: the injector samples BgpSpeakers::last_change() at every
 //     barrier; each observed route-table change is attributed to the
 //     latest BGP-visible fault at or before it, and that fault's settle
 //     time is the latest change attributed to it minus its start time.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "net/netsim.hpp"
 #include "obs/metrics.hpp"
 #include "routing/bgp_dynamic.hpp"
-#include "sim/failover.hpp"
+#include "routing/forwarding.hpp"
 
 namespace massf {
 
 struct FaultInjectorOptions {
   /// OSPF detection + flooding + SPF delay applied to every link-state
-  /// fault (the FailoverController's convergence delay).
+  /// fault (tens of milliseconds to seconds in real deployments).
   SimTime ospf_convergence_delay = milliseconds(200);
 };
 
@@ -54,8 +60,10 @@ class FaultInjector {
   void set_bgp(BgpSpeakers* speakers) { speakers_ = speakers; }
 
   /// Compiles `schedule` into engine events and installs the barrier
-  /// hooks. Call once, before the run. Aborts on out-of-range targets or
-  /// a kBgpReset without set_bgp().
+  /// hook. Call once, before the run. A schedule the network cannot carry
+  /// — a link id out of range, a crash or restore aimed at a non-router,
+  /// a kBgpReset without set_bgp() — throws a kConfig EngineError naming
+  /// the event, before anything is scheduled.
   void arm(Engine& engine, NetSim& sim, const FaultSchedule& schedule);
 
   // ---- post-run queries ---------------------------------------------------
@@ -84,26 +92,39 @@ class FaultInjector {
   void publish_metrics(obs::Registry& registry) const;
 
   /// Checkpoint hooks (ckpt/ckpt.hpp): injection counters, reconvergence
-  /// records, the BGP-change cursor, and the owned FailoverController's
-  /// pending changes. The injector must be armed (with the same schedule)
-  /// before load() — arming rebuilds the hooks and initial events, restore
-  /// then overwrites the mutable cursors.
+  /// records, the BGP-change cursor, and the not-yet-applied OSPF changes.
+  /// The injector must be armed (with the same schedule) before load() —
+  /// arming rebuilds the hook and initial events, restore then overwrites
+  /// the mutable cursors.
   void save(ckpt::Writer& writer) const;
   bool load(ckpt::Reader& reader);
 
  private:
-  void on_barrier(Engine& engine, SimTime window_start);
+  /// An OSPF change waiting for its barrier: `at` is the data-plane change
+  /// time `requested_at` plus the convergence delay.
+  struct PendingOspf {
+    SimTime at;
+    LinkId link;
+    bool up;
+    SimTime requested_at;
+  };
+
+  void validate(const FaultSchedule& schedule) const;
+  /// Router-router link: data plane at `when`, OSPF one delay later.
+  void schedule_ospf(Engine& engine, NetSim& sim, LinkId link, SimTime when,
+                     bool up);
+  void on_barrier(SimTime window_start);
 
   const Network* net_;
   ForwardingPlane* fp_;
   FaultInjectorOptions opts_;
   BgpSpeakers* speakers_ = nullptr;
   NetSim* sim_ = nullptr;
-  std::unique_ptr<FailoverController> controller_;
 
   std::uint64_t injected_ = 0;
   std::uint64_t count_[6] = {};  ///< per FaultKind
 
+  std::vector<PendingOspf> pending_;  ///< sorted by .at; pre-run + hook only
   std::vector<double> ospf_reconverge_s_;
   std::vector<BgpReconvergence> bgp_reconverge_;  ///< sorted by .at
   SimTime last_bgp_change_seen_ = -1;

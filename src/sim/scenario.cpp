@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <string>
 
 #include "ckpt/ckpt.hpp"
+#include "fault/injector.hpp"
 #include "guard/watchdog.hpp"
 #include "util/error.hpp"
 #include "obs/metrics.hpp"
@@ -79,12 +81,25 @@ Scenario::Scenario(const ScenarioOptions& options) : opts_(options) {
 }
 
 void Scenario::select_hosts() {
-  const std::int32_t needed =
-      opts_.num_clients + opts_.num_servers + opts_.num_bg_sources +
-      (opts_.app == AppKind::kNone ? 0 : opts_.num_app_hosts);
-  MASSF_CHECK(needed <= net_.num_hosts());
+  const std::int32_t app_hosts =
+      opts_.app == AppKind::kNone ? 0 : opts_.num_app_hosts;
+  const std::int32_t needed = opts_.num_clients + opts_.num_servers +
+                              app_hosts + opts_.num_bg_sources;
+  MASSF_ENFORCE(needed <= net_.num_hosts(), ErrorCategory::kConfig,
+                "the scenario needs " + std::to_string(needed) +
+                    " hosts (clients " + std::to_string(opts_.num_clients) +
+                    " + servers " + std::to_string(opts_.num_servers) +
+                    " + app_hosts " + std::to_string(app_hosts) +
+                    " + background sources " +
+                    std::to_string(opts_.num_bg_sources) +
+                    ") but hosts is " +
+                    std::to_string(net_.num_hosts()));
   // Background flows target the server pool, so sources need servers.
-  MASSF_CHECK(opts_.num_bg_sources == 0 || opts_.num_servers > 0);
+  MASSF_ENFORCE(opts_.num_bg_sources == 0 || opts_.num_servers > 0,
+                ErrorCategory::kConfig,
+                std::to_string(opts_.num_bg_sources) +
+                    " background sources need servers to target, but "
+                    "servers is 0");
 
   std::vector<NodeId> hosts(static_cast<std::size_t>(net_.num_hosts()));
   std::iota(hosts.begin(), hosts.end(), net_.num_routers);
@@ -198,6 +213,21 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   MASSF_CHECK(static_cast<NodeId>(mapping.router_lp.size()) ==
               net_.num_routers);
 
+  // Faults leave links down in the shared forwarding plane. Put its
+  // down-set back on the way out, returning or throwing, so every run (and
+  // a later profiling run) starts from the plane construction built.
+  ckpt::Writer entry_plane;
+  fp_->save(entry_plane);
+  struct RestorePlane {
+    ForwardingPlane& fp;
+    const std::vector<std::uint8_t>& image;
+    ~RestorePlane() {
+      ckpt::Reader r(image.data(), image.size());
+      const bool restored = fp.load(r);
+      MASSF_CHECK(restored);
+    }
+  } restore_plane{*fp_, entry_plane.buffer()};
+
   EngineOptions eo;
   eo.lookahead = lookahead_for(mapping.router_lp);
   eo.cost_per_event_s = opts_.cluster.cost_per_event_s;
@@ -219,6 +249,13 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   engine.set_registry(opts_.registry);
   engine.set_probe(opts_.probe);
 
+  // Faults (DESIGN.md section 5c): a fresh injector per run, so every
+  // mapping's run sees the whole schedule.
+  std::unique_ptr<FaultInjector> injector;
+  if (!opts_.faults.empty()) {
+    injector = std::make_unique<FaultInjector>(net_, *fp_);
+    injector->arm(engine, sim, opts_.faults);
+  }
   if (opts_.pre_run) opts_.pre_run(engine, sim);
 
   // Online rebalancing (DESIGN.md section 5f): the controller installs
@@ -251,6 +288,12 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
     parts.add(
         "routing.fp", [this](ckpt::Writer& w) { fp_->save(w); },
         [this](ckpt::Reader& r) { return fp_->load(r); });
+    if (injector != nullptr) {
+      FaultInjector* inj = injector.get();
+      parts.add(
+          "fault", [inj](ckpt::Writer& w) { inj->save(w); },
+          [inj](ckpt::Reader& r) { return inj->load(r); });
+    }
     if (rebalancer != nullptr) {
       RebalanceController* rc = rebalancer.get();
       parts.add(
@@ -328,9 +371,11 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   }
   result.metrics = compute_metrics(result.stats, opts_.cluster);
   result.counters = sim.totals();
+  if (injector != nullptr) result.faults_injected = injector->faults_injected();
   if (opts_.registry != nullptr) {
     sim.publish_metrics(*opts_.registry);
     manager.publish_metrics(*opts_.registry);
+    if (injector != nullptr) injector->publish_metrics(*opts_.registry);
     if (opts_.probe != nullptr) opts_.probe->publish(*opts_.registry);
     opts_.registry->gauge("sim.load_imbalance")
         .set(result.metrics.load_imbalance);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cluster/metrics.hpp"
+#include "fault/fault.hpp"
 #include "guard/options.hpp"
 #include "lb/mapping.hpp"
 #include "lb/profile.hpp"
@@ -96,11 +97,15 @@ struct ScenarioOptions {
   /// Online LP rebalancing during the measured run (off by default; forces
   /// collect_node_profile on when enabled). DESIGN.md section 5f.
   RebalanceOptions rebalance;
+  /// Chaos schedule (DESIGN.md section 5c; empty = no faults). Every
+  /// measured run arms a fresh FaultInjector with it, so each mapping's
+  /// run sees the same faults on the same network.
+  FaultSchedule faults;
 
-  /// Invoked on the measured run after traffic installation and before
-  /// rebalance/checkpoint arming. The place for callers to attach extra
-  /// machinery (e.g. a FaultInjector, which lives in a layer above this
-  /// one) to the engine/NetSim pair the run is about to execute.
+  /// Invoked on the measured run after traffic installation and fault
+  /// arming, before rebalance/checkpoint arming. It exists for
+  /// bench_e2e, which attaches its own FaultInjector to the engine/NetSim
+  /// pair the run is about to execute; scenarios configure faults above.
   std::function<void(Engine&, NetSim&)> pre_run;
 
   // ---- telemetry (obs/) ----------------------------------------------------
@@ -116,6 +121,7 @@ struct ExperimentResult {
   RunStats stats;
   SimulationMetrics metrics;
   NetSim::Counters counters;
+  std::uint64_t faults_injected = 0;  ///< events of ScenarioOptions::faults
 };
 
 class Scenario {
@@ -139,7 +145,9 @@ class Scenario {
   /// profiling run on first use.
   Mapping mapping_for(MappingKind kind);
 
-  /// Full simulation under a mapping.
+  /// Full simulation under a mapping. The run may rewire the forwarding
+  /// plane (faults); on return or throw it is back to what construction
+  /// built, so every run — and a later profiling run — starts alike.
   ExperimentResult run(const Mapping& mapping);
   ExperimentResult run(MappingKind kind) { return run(mapping_for(kind)); }
 
@@ -159,14 +167,14 @@ class Scenario {
   bool last_run_cancelled() const { return last_run_cancelled_; }
 
   /// Replaces the pre-run callback (ScenarioOptions::pre_run) for
-  /// subsequent run() calls — needed by callers whose attachments (e.g. a
-  /// FaultInjector) require the constructed network/forwarding plane.
+  /// subsequent run() calls, for attachments that need the constructed
+  /// network and forwarding plane.
   void set_pre_run(std::function<void(Engine&, NetSim&)> fn) {
     opts_.pre_run = std::move(fn);
   }
 
-  /// Mutable forwarding plane, for machinery that rewires routes during
-  /// the run (FailoverController behind a FaultInjector).
+  /// Mutable forwarding plane, for a pre-run FaultInjector that rewires
+  /// routes during the run.
   ForwardingPlane& forwarding_mut() { return *fp_; }
 
   /// Conservative lookahead of a router->engine assignment: the minimum

@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "fault/fault.hpp"
+
 namespace massf {
 namespace {
 
@@ -441,11 +443,11 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
                                        : "recover"));
   g.add_atom("retries", static_cast<std::int64_t>(spec.guard_retries));
 
-  if (!spec.faults.empty()) {
+  if (!o.faults.empty()) {
     DmlNode& f = e.add_child("faults");
     // One `event` atom per schedule line; to_text sorts by time, so the
     // emission is canonical and parse -> to_dml is a fixed point.
-    std::istringstream lines(spec.faults.to_text());
+    std::istringstream lines(o.faults.to_text());
     std::string line;
     while (std::getline(lines, line)) {
       if (!line.empty()) f.add_atom("event", line);
@@ -486,7 +488,7 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
           return std::nullopt;
         }
       } else if (a.key == "faults") {
-        if (!parse_faults(*a.child, include_dir, &spec.faults, error)) {
+        if (!parse_faults(*a.child, include_dir, &o.faults, error)) {
           return std::nullopt;
         }
       } else {

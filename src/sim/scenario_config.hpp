@@ -55,19 +55,17 @@
 #include <vector>
 
 #include "dml/dml.hpp"
-#include "fault/fault.hpp"
 #include "sim/scenario.hpp"
 
 namespace massf {
 
-/// A fully-specified experiment: ScenarioOptions plus the layers that live
-/// above the Scenario object (fault schedule, mapping run list, supervised
-/// retry budget). This is the unit a scenario file describes and the unit
-/// the campaign runner sweeps.
+/// A fully-specified experiment: ScenarioOptions (fault schedule
+/// included) plus what the tools above the Scenario object consume (the
+/// mapping run list, the supervised retry budget). This is the unit a
+/// scenario file describes and the unit the campaign runner sweeps.
 struct ScenarioSpec {
   std::string name;            ///< optional label ("" = unnamed)
   ScenarioOptions options;     ///< everything Scenario consumes
-  FaultSchedule faults;        ///< chaos schedule (empty = no injector)
   /// Mappings to run, in order (massf_cli runs all; a campaign run uses
   /// the first — the campaign sweeps mappings as an axis instead).
   std::vector<MappingKind> mappings{MappingKind::kHProf};

@@ -6,8 +6,9 @@
 //  * Scenario: the experiment facade's own orchestration (CkptOptions /
 //    set_ckpt) — a run checkpoints to a file and stops, a second run on the
 //    same Scenario restores from the file, and the resumed run's
-//    ExperimentResult and probe rows must equal the uninterrupted run's,
-//    under both executors and both traffic applications.
+//    ExperimentResult, probe rows and canonical metrics must equal the
+//    uninterrupted run's, under both executors, both traffic
+//    applications, and a scenario fault schedule spanning the snapshot.
 //
 //  * The chaos stack (NetSim + dynamic BGP + FaultInjector, as in
 //    bench/chaos_beacon.cpp): the checkpoint is taken mid-outage — after a
@@ -21,10 +22,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "campaign/runner.hpp"
 #include "ckpt/ckpt.hpp"
 #include "fault/injector.hpp"
 #include "obs/export.hpp"
@@ -117,6 +120,8 @@ ScenarioOptions tiny_options() {
 struct ScenarioCkptCase {
   AppKind app;
   std::int32_t threads;
+  /// Faults whose outages span the checkpoint.
+  bool faulted = false;
 };
 
 // Prints the thread count alone, so test names read
@@ -126,39 +131,62 @@ void PrintTo(const ScenarioCkptCase& c, std::ostream* os) { *os << c.threads; }
 class ScenarioCkpt : public ::testing::TestWithParam<ScenarioCkptCase> {};
 
 TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
-  const auto [app, threads] = GetParam();
+  const auto [app, threads, faulted] = GetParam();
   const std::string path = ::testing::TempDir() + "/scenario_" +
                            app_kind_name(app) + "_t" +
-                           std::to_string(threads) + ".ckpt";
+                           std::to_string(threads) +
+                           (faulted ? "_faulted" : "") + ".ckpt";
 
   ScenarioOptions base = tiny_options();
   base.app = app;
   base.executor_threads = threads;
+  // Windows are ~3.7 ms long here. Window 40 falls before any OSPF change
+  // can apply (the convergence delay is 200 ms), so the faulted case cuts
+  // at window 150 (~0.57 s): the crash's OSPF changes have applied by
+  // then, the link's are still queued, and both outages end after it.
+  // Router links come first in a generated network.
+  std::uint64_t cut_window = 40;
+  if (faulted) {
+    cut_window = 150;
+    base.faults.router_crash(milliseconds(100), 3)
+        .link_down(milliseconds(450), 0)
+        .router_restore(milliseconds(900), 3)
+        .link_up(milliseconds(1000), 0);
+  }
 
   // Uninterrupted reference run.
   obs::WindowProbe probe_ref;
+  obs::Registry registry_ref;
   ScenarioOptions oref = base;
   oref.probe = &probe_ref;
+  oref.registry = &registry_ref;
   Scenario ref(oref);
   const ExperimentResult want = ref.run(MappingKind::kTop2);
 
   // Interrupted then resumed, on one Scenario (same topology and hosts).
+  // The registry is re-created in place after the cut, so the Scenario's
+  // pointer stays valid and the export holds what the resumed run
+  // published.
   obs::WindowProbe probe_res;
+  std::optional<obs::Registry> registry_res(std::in_place);
   ScenarioOptions ores = base;
   ores.probe = &probe_res;
+  ores.registry = &*registry_res;
   Scenario resumed(ores);
   CkptOptions save;
-  save.every_windows = 40;
+  save.every_windows = cut_window;
   save.path = path;
   save.stop_after = true;
   resumed.set_ckpt(save);
   const ExperimentResult cut = resumed.run(MappingKind::kTop2);
-  ASSERT_EQ(cut.stats.num_windows, 40u);  // stopped at the snapshot boundary
+  // Stopped at the snapshot boundary.
+  ASSERT_EQ(cut.stats.num_windows, cut_window);
   ASSERT_LT(cut.stats.num_windows, want.stats.num_windows);
 
   CkptOptions load;
   load.restore_path = path;
   resumed.set_ckpt(load);
+  registry_res.emplace();
   const ExperimentResult got = resumed.run(MappingKind::kTop2);
 
   expect_same_stats(want.stats, got.stats);
@@ -166,7 +194,14 @@ TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
   EXPECT_EQ(double_bits(want.metrics.simulation_time_s),
             double_bits(got.metrics.simulation_time_s));
   EXPECT_EQ(want.metrics.total_events, got.metrics.total_events);
+  EXPECT_EQ(want.faults_injected, got.faults_injected);
   expect_same_probe_rows(probe_ref, probe_res);
+  const std::string want_json =
+      obs::to_json_excluding(registry_ref, timing_metric_excludes());
+  EXPECT_EQ(want_json,
+            obs::to_json_excluding(*registry_res, timing_metric_excludes()));
+  EXPECT_EQ(faulted, want_json.find("massf.fault.injected") !=
+                         std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,6 +213,13 @@ INSTANTIATE_TEST_SUITE_P(
     GridNpbExecutors, ScenarioCkpt,
     ::testing::Values(ScenarioCkptCase{AppKind::kGridNpb, 0},
                       ScenarioCkptCase{AppKind::kGridNpb, 3}));
+// A crash and a link outage across the checkpoint: the injector's
+// reconvergence records, queued OSPF changes and massf.fault.* metrics
+// resume with the rest of the run.
+INSTANTIATE_TEST_SUITE_P(
+    FaultedExecutors, ScenarioCkpt,
+    ::testing::Values(ScenarioCkptCase{AppKind::kScaLapack, 0, true},
+                      ScenarioCkptCase{AppKind::kScaLapack, 3, true}));
 
 // ---- chaos stack ------------------------------------------------------------
 

@@ -15,6 +15,7 @@
 #include "routing/forwarding.hpp"
 #include "topology/mabrite.hpp"
 #include "traffic/manager.hpp"
+#include "util/error.hpp"
 
 namespace massf {
 namespace {
@@ -296,6 +297,195 @@ TEST(FaultInjector, RouterCrashBlackholesAndOspfReconverges) {
     EXPECT_GE(sec, 0.2);
     EXPECT_LT(sec, 1.5);
   }
+}
+
+// ---- Link failover: data plane at once, OSPF one delay later -------------
+
+// The diamond on one LP, with an injector whose OSPF convergence delay is
+// `delay`.
+struct DiamondRig {
+  explicit DiamondRig(SimTime delay,
+                      std::vector<LpId> router_lp = {0, 0, 0, 0})
+      : net(diamond()), fp(ForwardingPlane::build_flat(net, {{0, 3}})) {
+    EngineOptions eo;
+    eo.lookahead = milliseconds(1);  // = min cross-LP latency (link 1-3)
+    eo.end_time = seconds(120);
+    engine = std::make_unique<Engine>(eo);
+    sim = std::make_unique<NetSim>(net, fp, std::move(router_lp), *engine,
+                                   NetSimOptions{});
+    FaultInjectorOptions fo;
+    fo.ospf_convergence_delay = delay;
+    injector = std::make_unique<FaultInjector>(net, fp, fo);
+  }
+
+  Network net;
+  ForwardingPlane fp;
+  std::unique_ptr<Engine> engine;
+  std::unique_ptr<NetSim> sim;
+  std::unique_ptr<FaultInjector> injector;
+};
+
+TEST(Failover, ReroutesAroundFailedLink) {
+  DiamondRig rig(milliseconds(200));
+  std::uint32_t completions = 0;
+  SimTime completed_at = -1;
+  rig.sim->set_flow_complete(
+      [&](Engine& e, NetSim&, FlowId, NodeId, NodeId, std::uint32_t, bool) {
+        ++completions;
+        completed_at = e.now();
+      });
+  // OSPF initially prefers the fast branch; verify.
+  EXPECT_EQ(rig.fp.next_link(0, 3), 0);
+
+  FaultSchedule s;
+  s.link_down(milliseconds(50), /*link=*/0);
+  rig.injector->arm(*rig.engine, *rig.sim, s);
+  rig.sim->start_flow(*rig.engine, milliseconds(1), 4, 5, 2000000, 1);
+  rig.engine->run();
+
+  EXPECT_EQ(completions, 1u) << "flow must finish via the slow branch";
+  EXPECT_EQ(rig.injector->ospf_reconvergence_s().size(), 1u);
+  EXPECT_GT(rig.sim->totals().dropped_link_down, 0u);
+  EXPECT_EQ(rig.sim->totals().flows_failed, 0u);
+  // After reconvergence the fast branch is withdrawn.
+  EXPECT_EQ(rig.fp.next_link(0, 3), 2);
+  EXPECT_GT(completed_at, milliseconds(250));
+}
+
+TEST(Failover, RestoreReturnsToPrimaryPath) {
+  DiamondRig rig(milliseconds(100));
+  FaultSchedule s;
+  s.link_down(milliseconds(10), 0).link_up(seconds(2), 0);
+  rig.injector->arm(*rig.engine, *rig.sim, s);
+  std::uint32_t completions = 0;
+  rig.sim->set_flow_complete(
+      [&](Engine&, NetSim&, FlowId, NodeId, NodeId, std::uint32_t, bool) {
+        ++completions;
+      });
+  // Keep traffic flowing across the whole episode.
+  rig.sim->start_flow(*rig.engine, milliseconds(1), 4, 5, 1000000, 1);
+  rig.sim->start_flow(*rig.engine, seconds(3), 4, 5, 1000000, 2);
+  rig.engine->run();
+  EXPECT_EQ(completions, 2u);
+  EXPECT_EQ(rig.injector->ospf_reconvergence_s().size(), 2u);
+  EXPECT_EQ(rig.fp.next_link(0, 3), 0);  // primary restored
+}
+
+TEST(Failover, EqualTimeChangesApplyInScheduleOrder) {
+  // 16 pending flaps of the slow branch, then a down and an up of the fast
+  // link at one instant among them: enough entries for an unstable sort to
+  // swap the pair. The control plane must apply them in schedule order, as
+  // the data plane does, and route over the link.
+  DiamondRig rig(milliseconds(100));
+  FaultSchedule s;
+  for (int i = 0; i < 8; ++i) {
+    s.link_down(seconds(1 + 2 * i), 3).link_up(seconds(2 + 2 * i), 3);
+  }
+  s.link_down(milliseconds(2500), 0).link_up(milliseconds(2500), 0);
+  rig.injector->arm(*rig.engine, *rig.sim, s);
+  rig.engine->run();
+  EXPECT_GE(rig.injector->ospf_reconvergence_s().size(), 1u);
+  EXPECT_EQ(rig.fp.next_link(0, 3), 0);
+}
+
+TEST(Failover, LinkDownRerouteRestoreBitIdenticalAcrossExecutors) {
+  // The full kEvLinkState episode — down, OSPF reroute, back up, return to
+  // the primary path — must be bit-identical under the sequential and
+  // threaded executors: the data-plane change is an ordinary pre-scheduled
+  // event and the control-plane change applies at a window barrier, which
+  // falls at the same virtual time either way.
+  struct Outcome {
+    RunStats stats;
+    NetSim::Counters counters;
+    std::vector<SimTime> completion_times;
+    LinkId final_next_link;
+    std::vector<double> ospf_reconverge_s;
+    bool operator==(const Outcome& o) const {
+      return stats.total_events == o.stats.total_events &&
+             stats.num_windows == o.stats.num_windows &&
+             stats.events_per_lp == o.stats.events_per_lp &&
+             counters.forwarded == o.counters.forwarded &&
+             counters.dropped_link_down == o.counters.dropped_link_down &&
+             counters.retransmits == o.counters.retransmits &&
+             completion_times == o.completion_times &&
+             final_next_link == o.final_next_link &&
+             ospf_reconverge_s == o.ospf_reconverge_s;
+    }
+  };
+  const auto run_once = [](bool threaded) {
+    // Two LPs so the threaded executor actually runs in parallel.
+    DiamondRig rig(milliseconds(200), {0, 0, 1, 1});
+    FaultSchedule s;
+    s.link_down(milliseconds(50), /*link=*/0).link_up(seconds(5), 0);
+    rig.injector->arm(*rig.engine, *rig.sim, s);
+
+    Outcome out;
+    rig.sim->set_flow_complete([&](Engine& e, NetSim&, FlowId, NodeId,
+                                   NodeId, std::uint32_t, bool) {
+      out.completion_times.push_back(e.now());
+    });
+    // One flow spans the outage, one starts after the restore.
+    rig.sim->start_flow(*rig.engine, milliseconds(1), 4, 5, 2000000, 1);
+    rig.sim->start_flow(*rig.engine, seconds(6), 4, 5, 1000000, 2);
+    out.stats =
+        threaded ? rig.engine->run_threaded(2) : rig.engine->run();
+    out.counters = rig.sim->totals();
+    out.final_next_link = rig.fp.next_link(0, 3);
+    out.ospf_reconverge_s = rig.injector->ospf_reconvergence_s();
+    return out;
+  };
+  const Outcome seq = run_once(false);
+  const Outcome thr = run_once(true);
+  EXPECT_EQ(seq.completion_times.size(), 2u);
+  EXPECT_EQ(seq.final_next_link, 0);  // primary path restored
+  EXPECT_EQ(seq.ospf_reconverge_s.size(), 2u);
+  EXPECT_GT(seq.counters.dropped_link_down, 0u);
+  EXPECT_TRUE(seq == thr) << "executors diverged on the failover episode";
+}
+
+TEST(FaultInjector, ArmRejectsWhatTheNetworkCannotCarry) {
+  // Each schedule opens with a valid event: arm() checks the whole
+  // schedule before it schedules anything, so a rejected schedule leaves
+  // the engine untouched.
+  const auto arm_error = [](const FaultSchedule& bad) {
+    DiamondRig rig(milliseconds(200));
+    FaultSchedule s;
+    s.link_down(seconds(1), 0).append(bad);
+    std::string what;
+    try {
+      rig.injector->arm(*rig.engine, *rig.sim, s);
+      ADD_FAILURE() << "arm() accepted " << bad.to_text();
+    } catch (const EngineError& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+      what = e.what();
+    }
+    EXPECT_EQ(rig.engine->lp_pending(0), 0u);
+    EXPECT_TRUE(rig.engine->hooks().barrier.empty());
+    return what;
+  };
+
+  const std::string link =
+      arm_error(FaultSchedule().link_down(seconds(2), 99));
+  EXPECT_NE(link.find("fault 'at 2 link_down link=99': link 99 is out of "
+                      "range (the network has 6 links)"),
+            std::string::npos)
+      << link;
+
+  // Node 4 is a host.
+  const std::string crash =
+      arm_error(FaultSchedule().router_crash(seconds(2), 4));
+  EXPECT_NE(crash.find("fault 'at 2 crash router=4': node 4 is not a router "
+                       "(the network has 4 routers)"),
+            std::string::npos)
+      << crash;
+
+  // No set_bgp(): the run has no speakers to reset.
+  const std::string bgp =
+      arm_error(FaultSchedule().bgp_reset(seconds(2), 0, 1, seconds(1)));
+  EXPECT_NE(bgp.find("fault 'at 2 bgp_reset as=0 peer=1 downtime=1': BGP "
+                     "session resets need dynamic BGP speakers"),
+            std::string::npos)
+      << bgp;
 }
 
 TEST(FaultInjector, BgpResetReconvergenceMeasured) {

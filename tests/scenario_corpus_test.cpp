@@ -15,7 +15,6 @@
 #include "campaign/campaign.hpp"
 #include "campaign/runner.hpp"
 #include "dml/dml.hpp"
-#include "fault/injector.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario_config.hpp"
@@ -169,8 +168,6 @@ ExecutorRun run_with_threads(ScenarioSpec spec, std::int32_t threads) {
   spec.options.executor_threads = threads;
   spec.options.registry = &registry;
   Scenario scenario(spec.options);
-  const std::unique_ptr<FaultInjector> injector =
-      attach_faults(scenario, spec);
   const MappingRun m =
       run_mapping(scenario, spec, spec.mappings.front(), &registry);
   EXPECT_TRUE(m.result.has_value()) << m.guard.last_error;
@@ -182,8 +179,7 @@ ExecutorRun run_with_threads(ScenarioSpec spec, std::int32_t threads) {
   ExecutorRun out;
   out.stats = m.result->stats;
   out.modeled_time_s = m.result->metrics.simulation_time_s;
-  out.faults_injected =
-      injector != nullptr ? injector->faults_injected() : 0;
+  out.faults_injected = m.result->faults_injected;
   out.metrics = obs::to_json_excluding(registry, excludes);
   return out;
 }

@@ -138,7 +138,7 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   o.ckpt.path = "x.ckpt";
   spec.mappings = {MappingKind::kTop2, MappingKind::kHProf};
   spec.guard_retries = 3;
-  spec.faults.link_down(seconds(1), 3).link_up(seconds(2), 3);
+  o.faults.link_down(seconds(1), 3).link_up(seconds(2), 3);
 
   const std::string text1 = write_dml(scenario_spec_to_dml(spec));
   std::string error;
@@ -168,7 +168,7 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
             (std::vector<MappingKind>{MappingKind::kTop2,
                                       MappingKind::kHProf}));
   EXPECT_EQ(reparsed->guard_retries, 3);
-  EXPECT_EQ(reparsed->faults.size(), 2u);
+  EXPECT_EQ(back.faults.size(), 2u);
 }
 
 TEST(ScenarioSpec, FaultFileIncludeMergesWithEmbeddedEvents) {
@@ -189,7 +189,7 @@ TEST(ScenarioSpec, FaultFileIncludeMergesWithEmbeddedEvents) {
       "]",
       &error, dir);
   ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_EQ(spec->faults.size(), 3u);
+  EXPECT_EQ(spec->options.faults.size(), 3u);
   std::remove(path.c_str());
 }
 
@@ -314,7 +314,7 @@ TEST(ScenarioSpec, FlagsOverrideFileOnlyWhenSet) {
   EXPECT_DOUBLE_EQ(spec->options.rebalance.threshold, 2.0);
   EXPECT_EQ(spec->options.num_routers, 60);
   EXPECT_EQ(spec->mappings, std::vector<MappingKind>{MappingKind::kHTop});
-  EXPECT_EQ(spec->faults.size(), 1u);
+  EXPECT_EQ(spec->options.faults.size(), 1u);
 }
 
 // Repeated atoms of one key in one override replace the file's atoms for

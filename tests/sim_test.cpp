@@ -3,12 +3,17 @@
 // multi-AS, across all mapping approaches.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
 
+#include "campaign/runner.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "sim/report.hpp"
-#include "sim/failover.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_config.hpp"
+#include "util/error.hpp"
 
 namespace massf {
 namespace {
@@ -155,244 +160,120 @@ TEST(Scenario, ThreadedExecutorMatchesSequential) {
   EXPECT_DOUBLE_EQ(a.metrics.simulation_time_s, b.metrics.simulation_time_s);
 }
 
-// ---- Failover / routing reconvergence --------------------------------------
-
-namespace failover_detail {
-
-// Diamond: h6 - r0 - {r1 fast | r2 slow} - r3 - h7. OSPF prefers r1.
-Network diamond() {
-  Network net;
-  for (int i = 0; i < 4; ++i) {
-    NetNode r;
-    r.kind = NodeKind::kRouter;
-    net.nodes.push_back(r);
-  }
-  net.num_routers = 4;
-  for (int i = 0; i < 2; ++i) {
-    NetNode h;
-    h.kind = NodeKind::kHost;
-    h.attach_router = i == 0 ? 0 : 3;
-    net.nodes.push_back(h);
-  }
-  const auto link = [&](NodeId a, NodeId b, SimTime lat) {
-    NetLink l;
-    l.a = a;
-    l.b = b;
-    l.latency = lat;
-    l.bandwidth_bps = 1e8;
-    net.links.push_back(l);
-  };
-  link(0, 1, milliseconds(1));  // link 0: fast branch
-  link(1, 3, milliseconds(1));  // link 1
-  link(0, 2, milliseconds(5));  // link 2: slow branch
-  link(2, 3, milliseconds(5));  // link 3
-  link(0, 4, microseconds(10));
-  link(3, 5, microseconds(10));
-  net.build_adjacency();
-  return net;
-}
-
-struct Rig {
-  Rig() : net(diamond()), fp(ForwardingPlane::build_flat(net, {{0, 3}})) {
-    EngineOptions eo;
-    eo.lookahead = milliseconds(1);
-    eo.end_time = seconds(120);
-    engine = std::make_unique<Engine>(eo);
-    sim = std::make_unique<NetSim>(net, fp,
-                                   std::vector<LpId>{0, 0, 0, 0}, *engine,
-                                   NetSimOptions{});
-  }
-  Network net;
-  ForwardingPlane fp;
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<NetSim> sim;
-};
-
-}  // namespace failover_detail
-
-TEST(Failover, ReroutesAroundFailedLink) {
-  failover_detail::Rig rig;
-  FailoverController ctl(rig.fp, /*convergence_delay=*/milliseconds(200));
-  ctl.attach(*rig.engine);
-
-  std::uint32_t completions = 0;
-  SimTime completed_at = -1;
-  rig.sim->set_flow_complete(
-      [&](Engine& e, NetSim&, FlowId, NodeId, NodeId, std::uint32_t, bool) {
-        ++completions;
-        completed_at = e.now();
-      });
-  // OSPF initially prefers the fast branch; verify.
-  EXPECT_EQ(rig.fp.next_link(0, 3), 0);
-
-  ctl.fail_link(*rig.engine, *rig.sim, /*link=*/0, milliseconds(50));
-  rig.sim->start_flow(*rig.engine, milliseconds(1), 4, 5, 2000000, 1);
-  rig.engine->run();
-
-  EXPECT_EQ(completions, 1u) << "flow must finish via the slow branch";
-  EXPECT_EQ(ctl.reconvergences(), 1);
-  EXPECT_GT(rig.sim->totals().dropped_link_down, 0u);
-  EXPECT_EQ(rig.sim->totals().flows_failed, 0u);
-  // After reconvergence the fast branch is withdrawn.
-  EXPECT_EQ(rig.fp.next_link(0, 3), 2);
-  EXPECT_GT(completed_at, milliseconds(250));
-}
-
-TEST(Failover, RestoreReturnsToPrimaryPath) {
-  failover_detail::Rig rig;
-  FailoverController ctl(rig.fp, milliseconds(100));
-  ctl.attach(*rig.engine);
-  ctl.fail_link(*rig.engine, *rig.sim, 0, milliseconds(10));
-  ctl.restore_link(*rig.engine, *rig.sim, 0, seconds(2));
-  std::uint32_t completions = 0;
-  rig.sim->set_flow_complete(
-      [&](Engine&, NetSim&, FlowId, NodeId, NodeId, std::uint32_t, bool) {
-        ++completions;
-      });
-  // Keep traffic flowing across the whole episode.
-  rig.sim->start_flow(*rig.engine, milliseconds(1), 4, 5, 1000000, 1);
-  rig.sim->start_flow(*rig.engine, seconds(3), 4, 5, 1000000, 2);
-  rig.engine->run();
-  EXPECT_EQ(completions, 2u);
-  EXPECT_EQ(ctl.reconvergences(), 2);
-  EXPECT_EQ(rig.fp.next_link(0, 3), 0);  // primary restored
-}
-
-TEST(Failover, EqualTimeChangesApplyInScheduleOrder) {
-  // 16 pending flaps of the slow branch, then a down and an up of the fast
-  // link at one instant among them: enough entries for an unstable sort to
-  // swap the pair. The control plane must apply them in schedule order, as
-  // the data plane does, and route over the link.
-  failover_detail::Rig rig;
-  FailoverController ctl(rig.fp, milliseconds(100));
-  ctl.attach(*rig.engine);
-  for (int i = 0; i < 8; ++i) {
-    ctl.fail_link(*rig.engine, *rig.sim, 3, seconds(1 + 2 * i));
-    ctl.restore_link(*rig.engine, *rig.sim, 3, seconds(2 + 2 * i));
-  }
-  ctl.fail_link(*rig.engine, *rig.sim, 0, milliseconds(2500));
-  ctl.restore_link(*rig.engine, *rig.sim, 0, milliseconds(2500));
-  rig.engine->run();
-  EXPECT_GE(ctl.reconvergences(), 1);
-  EXPECT_EQ(rig.fp.next_link(0, 3), 0);
-}
-
-TEST(Failover, LinkDownRerouteRestoreBitIdenticalAcrossExecutors) {
-  // The full kEvLinkState episode — down, OSPF reroute, back up, return to
-  // the primary path — must be bit-identical under the sequential and
-  // threaded executors: the data-plane change is an ordinary pre-scheduled
-  // event and the control-plane change applies at a window barrier, which
-  // falls at the same virtual time either way.
-  struct Outcome {
-    RunStats stats;
-    NetSim::Counters counters;
-    std::vector<SimTime> completion_times;
-    LinkId final_next_link;
-    std::int32_t reconvergences;
-    bool operator==(const Outcome& o) const {
-      return stats.total_events == o.stats.total_events &&
-             stats.num_windows == o.stats.num_windows &&
-             stats.events_per_lp == o.stats.events_per_lp &&
-             counters.forwarded == o.counters.forwarded &&
-             counters.dropped_link_down == o.counters.dropped_link_down &&
-             counters.retransmits == o.counters.retransmits &&
-             completion_times == o.completion_times &&
-             final_next_link == o.final_next_link &&
-             reconvergences == o.reconvergences;
+TEST(Scenario, HostPoolLargerThanNetworkIsAConfigError) {
+  const auto construction_error = [](const ScenarioOptions& o) {
+    try {
+      Scenario scenario(o);
+      ADD_FAILURE() << "the host pool fits";
+    } catch (const EngineError& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kConfig);
+      return std::string(e.what());
     }
+    return std::string();
   };
-  const auto run_once = [](bool threaded) {
-    Network net = failover_detail::diamond();
-    ForwardingPlane fp = ForwardingPlane::build_flat(net, {{0, 3}});
-    EngineOptions eo;
-    eo.lookahead = milliseconds(1);  // = min cross-LP latency (link 1-3)
-    eo.end_time = seconds(120);
-    Engine engine(eo);
-    // Two LPs so the threaded executor actually runs in parallel.
-    NetSim sim(net, fp, std::vector<LpId>{0, 0, 1, 1}, engine,
-               NetSimOptions{});
-    FailoverController ctl(fp, milliseconds(200));
-    ctl.attach(engine);
-    ctl.fail_link(engine, sim, /*link=*/0, milliseconds(50));
-    ctl.restore_link(engine, sim, /*link=*/0, seconds(5));
 
-    Outcome out;
-    sim.set_flow_complete([&](Engine& e, NetSim&, FlowId, NodeId, NodeId,
-                              std::uint32_t, bool) {
-      out.completion_times.push_back(e.now());
-    });
-    sim.start_flow(engine, milliseconds(1), 4, 5, 2000000, 1);  // spans down
-    sim.start_flow(engine, seconds(6), 4, 5, 1000000, 2);       // after up
-    out.stats = threaded ? engine.run_threaded(2) : engine.run();
-    out.counters = sim.totals();
-    out.final_next_link = fp.next_link(0, 3);
-    out.reconvergences = ctl.reconvergences();
-    return out;
-  };
-  const Outcome seq = run_once(false);
-  const Outcome thr = run_once(true);
-  EXPECT_EQ(seq.completion_times.size(), 2u);
-  EXPECT_EQ(seq.final_next_link, 0);  // primary path restored
-  EXPECT_EQ(seq.reconvergences, 2);
-  EXPECT_GT(seq.counters.dropped_link_down, 0u);
-  EXPECT_TRUE(seq == thr) << "executors diverged on the failover episode";
+  ScenarioOptions o = small_options(false);
+  o.num_clients = 1000;
+  const std::string pool = construction_error(o);
+  EXPECT_NE(pool.find("the scenario needs 1019 hosts (clients 1000 + "
+                      "servers 10 + app_hosts 9 + background sources 0) "
+                      "but hosts is 120"),
+            std::string::npos)
+      << pool;
+
+  o = small_options(false);
+  o.num_servers = 0;
+  o.num_bg_sources = 4;
+  const std::string bg = construction_error(o);
+  EXPECT_NE(bg.find("4 background sources need servers to target, but "
+                    "servers is 0"),
+            std::string::npos)
+      << bg;
+}
+
+// ---- Faults ----------------------------------------------------------------
+
+/// A router-router link of the highest-degree router in the network `o`
+/// builds: busy enough that failing it drops packets.
+LinkId backbone_link(const ScenarioOptions& o) {
+  const Scenario probe(o);
+  const Network& net = probe.network();
+  NodeId hub = 0;
+  for (NodeId r = 1; r < net.num_routers; ++r) {
+    if (net.incident(r).size() > net.incident(hub).size()) hub = r;
+  }
+  for (const Network::Incidence& inc : net.incident(hub)) {
+    if (net.is_router(inc.peer)) return inc.link;
+  }
+  ADD_FAILURE() << "the hub has no router neighbour";
+  return 0;
+}
+
+std::string canonical_json(const obs::Registry& registry) {
+  return obs::to_json_excluding(registry, timing_metric_excludes());
 }
 
 TEST(Failover, ScenarioTrafficSurvivesBackboneFailure) {
-  // Full-pipeline smoke test: fail a backbone link mid-run in a generated
-  // network; traffic keeps completing after reconvergence.
+  // Full pipeline: a backbone link fails mid-run in a generated network;
+  // traffic keeps completing after OSPF reconverges around it.
   ScenarioOptions o = small_options(false);
   o.end_time = seconds(4);
+  o.faults.link_down(seconds(1), backbone_link(o));
+  obs::Registry registry;
+  o.registry = &registry;
   Scenario scenario(o);
-  const Mapping m = scenario.mapping_for(MappingKind::kHProf);
+  const ExperimentResult r = scenario.run(MappingKind::kHProf);
 
-  // Re-run the scenario manually so we can hook the failover in.
-  EngineOptions eo;
-  eo.lookahead = scenario.lookahead_for(m.router_lp);
-  eo.end_time = o.end_time;
-  Engine engine(eo);
-  // The forwarding plane is shared/const inside Scenario, so copy the
-  // construction here with a mutable one.
-  std::vector<NodeId> dests;
-  for (NodeId h : scenario.client_hosts()) {
-    dests.push_back(scenario.network()
-                        .nodes[static_cast<std::size_t>(h)]
-                        .attach_router);
+  EXPECT_EQ(r.faults_injected, 1u);
+  std::uint64_t reconvergences = 0;
+  for (const auto& h : registry.histograms()) {
+    if (h.name == "massf.fault.ospf_reconverge_s") reconvergences = h.count;
   }
-  for (NodeId h : scenario.server_hosts()) {
-    dests.push_back(scenario.network()
-                        .nodes[static_cast<std::size_t>(h)]
-                        .attach_router);
-  }
-  ForwardingPlane fp =
-      ForwardingPlane::build_flat(scenario.network(), dests);
-  NetSim sim(scenario.network(), fp, m.router_lp, engine, NetSimOptions{});
-  TrafficManager manager(sim);
-  HttpOptions ho;
-  ho.think_time_mean_s = 0.2;
-  manager.add(TrafficKind::kHttp,
-              std::make_unique<HttpWorkload>(
-                  std::vector<NodeId>(scenario.client_hosts().begin(),
-                                      scenario.client_hosts().end()),
-                  std::vector<NodeId>(scenario.server_hosts().begin(),
-                                      scenario.server_hosts().end()),
-                  ho));
-  FailoverController ctl(fp, milliseconds(150));
-  ctl.attach(engine);
-  // Fail the first router-router link.
-  for (LinkId l = 0; l < static_cast<LinkId>(scenario.network().links.size());
-       ++l) {
-    const NetLink& link = scenario.network().links[static_cast<std::size_t>(l)];
-    if (scenario.network().is_router(link.a) &&
-        scenario.network().is_router(link.b)) {
-      ctl.fail_link(engine, sim, l, seconds(1));
-      break;
-    }
-  }
-  manager.start(engine, sim);
-  engine.run();
-  EXPECT_EQ(ctl.reconvergences(), 1);
-  EXPECT_GT(sim.totals().flows_completed, 50u);
+  EXPECT_EQ(reconvergences, 1u);
+  EXPECT_GT(r.counters.flows_completed, 50u);
+}
+
+TEST(Scenario, FaultedMappingRunsAsIfAlone) {
+  // The schedule leaves a backbone link down at the end of every run. A
+  // Scenario that runs TOP2 first must still give HPROF — its profiling
+  // run, mapping and measured run — exactly what a fresh Scenario gives:
+  // each run arms its own injector and leaves the forwarding plane as
+  // construction built it.
+  ScenarioOptions o = small_options(false);
+  o.faults.link_down(seconds(1), backbone_link(o));
+
+  // Re-created in place after TOP2, so the Scenario's pointer stays valid
+  // and the export holds what HPROF published alone.
+  std::optional<obs::Registry> shared_registry(std::in_place);
+  ScenarioOptions shared_options = o;
+  shared_options.registry = &*shared_registry;
+  Scenario shared(shared_options);
+  const ExperimentResult top2 = shared.run(MappingKind::kTop2);
+  EXPECT_EQ(top2.faults_injected, 1u);
+  shared_registry.emplace();
+  const ExperimentResult after = shared.run(MappingKind::kHProf);
+
+  obs::Registry alone_registry;
+  ScenarioOptions alone_options = o;
+  alone_options.registry = &alone_registry;
+  Scenario fresh(alone_options);
+  const ExperimentResult alone = fresh.run(MappingKind::kHProf);
+
+  EXPECT_EQ(after.faults_injected, 1u);
+  EXPECT_GT(alone.counters.dropped_link_down, 0u) << "the fault must bite";
+  EXPECT_EQ(after.mapping.router_lp, alone.mapping.router_lp);
+  EXPECT_EQ(after.mapping.achieved_mll, alone.mapping.achieved_mll);
+  EXPECT_EQ(after.metrics.total_events, alone.metrics.total_events);
+  EXPECT_EQ(after.stats.num_windows, alone.stats.num_windows);
+  EXPECT_EQ(after.stats.events_per_lp, alone.stats.events_per_lp);
+  EXPECT_EQ(after.counters.forwarded, alone.counters.forwarded);
+  EXPECT_EQ(after.counters.delivered, alone.counters.delivered);
+  EXPECT_EQ(after.counters.dropped_link_down,
+            alone.counters.dropped_link_down);
+  EXPECT_EQ(after.counters.flows_completed, alone.counters.flows_completed);
+  EXPECT_DOUBLE_EQ(after.metrics.simulation_time_s,
+                   alone.metrics.simulation_time_s);
+  EXPECT_EQ(canonical_json(*shared_registry), canonical_json(alone_registry));
 }
 
 TEST(Report, SummaryMentionsMapping) {
