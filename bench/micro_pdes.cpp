@@ -1,7 +1,9 @@
 // Microbenchmarks for the conservative engine: raw event throughput, the
-// quantity behind the per-event cost calibration in the cluster model.
+// quantity behind the per-event cost calibration in the cluster model, and
+// the per-window cross-LP exchange.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "pdes/engine.hpp"
@@ -61,6 +63,55 @@ void BM_EventThroughputManyLps(benchmark::State& state) {
                           static_cast<std::int64_t>(chain) * lps);
 }
 BENCHMARK(BM_EventThroughputManyLps)->Arg(4)->Arg(32)->Arg(90)
+    ->Unit(benchmark::kMillisecond);
+
+// Each handled token hops to a pseudo-random other LP one lookahead later,
+// so every window carries one cross-LP send per token and nothing else.
+class HopLp final : public LogicalProcess {
+ public:
+  explicit HopLp(std::int32_t num_lps) : num_lps_(num_lps) {}
+  void handle(Engine& engine, const Event& ev) override {
+    const std::uint64_t state =
+        ev.a * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto step = static_cast<std::int32_t>(
+        (state >> 33) % static_cast<std::uint64_t>(num_lps_ - 1));
+    engine.schedule((ev.lp + 1 + step) % num_lps_,
+                    ev.time + engine.options().lookahead, 1, state);
+  }
+
+ private:
+  std::int32_t num_lps_;
+};
+
+// The profiling run's shape: many windows of a few cross-LP events each,
+// where the barrier merge rather than event handling sets the pace. N LPs
+// carry N/2 tokens hopping every 50 us lookahead for 20,000 windows.
+void BM_SparseWindowExchange(benchmark::State& state) {
+  const auto lps = static_cast<std::int32_t>(state.range(0));
+  const std::uint64_t windows = 20000;
+  const SimTime lookahead = microseconds(50);
+  for (auto _ : state) {
+    EngineOptions o;
+    o.lookahead = lookahead;
+    o.end_time = lookahead * static_cast<SimTime>(windows);
+    Engine engine(o);
+    for (std::int32_t i = 0; i < lps; ++i) {
+      engine.add_lp(std::make_unique<HopLp>(lps));
+    }
+    for (std::int32_t t = 0; t < lps / 2; ++t) {
+      engine.schedule(2 * t, 0, 1, static_cast<std::uint64_t>(t));
+    }
+    const RunStats stats = engine.run();
+    if (stats.num_windows != windows) {
+      state.SkipWithError("unexpected window count");
+      break;
+    }
+    benchmark::DoNotOptimize(stats.cross_lp_events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(windows));
+}
+BENCHMARK(BM_SparseWindowExchange)->Arg(24)->Arg(90)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "pdes/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <string>
 
@@ -114,7 +115,17 @@ void Engine::schedule(LpId lp, SimTime time, std::int32_t type,
                     " travels a channel missing from the declared "
                     "ChannelGraph");
   }
-  lps_[static_cast<std::size_t>(cur)].outbox.add(ev);
+  if (lps_[static_cast<std::size_t>(cur)].outbox.add(ev)) {
+    // First send to `lp` this window: set the source's bit in lp's sender
+    // mask. fetch_or keeps concurrent senders' bits; relaxed order is
+    // enough because the merge reading the mask is already ordered after
+    // this write by what publishes the bucket itself — the sequential
+    // loop merges after every LP is processed, the channel executor after
+    // acquiring each sender's processed stage word (or processed_count).
+    const auto s = static_cast<std::size_t>(cur);
+    sender_masks_[static_cast<std::size_t>(lp) * mask_words_ + s / 64]
+        .fetch_or(std::uint64_t{1} << (s % 64), std::memory_order_relaxed);
+  }
 }
 
 void Engine::set_channels(ChannelGraph graph) {
@@ -145,32 +156,34 @@ SimTime Engine::next_event_floor() const {
 void Engine::merge_lp_inbox(LpId dst_id, std::uint64_t* nulls) {
   Lp& dst = lps_[static_cast<std::size_t>(dst_id)];
   dst.premerge_depth = dst.queue.size();
-  const auto drain = [&](const Lp& src) {
-    const std::vector<Event>* bucket = src.outbox.find(dst_id);
-    if (bucket == nullptr) {
-      // Channel advanced with no traffic this window — the null-message
-      // analog, tallied by the channel executor.
-      if (nulls != nullptr) ++*nulls;
-      return;
+  std::atomic<std::uint64_t>* mask =
+      &sender_masks_[static_cast<std::size_t>(dst_id) * mask_words_];
+  std::size_t senders = 0;
+  // Ascending words, lowest set bit first: sources in id order, the merge
+  // order that fixes the arrival seqs.
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    std::uint64_t bits = mask[w].load(std::memory_order_relaxed);
+    if (bits == 0) continue;
+    mask[w].store(0, std::memory_order_relaxed);
+    senders += static_cast<std::size_t>(std::popcount(bits));
+    for (; bits != 0; bits &= bits - 1) {
+      const std::size_t src = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+      for (const Event& ev : lps_[src].outbox.bucket(dst_id)) {
+        Event copy = ev;
+        copy.seq = dst.next_seq++;
+        dst.queue.push(copy);
+      }
     }
-    for (const Event& ev : *bucket) {
-      Event copy = ev;
-      copy.seq = dst.next_seq++;
-      dst.queue.push(copy);
-    }
-  };
-  if (channels_.empty()) {
-    for (const Lp& src : lps_) {
-      if (&src == &dst) continue;  // same-LP sends never cross a channel
-      drain(src);
-    }
-  } else {
-    // In-neighbors are sorted by LP id, so the drain order — and the seqs
-    // assigned — match the all-pairs walk exactly: schedule() guarantees
-    // no other source could have sent to dst.
-    for (const LpId s : channels_.in_neighbors(dst_id)) {
-      drain(lps_[static_cast<std::size_t>(s)]);
-    }
+  }
+  if (nulls != nullptr) {
+    // Channels that advanced with no traffic this window — the null-
+    // message analog, tallied by the channel executor. schedule() admits
+    // only declared channels, so every sender is a candidate.
+    const std::size_t candidates =
+        channels_.empty() ? lps_.size() - 1
+                          : channels_.in_neighbors(dst_id).size();
+    *nulls += candidates - senders;
   }
 }
 
@@ -349,6 +362,12 @@ void Engine::begin_run() {
   }
   sync_stats_ = SyncStats{};
   sync_stats_.channels = channels_.size();
+  // Exchange state, sized for the registered LPs. A restored run needs it
+  // as much as a fresh one, so this precedes the early return below.
+  for (Lp& lp : lps_) lp.outbox.resize(lps_.size());
+  mask_words_ = (lps_.size() + 63) / 64;
+  sender_masks_ = std::vector<std::atomic<std::uint64_t>>(lps_.size() *
+                                                          mask_words_);
   if (restored_) {
     // Resuming from a checkpoint: stats_ already holds the tallies the
     // interrupted run accumulated up to the boundary (restore_state). The

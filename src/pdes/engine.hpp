@@ -334,7 +334,10 @@ class Engine {
     std::uint64_t next_seq = 0;
     std::uint64_t events = 0;
     std::uint64_t window_events = 0;
-    Outbox outbox;  // cross-LP sends buffered within a window, by dst
+    /// Cross-LP sends buffered within a window: one bucket per
+    /// destination LP, sized by begin_run. Written only by the thread
+    /// processing this LP, read by the threads merging its destinations.
+    Outbox outbox;
     /// Queue depth after processing, before the barrier merge — recorded
     /// by whichever thread merges this LP's arrivals, read by the window
     /// probe. Deterministic, so probe rows match across executors.
@@ -344,11 +347,14 @@ class Engine {
   SimTime next_event_floor() const;
   /// Delivers every source's buffered sends for destination `dst`,
   /// assigning arrival seqs in (src id, send order) — the deterministic
-  /// merge order. Touches only `dst`'s queue/seq (sources are read-only),
-  /// so distinct destinations can merge concurrently. When a channel graph
-  /// is declared only the in-neighbors are drained (same order — schedule()
-  /// guarantees nobody else sent) and empty channels are tallied as null
-  /// advances into `nulls` when non-null.
+  /// merge order. Visits only the sources set in `dst`'s sender mask, in
+  /// ascending id, then zeroes the mask: O(mask words + senders + events),
+  /// independent of how many LPs could have sent. Touches only `dst`'s
+  /// queue, seq counter and mask (source outboxes are read-only), so
+  /// distinct destinations can merge concurrently — the one merge path of
+  /// both executors. When `nulls` is non-null it gains the channels that
+  /// advanced empty: candidates − senders, where the candidates are every
+  /// other LP, or `dst`'s in-neighbors when a channel graph is declared.
   void merge_lp_inbox(LpId dst, std::uint64_t* nulls = nullptr);
   /// Empties all outboxes after a merge and folds their sizes into the
   /// sched counters. Coordinator-only.
@@ -431,6 +437,12 @@ class Engine {
   EngineHooks hooks_;
   /// Declared cross-LP topology (empty = all-pairs). Finalized.
   ChannelGraph channels_;
+  /// Per-destination sender masks: destination d owns words
+  /// [d * mask_words_, (d + 1) * mask_words_), and bit s is set when LP s
+  /// sent d at least one event this window. Allocated zeroed by begin_run;
+  /// set by schedule(), consumed and zeroed by merge_lp_inbox(d).
+  std::vector<std::atomic<std::uint64_t>> sender_masks_;
+  std::size_t mask_words_ = 0;
   /// Sync aggregates of the current/last run (reset by begin_run).
   SyncStats sync_stats_;
   obs::WindowProbe* probe_ = nullptr;

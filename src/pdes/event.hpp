@@ -25,14 +25,4 @@ struct Event {
   std::uint64_t a = 0, b = 0, c = 0, d = 0;
 };
 
-/// Max-heap comparator for earliest-first ordering. The engine's own
-/// scheduler (sched.hpp) orders keys directly; this is kept for consumers
-/// that hold Events in standard containers.
-struct EventAfter {
-  bool operator()(const Event& x, const Event& y) const {
-    if (x.time != y.time) return x.time > y.time;
-    return x.seq > y.seq;
-  }
-};
-
 }  // namespace massf

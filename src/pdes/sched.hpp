@@ -14,14 +14,17 @@
 // property is what lets the engine swap heap layouts without perturbing
 // the bit-exact event trace.
 //
-// Outbox replaces the former flat cross-LP send vector with per-(src,dst)
-// buffers: sends are appended to their destination's bucket in send order,
-// and the barrier merge drains, for each destination, the source LPs in id
-// order and each bucket in send order. For any destination that traversal
-// visits events in exactly the order the old src-major flat walk did, so
-// the seq values assigned at delivery — and therefore the event trace —
-// are unchanged, while the per-destination grouping lets worker threads
-// claim destinations and merge them concurrently.
+// Outbox buffers one source LP's cross-LP sends, one bucket per
+// destination: each send is appended to its bucket in send order, and the
+// barrier merge drains, for each destination, the source LPs in id order
+// and each bucket in send order. For any destination that traversal visits
+// events in exactly the order the old src-major flat walk did, so the seq
+// values assigned at delivery — and therefore the event trace — are
+// unchanged, while the per-destination grouping lets worker threads claim
+// destinations and merge them concurrently. Buckets are dense (one per LP,
+// indexed by id), so a send and a merge's bucket lookup are O(1) whatever
+// the source's out-degree; the engine learns which sources to visit from
+// its per-destination sender masks (engine.hpp), not from the buckets.
 #pragma once
 
 #include <algorithm>
@@ -158,55 +161,47 @@ class EventSched {
 
 class Outbox {
  public:
-  /// Buffers a cross-LP send (ev.lp is the destination) in send order
-  /// within its destination's bucket.
-  void add(const Event& ev) {
+  /// Sizes the dense bucket table for `num_lps` destinations. Existing
+  /// buckets keep their contents and capacity.
+  void resize(std::size_t num_lps) { buckets_.resize(num_lps); }
+
+  /// Buffers a cross-LP send (ev.lp is the destination, < the resized LP
+  /// count) at the end of its destination's bucket. Returns true when it is
+  /// the window's first send to that destination.
+  bool add(const Event& ev) {
+    MASSF_DCHECK(static_cast<std::size_t>(ev.lp) < buckets_.size());
+    std::vector<Event>& bucket = buckets_[static_cast<std::size_t>(ev.lp)];
+    bucket.push_back(ev);
     ++total_;
-    for (Bucket& b : buckets_) {
-      if (b.dst == ev.lp) {
-        b.events.push_back(ev);
-        return;
-      }
-    }
-    buckets_.emplace_back();
-    buckets_.back().dst = ev.lp;
-    buckets_.back().events.push_back(ev);
+    if (bucket.size() > 1) return false;
+    touched_.push_back(ev.lp);
+    return true;
   }
 
-  /// The buffered sends for `dst` in send order, or nullptr if none. The
-  /// bucket list is bounded by the source's out-degree, so the linear scan
-  /// stays short.
-  const std::vector<Event>* find(LpId dst) const {
-    if (total_ == 0) return nullptr;
-    for (const Bucket& b : buckets_) {
-      if (b.dst == dst) return b.events.empty() ? nullptr : &b.events;
-    }
-    return nullptr;
+  /// The buffered sends for `dst` in send order (empty if none).
+  const std::vector<Event>& bucket(LpId dst) const {
+    return buckets_[static_cast<std::size_t>(dst)];
   }
 
   /// Buffered events this window (all destinations).
   std::size_t total() const { return total_; }
 
   /// Non-empty (src,dst) buffers this window.
-  std::size_t batches() const {
-    std::size_t n = 0;
-    for (const Bucket& b : buckets_) n += b.events.empty() ? 0 : 1;
-    return n;
-  }
+  std::size_t batches() const { return touched_.size(); }
 
-  /// Empties the buckets but keeps their capacity (and the bucket list
-  /// itself) for the next window.
+  /// Empties the buckets touched this window, keeping their capacity for
+  /// the next one.
   void clear() {
-    for (Bucket& b : buckets_) b.events.clear();
+    for (const LpId dst : touched_) {
+      buckets_[static_cast<std::size_t>(dst)].clear();
+    }
+    touched_.clear();
     total_ = 0;
   }
 
  private:
-  struct Bucket {
-    LpId dst = kInvalidLp;
-    std::vector<Event> events;
-  };
-  std::vector<Bucket> buckets_;
+  std::vector<std::vector<Event>> buckets_;  // indexed by destination LP
+  std::vector<LpId> touched_;  // destinations with a non-empty bucket
   std::size_t total_ = 0;
 };
 

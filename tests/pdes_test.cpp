@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -276,6 +279,103 @@ TEST(Engine, SyncCostScalesWithWindows) {
     return engine.run().modeled_sync_s;
   };
   EXPECT_GT(sync_of(milliseconds(1)), 2 * sync_of(milliseconds(8)));
+}
+
+// On its fan-out event an LP sends 1 + (id % 3) events to each of the hubs
+// 0 and n-1 (itself excepted), alternating hubs, all arriving at one time;
+// a hub records the (source, send index) of every arrival.
+class FanInLp final : public LogicalProcess {
+ public:
+  using Pair = std::pair<LpId, std::uint64_t>;
+  explicit FanInLp(LpId num_lps) : num_lps_(num_lps) {}
+
+  void handle(Engine& engine, const Event& ev) override {
+    if (ev.type != 1) {
+      arrivals.emplace_back(static_cast<LpId>(ev.a), ev.b);
+      return;
+    }
+    const SimTime arrive = ev.time + engine.options().lookahead;
+    for (std::uint64_t k = 0; k <= static_cast<std::uint64_t>(ev.lp % 3);
+         ++k) {
+      for (const LpId hub : {LpId{0}, num_lps_ - 1}) {
+        if (hub == ev.lp) continue;
+        engine.schedule(hub, arrive, 2, static_cast<std::uint64_t>(ev.lp), k);
+        sends.emplace_back(hub, k);
+      }
+    }
+  }
+
+  std::vector<Pair> sends;     // (destination hub, send index)
+  std::vector<Pair> arrivals;  // (source, send index)
+
+ private:
+  LpId num_lps_;
+};
+
+TEST(Engine, MergeOrdersArrivalsBySourceThenSendOrder) {
+  // Equal-time arrivals at an LP run in the order the barrier merge hands
+  // out their seqs: by source id, then by send order within the source.
+  // From 64 LPs up the sources of one destination span several 64-bit
+  // words of the merge's sender mask.
+  for (const LpId n : {3, 64, 65, 130}) {
+    for (const int threads : {0, 2, 4}) {
+      for (const bool declared : {false, true}) {
+        SCOPED_TRACE("lps=" + std::to_string(n) +
+                     " threads=" + std::to_string(threads) +
+                     (declared ? " declared" : " all-pairs"));
+        Engine engine(base_options());
+        std::vector<FanInLp*> lps;
+        for (LpId i = 0; i < n; ++i) {
+          auto lp = std::make_unique<FanInLp>(n);
+          lps.push_back(lp.get());
+          engine.add_lp(std::move(lp));
+        }
+        if (declared) {
+          ChannelGraph graph;
+          for (LpId s = 0; s < n; ++s) {
+            for (LpId d = 0; d < n; ++d) {
+              graph.add(s, d, engine.options().lookahead);
+            }
+          }
+          engine.set_channels(std::move(graph));
+        }
+        for (LpId i = 0; i < n; ++i) engine.schedule(i, milliseconds(1), 1);
+        const RunStats stats =
+            threads == 0 ? engine.run() : engine.run_threaded(threads);
+
+        std::vector<std::vector<FanInLp::Pair>> expected(
+            static_cast<std::size_t>(n));
+        std::set<std::pair<LpId, LpId>> batches;  // (source, destination)
+        std::uint64_t cross = 0;
+        for (LpId s = 0; s < n; ++s) {
+          const FanInLp& src = *lps[static_cast<std::size_t>(s)];
+          for (const auto& [dst, k] : src.sends) {
+            expected[static_cast<std::size_t>(dst)].emplace_back(s, k);
+            batches.emplace(s, dst);
+            ++cross;
+          }
+        }
+        for (LpId d = 0; d < n; ++d) {
+          auto& want = expected[static_cast<std::size_t>(d)];
+          std::sort(want.begin(), want.end());
+          EXPECT_EQ(lps[static_cast<std::size_t>(d)]->arrivals, want)
+              << "lp " << d;
+        }
+        EXPECT_EQ(stats.num_windows, 2u);
+        EXPECT_EQ(stats.cross_lp_events, cross);
+        EXPECT_EQ(stats.merge_batches, batches.size());
+        if (threads > 0) {
+          // Every merge has n-1 candidate channels in both topology modes;
+          // those that carried no events are null advances.
+          const std::uint64_t candidates = stats.num_windows *
+                                           static_cast<std::uint64_t>(n) *
+                                           static_cast<std::uint64_t>(n - 1);
+          EXPECT_EQ(engine.sync_stats().null_events,
+                    candidates - batches.size());
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineError_, CrossLpViolationThrows) {
