@@ -2,18 +2,15 @@
 // For each candidate threshold, prints the contracted-graph size, the
 // achieved MLL, and the evaluator terms Es, Ec, E — exposing the
 // parallelism-vs-decoupling tradeoff the evaluator navigates, and where the
-// chosen threshold falls. The network and engine count come from a
-// scenario file (default: scenarios/fig06.dml).
+// chosen threshold falls. The rows are the candidates the mapping itself
+// evaluates (lb/hierarchical.hpp), on the HTOP graph. The network and
+// engine count come from a scenario file (default: scenarios/fig06.dml).
 //
 //   ./abl_tmll_sweep [--config=scenarios/paper-full.dml]
-#include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <numeric>
 
-#include "graph/union_find.hpp"
 #include "lb/graph_prep.hpp"
-#include "partition/partition.hpp"
+#include "lb/hierarchical.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scenario_config.hpp"
 #include "util/flags.hpp"
@@ -49,39 +46,18 @@ int main(int argc, char** argv) {
               net.num_routers, mopts.num_engines, to_milliseconds(sync));
   std::printf("# tmll_ms\tclusters\tachieved_mll_ms\tEs\tEc\tE\tedge_cut\n");
 
-  std::vector<EdgeId> order(static_cast<std::size_t>(g.num_edges()));
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return lats[static_cast<std::size_t>(a)] < lats[static_cast<std::size_t>(b)];
-  });
-
-  UnionFind uf(g.num_vertices());
-  std::size_t cursor = 0;
-  for (SimTime tmll = (sync / mopts.tmll_step + 1) * mopts.tmll_step;
-       tmll <= milliseconds(6); tmll += mopts.tmll_step) {
-    while (cursor < order.size() &&
-           lats[static_cast<std::size_t>(order[cursor])] < tmll) {
-      const EdgeId e = order[cursor++];
-      uf.unite(g.edge_u(e), g.edge_v(e));
-    }
-    if (uf.num_sets() < mopts.num_engines) break;
-    const auto cluster = uf.compress();
-    std::vector<EdgeId> origin;
-    const Graph dumped = contract(g, cluster, uf.num_sets(), lats, &origin);
-    std::vector<std::int64_t> dlat(origin.size());
-    for (std::size_t i = 0; i < origin.size(); ++i) {
-      dlat[i] = lats[static_cast<std::size_t>(origin[i])];
-    }
-    PartitionOptions popt;
-    popt.num_parts = mopts.num_engines;
-    const PartitionResult pr = partition_graph(dumped, popt);
-    SimTime mll = min_cut_edge_aux(dumped, pr.part, dlat);
-    if (mll == std::numeric_limits<std::int64_t>::max()) mll = tmll;
-    const PartitionScore s = score_partition(mll, sync, pr.part_weights);
+  const TmllSweep sweep = list_tmll_candidates(g, lats, mopts);
+  for (std::size_t i = 0; i < sweep.candidates.size(); ++i) {
+    const HierarchicalResult r =
+        evaluate_tmll_candidate(g, lats, mopts, sweep, i);
     std::printf("%.2f\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%lld\n",
-                to_milliseconds(tmll), dumped.num_vertices(),
-                to_milliseconds(mll), s.es, s.ec, s.e,
-                static_cast<long long>(pr.edge_cut));
+                to_milliseconds(r.tmll), sweep.candidates[i].clusters,
+                to_milliseconds(r.achieved_mll), r.score.es, r.score.ec,
+                r.score.e, static_cast<long long>(r.edge_cut));
+  }
+  if (const auto chosen = hierarchical_partition(g, lats, mopts)) {
+    std::printf("# chosen: tmll_ms %.2f, E %.3f\n",
+                to_milliseconds(chosen->tmll), chosen->score.e);
   }
   return 0;
 }

@@ -36,8 +36,7 @@ ForwardingPlane ForwardingPlane::build_flat(
   // thousands of routers; keeping distances would multiply table memory.
   fp.flat_.emplace(net, all, /*use_inter_as_links=*/true,
                    /*keep_distances=*/false);
-  fp.flat_->reserve_destinations(dest_routers.size());
-  for (NodeId d : dest_routers) fp.register_destination(d);
+  fp.flat_->add_destinations(dest_routers);
   return fp;
 }
 
@@ -55,7 +54,9 @@ ForwardingPlane ForwardingPlane::build_multi_as(
     for (std::int32_t i = 0; i < info.num_routers; ++i) {
       members[static_cast<std::size_t>(i)] = info.first_router + i;
     }
-    fp.domains_.emplace_back(net, members, /*use_inter_as_links=*/false);
+    // Nothing reads a multi-AS distance; the repairs never need them.
+    fp.domains_.emplace_back(net, members, /*use_inter_as_links=*/false,
+                             /*keep_distances=*/false);
   }
   // Size each domain's tables once for every router that can become one
   // of its destinations: traffic destinations and border routers (egress
@@ -84,7 +85,16 @@ ForwardingPlane ForwardingPlane::build_multi_as(
   fp.egress_.resize(num_as);
   fp.select_egress();
 
-  for (NodeId d : dest_routers) fp.register_destination(d);
+  std::vector<std::vector<NodeId>> by_as(num_as);
+  for (const NodeId d : dest_routers) {
+    MASSF_CHECK(net.is_router(d));
+    by_as[static_cast<std::size_t>(
+              net.nodes[static_cast<std::size_t>(d)].as_id)]
+        .push_back(d);
+  }
+  for (std::size_t a = 0; a < num_as; ++a) {
+    fp.domains_[a].add_destinations(by_as[a]);
+  }
   return fp;
 }
 
@@ -107,15 +117,17 @@ void ForwardingPlane::select_egress() {
     auto itb = mb.find(as_a);
     if (itb == mb.end() || adj.link < itb->second) mb[as_a] = adj.link;
   }
+  std::vector<NodeId> locals;
   for (std::size_t a = 0; a < num_as; ++a) {
+    locals.clear();
     for (const auto& [nbr, link] : egress_[a]) {
       const NetLink& l = net.links[static_cast<std::size_t>(link)];
-      const NodeId local = net.nodes[static_cast<std::size_t>(l.a)].as_id ==
-                                   static_cast<AsId>(a)
-                               ? l.a
-                               : l.b;
-      domains_[a].add_destination(local);
+      locals.push_back(net.nodes[static_cast<std::size_t>(l.a)].as_id ==
+                               static_cast<AsId>(a)
+                           ? l.a
+                           : l.b);
     }
+    domains_[a].add_destinations(locals);
   }
 
   // Default routes for stub ASes: primary provider = adjacent provider
@@ -175,16 +187,6 @@ void ForwardingPlane::reconverge() {
   }
   select_egress();
   for (OspfDomain& d : domains_) d.recompute();
-}
-
-void ForwardingPlane::register_destination(NodeId dest) {
-  MASSF_CHECK(net_->is_router(dest));
-  if (flat_) {
-    flat_->add_destination(dest);
-  } else {
-    const AsId a = net_->nodes[static_cast<std::size_t>(dest)].as_id;
-    domains_[static_cast<std::size_t>(a)].add_destination(dest);
-  }
 }
 
 LinkId ForwardingPlane::next_link(NodeId from, NodeId dest) const {

@@ -92,8 +92,6 @@ class ForwardingPlane {
  private:
   explicit ForwardingPlane(const Network& net);
 
-  void register_destination(NodeId dest_router);
-
   const Network* net_;
   std::vector<LinkId> host_link_;  // per host index (id - num_routers)
 

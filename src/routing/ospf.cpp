@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <string>
+
+#include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace massf {
 
@@ -15,6 +19,20 @@ constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
 // flag_ws_ bits.
 constexpr std::uint8_t kHasNew = 1;  // new_ws_ holds the repaired distance
 constexpr std::uint8_t kListed = 2;  // in list_ws_
+
+using HeapEntry = std::pair<std::int64_t, std::int32_t>;  // (dist, router)
+
+void push(std::vector<HeapEntry>& heap, std::int64_t dist, std::int32_t x) {
+  heap.emplace_back(dist, x);
+  std::push_heap(heap.begin(), heap.end(), std::greater<>());
+}
+
+HeapEntry pop(std::vector<HeapEntry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+  const HeapEntry top = heap.back();
+  heap.pop_back();
+  return top;
+}
 
 }  // namespace
 
@@ -43,37 +61,63 @@ OspfDomain::OspfDomain(const Network& net, std::span<const NodeId> members,
       const std::int32_t v = local_index(inc.peer);
       if (v <= u) continue;
       MASSF_CHECK(l.latency > 0);
-      links_.push_back({inc.link, u, v, l.latency});
+      links_.push_back({inc.link, u, v, 0, 0, l.latency});
     }
   }
   std::sort(links_.begin(), links_.end(),
             [](const DomainLink& a, const DomainLink& b) { return a.id < b.id; });
 
   // Adjacency in CSR form, filled in link-id order so every router's arcs
-  // are sorted by link id.
+  // are sorted by link id: a next hop is an index into it, and comparing
+  // two indices of one router compares their link ids.
   arc_begin_.assign(n_ + 1, 0);
   for (const DomainLink& l : links_) {
     ++arc_begin_[static_cast<std::size_t>(l.u) + 1];
     ++arc_begin_[static_cast<std::size_t>(l.v) + 1];
   }
-  for (std::size_t i = 0; i < n_; ++i) arc_begin_[i + 1] += arc_begin_[i];
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (arc_begin_[i + 1] >= kNoHop) {
+      MASSF_THROW(ErrorCategory::kTopology,
+                  "router " + std::to_string(base_ + static_cast<NodeId>(i)) +
+                      " has " + std::to_string(arc_begin_[i + 1]) +
+                      " links in its routing domain; next hops are 16-bit "
+                      "adjacency indices, so at most " +
+                      std::to_string(kNoHop - 1) + " are supported");
+    }
+    arc_begin_[i + 1] += arc_begin_[i];
+  }
   arcs_.resize(2 * links_.size());
+  arc_link_.resize(arcs_.size());
   std::vector<std::int32_t> fill(arc_begin_.begin(), arc_begin_.end() - 1);
   for (std::size_t k = 0; k < links_.size(); ++k) {
-    const DomainLink& l = links_[k];
+    DomainLink& l = links_[k];
+    const auto pu =
+        static_cast<std::size_t>(fill[static_cast<std::size_t>(l.u)]++);
+    const auto pv =
+        static_cast<std::size_t>(fill[static_cast<std::size_t>(l.v)]++);
+    l.at_u = static_cast<Hop>(pu - arc_index(l.u, 0));
+    l.at_v = static_cast<Hop>(pv - arc_index(l.v, 0));
     const auto dl = static_cast<std::int32_t>(k);
-    arcs_[static_cast<std::size_t>(fill[static_cast<std::size_t>(l.u)]++)] =
-        {dl, l.v, l.cost};
-    arcs_[static_cast<std::size_t>(fill[static_cast<std::size_t>(l.v)]++)] =
-        {dl, l.u, l.cost};
+    arcs_[pu] = {l.cost, dl, l.v, l.at_v};
+    arcs_[pv] = {l.cost, dl, l.u, l.at_u};
+    arc_link_[pu] = arc_link_[pv] = l.id;
   }
 
   excluded_.assign(links_.size(), 0);
   applied_.assign(links_.size(), 0);
-  dist_ws_.assign(n_, kUnreached);
+  ws_ = make_workspace();
   new_ws_.assign(n_, kUnreached);
   stamp_ws_.assign(n_, 0);
   flag_ws_.assign(n_, 0);
+}
+
+// The heap never holds more than one entry per relaxation plus the root,
+// so a tree build on this workspace allocates nothing.
+OspfDomain::SptWorkspace OspfDomain::make_workspace() const {
+  SptWorkspace ws;
+  ws.dist.assign(n_, kUnreached);
+  ws.heap.reserve(arcs_.size() + 1);
+  return ws;
 }
 
 void OspfDomain::reserve_destinations(std::size_t count) {
@@ -82,25 +126,41 @@ void OspfDomain::reserve_destinations(std::size_t count) {
   if (keep_distances_) dist_.reserve(count * n_);
 }
 
-void OspfDomain::add_destination(NodeId dest) {
-  if (has_destination(dest)) return;
-  const std::int32_t d = local_index(dest);
-  MASSF_CHECK(d >= 0);
+void OspfDomain::add_destinations(std::span<const NodeId> dests) {
+  if (std::all_of(dests.begin(), dests.end(),
+                  [this](NodeId d) { return has_destination(d); })) {
+    return;
+  }
   if (!changed_.empty()) recompute();
 
-  const std::size_t slot = dests_.size();
-  dests_.push_back(d);
-  slot_[static_cast<std::size_t>(d)] = static_cast<std::int32_t>(slot);
-  // Past the reserved capacity, grow by exactly one table: doubling would
-  // hold the old and the new copy at once and raise the peak footprint.
-  const std::size_t size = (slot + 1) * n_;
+  const std::size_t first = dests_.size();
+  for (const NodeId dest : dests) {
+    if (has_destination(dest)) continue;  // registered, or repeated
+    const std::int32_t d = local_index(dest);
+    MASSF_CHECK(d >= 0);
+    slot_[static_cast<std::size_t>(d)] =
+        static_cast<std::int32_t>(dests_.size());
+    dests_.push_back(d);
+  }
+  const std::size_t added = dests_.size() - first;
+  // Past the reserved capacity, grow by exactly the new tables: doubling
+  // would hold the old and the new copy at once and raise the peak
+  // footprint.
+  const std::size_t size = dests_.size() * n_;
   if (next_.capacity() < size) next_.reserve(size);
   next_.resize(size);
   if (keep_distances_) {
     if (dist_.capacity() < size) dist_.reserve(size);
     dist_.resize(size);
   }
-  build_tree(slot);
+
+  // Worker 0 is this thread and builds on ws_; the other workspaces are
+  // allocated here, so the workers allocate nothing.
+  std::vector<SptWorkspace> extra(parallel_width(added) - 1);
+  for (SptWorkspace& ws : extra) ws = make_workspace();
+  parallel_for(added, [&](std::size_t worker, std::size_t i) {
+    build_tree(first + i, worker == 0 ? ws_ : extra[worker - 1]);
+  });
 }
 
 void OspfDomain::set_link_excluded(LinkId link, bool excluded) {
@@ -142,7 +202,7 @@ void OspfDomain::recompute() {
     const bool cut = !withdrawn_.empty() && uses_withdrawn(slot);
     const bool shortcut = !restored_.empty() && gains_restored(slot);
     if (cut && shortcut) {
-      build_tree(slot);
+      build_tree(slot, ws_);
     } else if (cut) {
       repair_withdrawn(slot);
     } else if (shortcut) {
@@ -170,65 +230,41 @@ std::int64_t OspfDomain::distance(NodeId from, NodeId dest) const {
 
 // ---- tree maintenance --------------------------------------------------------
 
-const OspfDomain::Arc& OspfDomain::parent_arc(std::int32_t x,
-                                              LinkId next) const {
-  const std::span<const Arc> out = arcs(x);
-  const auto it = std::lower_bound(
-      out.begin(), out.end(), next, [this](const Arc& a, LinkId id) {
-        return links_[static_cast<std::size_t>(a.dlink)].id < id;
-      });
-  MASSF_DCHECK(it != out.end() &&
-               links_[static_cast<std::size_t>(it->dlink)].id == next);
-  return *it;
-}
-
-void OspfDomain::push(std::int64_t dist, std::int32_t x) {
-  heap_.emplace_back(dist, x);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-}
-
-std::pair<std::int64_t, std::int32_t> OspfDomain::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-  const auto top = heap_.back();
-  heap_.pop_back();
-  return top;
-}
-
 // Dijkstra outward from the destination; because links are symmetric the
 // tree rooted at dest gives, for every router, the first link of its
-// shortest path *toward* dest. Ties are broken toward the lower link id,
-// which makes each next hop the lowest tight link (the repairs pick it
-// with lowest_tight_link instead).
-void OspfDomain::build_tree(std::size_t slot) {
-  LinkId* next = tree(slot);
-  std::fill(next, next + n_, kInvalidLink);
-  std::fill(dist_ws_.begin(), dist_ws_.end(), kUnreached);
+// shortest path *toward* dest. Ties are broken toward the lower adjacency
+// index, i.e. the lower link id, which makes each next hop the lowest
+// tight link (the repairs pick it with lowest_tight_hop instead).
+void OspfDomain::build_tree(std::size_t slot, SptWorkspace& ws) {
+  Hop* next = tree(slot);
+  std::fill(next, next + n_, kNoHop);
+  std::vector<std::int64_t>& dist = ws.dist;
+  std::fill(dist.begin(), dist.end(), kUnreached);
   const std::int32_t t = dests_[slot];
-  dist_ws_[static_cast<std::size_t>(t)] = 0;
-  heap_.clear();
-  push(0, t);
-  while (!heap_.empty()) {
-    const auto [d, x] = pop();
-    if (d != dist_ws_[static_cast<std::size_t>(x)]) continue;
+  dist[static_cast<std::size_t>(t)] = 0;
+  ws.heap.clear();
+  push(ws.heap, 0, t);
+  while (!ws.heap.empty()) {
+    const auto [d, x] = pop(ws.heap);
+    if (d != dist[static_cast<std::size_t>(x)]) continue;
     for (const Arc& a : arcs(x)) {
       if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
       const std::int64_t nd = d + a.cost;
       const auto pi = static_cast<std::size_t>(a.peer);
-      if (nd > dist_ws_[pi]) continue;
-      const LinkId link = links_[static_cast<std::size_t>(a.dlink)].id;
-      if (nd < dist_ws_[pi]) {
-        dist_ws_[pi] = nd;
-        next[pi] = link;
-        push(nd, a.peer);
-      } else if (link < next[pi]) {
-        next[pi] = link;
+      if (nd > dist[pi]) continue;
+      if (nd < dist[pi]) {
+        dist[pi] = nd;
+        next[pi] = a.rev;
+        push(ws.heap, nd, a.peer);
+      } else if (a.rev < next[pi]) {
+        next[pi] = a.rev;
       }
     }
   }
   if (keep_distances_) {
     std::int64_t* out = dist_.data() + slot * n_;
     for (std::size_t x = 0; x < n_; ++x) {
-      out[x] = dist_ws_[x] == kUnreached ? -1 : dist_ws_[x];
+      out[x] = dist[x] == kUnreached ? -1 : dist[x];
     }
   }
 }
@@ -248,28 +284,28 @@ void OspfDomain::begin_tree() {
 }
 
 std::int64_t OspfDomain::old_distance(std::size_t slot, std::int32_t x) {
-  const LinkId* next = tree(slot);
+  const Hop* next = tree(slot);
+  std::vector<std::int64_t>& dist = ws_.dist;
   std::int32_t y = x;
   while (stamp_ws_[static_cast<std::size_t>(y)] != epoch_) {
-    if (next[y] == kInvalidLink) {  // the destination, or cut off
-      dist_ws_[static_cast<std::size_t>(y)] =
-          y == dests_[slot] ? 0 : kUnreached;
+    if (next[y] == kNoHop) {  // the destination, or cut off
+      dist[static_cast<std::size_t>(y)] = y == dests_[slot] ? 0 : kUnreached;
       stamp_ws_[static_cast<std::size_t>(y)] = epoch_;
       break;
     }
-    const Arc& a = parent_arc(y, next[y]);
-    stack_ws_.emplace_back(y, static_cast<std::int32_t>(&a - arcs_.data()));
-    y = a.peer;
+    const std::size_t arc = arc_index(y, next[y]);
+    stack_ws_.emplace_back(y, static_cast<std::int32_t>(arc));
+    y = arcs_[arc].peer;
   }
   while (!stack_ws_.empty()) {
     const auto [z, arc] = stack_ws_.back();
     stack_ws_.pop_back();
     const Arc& a = arcs_[static_cast<std::size_t>(arc)];
-    dist_ws_[static_cast<std::size_t>(z)] =
-        dist_ws_[static_cast<std::size_t>(a.peer)] + a.cost;
+    dist[static_cast<std::size_t>(z)] =
+        dist[static_cast<std::size_t>(a.peer)] + a.cost;
     stamp_ws_[static_cast<std::size_t>(z)] = epoch_;
   }
-  return dist_ws_[static_cast<std::size_t>(x)];
+  return dist[static_cast<std::size_t>(x)];
 }
 
 std::int64_t OspfDomain::cur_distance(std::size_t slot, std::int32_t x) {
@@ -277,17 +313,18 @@ std::int64_t OspfDomain::cur_distance(std::size_t slot, std::int32_t x) {
   return (flag_ws_[i] & kHasNew) != 0 ? new_ws_[i] : old_distance(slot, x);
 }
 
-LinkId OspfDomain::lowest_tight_link(std::size_t slot, std::int32_t x) {
+OspfDomain::Hop OspfDomain::lowest_tight_hop(std::size_t slot,
+                                             std::int32_t x) {
   const std::int64_t d = cur_distance(slot, x);
-  if (d == kUnreached) return kInvalidLink;
-  for (const Arc& a : arcs(x)) {
+  if (d == kUnreached) return kNoHop;
+  const std::span<const Arc> out = arcs(x);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Arc& a = out[i];
     if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
     const std::int64_t pd = cur_distance(slot, a.peer);
-    if (pd != kUnreached && pd + a.cost == d) {
-      return links_[static_cast<std::size_t>(a.dlink)].id;
-    }
+    if (pd != kUnreached && pd + a.cost == d) return static_cast<Hop>(i);
   }
-  return kInvalidLink;  // x is the destination
+  return kNoHop;  // x is the destination
 }
 
 void OspfDomain::list(std::int32_t x, std::uint8_t flags) {
@@ -297,10 +334,10 @@ void OspfDomain::list(std::int32_t x, std::uint8_t flags) {
 }
 
 bool OspfDomain::uses_withdrawn(std::size_t slot) const {
-  const LinkId* next = tree(slot);
+  const Hop* next = tree(slot);
   for (const std::int32_t dl : withdrawn_) {
     const DomainLink& l = links_[static_cast<std::size_t>(dl)];
-    if (next[l.u] == l.id || next[l.v] == l.id) return true;
+    if (next[l.u] == l.at_u || next[l.v] == l.at_v) return true;
   }
   return false;
 }
@@ -324,22 +361,21 @@ bool OspfDomain::gains_restored(std::size_t slot) {
 // hop. Dijkstra over the cut routers alone, seeded from their uncut
 // neighbours, gives their new distances.
 void OspfDomain::repair_withdrawn(std::size_t slot) {
-  const LinkId* next = tree(slot);
+  const Hop* next = tree(slot);
   for (const std::int32_t dl : withdrawn_) {
     const DomainLink& l = links_[static_cast<std::size_t>(dl)];
-    if (next[l.u] == l.id) list(l.u, kHasNew);
-    if (next[l.v] == l.id) list(l.v, kHasNew);
+    if (next[l.u] == l.at_u) list(l.u, kHasNew);
+    if (next[l.v] == l.at_v) list(l.v, kHasNew);
   }
   for (std::size_t i = 0; i < list_ws_.size(); ++i) {  // grows: a BFS
     const std::int32_t x = list_ws_[i];
     for (const Arc& a : arcs(x)) {
-      if (next[a.peer] == links_[static_cast<std::size_t>(a.dlink)].id) {
-        list(a.peer, kHasNew);  // routes through x
-      }
+      if (next[a.peer] == a.rev) list(a.peer, kHasNew);  // routes through x
     }
   }
 
-  heap_.clear();
+  Heap& heap = ws_.heap;
+  heap.clear();
   for (const std::int32_t x : list_ws_) {
     std::int64_t best = kUnreached;
     for (const Arc& a : arcs(x)) {
@@ -351,10 +387,10 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
       if (pd != kUnreached) best = std::min(best, pd + a.cost);
     }
     new_ws_[static_cast<std::size_t>(x)] = best;
-    if (best != kUnreached) push(best, x);
+    if (best != kUnreached) push(heap, best, x);
   }
-  while (!heap_.empty()) {
-    const auto [d, x] = pop();
+  while (!heap.empty()) {
+    const auto [d, x] = pop(heap);
     if (d != new_ws_[static_cast<std::size_t>(x)]) continue;
     for (const Arc& a : arcs(x)) {
       const auto pi = static_cast<std::size_t>(a.peer);
@@ -364,7 +400,7 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
       }
       if (d + a.cost < new_ws_[pi]) {
         new_ws_[pi] = d + a.cost;
-        push(d + a.cost, a.peer);
+        push(heap, d + a.cost, a.peer);
       }
     }
   }
@@ -376,14 +412,15 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
 // whose distance fell, at its neighbours (a link to it may have become
 // tight) and at the restored links' endpoints.
 void OspfDomain::repair_restored(std::size_t slot) {
-  const auto lower = [this, slot](std::int32_t x, std::int64_t d) {
+  Heap& heap = ws_.heap;
+  const auto lower = [this, slot, &heap](std::int32_t x, std::int64_t d) {
     if (d < cur_distance(slot, x)) {
       new_ws_[static_cast<std::size_t>(x)] = d;
       list(x, kHasNew);
-      push(d, x);
+      push(heap, d, x);
     }
   };
-  heap_.clear();
+  heap.clear();
   for (const std::int32_t dl : restored_) {
     const DomainLink& l = links_[static_cast<std::size_t>(dl)];
     list(l.u, 0);
@@ -393,8 +430,8 @@ void OspfDomain::repair_restored(std::size_t slot) {
     if (du != kUnreached) lower(l.v, du + l.cost);
     if (dv != kUnreached) lower(l.u, dv + l.cost);
   }
-  while (!heap_.empty()) {
-    const auto [d, x] = pop();
+  while (!heap.empty()) {
+    const auto [d, x] = pop(heap);
     if (d != new_ws_[static_cast<std::size_t>(x)]) continue;
     for (const Arc& a : arcs(x)) {
       if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
@@ -411,9 +448,9 @@ void OspfDomain::repair_restored(std::size_t slot) {
 void OspfDomain::finish_repair(std::size_t slot) {
   pick_ws_.clear();
   for (const std::int32_t x : list_ws_) {
-    pick_ws_.push_back(lowest_tight_link(slot, x));
+    pick_ws_.push_back(lowest_tight_hop(slot, x));
   }
-  LinkId* next = tree(slot);
+  Hop* next = tree(slot);
   std::int64_t* dist = keep_distances_ ? dist_.data() + slot * n_ : nullptr;
   for (std::size_t i = 0; i < list_ws_.size(); ++i) {
     const auto x = static_cast<std::size_t>(list_ws_[i]);

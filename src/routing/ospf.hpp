@@ -4,13 +4,15 @@
 // large networks feasible: only routers that actually terminate or egress
 // traffic need tables.
 //
-// Tables are dense: one slot-major LinkId array holds every (destination,
-// router) next hop, so a lookup reads the destination's slot and then the
-// table. A link-state batch repairs only the trees it can change (dynamic
-// SPT maintenance after Ramalingam & Reps, J. Algorithms 1996, and
-// Narváez, Siu & Tzeng, IEEE/ACM ToN 8(6), 2000); the tables stay a pure
-// function of (topology, excluded links): next hop = lowest-id usable link
-// on a shortest path.
+// Tables are dense: one slot-major array holds every (destination, router)
+// next hop as a 16-bit index into the router's adjacency, which is sorted
+// by link id, so a lookup reads the destination's slot, the table and the
+// router's adjacency. A batch of new destinations builds its trees on
+// every CPU (util/parallel.hpp). A link-state batch repairs only the trees
+// it can change (dynamic SPT maintenance after Ramalingam & Reps, J.
+// Algorithms 1996, and Narváez, Siu & Tzeng, IEEE/ACM ToN 8(6), 2000); the
+// tables stay a pure function of (topology, excluded links): next hop =
+// lowest-id usable link on a shortest path.
 #pragma once
 
 #include <cstdint>
@@ -32,22 +34,26 @@ class OspfDomain {
   /// range in any order (a router's local index is its offset from the
   /// lowest). Only links with both endpoints in `members` (and not marked
   /// inter_as unless `use_inter_as_links`) are considered; their latencies
-  /// must be > 0. With `keep_distances` false the per-destination distances
-  /// are not stored (they cost 8 bytes x routers x destinations —
-  /// prohibitive for a 20,000-router flat domain with thousands of
-  /// destinations); distance() is then unavailable.
+  /// must be > 0. A router with 0xFFFF or more such links cannot be indexed
+  /// by a 16-bit next hop: EngineError kTopology naming it. With
+  /// `keep_distances` false the per-destination distances are not stored
+  /// (they cost 8 bytes x routers x destinations — prohibitive for a
+  /// 20,000-router flat domain with thousands of destinations); distance()
+  /// is then unavailable.
   OspfDomain(const Network& net, std::span<const NodeId> members,
              bool use_inter_as_links, bool keep_distances = true);
 
   /// Sizes the tables for `count` destinations in one allocation, so later
-  /// add_destination calls neither reallocate nor copy them.
+  /// add_destinations calls neither reallocate nor copy them.
   void reserve_destinations(std::size_t count);
 
-  /// Computes the reverse shortest-path tree toward `dest` (a member) and
-  /// stores the per-router next hop. Pending exclusions are applied to the
+  /// Computes the reverse shortest-path tree toward every destination in
+  /// `dests` (members; registered ones and repeats are skipped) and stores
+  /// the per-router next hops. Pending exclusions are applied to the
   /// existing tables first, so every table describes the same link states.
-  /// Safe to call for the same dest twice.
-  void add_destination(NodeId dest);
+  /// The tables grow once and the new trees are built on every CPU.
+  void add_destinations(std::span<const NodeId> dests);
+  void add_destination(NodeId dest) { add_destinations({&dest, 1}); }
 
   bool has_destination(NodeId dest) const { return slot_of(dest) >= 0; }
 
@@ -58,8 +64,9 @@ class OspfDomain {
     MASSF_CHECK(s >= 0);
     const std::int32_t f = local_index(from);
     MASSF_CHECK(f >= 0);
-    return next_[static_cast<std::size_t>(s) * n_ +
-                 static_cast<std::size_t>(f)];
+    const Hop hop = next_[static_cast<std::size_t>(s) * n_ +
+                          static_cast<std::size_t>(f)];
+    return hop == kNoHop ? kInvalidLink : arc_link_[arc_index(f, hop)];
   }
 
   /// Next router on the path (the peer across next_link).
@@ -82,16 +89,28 @@ class OspfDomain {
   std::size_t num_destinations() const { return dests_.size(); }
 
  private:
+  // A next hop: the index of the link in its router's adjacency.
+  using Hop = std::uint16_t;
+  static constexpr Hop kNoHop = 0xFFFF;  // the destination, or unreachable
+
   // One direction of a domain link, in the adjacency of its tail router.
   struct Arc {
+    std::int64_t cost;   // latency, ns
     std::int32_t dlink;  // domain link index (order of the global id)
     std::int32_t peer;   // local index of the head router
-    std::int64_t cost;   // latency, ns
+    Hop rev;             // the link's index in the peer's adjacency
   };
   struct DomainLink {
     LinkId id;
     std::int32_t u, v;  // local endpoints
+    Hop at_u, at_v;     // the link's index in u's and v's adjacency
     std::int64_t cost;
+  };
+  // Dijkstra state of one thread building trees.
+  using Heap = std::vector<std::pair<std::int64_t, std::int32_t>>;
+  struct SptWorkspace {
+    std::vector<std::int64_t> dist;  // per router
+    Heap heap;
   };
 
   std::int32_t local_index(NodeId router) const {
@@ -108,20 +127,21 @@ class OspfDomain {
     return {arcs_.data() + arc_begin_[i],
             static_cast<std::size_t>(arc_begin_[i + 1] - arc_begin_[i])};
   }
-  LinkId* tree(std::size_t slot) { return next_.data() + slot * n_; }
-  const LinkId* tree(std::size_t slot) const {
-    return next_.data() + slot * n_;
+  std::size_t arc_index(std::int32_t x, Hop hop) const {
+    return static_cast<std::size_t>(arc_begin_[static_cast<std::size_t>(x)] +
+                                    hop);
   }
-  const Arc& parent_arc(std::int32_t x, LinkId next) const;
-  void push(std::int64_t dist, std::int32_t x);
-  std::pair<std::int64_t, std::int32_t> pop();
+  Hop* tree(std::size_t slot) { return next_.data() + slot * n_; }
+  const Hop* tree(std::size_t slot) const { return next_.data() + slot * n_; }
+  SptWorkspace make_workspace() const;
 
-  // Tree construction and repair (ospf.cpp).
-  void build_tree(std::size_t slot);
+  // Tree construction and repair (ospf.cpp). build_tree touches only its
+  // slot and `ws`, so trees of distinct slots build concurrently.
+  void build_tree(std::size_t slot, SptWorkspace& ws);
   void begin_tree();
   std::int64_t old_distance(std::size_t slot, std::int32_t x);
   std::int64_t cur_distance(std::size_t slot, std::int32_t x);
-  LinkId lowest_tight_link(std::size_t slot, std::int32_t x);
+  Hop lowest_tight_hop(std::size_t slot, std::int32_t x);
   void list(std::int32_t x, std::uint8_t flags);
   bool uses_withdrawn(std::size_t slot) const;
   bool gains_restored(std::size_t slot);
@@ -136,30 +156,30 @@ class OspfDomain {
 
   std::vector<DomainLink> links_;  // sorted by global id
   std::vector<std::int32_t> arc_begin_;
-  std::vector<Arc> arcs_;  // per router, sorted by link id
+  std::vector<Arc> arcs_;         // per router, sorted by link id
+  std::vector<LinkId> arc_link_;  // global id of each arc's link
   std::vector<std::uint8_t> excluded_;  // per domain link, as requested
   std::vector<std::uint8_t> applied_;   // per domain link, as in the tables
   std::vector<std::int32_t> changed_;   // links flipped since recompute
   std::vector<std::int32_t> withdrawn_, restored_;  // the batch at hand
 
   std::vector<std::int32_t> dests_;  // slot -> local index
-  std::vector<LinkId> next_;         // slot-major, n_ per slot
+  std::vector<Hop> next_;            // slot-major, n_ per slot
   std::vector<std::int64_t> dist_;   // slot-major; empty unless kept
 
-  // Workspace reused across trees, all per router unless noted: Dijkstra
-  // distances (the memoized old distances during a repair, valid where
-  // stamp_ws_ == epoch_), repaired distances, flags, the Dijkstra heap,
-  // the climb stack of (router, parent arc), and the routers to re-pick
-  // with their picks.
-  std::vector<std::int64_t> dist_ws_;
+  // Workspace of the thread that owns the domain, reused across trees,
+  // all per router unless noted: Dijkstra distances and heap (ws_.dist
+  // holds the memoized old distances during a repair, valid where
+  // stamp_ws_ == epoch_), repaired distances, flags, the climb stack of
+  // (router, parent arc), and the routers to re-pick with their picks.
+  SptWorkspace ws_;
   std::vector<std::int64_t> new_ws_;
   std::vector<std::uint32_t> stamp_ws_;
   std::uint32_t epoch_ = 0;
   std::vector<std::uint8_t> flag_ws_;
-  std::vector<std::pair<std::int64_t, std::int32_t>> heap_;
   std::vector<std::pair<std::int32_t, std::int32_t>> stack_ws_;
   std::vector<std::int32_t> list_ws_;
-  std::vector<LinkId> pick_ws_;
+  std::vector<Hop> pick_ws_;
 };
 
 }  // namespace massf

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "lb/graph_prep.hpp"
 #include "lb/hierarchical.hpp"
 #include "lb/mapping.hpp"
 #include "lb/profile.hpp"
+#include "graph/union_find.hpp"
 #include "partition/partition.hpp"
 #include "topology/brite.hpp"
+#include "util/rng.hpp"
 
 namespace massf {
 namespace {
@@ -385,6 +389,165 @@ TEST(Hierarchical, StepLargerThanMax) {
   for (LpId lp : m.router_lp) {
     EXPECT_GE(lp, 0);
     EXPECT_LT(lp, opts.num_engines);
+  }
+}
+
+// ---- parallel Tmll sweep ----------------------------------------------------
+
+// The sweep as one loop in Tmll order, keeping the first strict maximum of
+// E: the reference the pooled sweep must reproduce exactly.
+std::optional<HierarchicalResult> sequential_sweep(
+    const Graph& g, std::span<const std::int64_t> latencies,
+    const MappingOptions& opts) {
+  const SimTime sync = opts.cluster.sync_cost_time(opts.num_engines);
+  SimTime tmll = (sync / opts.tmll_step + 1) * opts.tmll_step;
+  std::vector<EdgeId> order(static_cast<std::size_t>(g.num_edges()));
+  std::iota(order.begin(), order.end(), EdgeId{0});
+  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+    return latencies[static_cast<std::size_t>(a)] <
+           latencies[static_cast<std::size_t>(b)];
+  });
+  UnionFind uf(g.num_vertices());
+  std::size_t cursor = 0;
+  std::optional<HierarchicalResult> best;
+  std::int32_t tried = 0;
+  for (; tmll <= opts.tmll_max; tmll += opts.tmll_step) {
+    while (cursor < order.size() &&
+           latencies[static_cast<std::size_t>(order[cursor])] < tmll) {
+      const EdgeId e = order[cursor++];
+      uf.unite(g.edge_u(e), g.edge_v(e));
+    }
+    if (uf.num_sets() < opts.num_engines) break;
+    const std::vector<VertexId> cluster = uf.compress();
+    std::vector<EdgeId> origin;
+    const Graph dumped =
+        contract(g, cluster, uf.num_sets(), latencies, &origin);
+    std::vector<std::int64_t> dumped_lat(origin.size());
+    for (std::size_t i = 0; i < origin.size(); ++i) {
+      dumped_lat[i] = latencies[static_cast<std::size_t>(origin[i])];
+    }
+    PartitionOptions popt;
+    popt.num_parts = opts.num_engines;
+    popt.imbalance_tolerance = opts.imbalance_tolerance;
+    popt.seed = opts.seed;
+    const PartitionResult pr = partition_graph(dumped, popt);
+    ++tried;
+    SimTime mll = min_cut_edge_aux(dumped, pr.part, dumped_lat);
+    if (mll == std::numeric_limits<std::int64_t>::max()) mll = opts.tmll_max;
+    const PartitionScore score = score_partition(mll, sync, pr.part_weights);
+    if (!best || score.e > best->score.e) {
+      HierarchicalResult r;
+      r.part.resize(static_cast<std::size_t>(g.num_vertices()));
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        r.part[static_cast<std::size_t>(v)] = pr.part[static_cast<std::size_t>(
+            cluster[static_cast<std::size_t>(v)])];
+      }
+      r.tmll = tmll;
+      r.achieved_mll = mll;
+      r.score = score;
+      r.edge_cut = pr.edge_cut;
+      r.balance = pr.balance(dumped.total_vertex_weight());
+      best = std::move(r);
+    }
+  }
+  if (best) best->candidates_tried = tried;
+  return best;
+}
+
+void expect_same(const std::optional<HierarchicalResult>& got,
+                 const std::optional<HierarchicalResult>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->part, want->part);
+  EXPECT_EQ(got->tmll, want->tmll);
+  EXPECT_EQ(got->achieved_mll, want->achieved_mll);
+  EXPECT_EQ(got->score.es, want->score.es);
+  EXPECT_EQ(got->score.ec, want->score.ec);
+  EXPECT_EQ(got->score.e, want->score.e);
+  EXPECT_EQ(got->edge_cut, want->edge_cut);
+  EXPECT_EQ(got->balance, want->balance);
+  EXPECT_EQ(got->candidates_tried, want->candidates_tried);
+}
+
+TEST(Hierarchical, ParallelSweepMatchesSequential) {
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    const Network net = test_network(300, seed);
+    TrafficProfile profile;
+    Rng rng(seed);
+    profile.router_events.resize(static_cast<std::size_t>(net.num_routers));
+    for (std::uint64_t& events : profile.router_events) {
+      events = 1 + rng.uniform(1000);
+    }
+    for (const std::int32_t engines : {2, 8, 24}) {
+      for (const MappingKind kind : {MappingKind::kHTop, MappingKind::kHProf}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                     std::to_string(engines) + " engines, " +
+                     mapping_kind_name(kind));
+        MappingOptions opts = base_opts(engines);
+        opts.kind = kind;
+        std::vector<std::int64_t> lats;
+        const Graph g = prepare_graph(
+            net, kind, kind == MappingKind::kHProf ? &profile : nullptr, opts,
+            &lats);
+        const auto want = sequential_sweep(g, lats, opts);
+        ASSERT_TRUE(want.has_value());
+        expect_same(hierarchical_partition(g, lats, opts), want);
+      }
+    }
+  }
+
+  // Plateaus of candidates with one contraction, hence one partition and
+  // one E: groups of 5 vertices joined by 50 us links, 4 groups per
+  // supergroup joined by 1 ms links, 16 supergroups joined by 5 ms links.
+  // Every Tmll in (0.05, 1] ms contracts the groups and every one in
+  // (1, 5] ms the supergroups; the lowest Tmll of the best plateau wins.
+  constexpr VertexId kGroup = 5, kSuper = 20, kVertices = 320;
+  GraphBuilder b(kVertices);
+  const auto latency = [&](VertexId u, VertexId v) -> std::int64_t {
+    if (u / kGroup == v / kGroup) return microseconds(50);
+    if (u / kSuper == v / kSuper) return milliseconds(1);
+    return milliseconds(5);
+  };
+  for (VertexId v = 0; v < kVertices; ++v) {
+    if ((v + 1) % kGroup != 0) b.add_edge(v, v + 1, 100);  // group chain
+    if (v % kGroup == 0) {
+      const VertexId super = v / kSuper * kSuper;
+      b.add_edge(v, super + (v - super + kGroup) % kSuper, 10);  // group ring
+    }
+    if (v % kSuper == 0) {
+      b.add_edge(v, (v + kSuper) % kVertices, 2);      // supergroup ring
+      b.add_edge(v, (v + 3 * kSuper) % kVertices, 2);  // and chords
+    }
+  }
+  const Graph g = b.build();
+  std::vector<std::int64_t> lats(static_cast<std::size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    lats[static_cast<std::size_t>(e)] = latency(g.edge_u(e), g.edge_v(e));
+  }
+  for (const std::int32_t engines : {2, 8}) {
+    SCOPED_TRACE(std::to_string(engines) + " engines on the plateau graph");
+    const MappingOptions opts = base_opts(engines);
+    const TmllSweep sweep = list_tmll_candidates(g, lats, opts);
+    ASSERT_GT(sweep.candidates.size(), 2u);
+    const auto got = hierarchical_partition(g, lats, opts);
+    expect_same(got, sequential_sweep(g, lats, opts));
+    ASSERT_TRUE(got.has_value());
+    const auto it = std::find_if(
+        sweep.candidates.begin(), sweep.candidates.end(),
+        [&](const TmllCandidate& c) { return c.tmll == got->tmll; });
+    ASSERT_NE(it, sweep.candidates.end());
+    const auto win = static_cast<std::size_t>(it - sweep.candidates.begin());
+    ASSERT_LT(win + 1, sweep.candidates.size());
+    EXPECT_EQ(sweep.candidates[win + 1].contracted,
+              sweep.candidates[win].contracted)
+        << "the winner's plateau has one candidate: no tie was broken";
+    EXPECT_EQ(evaluate_tmll_candidate(g, lats, opts, sweep, win + 1).score.e,
+              got->score.e);
+    if (win > 0) {
+      EXPECT_NE(sweep.candidates[win - 1].contracted,
+                sweep.candidates[win].contracted)
+          << "a lower Tmll with the same contraction lost the tie";
+    }
   }
 }
 

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <queue>
+#include <string>
 
 #include "routing/bgp.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/ospf.hpp"
 #include "topology/brite.hpp"
 #include "topology/mabrite.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace massf {
@@ -431,6 +434,190 @@ TEST(Ospf, IncrementalRecomputeMatchesFreshSpf) {
       EXPECT_GT(unreachable, 0);
     }
   }
+}
+
+// Registering destinations as one batch (trees built on every CPU) must
+// give the tables of one add_destination call at a time: on tie-heavy
+// latencies too, with links excluded before the destinations arrive, and
+// with a batch that follows exclusions of already registered trees.
+TEST(Ospf, BatchBuildMatchesOneAtATime) {
+  struct Case {
+    std::int32_t routers;
+    std::int32_t links_per_node;
+    std::uint64_t seed;
+    SimTime quantum;        // > 0: latencies rounded up to a multiple of it
+    std::int32_t exclude;   // > 0: every exclude-th router link is down
+  };
+  const Case cases[] = {{300, 2, 31, 0, 0},
+                        {300, 2, 32, seconds(1), 0},
+                        {400, 3, 33, milliseconds(5), 0},
+                        {200, 1, 34, 0, 7},
+                        {400, 2, 35, milliseconds(2), 5},
+                        {300, 2, 36, seconds(1), 3}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+    BriteOptions o;
+    o.num_routers = c.routers;
+    o.num_hosts = 10;
+    o.links_per_node = c.links_per_node;
+    o.seed = c.seed;
+    Network net = generate_flat(o);
+    if (c.quantum > 0) {
+      for (NetLink& l : net.links) {
+        l.latency = (l.latency + c.quantum - 1) / c.quantum * c.quantum;
+      }
+    }
+    std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
+    std::iota(members.begin(), members.end(), NodeId{0});
+    // Every third router, and one repeat, which the batch skips.
+    std::vector<NodeId> dests;
+    for (NodeId r = static_cast<NodeId>(c.seed % 3); r < net.num_routers;
+         r += 3) {
+      dests.push_back(r);
+    }
+    dests.push_back(dests.front());
+    std::vector<LinkId> excluded;
+    if (c.exclude > 0) {
+      for (LinkId l = 0; l < static_cast<LinkId>(net.links.size());
+           l += c.exclude) {
+        const NetLink& link = net.links[static_cast<std::size_t>(l)];
+        if (net.is_router(link.a) && net.is_router(link.b)) {
+          excluded.push_back(l);
+        }
+      }
+    }
+
+    OspfDomain one(net, members, true, /*keep_distances=*/false);
+    OspfDomain batch(net, members, true, /*keep_distances=*/false);
+    for (const LinkId l : excluded) {
+      one.set_link_excluded(l, true);
+      batch.set_link_excluded(l, true);
+    }
+    for (const NodeId d : dests) one.add_destination(d);
+    batch.add_destinations(dests);
+    ASSERT_EQ(batch.num_destinations(), dests.size() - 1);
+
+    // Half the destinations first, then exclusions pending when the other
+    // half arrives as a batch: the first half's tables are repaired before
+    // the new trees are built.
+    const auto half = static_cast<std::ptrdiff_t>(dests.size() / 2);
+    OspfDomain late(net, members, true, /*keep_distances=*/false);
+    late.add_destinations({dests.data(), static_cast<std::size_t>(half)});
+    for (const LinkId l : excluded) late.set_link_excluded(l, true);
+    late.add_destinations(
+        {dests.data() + half, dests.size() - static_cast<std::size_t>(half)});
+
+    std::optional<ForwardingPlane> flat;
+    if (excluded.empty()) flat.emplace(ForwardingPlane::build_flat(net, dests));
+
+    int mismatches = 0;
+    for (const NodeId d : dests) {
+      for (NodeId r = 0; r < net.num_routers; ++r) {
+        const LinkId want = one.next_link(r, d);
+        if (batch.next_link(r, d) != want || late.next_link(r, d) != want ||
+            (flat && flat->next_link(r, d) != want)) {
+          if (++mismatches <= 3) {
+            ADD_FAILURE() << "router " << r << " dest " << d << ": one "
+                          << want << ", batch " << batch.next_link(r, d)
+                          << ", late " << late.next_link(r, d);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+
+  // Multi-AS planes register each AS's destinations (and egress border
+  // routers) as one batch per domain.
+  for (const SimTime quantum : {SimTime{0}, milliseconds(1)}) {
+    SCOPED_TRACE("quantum " + std::to_string(quantum));
+    MaBriteOptions o;
+    o.num_as = 8;
+    o.routers_per_as = 40;
+    o.num_hosts = 160;
+    o.seed = 37;
+    Network net = generate_multi_as(o);
+    if (quantum > 0) {
+      for (NetLink& l : net.links) {
+        l.latency = (l.latency + quantum - 1) / quantum * quantum;
+      }
+    }
+    std::vector<NodeId> dests;
+    for (NodeId h = net.num_routers;
+         h < static_cast<NodeId>(net.nodes.size()); ++h) {
+      dests.push_back(net.nodes[static_cast<std::size_t>(h)].attach_router);
+    }
+    const ForwardingPlane fp = ForwardingPlane::build_multi_as(net, dests);
+    int mismatches = 0;
+    for (const AsInfo& info : net.as_info) {
+      std::vector<NodeId> members(static_cast<std::size_t>(info.num_routers));
+      std::iota(members.begin(), members.end(), info.first_router);
+      OspfDomain one(net, members, /*use_inter_as_links=*/false);
+      std::vector<NodeId> local;
+      for (const NodeId d : dests) {
+        if (d >= info.first_router &&
+            d < info.first_router + info.num_routers) {
+          one.add_destination(d);
+          local.push_back(d);
+        }
+      }
+      for (const NodeId d : local) {
+        for (const NodeId r : members) {
+          mismatches += fp.next_link(r, d) != one.next_link(r, d) ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+}
+
+// A star on `leaves` + 1 routers: router 0 is the hub and link i joins it
+// to router i + 1.
+Network star_network(std::int32_t leaves) {
+  Network net;
+  net.num_routers = leaves + 1;
+  net.nodes.assign(static_cast<std::size_t>(net.num_routers), NetNode{});
+  net.links.reserve(static_cast<std::size_t>(leaves));
+  for (NodeId leaf = 1; leaf <= leaves; ++leaf) {
+    NetLink l;
+    l.a = 0;
+    l.b = leaf;
+    l.latency = microseconds(10);
+    l.bandwidth_bps = 1e9;
+    net.links.push_back(l);
+  }
+  net.build_adjacency();
+  return net;
+}
+
+// Next hops are 16-bit adjacency indices with 0xFFFF as "none": a domain
+// degree of 0xFFFE routes, 0xFFFF is a topology error naming the router.
+TEST(Ospf, HubDegreeBeyondSixteenBitsIsATopologyError) {
+  {
+    const Network net = star_network(0xFFFE);
+    std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
+    std::iota(members.begin(), members.end(), NodeId{0});
+    OspfDomain ospf(net, members, true, /*keep_distances=*/false);
+    const NodeId last = 0xFFFE;
+    ospf.add_destinations(std::vector<NodeId>{0, last});
+    EXPECT_EQ(ospf.next_link(0, last), last - 1);  // hub index 0xFFFD
+    EXPECT_EQ(ospf.next_link(last, 0), last - 1);
+    EXPECT_EQ(ospf.next_link(1, last), 0);
+    EXPECT_EQ(ospf.next_link(0, 0), kInvalidLink);
+  }
+  const Network net = star_network(0xFFFF);
+  std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
+  std::iota(members.begin(), members.end(), NodeId{0});
+  try {
+    OspfDomain ospf(net, members, true);
+    FAIL() << "a 65535-link router was accepted";
+  } catch (const EngineError& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kTopology);
+    EXPECT_NE(std::string(e.what()).find("router 0 has 65535 links"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ForwardingPlane::build_flat(net, {}), EngineError);
 }
 
 // ---- BGP -------------------------------------------------------------

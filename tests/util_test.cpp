@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/flags.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 #include "util/stats.hpp"
@@ -279,6 +285,72 @@ TEST(FlagTable, ParsesForms) {
   const char* repeated_bool[] = {"prog", "--gamma", "--gamma=false"};
   EXPECT_FALSE(twice_bool.parse(3, repeated_bool, &error));
   EXPECT_EQ(error, "arg 2 (--gamma=false): given twice");
+}
+
+// ---- parallel_for ----------------------------------------------------------
+
+TEST(ParallelFor, RunsEachItemOnce) {
+  constexpr std::size_t kItems = 1000;
+  const std::size_t width = parallel_width(kItems);
+  std::vector<std::atomic<int>> runs(kItems);
+  std::atomic<bool> bad_worker{false};
+  parallel_for(kItems, [&](std::size_t worker, std::size_t item) {
+    if (worker >= width) bad_worker = true;
+    runs[item].fetch_add(1);
+  });
+  EXPECT_FALSE(bad_worker.load());
+  for (std::size_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "item " << i;
+  }
+  parallel_for(0, [](std::size_t, std::size_t) { FAIL() << "no items"; });
+}
+
+TEST(ParallelFor, RunsInlineAtWidthOne) {
+  ASSERT_EQ(parallel_width(1), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;  // unsynchronized: a second thread would be a data race
+  parallel_for(1, [&](std::size_t worker, std::size_t item) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(item, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelFor, RethrowsAfterEveryWorkerJoins) {
+  constexpr std::size_t kItems = 64;
+  const std::size_t width = parallel_width(kItems);
+  // The last worker throws (the caller itself at width 1). Each worker's
+  // first item waits until every worker holds one, so the thrower gets an
+  // item while the others are still busy.
+  const std::size_t thrower = width - 1;
+  std::atomic<std::size_t> started{0};
+  std::atomic<int> running{0};
+  struct Running {
+    explicit Running(std::atomic<int>& n) : n_(n) { ++n_; }
+    ~Running() { --n_; }
+    std::atomic<int>& n_;
+  };
+  try {
+    parallel_for(kItems, [&](std::size_t worker, std::size_t) {
+      const Running guard(running);
+      if (started.fetch_add(1) < width) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < width &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
+      if (worker == thrower) throw std::runtime_error("worker failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+    FAIL() << "the worker's exception was not rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker failed");
+    EXPECT_EQ(running.load(), 0) << "rethrown before every worker joined";
+  }
 }
 
 }  // namespace
