@@ -2,16 +2,16 @@
 // declarative scenario file.
 //
 //   ./massf_cli --config=exp.dml                  # run the file's study
-//   ./massf_cli --config=exp.dml --override='mapping HPROF rebalance.enabled 1'
+//   ./massf_cli --config=exp.dml --override='mapping HPROF guard.enabled 1'
 //   ./massf_cli --template                        # print a scenario template
 //
 // The scenario file (sim/scenario_config.hpp) is the whole experiment —
-// topology scale, traffic mix, fault schedule, rebalance / checkpoint /
-// guard policy, mapping run list — and the only place a run is
-// configured. --override changes it for one run: its value is the body of
-// a campaign `override [ ]` block, scalar atoms with dotted keys for
-// sub-blocks, merged over the file exactly as a campaign sweep merges
-// one. Repeating a key makes a list (`mapping TOP2 mapping HPROF`).
+// topology scale, traffic mix, fault schedule, checkpoint / guard policy,
+// mapping run list — and the only place a run is configured. --override
+// changes it for one run: its value is the body of a campaign
+// `override [ ]` block, scalar atoms with dotted keys for sub-blocks,
+// merged over the file exactly as a campaign sweep merges one. Repeating
+// a key makes a list (`mapping TOP2 mapping HPROF`).
 //
 // Checkpoint/restore (format massf.ckpt.v1, DESIGN.md section 5e):
 //   --override='mapping HPROF ckpt.every 200 ckpt.path f.ckpt
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   flags.add_string("override", "",
                    "scenario atoms merged over the file, as in a campaign "
                    "override [ ] block (e.g. 'mapping HPROF "
-                   "rebalance.enabled 1')");
+                   "guard.enabled 1')");
   flags.parse_or_exit(argc, argv);
 
   if (flags.get_bool("template")) {

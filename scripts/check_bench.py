@@ -28,14 +28,6 @@ Schemas understood (dispatched on the current report's "schema" field):
       Guarded entries carry "guard": true and are matched against their own
       baselines in the throughput check, never against unguarded rows.
 
-  massf.bench_rebalance.v1 — self-contained gate on a
-  `bench_rebalance --json` run (no baseline file needed):
-    * sequential/threaded full-signature equality must hold with
-      rebalancing enabled;
-    * the rebalanced run must beat the static mapping by at least
-      --min-improvement modeled time (default 0.15);
-    * the controller must actually have migrated something.
-
   massf.bench_hybrid.v1 — self-contained gate on a `bench_hybrid --out`
   run (no baseline file needed):
     * host_scale (largest swept source multiplier the hybrid link model
@@ -67,7 +59,6 @@ Usage:
                                   # overwrite the committed baseline
   scripts/check_bench.py [--baseline BENCH_pdes.json] [--current current.json]
                          [--tolerance 0.5] [--allow-missing-baseline]
-                         [--min-improvement 0.15]
 
 Exit status: 0 on pass, 1 on any failed check, 2 on missing/malformed input
 (one-line actionable message on stderr, no traceback).
@@ -220,30 +211,6 @@ def check_pdes(baseline, current, args):
     return 0
 
 
-def check_rebalance(current, args):
-    failures = []
-    if not get(current, "rebalanced.signature_equal", args.current):
-        failures.append("rebalanced run: sequential vs threaded event "
-                        "signatures differ (determinism broken)")
-    improvement = get(current, "improvement", args.current)
-    if improvement < args.min_improvement:
-        failures.append(
-            f"modeled-time improvement {improvement:.1%} is below the "
-            f"{args.min_improvement:.0%} gate")
-    if get(current, "rebalanced.moves", args.current) <= 0:
-        failures.append("rebalanced run migrated nothing — the controller "
-                        "never triggered")
-
-    if failures:
-        for failure in failures:
-            print(f"check_bench: FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(f"check_bench: OK — rebalance improvement {improvement:.1%}, "
-          f"{get(current, 'rebalanced.moves', args.current)} moves, "
-          f"signatures equal")
-    return 0
-
-
 def check_hybrid(current, args):
     failures = []
     host_scale = get(current, "host_scale", args.current)
@@ -342,9 +309,6 @@ def main():
     parser.add_argument("--allow-missing-baseline", action="store_true",
                         help="exit 0 with a note when the baseline file does "
                              "not exist (first run of a new bench)")
-    parser.add_argument("--min-improvement", type=float, default=0.15,
-                        help="massf.bench_rebalance.v1: minimum modeled-time "
-                             "improvement fraction (default 0.15)")
     parser.add_argument("--max-guard-overhead", type=float, default=0.10,
                         help="massf.bench_pdes.v3: max fractional events/s "
                              "cost of the armed-watchdog sequential_guard "
@@ -387,11 +351,6 @@ def main():
         args.current,
         "run the bench with --out/--json first (see the module docstring)")
     schema = current.get("schema")
-
-    if schema == "massf.bench_rebalance.v1":
-        # Self-contained: the report carries both the static baseline run
-        # and the rebalanced run.
-        return check_rebalance(current, args)
 
     if schema == "massf.bench_hybrid.v1":
         # Self-contained: the report carries the packet reference and the

@@ -13,7 +13,7 @@
 //       seed 1   seed 2     # each repeated atom is one point on its axis
 //       threads 0  threads 2
 //       mapping HPROF
-//       override [ tag small  routers 80  rebalance.enabled 1 ]
+//       override [ tag small  routers 80  guard.enabled 1 ]
 //     ]
 //   ]
 //
@@ -24,7 +24,7 @@
 // the joined "axis=value" labels ("base" when there are no axes).
 //
 // An `override` block is one axis point holding scalar scenario keys
-// (dotted for sub-blocks: `rebalance.enabled`); values are merged into
+// (dotted for sub-blocks: `guard.enabled`); values are merged into
 // the base Experiment tree and re-validated by the strict scenario
 // parser, so a typo'd key or bad value fails with the campaign file's
 // line number. `tag` names the point in run ids (default o0, o1, ...).

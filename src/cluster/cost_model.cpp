@@ -14,10 +14,4 @@ SimTime ClusterModel::sync_cost_time(std::int32_t n) const {
   return from_seconds(sync_cost_s(n));
 }
 
-double ClusterModel::migration_cost_s(std::uint64_t bytes) const {
-  MASSF_CHECK(migrate_bandwidth_bps > 0);
-  return migrate_base_s +
-         static_cast<double>(bytes) * 8.0 / migrate_bandwidth_bps;
-}
-
 }  // namespace massf

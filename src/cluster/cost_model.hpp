@@ -27,13 +27,6 @@ namespace massf {
 struct ClusterModel {
   std::int32_t num_engine_nodes = 90;  ///< paper default
   double cost_per_event_s = 5e-6;
-  /// LP-migration cost model (online rebalancing, DESIGN.md section 5f):
-  /// rehoming state between engine nodes costs a fixed per-move setup —
-  /// roughly one round of the global synchronization machinery — plus the
-  /// serialized bytes over the interconnect. Defaults model the same
-  /// Myrinet-class fabric as the sync fit (~1 Gb/s effective).
-  double migrate_base_s = 100e-6;        ///< per migration batch
-  double migrate_bandwidth_bps = 1e9;    ///< serialized-state transfer rate
 
   /// Global synchronization cost for n engine nodes (seconds).
   double sync_cost_s(std::int32_t n) const;
@@ -46,11 +39,6 @@ struct ClusterModel {
 
   /// events/second one node can sustain (1 / cost_per_event).
   double max_event_rate_per_node() const { return 1.0 / cost_per_event_s; }
-
-  /// Modeled wall-clock charged for one migration batch moving `bytes` of
-  /// serialized LP state. The base cost applies per batch even when no
-  /// events were pending — callers invoke this only when a batch moved.
-  double migration_cost_s(std::uint64_t bytes) const;
 };
 
 }  // namespace massf

@@ -21,8 +21,8 @@
 //   * Slot state. Per-directed-interface state (slot = link*2 + dir) is
 //     owned by the LP of the transmitting endpoint; transmit()/
 //     on_link_state()/on_loss_state() for a slot run only on that LP.
-//     Router migration flips the owner by rewriting NetSim's node→LP table;
-//     the model's slot vectors never move.
+//     NetSim's node→LP table is fixed for the run, so a slot keeps its
+//     owner from construction to the end.
 //   * Fluid state. All background-flow state is coordinator-owned: it is
 //     read and written only at window boundaries (EngineHooks stage-1,
 //     every LP quiescent) or before the run. During a window, LPs may only

@@ -167,47 +167,6 @@ void NetSim::schedule_node_state(Engine& engine, NodeId router, SimTime when,
                   static_cast<std::uint64_t>(router), up ? 1 : 0);
 }
 
-bool NetSim::router_mobile(NodeId router, SimTime lookahead) const {
-  if (!net_->is_router(router)) return false;
-  for (const Network::Incidence& inc : net_->incident(router)) {
-    if (net_->is_host(inc.peer)) return false;
-    if (net_->links[static_cast<std::size_t>(inc.link)].latency < lookahead) {
-      return false;
-    }
-  }
-  return true;
-}
-
-MigrationStats NetSim::migrate_router(Engine& engine, NodeId router, LpId to) {
-  MASSF_CHECK(net_->is_router(router));
-  MASSF_CHECK(to >= 0 && to < num_lps_);
-  const LpId from = lp_of(router);
-  if (from == to) return {};
-  MASSF_CHECK(router_mobile(router, engine.options().lookahead));
-
-  node_lp_[static_cast<std::size_t>(router)] = to;
-
-  const Network* net = net_;
-  return engine.migrate_events(from, to, [net, router](const Event& ev) {
-    switch (ev.type) {
-      case kEvArrive:
-        return Packet::decode(ev).arrive == router;
-      case kEvLinkState:
-      case kEvLossState: {
-        // Directed-slot events are addressed to the transmitter's LP.
-        const NetLink& l = net->links[static_cast<std::size_t>(ev.a / 2)];
-        return (ev.a % 2 == 0 ? l.a : l.b) == router;
-      }
-      case kEvNodeState:
-        return static_cast<NodeId>(ev.a) == router;
-      default:
-        // Flow, timer, and UDP-send events are host-bound; a mobile router
-        // has no hosts, so none of its pending events carry these types.
-        return false;
-    }
-  });
-}
-
 void NetSim::handle(Engine& engine, const Event& ev) {
   switch (ev.type) {
     case kEvArrive: {
@@ -654,8 +613,8 @@ bool load_receiver(ckpt::Reader& r, TcpReceiver& rcv) {
 
 void NetSim::save(ckpt::Writer& w) const {
   w.u32(static_cast<std::uint32_t>(num_lps_));
-  // The ownership table is state since migrate_router: a restored run must
-  // see the same node→LP assignment the interrupted run had.
+  // The ownership table never changes during a run; it is saved so load()
+  // can refuse a checkpoint taken under a different mapping.
   ckpt::write_u64_vec(w, node_lp_);
   model_->save(w);
   ckpt::write_char_vec(w, node_up_);
@@ -696,9 +655,8 @@ void NetSim::save(ckpt::Writer& w) const {
 
 bool NetSim::load(ckpt::Reader& r) {
   if (r.u32() != static_cast<std::uint32_t>(num_lps_)) return false;
-  const std::size_t n_lp_table = node_lp_.size();
-  if (!ckpt::read_u64_vec(r, node_lp_) || node_lp_.size() != n_lp_table)
-    return false;
+  std::vector<LpId> saved_lp;
+  if (!ckpt::read_u64_vec(r, saved_lp) || saved_lp != node_lp_) return false;
   if (!model_->load(r)) return false;
   const std::size_t n_nodes = node_up_.size();
   const std::size_t n_profile = profile_.size();

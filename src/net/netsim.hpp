@@ -184,27 +184,6 @@ class NetSim {
   const Network& network() const { return *net_; }
   const ForwardingPlane& forwarding() const { return *fp_; }
 
-  /// True when `router` may be rehomed onto another engine node at a
-  /// window boundary without breaking the simulation's invariants:
-  ///   * it has no attached hosts — host state (TCP flows, app callbacks)
-  ///     is pinned to its LP by the FlowId encoding and must not move;
-  ///   * every incident link has latency >= `lookahead`, so whatever LP the
-  ///     router lands on, no link it terminates can violate the
-  ///     conservative contract by becoming a too-fast cross-LP channel.
-  bool router_mobile(NodeId router, SimTime lookahead) const;
-
-  /// Rehomes `router` onto engine node `to` at a synchronization-window
-  /// boundary (call from a rebalance/barrier hook only): flips the
-  /// ownership table entry and moves the router's pending events — packet
-  /// arrivals addressed to it, link/loss-state changes on interfaces it
-  /// transmits, and its own crash/restore events — to the destination LP
-  /// through Engine::migrate_events (massf.ckpt.v1 records). The router's
-  /// simulation state itself (interface clocks, up/down, loss cursors)
-  /// lives in shared slot-indexed vectors whose single-writer owner is
-  /// defined by this table, so flipping the entry *is* the state handoff.
-  /// Requires router_mobile(). Returns the events/bytes moved.
-  MigrationStats migrate_router(Engine& engine, NodeId router, LpId to);
-
   /// Internal: event dispatch, called by the per-LP adapters.
   void handle(Engine& engine, const Event& ev);
 
@@ -219,12 +198,13 @@ class NetSim {
   }
 
   /// Checkpoint hooks (ckpt/ckpt.hpp): serialize everything that diverges
-  /// from construction — the node→LP ownership table (mutable since
-  /// migrate_router), interface busy/up state, node up state, loss-burst
+  /// from construction — interface busy/up state, node up state, loss-burst
   /// cursors, link byte counters, per-LP TCP senders/receivers, packet
-  /// counters, and flow records. Topology and forwarding are rebuilt by
-  /// the driver; load() returns false when the checkpoint's shape disagrees
-  /// with the constructed instance. Call at a window boundary only (no
+  /// counters, and flow records — plus the node→LP ownership table, which
+  /// is fixed for the run and saved only so load() can check it. Topology
+  /// and forwarding are rebuilt by the driver; load() returns false when
+  /// the checkpoint's shape disagrees with the constructed instance,
+  /// including a checkpoint taken under a different router→LP mapping. Call at a window boundary only (no
   /// packets are in flight inside the object — they live in the engine's
   /// event queues, captured separately).
   void save(ckpt::Writer& writer) const;
@@ -268,7 +248,9 @@ class NetSim {
 
   const Network* net_;
   const ForwardingPlane* fp_;
-  std::vector<LpId> node_lp_;  ///< per node (routers and hosts)
+  /// Owning LP per node (routers and hosts); set by the constructor and
+  /// never written again — the mapping is fixed for the run.
+  std::vector<LpId> node_lp_;
   std::int32_t num_lps_ = 0;
   NetSimOptions opts_;
 

@@ -64,30 +64,12 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
   std::vector<VertexId> moved;
   moved.reserve(static_cast<std::size_t>(n));
 
-  if (!opts.pinned.empty()) {
-    MASSF_CHECK(static_cast<VertexId>(opts.pinned.size()) == n);
-  }
-  // Net-move accounting for the max_moves bound: away[v] marks vertices
-  // whose current side differs from the input assignment.
-  const bool bounded = opts.max_moves > 0;
-  std::vector<char> away;
-  if (bounded) away.assign(static_cast<std::size_t>(n), 0);
-  std::int32_t net_moved = 0;
-
   for (std::int32_t pass = 0; pass < opts.max_passes; ++pass) {
     std::fill(locked.begin(), locked.end(), char{0});
-    if (!opts.pinned.empty()) {
-      for (VertexId v = 0; v < n; ++v) {
-        if (opts.pinned[static_cast<std::size_t>(v)]) {
-          locked[static_cast<std::size_t>(v)] = 1;
-        }
-      }
-    }
     moved.clear();
 
     std::priority_queue<Candidate> heap;
     for (VertexId v = 0; v < n; ++v) {
-      if (locked[static_cast<std::size_t>(v)]) continue;
       heap.push({ext[static_cast<std::size_t>(v)] -
                      inter[static_cast<std::size_t>(v)],
                  v});
@@ -113,20 +95,14 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
       const int dst = 1 - src;
       const Weight wv = g.vertex_weight(c.v);
       // A move is admissible if the destination stays within bound, or if
-      // the source is currently over its bound (rebalancing move).
+      // the source is currently over its bound (a balancing move).
       const bool dst_ok = w[dst] + wv <= max_w(dst);
       const bool src_over = w[src] > max_w(src);
       if (!dst_ok && !src_over) continue;
       if (w[src] - wv <= 0 && n > 1) continue;  // never empty a part
-      const bool returning = bounded && away[vi] != 0;
-      if (bounded && !returning && net_moved >= opts.max_moves) continue;
 
       // Execute the move.
       locked[vi] = 1;
-      if (bounded) {
-        away[vi] = returning ? 0 : 1;
-        net_moved += returning ? -1 : 1;
-      }
       part[vi] = static_cast<VertexId>(dst);
       w[src] -= wv;
       w[dst] += wv;
@@ -169,11 +145,6 @@ Weight fm_refine_bisection(const Graph& g, std::span<VertexId> part,
       const Weight wv = g.vertex_weight(v);
       const Weight gain = ext[vi] - inter[vi];
       part[vi] = static_cast<VertexId>(dst);
-      if (bounded) {
-        // Undoing a move toggles the vertex's away state in reverse.
-        net_moved += away[vi] != 0 ? -1 : 1;
-        away[vi] = away[vi] != 0 ? 0 : 1;
-      }
       w[src] -= wv;
       w[dst] += wv;
       cut -= gain;

@@ -14,14 +14,6 @@ struct FmOptions {
   /// Parts may exceed their target by this multiple.
   double tolerance = 1.05;
   std::int32_t max_passes = 8;
-  /// Vertices that must never change sides (size num_vertices, nonzero =
-  /// pinned). Empty span = all vertices free. The online rebalancer pins
-  /// immobile routers (hosts attached / sub-lookahead links) here.
-  std::span<const char> pinned = {};
-  /// Upper bound on *net* moves (vertices whose side differs from the
-  /// input when refinement returns). 0 = unlimited. Bounding the move
-  /// count bounds migration cost for incremental (online) refinement.
-  std::int32_t max_moves = 0;
 };
 
 /// Refines a 2-way assignment (entries must be 0 or 1) in place, reducing

@@ -16,11 +16,11 @@
 // window end, which is exactly the global quiescent point the sequential
 // loop reaches after its merge phase. That thread becomes the *epoch
 // closer*: it runs the unchanged boundary sequence (probe, outbox
-// accounting, EngineHooks stages 1-3, next-floor scan) single-threadedly,
+// accounting, EngineHooks stages 1-2, next-floor scan) single-threadedly,
 // then publishes the next epoch with one release store on the epoch word
-// (the only futex wake of the whole window). Hook/rebalance/ckpt semantics
-// are therefore identical to the sequential reference — only who waits on
-// whom changed.
+// (the only futex wake of the whole window). Hook/ckpt semantics are
+// therefore identical to the sequential reference — only who waits on whom
+// changed.
 //
 // Memory ordering. Claims CAS the stage word acq_rel (synchronizing with
 // the previous owner's release store); merge-readiness reads neighbor

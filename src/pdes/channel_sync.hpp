@@ -10,9 +10,9 @@
 // all. A quiescence detector — the thread that completes a window's last
 // merge observes every channel clock at the window end — collapses the
 // per-pair clocks into a global epoch and runs the EngineHooks boundary
-// (hooks -> rebalance -> ckpt) exactly where the sequential window loop
-// runs it, so boundary semantics, checkpoints, and the bit-exact event
-// trace are unchanged (DESIGN.md section 5g).
+// (hooks -> ckpt) exactly where the sequential window loop runs it, so
+// boundary semantics, checkpoints, and the bit-exact event trace are
+// unchanged (DESIGN.md section 5g).
 //
 // The ChannelGraph is the topology the sync protocol exploits. Channels
 // are directional (src may send cross-LP events to dst) with a per-channel

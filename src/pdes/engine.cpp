@@ -269,31 +269,19 @@ void Engine::run_barrier_hooks(SimTime floor) {
   for (auto& hook : hooks_.barrier) hook(*this, floor);
 }
 
-void Engine::maybe_rebalance(SimTime floor) {
-  if (hooks_.rebalance_every == 0 || !hooks_.rebalance) return;
-  const std::uint64_t w = stats_.num_windows;
-  if (w == 0 || w % hooks_.rebalance_every != 0) return;
-  now_ = floor;
-  hooks_.rebalance(*this, floor);
-}
-
 bool Engine::open_window_boundary(SimTime floor) {
   window_end_ = floor + opts_.lookahead;
   // A restored run resumes at the boundary whose post-hook state the
-  // checkpoint captured: stages 1-2 already ran there, so they must not
-  // re-fire (the ckpt stage is suppressed by last_ckpt_window_ instead).
+  // checkpoint captured: the barrier hooks already ran there, so they must
+  // not re-fire (the ckpt stage is suppressed by last_ckpt_window_ instead).
   const bool fire = !skip_boundary_hooks_;
   skip_boundary_hooks_ = false;
-  if (fire) {
-    run_barrier_hooks(floor);
-    maybe_rebalance(floor);
-  }
+  if (fire) run_barrier_hooks(floor);
   const bool hook_stop = stop_requested();
   maybe_checkpoint(floor);
   // A stop raised by the ckpt stage ends the run *before* this window is
-  // processed (checkpoint-then-exit); one raised by stages 1-2 lets the
-  // window run and is caught at the loop-top stop check — the behavior
-  // barrier-hook stops have always had.
+  // processed (checkpoint-then-exit); one raised by a barrier hook lets the
+  // window run and is caught at the loop-top stop check.
   return !(stop_requested() && !hook_stop);
 }
 
@@ -319,7 +307,6 @@ void Engine::publish_run_metrics() {
   r.gauge("pdes.lps").set(static_cast<double>(lps_.size()));
   r.gauge("pdes.modeled_wall_s").add(stats_.modeled_wall_s);
   r.gauge("pdes.modeled_sync_s").add(stats_.modeled_sync_s);
-  r.gauge("pdes.modeled_migrate_s").add(stats_.modeled_migrate_s);
   r.gauge("pdes.end_vtime_s").set(to_seconds(stats_.end_vtime));
   r.gauge("pdes.lookahead_s").set(to_seconds(opts_.lookahead));
   // Scheduler internals (schema massf.metrics.v1, DESIGN.md section 5d).
@@ -396,60 +383,6 @@ void Engine::maybe_checkpoint(SimTime floor) {
   hooks_.ckpt(*this, floor);
 }
 
-MigrationStats Engine::migrate_events(
-    LpId from, LpId to, const std::function<bool(const Event&)>& pred) {
-  MASSF_CHECK(from >= 0 && from < static_cast<LpId>(lps_.size()));
-  MASSF_CHECK(to >= 0 && to < static_cast<LpId>(lps_.size()));
-  MASSF_CHECK(from != to);
-  // Boundary-only: migration touches two LP queues at once, which is safe
-  // exactly when no handler is running (workers quiescent under the
-  // threaded executor — hooks run coordinator-only).
-  MASSF_ENFORCE(current_lp() == kInvalidLp, ErrorCategory::kInternal,
-                "migrate_events called from inside a handler — boundary-"
-                "only operation (no handler may be running)");
-
-  Lp& src = lps_[static_cast<std::size_t>(from)];
-  Lp& dst = lps_[static_cast<std::size_t>(to)];
-
-  // Extract in (time, seq) order; re-pushing the kept events with their
-  // original keys leaves the source's pop order unchanged.
-  const std::vector<Event> pending = src.queue.sorted_events();
-  src.queue.clear();
-  ckpt::Writer w;
-  std::uint64_t moved = 0;
-  for (const Event& ev : pending) {
-    if (!pred(ev)) {
-      src.queue.push(ev);
-      continue;
-    }
-    // massf.ckpt.v1 migration record (DESIGN.md section 5f): only the
-    // payload travels — lp and seq are reassigned on arrival.
-    w.i64(ev.time);
-    w.i32(ev.type);
-    w.u64(ev.a);
-    w.u64(ev.b);
-    w.u64(ev.c);
-    w.u64(ev.d);
-    ++moved;
-  }
-
-  ckpt::Reader r(w.buffer().data(), w.size());
-  for (std::uint64_t k = 0; k < moved; ++k) {
-    Event ev;
-    ev.time = r.i64();
-    ev.type = r.i32();
-    ev.a = r.u64();
-    ev.b = r.u64();
-    ev.c = r.u64();
-    ev.d = r.u64();
-    ev.lp = to;
-    ev.seq = dst.next_seq++;
-    dst.queue.push(ev);
-  }
-  MASSF_CHECK(r.done());
-  return MigrationStats{moved, w.size()};
-}
-
 void Engine::save_state(ckpt::Writer& w) const {
   w.u32(static_cast<std::uint32_t>(lps_.size()));
   w.i64(opts_.lookahead);
@@ -459,7 +392,6 @@ void Engine::save_state(ckpt::Writer& w) const {
   w.u64(last_ckpt_window_);
   w.f64(stats_.modeled_wall_s);
   w.f64(stats_.modeled_sync_s);
-  w.f64(stats_.modeled_migrate_s);
   w.u64(stats_.cross_lp_events);
   w.u64(stats_.merge_batches);
   for (std::size_t i = 0; i < lps_.size(); ++i) {
@@ -502,7 +434,6 @@ bool Engine::restore_state(ckpt::Reader& r) {
   last_ckpt_window_ = r.u64();
   stats_.modeled_wall_s = r.f64();
   stats_.modeled_sync_s = r.f64();
-  stats_.modeled_migrate_s = r.f64();
   stats_.cross_lp_events = r.u64();
   stats_.merge_batches = r.u64();
   for (std::size_t i = 0; i < lps_.size(); ++i) {
@@ -537,8 +468,8 @@ bool Engine::restore_state(ckpt::Reader& r) {
   }
   if (!r.ok()) return false;
   restored_ = true;
-  // The snapshot captured post-barrier, post-rebalance state (EngineHooks
-  // firing order), so those stages must not re-run at the resumed boundary.
+  // The snapshot captured post-barrier state (EngineHooks firing order), so
+  // the barrier hooks must not re-run at the resumed boundary.
   // A pre-run snapshot (num_windows == 0) precedes any boundary, so the
   // first boundary's hooks still fire.
   skip_boundary_hooks_ = stats_.num_windows > 0;

@@ -54,32 +54,20 @@ class Engine;
 ///
 ///   1. barrier hooks, in registration order — online pacing, fault
 ///      injection, routing changes;
-///   2. the rebalance hook, every `rebalance_every` completed windows —
-///      may migrate LP state between engine nodes (Engine::migrate_events);
-///   3. the ckpt hook, every `ckpt_every` completed windows — snapshots the
-///      post-barrier, post-rebalance state.
+///   2. the ckpt hook, every `ckpt_every` completed windows — snapshots the
+///      post-barrier state.
 ///
-/// Because the checkpoint captures state *after* stages 1–2, a restored run
-/// skips those stages at the boundary it resumed from (restore_state sets
-/// the skip; the ckpt stage is suppressed by last_ckpt_window_). Any stage
-/// may call request_stop(): from stages 1–2 the boundary's window is still
-/// processed before the run ends (matching the loop-top stop check); from
-/// stage 3 the run ends immediately — checkpoint-then-exit.
+/// Because the checkpoint captures state *after* stage 1, a restored run
+/// skips the barrier hooks at the boundary it resumed from (restore_state
+/// sets the skip; the ckpt stage is suppressed by last_ckpt_window_). Either
+/// stage may call request_stop(): from stage 1 the boundary's window is
+/// still processed before the run ends (matching the loop-top stop check);
+/// from stage 2 the run ends immediately — checkpoint-then-exit.
 struct EngineHooks {
   std::vector<std::function<void(Engine&, SimTime)>> barrier;
-  /// 0 disables the rebalance stage.
-  std::uint64_t rebalance_every = 0;
-  std::function<void(Engine&, SimTime)> rebalance;
   /// 0 disables the ckpt stage.
   std::uint64_t ckpt_every = 0;
   std::function<void(Engine&, SimTime)> ckpt;
-};
-
-/// Tally of one migrate_events() call: events re-registered on the
-/// destination and the massf.ckpt.v1 wire bytes they serialized to.
-struct MigrationStats {
-  std::uint64_t events = 0;
-  std::uint64_t bytes = 0;
 };
 
 /// One logical process: a simulation engine node owning a partition of the
@@ -128,9 +116,6 @@ struct RunStats {
   double modeled_wall_s = 0;
   /// Modeled wall-clock spent in synchronization only.
   double modeled_sync_s = 0;
-  /// Modeled wall-clock charged for LP migrations (already included in
-  /// modeled_wall_s) — zero unless a rebalance hook moved state.
-  double modeled_migrate_s = 0;
   /// Per-LP modeled busy time (seconds).
   std::vector<double> busy_s;
   /// Virtual time at which the run stopped.
@@ -266,8 +251,8 @@ class Engine {
   void set_hooks(EngineHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Mutable access to the installed hooks — the composition path: each
-  /// subsystem (fault injector, failover, checkpointing, rebalancer)
-  /// appends or fills in its own stage without clobbering the others.
+  /// subsystem (fault injector, online pacing, checkpointing) appends or
+  /// fills in its own stage without clobbering the others.
   EngineHooks& hooks() { return hooks_; }
   const EngineHooks& hooks() const { return hooks_; }
 
@@ -282,32 +267,6 @@ class Engine {
   /// published as `pdes.*` counters/gauges when a run finishes (schema in
   /// DESIGN.md). Null (the default) publishes nothing.
   void set_registry(obs::Registry* registry) { registry_ = registry; }
-
-  /// Moves the pending events of LP `from` that satisfy `pred` to LP `to`:
-  /// the matching events are extracted in (time, seq) order, serialized
-  /// through the massf.ckpt.v1 record encoding (DESIGN.md section 5f), and
-  /// re-registered on the destination with fresh destination seqs — so the
-  /// migrated events sort after `to`'s previously pending same-timestamp
-  /// events, deterministically under both executors. Callable only at a
-  /// window boundary (from a barrier or rebalance hook; no handler may be
-  /// running). Returns the events moved and their serialized size.
-  MigrationStats migrate_events(LpId from, LpId to,
-                                const std::function<bool(const Event&)>& pred);
-
-  /// Charges `seconds` of modeled wall-clock to the run (recorded in both
-  /// modeled_wall_s and modeled_migrate_s) — the rebalancer's honest
-  /// accounting of migration cost. Coordinator-only, at a boundary.
-  void charge_modeled_cost(double seconds) {
-    stats_.modeled_wall_s += seconds;
-    stats_.modeled_migrate_s += seconds;
-  }
-
-  /// Events processed by `lp` so far this run — live (mid-run) view of the
-  /// tally that finish_run publishes as RunStats::events_per_lp. The
-  /// rebalance controller reads these at boundaries to measure imbalance.
-  std::uint64_t lp_events(LpId lp) const {
-    return lps_[static_cast<std::size_t>(lp)].events;
-  }
 
   /// Pending (not yet executed) events queued on `lp`.
   std::size_t lp_pending(LpId lp) const {
@@ -362,14 +321,10 @@ class Engine {
   void account_window();
   void process_lp_window(LpId i);
   void run_barrier_hooks(SimTime floor);
-  /// Stage 2: fires the rebalance hook when the boundary completes a
-  /// multiple of hooks_.rebalance_every windows. Coordinator-only.
-  void maybe_rebalance(SimTime floor);
-  /// Stage 3: fires the ckpt hook when the boundary at `floor` completes a
+  /// Stage 2: fires the ckpt hook when the boundary at `floor` completes a
   /// multiple of hooks_.ckpt_every windows. Coordinator-only, after the
-  /// boundary's barrier and rebalance stages. last_ckpt_window_ keeps a
-  /// restored run from re-saving (or re-stopping) at the boundary it just
-  /// resumed from.
+  /// boundary's barrier hooks. last_ckpt_window_ keeps a restored run from
+  /// re-saving (or re-stopping) at the boundary it just resumed from.
   void maybe_checkpoint(SimTime floor);
   /// The full boundary sequence (EngineHooks contract) for the window
   /// opening at `floor`; returns false when the run must end at this
@@ -451,9 +406,9 @@ class Engine {
   /// Set by restore_state; makes the next begin_run keep the restored
   /// RunStats instead of zeroing them (consumed by that run).
   bool restored_ = false;
-  /// Set by restore_state; the checkpoint captured post-barrier, post-
-  /// rebalance state, so those stages must not re-fire at the boundary the
-  /// run resumes from (consumed at the first boundary).
+  /// Set by restore_state; the checkpoint captured post-barrier state, so
+  /// the barrier hooks must not re-fire at the boundary the run resumes
+  /// from (consumed at the first boundary).
   bool skip_boundary_hooks_ = false;
 
   void begin_run();

@@ -237,9 +237,7 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   eo.guard = opts_.guard;
   Engine engine(eo);
 
-  NetSimOptions no = opts_.netsim;
-  if (opts_.rebalance.enabled) no.collect_node_profile = true;
-  NetSim sim(net_, *fp_, mapping.router_lp, engine, no);
+  NetSim sim(net_, *fp_, mapping.router_lp, engine, opts_.netsim);
   TrafficManager manager(sim);
   install_traffic(engine, sim, manager, /*profiling=*/false);
   manager.start(engine, sim);
@@ -257,15 +255,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
     injector->arm(engine, sim, opts_.faults);
   }
   if (opts_.pre_run) opts_.pre_run(engine, sim);
-
-  // Online rebalancing (DESIGN.md section 5f): the controller installs
-  // itself as the engine's rebalance stage (barrier -> rebalance -> ckpt).
-  std::unique_ptr<RebalanceController> rebalancer;
-  if (opts_.rebalance.enabled) {
-    rebalancer = std::make_unique<RebalanceController>(sim, opts_.cluster,
-                                                       opts_.rebalance);
-    rebalancer->arm(engine);
-  }
 
   // Checkpoint/restore (DESIGN.md section 5e): the participants list is the
   // full inventory of state that can diverge from construction. The engine
@@ -293,12 +282,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
       parts.add(
           "fault", [inj](ckpt::Writer& w) { inj->save(w); },
           [inj](ckpt::Reader& r) { return inj->load(r); });
-    }
-    if (rebalancer != nullptr) {
-      RebalanceController* rc = rebalancer.get();
-      parts.add(
-          "lb.rebalance", [rc](ckpt::Writer& w) { rc->save(w); },
-          [rc](ckpt::Reader& r) { return rc->load(r); });
     }
     if (opts_.probe != nullptr) {
       obs::WindowProbe* probe = opts_.probe;
@@ -381,7 +364,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
         .set(result.metrics.load_imbalance);
     opts_.registry->gauge("sim.parallel_efficiency")
         .set(result.metrics.parallel_efficiency);
-    if (rebalancer != nullptr) rebalancer->publish_metrics(*opts_.registry);
   }
   return result;
 }

@@ -18,7 +18,6 @@
 #include "guard/options.hpp"
 #include "lb/mapping.hpp"
 #include "lb/profile.hpp"
-#include "lb/rebalance.hpp"
 #include "net/netsim.hpp"
 #include "routing/forwarding.hpp"
 #include "topology/brite.hpp"
@@ -94,16 +93,13 @@ struct ScenarioOptions {
   /// enabled, a guard::Watchdog is armed around the engine run and the
   /// engine maintains liveness telemetry. Off by default.
   guard::GuardOptions guard;
-  /// Online LP rebalancing during the measured run (off by default; forces
-  /// collect_node_profile on when enabled). DESIGN.md section 5f.
-  RebalanceOptions rebalance;
   /// Chaos schedule (DESIGN.md section 5c; empty = no faults). Every
   /// measured run arms a fresh FaultInjector with it, so each mapping's
   /// run sees the same faults on the same network.
   FaultSchedule faults;
 
   /// Invoked on the measured run after traffic installation and fault
-  /// arming, before rebalance/checkpoint arming. It exists for
+  /// arming, before checkpoint arming. It exists for
   /// bench_e2e, which attaches its own FaultInjector to the engine/NetSim
   /// pair the run is about to execute; scenarios configure faults above.
   std::function<void(Engine&, NetSim&)> pre_run;

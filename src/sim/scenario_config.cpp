@@ -148,57 +148,6 @@ bool parse_background(const DmlNode& node, ScenarioOptions* o,
   return true;
 }
 
-bool parse_rebalance(const DmlNode& node, RebalanceOptions* o,
-                     std::string* error) {
-  for (const DmlAttribute& a : node.attributes) {
-    if (ignored_key(a.key)) continue;
-    if (a.child) return unknown_key(a, "rebalance [ ]", error);
-    std::int64_t i = 0;
-    double d = 0;
-    if (a.key == "enabled") {
-      if (!atom_int(a, &i, error)) return false;
-      o->enabled = i != 0;
-    } else if (a.key == "threshold") {
-      if (!atom_double(a, &d, error)) return false;
-      if (d < 1.0) {
-        if (error) *error = line_err(a.line, "'threshold' must be >= 1.0");
-        return false;
-      }
-      o->threshold = d;
-    } else if (a.key == "every") {
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 1) {
-        if (error) *error = line_err(a.line, "'every' must be >= 1");
-        return false;
-      }
-      o->every_windows = static_cast<std::uint64_t>(i);
-    } else if (a.key == "sustain") {
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 1) {
-        if (error) *error = line_err(a.line, "'sustain' must be >= 1");
-        return false;
-      }
-      o->sustain = static_cast<std::int32_t>(i);
-    } else if (a.key == "max_moves") {
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 1) {
-        if (error) *error = line_err(a.line, "'max_moves' must be >= 1");
-        return false;
-      }
-      o->max_moves = static_cast<std::int32_t>(i);
-    } else if (a.key == "fm_tolerance") {
-      if (!atom_double(a, &d, error)) return false;
-      o->fm_tolerance = d;
-    } else if (a.key == "fm_passes") {
-      if (!atom_int(a, &i, error)) return false;
-      o->fm_passes = static_cast<std::int32_t>(i);
-    } else {
-      return unknown_key(a, "rebalance [ ]", error);
-    }
-  }
-  return true;
-}
-
 bool parse_ckpt(const DmlNode& node, int block_line, CkptOptions* o,
                 std::string* error) {
   for (const DmlAttribute& a : node.attributes) {
@@ -417,16 +366,6 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
   bg.add_atom("stall_timeout_s", o.netsim.link_model.fluid_stall_timeout_s);
   bg.add_atom("rate_cap_bps", o.netsim.link_model.fluid_flow_rate_cap_bps);
 
-  DmlNode& rb = e.add_child("rebalance");
-  rb.add_atom("enabled",
-              static_cast<std::int64_t>(o.rebalance.enabled ? 1 : 0));
-  rb.add_atom("threshold", o.rebalance.threshold);
-  rb.add_atom("every", static_cast<std::int64_t>(o.rebalance.every_windows));
-  rb.add_atom("sustain", static_cast<std::int64_t>(o.rebalance.sustain));
-  rb.add_atom("max_moves", static_cast<std::int64_t>(o.rebalance.max_moves));
-  rb.add_atom("fm_tolerance", o.rebalance.fm_tolerance);
-  rb.add_atom("fm_passes", static_cast<std::int64_t>(o.rebalance.fm_passes));
-
   DmlNode& ck = e.add_child("ckpt");
   ck.add_atom("every", static_cast<std::int64_t>(o.ckpt.every_windows));
   ck.add_atom("path", o.ckpt.path);
@@ -473,10 +412,6 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
     if (a.child) {
       if (a.key == "background_flows") {
         if (!parse_background(*a.child, &o, error)) {
-          return std::nullopt;
-        }
-      } else if (a.key == "rebalance") {
-        if (!parse_rebalance(*a.child, &o.rebalance, error)) {
           return std::nullopt;
         }
       } else if (a.key == "ckpt") {

@@ -1,8 +1,8 @@
 // The declarative scenario format: the whole experiment — topology scale,
-// traffic mix, simulated cluster, run control, fault schedule, rebalance /
-// checkpoint / guard policy, and the mapping run list — round-trips
-// through one DML file, so experiments are reproducible from a single
-// checked-in file (the MicroGrid workflow). The file is the only place a
+// traffic mix, simulated cluster, run control, fault schedule, checkpoint /
+// guard policy, and the mapping run list — round-trips through one DML
+// file, so experiments are reproducible from a single checked-in file (the
+// MicroGrid workflow). The file is the only place a
 // run is configured: massf_cli changes it only through an override
 // (merge_override), the same dotted-key override a campaign sweeps.
 //
@@ -32,8 +32,6 @@
 //       stall_timeout_s 60  # fail flows stalled at zero rate this long
 //       rate_cap_bps 0      # per-flow TCP window/RTT ceiling (0 = off)
 //     ]
-//     rebalance [ enabled 0  threshold 1.25  every 64  sustain 2
-//                 max_moves 8  fm_tolerance 1.05  fm_passes 4 ]
 //     ckpt [ every 0  path ""  stop_after 0  restore "" ]
 //     guard [ enabled 0  deadline_s 30  poll_s 0  dump ""
 //             policy recover  retries 1 ]

@@ -66,9 +66,13 @@ TEST(Campaign, ErrorMatrix) {
            "  sweep [\n    seed minus\n  ]\n]",
        "line 13: 'seed' wants a non-negative integer, got 'minus'"},
       {"Campaign [\n" + std::string(kTinyBase) +
-           "  sweep [\n    override [ rebalance [ enabled 1 ] ]\n  ]\n]",
+           "  sweep [\n    override [ guard [ enabled 1 ] ]\n  ]\n]",
        "line 13: override entries must be scalar (use dotted keys for "
        "sub-blocks)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    override [ rebalance.enabled 1 ]\n  ]\n]",
+       "line 13: unknown key 'rebalance' in Experiment (prefix with x_ to "
+       "ignore)"},
       {"Campaign [\n" + std::string(kTinyBase) + "  scenario a.dml\n]",
        "line 12: both `scenario` and an embedded Experiment [ ] block given"},
       {"Campaign [\n  scenario missing.dml\n]",
@@ -139,7 +143,7 @@ TEST(Campaign, OverrideAxisMergesAndTags) {
   const auto spec = parse_campaign(
       "Campaign [\n" + std::string(kTinyBase) +
           "  sweep [\n"
-          "    override [ tag small  routers 80  rebalance.enabled 1 ]\n"
+          "    override [ tag small  routers 80  guard.enabled 1 ]\n"
           "    override [ tag wide  routers 200 ]\n"
           "    seed 7\n"
           "  ]\n]",
@@ -148,10 +152,10 @@ TEST(Campaign, OverrideAxisMergesAndTags) {
   ASSERT_EQ(spec->runs.size(), 2u);
   EXPECT_EQ(spec->runs[0].id, "override=small,seed=7");
   EXPECT_EQ(spec->runs[0].spec.options.num_routers, 80);
-  EXPECT_TRUE(spec->runs[0].spec.options.rebalance.enabled);
+  EXPECT_TRUE(spec->runs[0].spec.options.guard.enabled);
   EXPECT_EQ(spec->runs[1].id, "override=wide,seed=7");
   EXPECT_EQ(spec->runs[1].spec.options.num_routers, 200);
-  EXPECT_FALSE(spec->runs[1].spec.options.rebalance.enabled);
+  EXPECT_FALSE(spec->runs[1].spec.options.guard.enabled);
   EXPECT_EQ(spec->runs[1].spec.options.seed, 7u);
 }
 

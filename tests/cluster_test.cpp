@@ -28,17 +28,6 @@ TEST(ClusterModel, MaxEventRate) {
   EXPECT_DOUBLE_EQ(cluster.max_event_rate_per_node(), 200000.0);
 }
 
-TEST(ClusterModel, MigrationCost) {
-  ClusterModel cluster;
-  cluster.migrate_base_s = 100e-6;
-  cluster.migrate_bandwidth_bps = 1e9;
-  // The per-batch base applies even when no events were pending.
-  EXPECT_DOUBLE_EQ(cluster.migration_cost_s(0), 100e-6);
-  // 1 MB over 1 Gb/s = 8 ms on top of the base.
-  EXPECT_DOUBLE_EQ(cluster.migration_cost_s(1'000'000), 100e-6 + 8e-3);
-  EXPECT_LT(cluster.migration_cost_s(100), cluster.migration_cost_s(10000));
-}
-
 TEST(Metrics, ComputedFromRunStats) {
   RunStats stats;
   stats.total_events = 1000000;

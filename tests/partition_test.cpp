@@ -87,73 +87,6 @@ TEST(FmRefine, RespectsBalance) {
   EXPECT_LE(static_cast<double>(pw[1]), ideal * 1.06);
 }
 
-TEST(FmRefine, PinnedVerticesNeverMove) {
-  // Same two-clique instance as ReducesCutOfBadBisection, but half the
-  // vertices are pinned where the bad assignment put them — the refinement
-  // must improve what it can without touching them.
-  GraphBuilder b(8);
-  for (VertexId i = 0; i < 4; ++i) {
-    for (VertexId j = i + 1; j < 4; ++j) {
-      b.add_edge(i, j, 10);
-      b.add_edge(i + 4, j + 4, 10);
-    }
-  }
-  b.add_edge(0, 4, 1);
-  const Graph g = b.build();
-
-  std::vector<VertexId> part{0, 1, 0, 1, 0, 1, 0, 1};
-  const std::vector<VertexId> before = part;
-  const std::vector<char> pinned{1, 0, 1, 0, 1, 0, 1, 0};
-  FmOptions opts;
-  opts.target0 = g.total_vertex_weight() / 2;
-  opts.tolerance = 1.1;
-  opts.pinned = pinned;
-  fm_refine_bisection(g, part, opts);
-  for (std::size_t i = 0; i < part.size(); ++i) {
-    if (pinned[i]) {
-      EXPECT_EQ(part[i], before[i]) << "pinned vertex " << i;
-    }
-  }
-}
-
-TEST(FmRefine, MaxMovesBoundsNetMoves) {
-  const Graph g = random_graph(120, 80, 5);
-  std::vector<VertexId> part(120);
-  for (VertexId v = 0; v < 120; ++v) {
-    part[static_cast<std::size_t>(v)] = v % 2;
-  }
-  const std::vector<VertexId> before = part;
-  FmOptions opts;
-  opts.target0 = g.total_vertex_weight() / 2;
-  opts.tolerance = 1.10;
-  opts.max_moves = 3;
-  fm_refine_bisection(g, part, opts);
-  std::int32_t net_moved = 0;
-  for (std::size_t i = 0; i < part.size(); ++i) {
-    net_moved += part[i] != before[i] ? 1 : 0;
-  }
-  EXPECT_LE(net_moved, 3);
-}
-
-TEST(FmRefine, UnboundedMovesMoreThanBounded) {
-  // Sanity that the bound actually bites on an instance the unbounded
-  // refinement reshuffles heavily.
-  const Graph g = random_graph(120, 80, 5);
-  std::vector<VertexId> bounded(120), unbounded(120);
-  for (VertexId v = 0; v < 120; ++v) {
-    bounded[static_cast<std::size_t>(v)] =
-        unbounded[static_cast<std::size_t>(v)] = v % 2;
-  }
-  FmOptions opts;
-  opts.target0 = g.total_vertex_weight() / 2;
-  opts.tolerance = 1.10;
-  const Weight cut_unbounded = fm_refine_bisection(g, unbounded, opts);
-  opts.max_moves = 2;
-  const Weight cut_bounded = fm_refine_bisection(g, bounded, opts);
-  EXPECT_LE(cut_unbounded, cut_bounded)
-      << "a net-move bound cannot beat the unbounded refinement";
-}
-
 struct KwayCase {
   VertexId n;
   std::int32_t chords;

@@ -1,9 +1,9 @@
 // Unit tests for the channel-clock sync layer (src/pdes/channel_sync):
 // ChannelGraph construction/queries, the pdes.sync.* aggregates the
-// threaded executor reports, topology enforcement in Engine::schedule, and the
-// quiescence contract — boundary-only operations (hook-driven migration)
-// must abort when attempted from inside a handler, i.e. outside a
-// quiescent epoch.
+// threaded executor reports, and topology enforcement in Engine::schedule.
+// That a worker-thread throw surfaces on the calling thread after a clean
+// drain is checked by Executors/EngineError_.CrossLpViolationThrows
+// (pdes_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,17 +23,10 @@ constexpr std::int32_t kEvHop = 1;
 // Forwards each hop event around a fixed ring at exactly the lookahead.
 class HopLp final : public LogicalProcess {
  public:
-  HopLp(LpId next, bool misbehave = false)
-      : next_(next), misbehave_(misbehave) {}
+  explicit HopLp(LpId next) : next_(next) {}
 
   void handle(Engine& engine, const Event& ev) override {
     ++events;
-    if (misbehave_) {
-      // Boundary-only operation from a handler: must die (the engine is
-      // mid-window, not at a quiescent epoch).
-      engine.migrate_events(engine.current_lp(), next_,
-                            [](const Event&) { return true; });
-    }
     if (ev.a > 0) {
       engine.schedule(next_, ev.time + engine.options().lookahead, kEvHop,
                       ev.a - 1);
@@ -44,7 +37,6 @@ class HopLp final : public LogicalProcess {
 
  private:
   LpId next_;
-  bool misbehave_;
 };
 
 TEST(ChannelGraph, EmptyGraphAllowsEverything) {
@@ -184,38 +176,6 @@ TEST(ChannelSyncError, RejectsSendAlongUndeclaredChannel) {
               std::string::npos);
   }
 }
-
-// Hooks (and the boundary-only operations they gate: migration, ckpt
-// serialization) may only run at a quiescent epoch. A handler attempting a
-// boundary-only operation mid-window must throw under every executor —
-// sequential, and channel sync at >1 thread, where "mid-window" means
-// "outside a collapsed epoch". Worker-side throws must surface on the
-// calling thread after a clean protocol drain.
-class QuiescenceError : public ::testing::TestWithParam<int> {};
-
-TEST_P(QuiescenceError, BoundaryOpsOutsideQuiescentEpochThrow) {
-  const std::int32_t threads = GetParam();
-  EngineOptions o;
-  o.lookahead = milliseconds(1);
-  o.end_time = seconds(3600);
-  Engine engine(o);
-  engine.add_lp(std::make_unique<HopLp>(1, /*misbehave=*/true));
-  engine.add_lp(std::make_unique<HopLp>(0));
-  engine.schedule(0, 0, kEvHop, 4);
-  try {
-    if (threads > 0) {
-      engine.run_threaded(threads);
-    } else {
-      engine.run();
-    }
-    FAIL() << "expected EngineError";
-  } catch (const EngineError& e) {
-    EXPECT_EQ(e.category(), ErrorCategory::kInternal);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Executors, QuiescenceError,
-                         ::testing::Values(0, 2, 3));
 
 }  // namespace
 }  // namespace massf

@@ -242,6 +242,44 @@ TEST(Engine, RequestStopEndsRun) {
   EXPECT_LT(p->records.size(), 10u);
 }
 
+TEST(EngineHooks, FiringOrderBarrierCkpt) {
+  for (const std::int32_t threads : {0, 2}) {
+    EngineOptions o = base_options();
+    o.end_time = milliseconds(8);
+    Engine engine(o);
+    auto lp = std::make_unique<RecordingLp>();
+    lp->self_chain = 1000;
+    lp->local_delay = microseconds(250);
+    engine.add_lp(std::move(lp));
+    engine.schedule(0, 0, 3);
+    // One entry per boundary; the first barrier hook opens the entry so the
+    // per-boundary stage sequence is recorded exactly as fired.
+    std::vector<std::string> boundaries;
+    engine.hooks().barrier.push_back(
+        [&boundaries](Engine&, SimTime) { boundaries.emplace_back("a"); });
+    engine.hooks().barrier.push_back(
+        [&boundaries](Engine&, SimTime) { boundaries.back() += 'b'; });
+    engine.hooks().ckpt_every = 2;
+    engine.hooks().ckpt = [&boundaries](Engine&, SimTime) {
+      boundaries.back() += 'c';
+    };
+    const RunStats stats =
+        threads > 0 ? engine.run_threaded(threads) : engine.run();
+    // One boundary opens each window, carrying the completed-window count
+    // w: barrier hooks in registration order at every boundary, then the
+    // ckpt stage when w > 0 and w % 2 == 0 (it snapshots post-barrier
+    // state).
+    ASSERT_EQ(boundaries.size(), stats.num_windows) << "threads=" << threads;
+    ASSERT_GE(boundaries.size(), 8u);
+    for (std::size_t w = 0; w < boundaries.size(); ++w) {
+      std::string want = "ab";
+      if (w > 0 && w % 2 == 0) want += 'c';
+      EXPECT_EQ(boundaries[w], want)
+          << "boundary w=" << w << " threads=" << threads;
+    }
+  }
+}
+
 TEST(Engine, LargerLookaheadFewerWindowsSameEvents) {
   // The core MLL-parallelism relationship: widening the window cannot
   // change what is simulated, only how often the engine synchronizes.
@@ -378,7 +416,19 @@ TEST(Engine, MergeOrdersArrivalsBySourceThenSendOrder) {
   }
 }
 
-TEST(EngineError_, CrossLpViolationThrows) {
+// ---- conservative contract, both executors ------------------------------
+
+// Engine::schedule must reject a cross-LP send that lands inside the open
+// window and accept one at exactly the window end — under both executors,
+// and also from a barrier hook. The dynamic-claiming executor must enforce
+// the identical contract: the violation is a modeling error (the
+// partition's MLL was computed wrong), not a scheduling artifact. At >1
+// thread the violation fires in a handler on a worker thread; the executor
+// captures it, drains the protocol, and rethrows on the calling thread.
+class EngineError_ : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(EngineError_, CrossLpViolationThrows) {
+  const std::int32_t threads = GetParam();
   Engine engine(base_options());
   auto lp = std::make_unique<RecordingLp>();
   lp->relay_to = 1;
@@ -387,7 +437,11 @@ TEST(EngineError_, CrossLpViolationThrows) {
   engine.add_lp(std::make_unique<RecordingLp>());
   engine.schedule(0, milliseconds(1), 1);
   try {
-    engine.run();
+    if (threads > 0) {
+      engine.run_threaded(threads);
+    } else {
+      engine.run();
+    }
     FAIL() << "expected EngineError";
   } catch (const EngineError& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kTopology);
@@ -395,34 +449,7 @@ TEST(EngineError_, CrossLpViolationThrows) {
   }
 }
 
-// ---- conservative contract, both executors ------------------------------
-
-// Engine::schedule must reject a cross-LP send that lands inside the open
-// window and accept one at exactly the window end — under both executors,
-// and also from a barrier hook. The dynamic-claiming executor must enforce
-// the identical contract: the violation is a modeling error (the
-// partition's MLL was computed wrong), not a scheduling artifact.
-
-void run_cross_lp_violation(bool threaded) {
-  Engine engine(base_options());
-  auto lp = std::make_unique<RecordingLp>();
-  lp->relay_to = 1;
-  lp->channel_latency = microseconds(10);  // < lookahead: illegal
-  engine.add_lp(std::move(lp));
-  engine.add_lp(std::make_unique<RecordingLp>());
-  engine.schedule(0, milliseconds(1), 1);
-  if (threaded) {
-    engine.run_threaded(2);
-  } else {
-    engine.run();
-  }
-}
-
-TEST(EngineError_, CrossLpViolationThrowsThreaded) {
-  // The violation fires in a handler on a worker thread; the executor
-  // captures it, drains the protocol, and rethrows on the calling thread.
-  EXPECT_THROW(run_cross_lp_violation(true), EngineError);
-}
+INSTANTIATE_TEST_SUITE_P(Executors, EngineError_, ::testing::Values(0, 2, 3));
 
 TEST(Engine, CrossLpAtExactWindowEndAccepted) {
   // channel latency == lookahead puts the arrival at exactly the end of

@@ -44,7 +44,7 @@ std::string stem_of(const std::string& path) {
 }
 
 // Scales a corpus scenario down to test size: same shape (app kind,
-// executor, rebalance/ckpt/guard/fault wiring all preserved), `end_time`
+// executor, ckpt/guard/fault wiring all preserved), `end_time`
 // of virtual time. Checkpoint and guard-dump files go to `scratch` plus a
 // suffix, so cases running in parallel processes never share a file.
 ScenarioSpec shrink(ScenarioSpec spec, const std::string& scratch,

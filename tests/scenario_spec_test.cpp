@@ -50,11 +50,14 @@ TEST(ScenarioSpec, ErrorMatrix) {
       {"Experiment [\n  seconds fast\n]",
        "line 2: 'seconds' wants a number, got 'fast'"},
       {"Experiment [\n  mapping BEST\n]", "line 2: unknown mapping 'BEST'"},
-      {"Experiment [\n  rebalance [\n    vigor 9\n  ]\n]",
-       "line 3: unknown key 'vigor' in rebalance [ ] (prefix with x_ to "
+      {"Experiment [\n  rebalance [ enabled 1 ]\n]",
+       "line 2: unknown key 'rebalance' in Experiment (prefix with x_ to "
        "ignore)"},
-      {"Experiment [\n  rebalance [\n    threshold 0.5\n  ]\n]",
-       "line 3: 'threshold' must be >= 1.0"},
+      {"Experiment [\n  guard [\n    vigor 9\n  ]\n]",
+       "line 3: unknown key 'vigor' in guard [ ] (prefix with x_ to "
+       "ignore)"},
+      {"Experiment [\n  guard [\n    retries -1\n  ]\n]",
+       "line 3: 'retries' must be >= 0"},
       {"Experiment [\n  guard [\n    policy panic\n  ]\n]",
        "line 3: unknown guard policy 'panic' (recover|abort)"},
       {"Experiment [\n  guard [\n    deadline_s 0\n  ]\n]",
@@ -87,11 +90,11 @@ TEST(ScenarioSpec, XPrefixedKeysAreIgnoredEverywhere) {
       "  x_future_knob 9\n"
       "  routers 60\n"
       "  x_block [ anything [ goes 1 ] ]\n"
-      "  rebalance [ x_alpha 2  enabled 1 ]\n"
+      "  guard [ x_alpha 2  enabled 1 ]\n"
       "]");
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->options.num_routers, 60);
-  EXPECT_TRUE(spec->options.rebalance.enabled);
+  EXPECT_TRUE(spec->options.guard.enabled);
 }
 
 // ---- round trips -----------------------------------------------------------
@@ -131,7 +134,6 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   o.seed = 99;
   o.executor_threads = 2;
   o.app = AppKind::kGridNpb;
-  o.rebalance.enabled = true;
   o.guard.enabled = true;
   o.guard.on_stall = guard::OnStall::kAbort;
   o.ckpt.every_windows = 10;
@@ -163,7 +165,10 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   EXPECT_DOUBLE_EQ(back.http.think_time_mean_s, 0.75);
   EXPECT_EQ(back.seed, 99u);
   EXPECT_EQ(back.executor_threads, 2);
+  EXPECT_TRUE(back.guard.enabled);
   EXPECT_EQ(back.guard.on_stall, guard::OnStall::kAbort);
+  EXPECT_EQ(back.ckpt.every_windows, 10u);
+  EXPECT_EQ(back.ckpt.path, "x.ckpt");
   EXPECT_EQ(reparsed->mappings,
             (std::vector<MappingKind>{MappingKind::kTop2,
                                       MappingKind::kHProf}));
@@ -246,8 +251,6 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
       "  background_flows [ sources 6  think_time_s 2.0  mean_bytes 50000\n"
       "                     fidelity flow  recompute_every 4\n"
       "                     stall_timeout_s 30  rate_cap_bps 1e7 ]\n"
-      "  rebalance [ enabled 1  threshold 1.5  every 8  sustain 1\n"
-      "              max_moves 2  fm_tolerance 1.01  fm_passes 2 ]\n"
       "  ckpt [ every 5  path x.ckpt  stop_after 1  restore \"\" ]\n"
       "  guard [ enabled 1  deadline_s 5  poll_s 0.1  dump g.json\n"
       "          policy abort  retries 2 ]\n"
@@ -272,11 +275,17 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
 // ---- overrides -------------------------------------------------------------
 //
 // massf_cli --config=<file> --override=<text>: `base` is written to a
-// scratch file and loaded with the override merged over it.
+// scratch file and loaded with the override merged over it. The file is
+// named after the running test, so cases that ctest runs concurrently
+// never share one.
 std::optional<ScenarioSpec> load_overridden(const std::string& base,
                                             const std::string& override_text,
                                             std::string* error) {
-  const std::string path = ::testing::TempDir() + "/override-base.dml";
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "/override-base-" +
+                           test->test_suite_name() + "-" + test->name() +
+                           ".dml";
   {
     std::ofstream out(path);
     out << base;
@@ -290,28 +299,29 @@ constexpr const char* kOverrideBase =
     "Experiment [\n"
     "  routers 60\n"
     "  mapping HTOP\n"
-    "  rebalance [ enabled 1  threshold 2.0 ]\n"
+    "  guard [ enabled 1  deadline_s 20 ]\n"
     "  faults [ event \"at 1.0 link_down link=3\" ]\n"
     "]";
 
-// An override changes the keys it names, creating the sub-blocks the
-// file lacks (guard, ckpt); every other atom keeps the file's value.
+// An override changes the keys it names, creating the sub-block the file
+// lacks (ckpt); every other atom keeps the file's value, also inside a
+// sub-block the override writes into (guard).
 TEST(ScenarioSpec, FlagsOverrideFileOnlyWhenSet) {
   std::string error;
   const auto spec = load_overridden(
       kOverrideBase,
-      "rebalance.every 16  seed 7  guard.enabled 1  guard.deadline_s 12\n"
+      "guard.poll_s 0.5  seed 7  ckpt.every 16  ckpt.path c.ckpt\n"
       "ckpt.restore r.ckpt",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_EQ(spec->options.rebalance.every_windows, 16u);
+  EXPECT_DOUBLE_EQ(spec->options.guard.poll_interval_s, 0.5);
   EXPECT_EQ(spec->options.seed, 7u);
-  EXPECT_TRUE(spec->options.guard.enabled);
-  EXPECT_DOUBLE_EQ(spec->options.guard.stall_deadline_s, 12.0);
+  EXPECT_EQ(spec->options.ckpt.every_windows, 16u);
+  EXPECT_EQ(spec->options.ckpt.path, "c.ckpt");
   EXPECT_EQ(spec->options.ckpt.restore_path, "r.ckpt");
 
-  EXPECT_TRUE(spec->options.rebalance.enabled);
-  EXPECT_DOUBLE_EQ(spec->options.rebalance.threshold, 2.0);
+  EXPECT_TRUE(spec->options.guard.enabled);
+  EXPECT_DOUBLE_EQ(spec->options.guard.stall_deadline_s, 20.0);
   EXPECT_EQ(spec->options.num_routers, 60);
   EXPECT_EQ(spec->mappings, std::vector<MappingKind>{MappingKind::kHTop});
   EXPECT_EQ(spec->options.faults.size(), 1u);
@@ -349,13 +359,15 @@ TEST(ScenarioSpec, OverrideBadValueGivesParserMessage) {
     const char* override_text;
     const char* error;
   } kCases[] = {
-      {"rebalance.threshold 0.5", "'threshold' must be >= 1.0"},
+      {"guard.deadline_s 0", "'deadline_s' must be > 0"},
       {"routers many", "'routers' wants an integer, got 'many'"},
       {"warp_drive 1",
        "unknown key 'warp_drive' in Experiment (prefix with x_ to ignore)"},
-      {"rebalance.vigor 9",
-       "unknown key 'vigor' in rebalance [ ] (prefix with x_ to ignore)"},
-      {"rebalance [ enabled 0 ]",
+      {"rebalance.enabled 1",
+       "unknown key 'rebalance' in Experiment (prefix with x_ to ignore)"},
+      {"guard.vigor 9",
+       "unknown key 'vigor' in guard [ ] (prefix with x_ to ignore)"},
+      {"guard [ enabled 0 ]",
        "override entries must be scalar (use dotted keys for sub-blocks)"},
   };
   for (const auto& c : kCases) {
