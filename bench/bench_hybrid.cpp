@@ -93,7 +93,6 @@ BenchRun run_once(const Scale& s, const Network& net,
   BackgroundOptions bg;
   bg.think_time_mean_s = s.think_s;
   bg.flow_mean_bytes = s.mean_bytes;
-  bg.flow_fidelity = true;  // fluid under kHybrid, packet TCP under kPacket
   bg.seed = s.seed ^ 0x42474644;
   const std::vector<NodeId> sources(ep.sources.begin(),
                                     ep.sources.begin() + num_sources);

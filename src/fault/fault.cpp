@@ -18,6 +18,8 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kRouterRestore: return "restore";
     case FaultKind::kLossBurst: return "loss";
     case FaultKind::kBgpReset: return "bgp_reset";
+    case FaultKind::kBgpWithdraw: return "bgp_withdraw";
+    case FaultKind::kBgpAnnounce: return "bgp_announce";
   }
   return "?";
 }
@@ -72,6 +74,26 @@ FaultSchedule& FaultSchedule::bgp_reset(SimTime at, AsId as, AsId peer,
   return *this;
 }
 
+FaultSchedule& FaultSchedule::bgp_withdraw(SimTime at, AsId as) {
+  MASSF_CHECK(at >= 0 && as >= 0);
+  events_.push_back({at, FaultKind::kBgpWithdraw, as, -1, 0, 0});
+  return *this;
+}
+
+FaultSchedule& FaultSchedule::bgp_announce(SimTime at, AsId as) {
+  MASSF_CHECK(at >= 0 && as >= 0);
+  events_.push_back({at, FaultKind::kBgpAnnounce, as, -1, 0, 0});
+  return *this;
+}
+
+bool FaultSchedule::has_bgp_events() const {
+  return std::any_of(events_.begin(), events_.end(), [](const FaultEvent& e) {
+    return e.kind == FaultKind::kBgpReset ||
+           e.kind == FaultKind::kBgpWithdraw ||
+           e.kind == FaultKind::kBgpAnnounce;
+  });
+}
+
 FaultSchedule& FaultSchedule::append(const FaultSchedule& other) {
   events_.insert(events_.end(), other.events_.begin(), other.events_.end());
   return *this;
@@ -99,6 +121,11 @@ std::string fault_event_text(const FaultEvent& e) {
       std::snprintf(buf, sizeof buf,
                     "at %g bgp_reset as=%d peer=%d downtime=%g", at_s,
                     e.target, e.peer, to_seconds(e.duration));
+      break;
+    case FaultKind::kBgpWithdraw:
+    case FaultKind::kBgpAnnounce:
+      std::snprintf(buf, sizeof buf, "at %g %s as=%d", at_s,
+                    fault_kind_name(e.kind), e.target);
       break;
   }
   return buf;
@@ -145,6 +172,17 @@ bool require_int(const Args& args, std::string_view key, std::int32_t* out,
   const auto v = get(args, key);
   if (!v || !parse_int(*v, out)) {
     *error = "missing or malformed " + std::string(key);
+    return false;
+  }
+  return true;
+}
+
+// A link, router or AS id: a non-negative integer.
+bool require_id(const Args& args, std::string_view key, std::int32_t* out,
+                std::string* error) {
+  if (!require_int(args, key, out, error)) return false;
+  if (*out < 0) {
+    *error = std::string(key) + " must be >= 0";
     return false;
   }
   return true;
@@ -209,7 +247,7 @@ std::optional<FaultSchedule> parse_fault_schedule(std::string_view text,
     std::string what;
     if (verb == "link_down" || verb == "link_up") {
       std::int32_t link = -1;
-      if (!require_int(args, "link", &link, &what)) return fail(what);
+      if (!require_id(args, "link", &link, &what)) return fail(what);
       if (verb == "link_down") {
         schedule.link_down(at, link);
       } else {
@@ -218,7 +256,7 @@ std::optional<FaultSchedule> parse_fault_schedule(std::string_view text,
     } else if (verb == "flap") {
       std::int32_t link = -1, count = 0;
       double period = 0, downtime = 0;
-      if (!require_int(args, "link", &link, &what) ||
+      if (!require_id(args, "link", &link, &what) ||
           !require_int(args, "count", &count, &what) ||
           !require_double(args, "period", &period, &what) ||
           !require_double(args, "downtime", &downtime, &what)) {
@@ -231,7 +269,7 @@ std::optional<FaultSchedule> parse_fault_schedule(std::string_view text,
                           from_seconds(downtime));
     } else if (verb == "crash" || verb == "restore") {
       std::int32_t router = -1;
-      if (!require_int(args, "router", &router, &what)) return fail(what);
+      if (!require_id(args, "router", &router, &what)) return fail(what);
       if (verb == "crash") {
         schedule.router_crash(at, router);
       } else {
@@ -240,7 +278,7 @@ std::optional<FaultSchedule> parse_fault_schedule(std::string_view text,
     } else if (verb == "loss") {
       std::int32_t link = -1;
       double duration = 0, rate = 0;
-      if (!require_int(args, "link", &link, &what) ||
+      if (!require_id(args, "link", &link, &what) ||
           !require_double(args, "duration", &duration, &what) ||
           !require_double(args, "rate", &rate, &what)) {
         return fail(what);
@@ -252,8 +290,8 @@ std::optional<FaultSchedule> parse_fault_schedule(std::string_view text,
     } else if (verb == "bgp_reset") {
       std::int32_t as = -1, peer = -1;
       double downtime = 0;
-      if (!require_int(args, "as", &as, &what) ||
-          !require_int(args, "peer", &peer, &what) ||
+      if (!require_id(args, "as", &as, &what) ||
+          !require_id(args, "peer", &peer, &what) ||
           !require_double(args, "downtime", &downtime, &what)) {
         return fail(what);
       }
@@ -261,6 +299,14 @@ std::optional<FaultSchedule> parse_fault_schedule(std::string_view text,
         return fail("bgp_reset needs as != peer and downtime>0");
       }
       schedule.bgp_reset(at, as, peer, from_seconds(downtime));
+    } else if (verb == "bgp_withdraw" || verb == "bgp_announce") {
+      std::int32_t as = -1;
+      if (!require_id(args, "as", &as, &what)) return fail(what);
+      if (verb == "bgp_withdraw") {
+        schedule.bgp_withdraw(at, as);
+      } else {
+        schedule.bgp_announce(at, as);
+      }
     } else {
       return fail("unknown event `" + verb + "`");
     }

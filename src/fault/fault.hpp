@@ -1,7 +1,8 @@
 // Deterministic fault schedules — the "chaos scenario" input format.
 //
 // A FaultSchedule is a list of timed fault events: link down/up, link flap
-// trains, router crash/restore, loss bursts on a link, BGP session resets.
+// trains, router crash/restore, loss bursts on a link, BGP session resets,
+// and BGP beacon toggles (an AS withdrawing or re-announcing its prefix).
 // Schedules are built programmatically or parsed from a small line-based
 // text format (one event per line, key=value arguments):
 //
@@ -13,6 +14,8 @@
 //   at 6.0  restore   router=7
 //   at 2.5  loss      link=2 duration=0.5 rate=0.05
 //   at 5.0  bgp_reset as=1 peer=2 downtime=1.0
+//   at 7.0  bgp_withdraw as=3
+//   at 9.0  bgp_announce as=3
 //
 // The schedule itself is pure data. The FaultInjector (injector.hpp)
 // compiles it into simulation events before the run; because every event
@@ -38,6 +41,8 @@ enum class FaultKind {
   kRouterRestore,  ///< target = router
   kLossBurst,      ///< target = link; rate in [0,1) for `duration`
   kBgpReset,       ///< target = AS, peer = neighbor AS; down for `duration`
+  kBgpWithdraw,    ///< target = AS; it withdraws its own prefix
+  kBgpAnnounce,    ///< target = AS; it re-announces its own prefix
 };
 
 /// A single fault. `duration` and `rate` are meaningful only for the kinds
@@ -70,6 +75,8 @@ class FaultSchedule {
   FaultSchedule& loss_burst(SimTime at, LinkId link, SimTime duration,
                             double rate);
   FaultSchedule& bgp_reset(SimTime at, AsId as, AsId peer, SimTime downtime);
+  FaultSchedule& bgp_withdraw(SimTime at, AsId as);
+  FaultSchedule& bgp_announce(SimTime at, AsId as);
 
   /// Splices another schedule's events in (scenario files may combine an
   /// included fault file with embedded event lines).
@@ -78,6 +85,9 @@ class FaultSchedule {
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
+  /// True when an event acts on dynamic BGP (reset, withdraw, announce):
+  /// only such a schedule needs BGP speakers.
+  bool has_bgp_events() const;
 
   /// Serializes to the text format above (one line per event, sorted by
   /// time); parse_fault_schedule() round-trips it.

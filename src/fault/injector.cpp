@@ -14,6 +14,7 @@ const char* kMetricNames[] = {
     "massf.fault.link_down",      "massf.fault.link_up",
     "massf.fault.router_crash",   "massf.fault.router_restore",
     "massf.fault.loss_burst",     "massf.fault.bgp_reset",
+    "massf.fault.bgp_withdraw",   "massf.fault.bgp_announce",
 };
 
 constexpr double kReconvergeBounds[] = {0.01, 0.05, 0.1, 0.2, 0.5,
@@ -25,6 +26,26 @@ FaultInjector::FaultInjector(const Network& net, ForwardingPlane& fp,
                              const FaultInjectorOptions& options)
     : net_(&net), fp_(&fp), opts_(options) {
   MASSF_CHECK(opts_.ospf_convergence_delay >= 0);
+}
+
+std::string FaultInjector::bgp_problem(const FaultEvent& e) const {
+  if (speakers_ == nullptr) {
+    return "BGP events need dynamic BGP speakers (FaultInjector::set_bgp), "
+           "and this run has none";
+  }
+  const std::int32_t num_as = net_->num_as();
+  const bool reset = e.kind == FaultKind::kBgpReset;
+  for (const AsId as : {e.target, reset ? e.peer : e.target}) {
+    if (as < 0 || as >= num_as) {
+      return "AS " + std::to_string(as) + " is out of range (the network has " +
+             std::to_string(num_as) + " ASes)";
+    }
+  }
+  if (reset && !speakers_->has_session(e.target, e.peer)) {
+    return "ASes " + std::to_string(e.target) + " and " +
+           std::to_string(e.peer) + " share no BGP session";
+  }
+  return "";
 }
 
 void FaultInjector::validate(const FaultSchedule& schedule) const {
@@ -50,10 +71,9 @@ void FaultInjector::validate(const FaultSchedule& schedule) const {
         }
         break;
       case FaultKind::kBgpReset:
-        if (speakers_ == nullptr) {
-          problem = "BGP session resets need dynamic BGP speakers "
-                    "(FaultInjector::set_bgp), and this run has none";
-        }
+      case FaultKind::kBgpWithdraw:
+      case FaultKind::kBgpAnnounce:
+        problem = bgp_problem(e);
         break;
     }
     if (!problem.empty()) {
@@ -122,6 +142,13 @@ void FaultInjector::arm(Engine& engine, NetSim& sim,
       case FaultKind::kBgpReset: {
         speakers_->schedule_session_reset(engine, sim, e.target, e.peer,
                                           e.at, e.duration);
+        bgp_reconverge_.push_back({e.at, -1});
+        break;
+      }
+      case FaultKind::kBgpWithdraw:
+      case FaultKind::kBgpAnnounce: {
+        speakers_->schedule_origination(engine, sim, e.target, e.at,
+                                        e.kind == FaultKind::kBgpAnnounce);
         bgp_reconverge_.push_back({e.at, -1});
         break;
       }

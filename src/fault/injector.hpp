@@ -14,6 +14,8 @@
 //                      decisions hash a per-slot counter with the fault
 //                      seed, owned by the transmitting LP
 //   bgp reset       -> BgpSpeakers::schedule_session_reset
+//   bgp withdraw /  -> BgpSpeakers::schedule_origination (the AS withdraws
+//   bgp announce       or re-announces its own prefix)
 //
 // A link failure has two timescales: the data plane loses the link at
 // once (packets offered to it drop), while the control plane reroutes only
@@ -23,7 +25,8 @@
 //
 // Because everything is pre-scheduled or applied at barriers, a given
 // (schedule, seed) pair is bit-identical under the sequential and threaded
-// executors — the property the chaos_beacon harness asserts end to end.
+// executors — the property ScenarioCorpus.SequentialEqualsThreaded asserts
+// for every corpus scenario, scenarios/bgp-chaos.dml included.
 //
 // Reconvergence accounting (the massf.fault.v1 metrics schema, DESIGN.md
 // Section 5c):
@@ -35,6 +38,7 @@
 //     time is the latest change attributed to it minus its start time.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -56,14 +60,16 @@ class FaultInjector {
   FaultInjector(const Network& net, ForwardingPlane& fp,
                 const FaultInjectorOptions& options = {});
 
-  /// Optional: enables kBgpReset events and BGP reconvergence tracking.
+  /// Optional: enables the BGP events (reset, withdraw, announce) and BGP
+  /// reconvergence tracking.
   void set_bgp(BgpSpeakers* speakers) { speakers_ = speakers; }
 
   /// Compiles `schedule` into engine events and installs the barrier
   /// hook. Call once, before the run. A schedule the network cannot carry
   /// — a link id out of range, a crash or restore aimed at a non-router,
-  /// a kBgpReset without set_bgp() — throws a kConfig EngineError naming
-  /// the event, before anything is scheduled.
+  /// a BGP event without set_bgp(), an AS out of range, a reset between
+  /// ASes that share no session — throws a kConfig EngineError naming the
+  /// event, before anything is scheduled.
   void arm(Engine& engine, NetSim& sim, const FaultSchedule& schedule);
 
   // ---- post-run queries ---------------------------------------------------
@@ -110,6 +116,8 @@ class FaultInjector {
   };
 
   void validate(const FaultSchedule& schedule) const;
+  /// What makes BGP event `e` impossible on this run ("" = nothing).
+  std::string bgp_problem(const FaultEvent& e) const;
   /// Router-router link: data plane at `when`, OSPF one delay later.
   void schedule_ospf(Engine& engine, NetSim& sim, LinkId link, SimTime when,
                      bool up);
@@ -122,7 +130,7 @@ class FaultInjector {
   NetSim* sim_ = nullptr;
 
   std::uint64_t injected_ = 0;
-  std::uint64_t count_[6] = {};  ///< per FaultKind
+  std::uint64_t count_[8] = {};  ///< per FaultKind
 
   std::vector<PendingOspf> pending_;  ///< sorted by .at; pre-run + hook only
   std::vector<double> ospf_reconverge_s_;

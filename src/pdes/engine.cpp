@@ -484,7 +484,9 @@ void Engine::finish_run(SimTime floor) {
     stats_.events_per_lp[i] = lps_[i].events;
     stats_.total_events += lps_[i].events;
   }
-  if (registry_) publish_run_metrics();
+  // A cancelled run's stats are a truncated prefix; the run that replaces
+  // it publishes.
+  if (registry_ && !run_cancelled()) publish_run_metrics();
 }
 
 RunStats Engine::run() {

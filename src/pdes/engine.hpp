@@ -265,7 +265,8 @@ class Engine {
 
   /// Attaches a metrics registry (obs/metrics.hpp): run totals are
   /// published as `pdes.*` counters/gauges when a run finishes (schema in
-  /// DESIGN.md). Null (the default) publishes nothing.
+  /// DESIGN.md); a cancelled run publishes nothing. Null (the default)
+  /// publishes nothing.
   void set_registry(obs::Registry* registry) { registry_ = registry; }
 
   /// Pending (not yet executed) events queued on `lp`.

@@ -24,7 +24,7 @@ std::uint32_t batch_tag_payload(AsId sender, std::size_t index) {
 
 // Timer payload: code (high 8 of the 56 payload bits) | AS id.
 constexpr std::uint64_t kTimerOriginate = 1;
-constexpr std::uint64_t kTimerBeacon = 2;
+constexpr std::uint64_t kTimerBeacon = 2;       // c = 1 announce, 0 withdraw
 constexpr std::uint64_t kTimerMrai = 3;         // c = neighbor index
 constexpr std::uint64_t kTimerSessionDown = 4;  // c = peer AS
 constexpr std::uint64_t kTimerSessionUp = 5;    // c = peer AS
@@ -706,19 +706,20 @@ bool BgpSpeakers::load(ckpt::Reader& r) {
   return r.ok();
 }
 
-void BgpSpeakers::schedule_beacon(Engine& engine, NetSim& sim, AsId beacon_as,
-                                  SimTime start, SimTime period,
-                                  std::int32_t toggles) {
-  MASSF_CHECK(beacon_as >= 0 && beacon_as < num_as_);
-  for (std::int32_t i = 0; i < toggles; ++i) {
-    // Even toggles withdraw, odd toggles re-announce (the beacon starts
-    // after normal origination, so the prefix is up when it begins).
-    sim.schedule_app_timer(
-        engine, speaker_hosts_[static_cast<std::size_t>(beacon_as)],
-        start + period * i,
-        make_timer(TrafficKind::kBgp, timer_code(kTimerBeacon, beacon_as)),
-        /*c=*/static_cast<std::uint64_t>(i % 2));
-  }
+bool BgpSpeakers::has_session(AsId as, AsId peer) const {
+  if (as < 0 || as >= num_as_) return false;
+  const auto& ns = speakers_[static_cast<std::size_t>(as)].neighbors;
+  return std::any_of(ns.begin(), ns.end(),
+                     [peer](const AsNeighbor& n) { return n.as == peer; });
+}
+
+void BgpSpeakers::schedule_origination(Engine& engine, NetSim& sim, AsId as,
+                                       SimTime when, bool announce) {
+  MASSF_CHECK(as >= 0 && as < num_as_);
+  sim.schedule_app_timer(
+      engine, speaker_hosts_[static_cast<std::size_t>(as)], when,
+      make_timer(TrafficKind::kBgp, timer_code(kTimerBeacon, as)),
+      /*c=*/announce ? 1 : 0);
 }
 
 }  // namespace massf

@@ -8,7 +8,9 @@
 // paper means by "detailed BGP4 routing protocol" support, and it enables
 // the validation studies proposed in the paper's future work — e.g. the
 // BGP Beacon experiment (periodically announce/withdraw a prefix and watch
-// the announcement propagate), provided here via schedule_beacon().
+// the announcement propagate), one schedule_origination() call per toggle.
+// Scenarios drive it through their fault schedule (bgp_withdraw,
+// bgp_announce and bgp_reset events; fault/injector.hpp).
 //
 // Tests verify that after convergence the dynamic tables equal the static
 // solver's — protocol dynamics and fixed-point computation agree.
@@ -110,11 +112,14 @@ class BgpSpeakers final : public TrafficComponent {
 
   // ---- experiments ----------------------------------------------------------
 
-  /// Beacon (paper Section 7): AS `beacon_as` withdraws and re-announces
-  /// its prefix `toggles` times, `period` apart, starting at `start`.
-  /// Mirrors the real-world RIPE/PSG BGP Beacons.
-  void schedule_beacon(Engine& engine, NetSim& sim, AsId beacon_as,
-                       SimTime start, SimTime period, std::int32_t toggles);
+  /// True when `as` and `peer` are AS-adjacent, i.e. share a BGP session.
+  bool has_session(AsId as, AsId peer) const;
+
+  /// Beacon toggle (paper Section 7, after the real-world RIPE/PSG BGP
+  /// Beacons): at `when` AS `as` withdraws its own prefix (`announce`
+  /// false) or re-announces it (true). Call before the run.
+  void schedule_origination(Engine& engine, NetSim& sim, AsId as,
+                            SimTime when, bool announce);
 
   /// BGP session reset between `as` and `peer` (must be AS-adjacent): at
   /// `when` both endpoints tear the session down — each flushes the

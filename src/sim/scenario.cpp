@@ -55,6 +55,18 @@ Scenario::Scenario(const ScenarioOptions& options) : opts_(options) {
 
   select_hosts();
 
+  // Dynamic BGP (DESIGN.md section 5c) runs iff a fault event perturbs it:
+  // the forwarding plane routes on the static solver's tables either way,
+  // so unperturbed speakers would add only UPDATE traffic and bgp.*
+  // observations. Their hosts come after select_hosts(), so the traffic
+  // endpoints stay where they were.
+  if (opts_.faults.has_bgp_events()) {
+    MASSF_ENFORCE(opts_.multi_as, ErrorCategory::kConfig,
+                  "BGP fault events need a multi-AS network (multi_as 1), "
+                  "and this scenario is single-AS");
+    speaker_hosts_ = add_bgp_speaker_hosts(net_);
+  }
+
   // Destination routers: the attachment points of every traffic endpoint
   // (acks and responses need the reverse direction too, which the same set
   // covers).
@@ -68,6 +80,7 @@ Scenario::Scenario(const ScenarioOptions& options) : opts_(options) {
   add_dests(servers_);
   add_dests(app_hosts_);
   add_dests(bg_sources_);
+  add_dests(speaker_hosts_);
   std::sort(dests.begin(), dests.end());
   dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
 
@@ -118,9 +131,9 @@ void Scenario::select_hosts() {
   bg_sources_.assign(it, it + opts_.num_bg_sources);
 }
 
-void Scenario::install_traffic(Engine& engine, NetSim& sim,
-                               TrafficManager& manager,
-                               bool profiling) const {
+BgpSpeakers* Scenario::install_traffic(Engine& engine, NetSim& sim,
+                                       TrafficManager& manager,
+                                       bool profiling) const {
   (void)engine;
   HttpOptions http = opts_.http;
   http.seed = opts_.seed ^ 0x48545450;  // "HTTP"
@@ -153,6 +166,13 @@ void Scenario::install_traffic(Engine& engine, NetSim& sim,
                                               /*start_at=*/milliseconds(10)));
   }
   (void)sim;
+
+  if (speaker_hosts_.empty()) return nullptr;
+  auto speakers = std::make_unique<BgpSpeakers>(net_, speaker_hosts_,
+                                                BgpDynamicOptions{});
+  BgpSpeakers* out = speakers.get();
+  manager.add(TrafficKind::kBgp, std::move(speakers));
+  return out;
 }
 
 SimTime Scenario::lookahead_for(std::span<const LpId> router_lp) const {
@@ -239,7 +259,8 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
 
   NetSim sim(net_, *fp_, mapping.router_lp, engine, opts_.netsim);
   TrafficManager manager(sim);
-  install_traffic(engine, sim, manager, /*profiling=*/false);
+  BgpSpeakers* speakers =
+      install_traffic(engine, sim, manager, /*profiling=*/false);
   manager.start(engine, sim);
 
   // Telemetry attaches to the measured run only (never the profiling run,
@@ -252,6 +273,7 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   std::unique_ptr<FaultInjector> injector;
   if (!opts_.faults.empty()) {
     injector = std::make_unique<FaultInjector>(net_, *fp_);
+    injector->set_bgp(speakers);
     injector->arm(engine, sim, opts_.faults);
   }
   if (opts_.pre_run) opts_.pre_run(engine, sim);
@@ -355,7 +377,10 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   result.metrics = compute_metrics(result.stats, opts_.cluster);
   result.counters = sim.totals();
   if (injector != nullptr) result.faults_injected = injector->faults_injected();
-  if (opts_.registry != nullptr) {
+  // A cancelled run is a truncated prefix that the guarded runner re-runs;
+  // only a completed run publishes, so a recovered run's metrics equal an
+  // uninterrupted run's.
+  if (opts_.registry != nullptr && !last_run_cancelled_) {
     sim.publish_metrics(*opts_.registry);
     manager.publish_metrics(*opts_.registry);
     if (injector != nullptr) injector->publish_metrics(*opts_.registry);

@@ -19,6 +19,7 @@
 #include "lb/mapping.hpp"
 #include "lb/profile.hpp"
 #include "net/netsim.hpp"
+#include "routing/bgp_dynamic.hpp"
 #include "routing/forwarding.hpp"
 #include "topology/brite.hpp"
 #include "topology/mabrite.hpp"
@@ -95,13 +96,17 @@ struct ScenarioOptions {
   guard::GuardOptions guard;
   /// Chaos schedule (DESIGN.md section 5c; empty = no faults). Every
   /// measured run arms a fresh FaultInjector with it, so each mapping's
-  /// run sees the same faults on the same network.
+  /// run sees the same faults on the same network. A schedule with a BGP
+  /// event (bgp_reset, bgp_withdraw, bgp_announce) also runs dynamic BGP:
+  /// one speaker per AS, in the profiling and the measured run alike; it
+  /// needs multi_as.
   FaultSchedule faults;
 
   /// Invoked on the measured run after traffic installation and fault
-  /// arming, before checkpoint arming. It exists for
-  /// bench_e2e, which attaches its own FaultInjector to the engine/NetSim
-  /// pair the run is about to execute; scenarios configure faults above.
+  /// arming, before checkpoint arming, for attachments a scenario file
+  /// cannot express: bench_e2e attaches its own FaultInjector to the
+  /// engine/NetSim pair the run is about to execute, and the supervision
+  /// tests freeze an LP's clock (Engine::test_freeze_lp_clock).
   std::function<void(Engine&, NetSim&)> pre_run;
 
   // ---- telemetry (obs/) ----------------------------------------------------
@@ -180,14 +185,19 @@ class Scenario {
 
  private:
   void select_hosts();
-  void install_traffic(Engine& engine, NetSim& sim, TrafficManager& manager,
-                       bool profiling) const;
+  /// Adds the scenario's workloads to `manager`; returns the BGP speakers
+  /// when the run has them, else null.
+  BgpSpeakers* install_traffic(Engine& engine, NetSim& sim,
+                               TrafficManager& manager, bool profiling) const;
 
   ScenarioOptions opts_;
   bool last_run_cancelled_ = false;
   Network net_;
   std::unique_ptr<ForwardingPlane> fp_;
   std::vector<NodeId> clients_, servers_, app_hosts_, bg_sources_;
+  /// One BGP speaker host per AS, indexed by AS; empty when the fault
+  /// schedule has no BGP event.
+  std::vector<NodeId> speaker_hosts_;
   std::optional<TrafficProfile> profile_;
 };
 

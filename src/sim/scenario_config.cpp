@@ -108,18 +108,6 @@ bool parse_background(const DmlNode& node, ScenarioOptions* o,
         return false;
       }
       o->background.flow_mean_bytes = d;
-    } else if (a.key == "fidelity") {
-      if (a.atom == "flow") {
-        o->background.flow_fidelity = true;
-      } else if (a.atom == "packet") {
-        o->background.flow_fidelity = false;
-      } else {
-        if (error) {
-          *error = line_err(a.line, "unknown fidelity '" + a.atom +
-                                        "' (flow|packet)");
-        }
-        return false;
-      }
     } else if (a.key == "recompute_every") {
       if (!atom_int(a, &i, error)) return false;
       if (i < 1) {
@@ -359,8 +347,6 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
   bg.add_atom("sources", static_cast<std::int64_t>(o.num_bg_sources));
   bg.add_atom("think_time_s", o.background.think_time_mean_s);
   bg.add_atom("mean_bytes", o.background.flow_mean_bytes);
-  bg.add_atom("fidelity",
-              std::string(o.background.flow_fidelity ? "flow" : "packet"));
   bg.add_atom("recompute_every",
               static_cast<std::int64_t>(o.netsim.link_model.fluid_recompute_every));
   bg.add_atom("stall_timeout_s", o.netsim.link_model.fluid_stall_timeout_s);

@@ -27,7 +27,6 @@
 //     background_flows [    # long-lived flows toward the server pool
 //       sources 0           # 0 = no background-flow workload
 //       think_time_s 5.0  mean_bytes 1000000
-//       fidelity flow       # flow (fluid under hybrid) | packet (force TCP)
 //       recompute_every 8   # fluid rate-recompute cadence (boundaries)
 //       stall_timeout_s 60  # fail flows stalled at zero rate this long
 //       rate_cap_bps 0      # per-flow TCP window/RTT ceiling (0 = off)

@@ -61,13 +61,9 @@ void BackgroundWorkload::issue_flow(Engine& engine, NetSim& sim,
       static_cast<std::uint32_t>(std::clamp(raw, 1.0, 1024.0 * 1024 * 1024));
   ++s.issued;
   const std::uint32_t tag = make_tag(TrafficKind::kBackground, source_idx);
-  if (opts_.flow_fidelity) {
-    if (sim.start_background_flow(engine, engine.now(), s.host, server, bytes,
-                                  tag)) {
-      ++s.fluid;
-    }
-  } else {
-    sim.start_flow(engine, engine.now(), s.host, server, bytes, tag);
+  if (sim.start_background_flow(engine, engine.now(), s.host, server, bytes,
+                                tag)) {
+    ++s.fluid;
   }
 }
 

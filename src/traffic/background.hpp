@@ -19,10 +19,6 @@ struct BackgroundOptions {
   /// Mean transfer size (exponential). Background flows are meant to be
   /// long-lived, so the default is 20x the HTTP file mean.
   double flow_mean_bytes = 1e6;
-  /// When true, flows request flow-level fidelity (fluid under the hybrid
-  /// model, automatic packet fallback otherwise); when false they are
-  /// forced to packet TCP even under the hybrid model.
-  bool flow_fidelity = true;
   std::uint64_t seed = 1;
   /// First transfers are staggered over [0, think_time_mean_s).
   bool staggered_start = true;

@@ -151,8 +151,8 @@ TEST(BgpDynamic, WithdrawalPropagates) {
   Fixture f(10, 5, 1, seconds(60));
   const AsId victim = f.net.num_as() - 1;
   // Withdraw the victim's prefix after initial convergence; never restore.
-  f.speakers->schedule_beacon(*f.engine, *f.sim, victim, seconds(10),
-                              seconds(5), /*toggles=*/1);
+  f.speakers->schedule_origination(*f.engine, *f.sim, victim, seconds(10),
+                                   /*announce=*/false);
   f.run();
   for (AsId a = 0; a < f.net.num_as(); ++a) {
     if (a == victim) continue;
@@ -173,8 +173,10 @@ TEST(BgpDynamic, BeaconReannounceRestoresRoutes) {
   Fixture f(10, 5, 1, seconds(120));
   const AsId beacon = f.net.num_as() - 1;
   // Withdraw at 10 s, re-announce at 25 s.
-  f.speakers->schedule_beacon(*f.engine, *f.sim, beacon, seconds(10),
-                              seconds(15), /*toggles=*/2);
+  f.speakers->schedule_origination(*f.engine, *f.sim, beacon, seconds(10),
+                                   /*announce=*/false);
+  f.speakers->schedule_origination(*f.engine, *f.sim, beacon, seconds(25),
+                                   /*announce=*/true);
   f.run();
   BgpSolver solver(f.net.num_as(), f.net.as_adjacency);
   solver.solve();

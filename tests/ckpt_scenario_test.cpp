@@ -1,42 +1,40 @@
-// End-to-end checkpoint/restore over the real simulation stacks.
+// End-to-end checkpoint/restore and supervised recovery over the real
+// simulation stack, driven the way production runs drive it: through
+// Scenario's own orchestration (CkptOptions / set_ckpt) and the run loop
+// massf_cli and the campaign runner share (run_mapping).
 //
-// Two drivers are exercised, mirroring how checkpoints are taken in
-// production runs:
+//  * Checkpoint/restore: a run checkpoints to a file and stops, a second
+//    run on the same Scenario restores from the file, and the resumed
+//    run's ExperimentResult, probe rows and canonical metrics must equal
+//    the uninterrupted run's — under both executors, both traffic
+//    applications, a fault schedule spanning the snapshot, and a multi-AS
+//    run with dynamic BGP whose snapshot is taken mid-outage (a crashed
+//    router, a withdrawn prefix, a BGP session down).
 //
-//  * Scenario: the experiment facade's own orchestration (CkptOptions /
-//    set_ckpt) — a run checkpoints to a file and stops, a second run on the
-//    same Scenario restores from the file, and the resumed run's
-//    ExperimentResult, probe rows and canonical metrics must equal the
-//    uninterrupted run's, under both executors, both traffic
-//    applications, and a scenario fault schedule spanning the snapshot.
-//
-//  * The chaos stack (NetSim + dynamic BGP + FaultInjector, as in
-//    bench/chaos_beacon.cpp): the checkpoint is taken mid-outage — after a
-//    router crash, before its restore, with a BGP session flapping — so the
-//    snapshot carries non-trivial routing state (down-links, RIBs and
-//    session epochs, pending reconvergence entries) and the resumed run
-//    must still finish with bit-identical RunStats, fault reconvergence
-//    records, and massf.metrics.v1 JSON.
+//  * Supervised recovery: a threaded run of the bgp-chaos corpus scenario
+//    with one LP's clock frozen stalls; the guarded runner's ladder must
+//    recover to exactly the unguarded sequential result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/runner.hpp"
-#include "ckpt/ckpt.hpp"
-#include "fault/injector.hpp"
+#include "corpus_shrink.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "sim/scenario.hpp"
-#include "topology/mabrite.hpp"
-#include "traffic/http.hpp"
-#include "traffic/manager.hpp"
+#include "sim/scenario_config.hpp"
+
+#ifndef MASSF_SCENARIO_DIR
+#error "MASSF_SCENARIO_DIR must point at the repo's scenarios/ directory"
+#endif
 
 namespace massf {
 namespace {
@@ -122,6 +120,9 @@ struct ScenarioCkptCase {
   std::int32_t threads;
   /// Faults whose outages span the checkpoint.
   bool faulted = false;
+  /// Multi-AS with dynamic BGP: BGP events and a crash span the
+  /// checkpoint.
+  bool bgp = false;
 };
 
 // Prints the thread count alone, so test names read
@@ -131,11 +132,12 @@ void PrintTo(const ScenarioCkptCase& c, std::ostream* os) { *os << c.threads; }
 class ScenarioCkpt : public ::testing::TestWithParam<ScenarioCkptCase> {};
 
 TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
-  const auto [app, threads, faulted] = GetParam();
+  const auto [app, threads, faulted, bgp] = GetParam();
   const std::string path = ::testing::TempDir() + "/scenario_" +
                            app_kind_name(app) + "_t" +
                            std::to_string(threads) +
-                           (faulted ? "_faulted" : "") + ".ckpt";
+                           (faulted ? "_faulted" : "") + (bgp ? "_bgp" : "") +
+                           ".ckpt";
 
   ScenarioOptions base = tiny_options();
   base.app = app;
@@ -152,6 +154,23 @@ TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
         .link_down(milliseconds(450), 0)
         .router_restore(milliseconds(900), 3)
         .link_up(milliseconds(1000), 0);
+  }
+  if (bgp) {
+    // Four ASes of 40 routers (ASes 0-2 are always adjacent; router 85 is
+    // in AS 2). Windows are ~8.6 ms long here, so window 117 cuts at
+    // ~1.0 s: router 85 is down, AS 3's prefix is withdrawn and the 0-1
+    // session is down. AS 3's re-announcement at 1.1 s reaches ASes 0 and
+    // 1 before their session returns at 1.4 s, so a resumed run that lost
+    // the session state would send it across; the router returns at
+    // 1.5 s.
+    base.multi_as = true;
+    base.num_as = 4;
+    cut_window = 117;
+    base.faults.router_crash(milliseconds(300), 85)
+        .bgp_withdraw(milliseconds(400), 3)
+        .bgp_reset(milliseconds(600), 0, 1, milliseconds(800))
+        .bgp_announce(milliseconds(1100), 3)
+        .router_restore(milliseconds(1500), 85);
   }
 
   // Uninterrupted reference run.
@@ -200,8 +219,11 @@ TEST_P(ScenarioCkpt, RestoredRunMatchesUninterrupted) {
       obs::to_json_excluding(registry_ref, timing_metric_excludes());
   EXPECT_EQ(want_json,
             obs::to_json_excluding(*registry_res, timing_metric_excludes()));
-  EXPECT_EQ(faulted, want_json.find("massf.fault.injected") !=
-                         std::string::npos);
+  EXPECT_EQ(faulted || bgp, want_json.find("massf.fault.injected") !=
+                                std::string::npos);
+  if (bgp) {
+    EXPECT_EQ(registry_ref.counter("bgp.session_resets").value(), 2u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -221,209 +243,70 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ScenarioCkptCase{AppKind::kScaLapack, 0, true},
                       ScenarioCkptCase{AppKind::kScaLapack, 3, true}));
 
-// ---- chaos stack ------------------------------------------------------------
+// Dynamic BGP, a crash, a withdrawn prefix and a session reset, all in
+// flux at the checkpoint: RIBs, session epochs and pending updates resume
+// with the rest of the run, and the injector's OSPF records through the
+// counts and sum of massf.fault.ospf_reconverge_s.
+INSTANTIATE_TEST_SUITE_P(
+    BgpChaosExecutors, ScenarioCkpt,
+    ::testing::Values(
+        ScenarioCkptCase{AppKind::kScaLapack, 0, false, true},
+        ScenarioCkptCase{AppKind::kScaLapack, 2, false, true}));
 
-/// First intra-AS router-router link of `as` (fault targets), as in
-/// bench/chaos_beacon.cpp.
-LinkId intra_as_link(const Network& net, AsId as, LinkId not_this = -1) {
-  for (LinkId l = 0; l < static_cast<LinkId>(net.links.size()); ++l) {
-    const NetLink& link = net.links[static_cast<std::size_t>(l)];
-    if (l != not_this && !link.inter_as && net.is_router(link.a) &&
-        net.is_router(link.b) &&
-        net.nodes[static_cast<std::size_t>(link.a)].as_id == as) {
-      return l;
+// ---- supervised recovery ----------------------------------------------------
+
+// GuardedRun's ladder through a real stall: bgp-chaos.dml, shrunk, on two
+// threads with LP 3's clock frozen after 100 windows. The watchdog cancels
+// the wedged attempt, `retries 0` sends the ladder straight to rung 1 (one
+// thread, which the freeze cannot stall), and the recovered run equals an
+// unguarded sequential one.
+TEST(GuardedScenario, InjectedStallRecoversToTheSequentialResult) {
+  const std::string path = std::string(MASSF_SCENARIO_DIR) + "/bgp-chaos.dml";
+  const std::string scratch = ::testing::TempDir() + "guarded-bgp-chaos";
+  const auto run = [&](const std::string& override_text, bool freeze,
+                       obs::Registry& registry) {
+    std::string error;
+    const auto loaded = load_scenario_file(path, &error, override_text);
+    EXPECT_TRUE(loaded.has_value()) << error;
+    const ScenarioSpec spec = shrink(*loaded, scratch, seconds(3));
+    ScenarioOptions opts = spec.options;
+    opts.registry = &registry;
+    Scenario scenario(opts);
+    if (freeze) {
+      scenario.set_pre_run([](Engine& engine, NetSim&) {
+        engine.test_freeze_lp_clock(3, /*after_windows=*/100);
+      });
     }
-  }
-  ADD_FAILURE() << "no intra-AS router link in AS " << as;
-  return 0;
-}
-
-// A fully armed chaos stack: multi-AS network, dynamic BGP speakers with a
-// beacon, background HTTP, and a scripted fault scenario whose router
-// crash spans the checkpoint instant.
-struct ChaosStack {
-  ChaosStack() {
-    MaBriteOptions mo;
-    mo.num_as = 5;
-    mo.routers_per_as = 4;
-    mo.num_hosts = 30;
-    mo.seed = 5;
-    net = generate_multi_as(mo);
-    const auto num_plain_hosts =
-        static_cast<NodeId>(net.nodes.size()) - net.num_routers;
-    const std::vector<NodeId> speaker_hosts = add_bgp_speaker_hosts(net);
-
-    std::vector<NodeId> dests;
-    for (NodeId h = net.num_routers;
-         h < static_cast<NodeId>(net.nodes.size()); ++h) {
-      dests.push_back(net.nodes[static_cast<std::size_t>(h)].attach_router);
-    }
-    fp = std::make_unique<ForwardingPlane>(
-        ForwardingPlane::build_multi_as(net, dests));
-
-    std::vector<LpId> map(static_cast<std::size_t>(net.num_routers), 0);
-    for (NodeId r = 0; r < net.num_routers; ++r) {
-      map[static_cast<std::size_t>(r)] =
-          net.nodes[static_cast<std::size_t>(r)].as_id % 2;
-    }
-    SimTime lookahead = kSimTimeMax;
-    for (const NetLink& l : net.links) {
-      if (net.is_router(l.a) && net.is_router(l.b) &&
-          map[static_cast<std::size_t>(l.a)] !=
-              map[static_cast<std::size_t>(l.b)]) {
-        lookahead = std::min(lookahead, l.latency);
-      }
-    }
-
-    EngineOptions eo;
-    eo.lookahead = lookahead;
-    eo.end_time = seconds(20);
-    engine = std::make_unique<Engine>(eo);
-    sim = std::make_unique<NetSim>(net, *fp, map, *engine, NetSimOptions{});
-    manager = std::make_unique<TrafficManager>(*sim);
-
-    auto speakers_owned = std::make_unique<BgpSpeakers>(net, speaker_hosts,
-                                                        BgpDynamicOptions{});
-    speakers = speakers_owned.get();
-    manager->add(TrafficKind::kBgp, std::move(speakers_owned));
-
-    std::vector<NodeId> clients, servers;
-    for (NodeId i = 0; i < num_plain_hosts; ++i) {
-      const NodeId h = net.num_routers + i;
-      (i % 4 == 0 ? servers : clients).push_back(h);
-    }
-    HttpOptions ho;
-    ho.think_time_mean_s = 0.5;
-    manager->add(TrafficKind::kHttp,
-                 std::make_unique<HttpWorkload>(clients, servers, ho));
-
-    const AsId beacon_as = net.num_as() - 1;
-    speakers->schedule_beacon(*engine, *sim, beacon_as, seconds(5),
-                              seconds(6), /*toggles=*/2);
-
-    // Crash at 8 s, restore at 16 s: the checkpoint below is taken at the
-    // first boundary past 10 s, inside the outage and before the pending
-    // restore fault — the snapshot must carry the down-links, the
-    // controller's queued reconvergence, and mid-churn BGP state.
-    const LinkId flap_link = intra_as_link(net, 0);
-    const LinkId loss_link = intra_as_link(net, 0, flap_link);
-    const NodeId crash_router =
-        net.as_info[1].first_router +
-        (net.as_info[1].num_routers > 1 ? 1 : 0);
-    const AsAdjacency& adj = net.as_adjacency.front();
-    char scenario[512];
-    std::snprintf(scenario, sizeof scenario,
-                  "at 6 flap link=%d count=2 period=2 downtime=0.5\n"
-                  "at 7 loss link=%d duration=2 rate=0.05\n"
-                  "at 8 crash router=%d\n"
-                  "at 16 restore router=%d\n"
-                  "at 12 bgp_reset as=%d peer=%d downtime=2\n",
-                  flap_link, loss_link, crash_router, crash_router, adj.as_a,
-                  adj.as_b);
-    std::string parse_error;
-    const auto schedule = parse_fault_schedule(scenario, &parse_error);
-    if (!schedule) {
-      ADD_FAILURE() << "scenario parse error: " << parse_error;
-      std::abort();
-    }
-
-    injector = std::make_unique<FaultInjector>(net, *fp);
-    injector->set_bgp(speakers);
-    injector->arm(*engine, *sim, *schedule);
-
-    manager->start(*engine, *sim);
-  }
-
-  ckpt::Participants participants() {
-    ckpt::Participants parts;
-    parts.add(
-        "engine",
-        [this](ckpt::Writer& w) { engine->save_state(w); },
-        [this](ckpt::Reader& r) { return engine->restore_state(r); });
-    parts.add("net", [this](ckpt::Writer& w) { sim->save(w); },
-              [this](ckpt::Reader& r) { return sim->load(r); });
-    parts.add(
-        "traffic", [this](ckpt::Writer& w) { manager->save(w); },
-        [this](ckpt::Reader& r) { return manager->load(r); });
-    parts.add(
-        "routing.fp", [this](ckpt::Writer& w) { fp->save(w); },
-        [this](ckpt::Reader& r) { return fp->load(r); });
-    parts.add(
-        "fault", [this](ckpt::Writer& w) { injector->save(w); },
-        [this](ckpt::Reader& r) { return injector->load(r); });
-    return parts;
-  }
-
-  RunStats run(std::int32_t threads) {
-    return threads > 0 ? engine->run_threaded(threads) : engine->run();
-  }
-
-  std::string metrics_json() const {
-    obs::Registry registry;
-    sim->publish_metrics(registry);
-    manager->publish_metrics(registry);
-    injector->publish_metrics(registry);
-    return obs::to_json(registry);
-  }
-
-  Network net;
-  std::unique_ptr<ForwardingPlane> fp;
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<NetSim> sim;
-  std::unique_ptr<TrafficManager> manager;
-  BgpSpeakers* speakers = nullptr;
-  std::unique_ptr<FaultInjector> injector;
-};
-
-class ChaosCkpt : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChaosCkpt, MidOutageRestoreMatchesUninterrupted) {
-  const std::int32_t threads = GetParam();
-
-  ChaosStack ref;
-  const RunStats want = ref.run(threads);
-  const std::string want_json = ref.metrics_json();
-
-  // Interrupted run: snapshot at the first window boundary past 10 s.
-  ChaosStack cut;
-  ckpt::Participants cut_parts = cut.participants();
-  std::vector<std::uint8_t> image;
-  cut.engine->hooks().ckpt_every = 1;
-  cut.engine->hooks().ckpt = [&cut_parts, &image](Engine& eng,
-                                                  SimTime floor) {
-    if (!image.empty() || floor < seconds(10)) return;
-    ckpt::Checkpoint ck;
-    cut_parts.save(ck);
-    image = ck.serialize();
-    eng.request_stop();
+    return run_mapping(scenario, spec, spec.mappings.front(), &registry);
   };
-  const RunStats cut_stats = cut.run(threads);
-  ASSERT_FALSE(image.empty());
-  ASSERT_LT(cut_stats.num_windows, want.num_windows);
 
-  std::string error;
-  const auto parsed =
-      ckpt::Checkpoint::parse(image.data(), image.size(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  obs::Registry want_registry;
+  const MappingRun want = run("executor_threads 0", false, want_registry);
+  obs::Registry got_registry;
+  const MappingRun got =
+      run("executor_threads 2 guard.enabled 1 guard.deadline_s 0.5 "
+          "guard.policy recover guard.retries 0",
+          true, got_registry);
 
-  ChaosStack resumed;
-  ASSERT_TRUE(resumed.participants().restore(*parsed, &error)) << error;
-  const RunStats got = resumed.run(threads);
-
-  expect_same_stats(want, got);
-  expect_same_counters(ref.sim->totals(), resumed.sim->totals());
-  EXPECT_EQ(want_json, resumed.metrics_json());
-  ASSERT_EQ(ref.injector->ospf_reconvergence_s().size(),
-            resumed.injector->ospf_reconvergence_s().size());
-  for (std::size_t i = 0; i < ref.injector->ospf_reconvergence_s().size();
-       ++i) {
-    EXPECT_EQ(double_bits(ref.injector->ospf_reconvergence_s()[i]),
-              double_bits(resumed.injector->ospf_reconvergence_s()[i]))
-        << i;
-  }
+  ASSERT_TRUE(want.result.has_value());
+  ASSERT_TRUE(got.result.has_value()) << got.guard.last_error;
+  EXPECT_EQ(want.guard.attempts, 0);  // unsupervised
+  EXPECT_TRUE(got.guard.completed);
+  EXPECT_EQ(got.guard.attempts, 2);
+  EXPECT_EQ(got.guard.stalls, 1u);
+  EXPECT_EQ(got.guard.degraded_rung, 1);
+  EXPECT_EQ(got.result->stats.total_events, want.result->stats.total_events);
+  EXPECT_EQ(got.result->stats.num_windows, want.result->stats.num_windows);
+  EXPECT_EQ(double_bits(got.result->metrics.simulation_time_s),
+            double_bits(want.result->metrics.simulation_time_s));
+  // Canonical metrics minus guard.* (timing_metric_excludes drops it) and
+  // the worker count itself.
+  std::vector<std::string_view> excludes(timing_metric_excludes().begin(),
+                                         timing_metric_excludes().end());
+  excludes.push_back("pdes.sched.threads");
+  EXPECT_EQ(obs::to_json_excluding(got_registry, excludes),
+            obs::to_json_excluding(want_registry, excludes));
 }
-
-INSTANTIATE_TEST_SUITE_P(Executors, ChaosCkpt, ::testing::Values(0, 2));
 
 }  // namespace
 }  // namespace massf

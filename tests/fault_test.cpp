@@ -58,7 +58,9 @@ TEST(FaultSchedule, TextRoundTrips) {
       .link_up(seconds(4), 3)
       .router_crash(seconds(2), 7)
       .loss_burst(milliseconds(2500), 2, milliseconds(500), 0.3)
-      .bgp_reset(seconds(5), 1, 2, seconds(1));
+      .bgp_reset(seconds(5), 1, 2, seconds(1))
+      .bgp_withdraw(seconds(6), 3)
+      .bgp_announce(seconds(7), 3);
   const std::string text = s.to_text();
   std::string error;
   const auto parsed = parse_fault_schedule(text, &error);
@@ -110,6 +112,12 @@ TEST(FaultSchedule, ParserReportsLineAndCause) {
   EXPECT_FALSE(
       parse_fault_schedule("at 1 bgp_reset as=1 peer=1 downtime=1\n", &error));
   EXPECT_NE(error.find("as != peer"), std::string::npos) << error;
+
+  EXPECT_FALSE(parse_fault_schedule("at 1 bgp_announce\n", &error));
+  EXPECT_EQ(error, "line 1: missing or malformed as");
+
+  EXPECT_FALSE(parse_fault_schedule("at 1 bgp_withdraw as=-1\n", &error));
+  EXPECT_EQ(error, "line 1: as must be >= 0");
 }
 
 // ---- FaultInjector end to end ----------------------------------------------
@@ -446,9 +454,9 @@ TEST(Failover, LinkDownRerouteRestoreBitIdenticalAcrossExecutors) {
 TEST(FaultInjector, ArmRejectsWhatTheNetworkCannotCarry) {
   // Each schedule opens with a valid event: arm() checks the whole
   // schedule before it schedules anything, so a rejected schedule leaves
-  // the engine untouched.
-  const auto arm_error = [](const FaultSchedule& bad) {
-    DiamondRig rig(milliseconds(200));
+  // the engine untouched. The diamond has no BGP speakers; the 6-AS Rig
+  // has one per AS.
+  const auto arm_error = [](auto&& rig, const FaultSchedule& bad) {
     FaultSchedule s;
     s.link_down(seconds(1), 0).append(bad);
     std::string what;
@@ -464,8 +472,8 @@ TEST(FaultInjector, ArmRejectsWhatTheNetworkCannotCarry) {
     return what;
   };
 
-  const std::string link =
-      arm_error(FaultSchedule().link_down(seconds(2), 99));
+  const std::string link = arm_error(DiamondRig(milliseconds(200)),
+                                     FaultSchedule().link_down(seconds(2), 99));
   EXPECT_NE(link.find("fault 'at 2 link_down link=99': link 99 is out of "
                       "range (the network has 6 links)"),
             std::string::npos)
@@ -473,19 +481,65 @@ TEST(FaultInjector, ArmRejectsWhatTheNetworkCannotCarry) {
 
   // Node 4 is a host.
   const std::string crash =
-      arm_error(FaultSchedule().router_crash(seconds(2), 4));
+      arm_error(DiamondRig(milliseconds(200)),
+                FaultSchedule().router_crash(seconds(2), 4));
   EXPECT_NE(crash.find("fault 'at 2 crash router=4': node 4 is not a router "
                        "(the network has 4 routers)"),
             std::string::npos)
       << crash;
 
-  // No set_bgp(): the run has no speakers to reset.
+  // No set_bgp(): the run has no speakers to reset or toggle.
   const std::string bgp =
-      arm_error(FaultSchedule().bgp_reset(seconds(2), 0, 1, seconds(1)));
+      arm_error(DiamondRig(milliseconds(200)),
+                FaultSchedule().bgp_reset(seconds(2), 0, 1, seconds(1)));
   EXPECT_NE(bgp.find("fault 'at 2 bgp_reset as=0 peer=1 downtime=1': BGP "
-                     "session resets need dynamic BGP speakers"),
+                     "events need dynamic BGP speakers"),
             std::string::npos)
       << bgp;
+  const std::string beacon =
+      arm_error(DiamondRig(milliseconds(200)),
+                FaultSchedule().bgp_withdraw(seconds(2), 0));
+  EXPECT_NE(beacon.find("fault 'at 2 bgp_withdraw as=0': BGP events need "
+                        "dynamic BGP speakers"),
+            std::string::npos)
+      << beacon;
+
+  // With speakers: every AS must exist, and a reset needs a session.
+  const std::string peer = arm_error(
+      Rig(), FaultSchedule().bgp_reset(seconds(2), 0, 99, seconds(1)));
+  EXPECT_NE(peer.find("fault 'at 2 bgp_reset as=0 peer=99 downtime=1': AS 99 "
+                      "is out of range (the network has 6 ASes)"),
+            std::string::npos)
+      << peer;
+  const std::string announce =
+      arm_error(Rig(), FaultSchedule().bgp_announce(seconds(2), 6));
+  EXPECT_NE(announce.find("fault 'at 2 bgp_announce as=6': AS 6 is out of "
+                          "range (the network has 6 ASes)"),
+            std::string::npos)
+      << announce;
+
+  const Rig probe;
+  AsId a = 0, b = 0;
+  for (AsId x = 0; x < probe.net.num_as() && a == b; ++x) {
+    for (AsId y = x + 1; y < probe.net.num_as() && a == b; ++y) {
+      const bool adjacent = std::any_of(
+          probe.net.as_adjacency.begin(), probe.net.as_adjacency.end(),
+          [&](const AsAdjacency& e) {
+            return (e.as_a == x && e.as_b == y) || (e.as_a == y && e.as_b == x);
+          });
+      if (!adjacent) {
+        a = x;
+        b = y;
+      }
+    }
+  }
+  ASSERT_NE(a, b) << "every AS pair of the rig is adjacent";
+  const std::string session = arm_error(
+      Rig(), FaultSchedule().bgp_reset(seconds(2), a, b, seconds(1)));
+  EXPECT_NE(session.find("ASes " + std::to_string(a) + " and " +
+                         std::to_string(b) + " share no BGP session"),
+            std::string::npos)
+      << session;
 }
 
 TEST(FaultInjector, BgpResetReconvergenceMeasured) {

@@ -14,6 +14,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/runner.hpp"
+#include "corpus_shrink.hpp"
 #include "dml/dml.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -41,41 +42,6 @@ std::vector<std::string> discover(const std::string& dir) {
 
 std::string stem_of(const std::string& path) {
   return fs::path(path).stem().string();
-}
-
-// Scales a corpus scenario down to test size: same shape (app kind,
-// executor, ckpt/guard/fault wiring all preserved), `end_time`
-// of virtual time. Checkpoint and guard-dump files go to `scratch` plus a
-// suffix, so cases running in parallel processes never share a file.
-ScenarioSpec shrink(ScenarioSpec spec, const std::string& scratch,
-                    SimTime end_time) {
-  spec.options.num_routers = 60;
-  spec.options.num_hosts = 40;
-  spec.options.num_as = std::min(spec.options.num_as, 4);
-  spec.options.num_clients = 10;
-  spec.options.num_servers = 4;
-  spec.options.num_bg_sources = std::min(spec.options.num_bg_sources, 8);
-  // GridNPB's mixed workload partitions its hosts three ways and insists
-  // on >= 9; 12 keeps every app kind happy while staying tiny.
-  spec.options.num_app_hosts = std::min(spec.options.num_app_hosts, 12);
-  spec.options.num_engines = 4;
-  spec.options.end_time = end_time;
-  spec.options.profile_end_time = from_seconds(0.2);
-  spec.options.executor_threads =
-      std::min(spec.options.executor_threads, std::int32_t{2});
-  if (!spec.options.ckpt.path.empty()) {
-    spec.options.ckpt.path = scratch + ".ckpt";
-    spec.options.ckpt.every_windows =
-        std::min<std::uint64_t>(spec.options.ckpt.every_windows, 5);
-  }
-  spec.options.ckpt.restore_path.clear();
-  if (!spec.options.guard.dump_path.empty()) {
-    spec.options.guard.dump_path = scratch + "-guard.json";
-  }
-  if (spec.mappings.size() > 1) {
-    spec.mappings.erase(spec.mappings.begin() + 1, spec.mappings.end());
-  }
-  return spec;
 }
 
 // One fixture for the whole suite: the executor check below is
@@ -210,6 +176,29 @@ TEST_P(ScenarioCorpus, SequentialEqualsThreaded) {
     EXPECT_EQ(thr.faults_injected, seq.faults_injected);
     EXPECT_EQ(thr.metrics, seq.metrics);
   }
+}
+
+// bgp-chaos.dml's BGP events reach the speakers at the shrink too: the
+// session reset tears down both of its ends, and at least one BGP event
+// gets a measured settle time.
+TEST_F(ScenarioCorpus, BgpChaosEventsTakeEffect) {
+  std::string error;
+  const auto loaded = load_scenario_file(
+      std::string(MASSF_SCENARIO_DIR) + "/bgp-chaos.dml", &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  ScenarioSpec spec =
+      shrink(*loaded, ::testing::TempDir() + "corpus-bgp-chaos", seconds(3));
+  obs::Registry registry;
+  spec.options.registry = &registry;
+  Scenario scenario(spec.options);
+  scenario.run(spec.mappings.front());
+
+  EXPECT_GT(registry.counter("bgp.session_resets").value(), 0u);
+  std::uint64_t settles = 0;
+  for (const auto& h : registry.histograms()) {
+    if (h.name == "massf.fault.bgp_reconverge_s") settles = h.count;
+  }
+  EXPECT_GE(settles, 1u);
 }
 
 // gtest parameter names allow only [A-Za-z0-9_].

@@ -53,6 +53,9 @@ TEST(ScenarioSpec, ErrorMatrix) {
       {"Experiment [\n  rebalance [ enabled 1 ]\n]",
        "line 2: unknown key 'rebalance' in Experiment (prefix with x_ to "
        "ignore)"},
+      {"Experiment [\n  background_flows [\n    fidelity packet\n  ]\n]",
+       "line 3: unknown key 'fidelity' in background_flows [ ] (prefix with "
+       "x_ to ignore)"},
       {"Experiment [\n  guard [\n    vigor 9\n  ]\n]",
        "line 3: unknown key 'vigor' in guard [ ] (prefix with x_ to "
        "ignore)"},
@@ -249,7 +252,7 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
       "  file_mean_bytes 9000\n  executor_threads 2\n"
       "  load_bin_s 0.5\n  seed 9\n  link_model hybrid\n  mapping TOP\n"
       "  background_flows [ sources 6  think_time_s 2.0  mean_bytes 50000\n"
-      "                     fidelity flow  recompute_every 4\n"
+      "                     recompute_every 4\n"
       "                     stall_timeout_s 30  rate_cap_bps 1e7 ]\n"
       "  ckpt [ every 5  path x.ckpt  stop_after 1  restore \"\" ]\n"
       "  guard [ enabled 1  deadline_s 5  poll_s 0.1  dump g.json\n"
