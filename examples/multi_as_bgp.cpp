@@ -1,42 +1,32 @@
-// Multi-AS / BGP demonstration: generates an Internet-like topology with
-// the maBrite procedure (AS classification, provider/customer/peer
-// relationships, automatic import/export policies), solves BGP, and prints
-// the routing structure the policies induce — then runs a short simulation
-// over it.
+// Multi-AS / BGP demonstration: generates the Internet-like topology a
+// multi-AS scenario file describes with the maBrite procedure (AS
+// classification, provider/customer/peer relationships, automatic
+// import/export policies), solves BGP, and prints the routing structure
+// the policies induce — then runs the file's first mapping over it.
 //
-//   ./multi_as_bgp [--as=N] [--routers-per-as=N] [--seed=S]
+//   ./multi_as_bgp [--config=scenarios/bgp-chaos.dml]
+//                  [--override='as 20 routers 1000 seed 7']
+//
+// --override is merged over the file as in massf_cli. A single-AS file
+// exits 1.
 #include <cstdio>
+#include <exception>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "routing/bgp.hpp"
 #include "sim/report.hpp"
 #include "sim/scenario.hpp"
+#include "sim/scenario_config.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
-  using namespace massf;
-  FlagTable flags("multi_as_bgp",
-                  "maBrite multi-AS topology, BGP routes and a short "
-                  "simulation over them.");
-  flags.add_int("as", 20, "autonomous systems");
-  flags.add_int("routers-per-as", 50, "routers in each AS");
-  flags.add_int("seed", 7, "scenario seed");
-  flags.parse_or_exit(argc, argv);
+namespace massf {
+namespace {
 
-  ScenarioOptions opts;
-  opts.multi_as = true;
-  opts.num_as = static_cast<std::int32_t>(flags.get_int("as"));
-  opts.num_routers =
-      opts.num_as * static_cast<std::int32_t>(flags.get_int("routers-per-as"));
-  opts.num_hosts = opts.num_routers / 2;
-  opts.num_clients = opts.num_hosts / 4;
-  opts.num_servers = opts.num_hosts / 10;
-  opts.num_engines = 12;
-  opts.end_time = seconds(4);
-  opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  opts.http.think_time_mean_s = 0.5;
-
-  Scenario scenario(opts);
+// Prints the BGP structure of the scenario's network, then runs it.
+void run_study(const ScenarioSpec& spec) {
+  Scenario scenario(spec.options);
   const Network& net = scenario.network();
 
   // AS classification summary (paper Section 5.1.2 step 2).
@@ -82,8 +72,54 @@ int main(int argc, char** argv) {
   for (AsId a : path) std::printf(" %d", a);
   std::printf("\n");
 
-  // Short simulation under HPROF.
-  const ExperimentResult r = scenario.run(MappingKind::kHProf);
+  // The scenario's own run: its first mapping, its traffic and faults.
+  const ExperimentResult r = scenario.run(spec.mappings.front());
   std::printf("%s\n", summarize(r).c_str());
+}
+
+}  // namespace
+}  // namespace massf
+
+int main(int argc, char** argv) {
+  using namespace massf;
+  FlagTable flags("multi_as_bgp",
+                  "maBrite multi-AS topology, BGP routes and a short "
+                  "simulation over them, from a multi-AS scenario file.");
+  flags.add_string("config", MASSF_SCENARIO_DIR "/bgp-chaos.dml",
+                   "multi-AS scenario DML file");
+  flags.add_string("override", "",
+                   "scenario atoms merged over the file, as in massf_cli "
+                   "(e.g. 'as 20 routers 1000')");
+  flags.parse_or_exit(argc, argv);
+
+  const std::string config = flags.get_string("config");
+  std::string error;
+  std::optional<ScenarioSpec> spec = load_scenario_file(config, &error);
+  std::string source = config;
+  if (spec && flags.set("override")) {
+    // The file is valid on its own, so whatever fails now is the
+    // override's doing.
+    source = "--override";
+    spec = load_scenario_file(config, &error, flags.get_string("override"));
+  }
+  if (!spec) {
+    std::fprintf(stderr, "%s: %s\n", source.c_str(), error.c_str());
+    return 1;
+  }
+  if (!spec->options.multi_as) {
+    std::fprintf(stderr,
+                 "%s: multi_as_bgp needs a multi-AS scenario (multi_as 1), "
+                 "and this one is single-AS\n",
+                 config.c_str());
+    return 1;
+  }
+
+  try {
+    run_study(*spec);
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", config.c_str(), e.what());
+    return 1;
+  }
   return 0;
 }

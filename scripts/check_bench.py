@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regression gate for bench JSON reports.
 
-Schemas understood (dispatched on the current report's "schema" field):
+Schemas understood (each mode checks the report's "schema" field):
 
   massf.bench_pdes.v3 — compare a fresh `bench_pdes --out` run against the
   committed BENCH_pdes.json baseline. Checks:
@@ -28,22 +28,6 @@ Schemas understood (dispatched on the current report's "schema" field):
       Guarded entries carry "guard": true and are matched against their own
       baselines in the throughput check, never against unguarded rows.
 
-  massf.bench_hybrid.v1 — self-contained gate on a `bench_hybrid --out`
-  run (no baseline file needed):
-    * host_scale (largest swept source multiplier the hybrid link model
-      carries within the packet reference's event budget) must reach
-      --min-host-scale (default 10);
-    * event_ratio (packet events / hybrid events at equal sources) must
-      reach --min-event-ratio (default 10);
-    * the hybrid run's aggregate fidelity drift vs the packet reference at
-      equal sources must stay inside --max-duration-err (default 0.5,
-      mean flow duration), --max-goodput-err (default 0.2, mean per-flow
-      goodput), and --max-completed-err (default 0.4, completed-flow
-      count). Bounds carry ~2x headroom over measured values (duration
-      0.27, goodput 0.05, completed 0.17 at the full scale) — the gate
-      catches model regressions, not seed noise;
-    * every run must have completed at least one background flow.
-
   massf.campaign.v1 — gate on a `massf_campaign` roll-up, selected with
   --campaign PATH (no baseline file needed):
     * no failed runs (the "failed" list must be empty and every run ok);
@@ -53,6 +37,10 @@ Schemas understood (dispatched on the current report's "schema" field):
     * with --compare OTHER.json, the two roll-ups must be identical once
       their "timing" sections are dropped — the 1-vs-N-workers
       reproducibility check the nightly job runs.
+
+The hybrid link model's fidelity and scale are gated by the tier-1 test
+ScenarioCorpus.HybridFidelityCampaignMeetsBounds, which runs
+scenarios/campaigns/hybrid-fidelity.dml and asserts its bounds itself.
 
 Usage:
   bench_pdes --out current.json   # NOT the default --out, which would
@@ -211,45 +199,6 @@ def check_pdes(baseline, current, args):
     return 0
 
 
-def check_hybrid(current, args):
-    failures = []
-    host_scale = get(current, "host_scale", args.current)
-    if host_scale < args.min_host_scale:
-        failures.append(
-            f"host_scale {host_scale}x is below the {args.min_host_scale}x "
-            f"gate — the hybrid model no longer carries 10x the sources "
-            f"within the packet event budget")
-    event_ratio = get(current, "event_ratio", args.current)
-    if event_ratio < args.min_event_ratio:
-        failures.append(
-            f"event_ratio {event_ratio:.1f}x is below the "
-            f"{args.min_event_ratio}x gate")
-    for name, bound in (("duration_err", args.max_duration_err),
-                        ("goodput_err", args.max_goodput_err),
-                        ("completed_err", args.max_completed_err)):
-        err = get(current, name, args.current)
-        if err > bound:
-            failures.append(
-                f"{name} {err:.3f} exceeds the {bound} fidelity gate — the "
-                f"fluid model drifted from the packet reference")
-    for run in get(current, "runs", args.current):
-        if run.get("completed", 0) <= 0:
-            failures.append(
-                f"{run.get('fidelity')}@{run.get('sources')} sources "
-                f"completed no background flows — the workload stalled")
-
-    if failures:
-        for failure in failures:
-            print(f"check_bench: FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(f"check_bench: OK — hybrid host_scale {host_scale}x at "
-          f"{event_ratio:.1f}x fewer events; fidelity err "
-          f"duration {get(current, 'duration_err', args.current):.3f} "
-          f"goodput {get(current, 'goodput_err', args.current):.3f} "
-          f"completed {get(current, 'completed_err', args.current):.3f}")
-    return 0
-
-
 def check_campaign(args):
     doc = load_json(args.campaign,
                     "run massf_campaign --campaign=... --out=... first")
@@ -314,25 +263,6 @@ def main():
                              "cost of the armed-watchdog sequential_guard "
                              "row vs the unguarded sequential row in the "
                              "same report (default 0.10)")
-    parser.add_argument("--min-host-scale", type=float, default=10,
-                        help="massf.bench_hybrid.v1: minimum source "
-                             "multiplier the hybrid model must carry within "
-                             "the packet event budget (default 10)")
-    parser.add_argument("--min-event-ratio", type=float, default=10,
-                        help="massf.bench_hybrid.v1: minimum packet/hybrid "
-                             "event ratio at equal sources (default 10)")
-    parser.add_argument("--max-duration-err", type=float, default=0.5,
-                        help="massf.bench_hybrid.v1: max relative mean-flow-"
-                             "duration error vs the packet reference "
-                             "(default 0.5)")
-    parser.add_argument("--max-goodput-err", type=float, default=0.2,
-                        help="massf.bench_hybrid.v1: max relative mean-"
-                             "goodput error vs the packet reference "
-                             "(default 0.2)")
-    parser.add_argument("--max-completed-err", type=float, default=0.4,
-                        help="massf.bench_hybrid.v1: max relative completed-"
-                             "flow-count error vs the packet reference "
-                             "(default 0.4)")
     parser.add_argument("--campaign", metavar="ROLLUP",
                         help="massf.campaign.v1: gate this campaign roll-up "
                              "instead of a bench report")
@@ -350,12 +280,6 @@ def main():
     current = load_json(
         args.current,
         "run the bench with --out/--json first (see the module docstring)")
-    schema = current.get("schema")
-
-    if schema == "massf.bench_hybrid.v1":
-        # Self-contained: the report carries the packet reference and the
-        # hybrid sweep from the same binary.
-        return check_hybrid(current, args)
 
     if not os.path.exists(args.baseline):
         if args.allow_missing_baseline:

@@ -33,14 +33,31 @@ std::string dirname_of(const std::string& path) {
 }
 
 /// One sweep axis: a name plus its points; each point is an override body
-/// (merge_override) and a label for the run id.
+/// (merge_override), a label for the run id and the line that wrote it.
 struct AxisPoint {
   std::string label;
   DmlNode assignments;
+  int line = 0;
 };
 struct Axis {
   std::string name;
   std::vector<AxisPoint> points;
+
+  /// Appends `p` unless the axis already has its label: two points with
+  /// one label would share a run id, and the roll-up would merge them.
+  bool add(AxisPoint p, std::string* error) {
+    for (const AxisPoint& q : points) {
+      if (q.label != p.label) continue;
+      if (error) {
+        *error = line_err(p.line, "duplicate " + name + " label '" +
+                                      p.label + "' (first at line " +
+                                      std::to_string(q.line) + ")");
+      }
+      return false;
+    }
+    points.push_back(std::move(p));
+    return true;
+  }
 };
 
 bool unknown_key(const DmlAttribute& a, const char* where,
@@ -55,7 +72,7 @@ bool unknown_key(const DmlAttribute& a, const char* where,
 
 // A one-atom axis point: `key` set to the sweep atom's value, at its line.
 AxisPoint scalar_point(const DmlAttribute& a, const char* key) {
-  AxisPoint p{a.atom, {}};
+  AxisPoint p{a.atom, {}, a.line};
   p.assignments.add_atom(key, a.atom);
   p.assignments.attributes.back().line = a.line;
   return p;
@@ -68,7 +85,7 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
   for (const DmlAttribute& a : node.attributes) {
     if (ignored_key(a.key)) continue;
     if (a.key == "override" && a.child) {
-      AxisPoint p{"", clone_dml(*a.child)};
+      AxisPoint p{"", clone_dml(*a.child), a.line};
       const auto is_tag = [](const DmlAttribute& o) {
         return o.key == "tag" && !o.child;
       };
@@ -77,7 +94,7 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
       }
       std::erase_if(p.assignments.attributes, is_tag);
       if (p.label.empty()) p.label = "o" + std::to_string(over.points.size());
-      over.points.push_back(std::move(p));
+      if (!over.add(std::move(p), error)) return false;
     } else if (a.key == "seed" || a.key == "threads") {
       std::int64_t v = 0;
       if (!parse_i64(a.atom, &v) || (a.key == "threads" && v < 0)) {
@@ -88,15 +105,13 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
         }
         return false;
       }
-      if (a.key == "seed") {
-        seed.points.push_back(scalar_point(a, "seed"));
-      } else {
-        threads.points.push_back(scalar_point(a, "executor_threads"));
-      }
+      Axis& axis = a.key == "seed" ? seed : threads;
+      const char* key = a.key == "seed" ? "seed" : "executor_threads";
+      if (!axis.add(scalar_point(a, key), error)) return false;
     } else if (a.key == "mapping") {
       // Value validity is checked when the merged run re-parses, with
       // this atom's line.
-      mapping.points.push_back(scalar_point(a, "mapping"));
+      if (!mapping.add(scalar_point(a, "mapping"), error)) return false;
     } else {
       if (error) {
         *error = line_err(a.line, "unknown sweep axis '" + a.key +

@@ -28,6 +28,9 @@
 // the base Experiment tree and re-validated by the strict scenario
 // parser, so a typo'd key or bad value fails with the campaign file's
 // line number. `tag` names the point in run ids (default o0, o1, ...).
+// Labels are unique within an axis: a repeated `seed 1`, `mapping HPROF`
+// or override tag (an explicit `tag o1` included) is a line-numbered
+// error, since both points would share a run id and a roll-up aggregate.
 //
 // With `golden 1`, one calibration row per distinct thread count in the
 // expansion runs the pinned PDES ring workload

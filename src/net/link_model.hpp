@@ -120,8 +120,10 @@ struct LinkModelOptions {
   /// Per-flow ceiling on the max-min rate (bps), modeling the TCP
   /// window/RTT throughput limit the packet path exhibits (a Reno flow
   /// cannot exceed ~window_bytes*8/RTT even on an idle link). 0 disables
-  /// the cap, granting flows their full fair share. bench_hybrid
-  /// calibrates this against the packet model's measured per-flow goodput.
+  /// the cap, granting flows their full fair share.
+  /// scenarios/hybrid-fidelity.dml calibrates it against the packet model's
+  /// measured per-flow goodput, and the corpus test's fidelity bounds on
+  /// that file's campaign fail without it.
   double fluid_flow_rate_cap_bps = 0.0;
 };
 

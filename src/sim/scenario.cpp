@@ -376,6 +376,9 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   }
   result.metrics = compute_metrics(result.stats, opts_.cluster);
   result.counters = sim.totals();
+  if (opts_.netsim.collect_flow_records) {
+    result.flow_records = sim.flow_records();
+  }
   if (injector != nullptr) result.faults_injected = injector->faults_injected();
   // A cancelled run is a truncated prefix that the guarded runner re-runs;
   // only a completed run publishes, so a recovered run's metrics equal an

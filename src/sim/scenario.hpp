@@ -123,6 +123,9 @@ struct ExperimentResult {
   SimulationMetrics metrics;
   NetSim::Counters counters;
   std::uint64_t faults_injected = 0;  ///< events of ScenarioOptions::faults
+  /// Every finished flow of the run (NetSim::flow_records); empty unless
+  /// netsim.collect_flow_records is set.
+  std::vector<FlowRecord> flow_records;
 };
 
 class Scenario {

@@ -82,6 +82,26 @@ TEST(Campaign, ErrorMatrix) {
       {"Campaign [\n  name empty\n]",
        "missing a base scenario (`scenario` file or an embedded Experiment "
        "[ ] block)"},
+      // A repeated label on one axis would give two runs one id, and the
+      // roll-up would merge them into one aggregate.
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    override [ tag a  routers 80 ]\n"
+           "    override [ tag a  routers 90 ]\n  ]\n]",
+       "line 14: duplicate override label 'a' (first at line 13)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    override [ tag o1  routers 80 ]\n"
+           "    override [ routers 90 ]\n  ]\n]",
+       "line 14: duplicate override label 'o1' (first at line 13)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    seed 1\n    seed 2\n    seed 1\n  ]\n]",
+       "line 15: duplicate seed label '1' (first at line 13)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    threads 2\n    threads 2\n  ]\n]",
+       "line 14: duplicate threads label '2' (first at line 13)"},
+      {"Campaign [\n" + std::string(kTinyBase) +
+           "  sweep [\n    mapping HPROF\n    seed 1\n"
+           "    mapping HPROF\n  ]\n]",
+       "line 15: duplicate mapping label 'HPROF' (first at line 13)"},
   };
   for (const auto& c : kCases) {
     EXPECT_EQ(parse_error(c.text), c.error) << c.text;

@@ -3,11 +3,15 @@
 // and run bit-identically on the sequential and threaded executors. New
 // scenario files are picked up automatically — drop a .dml in scenarios/
 // and it is under test; campaign files under scenarios/campaigns/ are
-// parsed and expanded the same way.
+// parsed and expanded the same way. The hybrid-fidelity campaign also runs
+// at file scale, gating the fluid link model's fidelity and scale.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario_config.hpp"
+#include "traffic/manager.hpp"
 
 #ifndef MASSF_SCENARIO_DIR
 #error "MASSF_SCENARIO_DIR must point at the repo's scenarios/ directory"
@@ -199,6 +204,116 @@ TEST_F(ScenarioCorpus, BgpChaosEventsTakeEffect) {
     if (h.name == "massf.fault.bgp_reconverge_s") settles = h.count;
   }
   EXPECT_GE(settles, 1u);
+}
+
+// What one run of the hybrid-fidelity campaign did with its background
+// flows.
+struct BackgroundStudy {
+  std::uint64_t events = 0;
+  std::uint64_t completed = 0;
+  double mean_duration_s = 0;
+  double mean_goodput_bps = 0;
+};
+
+// Runs one campaign run with flow records on, and prints its row.
+BackgroundStudy run_background_study(const CampaignRun& run) {
+  ScenarioOptions options = run.spec.options;
+  options.netsim.collect_flow_records = true;
+  Scenario scenario(options);
+  const ExperimentResult r = scenario.run(run.spec.mappings.front());
+  BackgroundStudy s;
+  s.events = r.stats.total_events;
+  double duration_s = 0;
+  double goodput_bps = 0;
+  for (const FlowRecord& rec : r.flow_records) {
+    if (tag_kind(rec.tag) != TrafficKind::kBackground || rec.failed) continue;
+    ++s.completed;
+    duration_s += rec.duration_s();
+    goodput_bps += rec.goodput_bps();
+  }
+  if (s.completed > 0) {
+    s.mean_duration_s = duration_s / static_cast<double>(s.completed);
+    s.mean_goodput_bps = goodput_bps / static_cast<double>(s.completed);
+  }
+  std::printf("%-22s sources %5d  events %8llu  completed %5llu  "
+              "mean duration %.3f s  mean goodput %.3f Mbps\n",
+              run.id.c_str(), run.spec.options.num_bg_sources,
+              static_cast<unsigned long long>(s.events),
+              static_cast<unsigned long long>(s.completed), s.mean_duration_s,
+              s.mean_goodput_bps / 1e6);
+  return s;
+}
+
+double rel_err(double value, double reference) {
+  return reference > 0 ? std::abs(value - reference) / reference : 0.0;
+}
+
+// The hybrid link model's trade (DESIGN.md section 5k), at the campaign
+// file's scale: the packet reference and the hybrid run at its source
+// count must agree on the background flows' mean duration, mean goodput
+// and completed count, and the hybrid model must carry at least 10x the
+// sources inside the packet run's event budget. The bounds carry about 2x
+// headroom over the measured values (EXPERIMENTS.md "Hybrid fidelity
+// comparison"). Which run plays which role comes from its spec, not its
+// tag.
+TEST_F(ScenarioCorpus, HybridFidelityCampaignMeetsBounds) {
+  std::string error;
+  const auto campaign = load_campaign_file(
+      std::string(MASSF_SCENARIO_DIR) + "/campaigns/hybrid-fidelity.dml",
+      &error);
+  ASSERT_TRUE(campaign.has_value()) << error;
+  const auto model = [](const CampaignRun& run) {
+    return run.spec.options.netsim.link_model.kind;
+  };
+  const auto reference = std::find_if(
+      campaign->runs.begin(), campaign->runs.end(),
+      [&](const CampaignRun& run) {
+        return model(run) == LinkModelKind::kPacket;
+      });
+  ASSERT_NE(reference, campaign->runs.end());
+  const std::int32_t base_sources = reference->spec.options.num_bg_sources;
+  ASSERT_GT(base_sources, 0);
+
+  const BackgroundStudy packet = run_background_study(*reference);
+  EXPECT_GT(packet.completed, 0u);
+
+  std::optional<BackgroundStudy> hybrid;  // at the reference's sources
+  double host_scale = 0;
+  for (const CampaignRun& run : campaign->runs) {
+    if (&run == &*reference) continue;
+    SCOPED_TRACE(run.id);
+    ASSERT_EQ(model(run), LinkModelKind::kHybrid);
+    const std::int32_t sources = run.spec.options.num_bg_sources;
+    const BackgroundStudy s = run_background_study(run);
+    EXPECT_GT(s.completed, 0u);
+    if (sources == base_sources) hybrid = s;
+    if (s.events <= packet.events) {
+      host_scale = std::max(host_scale, static_cast<double>(sources) /
+                                            static_cast<double>(base_sources));
+    }
+  }
+  ASSERT_TRUE(hybrid.has_value()) << "no hybrid run at " << base_sources
+                                  << " sources";
+  ASSERT_GT(hybrid->events, 0u);
+
+  const double event_ratio = static_cast<double>(packet.events) /
+                             static_cast<double>(hybrid->events);
+  const double duration_err =
+      rel_err(hybrid->mean_duration_s, packet.mean_duration_s);
+  const double goodput_err =
+      rel_err(hybrid->mean_goodput_bps, packet.mean_goodput_bps);
+  const double completed_err =
+      rel_err(static_cast<double>(hybrid->completed),
+              static_cast<double>(packet.completed));
+  std::printf("host scale %.0fx  event ratio %.1fx  error: duration %.3f  "
+              "goodput %.3f  completed %.3f\n",
+              host_scale, event_ratio, duration_err, goodput_err,
+              completed_err);
+  EXPECT_GE(host_scale, 10.0);
+  EXPECT_GE(event_ratio, 10.0);
+  EXPECT_LE(duration_err, 0.5);
+  EXPECT_LE(goodput_err, 0.2);
+  EXPECT_LE(completed_err, 0.4);
 }
 
 // gtest parameter names allow only [A-Za-z0-9_].

@@ -392,6 +392,60 @@ TEST(Ping, LostOnDownLinkLeavesNoReply) {
   EXPECT_EQ(probe->results()[0].rtt, -1);
 }
 
+// Echo pings toward a host whose access link CBR cross-traffic
+// oversubscribes (3 x 40 Mbps into 100 Mbps) from 5 s on. Before the
+// streams start every probe sees the same unloaded RTT; once the
+// drop-tail queue has filled, each probe is dropped or waits behind it for
+// at least half the queue's drain time.
+TEST(Ping, RttGrowsUnderCbrCongestion) {
+  Fixture f(seconds(10));
+  const NodeId target = f.hosts[5];
+  CbrOptions co;
+  co.rate_bps = 4e7;
+  co.packet_bytes = 1200;
+  co.start_at = seconds(5);
+  std::vector<CbrWorkload::Stream> streams{
+      {f.hosts[1], target}, {f.hosts[2], target}, {f.hosts[3], target}};
+  f.manager->add(TrafficKind::kCbr,
+                 std::make_unique<CbrWorkload>(streams, co));
+  auto probe_ptr = std::make_unique<PingProbe>();
+  PingProbe* probe = probe_ptr.get();
+  f.manager->add(TrafficKind::kPing, std::move(probe_ptr));
+  for (int i = 0; i < 10; ++i) {
+    probe->ping(*f.engine, *f.sim, f.hosts[0], target,
+                milliseconds(200) + seconds(i));
+  }
+  f.manager->start(*f.engine, *f.sim);
+  f.engine->run();
+
+  // The 20 Mbps excess fills the access link's drop-tail queue this long
+  // after the streams start; a packet behind a full queue waits `drain`.
+  const double access_bps =
+      f.net.links[static_cast<std::size_t>(f.net.incident(target)[0].link)]
+          .bandwidth_bps;
+  const double queue_bits = NetSimOptions{}.queue_capacity_bytes * 8.0;
+  const SimTime saturated =
+      co.start_at + from_seconds(queue_bits / (3 * co.rate_bps - access_bps));
+  const SimTime drain = from_seconds(queue_bits / access_bps);
+  const SimTime unloaded = probe->results()[0].rtt;
+  ASSERT_GT(unloaded, 0);
+  int before = 0;
+  int after = 0;
+  for (const PingProbe::Result& r : probe->results()) {
+    SCOPED_TRACE(to_seconds(r.sent_at));
+    if (r.sent_at < co.start_at) {
+      EXPECT_EQ(r.rtt, unloaded);
+      ++before;
+    } else if (r.sent_at >= saturated) {
+      EXPECT_TRUE(r.rtt == -1 || r.rtt >= unloaded + drain / 2)
+          << to_milliseconds(r.rtt);
+      ++after;
+    }
+  }
+  EXPECT_EQ(before, 5);
+  EXPECT_EQ(after, 5);
+}
+
 // ---- CBR streams ------------------------------------------------------------
 
 TEST(Cbr, DeliversAtConfiguredRate) {
