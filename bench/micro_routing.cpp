@@ -1,11 +1,13 @@
 // Microbenchmarks for the routing substrate: per-destination reverse-SPT
-// computation (what makes 20k-router tables feasible), reconvergence after
-// a link flap or a router crash, and the BGP policy fixed-point solve.
+// computation (what makes 20k-router tables feasible), next-hop lookups in
+// the packed tables, reconvergence after a link flap or a router crash,
+// and the BGP policy fixed-point solve.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <utility>
 
 #include "routing/bgp.hpp"
 #include "routing/forwarding.hpp"
@@ -37,6 +39,44 @@ void BM_OspfPerDestination(benchmark::State& state) {
 }
 BENCHMARK(BM_OspfPerDestination)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
+
+// Next-hop lookups of a flat plane with Args {routers, destination
+// routers}, the destinations a seeded sample of the routers: the
+// hybrid_background shape (~1,600 at 2,000 routers) and 1,000 at 20,000.
+// Each iteration looks up 2^16 (router, destination) pairs drawn at run
+// time; items are lookups.
+void BM_OspfLookup(benchmark::State& state) {
+  BriteOptions o;
+  o.num_routers = static_cast<std::int32_t>(state.range(0));
+  o.num_hosts = 10;
+  o.seed = 9;
+  const Network net = generate_flat(o);
+  std::vector<NodeId> dests(static_cast<std::size_t>(net.num_routers));
+  std::iota(dests.begin(), dests.end(), NodeId{0});
+  Rng rng(o.seed);
+  rng.shuffle(dests);
+  dests.resize(static_cast<std::size_t>(state.range(1)));
+  const ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
+
+  constexpr std::size_t kPairs = std::size_t{1} << 16;
+  std::vector<std::pair<NodeId, NodeId>> pairs(kPairs);
+  for (auto& [from, dest] : pairs) {
+    from = static_cast<NodeId>(
+        rng.uniform(static_cast<std::uint64_t>(net.num_routers)));
+    dest = dests[rng.uniform(dests.size())];
+  }
+  for (auto _ : state) {
+    std::int64_t sum = 0;
+    for (const auto& [from, dest] : pairs) sum += fp.next_link(from, dest);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kPairs));
+  state.SetLabel(std::to_string(o.num_routers) + " routers, " +
+                 std::to_string(dests.size()) + " dests");
+}
+BENCHMARK(BM_OspfLookup)->Args({2000, 1600})->Args({20000, 1000})
+    ->Unit(benchmark::kMicrosecond);
 
 // Reconvergence of a flat plane with Args {routers, destination routers,
 // kind}: kind 0 flaps one router-router link, kind 1 crashes one router

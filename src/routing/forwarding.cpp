@@ -32,10 +32,7 @@ ForwardingPlane ForwardingPlane::build_flat(
   for (NodeId r = 0; r < net.num_routers; ++r) {
     all[static_cast<std::size_t>(r)] = r;
   }
-  // Flat domains can register thousands of destinations over tens of
-  // thousands of routers; keeping distances would multiply table memory.
-  fp.flat_.emplace(net, all, /*use_inter_as_links=*/true,
-                   /*keep_distances=*/false);
+  fp.flat_.emplace(net, all, /*use_inter_as_links=*/true);
   fp.flat_->add_destinations(dest_routers);
   return fp;
 }
@@ -54,9 +51,7 @@ ForwardingPlane ForwardingPlane::build_multi_as(
     for (std::int32_t i = 0; i < info.num_routers; ++i) {
       members[static_cast<std::size_t>(i)] = info.first_router + i;
     }
-    // Nothing reads a multi-AS distance; the repairs never need them.
-    fp.domains_.emplace_back(net, members, /*use_inter_as_links=*/false,
-                             /*keep_distances=*/false);
+    fp.domains_.emplace_back(net, members, /*use_inter_as_links=*/false);
   }
   // Size each domain's tables once for every router that can become one
   // of its destinations: traffic destinations and border routers (egress
@@ -82,7 +77,33 @@ ForwardingPlane ForwardingPlane::build_multi_as(
   fp.bgp_.emplace(net.num_as(), net.as_adjacency);
   fp.bgp_->solve();
 
-  fp.egress_.resize(num_as);
+  // Each AS's neighbours, sorted by id, once: the adjacency never changes,
+  // only which border links are up.
+  std::vector<std::vector<Egress>> nbrs(num_as);
+  const auto add_nbr = [&nbrs](AsId as, AsId nbr, bool provider) {
+    nbrs[static_cast<std::size_t>(as)].push_back(
+        {nbr, kInvalidLink, provider});
+  };
+  for (const AsAdjacency& adj : net.as_adjacency) {
+    add_nbr(adj.as_a, adj.as_b, adj.rel_ab == AsRel::kProvider);
+    add_nbr(adj.as_b, adj.as_a, adj.rel_ab == AsRel::kCustomer);
+  }
+  fp.egress_begin_.assign(num_as + 1, 0);
+  for (std::size_t a = 0; a < num_as; ++a) {
+    std::vector<Egress>& v = nbrs[a];
+    std::sort(v.begin(), v.end(), [](const Egress& x, const Egress& y) {
+      return x.nbr < y.nbr || (x.nbr == y.nbr && x.provider > y.provider);
+    });
+    // One entry per neighbour; it is a provider if any adjacency says so
+    // (sorted first among its duplicates).
+    v.erase(std::unique(v.begin(), v.end(),
+                        [](const Egress& x, const Egress& y) {
+                          return x.nbr == y.nbr;
+                        }),
+            v.end());
+    fp.egress_.insert(fp.egress_.end(), v.begin(), v.end());
+    fp.egress_begin_[a + 1] = static_cast<std::int32_t>(fp.egress_.size());
+  }
   fp.select_egress();
 
   std::vector<std::vector<NodeId>> by_as(num_as);
@@ -98,6 +119,17 @@ ForwardingPlane ForwardingPlane::build_multi_as(
   return fp;
 }
 
+std::int32_t ForwardingPlane::egress_index(AsId as, AsId nbr) const {
+  const auto a = static_cast<std::size_t>(as);
+  const auto begin = egress_.begin() + egress_begin_[a];
+  const auto end = egress_.begin() + egress_begin_[a + 1];
+  const auto it = std::lower_bound(
+      begin, end, nbr, [](const Egress& e, AsId id) { return e.nbr < id; });
+  return it == end || it->nbr != nbr
+             ? -1
+             : static_cast<std::int32_t>(it - egress_.begin());
+}
+
 void ForwardingPlane::select_egress() {
   const Network& net = *net_;
   const auto num_as = static_cast<std::size_t>(net.num_as());
@@ -105,56 +137,41 @@ void ForwardingPlane::select_egress() {
   // Deterministic egress selection: for each (AS, neighbor AS) pair keep
   // the lowest *up* border link id; register its local endpoint as an OSPF
   // destination inside the AS. Pairs whose every border link is down keep
-  // no entry (next_link then drops the packet).
-  for (auto& m : egress_) m.clear();
+  // kInvalidLink (next_link then drops the packet).
+  for (Egress& e : egress_) e.link = kInvalidLink;
+  const auto offer = [this](AsId as, AsId nbr, LinkId link) {
+    LinkId& best =
+        egress_[static_cast<std::size_t>(egress_index(as, nbr))].link;
+    if (best == kInvalidLink || link < best) best = link;
+  };
   for (const AsAdjacency& adj : net.as_adjacency) {
     if (down_links_.count(adj.link) > 0) continue;
-    const AsId as_a = adj.as_a, as_b = adj.as_b;
-    auto& ma = egress_[static_cast<std::size_t>(as_a)];
-    auto ita = ma.find(as_b);
-    if (ita == ma.end() || adj.link < ita->second) ma[as_b] = adj.link;
-    auto& mb = egress_[static_cast<std::size_t>(as_b)];
-    auto itb = mb.find(as_a);
-    if (itb == mb.end() || adj.link < itb->second) mb[as_a] = adj.link;
-  }
-  std::vector<NodeId> locals;
-  for (std::size_t a = 0; a < num_as; ++a) {
-    locals.clear();
-    for (const auto& [nbr, link] : egress_[a]) {
-      const NetLink& l = net.links[static_cast<std::size_t>(link)];
-      locals.push_back(net.nodes[static_cast<std::size_t>(l.a)].as_id ==
-                               static_cast<AsId>(a)
-                           ? l.a
-                           : l.b);
-    }
-    domains_[a].add_destinations(locals);
+    offer(adj.as_a, adj.as_b, adj.link);
+    offer(adj.as_b, adj.as_a, adj.link);
   }
 
   // Default routes for stub ASes: primary provider = adjacent provider
   // with the lowest AS id whose border link is up (deterministic "pick
   // default/backup routers" of step 6d — backups engage on failure).
   default_egress_.assign(num_as, kInvalidLink);
-  if (opts_.stub_default_routing) {
-    for (AsId a = 0; a < net.num_as(); ++a) {
-      if (net.as_info[static_cast<std::size_t>(a)].cls != AsClass::kStub) {
-        continue;
-      }
-      AsId best_provider = -1;
-      for (const AsAdjacency& adj : net.as_adjacency) {
-        AsId other = -1;
-        if (adj.as_a == a && adj.rel_ab == AsRel::kProvider) other = adj.as_b;
-        if (adj.as_b == a && adj.rel_ab == AsRel::kCustomer) other = adj.as_a;
-        if (other >= 0 &&
-            egress_[static_cast<std::size_t>(a)].count(other) > 0 &&
-            (best_provider < 0 || other < best_provider)) {
-          best_provider = other;
-        }
-      }
-      if (best_provider >= 0) {
-        default_egress_[static_cast<std::size_t>(a)] =
-            egress_[static_cast<std::size_t>(a)].at(best_provider);
+  std::vector<NodeId> locals;
+  for (std::size_t a = 0; a < num_as; ++a) {
+    const bool stub = opts_.stub_default_routing &&
+                      net.as_info[a].cls == AsClass::kStub;
+    locals.clear();
+    for (std::int32_t i = egress_begin_[a]; i < egress_begin_[a + 1]; ++i) {
+      const Egress& e = egress_[static_cast<std::size_t>(i)];
+      if (e.link == kInvalidLink) continue;
+      const NetLink& l = net.links[static_cast<std::size_t>(e.link)];
+      locals.push_back(net.nodes[static_cast<std::size_t>(l.a)].as_id ==
+                               static_cast<AsId>(a)
+                           ? l.a
+                           : l.b);
+      if (stub && e.provider && default_egress_[a] == kInvalidLink) {
+        default_egress_[a] = e.link;
       }
     }
+    domains_[a].add_destinations(locals);
   }
 }
 
@@ -220,12 +237,12 @@ LinkId ForwardingPlane::next_link(NodeId from, NodeId dest) const {
   } else {
     const BgpRoute& r = bgp_->route(my_as, dest_as);
     if (r.next_hop_as < 0) return kInvalidLink;  // policy-unreachable
-    const auto& m = egress_[static_cast<std::size_t>(my_as)];
-    const auto it = m.find(r.next_hop_as);
+    const std::int32_t e = egress_index(my_as, r.next_hop_as);
+    if (e < 0) return kInvalidLink;
     // Every border link toward the BGP next hop may be down (the control
     // plane has not re-learned a path yet): blackhole, as in real life.
-    if (it == m.end()) return kInvalidLink;
-    egress = it->second;
+    egress = egress_[static_cast<std::size_t>(e)].link;
+    if (egress == kInvalidLink) return kInvalidLink;
   }
 
   const NetLink& l = net_->links[static_cast<std::size_t>(egress)];

@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -98,13 +97,26 @@ class ForwardingPlane {
   // Flat mode.
   std::optional<OspfDomain> flat_;
 
+  // One neighbour AS of an AS: the lowest up border link toward it
+  // (kInvalidLink while every one is down), and whether it is a provider.
+  struct Egress {
+    AsId nbr;
+    LinkId link;
+    bool provider;
+  };
+
   void select_egress();
+  // Index in egress_ of the entry of `as` for `nbr`; -1 if not adjacent.
+  std::int32_t egress_index(AsId as, AsId nbr) const;
 
   // Multi-AS mode.
   std::vector<OspfDomain> domains_;  // one per AS
   std::optional<BgpSolver> bgp_;
-  std::vector<std::unordered_map<AsId, LinkId>> egress_;  // per AS
-  std::vector<LinkId> default_egress_;                    // per AS, stubs only
+  // Per AS, its neighbours in ascending id order (CSR over egress_, built
+  // once from the AS adjacency; select_egress refills the links).
+  std::vector<std::int32_t> egress_begin_;
+  std::vector<Egress> egress_;
+  std::vector<LinkId> default_egress_;  // per AS, stubs only
   Options opts_;
   std::unordered_set<LinkId> down_links_;
 };

@@ -1,11 +1,10 @@
 #include "routing/ospf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <limits>
-#include <string>
 
-#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace massf {
@@ -37,8 +36,8 @@ HeapEntry pop(std::vector<HeapEntry>& heap) {
 }  // namespace
 
 OspfDomain::OspfDomain(const Network& net, std::span<const NodeId> members,
-                       bool use_inter_as_links, bool keep_distances)
-    : n_(members.size()), keep_distances_(keep_distances) {
+                       bool use_inter_as_links)
+    : n_(members.size()) {
   if (!members.empty()) {
     base_ = *std::min_element(members.begin(), members.end());
   }
@@ -75,17 +74,7 @@ OspfDomain::OspfDomain(const Network& net, std::span<const NodeId> members,
     ++arc_begin_[static_cast<std::size_t>(l.u) + 1];
     ++arc_begin_[static_cast<std::size_t>(l.v) + 1];
   }
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (arc_begin_[i + 1] >= kNoHop) {
-      MASSF_THROW(ErrorCategory::kTopology,
-                  "router " + std::to_string(base_ + static_cast<NodeId>(i)) +
-                      " has " + std::to_string(arc_begin_[i + 1]) +
-                      " links in its routing domain; next hops are 16-bit "
-                      "adjacency indices, so at most " +
-                      std::to_string(kNoHop - 1) + " are supported");
-    }
-    arc_begin_[i + 1] += arc_begin_[i];
-  }
+  for (std::size_t i = 0; i < n_; ++i) arc_begin_[i + 1] += arc_begin_[i];
   arcs_.resize(2 * links_.size());
   arc_link_.resize(arcs_.size());
   std::vector<std::int32_t> fill(arc_begin_.begin(), arc_begin_.end() - 1);
@@ -103,6 +92,30 @@ OspfDomain::OspfDomain(const Network& net, std::span<const NodeId> members,
     arc_link_[pu] = arc_link_[pv] = l.id;
   }
 
+  // The slot layout: fields in router order, each bit_width(degree) wide
+  // (room for every adjacency index plus the all-ones "none"); a field
+  // that would straddle a word starts the next one. Width-0 fields take no
+  // bits. A slot is whole words, so trees of distinct slots share none.
+  field_.resize(n_);
+  std::uint32_t word = 0, bit = 0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto degree =
+        static_cast<std::uint32_t>(arc_begin_[i + 1] - arc_begin_[i]);
+    const auto width = static_cast<std::uint32_t>(std::bit_width(degree));
+    HopField& f = field_[i];
+    f = {0, 0, 0, arc_begin_[i]};
+    if (width == 0) continue;
+    if (bit + width > 64) {
+      ++word;
+      bit = 0;
+    }
+    f.word = word;
+    f.shift = bit;
+    f.mask = static_cast<Hop>((std::uint64_t{1} << width) - 1);
+    bit += width;
+  }
+  stride_ = std::size_t{word} + 1;
+
   excluded_.assign(links_.size(), 0);
   applied_.assign(links_.size(), 0);
   ws_ = make_workspace();
@@ -116,14 +129,14 @@ OspfDomain::OspfDomain(const Network& net, std::span<const NodeId> members,
 OspfDomain::SptWorkspace OspfDomain::make_workspace() const {
   SptWorkspace ws;
   ws.dist.assign(n_, kUnreached);
+  ws.hop.assign(n_, kNone);
   ws.heap.reserve(arcs_.size() + 1);
   return ws;
 }
 
 void OspfDomain::reserve_destinations(std::size_t count) {
   dests_.reserve(count);
-  next_.reserve(count * n_);
-  if (keep_distances_) dist_.reserve(count * n_);
+  words_.reserve(count * stride_);
 }
 
 void OspfDomain::add_destinations(std::span<const NodeId> dests) {
@@ -146,13 +159,9 @@ void OspfDomain::add_destinations(std::span<const NodeId> dests) {
   // Past the reserved capacity, grow by exactly the new tables: doubling
   // would hold the old and the new copy at once and raise the peak
   // footprint.
-  const std::size_t size = dests_.size() * n_;
-  if (next_.capacity() < size) next_.reserve(size);
-  next_.resize(size);
-  if (keep_distances_) {
-    if (dist_.capacity() < size) dist_.reserve(size);
-    dist_.resize(size);
-  }
+  const std::size_t size = dests_.size() * stride_;
+  if (words_.capacity() < size) words_.reserve(size);
+  words_.resize(size);
 
   // Worker 0 is this thread and builds on ws_; the other workspaces are
   // allocated here, so the workers allocate nothing.
@@ -219,25 +228,18 @@ NodeId OspfDomain::next_hop(const Network& net, NodeId from,
   return link.a == from ? link.b : link.a;
 }
 
-std::int64_t OspfDomain::distance(NodeId from, NodeId dest) const {
-  MASSF_CHECK(keep_distances_);
-  const std::int32_t s = slot_of(dest);
-  MASSF_CHECK(s >= 0);
-  const std::int32_t f = local_index(from);
-  MASSF_CHECK(f >= 0);
-  return dist_[static_cast<std::size_t>(s) * n_ + static_cast<std::size_t>(f)];
-}
-
 // ---- tree maintenance --------------------------------------------------------
 
 // Dijkstra outward from the destination; because links are symmetric the
 // tree rooted at dest gives, for every router, the first link of its
 // shortest path *toward* dest. Ties are broken toward the lower adjacency
 // index, i.e. the lower link id, which makes each next hop the lowest
-// tight link (the repairs pick it with lowest_tight_hop instead).
+// tight link (the repairs pick it with lowest_tight_hop instead). The
+// tree is built on the workspace's per-router hops, then packed into the
+// slot's words.
 void OspfDomain::build_tree(std::size_t slot, SptWorkspace& ws) {
-  Hop* next = tree(slot);
-  std::fill(next, next + n_, kNoHop);
+  std::vector<Hop>& next = ws.hop;
+  std::fill(next.begin(), next.end(), kNone);
   std::vector<std::int64_t>& dist = ws.dist;
   std::fill(dist.begin(), dist.end(), kUnreached);
   const std::int32_t t = dests_[slot];
@@ -261,11 +263,11 @@ void OspfDomain::build_tree(std::size_t slot, SptWorkspace& ws) {
       }
     }
   }
-  if (keep_distances_) {
-    std::int64_t* out = dist_.data() + slot * n_;
-    for (std::size_t x = 0; x < n_; ++x) {
-      out[x] = dist[x] == kUnreached ? -1 : dist[x];
-    }
+  std::uint64_t* out = words_.data() + slot * stride_;
+  std::fill(out, out + stride_, 0);
+  for (std::size_t x = 0; x < n_; ++x) {
+    const HopField& f = field_[x];
+    out[f.word] |= std::uint64_t{next[x] & f.mask} << f.shift;
   }
 }
 
@@ -284,16 +286,16 @@ void OspfDomain::begin_tree() {
 }
 
 std::int64_t OspfDomain::old_distance(std::size_t slot, std::int32_t x) {
-  const Hop* next = tree(slot);
   std::vector<std::int64_t>& dist = ws_.dist;
   std::int32_t y = x;
   while (stamp_ws_[static_cast<std::size_t>(y)] != epoch_) {
-    if (next[y] == kNoHop) {  // the destination, or cut off
+    const Hop h = hop(slot, y);
+    if (h == kNone) {  // the destination, or cut off
       dist[static_cast<std::size_t>(y)] = y == dests_[slot] ? 0 : kUnreached;
       stamp_ws_[static_cast<std::size_t>(y)] = epoch_;
       break;
     }
-    const std::size_t arc = arc_index(y, next[y]);
+    const std::size_t arc = arc_index(y, h);
     stack_ws_.emplace_back(y, static_cast<std::int32_t>(arc));
     y = arcs_[arc].peer;
   }
@@ -316,7 +318,7 @@ std::int64_t OspfDomain::cur_distance(std::size_t slot, std::int32_t x) {
 OspfDomain::Hop OspfDomain::lowest_tight_hop(std::size_t slot,
                                              std::int32_t x) {
   const std::int64_t d = cur_distance(slot, x);
-  if (d == kUnreached) return kNoHop;
+  if (d == kUnreached) return kNone;
   const std::span<const Arc> out = arcs(x);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const Arc& a = out[i];
@@ -324,7 +326,7 @@ OspfDomain::Hop OspfDomain::lowest_tight_hop(std::size_t slot,
     const std::int64_t pd = cur_distance(slot, a.peer);
     if (pd != kUnreached && pd + a.cost == d) return static_cast<Hop>(i);
   }
-  return kNoHop;  // x is the destination
+  return kNone;  // x is the destination
 }
 
 void OspfDomain::list(std::int32_t x, std::uint8_t flags) {
@@ -334,10 +336,9 @@ void OspfDomain::list(std::int32_t x, std::uint8_t flags) {
 }
 
 bool OspfDomain::uses_withdrawn(std::size_t slot) const {
-  const Hop* next = tree(slot);
   for (const std::int32_t dl : withdrawn_) {
     const DomainLink& l = links_[static_cast<std::size_t>(dl)];
-    if (next[l.u] == l.at_u || next[l.v] == l.at_v) return true;
+    if (hop(slot, l.u) == l.at_u || hop(slot, l.v) == l.at_v) return true;
   }
   return false;
 }
@@ -361,16 +362,15 @@ bool OspfDomain::gains_restored(std::size_t slot) {
 // hop. Dijkstra over the cut routers alone, seeded from their uncut
 // neighbours, gives their new distances.
 void OspfDomain::repair_withdrawn(std::size_t slot) {
-  const Hop* next = tree(slot);
   for (const std::int32_t dl : withdrawn_) {
     const DomainLink& l = links_[static_cast<std::size_t>(dl)];
-    if (next[l.u] == l.at_u) list(l.u, kHasNew);
-    if (next[l.v] == l.at_v) list(l.v, kHasNew);
+    if (hop(slot, l.u) == l.at_u) list(l.u, kHasNew);
+    if (hop(slot, l.v) == l.at_v) list(l.v, kHasNew);
   }
   for (std::size_t i = 0; i < list_ws_.size(); ++i) {  // grows: a BFS
     const std::int32_t x = list_ws_[i];
     for (const Arc& a : arcs(x)) {
-      if (next[a.peer] == a.rev) list(a.peer, kHasNew);  // routes through x
+      if (hop(slot, a.peer) == a.rev) list(a.peer, kHasNew);  // through x
     }
   }
 
@@ -442,23 +442,17 @@ void OspfDomain::repair_restored(std::size_t slot) {
   finish_repair(slot);
 }
 
-// Re-picks the next hop of every listed router, stores the repaired
-// distances and clears the flags. Every pick is made before any next hop
-// is written: old_distance walks the tree as it stood.
+// Re-picks the next hop of every listed router and clears the flags.
+// Every pick is made before any next hop is written: old_distance walks
+// the tree as it stood.
 void OspfDomain::finish_repair(std::size_t slot) {
   pick_ws_.clear();
   for (const std::int32_t x : list_ws_) {
     pick_ws_.push_back(lowest_tight_hop(slot, x));
   }
-  Hop* next = tree(slot);
-  std::int64_t* dist = keep_distances_ ? dist_.data() + slot * n_ : nullptr;
   for (std::size_t i = 0; i < list_ws_.size(); ++i) {
-    const auto x = static_cast<std::size_t>(list_ws_[i]);
-    next[x] = pick_ws_[i];
-    if (dist != nullptr && (flag_ws_[x] & kHasNew) != 0) {
-      dist[x] = new_ws_[x] == kUnreached ? -1 : new_ws_[x];
-    }
-    flag_ws_[x] = 0;
+    set_hop(slot, list_ws_[i], pick_ws_[i]);
+    flag_ws_[static_cast<std::size_t>(list_ws_[i])] = 0;
   }
   list_ws_.clear();
 }

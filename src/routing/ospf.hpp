@@ -4,15 +4,17 @@
 // large networks feasible: only routers that actually terminate or egress
 // traffic need tables.
 //
-// Tables are dense: one slot-major array holds every (destination, router)
-// next hop as a 16-bit index into the router's adjacency, which is sorted
-// by link id, so a lookup reads the destination's slot, the table and the
-// router's adjacency. A batch of new destinations builds its trees on
-// every CPU (util/parallel.hpp). A link-state batch repairs only the trees
-// it can change (dynamic SPT maintenance after Ramalingam & Reps, J.
-// Algorithms 1996, and Narváez, Siu & Tzeng, IEEE/ACM ToN 8(6), 2000); the
-// tables stay a pure function of (topology, excluded links): next hop =
-// lowest-id usable link on a shortest path.
+// Tables are bit-packed: each destination owns a slot of whole 64-bit
+// words holding one field per router, the index of its next hop in the
+// router's adjacency (sorted by link id). A router with d links gets
+// bit_width(d) bits, whose all-ones value means "none"; no field straddles
+// a word, so a lookup reads the destination's slot, one word, the router's
+// field descriptor and its adjacency. A batch of new destinations builds
+// its trees on every CPU (util/parallel.hpp). A link-state batch repairs
+// only the trees it can change (dynamic SPT maintenance after Ramalingam &
+// Reps, J. Algorithms 1996, and Narváez, Siu & Tzeng, IEEE/ACM ToN 8(6),
+// 2000); the tables stay a pure function of (topology, excluded links):
+// next hop = lowest-id usable link on a shortest path.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +36,10 @@ class OspfDomain {
   /// range in any order (a router's local index is its offset from the
   /// lowest). Only links with both endpoints in `members` (and not marked
   /// inter_as unless `use_inter_as_links`) are considered; their latencies
-  /// must be > 0. A router with 0xFFFF or more such links cannot be indexed
-  /// by a 16-bit next hop: EngineError kTopology naming it. With
-  /// `keep_distances` false the per-destination distances are not stored
-  /// (they cost 8 bytes x routers x destinations — prohibitive for a
-  /// 20,000-router flat domain with thousands of destinations); distance()
-  /// is then unavailable.
+  /// must be > 0. Any router degree is supported: a next hop takes as many
+  /// bits as the router's degree needs.
   OspfDomain(const Network& net, std::span<const NodeId> members,
-             bool use_inter_as_links, bool keep_distances = true);
+             bool use_inter_as_links);
 
   /// Sizes the tables for `count` destinations in one allocation, so later
   /// add_destinations calls neither reallocate nor copy them.
@@ -64,9 +62,13 @@ class OspfDomain {
     MASSF_CHECK(s >= 0);
     const std::int32_t f = local_index(from);
     MASSF_CHECK(f >= 0);
-    const Hop hop = next_[static_cast<std::size_t>(s) * n_ +
-                          static_cast<std::size_t>(f)];
-    return hop == kNoHop ? kInvalidLink : arc_link_[arc_index(f, hop)];
+    const HopField& field = field_[static_cast<std::size_t>(f)];
+    const auto hop = static_cast<Hop>(
+        words_[static_cast<std::size_t>(s) * stride_ + field.word] >>
+        field.shift) & field.mask;
+    return hop == field.mask
+               ? kInvalidLink
+               : arc_link_[static_cast<std::size_t>(field.arc_begin) + hop];
   }
 
   /// Next router on the path (the peer across next_link).
@@ -82,17 +84,30 @@ class OspfDomain {
   /// the batch can change.
   void recompute();
 
-  /// Latency distance (ns) from `from` to registered `dest`; -1 if
-  /// unreachable. Requires keep_distances.
-  std::int64_t distance(NodeId from, NodeId dest) const;
-
   std::size_t num_destinations() const { return dests_.size(); }
 
- private:
-  // A next hop: the index of the link in its router's adjacency.
-  using Hop = std::uint16_t;
-  static constexpr Hop kNoHop = 0xFFFF;  // the destination, or unreachable
+  /// Bytes of next-hop table: registered destinations x the words of one
+  /// slot.
+  std::size_t table_bytes() const {
+    return dests_.size() * stride_ * sizeof(std::uint64_t);
+  }
 
+ private:
+  // A next hop: the index of the link in its router's adjacency. Unpacked
+  // (in workspaces and through hop/set_hop) "none" is kNone.
+  using Hop = std::uint32_t;
+  static constexpr Hop kNone = ~Hop{0};  // the destination, or unreachable
+
+  // Where a router's next hop sits in every slot: bits [shift, shift +
+  // width) of word `word`, where mask is the all-ones value of that width
+  // and means "none". A router with no links has width 0 (word 0, mask 0),
+  // so it always reads as none.
+  struct HopField {
+    std::uint32_t word;
+    std::uint32_t shift;
+    Hop mask;
+    std::int32_t arc_begin;  // the router's first arc, for next_link
+  };
   // One direction of a domain link, in the adjacency of its tail router.
   struct Arc {
     std::int64_t cost;   // latency, ns
@@ -110,6 +125,7 @@ class OspfDomain {
   using Heap = std::vector<std::pair<std::int64_t, std::int32_t>>;
   struct SptWorkspace {
     std::vector<std::int64_t> dist;  // per router
+    std::vector<Hop> hop;            // per router, the tree being built
     Heap heap;
   };
 
@@ -128,15 +144,26 @@ class OspfDomain {
             static_cast<std::size_t>(arc_begin_[i + 1] - arc_begin_[i])};
   }
   std::size_t arc_index(std::int32_t x, Hop hop) const {
-    return static_cast<std::size_t>(arc_begin_[static_cast<std::size_t>(x)] +
-                                    hop);
+    return static_cast<std::size_t>(arc_begin_[static_cast<std::size_t>(x)]) +
+           hop;
   }
-  Hop* tree(std::size_t slot) { return next_.data() + slot * n_; }
-  const Hop* tree(std::size_t slot) const { return next_.data() + slot * n_; }
+  // Router x's next hop in the tree of `slot`, or kNone; and its update.
+  Hop hop(std::size_t slot, std::int32_t x) const {
+    const HopField& f = field_[static_cast<std::size_t>(x)];
+    const auto h =
+        static_cast<Hop>(words_[slot * stride_ + f.word] >> f.shift) & f.mask;
+    return h == f.mask ? kNone : h;
+  }
+  void set_hop(std::size_t slot, std::int32_t x, Hop h) {
+    const HopField& f = field_[static_cast<std::size_t>(x)];
+    std::uint64_t& w = words_[slot * stride_ + f.word];
+    w = (w & ~(std::uint64_t{f.mask} << f.shift)) |
+        (std::uint64_t{h & f.mask} << f.shift);
+  }
   SptWorkspace make_workspace() const;
 
   // Tree construction and repair (ospf.cpp). build_tree touches only its
-  // slot and `ws`, so trees of distinct slots build concurrently.
+  // slot's words and `ws`, so trees of distinct slots build concurrently.
   void build_tree(std::size_t slot, SptWorkspace& ws);
   void begin_tree();
   std::int64_t old_distance(std::size_t slot, std::int32_t x);
@@ -151,7 +178,6 @@ class OspfDomain {
 
   std::size_t n_ = 0;  // member count
   NodeId base_ = 0;    // lowest member id
-  bool keep_distances_ = true;
   std::vector<std::int32_t> slot_;  // per router: table slot or -1
 
   std::vector<DomainLink> links_;  // sorted by global id
@@ -164,14 +190,15 @@ class OspfDomain {
   std::vector<std::int32_t> withdrawn_, restored_;  // the batch at hand
 
   std::vector<std::int32_t> dests_;  // slot -> local index
-  std::vector<Hop> next_;            // slot-major, n_ per slot
-  std::vector<std::int64_t> dist_;   // slot-major; empty unless kept
+  std::vector<HopField> field_;      // per router
+  std::size_t stride_ = 1;           // words per slot
+  std::vector<std::uint64_t> words_;  // stride_ words per slot
 
   // Workspace of the thread that owns the domain, reused across trees,
-  // all per router unless noted: Dijkstra distances and heap (ws_.dist
-  // holds the memoized old distances during a repair, valid where
-  // stamp_ws_ == epoch_), repaired distances, flags, the climb stack of
-  // (router, parent arc), and the routers to re-pick with their picks.
+  // all per router unless noted: Dijkstra distances, hops and heap
+  // (ws_.dist holds the memoized old distances during a repair, valid
+  // where stamp_ws_ == epoch_), repaired distances, flags, the climb stack
+  // of (router, parent arc), and the routers to re-pick with their picks.
   SptWorkspace ws_;
   std::vector<std::int64_t> new_ws_;
   std::vector<std::uint32_t> stamp_ws_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
 #include <optional>
 #include <queue>
@@ -10,7 +12,6 @@
 #include "routing/ospf.hpp"
 #include "topology/brite.hpp"
 #include "topology/mabrite.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace massf {
@@ -49,6 +50,28 @@ Network line_network() {
   return net;
 }
 
+// Latency (ns) summed along the next_link walk from `from` to `dest`; -1
+// when the walk stops before `dest`. A walk of more hops than there are
+// routers (a forwarding loop) fails the test.
+std::int64_t walk_distance(const Network& net, const OspfDomain& ospf,
+                           NodeId from, NodeId dest) {
+  std::int64_t dist = 0;
+  std::int32_t hops = 0;
+  for (NodeId cur = from; cur != dest; ++hops) {
+    if (hops > net.num_routers) {
+      ADD_FAILURE() << "next hops from " << from << " toward " << dest
+                    << " loop";
+      return -1;
+    }
+    const LinkId l = ospf.next_link(cur, dest);
+    if (l == kInvalidLink) return -1;
+    const NetLink& link = net.links[static_cast<std::size_t>(l)];
+    dist += link.latency;
+    cur = link.a == cur ? link.b : link.a;
+  }
+  return dist;
+}
+
 TEST(Ospf, LineNextHops) {
   const Network net = line_network();
   std::vector<NodeId> members{0, 1, 2, 3};
@@ -58,8 +81,8 @@ TEST(Ospf, LineNextHops) {
   EXPECT_EQ(ospf.next_hop(net, 1, 3), 2);
   EXPECT_EQ(ospf.next_hop(net, 2, 3), 3);
   EXPECT_EQ(ospf.next_link(net.num_routers - 1, 3), kInvalidLink);
-  EXPECT_EQ(ospf.distance(0, 3), milliseconds(4));
-  EXPECT_EQ(ospf.distance(3, 3), 0);
+  EXPECT_EQ(walk_distance(net, ospf, 0, 3), milliseconds(4));
+  EXPECT_EQ(walk_distance(net, ospf, 3, 3), 0);
 }
 
 TEST(Ospf, PrefersShorterLatencyPath) {
@@ -88,7 +111,7 @@ TEST(Ospf, PrefersShorterLatencyPath) {
   OspfDomain ospf(net, members, true);
   ospf.add_destination(1);
   EXPECT_EQ(ospf.next_hop(net, 0, 1), 2);
-  EXPECT_EQ(ospf.distance(0, 1), milliseconds(2));
+  EXPECT_EQ(walk_distance(net, ospf, 0, 1), milliseconds(2));
 }
 
 // Brute-force Dijkstra for cross-checking on generated networks; links
@@ -134,7 +157,8 @@ TEST(Ospf, MatchesBruteForceOnGeneratedNetwork) {
     ospf.add_destination(dest);
     const auto brute = brute_distances(net, dest);
     for (NodeId r = 0; r < net.num_routers; ++r) {
-      EXPECT_EQ(ospf.distance(r, dest), brute[static_cast<std::size_t>(r)]);
+      EXPECT_EQ(walk_distance(net, ospf, r, dest),
+                brute[static_cast<std::size_t>(r)]);
     }
   }
 }
@@ -191,7 +215,7 @@ TEST(Ospf, LinkExclusionReroutesAfterRecompute) {
   ospf.set_link_excluded(0, true);
   ospf.recompute();
   EXPECT_EQ(ospf.next_hop(net, 0, 1), 2);
-  EXPECT_EQ(ospf.distance(0, 1), milliseconds(4));
+  EXPECT_EQ(walk_distance(net, ospf, 0, 1), milliseconds(4));
 
   ospf.set_link_excluded(0, false);
   ospf.recompute();
@@ -233,7 +257,7 @@ TEST(Ospf, EqualCostPathsPickLowestLinkId) {
   ospf.set_link_excluded(3, false);
   ospf.recompute();
   EXPECT_EQ(ospf.next_link(0, 3), 0);
-  EXPECT_EQ(ospf.distance(0, 3), milliseconds(2));
+  EXPECT_EQ(walk_distance(net, ospf, 0, 3), milliseconds(2));
 }
 
 TEST(Ospf, ExclusionCanDisconnect) {
@@ -244,7 +268,7 @@ TEST(Ospf, ExclusionCanDisconnect) {
   ospf.set_link_excluded(1, true);  // the only 1-2 link
   ospf.recompute();
   EXPECT_EQ(ospf.next_link(0, 3), kInvalidLink);
-  EXPECT_EQ(ospf.distance(0, 3), -1);
+  EXPECT_EQ(walk_distance(net, ospf, 0, 3), -1);
 }
 
 // Random link-state churn over a flat network's router links: link downs
@@ -385,21 +409,15 @@ TEST(Ospf, IncrementalRecomputeMatchesFreshSpf) {
       dests.push_back(r);
     }
 
-    OspfDomain kept(net, members, true, /*keep_distances=*/true);
-    OspfDomain lean(net, members, true, /*keep_distances=*/false);
-    for (const NodeId d : dests) {
-      kept.add_destination(d);
-      lean.add_destination(d);
-    }
+    OspfDomain inc(net, members, true);
+    for (const NodeId d : dests) inc.add_destination(d);
     LinkChurn churn(net, c.seed);
     std::int64_t unreachable = 0;
     for (int b = 0; b < kBatches; ++b) {
       for (const LinkId l : churn.batch()) {
-        kept.set_link_excluded(l, churn.excluded(l));
-        lean.set_link_excluded(l, churn.excluded(l));
+        inc.set_link_excluded(l, churn.excluded(l));
       }
-      kept.recompute();
-      lean.recompute();
+      inc.recompute();
 
       OspfDomain fresh(net, members, true);
       for (const LinkId l : churn.routed()) {
@@ -412,18 +430,17 @@ TEST(Ospf, IncrementalRecomputeMatchesFreshSpf) {
         const auto brute = brute_distances(net, d, excluded);
         for (NodeId r = 0; r < net.num_routers; ++r) {
           const LinkId want = fresh.next_link(r, d);
-          const std::int64_t dist = fresh.distance(r, d);
+          const std::int64_t dist = walk_distance(net, fresh, r, d);
           unreachable += dist < 0 ? 1 : 0;
+          // Equal next hops at every router make equal walks, so the
+          // incremental domain's distances are the fresh ones.
           if (dist != brute[static_cast<std::size_t>(r)] ||
-              kept.next_link(r, d) != want || lean.next_link(r, d) != want ||
-              kept.distance(r, d) != dist) {
+              inc.next_link(r, d) != want) {
             if (++mismatches <= 3) {
               ADD_FAILURE() << "batch " << b << " router " << r << " dest "
                             << d << ": fresh " << want << "/" << dist
-                            << ", kept " << kept.next_link(r, d) << "/"
-                            << kept.distance(r, d) << ", lean "
-                            << lean.next_link(r, d) << ", brute "
-                            << brute[static_cast<std::size_t>(r)];
+                            << ", incremental " << inc.next_link(r, d)
+                            << ", brute " << brute[static_cast<std::size_t>(r)];
             }
           }
         }
@@ -487,8 +504,8 @@ TEST(Ospf, BatchBuildMatchesOneAtATime) {
       }
     }
 
-    OspfDomain one(net, members, true, /*keep_distances=*/false);
-    OspfDomain batch(net, members, true, /*keep_distances=*/false);
+    OspfDomain one(net, members, true);
+    OspfDomain batch(net, members, true);
     for (const LinkId l : excluded) {
       one.set_link_excluded(l, true);
       batch.set_link_excluded(l, true);
@@ -501,7 +518,7 @@ TEST(Ospf, BatchBuildMatchesOneAtATime) {
     // half arrives as a batch: the first half's tables are repaired before
     // the new trees are built.
     const auto half = static_cast<std::ptrdiff_t>(dests.size() / 2);
-    OspfDomain late(net, members, true, /*keep_distances=*/false);
+    OspfDomain late(net, members, true);
     late.add_destinations({dests.data(), static_cast<std::size_t>(half)});
     for (const LinkId l : excluded) late.set_link_excluded(l, true);
     late.add_destinations(
@@ -590,34 +607,206 @@ Network star_network(std::int32_t leaves) {
   return net;
 }
 
-// Next hops are 16-bit adjacency indices with 0xFFFF as "none": a domain
-// degree of 0xFFFE routes, 0xFFFF is a topology error naming the router.
-TEST(Ospf, HubDegreeBeyondSixteenBitsIsATopologyError) {
-  {
-    const Network net = star_network(0xFFFE);
+// A next hop takes bit_width(degree) bits, so no degree is too large: hubs
+// past 16-bit adjacency indices route like small ones, through the
+// domain and through a flat plane.
+TEST(Ospf, HubDegreeBeyondSixteenBitsRoutes) {
+  for (const std::int32_t leaves : {0xFFFE, 0xFFFF, 0x10000}) {
+    SCOPED_TRACE(std::to_string(leaves) + " leaves");
+    const Network net = star_network(leaves);
     std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
     std::iota(members.begin(), members.end(), NodeId{0});
-    OspfDomain ospf(net, members, true, /*keep_distances=*/false);
-    const NodeId last = 0xFFFE;
-    ospf.add_destinations(std::vector<NodeId>{0, last});
-    EXPECT_EQ(ospf.next_link(0, last), last - 1);  // hub index 0xFFFD
+    OspfDomain ospf(net, members, true);
+    const NodeId last = leaves;
+    const std::vector<NodeId> dests{0, last};
+    ospf.add_destinations(dests);
+    EXPECT_EQ(ospf.next_link(0, last), last - 1);  // hub index leaves - 1
     EXPECT_EQ(ospf.next_link(last, 0), last - 1);
     EXPECT_EQ(ospf.next_link(1, last), 0);
     EXPECT_EQ(ospf.next_link(0, 0), kInvalidLink);
+    const ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
+    EXPECT_EQ(fp.next_link(0, last), last - 1);
   }
-  const Network net = star_network(0xFFFF);
+}
+
+// Per-router degree over router-router links, which sizes each router's
+// next-hop field in a flat domain of every router.
+std::vector<std::uint32_t> router_degrees(const Network& net) {
+  std::vector<std::uint32_t> degree(static_cast<std::size_t>(net.num_routers));
+  for (NodeId r = 0; r < net.num_routers; ++r) {
+    for (const auto& inc : net.incident(r)) {
+      if (net.is_router(inc.peer)) ++degree[static_cast<std::size_t>(r)];
+    }
+  }
+  return degree;
+}
+
+// The packed slot layout, worked out independently: fields in router
+// order, bit_width(degree) bits each, and a field that would straddle a
+// 64-bit word starts the next one. Also counts the fields moved that way
+// and the fields that end exactly at a word's end.
+struct PackedLayout {
+  std::size_t words = 1;
+  int moved = 0;
+  int flush = 0;
+};
+
+PackedLayout packed_layout(const std::vector<std::uint32_t>& degrees) {
+  PackedLayout p;
+  std::uint32_t bit = 0;
+  for (const std::uint32_t d : degrees) {
+    const auto width = static_cast<std::uint32_t>(std::bit_width(d));
+    if (width == 0) continue;
+    if (bit + width > 64) {
+      ++p.words;
+      ++p.moved;
+      bit = 0;
+    }
+    bit += width;
+    p.flush += bit == 64 ? 1 : 0;
+  }
+  return p;
+}
+
+// The lowest-id usable link of `r` whose far end's distance plus the
+// link's latency is r's distance; kInvalidLink at the destination or when
+// unreachable. `dist` is brute_distances under the same `excluded`.
+LinkId reference_next_link(const Network& net,
+                           const std::vector<std::int64_t>& dist,
+                           const std::vector<char>& excluded, NodeId r) {
+  const std::int64_t d = dist[static_cast<std::size_t>(r)];
+  if (d <= 0) return kInvalidLink;
+  LinkId best = kInvalidLink;
+  for (const auto& inc : net.incident(r)) {
+    if (!net.is_router(inc.peer) ||
+        excluded[static_cast<std::size_t>(inc.link)] != 0) {
+      continue;
+    }
+    const std::int64_t pd = dist[static_cast<std::size_t>(inc.peer)];
+    const SimTime latency =
+        net.links[static_cast<std::size_t>(inc.link)].latency;
+    if (pd >= 0 && pd + latency == d &&
+        (best == kInvalidLink || inc.link < best)) {
+      best = inc.link;
+    }
+  }
+  return best;
+}
+
+// Every field width a degree up to 64 gives, on both sides of each power
+// of two, with router ids shuffled so fields of all widths share words:
+// a ring of core routers (3-5 ms links, so equal-cost ties occur), hubs of
+// degree 3..64 joined to distinct core routers by 1 ms links (shorter than
+// any detour, so each hub's next hops toward its neighbours use every
+// adjacency index up to the largest), a pendant leaf, a two-link tail and
+// an isolated router (degree 0). Every router is a destination; every
+// next hop must match the reference before and after exclusion batches.
+TEST(Ospf, PackedHopsMatchReferenceAtEveryWidth) {
+  constexpr std::int32_t kCore = 96;
+  const std::int32_t hub_degrees[] = {3, 4, 7, 8, 15, 16, 31, 32, 63, 64};
+  constexpr std::int32_t kHubs = 10;
+  const std::int32_t n = kCore + kHubs + 4;  // + leaf, tail (2), isolated
+  std::vector<NodeId> id(static_cast<std::size_t>(n));
+  std::iota(id.begin(), id.end(), NodeId{0});
+  Rng rng(5);
+  rng.shuffle(id);
+  const auto core = [&id](std::int32_t i) {
+    return id[static_cast<std::size_t>(i % kCore)];
+  };
+
+  Network net;
+  net.num_routers = n;
+  net.nodes.assign(static_cast<std::size_t>(n), NetNode{});
+  const auto link = [&net](NodeId a, NodeId b, SimTime lat) {
+    NetLink l;
+    l.a = a;
+    l.b = b;
+    l.latency = lat;
+    l.bandwidth_bps = 1e9;
+    net.links.push_back(l);
+  };
+  for (std::int32_t i = 0; i < kCore; ++i) {
+    link(core(i), core(i + 1),
+         milliseconds(3 + static_cast<std::int64_t>(rng.uniform(3))));
+  }
+  for (std::int32_t h = 0; h < kHubs; ++h) {
+    const NodeId hub = id[static_cast<std::size_t>(kCore + h)];
+    for (std::int32_t j = 0; j < hub_degrees[h]; ++j) {
+      link(hub, core(7 * j + h), milliseconds(1));  // 7 is prime to kCore
+    }
+  }
+  const NodeId leaf = id[static_cast<std::size_t>(kCore + kHubs)];
+  const NodeId mid = id[static_cast<std::size_t>(kCore + kHubs + 1)];
+  const NodeId tail = id[static_cast<std::size_t>(kCore + kHubs + 2)];
+  link(core(0), leaf, milliseconds(2));
+  link(core(5), mid, milliseconds(2));
+  link(mid, tail, milliseconds(2));
+  net.build_adjacency();
+
+  const std::vector<std::uint32_t> degree = router_degrees(net);
+  for (const std::uint32_t want :
+       {0u, 1u, 2u, 3u, 4u, 7u, 8u, 15u, 16u, 31u, 32u, 63u, 64u}) {
+    EXPECT_NE(std::find(degree.begin(), degree.end(), want), degree.end())
+        << "no router of degree " << want;
+  }
+  const PackedLayout layout = packed_layout(degree);
+  EXPECT_GT(layout.moved, 0);
+  EXPECT_GT(layout.flush, 0);
+
+  std::vector<NodeId> members(static_cast<std::size_t>(n));
+  std::iota(members.begin(), members.end(), NodeId{0});
+  OspfDomain ospf(net, members, true);
+  ospf.add_destinations(members);
+  EXPECT_EQ(ospf.table_bytes(),
+            members.size() * layout.words * sizeof(std::uint64_t));
+
+  std::vector<char> excluded(net.links.size(), 0);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (round > 0) {  // flip about a sixth of the links, then repair
+      for (LinkId l = 0; l < static_cast<LinkId>(net.links.size()); ++l) {
+        if (rng.uniform(6) != 0) continue;
+        char& x = excluded[static_cast<std::size_t>(l)];
+        x = x != 0 ? 0 : 1;
+        ospf.set_link_excluded(l, x != 0);
+      }
+      ospf.recompute();
+    }
+    int mismatches = 0;
+    for (const NodeId d : members) {
+      const auto dist = brute_distances(net, d, excluded);
+      for (const NodeId r : members) {
+        const LinkId want = reference_next_link(net, dist, excluded, r);
+        if (ospf.next_link(r, d) != want && ++mismatches <= 3) {
+          ADD_FAILURE() << "router " << r << " (degree "
+                        << degree[static_cast<std::size_t>(r)] << ") dest "
+                        << d << ": " << ospf.next_link(r, d) << ", want "
+                        << want;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+}
+
+// A fig06-shaped network's tables take the packed size, word-rounded per
+// slot: under a fifth of a 16-bit table's 2 B x routers x destinations.
+TEST(Ospf, TableSizedByDegree) {
+  BriteOptions o;
+  o.num_routers = 2000;
+  o.num_hosts = 1000;
+  o.seed = 2004;
+  const Network net = generate_flat(o);
   std::vector<NodeId> members(static_cast<std::size_t>(net.num_routers));
   std::iota(members.begin(), members.end(), NodeId{0});
-  try {
-    OspfDomain ospf(net, members, true);
-    FAIL() << "a 65535-link router was accepted";
-  } catch (const EngineError& e) {
-    EXPECT_EQ(e.category(), ErrorCategory::kTopology);
-    EXPECT_NE(std::string(e.what()).find("router 0 has 65535 links"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(ForwardingPlane::build_flat(net, {}), EngineError);
+  std::vector<NodeId> dests;
+  for (NodeId r = 0; r < net.num_routers; r += 10) dests.push_back(r);
+  OspfDomain ospf(net, members, true);
+  ospf.add_destinations(dests);
+  const PackedLayout layout = packed_layout(router_degrees(net));
+  EXPECT_EQ(ospf.table_bytes(),
+            dests.size() * layout.words * sizeof(std::uint64_t));
+  EXPECT_LE(ospf.table_bytes() * 5, 2 * members.size() * dests.size());
 }
 
 // ---- BGP -------------------------------------------------------------
