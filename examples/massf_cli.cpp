@@ -6,19 +6,12 @@
 //   ./massf_cli --template                        # print a scenario template
 //
 // The scenario file (sim/scenario_config.hpp) is the whole experiment —
-// topology scale, traffic mix, fault schedule, checkpoint / guard policy,
-// mapping run list — and the only place a run is configured. --override
+// topology scale, traffic mix, fault schedule, guard policy, mapping run
+// list — and the only place a run is configured. --override
 // changes it for one run: its value is the body of a campaign
 // `override [ ]` block, scalar atoms with dotted keys for sub-blocks,
 // merged over the file exactly as a campaign sweep merges one. Repeating
 // a key makes a list (`mapping TOP2 mapping HPROF`).
-//
-// Checkpoint/restore (format massf.ckpt.v1, DESIGN.md section 5e):
-//   --override='mapping HPROF ckpt.every 200 ckpt.path f.ckpt
-//               ckpt.stop_after 1'
-//   --override='mapping HPROF ckpt.restore f.ckpt'
-// Both require exactly one mapping: a checkpoint captures one run, and a
-// restored run must rebuild the identical stack before loading it.
 //
 // Exit status: 0 on success, 1 when the scenario file, the override or a
 // run fails, 2 on usage errors (a missing --config, an unknown or repeated
@@ -79,15 +72,7 @@ int main(int argc, char** argv) {
   }
   ScenarioSpec& spec = *loaded;
 
-  ScenarioOptions& opts = spec.options;
-  if ((opts.ckpt.every_windows > 0 || !opts.ckpt.restore_path.empty()) &&
-      spec.mappings.size() != 1) {
-    std::fprintf(stderr,
-                 "checkpoint/restore requires exactly one mapping "
-                 "(a snapshot captures a single run)\n");
-    return 1;
-  }
-
+  const ScenarioOptions& opts = spec.options;
   std::printf("experiment: %s, %d routers, %d hosts, %d engines, app=%s, "
               "%.1f virtual seconds\n",
               opts.multi_as ? "multi-AS" : "single-AS", opts.num_routers,
@@ -125,9 +110,8 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::exception& e) {
-    // A run the scenario cannot carry (a missing checkpoint, a fault
-    // aimed past the network, more hosts than the network has) is a
-    // failed run, not a crash.
+    // A run the scenario cannot carry (a fault aimed past the network,
+    // more hosts than the network has) is a failed run, not a crash.
     std::fflush(stdout);
     std::fprintf(stderr, "%s: %s\n", config.c_str(), e.what());
     return 1;

@@ -93,7 +93,10 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
         if (is_tag(o)) p.label = o.atom;
       }
       std::erase_if(p.assignments.attributes, is_tag);
-      if (p.label.empty()) p.label = "o" + std::to_string(over.points.size());
+      if (p.label.empty()) {
+        p.label = std::to_string(over.points.size());
+        p.label.insert(p.label.begin(), 'o');
+      }
       if (!over.add(std::move(p), error)) return false;
     } else if (a.key == "seed" || a.key == "threads") {
       std::int64_t v = 0;

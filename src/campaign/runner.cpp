@@ -20,7 +20,6 @@ namespace massf {
 namespace {
 
 constexpr std::string_view kTimingExcludes[] = {
-    "ckpt.write_ms",
     "guard.",
     "pdes.probe.barrier_wait_s",
     "pdes.probe.hook_s",
@@ -39,10 +38,6 @@ double elapsed_s(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
       .count();
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
 }
 
 std::string sanitize_error(std::string s) {
@@ -100,12 +95,6 @@ MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
       opts.executor_threads,
       [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
         scenario.set_executor_threads(plan.threads);
-        CkptOptions attempt_ckpt = opts.ckpt;
-        if (plan.restore && !attempt_ckpt.path.empty() &&
-            file_exists(attempt_ckpt.path)) {
-          attempt_ckpt.restore_path = attempt_ckpt.path;
-        }
-        scenario.set_ckpt(attempt_ckpt);
         ExperimentResult r;
         try {
           r = scenario.run(kind);

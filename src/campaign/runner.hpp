@@ -48,10 +48,10 @@ struct MappingRun {
 };
 
 /// Runs `kind` on `scenario` (built from `spec.options`): supervised —
-/// GuardedRun down the degradation ladder, each retry resuming from the
-/// newest checkpoint once one exists — when the spec arms the guard with
-/// the recover policy, plain otherwise. Recovery replays bit-identical
-/// state, so a recovered run reports the same results as an uninterrupted
+/// GuardedRun down the degradation ladder, each retry re-running the
+/// Scenario from t = 0 — when the spec arms the guard with the recover
+/// policy, plain otherwise. Every executor produces the bit-identical
+/// trace, so a recovered run reports the same results as an uninterrupted
 /// one. `registry` (optional) receives the guard.* recovery metrics.
 MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
                        MappingKind kind, obs::Registry* registry);

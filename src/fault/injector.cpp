@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -213,53 +212,6 @@ void FaultInjector::publish_metrics(obs::Registry& registry) const {
   for (const BgpReconvergence& r : bgp_reconverge_) {
     if (r.settle_s >= 0) bgp.observe(r.settle_s);
   }
-}
-
-void FaultInjector::save(ckpt::Writer& w) const {
-  MASSF_CHECK(sim_ != nullptr && "save() requires arm()");
-  w.u64(injected_);
-  for (const std::uint64_t c : count_) w.u64(c);
-  ckpt::write_f64_vec(w, ospf_reconverge_s_);
-  w.u64(bgp_reconverge_.size());
-  for (const BgpReconvergence& r : bgp_reconverge_) {
-    w.i64(r.at);
-    w.f64(r.settle_s);
-  }
-  w.i64(last_bgp_change_seen_);
-  w.u64(pending_.size());
-  for (const PendingOspf& p : pending_) {
-    w.i64(p.at);
-    w.i32(p.link);
-    w.u8(p.up ? 1 : 0);
-    w.i64(p.requested_at);
-  }
-}
-
-bool FaultInjector::load(ckpt::Reader& r) {
-  if (sim_ == nullptr) return false;  // must be armed first
-  injected_ = r.u64();
-  for (std::uint64_t& c : count_) c = r.u64();
-  if (!ckpt::read_f64_vec(r, ospf_reconverge_s_)) return false;
-  std::uint64_t n = r.u64();
-  if (!r.ok() || n > (1ULL << 32)) return false;
-  bgp_reconverge_.assign(static_cast<std::size_t>(n), BgpReconvergence{});
-  for (BgpReconvergence& b : bgp_reconverge_) {
-    b.at = r.i64();
-    b.settle_s = r.f64();
-  }
-  last_bgp_change_seen_ = r.i64();
-  n = r.u64();
-  if (!r.ok() || n > (1ULL << 32)) return false;
-  pending_.assign(static_cast<std::size_t>(n), PendingOspf{});
-  const auto num_links = static_cast<LinkId>(net_->links.size());
-  for (PendingOspf& p : pending_) {
-    p.at = r.i64();
-    p.link = r.i32();
-    p.up = r.u8() != 0;
-    p.requested_at = r.i64();
-    if (p.link < 0 || p.link >= num_links) return false;
-  }
-  return r.ok();
 }
 
 }  // namespace massf

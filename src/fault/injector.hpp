@@ -97,14 +97,6 @@ class FaultInjector {
   /// injector was armed with.
   void publish_metrics(obs::Registry& registry) const;
 
-  /// Checkpoint hooks (ckpt/ckpt.hpp): injection counters, reconvergence
-  /// records, the BGP-change cursor, and the not-yet-applied OSPF changes.
-  /// The injector must be armed (with the same schedule) before load() —
-  /// arming rebuilds the hook and initial events, restore then overwrites
-  /// the mutable cursors.
-  void save(ckpt::Writer& writer) const;
-  bool load(ckpt::Reader& reader);
-
  private:
   /// An OSPF change waiting for its barrier: `at` is the data-plane change
   /// time `requested_at` plus the convergence delay.

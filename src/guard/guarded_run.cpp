@@ -30,18 +30,13 @@ GuardedRunReport GuardedRun::run(
       plan.attempt = report.attempts;
       plan.threads = rung.threads;
       plan.rung = rung.rung;
-      // First attempt starts fresh; every later attempt resumes from the
-      // latest checkpoint the earlier attempts managed to write (the
-      // attempt fn falls back to a fresh start when none exists).
-      plan.restore = report.attempts > 0;
       ++report.attempts;
 
       if (report.attempts > 1) {
         std::fprintf(stderr,
-                     "massf guard: recovery attempt %d (threads=%d rung=%d "
-                     "restore=%d)\n",
-                     plan.attempt, plan.threads, plan.rung,
-                     plan.restore ? 1 : 0);
+                     "massf guard: recovery attempt %d (threads=%d "
+                     "rung=%d)\n",
+                     plan.attempt, plan.threads, plan.rung);
         std::fflush(stderr);
         if (registry_ != nullptr) registry_->counter("guard.retries").inc();
       }

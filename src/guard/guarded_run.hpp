@@ -1,22 +1,23 @@
-// Checkpoint-based auto-recovery with a degradation ladder.
+// Auto-recovery by re-running, with a degradation ladder.
 //
 // GuardedRun drives repeated *attempts* of a run the caller knows how to
-// (re)build — massf_cli rebuilds a Scenario, the tests rebuild a bare
-// engine — until one completes or the ladder is exhausted. On a stall
+// (re)build — the campaign runner re-runs a Scenario, the tests rebuild a
+// bare engine — until one completes or the ladder is exhausted. On a stall
 // (watchdog cancelled the run) or a recoverable EngineError, the next
-// attempt restores the latest massf.ckpt.v1 checkpoint (the caller's
-// attempt fn owns the restore — GuardedRun only sequences and accounts)
-// under a progressively safer configuration:
+// attempt re-runs from t = 0 (the caller's attempt fn rebuilds its engine
+// stack — GuardedRun only sequences and accounts) under a progressively
+// safer configuration:
 //
 //   rung 0   retry the same configuration (x max_retries)
 //   rung 1   reduce to one thread (the sequential reference executor,
 //            which has no synchronization protocol to stall)
 //   fail     re-raise with diagnostics
 //
-// Determinism contract: recovery replays from a bit-identical checkpoint,
-// and every executor produces the bit-identical trace — so a recovered run
-// yields the same results (golden checksum included) as an uninterrupted
-// one. Every action lands in guard.* metrics (DESIGN.md section 5h).
+// Determinism contract: every attempt starts from the same construction
+// state, and every executor produces the bit-identical trace — so a
+// recovered run yields the same results (golden checksum included) as an
+// uninterrupted one. Every action lands in guard.* metrics (DESIGN.md
+// section 5h).
 #pragma once
 
 #include <cstdint>
@@ -33,9 +34,6 @@ namespace massf::guard {
 struct AttemptPlan {
   int attempt = 0;  ///< 0-based attempt index
   std::int32_t threads = 0;  ///< 0/1 = sequential
-  /// True when a previous attempt made progress worth resuming: the
-  /// attempt fn should restore the latest checkpoint if it has one.
-  bool restore = false;
   /// Degradation rung this plan sits on (0 = original configuration).
   int rung = 0;
 };
@@ -75,7 +73,7 @@ class GuardedRun {
 
   /// Runs `attempt` under the ladder starting from `threads`. The attempt
   /// fn must be re-entrant: each call rebuilds its engine stack from
-  /// scratch (plus checkpoint restore when plan.restore).
+  /// scratch and runs from t = 0.
   GuardedRunReport run(
       std::int32_t threads,
       const std::function<AttemptOutcome(const AttemptPlan&)>& attempt);

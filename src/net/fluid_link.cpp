@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -538,122 +537,6 @@ void FluidLinkModel::publish_metrics(obs::Registry& registry) const {
   registry.counter("net.bg.bytes_completed").inc(bg_.bytes_completed);
   registry.counter("net.bg.recomputes").inc(bg_.recomputes);
   registry.counter("net.bg.wakes").inc(bg_.wakes);
-}
-
-void FluidLinkModel::save(ckpt::Writer& w) const {
-  PacketLinkModel::save(w);
-  w.u64(next_flow_seq_);
-  w.u64(boundaries_);
-  w.i64(last_recompute_boundary_);
-  w.i64(advanced_to_);
-  w.i64(last_recompute_floor_);
-  w.i64(earliest_completion_);
-  w.i64(earliest_deadline_);
-  w.i64(next_wake_);
-  w.u64(bg_.started);
-  w.u64(bg_.completed);
-  w.u64(bg_.failed);
-  w.u64(bg_.bytes_completed);
-  w.u64(bg_.recomputes);
-  w.u64(bg_.wakes);
-  ckpt::write_f64_vec(w, fluid_share_bps_);
-  ckpt::write_u64_vec(w, packet_window_bytes_);
-  ckpt::write_u64_vec(w, packet_bytes_snapshot_);
-  ckpt::write_f64_vec(w, packet_bps_);
-  w.u8(dirty_ ? 1 : 0);
-  w.u8(link_dirty_.load(std::memory_order_relaxed) ? 1 : 0);
-  w.u64(records_.size());
-  for (const FlowRecord& rec : records_) save_flow_record(w, rec);
-  w.u64(active_.size());
-  for (const ActiveFlow& f : active_) {
-    w.u64(f.flow);
-    w.i32(f.src);
-    w.i32(f.dst);
-    w.u32(f.bytes);
-    w.u32(f.tag);
-    w.i64(f.started_at);
-    w.f64(f.remaining);
-    w.f64(f.rate_bps);
-    w.i64(f.stall_since);
-    ckpt::write_u64_vec(w, f.path);
-  }
-  w.u64(pending_.size());
-  for (const auto& q : pending_) {
-    w.u64(q.size());
-    for (const Pending& p : q) {
-      w.i64(p.when);
-      w.i32(p.src);
-      w.i32(p.dst);
-      w.u32(p.bytes);
-      w.u32(p.tag);
-    }
-  }
-}
-
-bool FluidLinkModel::load(ckpt::Reader& r) {
-  if (!PacketLinkModel::load(r)) return false;
-  next_flow_seq_ = r.u64();
-  boundaries_ = r.u64();
-  last_recompute_boundary_ = r.i64();
-  advanced_to_ = r.i64();
-  last_recompute_floor_ = r.i64();
-  earliest_completion_ = r.i64();
-  earliest_deadline_ = r.i64();
-  next_wake_ = r.i64();
-  bg_.started = r.u64();
-  bg_.completed = r.u64();
-  bg_.failed = r.u64();
-  bg_.bytes_completed = r.u64();
-  bg_.recomputes = r.u64();
-  bg_.wakes = r.u64();
-  const std::size_t slots = fluid_share_bps_.size();
-  if (!ckpt::read_f64_vec(r, fluid_share_bps_) ||
-      fluid_share_bps_.size() != slots)
-    return false;
-  if (!ckpt::read_u64_vec(r, packet_window_bytes_) ||
-      packet_window_bytes_.size() != slots)
-    return false;
-  if (!ckpt::read_u64_vec(r, packet_bytes_snapshot_) ||
-      packet_bytes_snapshot_.size() != slots)
-    return false;
-  if (!ckpt::read_f64_vec(r, packet_bps_) || packet_bps_.size() != slots)
-    return false;
-  dirty_ = r.u8() != 0;
-  link_dirty_.store(r.u8() != 0, std::memory_order_relaxed);
-  const std::uint64_t n_records = r.u64();
-  if (!r.ok() || n_records > (1ULL << 32)) return false;
-  records_.resize(static_cast<std::size_t>(n_records));
-  for (FlowRecord& rec : records_) load_flow_record(r, rec);
-  const std::uint64_t n_active = r.u64();
-  if (!r.ok() || n_active > (1ULL << 32)) return false;
-  active_.resize(static_cast<std::size_t>(n_active));
-  for (ActiveFlow& f : active_) {
-    f.flow = r.u64();
-    f.src = r.i32();
-    f.dst = r.i32();
-    f.bytes = r.u32();
-    f.tag = r.u32();
-    f.started_at = r.i64();
-    f.remaining = r.f64();
-    f.rate_bps = r.f64();
-    f.stall_since = r.i64();
-    if (!ckpt::read_u64_vec(r, f.path)) return false;
-  }
-  const std::uint64_t n_queues = r.u64();
-  if (n_queues != pending_.size()) return false;
-  for (auto& q : pending_) {
-    const std::uint64_t n = r.u64();
-    if (!r.ok() || n > (1ULL << 32)) return false;
-    q.resize(static_cast<std::size_t>(n));
-    for (Pending& p : q) {
-      p.when = r.i64();
-      p.src = r.i32();
-      p.dst = r.i32();
-      p.bytes = r.u32();
-      p.tag = r.u32();
-    }
-  }
-  return r.ok();
 }
 
 }  // namespace massf

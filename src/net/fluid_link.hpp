@@ -115,9 +115,6 @@ class FluidLinkModel : public PacketLinkModel {
   std::vector<FlowRecord> background_flow_records() const override;
   void publish_metrics(obs::Registry& registry) const override;
 
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
   struct BgCounters {
     std::uint64_t started = 0;
     std::uint64_t completed = 0;

@@ -1,6 +1,5 @@
 #include "net/link_model.hpp"
 
-#include "ckpt/ckpt.hpp"
 #include "net/fluid_link.hpp"
 #include "net/netsim.hpp"
 #include "net/packet_link.hpp"
@@ -41,30 +40,6 @@ std::vector<FlowRecord> LinkModel::background_flow_records() const {
 }
 
 void LinkModel::publish_metrics(obs::Registry&) const {}
-
-void save_flow_record(ckpt::Writer& w, const FlowRecord& rec) {
-  w.u64(rec.flow);
-  w.i32(rec.src);
-  w.i32(rec.dst);
-  w.u32(rec.bytes);
-  w.u32(rec.tag);
-  w.i64(rec.started_at);
-  w.i64(rec.finished_at);
-  w.u32(rec.retransmits);
-  w.u8(rec.failed ? 1 : 0);
-}
-
-void load_flow_record(ckpt::Reader& r, FlowRecord& rec) {
-  rec.flow = r.u64();
-  rec.src = r.i32();
-  rec.dst = r.i32();
-  rec.bytes = r.u32();
-  rec.tag = r.u32();
-  rec.started_at = r.i64();
-  rec.finished_at = r.i64();
-  rec.retransmits = r.u32();
-  rec.failed = r.u8() != 0;
-}
 
 std::unique_ptr<LinkModel> make_link_model(const Network& net,
                                            const ForwardingPlane& fp,

@@ -24,8 +24,8 @@
 //     NetSim's node→LP table is fixed for the run, so a slot keeps its
 //     owner from construction to the end.
 //   * Fluid state. All background-flow state is coordinator-owned: it is
-//     read and written only at window boundaries (EngineHooks stage-1,
-//     every LP quiescent) or before the run. During a window, LPs may only
+//     read and written only at window boundaries (EngineHooks barrier
+//     hooks, every LP quiescent) or before the run. During a window, LPs may only
 //     *append* arrivals to their own per-LP admission queue and *read* the
 //     per-slot fluid reservation published at the previous boundary — both
 //     race-free under the threaded executors.
@@ -33,10 +33,6 @@
 //     arrival queues in (when, lp, submit-order) order, slot state, window
 //     floor). Events scheduled from a boundary must land at or after the
 //     open window's end (floor + lookahead) — the engine enforces this.
-//   * Checkpoints. save()/load() run at quiescent boundaries and must
-//     capture everything that diverges from construction, including the
-//     published fluid reservations (a restored run must see the same
-//     residual bandwidth the interrupted run's next window would have).
 //   * Faults. kEvLinkState/kEvLossState events address the slot owner's
 //     LP; the model observes them via on_link_state/on_loss_state. How a
 //     downed link affects in-flight background flows is model-defined
@@ -61,11 +57,6 @@ class ForwardingPlane;
 namespace obs {
 class Registry;
 }  // namespace obs
-
-namespace ckpt {
-class Writer;
-class Reader;
-}  // namespace ckpt
 
 enum class LinkModelKind : std::int32_t {
   kPacket = 0,  ///< packet-level only (the paper's model)
@@ -96,10 +87,6 @@ struct FlowRecord {
     return d > 0 ? bytes * 8.0 / d : 0;
   }
 };
-
-/// FlowRecord checkpoint encoding, shared by NetSim and the link models.
-void save_flow_record(ckpt::Writer& w, const FlowRecord& rec);
-void load_flow_record(ckpt::Reader& r, FlowRecord& rec);
 
 /// Model-level knobs, a sub-struct of NetSimOptions.
 struct LinkModelOptions {
@@ -209,11 +196,6 @@ class LinkModel {
   /// Model-specific counters (net.bg.* for the fluid path). The packet
   /// model's counters are NetSim's and are published by NetSim itself.
   virtual void publish_metrics(obs::Registry& registry) const;
-
-  // ---- checkpoint participation (call at boundaries only) ----
-
-  virtual void save(ckpt::Writer& writer) const = 0;
-  virtual bool load(ckpt::Reader& reader) = 0;
 };
 
 /// Factory used by NetSim; custom models can be injected through the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -527,176 +526,6 @@ NetSim::Counters NetSim::totals() const {
     total.udp_delivered += st.counters.udp_delivered;
   }
   return total;
-}
-
-namespace {
-
-void save_sender(ckpt::Writer& w, const TcpSender& s) {
-  w.i32(s.src);
-  w.i32(s.dst);
-  w.u32(s.size);
-  w.u32(s.tag);
-  w.u32(s.next_seq);
-  w.u32(s.acked);
-  w.f64(s.cwnd);
-  w.f64(s.ssthresh);
-  w.i32(s.dup_acks);
-  w.u8(s.in_recovery ? 1 : 0);
-  w.u32(s.recover);
-  w.i64(s.rtt_sent_at);
-  w.u32(s.rtt_seq);
-  w.i64(s.srtt);
-  w.i64(s.rto);
-  w.u64(s.timer_epoch);
-  w.i32(s.consecutive_timeouts);
-  w.u8(s.failed ? 1 : 0);
-  w.i64(s.started_at);
-  w.u32(s.total_retransmits);
-}
-
-void load_sender(ckpt::Reader& r, TcpSender& s) {
-  s.src = r.i32();
-  s.dst = r.i32();
-  s.size = r.u32();
-  s.tag = r.u32();
-  s.next_seq = r.u32();
-  s.acked = r.u32();
-  s.cwnd = r.f64();
-  s.ssthresh = r.f64();
-  s.dup_acks = r.i32();
-  s.in_recovery = r.u8() != 0;
-  s.recover = r.u32();
-  s.rtt_sent_at = r.i64();
-  s.rtt_seq = r.u32();
-  s.srtt = r.i64();
-  s.rto = r.i64();
-  s.timer_epoch = r.u64();
-  s.consecutive_timeouts = r.i32();
-  s.failed = r.u8() != 0;
-  s.started_at = r.i64();
-  s.total_retransmits = r.u32();
-}
-
-void save_receiver(ckpt::Writer& w, const TcpReceiver& rcv) {
-  w.i32(rcv.src);
-  w.i32(rcv.dst);
-  w.u32(rcv.expected);
-  w.u32(rcv.fin_seq);
-  w.u8(rcv.fin_seen ? 1 : 0);
-  w.u8(rcv.completed ? 1 : 0);
-  w.u64(rcv.ooo.size());
-  for (const auto& [start, end] : rcv.ooo) {
-    w.u32(start);
-    w.u32(end);
-  }
-}
-
-bool load_receiver(ckpt::Reader& r, TcpReceiver& rcv) {
-  rcv.src = r.i32();
-  rcv.dst = r.i32();
-  rcv.expected = r.u32();
-  rcv.fin_seq = r.u32();
-  rcv.fin_seen = r.u8() != 0;
-  rcv.completed = r.u8() != 0;
-  const std::uint64_t n = r.u64();
-  if (!r.ok() || n > (1ULL << 32)) return false;
-  rcv.ooo.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t start = r.u32();
-    const std::uint32_t end = r.u32();
-    rcv.ooo.emplace(start, end);
-  }
-  return r.ok();
-}
-
-}  // namespace
-
-void NetSim::save(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(num_lps_));
-  // The ownership table never changes during a run; it is saved so load()
-  // can refuse a checkpoint taken under a different mapping.
-  ckpt::write_u64_vec(w, node_lp_);
-  model_->save(w);
-  ckpt::write_char_vec(w, node_up_);
-  ckpt::write_u64_vec(w, profile_);
-  for (const LpState& st : lp_state_) {
-    w.u64(st.senders.size());
-    for (const TcpSender& s : st.senders) save_sender(w, s);
-    // Receivers live in an unordered_map; emit them sorted by flow id so
-    // the checkpoint bytes are a deterministic function of the state.
-    std::vector<FlowId> keys;
-    keys.reserve(st.receivers.size());
-    for (const auto& [f, rcv] : st.receivers) keys.push_back(f);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (const FlowId f : keys) {
-      w.u64(f);
-      save_receiver(w, st.receivers.at(f));
-    }
-    const Counters& c = st.counters;
-    w.u64(c.forwarded);
-    w.u64(c.delivered);
-    w.u64(c.acks);
-    w.u64(c.dropped_queue);
-    w.u64(c.dropped_no_route);
-    w.u64(c.dropped_link_down);
-    w.u64(c.dropped_node_down);
-    w.u64(c.dropped_loss);
-    w.u64(c.app_timers_dropped);
-    w.u64(c.retransmits);
-    w.u64(c.flows_started);
-    w.u64(c.flows_completed);
-    w.u64(c.flows_failed);
-    w.u64(c.udp_delivered);
-    w.u64(st.records.size());
-    for (const FlowRecord& rec : st.records) save_flow_record(w, rec);
-  }
-}
-
-bool NetSim::load(ckpt::Reader& r) {
-  if (r.u32() != static_cast<std::uint32_t>(num_lps_)) return false;
-  std::vector<LpId> saved_lp;
-  if (!ckpt::read_u64_vec(r, saved_lp) || saved_lp != node_lp_) return false;
-  if (!model_->load(r)) return false;
-  const std::size_t n_nodes = node_up_.size();
-  const std::size_t n_profile = profile_.size();
-  if (!ckpt::read_char_vec(r, node_up_) || node_up_.size() != n_nodes)
-    return false;
-  if (!ckpt::read_u64_vec(r, profile_) || profile_.size() != n_profile)
-    return false;
-  for (LpState& st : lp_state_) {
-    const std::uint64_t n_senders = r.u64();
-    if (!r.ok() || n_senders > (1ULL << 32)) return false;
-    st.senders.resize(static_cast<std::size_t>(n_senders));
-    for (TcpSender& s : st.senders) load_sender(r, s);
-    const std::uint64_t n_receivers = r.u64();
-    if (!r.ok() || n_receivers > (1ULL << 32)) return false;
-    st.receivers.clear();
-    for (std::uint64_t i = 0; i < n_receivers; ++i) {
-      const FlowId f = r.u64();
-      if (!load_receiver(r, st.receivers[f])) return false;
-    }
-    Counters& c = st.counters;
-    c.forwarded = r.u64();
-    c.delivered = r.u64();
-    c.acks = r.u64();
-    c.dropped_queue = r.u64();
-    c.dropped_no_route = r.u64();
-    c.dropped_link_down = r.u64();
-    c.dropped_node_down = r.u64();
-    c.dropped_loss = r.u64();
-    c.app_timers_dropped = r.u64();
-    c.retransmits = r.u64();
-    c.flows_started = r.u64();
-    c.flows_completed = r.u64();
-    c.flows_failed = r.u64();
-    c.udp_delivered = r.u64();
-    const std::uint64_t n_records = r.u64();
-    if (!r.ok() || n_records > (1ULL << 32)) return false;
-    st.records.resize(static_cast<std::size_t>(n_records));
-    for (FlowRecord& rec : st.records) load_flow_record(r, rec);
-  }
-  return r.ok();
 }
 
 void NetSim::publish_metrics(obs::Registry& registry) const {

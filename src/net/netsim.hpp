@@ -197,19 +197,6 @@ class NetSim {
     if (!profile_.empty()) profile_[static_cast<std::size_t>(node)] += weight;
   }
 
-  /// Checkpoint hooks (ckpt/ckpt.hpp): serialize everything that diverges
-  /// from construction — interface busy/up state, node up state, loss-burst
-  /// cursors, link byte counters, per-LP TCP senders/receivers, packet
-  /// counters, and flow records — plus the node→LP ownership table, which
-  /// is fixed for the run and saved only so load() can check it. Topology
-  /// and forwarding are rebuilt by the driver; load() returns false when
-  /// the checkpoint's shape disagrees with the constructed instance,
-  /// including a checkpoint taken under a different router→LP mapping. Call at a window boundary only (no
-  /// packets are in flight inside the object — they live in the engine's
-  /// event queues, captured separately).
-  void save(ckpt::Writer& writer) const;
-  bool load(ckpt::Reader& reader);
-
  private:
   struct LpState {
     std::vector<TcpSender> senders;

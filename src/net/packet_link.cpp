@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -139,34 +138,6 @@ double PacketLinkModel::link_utilization(LinkId link, int direction,
                            static_cast<std::size_t>(direction);
   return static_cast<double>(link_bytes_[slot]) * 8.0 /
          (l.bandwidth_bps * to_seconds(duration));
-}
-
-void PacketLinkModel::save(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(kind()));
-  ckpt::write_u64_vec(w, iface_free_);
-  ckpt::write_char_vec(w, iface_up_);
-  ckpt::write_u64_vec(w, loss_rate_ppm_);
-  ckpt::write_u64_vec(w, loss_seq_);
-  ckpt::write_u64_vec(w, link_bytes_);
-}
-
-bool PacketLinkModel::load(ckpt::Reader& r) {
-  if (r.u32() != static_cast<std::uint32_t>(kind())) return false;
-  const std::size_t n_iface = iface_free_.size();
-  const std::size_t n_link_bytes = link_bytes_.size();
-  if (!ckpt::read_u64_vec(r, iface_free_) || iface_free_.size() != n_iface)
-    return false;
-  if (!ckpt::read_char_vec(r, iface_up_) || iface_up_.size() != n_iface)
-    return false;
-  if (!ckpt::read_u64_vec(r, loss_rate_ppm_) ||
-      loss_rate_ppm_.size() != n_iface)
-    return false;
-  if (!ckpt::read_u64_vec(r, loss_seq_) || loss_seq_.size() != n_iface)
-    return false;
-  if (!ckpt::read_u64_vec(r, link_bytes_) ||
-      link_bytes_.size() != n_link_bytes)
-    return false;
-  return r.ok();
 }
 
 }  // namespace massf

@@ -1,8 +1,8 @@
 // The packet-level link model: per-directed-interface busy-until clocks,
 // drop-tail output queues, administrative up/down state, and deterministic
 // loss bursts — extracted verbatim from the original NetSim so pure-packet
-// runs stay bit-identical (same doubles, same event stream, same
-// checkpoint content). See link_model.hpp for the ownership contract.
+// runs stay bit-identical (same doubles, same event stream). See
+// link_model.hpp for the ownership contract.
 #pragma once
 
 #include "net/link_model.hpp"
@@ -32,9 +32,6 @@ class PacketLinkModel : public LinkModel {
   }
   double link_utilization(LinkId link, int direction,
                           SimTime duration) const override;
-
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
 
  protected:
   /// The shared drop-tail transmission path, parameterized on the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -69,69 +68,6 @@ void WindowProbe::publish(Registry& registry, std::string_view prefix) const {
   registry.gauge(p + ".process_s").add(summary_.process_s);
   registry.gauge(p + ".barrier_wait_s").add(summary_.barrier_wait_s);
   registry.gauge(p + ".merge_s").add(summary_.merge_s);
-}
-
-void WindowProbe::save(ckpt::Writer& w) const {
-  MASSF_CHECK(!open_);
-  w.u64(max_windows_);
-  ckpt::write_u64_vec(w, lp_events_);
-  w.u64(summary_.windows);
-  w.u64(summary_.events);
-  w.f64(summary_.hook_s);
-  w.f64(summary_.process_s);
-  w.f64(summary_.barrier_wait_s);
-  w.f64(summary_.merge_s);
-  w.u64(summary_.max_queue_depth);
-  w.u64(summary_.outbox_events);
-  w.u64(summary_.outbox_batches);
-  w.u64(windows_.size());
-  for (const Window& win : windows_) {
-    w.u64(win.index);
-    w.f64(win.start_vtime_s);
-    w.u64(win.events);
-    w.u64(win.max_lp_events);
-    w.u64(win.queue_depth);
-    w.u64(win.max_queue_depth);
-    w.u64(win.outbox);
-    w.u64(win.outbox_batches);
-    w.f64(win.hook_s);
-    w.f64(win.process_s);
-    w.f64(win.barrier_wait_s);
-    w.f64(win.merge_s);
-  }
-}
-
-bool WindowProbe::load(ckpt::Reader& r) {
-  MASSF_CHECK(!open_);
-  if (r.u64() != max_windows_) return false;
-  if (!ckpt::read_u64_vec(r, lp_events_)) return false;
-  summary_.windows = r.u64();
-  summary_.events = r.u64();
-  summary_.hook_s = r.f64();
-  summary_.process_s = r.f64();
-  summary_.barrier_wait_s = r.f64();
-  summary_.merge_s = r.f64();
-  summary_.max_queue_depth = r.u64();
-  summary_.outbox_events = r.u64();
-  summary_.outbox_batches = r.u64();
-  const std::uint64_t n = r.u64();
-  if (!r.ok() || n > (1ULL << 32)) return false;
-  windows_.assign(static_cast<std::size_t>(n), Window{});
-  for (Window& win : windows_) {
-    win.index = r.u64();
-    win.start_vtime_s = r.f64();
-    win.events = r.u64();
-    win.max_lp_events = r.u64();
-    win.queue_depth = r.u64();
-    win.max_queue_depth = r.u64();
-    win.outbox = r.u64();
-    win.outbox_batches = r.u64();
-    win.hook_s = r.f64();
-    win.process_s = r.f64();
-    win.barrier_wait_s = r.f64();
-    win.merge_s = r.f64();
-  }
-  return r.ok();
 }
 
 std::string WindowProbe::to_csv() const {

@@ -20,11 +20,6 @@
 #include <string_view>
 #include <vector>
 
-namespace massf::ckpt {
-class Reader;
-class Writer;
-}  // namespace massf::ckpt
-
 namespace massf::obs {
 
 class Registry;
@@ -100,13 +95,6 @@ class WindowProbe {
 
   /// One CSV row per recorded window, with a fixed header (DESIGN.md).
   std::string to_csv() const;
-
-  /// Checkpoint hooks (ckpt/ckpt.hpp): probe rows are part of a run's
-  /// output, so a restored run resumes with the rows recorded up to the
-  /// boundary — its final CSV equals the uninterrupted run's. Must be
-  /// called between windows (no window open).
-  void save(ckpt::Writer& writer) const;
-  bool load(ckpt::Reader& reader);
 
  private:
   std::size_t max_windows_;

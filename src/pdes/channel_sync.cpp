@@ -16,9 +16,9 @@
 // window end, which is exactly the global quiescent point the sequential
 // loop reaches after its merge phase. That thread becomes the *epoch
 // closer*: it runs the unchanged boundary sequence (probe, outbox
-// accounting, EngineHooks stages 1-2, next-floor scan) single-threadedly,
-// then publishes the next epoch with one release store on the epoch word
-// (the only futex wake of the whole window). Hook/ckpt semantics are
+// accounting, EngineHooks barrier hooks, next-floor scan) single-
+// threadedly, then publishes the next epoch with one release store on the
+// epoch word (the only futex wake of the whole window). Hook semantics are
 // therefore identical to the sequential reference — only who waits on whom
 // changed.
 //
@@ -169,19 +169,14 @@ RunStats Engine::run_channel_sync(std::int32_t num_threads) {
 
   // First boundary on the calling thread, before any worker exists — the
   // same quiescent point the sequential loop opens its first window at.
-  SimTime floor = next_event_floor();
-  bool go =
-      floor < opts_.end_time && floor != kSimTimeMax && !stop_requested();
-  double pending_hook_s = 0;
-  if (go) {
-    const auto t0 = timed ? Clock::now() : Clock::time_point{};
-    go = open_window_boundary(floor);
-    if (timed) pending_hook_s = elapsed_s(t0, Clock::now());
-  }
-  if (!go) {
+  const SimTime floor = next_event_floor();
+  if (floor >= opts_.end_time || floor == kSimTimeMax || stop_requested()) {
     finish_run(floor);
     return stats_;
   }
+  const auto hook_t0 = timed ? Clock::now() : Clock::time_point{};
+  open_window_boundary(floor);
+  double pending_hook_s = timed ? elapsed_s(hook_t0, Clock::now()) : 0;
 
   threaded_ = true;
   run_threads_ = num_threads;
@@ -237,8 +232,7 @@ RunStats Engine::run_channel_sync(std::int32_t num_threads) {
     ++sync_stats_.quiescence_epochs;
     guard_.epochs.fetch_add(1, std::memory_order_relaxed);
     if (timed) {
-      // Close the probe row before the next boundary's hooks run — a ckpt
-      // hook may serialize the probe, which requires no open window. The
+      // Close the probe row before the next boundary's hooks run. The
       // wait charged to the row is the protocol-imposed wait accumulated
       // across all threads since the previous close.
       double wait_sum = 0;
@@ -258,10 +252,10 @@ RunStats Engine::run_channel_sync(std::int32_t num_threads) {
     if (cont) {
       const auto th = timed ? Clock::now() : Clock::time_point{};
       try {
-        cont = open_window_boundary(next);  // checkpoint-then-exit on false
+        open_window_boundary(next);
       } catch (...) {
         // A boundary hook threw at the quiescent point: record (raises the
-        // stop flag) and shut the run down as a checkpoint-then-exit would.
+        // stop flag) and end the run at this boundary.
         record_run_error();
         cont = false;
       }

@@ -9,10 +9,10 @@
 // and engines whose neighbors are already ahead run free with no gate at
 // all. A quiescence detector — the thread that completes a window's last
 // merge observes every channel clock at the window end — collapses the
-// per-pair clocks into a global epoch and runs the EngineHooks boundary
-// (hooks -> ckpt) exactly where the sequential window loop runs it, so
-// boundary semantics, checkpoints, and the bit-exact event trace are
-// unchanged (DESIGN.md section 5g).
+// per-pair clocks into a global epoch and runs the EngineHooks barrier
+// hooks exactly where the sequential window loop runs them, so boundary
+// semantics and the bit-exact event trace are unchanged (DESIGN.md
+// section 5g).
 //
 // The ChannelGraph is the topology the sync protocol exploits. Channels
 // are directional (src may send cross-LP events to dst) with a per-channel

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <string>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "util/check.hpp"
@@ -14,9 +13,6 @@
 namespace massf {
 
 constinit thread_local Engine::HandlerCtx Engine::tls_ctx_;
-
-void LogicalProcess::save(ckpt::Writer&) const {}
-bool LogicalProcess::load(ckpt::Reader&) { return true; }
 
 namespace {
 using Clock = std::chrono::steady_clock;
@@ -262,27 +258,12 @@ void Engine::process_lp_window(LpId i) {
   if (guard_enabled_) guard_note_lp(i);
 }
 
-void Engine::run_barrier_hooks(SimTime floor) {
+void Engine::open_window_boundary(SimTime floor) {
+  window_end_ = floor + opts_.lookahead;
   // Hooks observe the window floor through now() under both executors
   // (current_lp() is invalid here, so schedule() takes the injection path).
   now_ = floor;
   for (auto& hook : hooks_.barrier) hook(*this, floor);
-}
-
-bool Engine::open_window_boundary(SimTime floor) {
-  window_end_ = floor + opts_.lookahead;
-  // A restored run resumes at the boundary whose post-hook state the
-  // checkpoint captured: the barrier hooks already ran there, so they must
-  // not re-fire (the ckpt stage is suppressed by last_ckpt_window_ instead).
-  const bool fire = !skip_boundary_hooks_;
-  skip_boundary_hooks_ = false;
-  if (fire) run_barrier_hooks(floor);
-  const bool hook_stop = stop_requested();
-  maybe_checkpoint(floor);
-  // A stop raised by the ckpt stage ends the run *before* this window is
-  // processed (checkpoint-then-exit); one raised by a barrier hook lets the
-  // window run and is caught at the loop-top stop check.
-  return !(stop_requested() && !hook_stop);
 }
 
 void Engine::probe_window(SimTime floor) {
@@ -349,131 +330,17 @@ void Engine::begin_run() {
   }
   sync_stats_ = SyncStats{};
   sync_stats_.channels = channels_.size();
-  // Exchange state, sized for the registered LPs. A restored run needs it
-  // as much as a fresh one, so this precedes the early return below.
+  // Exchange state, sized for the registered LPs.
   for (Lp& lp : lps_) lp.outbox.resize(lps_.size());
   mask_words_ = (lps_.size() + 63) / 64;
   sender_masks_ = std::vector<std::atomic<std::uint64_t>>(lps_.size() *
                                                           mask_words_);
-  if (restored_) {
-    // Resuming from a checkpoint: stats_ already holds the tallies the
-    // interrupted run accumulated up to the boundary (restore_state). The
-    // resumed run keeps accumulating into them; zeroing here would make the
-    // final RunStats diverge from the uninterrupted run.
-    restored_ = false;
-    return;
-  }
   stats_ = RunStats{};
   stats_.events_per_lp.assign(lps_.size(), 0);
   stats_.busy_s.assign(lps_.size(), 0.0);
   if (opts_.load_bin > 0) {
     stats_.lp_load.assign(lps_.size(), TimeSeries(to_seconds(opts_.load_bin)));
   }
-  last_ckpt_window_ = 0;
-}
-
-void Engine::maybe_checkpoint(SimTime floor) {
-  if (hooks_.ckpt_every == 0 || !hooks_.ckpt) return;
-  const std::uint64_t w = stats_.num_windows;
-  if (w == 0 || w % hooks_.ckpt_every != 0 || w == last_ckpt_window_) return;
-  // Updated before the hook runs so save_state records it: a restored run
-  // must not re-fire at the boundary it resumed from.
-  last_ckpt_window_ = w;
-  now_ = floor;
-  hooks_.ckpt(*this, floor);
-}
-
-void Engine::save_state(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(lps_.size()));
-  w.i64(opts_.lookahead);
-  w.i64(opts_.end_time);
-  w.u8(opts_.load_bin > 0 ? 1 : 0);
-  w.u64(stats_.num_windows);
-  w.u64(last_ckpt_window_);
-  w.f64(stats_.modeled_wall_s);
-  w.f64(stats_.modeled_sync_s);
-  w.u64(stats_.cross_lp_events);
-  w.u64(stats_.merge_batches);
-  for (std::size_t i = 0; i < lps_.size(); ++i) {
-    const Lp& lp = lps_[i];
-    w.u64(lp.next_seq);
-    w.u64(lp.events);
-    w.f64(stats_.busy_s[i]);
-    if (opts_.load_bin > 0) ckpt::write_f64_vec(w, stats_.lp_load[i].bins());
-    // Pending events in (time, seq) order — canonical, heap-shape-free.
-    const std::vector<Event> pending = lp.queue.sorted_events();
-    w.u64(pending.size());
-    for (const Event& ev : pending) {
-      w.i64(ev.time);
-      w.u64(ev.seq);
-      w.i32(ev.lp);
-      w.i32(ev.type);
-      w.u64(ev.a);
-      w.u64(ev.b);
-      w.u64(ev.c);
-      w.u64(ev.d);
-    }
-    lp.process->save(w);
-  }
-}
-
-bool Engine::restore_state(ckpt::Reader& r) {
-  MASSF_CHECK(!running_);
-  if (r.u32() != lps_.size()) return false;
-  if (r.i64() != opts_.lookahead) return false;
-  if (r.i64() != opts_.end_time) return false;
-  const bool has_load = r.u8() != 0;
-  if (has_load != (opts_.load_bin > 0)) return false;
-  stats_ = RunStats{};
-  stats_.events_per_lp.assign(lps_.size(), 0);
-  stats_.busy_s.assign(lps_.size(), 0.0);
-  if (has_load) {
-    stats_.lp_load.assign(lps_.size(), TimeSeries(to_seconds(opts_.load_bin)));
-  }
-  stats_.num_windows = r.u64();
-  last_ckpt_window_ = r.u64();
-  stats_.modeled_wall_s = r.f64();
-  stats_.modeled_sync_s = r.f64();
-  stats_.cross_lp_events = r.u64();
-  stats_.merge_batches = r.u64();
-  for (std::size_t i = 0; i < lps_.size(); ++i) {
-    Lp& lp = lps_[i];
-    lp.next_seq = r.u64();
-    lp.events = r.u64();
-    stats_.busy_s[i] = r.f64();
-    if (has_load) {
-      std::vector<double> bins;
-      if (!ckpt::read_f64_vec(r, bins)) return false;
-      stats_.lp_load[i].load_bins(std::move(bins));
-    }
-    const std::uint64_t pending = r.u64();
-    if (!r.ok() || pending > (1ULL << 40)) return false;
-    lp.queue.clear();
-    for (std::uint64_t k = 0; k < pending; ++k) {
-      Event ev;
-      ev.time = r.i64();
-      ev.seq = r.u64();
-      ev.lp = r.i32();
-      ev.type = r.i32();
-      ev.a = r.u64();
-      ev.b = r.u64();
-      ev.c = r.u64();
-      ev.d = r.u64();
-      if (!r.ok()) return false;
-      lp.queue.push(ev);
-    }
-    lp.window_events = 0;
-    lp.outbox.clear();
-    if (!lp.process->load(r)) return false;
-  }
-  if (!r.ok()) return false;
-  restored_ = true;
-  // The snapshot captured post-barrier state (EngineHooks firing order), so
-  // the barrier hooks must not re-run at the resumed boundary.
-  // A pre-run snapshot (num_windows == 0) precedes any boundary, so the
-  // first boundary's hooks still fire.
-  skip_boundary_hooks_ = stats_.num_windows > 0;
-  return true;
 }
 
 void Engine::finish_run(SimTime floor) {
@@ -544,16 +411,15 @@ RunStats Engine::run_window_loop() {
   SimTime floor = next_event_floor();
   while (floor < opts_.end_time && floor != kSimTimeMax && !stop_requested()) {
     if (probe_ == nullptr) {
-      if (!open_window_boundary(floor)) break;  // checkpoint-then-exit
+      open_window_boundary(floor);
       for (LpId i = 0; i < n; ++i) process_lp_window(i);
       for (LpId d = 0; d < n; ++d) merge_lp_inbox(d);
       clear_outboxes();
       account_window();
     } else {
       const auto t0 = Clock::now();
-      const bool go = open_window_boundary(floor);
+      open_window_boundary(floor);
       const auto t1 = Clock::now();
-      if (!go) break;  // checkpoint-then-exit
       for (LpId i = 0; i < n; ++i) process_lp_window(i);
       const auto t2 = Clock::now();
       for (LpId d = 0; d < n; ++d) merge_lp_inbox(d);

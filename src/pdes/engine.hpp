@@ -40,34 +40,16 @@ class Registry;
 class WindowProbe;
 }  // namespace obs
 
-namespace ckpt {
-class Reader;
-class Writer;
-}  // namespace ckpt
-
 class Engine;
 
 /// Every hook the engine fires at a window boundary, installed as one
-/// struct (set_hooks / hooks()). Firing order at each boundary, on one
-/// thread under every executor (other workers quiescent, no handler
-/// running):
-///
-///   1. barrier hooks, in registration order — online pacing, fault
-///      injection, routing changes;
-///   2. the ckpt hook, every `ckpt_every` completed windows — snapshots the
-///      post-barrier state.
-///
-/// Because the checkpoint captures state *after* stage 1, a restored run
-/// skips the barrier hooks at the boundary it resumed from (restore_state
-/// sets the skip; the ckpt stage is suppressed by last_ckpt_window_). Either
-/// stage may call request_stop(): from stage 1 the boundary's window is
-/// still processed before the run ends (matching the loop-top stop check);
-/// from stage 2 the run ends immediately — checkpoint-then-exit.
+/// struct (set_hooks / hooks()). At each boundary the barrier hooks run in
+/// registration order — online pacing, fault injection, routing changes —
+/// on one thread under every executor (other workers quiescent, no handler
+/// running). A hook may call request_stop(): the boundary's window is
+/// still processed before the run ends (matching the loop-top stop check).
 struct EngineHooks {
   std::vector<std::function<void(Engine&, SimTime)>> barrier;
-  /// 0 disables the ckpt stage.
-  std::uint64_t ckpt_every = 0;
-  std::function<void(Engine&, SimTime)> ckpt;
 };
 
 /// One logical process: a simulation engine node owning a partition of the
@@ -77,14 +59,6 @@ class LogicalProcess {
  public:
   virtual ~LogicalProcess() = default;
   virtual void handle(Engine& engine, const Event& event) = 0;
-
-  /// Checkpoint hooks (ckpt/ckpt.hpp): serialize every member that can
-  /// diverge from construction — RNG positions, counters, per-flow state.
-  /// Called at a window boundary while no events are in flight. The default
-  /// is correct only for stateless LPs. load() returns false on a semantic
-  /// mismatch (the checkpoint was taken with a different topology/config).
-  virtual void save(ckpt::Writer& writer) const;
-  virtual bool load(ckpt::Reader& reader);
 };
 
 struct EngineOptions {
@@ -219,8 +193,8 @@ class Engine {
   /// which can only honor the boundary stop — a run wedged *inside* a
   /// window on the calling thread cannot be recovered in-process. After a
   /// cancelled run, run_cancelled() is true, the RunStats are a truncated
-  /// prefix, and the engine must not be reused — recovery restores a
-  /// checkpoint into a fresh engine (guard/guarded_run.hpp).
+  /// prefix, and the engine must not be reused — recovery re-runs from
+  /// t = 0 on a fresh engine (guard/guarded_run.hpp).
   bool cancel_run();
 
   /// True when the last run ended via cancel_run() rather than reaching
@@ -251,8 +225,8 @@ class Engine {
   void set_hooks(EngineHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Mutable access to the installed hooks — the composition path: each
-  /// subsystem (fault injector, online pacing, checkpointing) appends or
-  /// fills in its own stage without clobbering the others.
+  /// subsystem (fault injector, online pacing) appends its own hook without
+  /// clobbering the others.
   EngineHooks& hooks() { return hooks_; }
   const EngineHooks& hooks() const { return hooks_; }
 
@@ -273,19 +247,6 @@ class Engine {
   std::size_t lp_pending(LpId lp) const {
     return lps_[static_cast<std::size_t>(lp)].queue.size();
   }
-
-  /// Serializes engine-owned run state: per-LP pending events in (time,
-  /// seq) order, seq counters, event counts, the accumulated RunStats, and
-  /// each LogicalProcess's own state via its save() hook. Call only from a
-  /// ckpt hook (window boundary).
-  void save_state(ckpt::Writer& writer) const;
-
-  /// Restores state saved by save_state() into an identically constructed
-  /// engine (same LPs in the same order, same options). The next run()/
-  /// run_threaded() call resumes from the checkpointed boundary and
-  /// produces the same event trace as the uninterrupted run. Returns false
-  /// on shape mismatch (LP count / lookahead / load_bin differ).
-  bool restore_state(ckpt::Reader& reader);
 
  private:
   struct Lp {
@@ -321,16 +282,9 @@ class Engine {
   void clear_outboxes();
   void account_window();
   void process_lp_window(LpId i);
-  void run_barrier_hooks(SimTime floor);
-  /// Stage 2: fires the ckpt hook when the boundary at `floor` completes a
-  /// multiple of hooks_.ckpt_every windows. Coordinator-only, after the
-  /// boundary's barrier hooks. last_ckpt_window_ keeps a restored run from
-  /// re-saving (or re-stopping) at the boundary it just resumed from.
-  void maybe_checkpoint(SimTime floor);
-  /// The full boundary sequence (EngineHooks contract) for the window
-  /// opening at `floor`; returns false when the run must end at this
-  /// boundary without processing the window (checkpoint-then-exit).
-  bool open_window_boundary(SimTime floor);
+  /// The boundary sequence (EngineHooks contract) for the window opening
+  /// at `floor`: sets the window end, then runs the barrier hooks.
+  void open_window_boundary(SimTime floor);
   void probe_window(SimTime floor);
   void publish_run_metrics();
   bool stop_requested() const {
@@ -403,14 +357,6 @@ class Engine {
   SyncStats sync_stats_;
   obs::WindowProbe* probe_ = nullptr;
   obs::Registry* registry_ = nullptr;
-  std::uint64_t last_ckpt_window_ = 0;
-  /// Set by restore_state; makes the next begin_run keep the restored
-  /// RunStats instead of zeroing them (consumed by that run).
-  bool restored_ = false;
-  /// Set by restore_state; the checkpoint captured post-barrier state, so
-  /// the barrier hooks must not re-fire at the boundary the run resumes
-  /// from (consumed at the first boundary).
-  bool skip_boundary_hooks_ = false;
 
   void begin_run();
   void finish_run(SimTime floor);

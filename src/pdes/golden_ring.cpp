@@ -3,8 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/ckpt.hpp"
-
 namespace massf {
 namespace {
 
@@ -31,12 +29,6 @@ class RingLp final : public LogicalProcess {
       engine.schedule(engine.current_lp(), ev.time + microseconds(1),
                       kEvLocal, ev.a - 1);
     }
-  }
-
-  void save(ckpt::Writer& w) const override { w.u64(checksum_); }
-  bool load(ckpt::Reader& r) override {
-    checksum_ = r.u64();
-    return r.ok();
   }
 
   std::uint64_t checksum() const { return checksum_; }

@@ -6,7 +6,7 @@
 // the LP checksums in id order, so any change to execution order, event
 // count, or LP assignment moves it. At the default shape (32 LPs, chain 64,
 // 2000 hops) under golden_ring_options() the trace is pinned: sequential,
-// threaded, and checkpoint-restored runs must all reproduce
+// threaded, and recovered (re-run) runs must all reproduce
 // kGoldenRingChecksum, kGoldenRingEvents, and kGoldenRingWindows. The same
 // values appear in BENCH_pdes.json and in every campaign golden row;
 // regenerate them only through tests/regen_golden.sh.
@@ -40,8 +40,7 @@ struct GoldenRing {
   std::uint64_t checksum() const;
 };
 
-/// Builds the ring. The LP checksums are checkpoint state (LogicalProcess
-/// save/load), so a restored run carries the prefix folded before the cut.
+/// Builds the ring.
 GoldenRing build_golden_ring(
     const EngineOptions& options = golden_ring_options(),
     std::int64_t lps = 32, std::int64_t chain = 64, std::int64_t hops = 2000);

@@ -91,27 +91,6 @@ class EventSched {
     }
   }
 
-  /// Pending events in (time, seq) order — the scheduler's canonical
-  /// content, independent of the heap's internal shape and of the arena
-  /// slot assignment. Checkpoints store this list; re-pushing it in order
-  /// reconstructs a scheduler with identical pop behavior.
-  std::vector<Event> sorted_events() const {
-    std::vector<Key> keys = heap_;
-    std::sort(keys.begin(), keys.end(), before);
-    std::vector<Event> out;
-    out.reserve(keys.size());
-    for (const Key& k : keys) out.push_back(arena_[k.slot]);
-    return out;
-  }
-
-  /// Drops all pending events and the arena (checkpoint restore repopulates
-  /// via push). peak_ is deliberately kept: it remains a lifetime metric.
-  void clear() {
-    heap_.clear();
-    arena_.clear();
-    free_.clear();
-  }
-
  private:
   struct Key {
     SimTime time;

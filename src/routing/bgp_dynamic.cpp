@@ -4,7 +4,6 @@
 #include <set>
 #include <tuple>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -561,149 +560,6 @@ SimTime BgpSpeakers::last_change() const {
 SimTime BgpSpeakers::last_change_for(AsId as, AsId dest) const {
   return speakers_[static_cast<std::size_t>(as)]
       .last_change_for[static_cast<std::size_t>(dest)];
-}
-
-namespace {
-
-void save_as_path(ckpt::Writer& w, const std::vector<AsId>& path) {
-  w.u32(static_cast<std::uint32_t>(path.size()));
-  for (const AsId a : path) w.i32(a);
-}
-
-bool load_as_path(ckpt::Reader& r, std::vector<AsId>& path) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 24)) return false;
-  path.resize(n);
-  for (AsId& a : path) a = r.i32();
-  return r.ok();
-}
-
-void save_update(ckpt::Writer& w, const BgpDynUpdate& u) {
-  w.i32(u.dest);
-  w.u8(u.withdraw ? 1 : 0);
-  save_as_path(w, u.path);
-}
-
-bool load_update(ckpt::Reader& r, BgpDynUpdate& u) {
-  u.dest = r.i32();
-  u.withdraw = r.u8() != 0;
-  return load_as_path(r, u.path);
-}
-
-}  // namespace
-
-void BgpSpeakers::save(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(num_as_));
-  for (const Speaker& s : speakers_) {
-    w.u32(static_cast<std::uint32_t>(s.neighbors.size()));
-    w.u8(s.originated ? 1 : 0);
-    w.u64(s.rib_in.size());
-    for (const Candidate& c : s.rib_in) {
-      w.u8(c.valid ? 1 : 0);
-      save_as_path(w, c.path);
-    }
-    ckpt::write_u64_vec(w, s.best);
-    w.u64(s.best_path.size());
-    for (const auto& p : s.best_path) save_as_path(w, p);
-    ckpt::write_char_vec(w, s.rib_out);
-    ckpt::write_u64_vec(w, s.last_change_for);
-    w.u64(s.pending.size());
-    for (const auto& pn : s.pending) {
-      w.u64(pn.size());
-      for (const BgpDynUpdate& u : pn) save_update(w, u);
-    }
-    ckpt::write_u64_vec(w, s.next_send_ok);
-    ckpt::write_char_vec(w, s.mrai_timer_armed);
-    ckpt::write_char_vec(w, s.session_up);
-    ckpt::write_u64_vec(w, s.session_epoch);
-    w.u64(s.updates_sent);
-    w.u64(s.batches_sent);
-    w.u64(s.announce_rx);
-    w.u64(s.withdraw_rx);
-    w.u64(s.route_changes);
-    w.u64(s.session_resets);
-    w.u64(s.stale_batches);
-    w.u64(s.update_flows_failed);
-    w.i64(s.last_change);
-  }
-  for (const auto& ch : channels_) {
-    w.u64(ch->batches.size());
-    for (const Batch& b : ch->batches) {
-      w.u32(b.epoch);
-      w.u64(b.updates.size());
-      for (const BgpDynUpdate& u : b.updates) save_update(w, u);
-    }
-    w.u64(ch->consumed);
-  }
-}
-
-bool BgpSpeakers::load(ckpt::Reader& r) {
-  if (r.u32() != static_cast<std::uint32_t>(num_as_)) return false;
-  for (Speaker& s : speakers_) {
-    if (r.u32() != s.neighbors.size()) return false;
-    s.originated = r.u8() != 0;
-    if (r.u64() != s.rib_in.size()) return false;
-    for (Candidate& c : s.rib_in) {
-      c.valid = r.u8() != 0;
-      if (!load_as_path(r, c.path)) return false;
-    }
-    if (!ckpt::read_u64_vec(r, s.best) ||
-        s.best.size() != static_cast<std::size_t>(num_as_))
-      return false;
-    if (r.u64() != s.best_path.size()) return false;
-    for (auto& p : s.best_path)
-      if (!load_as_path(r, p)) return false;
-    const std::size_t nn = s.neighbors.size();
-    if (!ckpt::read_char_vec(r, s.rib_out) || s.rib_out.size() != s.rib_in.size())
-      return false;
-    if (!ckpt::read_u64_vec(r, s.last_change_for) ||
-        s.last_change_for.size() != static_cast<std::size_t>(num_as_))
-      return false;
-    if (r.u64() != s.pending.size()) return false;
-    for (auto& pn : s.pending) {
-      const std::uint64_t n = r.u64();
-      if (!r.ok() || n > (1ULL << 32)) return false;
-      pn.resize(static_cast<std::size_t>(n));
-      for (BgpDynUpdate& u : pn)
-        if (!load_update(r, u)) return false;
-    }
-    if (!ckpt::read_u64_vec(r, s.next_send_ok) || s.next_send_ok.size() != nn)
-      return false;
-    if (!ckpt::read_char_vec(r, s.mrai_timer_armed) ||
-        s.mrai_timer_armed.size() != nn)
-      return false;
-    if (!ckpt::read_char_vec(r, s.session_up) || s.session_up.size() != nn)
-      return false;
-    if (!ckpt::read_u64_vec(r, s.session_epoch) ||
-        s.session_epoch.size() != nn)
-      return false;
-    s.updates_sent = r.u64();
-    s.batches_sent = r.u64();
-    s.announce_rx = r.u64();
-    s.withdraw_rx = r.u64();
-    s.route_changes = r.u64();
-    s.session_resets = r.u64();
-    s.stale_batches = r.u64();
-    s.update_flows_failed = r.u64();
-    s.last_change = r.i64();
-  }
-  for (auto& ch : channels_) {
-    const std::uint64_t n = r.u64();
-    if (!r.ok() || n > (1ULL << 32)) return false;
-    ch->batches.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Batch b;
-      b.epoch = r.u32();
-      const std::uint64_t nu = r.u64();
-      if (!r.ok() || nu > (1ULL << 32)) return false;
-      b.updates.resize(static_cast<std::size_t>(nu));
-      for (BgpDynUpdate& u : b.updates)
-        if (!load_update(r, u)) return false;
-      ch->batches.push_back(std::move(b));
-    }
-    ch->consumed = r.u64();
-  }
-  return r.ok();
 }
 
 bool BgpSpeakers::has_session(AsId as, AsId peer) const {

@@ -143,15 +143,6 @@ class BgpSpeakers final : public TrafficComponent {
   /// UPDATE batch flows abandoned by TCP.
   std::uint64_t update_flows_failed() const;
 
-  /// Checkpoint hooks: full per-speaker state (adj-RIB-in/out, best routes,
-  /// MRAI and session state, churn counters) plus the in-flight update
-  /// channels. Channel batches are referenced by absolute index from flow
-  /// tags, so the whole batch history is preserved verbatim — in-flight
-  /// UPDATE flows captured in the engine's event queues find their payloads
-  /// again after restore.
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
  private:
   struct Candidate {
     bool valid = false;
@@ -204,7 +195,6 @@ class BgpSpeakers final : public TrafficComponent {
   struct Channel {
     std::mutex mu;
     std::deque<Batch> batches;
-    std::size_t consumed = 0;
   };
 
   std::int32_t neighbor_index(AsId as, AsId neighbor) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
 
 namespace massf {
@@ -279,37 +278,15 @@ bool ForwardingPlane::reachable(NodeId from, NodeId dest) const {
   return false;
 }
 
-void ForwardingPlane::save(ckpt::Writer& w) const {
-  // Sorted so the checkpoint bytes are a deterministic function of the
-  // down-set (unordered_set iteration order is not).
-  std::vector<LinkId> down(down_links_.begin(), down_links_.end());
-  std::sort(down.begin(), down.end());
-  w.u64(down.size());
-  for (const LinkId l : down) w.i32(l);
-}
-
-bool ForwardingPlane::load(ckpt::Reader& r) {
-  const std::uint64_t n = r.u64();
-  if (!r.ok() || n > net_->links.size()) return false;
-  std::vector<LinkId> down(static_cast<std::size_t>(n));
-  for (LinkId& l : down) {
-    l = r.i32();
-    if (l < 0 || static_cast<std::size_t>(l) >= net_->links.size())
-      return false;
-  }
-  if (!r.ok()) return false;
-  const std::unordered_set<LinkId> want(down.begin(), down.end());
-  if (want == down_links_) return true;  // tables already match
-  // Replay the delta, then reconverge once: the tables and egress choices
-  // are pure functions of (topology, down-set), so this reproduces the
-  // interrupted run's forwarding state exactly.
+void ForwardingPlane::restore_down_links(
+    const std::unordered_set<LinkId>& down) {
+  if (down == down_links_) return;  // tables already match
   const std::vector<LinkId> current(down_links_.begin(), down_links_.end());
   for (const LinkId l : current)
-    if (want.find(l) == want.end()) set_link_state(l, true);
+    if (down.find(l) == down.end()) set_link_state(l, true);
   for (const LinkId l : down)
     if (down_links_.find(l) == down_links_.end()) set_link_state(l, false);
   reconverge();
-  return true;
 }
 
 }  // namespace massf

@@ -19,11 +19,6 @@
 #include "routing/ospf.hpp"
 #include "topology/network.hpp"
 
-namespace massf::ckpt {
-class Reader;
-class Writer;
-}  // namespace massf::ckpt
-
 namespace massf {
 
 class ForwardingPlane {
@@ -80,13 +75,16 @@ class ForwardingPlane {
   /// repairs only the trees the changes can move. Mutate-at-barrier only.
   void reconverge();
 
-  /// Checkpoint hooks (ckpt/ckpt.hpp): only the failed-link set is
-  /// serialized. Restore replays it through set_link_state + reconverge,
-  /// which brings every OSPF table and egress selection to that down-set —
-  /// the tables are pure functions of (topology, down-set), so replay
-  /// reproduces them exactly without serializing them wholesale.
-  void save(ckpt::Writer& writer) const;
-  bool load(ckpt::Reader& reader);
+  /// The links currently marked down (set_link_state), for a caller that
+  /// puts the plane back with restore_down_links() later.
+  const std::unordered_set<LinkId>& down_links() const { return down_links_; }
+
+  /// Brings the plane back to a saved down-set: replays the difference
+  /// through set_link_state, then reconverges once. The tables and egress
+  /// choices are pure functions of (topology, down-set), so this reproduces
+  /// the plane that held `down` exactly. A no-op when nothing changed.
+  /// Mutate-at-barrier only.
+  void restore_down_links(const std::unordered_set<LinkId>& down);
 
  private:
   explicit ForwardingPlane(const Network& net);

@@ -1,11 +1,10 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 #include <string>
+#include <unordered_set>
 
-#include "ckpt/ckpt.hpp"
 #include "fault/injector.hpp"
 #include "guard/watchdog.hpp"
 #include "util/error.hpp"
@@ -236,17 +235,11 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   // Faults leave links down in the shared forwarding plane. Put its
   // down-set back on the way out, returning or throwing, so every run (and
   // a later profiling run) starts from the plane construction built.
-  ckpt::Writer entry_plane;
-  fp_->save(entry_plane);
   struct RestorePlane {
     ForwardingPlane& fp;
-    const std::vector<std::uint8_t>& image;
-    ~RestorePlane() {
-      ckpt::Reader r(image.data(), image.size());
-      const bool restored = fp.load(r);
-      MASSF_CHECK(restored);
-    }
-  } restore_plane{*fp_, entry_plane.buffer()};
+    const std::unordered_set<LinkId> down;
+    ~RestorePlane() { fp.restore_down_links(down); }
+  } restore_plane{*fp_, fp_->down_links()};
 
   EngineOptions eo;
   eo.lookahead = lookahead_for(mapping.router_lp);
@@ -277,87 +270,6 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
     injector->arm(engine, sim, opts_.faults);
   }
   if (opts_.pre_run) opts_.pre_run(engine, sim);
-
-  // Checkpoint/restore (DESIGN.md section 5e): the participants list is the
-  // full inventory of state that can diverge from construction. The engine
-  // section restores first — it rebuilds the pending queues the other
-  // sections' cursors refer to.
-  ckpt::Participants parts;
-  if (opts_.ckpt.every_windows > 0 || !opts_.ckpt.restore_path.empty()) {
-    Engine* eng = &engine;
-    NetSim* net_sim = &sim;
-    TrafficManager* mgr = &manager;
-    parts.add(
-        "engine", [eng](ckpt::Writer& w) { eng->save_state(w); },
-        [eng](ckpt::Reader& r) { return eng->restore_state(r); });
-    parts.add(
-        "net", [net_sim](ckpt::Writer& w) { net_sim->save(w); },
-        [net_sim](ckpt::Reader& r) { return net_sim->load(r); });
-    parts.add(
-        "traffic", [mgr](ckpt::Writer& w) { mgr->save(w); },
-        [mgr](ckpt::Reader& r) { return mgr->load(r); });
-    parts.add(
-        "routing.fp", [this](ckpt::Writer& w) { fp_->save(w); },
-        [this](ckpt::Reader& r) { return fp_->load(r); });
-    if (injector != nullptr) {
-      FaultInjector* inj = injector.get();
-      parts.add(
-          "fault", [inj](ckpt::Writer& w) { inj->save(w); },
-          [inj](ckpt::Reader& r) { return inj->load(r); });
-    }
-    if (opts_.probe != nullptr) {
-      obs::WindowProbe* probe = opts_.probe;
-      parts.add(
-          "obs.probe", [probe](ckpt::Writer& w) { probe->save(w); },
-          [probe](ckpt::Reader& r) { return probe->load(r); });
-    }
-  }
-  if (opts_.ckpt.every_windows > 0) {
-    MASSF_CHECK(!opts_.ckpt.path.empty() &&
-                "CkptOptions::every_windows requires a path");
-    engine.hooks().ckpt_every = opts_.ckpt.every_windows;
-    engine.hooks().ckpt = [this, &parts](Engine& eng, SimTime) {
-          const auto t0 = std::chrono::steady_clock::now();
-          ckpt::Checkpoint ck;
-          parts.save(ck);
-          const std::vector<std::uint8_t> image = ck.serialize();
-          std::string error;
-          if (!ckpt::Checkpoint::write_bytes(opts_.ckpt.path, image, &error)) {
-            MASSF_LOG(kError) << "checkpoint write failed: " << error;
-            MASSF_THROW(ErrorCategory::kIo,
-                        "checkpoint write to '" + opts_.ckpt.path +
-                            "' failed: " + error);
-          }
-          const double write_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-          if (opts_.registry != nullptr) {
-            opts_.registry->counter("ckpt.writes").inc();
-            opts_.registry->counter("ckpt.bytes")
-                .inc(static_cast<std::uint64_t>(image.size()));
-            opts_.registry->gauge("ckpt.write_ms").set(write_ms);
-          }
-          if (opts_.ckpt.stop_after) eng.request_stop();
-        };
-  }
-  if (!opts_.ckpt.restore_path.empty()) {
-    std::string error;
-    const auto ck = ckpt::Checkpoint::read_file(opts_.ckpt.restore_path,
-                                                &error);
-    if (!ck) {
-      MASSF_LOG(kError) << "checkpoint read failed: " << error;
-      MASSF_THROW(ErrorCategory::kIo,
-                  "cannot read checkpoint '" + opts_.ckpt.restore_path +
-                      "': " + error);
-    }
-    if (!parts.restore(*ck, &error)) {
-      MASSF_LOG(kError) << "checkpoint restore failed: " << error;
-      MASSF_THROW(ErrorCategory::kIo,
-                  "checkpoint restore from '" + opts_.ckpt.restore_path +
-                      "' failed: " + error);
-    }
-  }
 
   ExperimentResult result;
   result.mapping = mapping;

@@ -38,20 +38,6 @@ enum class AppKind { kNone, kScaLapack, kGridNpb };
 
 const char* app_kind_name(AppKind kind);
 
-/// Checkpoint/restore orchestration for the measured run (format
-/// massf.ckpt.v1, DESIGN.md section 5e). With `every_windows > 0` the run
-/// writes the full simulation state to `path` every that many
-/// synchronization windows (optionally stopping at the first write); with
-/// `restore_path` set the run rebuilds the stack as usual, then overwrites
-/// the mutable state from the file before executing — resuming the
-/// interrupted run with a bit-identical event trace and final statistics.
-struct CkptOptions {
-  std::uint64_t every_windows = 0;  ///< 0 = checkpointing off
-  std::string path;                 ///< file written at each firing
-  bool stop_after = false;          ///< clean stop once the file is written
-  std::string restore_path;         ///< when set, restore before running
-};
-
 struct ScenarioOptions {
   bool multi_as = false;
 
@@ -89,7 +75,6 @@ struct ScenarioOptions {
   std::uint64_t seed = 42;
   NetSimOptions netsim;
   MappingOptions mapping;  ///< kind/num_engines/cluster are overridden
-  CkptOptions ckpt;        ///< measured-run checkpointing (off by default)
   /// Supervision for the measured run (DESIGN.md section 5h): when
   /// enabled, a guard::Watchdog is armed around the engine run and the
   /// engine maintains liveness telemetry. Off by default.
@@ -103,7 +88,7 @@ struct ScenarioOptions {
   FaultSchedule faults;
 
   /// Invoked on the measured run after traffic installation and fault
-  /// arming, before checkpoint arming, for attachments a scenario file
+  /// arming, for attachments a scenario file
   /// cannot express: bench_e2e attaches its own FaultInjector to the
   /// engine/NetSim pair the run is about to execute, and the supervision
   /// tests freeze an LP's clock (Engine::test_freeze_lp_clock).
@@ -154,11 +139,6 @@ class Scenario {
   /// built, so every run — and a later profiling run — starts alike.
   ExperimentResult run(const Mapping& mapping);
   ExperimentResult run(MappingKind kind) { return run(mapping_for(kind)); }
-
-  /// Replaces the checkpoint options for subsequent run() calls, so one
-  /// Scenario can execute the interrupted phase and the restored phase
-  /// (same topology, host selection, and cached profile) back to back.
-  void set_ckpt(const CkptOptions& ckpt) { opts_.ckpt = ckpt; }
 
   /// Run-control mutator for subsequent run() calls — the degradation
   /// ladder (guard/guarded_run.hpp) re-runs one Scenario under

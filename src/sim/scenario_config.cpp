@@ -136,40 +136,6 @@ bool parse_background(const DmlNode& node, ScenarioOptions* o,
   return true;
 }
 
-bool parse_ckpt(const DmlNode& node, int block_line, CkptOptions* o,
-                std::string* error) {
-  for (const DmlAttribute& a : node.attributes) {
-    if (ignored_key(a.key)) continue;
-    if (a.child) return unknown_key(a, "ckpt [ ]", error);
-    if (a.key == "every") {
-      std::int64_t i = 0;
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 0) {
-        if (error) *error = line_err(a.line, "'every' must be >= 0");
-        return false;
-      }
-      o->every_windows = static_cast<std::uint64_t>(i);
-    } else if (a.key == "path") {
-      o->path = a.atom;
-    } else if (a.key == "stop_after") {
-      std::int64_t i = 0;
-      if (!atom_int(a, &i, error)) return false;
-      o->stop_after = i != 0;
-    } else if (a.key == "restore") {
-      o->restore_path = a.atom;
-    } else {
-      return unknown_key(a, "ckpt [ ]", error);
-    }
-  }
-  if (o->every_windows > 0 && o->path.empty()) {
-    if (error) {
-      *error = line_err(block_line, "ckpt [ every > 0 ] requires a path");
-    }
-    return false;
-  }
-  return true;
-}
-
 bool parse_guard(const DmlNode& node, guard::GuardOptions* o,
                  std::int32_t* retries, std::string* error) {
   for (const DmlAttribute& a : node.attributes) {
@@ -352,12 +318,6 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
   bg.add_atom("stall_timeout_s", o.netsim.link_model.fluid_stall_timeout_s);
   bg.add_atom("rate_cap_bps", o.netsim.link_model.fluid_flow_rate_cap_bps);
 
-  DmlNode& ck = e.add_child("ckpt");
-  ck.add_atom("every", static_cast<std::int64_t>(o.ckpt.every_windows));
-  ck.add_atom("path", o.ckpt.path);
-  ck.add_atom("stop_after", static_cast<std::int64_t>(o.ckpt.stop_after));
-  ck.add_atom("restore", o.ckpt.restore_path);
-
   DmlNode& g = e.add_child("guard");
   g.add_atom("enabled", static_cast<std::int64_t>(o.guard.enabled ? 1 : 0));
   g.add_atom("deadline_s", o.guard.stall_deadline_s);
@@ -398,10 +358,6 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
     if (a.child) {
       if (a.key == "background_flows") {
         if (!parse_background(*a.child, &o, error)) {
-          return std::nullopt;
-        }
-      } else if (a.key == "ckpt") {
-        if (!parse_ckpt(*a.child, a.line, &o.ckpt, error)) {
           return std::nullopt;
         }
       } else if (a.key == "guard") {

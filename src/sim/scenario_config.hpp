@@ -1,6 +1,6 @@
 // The declarative scenario format: the whole experiment — topology scale,
-// traffic mix, simulated cluster, run control, fault schedule, checkpoint /
-// guard policy, and the mapping run list — round-trips through one DML
+// traffic mix, simulated cluster, run control, fault schedule, guard
+// policy, and the mapping run list — round-trips through one DML
 // file, so experiments are reproducible from a single checked-in file (the
 // MicroGrid workflow). The file is the only place a
 // run is configured: massf_cli changes it only through an override
@@ -31,7 +31,6 @@
 //       stall_timeout_s 60  # fail flows stalled at zero rate this long
 //       rate_cap_bps 0      # per-flow TCP window/RTT ceiling (0 = off)
 //     ]
-//     ckpt [ every 0  path ""  stop_after 0  restore "" ]
 //     guard [ enabled 0  deadline_s 30  poll_s 0  dump ""
 //             policy recover  retries 1 ]
 //     faults [              # chaos schedule: embedded lines and/or a file
@@ -92,7 +91,7 @@ std::optional<ScenarioSpec> parse_scenario(std::string_view text,
 
 /// Reads and parses a scenario file; relative fault includes resolve
 /// against the file's directory. A non-empty `override_text` — the body of
-/// an `override [ ]` block, e.g. "mapping HPROF ckpt.every 200" — is merged
+/// an `override [ ]` block, e.g. "mapping HPROF guard.retries 2" — is merged
 /// over the file (merge_override) before the one validation. Its atoms
 /// have no source line, so the errors they cause carry none.
 std::optional<ScenarioSpec> load_scenario_file(
@@ -107,7 +106,7 @@ DmlNode clone_dml(const DmlNode& node);
 
 /// Merges an override into the Experiment block of `root`. `body` holds
 /// what a campaign `override [ ]` block or `massf_cli --override` holds:
-/// scalar atoms, with dotted keys for sub-block atoms (`ckpt.every 200`).
+/// scalar atoms, with dotted keys for sub-block atoms (`guard.retries 2`).
 /// The first atom for a key replaces every atom the base has under it and
 /// later ones append, so `mapping TOP2 mapping HPROF` is a run list.
 /// Missing sub-blocks are created; `x_` keys are skipped. Atoms keep their

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -128,31 +127,6 @@ void BackgroundWorkload::publish_metrics(obs::Registry& registry) const {
   registry.counter("traffic.bg.completed").inc(flows_completed());
   registry.counter("traffic.bg.failed").inc(flows_failed());
   registry.counter("traffic.bg.fluid").inc(fluid_carried());
-}
-
-void BackgroundWorkload::save(ckpt::Writer& w) const {
-  w.u64(sources_.size());
-  for (const Source& s : sources_) {
-    for (const std::uint64_t x : s.rng.state()) w.u64(x);
-    w.u64(s.issued);
-    w.u64(s.completed);
-    w.u64(s.failed);
-    w.u64(s.fluid);
-  }
-}
-
-bool BackgroundWorkload::load(ckpt::Reader& r) {
-  if (r.u64() != sources_.size()) return false;
-  for (Source& s : sources_) {
-    std::array<std::uint64_t, 4> st;
-    for (std::uint64_t& x : st) x = r.u64();
-    s.rng.set_state(st);
-    s.issued = r.u64();
-    s.completed = r.u64();
-    s.failed = r.u64();
-    s.fluid = r.u64();
-  }
-  return r.ok();
 }
 
 }  // namespace massf

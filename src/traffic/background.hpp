@@ -48,10 +48,6 @@ class BackgroundWorkload final : public TrafficComponent {
   /// Publishes `traffic.bg.*` counters into `registry`.
   void publish_metrics(obs::Registry& registry) const override;
 
-  /// Checkpoint hooks: per-source RNG positions and counters.
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
  private:
   struct Source {
     NodeId host;

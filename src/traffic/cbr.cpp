@@ -1,6 +1,5 @@
 #include "traffic/cbr.hpp"
 
-#include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
 
 namespace massf {
@@ -56,19 +55,6 @@ std::uint64_t CbrWorkload::packets_received() const {
   std::uint64_t total = 0;
   for (const std::uint64_t r : received_) total += r;
   return total;
-}
-
-void CbrWorkload::save(ckpt::Writer& w) const {
-  w.u64(sent_);
-  ckpt::write_u64_vec(w, received_);
-}
-
-bool CbrWorkload::load(ckpt::Reader& r) {
-  sent_ = r.u64();
-  if (!ckpt::read_u64_vec(r, received_) ||
-      received_.size() != streams_.size())
-    return false;
-  return r.ok();
 }
 
 }  // namespace massf

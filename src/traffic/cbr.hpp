@@ -41,11 +41,6 @@ class CbrWorkload final : public TrafficComponent {
     return received_;
   }
 
-  /// Checkpoint hooks: send/receive counters (streams are construction-
-  /// time; the periodic send timers live in the engine's event queues).
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
  private:
   SimTime interval() const;
 

@@ -1,6 +1,5 @@
 #include "traffic/dataflow.hpp"
 
-#include "ckpt/ckpt.hpp"
 #include "traffic/vm.hpp"
 #include "util/check.hpp"
 
@@ -117,26 +116,6 @@ std::uint64_t DataflowApp::firings() const {
   std::uint64_t total = 0;
   for (std::uint64_t f : fired_) total += f;
   return total;
-}
-
-void DataflowApp::save(ckpt::Writer& w) const {
-  w.u8(vm_ != nullptr ? 1 : 0);
-  ckpt::write_u64_vec(w, received_);
-  ckpt::write_char_vec(w, in_compute_);
-  ckpt::write_u64_vec(w, fired_);
-}
-
-bool DataflowApp::load(ckpt::Reader& r) {
-  // VM compute queues are outside the checkpoint's capture set; restoring
-  // a VM-backed app would silently drop in-flight task computations.
-  if (r.u8() != 0 || vm_ != nullptr) return false;
-  const std::size_t nt = graph_.tasks.size();
-  if (!ckpt::read_u64_vec(r, received_) || received_.size() != nt)
-    return false;
-  if (!ckpt::read_char_vec(r, in_compute_) || in_compute_.size() != nt)
-    return false;
-  if (!ckpt::read_u64_vec(r, fired_) || fired_.size() != nt) return false;
-  return r.ok();
 }
 
 }  // namespace massf

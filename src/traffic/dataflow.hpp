@@ -62,12 +62,6 @@ class DataflowApp final : public TrafficComponent {
   std::uint64_t firings() const;
   const DataflowGraph& graph() const { return graph_; }
 
-  /// Checkpoint hooks: input credits, in-compute flags, and firing counts.
-  /// A VM-backed app (use_vm) is not checkpointable — the VM compute queues
-  /// are not captured — so load() rejects it (DESIGN.md section 5e).
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
  private:
   void fire(Engine& engine, NetSim& sim, std::int32_t task);
   void maybe_schedule_compute(Engine& engine, NetSim& sim, std::int32_t task);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -127,29 +126,6 @@ std::uint64_t HttpWorkload::responses_completed() const {
 void HttpWorkload::publish_metrics(obs::Registry& registry) const {
   registry.counter("traffic.http.requests").inc(requests_issued());
   registry.counter("traffic.http.responses").inc(responses_completed());
-}
-
-void HttpWorkload::save(ckpt::Writer& w) const {
-  // base_rng_ only forks (const), so it never diverges from construction;
-  // the per-client streams are the only RNG state that advances.
-  w.u64(clients_.size());
-  for (const Client& c : clients_) {
-    for (const std::uint64_t s : c.rng.state()) w.u64(s);
-    w.u64(c.requests);
-    w.u64(c.responses);
-  }
-}
-
-bool HttpWorkload::load(ckpt::Reader& r) {
-  if (r.u64() != clients_.size()) return false;
-  for (Client& c : clients_) {
-    std::array<std::uint64_t, 4> s;
-    for (std::uint64_t& x : s) x = r.u64();
-    c.rng.set_state(s);
-    c.requests = r.u64();
-    c.responses = r.u64();
-  }
-  return r.ok();
 }
 
 }  // namespace massf

@@ -46,11 +46,6 @@ class HttpWorkload final : public TrafficComponent {
   /// completed) into `registry`.
   void publish_metrics(obs::Registry& registry) const override;
 
-  /// Checkpoint hooks: per-client RNG positions and request/response
-  /// counters (hosts, servers, and the Zipf CDF are construction-time).
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
  private:
   struct Client {
     NodeId host;

@@ -1,6 +1,5 @@
 #include "traffic/manager.hpp"
 
-#include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
 
 namespace massf {
@@ -13,8 +12,6 @@ void TrafficComponent::on_timer(Engine&, NetSim&, NodeId, std::uint64_t,
                                 std::uint64_t) {}
 void TrafficComponent::on_udp(Engine&, NetSim&, const Packet&) {}
 void TrafficComponent::publish_metrics(obs::Registry&) const {}
-void TrafficComponent::save(ckpt::Writer&) const {}
-bool TrafficComponent::load(ckpt::Reader&) { return true; }
 
 TrafficManager::TrafficManager(NetSim& sim) {
   sim.set_flow_complete([this](Engine& engine, NetSim& s, FlowId flow,
@@ -59,32 +56,6 @@ void TrafficManager::publish_metrics(obs::Registry& registry) const {
   for (const auto& c : components_) {
     if (c) c->publish_metrics(registry);
   }
-}
-
-void TrafficManager::save(ckpt::Writer& w) const {
-  std::uint32_t count = 0;
-  for (const auto& c : components_)
-    if (c) ++count;
-  w.u32(count);
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (!components_[i]) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    components_[i]->save(w);
-  }
-}
-
-bool TrafficManager::load(ckpt::Reader& r) {
-  std::uint32_t expected = 0;
-  for (const auto& c : components_)
-    if (c) ++expected;
-  if (r.u32() != expected) return false;
-  for (std::uint32_t n = 0; n < expected; ++n) {
-    const std::uint32_t idx = r.u32();
-    if (!r.ok() || idx >= components_.size() || !components_[idx])
-      return false;
-    if (!components_[idx]->load(r)) return false;
-  }
-  return r.ok();
 }
 
 TrafficComponent* TrafficManager::component(TrafficKind kind) const {

@@ -82,12 +82,6 @@ class TrafficComponent {
   /// contract of the telemetry layer.
   virtual void publish_metrics(obs::Registry& registry) const;
 
-  /// Checkpoint hooks (ckpt/ckpt.hpp): serialize every member that can
-  /// diverge from construction (RNG positions, counters, per-entity
-  /// cursors). Called at a window boundary. The defaults are correct only
-  /// for stateless components; load() returns false on a shape mismatch.
-  virtual void save(ckpt::Writer& writer) const;
-  virtual bool load(ckpt::Reader& reader);
 };
 
 class TrafficManager {
@@ -105,12 +99,6 @@ class TrafficManager {
   void publish_metrics(obs::Registry& registry) const;
 
   TrafficComponent* component(TrafficKind kind) const;
-
-  /// Checkpoint hooks: delegates to every registered component, each
-  /// prefixed with its kind marker; load() requires the same kinds to be
-  /// registered in the restoring run.
-  void save(ckpt::Writer& writer) const;
-  bool load(ckpt::Reader& reader);
 
  private:
   std::array<std::unique_ptr<TrafficComponent>, 16> components_;

@@ -1,6 +1,5 @@
 #include "traffic/ping.hpp"
 
-#include "ckpt/ckpt.hpp"
 #include "util/check.hpp"
 
 namespace massf {
@@ -58,29 +57,6 @@ std::size_t PingProbe::replies() const {
   std::size_t n = 0;
   for (const Result& r : results_) n += r.rtt >= 0;
   return n;
-}
-
-void PingProbe::save(ckpt::Writer& w) const {
-  w.u64(results_.size());
-  for (const Result& res : results_) {
-    w.i32(res.src);
-    w.i32(res.dst);
-    w.i64(res.sent_at);
-    w.i64(res.rtt);
-  }
-}
-
-bool PingProbe::load(ckpt::Reader& r) {
-  const std::uint64_t n = r.u64();
-  if (!r.ok() || n > (1ULL << 32)) return false;
-  results_.assign(static_cast<std::size_t>(n), Result{});
-  for (Result& res : results_) {
-    res.src = r.i32();
-    res.dst = r.i32();
-    res.sent_at = r.i64();
-    res.rtt = r.i64();
-  }
-  return r.ok();
 }
 
 }  // namespace massf

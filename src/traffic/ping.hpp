@@ -41,10 +41,6 @@ class PingProbe final : public TrafficComponent {
                 std::uint64_t payload, std::uint64_t c) override;
   void on_udp(Engine& engine, NetSim& sim, const Packet& packet) override;
 
-  /// Checkpoint hooks: the probe results issued so far.
-  void save(ckpt::Writer& writer) const override;
-  bool load(ckpt::Reader& reader) override;
-
  private:
   // Tag payload: probe index (27 bits) | reply bit (bit 27).
   static constexpr std::uint32_t kReplyBit = 1u << 27;

@@ -14,8 +14,7 @@
 //   kConfig         bad options / DML / injected work   -> fix input, retry
 //   kTopology       ChannelGraph vs engine disagreement -> fall back to the
 //                                                          dense/barrier path
-//   kProtocolStall  sync protocol made no progress      -> restore + degrade
-//   kIo             checkpoint/file read/write failed   -> retry or re-path
+//   kProtocolStall  sync protocol made no progress      -> re-run + degrade
 //   kInternal       API misuse / invariant adjacent     -> not recoverable
 //
 // MASSF_CHECK (util/check.hpp) remains abort-based and is reserved for true
@@ -32,7 +31,6 @@ enum class ErrorCategory {
   kConfig,
   kTopology,
   kProtocolStall,
-  kIo,
   kInternal,
 };
 
@@ -41,7 +39,6 @@ inline const char* error_category_name(ErrorCategory c) {
     case ErrorCategory::kConfig: return "config";
     case ErrorCategory::kTopology: return "topology";
     case ErrorCategory::kProtocolStall: return "protocol-stall";
-    case ErrorCategory::kIo: return "io";
     case ErrorCategory::kInternal: return "internal";
   }
   return "unknown";

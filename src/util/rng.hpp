@@ -6,7 +6,6 @@
 // whole experiment is reproducible from one integer.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -68,14 +67,6 @@ class Rng {
   /// Samples an index in [0, weights.size()) with probability proportional
   /// to weights[i]. Weights must be non-negative with a positive sum.
   std::size_t weighted_index(const std::vector<double>& weights);
-
-  /// Raw generator state, for checkpoint/restore: set_state() with a value
-  /// previously returned by state() resumes the stream at exactly the same
-  /// position.
-  std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
 
  private:
   std::uint64_t s_[4];

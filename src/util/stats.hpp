@@ -65,12 +65,6 @@ class TimeSeries {
   std::size_t num_bins() const { return bins_.size(); }
   /// Sum of values recorded in bin i.
   double bin(std::size_t i) const { return bins_[i]; }
-  const std::vector<double>& bins() const { return bins_; }
-
-  /// Replaces the recorded bins wholesale (checkpoint restore). Rebuilding
-  /// via add() would re-derive bin indices from float division; restoring
-  /// the stored sums directly is the only bit-exact path.
-  void load_bins(std::vector<double> bins) { bins_ = std::move(bins); }
 
  private:
   double bin_width_;

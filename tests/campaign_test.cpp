@@ -351,8 +351,8 @@ TEST(Campaign, FailedRunIsReportedInRollup) {
           "  sweep [\n    seed 2\n    seed 3\n  ]\n]",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  // Sabotage one run post-parse: a restore path that doesn't exist.
-  spec->runs[0].spec.options.ckpt.restore_path = "/no/such/checkpoint.ckpt";
+  // Sabotage one run post-parse: a fault aimed past the network.
+  spec->runs[0].spec.options.faults.link_down(from_seconds(0.1), 99999);
 
   CampaignExecOptions opts;
   opts.workers = 2;

@@ -1,6 +1,6 @@
 // The corpus test's shrink: a scenario file scaled down to test size,
 // shared by every test that runs a corpus file (scenario_corpus_test,
-// ckpt_scenario_test).
+// guard_test).
 #pragma once
 
 #include <algorithm>
@@ -12,9 +12,9 @@
 namespace massf {
 
 // Scales a corpus scenario down to test size: same shape (app kind,
-// executor, ckpt/guard/fault wiring all preserved), `end_time`
-// of virtual time. Checkpoint and guard-dump files go to `scratch` plus a
-// suffix, so cases running in parallel processes never share a file.
+// executor, guard/fault wiring all preserved), `end_time` of virtual
+// time. Guard-dump files go to `scratch` plus a suffix, so cases running
+// in parallel processes never share a file.
 inline ScenarioSpec shrink(ScenarioSpec spec, const std::string& scratch,
                            SimTime end_time) {
   spec.options.num_routers = 60;
@@ -31,12 +31,6 @@ inline ScenarioSpec shrink(ScenarioSpec spec, const std::string& scratch,
   spec.options.profile_end_time = from_seconds(0.2);
   spec.options.executor_threads =
       std::min(spec.options.executor_threads, std::int32_t{2});
-  if (!spec.options.ckpt.path.empty()) {
-    spec.options.ckpt.path = scratch + ".ckpt";
-    spec.options.ckpt.every_windows =
-        std::min<std::uint64_t>(spec.options.ckpt.every_windows, 5);
-  }
-  spec.options.ckpt.restore_path.clear();
   if (!spec.options.guard.dump_path.empty()) {
     spec.options.guard.dump_path = scratch + "-guard.json";
   }

@@ -1,30 +1,39 @@
 // Supervision subsystem (src/guard, DESIGN.md section 5h): the liveness
-// watchdog, the structured error taxonomy, and checkpoint-based
-// auto-recovery.
+// watchdog, the structured error taxonomy, and auto-recovery by re-running.
 //
-// The headline property mirrors the checkpoint suite's: a run that *stalls*
-// (here: a test-injected frozen channel clock) and is recovered by
-// GuardedRun — restore the latest massf.ckpt.v1 checkpoint, degrade to the
-// sequential executor — must still produce the exact golden trace checksum
-// (807988445054369792) that pdes_golden_test.cpp and BENCH_pdes.json pin
-// for uninterrupted runs. Recovery is allowed to change who waits on whom,
-// never what happens.
+// The headline property: a run that *stalls* (here: a test-injected frozen
+// channel clock) and is recovered by GuardedRun — re-run from t = 0,
+// degraded to the sequential executor — must still produce the exact
+// golden trace checksum (807988445054369792) that pdes_golden_test.cpp and
+// BENCH_pdes.json pin for uninterrupted runs, and a stalled scenario run
+// must recover to exactly the unguarded sequential result. Recovery is
+// allowed to change who waits on whom, never what happens.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "ckpt/ckpt.hpp"
+#include "campaign/runner.hpp"
+#include "corpus_shrink.hpp"
 #include "guard/guarded_run.hpp"
 #include "guard/options.hpp"
 #include "guard/watchdog.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "pdes/golden_ring.hpp"
+#include "sim/scenario.hpp"
+#include "sim/scenario_config.hpp"
 #include "util/error.hpp"
+
+#ifndef MASSF_SCENARIO_DIR
+#error "MASSF_SCENARIO_DIR must point at the repo's scenarios/ directory"
+#endif
 
 namespace massf {
 namespace {
@@ -56,7 +65,6 @@ TEST(EngineErrorTaxonomy, CategoryNamesAreStable) {
   EXPECT_STREQ(error_category_name(ErrorCategory::kTopology), "topology");
   EXPECT_STREQ(error_category_name(ErrorCategory::kProtocolStall),
                "protocol-stall");
-  EXPECT_STREQ(error_category_name(ErrorCategory::kIo), "io");
   EXPECT_STREQ(error_category_name(ErrorCategory::kInternal), "internal");
 }
 
@@ -193,13 +201,13 @@ TEST(GuardedRunLadder, WalksRetryThenSequential) {
   ASSERT_EQ(plans.size(), 3u);
   EXPECT_EQ(plans[0].threads, 4);
   EXPECT_EQ(plans[0].rung, 0);
-  EXPECT_FALSE(plans[0].restore);
+  EXPECT_EQ(plans[0].attempt, 0);
   EXPECT_EQ(plans[1].threads, 4);
   EXPECT_EQ(plans[1].rung, 0);
-  EXPECT_TRUE(plans[1].restore);
+  EXPECT_EQ(plans[1].attempt, 1);
   EXPECT_EQ(plans[2].threads, 1);
   EXPECT_EQ(plans[2].rung, 1);
-  EXPECT_TRUE(plans[2].restore);
+  EXPECT_EQ(plans[2].attempt, 2);
 
   EXPECT_FALSE(report.completed);
   EXPECT_EQ(report.attempts, 3);
@@ -241,16 +249,12 @@ TEST(GuardedRunLadder, FirstTryCompletionIsNotARecovery) {
 // ---- end-to-end recovery ----------------------------------------------------
 
 // The headline: the golden ring on the threaded executor, one LP's clock
-// frozen at window 1000 (after the window-1000 checkpoint lands). The
-// watchdog cancels the stalled attempt; GuardedRun restores the checkpoint
-// on the sequential fallback — which ignores the freeze — and the run must
-// finish with the same checksum, event count, and window count as an
-// uninterrupted run.
+// frozen at window 1000. The watchdog cancels the stalled attempt;
+// GuardedRun re-runs a freshly built ring from t = 0 on the sequential
+// fallback — which ignores the freeze — and the run must finish with the
+// same checksum, event count, and window count as an uninterrupted run.
 TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
-  const std::string ckpt_path =
-      ::testing::TempDir() + "/massf_guard_golden.ckpt";
   const std::string dump = ::testing::TempDir() + "/massf_guard_golden.json";
-  std::remove(ckpt_path.c_str());
   std::remove(dump.c_str());
 
   obs::Registry registry;
@@ -260,30 +264,7 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   auto attempt = [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
     EngineOptions o = guarded_options(/*deadline_s=*/0.3, dump);
     GoldenRing ring = build_golden_ring(o);
-
-    ckpt::Participants parts;
     Engine* eng = ring.engine.get();
-    parts.add(
-        "engine", [eng](ckpt::Writer& w) { eng->save_state(w); },
-        [eng](ckpt::Reader& r) { return eng->restore_state(r); });
-
-    if (plan.restore) {
-      std::string error;
-      const auto parsed = ckpt::Checkpoint::read_file(ckpt_path, &error);
-      if (!parsed.has_value()) {
-        return {guard::AttemptStatus::kFailed, "checkpoint read: " + error};
-      }
-      if (!parts.restore(*parsed, &error)) {
-        return {guard::AttemptStatus::kFailed, "checkpoint restore: " + error};
-      }
-    }
-    eng->hooks().ckpt_every = 500;
-    eng->hooks().ckpt = [&parts, &ckpt_path](Engine&, SimTime) {
-      ckpt::Checkpoint ck;
-      parts.save(ck);
-      std::string error;
-      ASSERT_TRUE(ck.write_file(ckpt_path, &error)) << error;
-    };
     // Armed on every attempt: the sequential fallback ignores the freeze
     // and runs clean — exactly the degradation contract.
     eng->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
@@ -326,6 +307,107 @@ TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   ASSERT_FALSE(body.empty());
   EXPECT_TRUE(json_balanced(body)) << body;
   EXPECT_NE(body.find("massf.guard.v1"), std::string::npos);
+}
+
+// ---- supervised scenario recovery --------------------------------------------
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// GuardedRun's ladder through a real stall: bgp-chaos.dml, shrunk, on two
+// threads with LP 3's clock frozen. The watchdog cancels the wedged
+// attempt, `retries 0` sends the ladder straight to rung 1 (one thread,
+// which the freeze cannot stall), and the re-run equals an unguarded
+// sequential one. Two freezes: after 100 windows, and inside the
+// crash→restore outage (0.9–2.2 s) where the first attempt leaves router 3
+// crashed, the AS 0 – AS 1 session down and link 0 flapped down. A fresh
+// injector, fresh speakers and the restored forwarding plane must leave
+// nothing of the cancelled attempt behind.
+TEST(GuardedScenario, InjectedStallRecoversToTheSequentialResult) {
+  const std::string path = std::string(MASSF_SCENARIO_DIR) + "/bgp-chaos.dml";
+  const std::string scratch = ::testing::TempDir() + "guarded-bgp-chaos";
+  // Runs the shrunk file; `freeze_after` > 0 freezes LP 3 after that many
+  // windows on every attempt. `floors` gets the first attempt's window
+  // floors, recorded by a barrier hook that changes nothing.
+  const auto run = [&](const std::string& override_text,
+                       std::uint64_t freeze_after, std::vector<SimTime>* floors,
+                       obs::Registry& registry) {
+    std::string error;
+    const auto loaded = load_scenario_file(path, &error, override_text);
+    EXPECT_TRUE(loaded.has_value()) << error;
+    const ScenarioSpec spec = shrink(loaded.value(), scratch, seconds(3));
+    ScenarioOptions opts = spec.options;
+    opts.registry = &registry;
+    Scenario scenario(opts);
+    bool first = true;
+    scenario.set_pre_run([&](Engine& engine, NetSim&) {
+      if (freeze_after > 0) engine.test_freeze_lp_clock(3, freeze_after);
+      if (first) {
+        engine.hooks().barrier.push_back(
+            [floors](Engine&, SimTime floor) { floors->push_back(floor); });
+      }
+      first = false;
+    });
+    return run_mapping(scenario, spec, spec.mappings.front(), &registry);
+  };
+
+  obs::Registry want_registry;
+  std::vector<SimTime> want_floors;
+  const MappingRun want =
+      run("executor_threads 0", 0, &want_floors, want_registry);
+  ASSERT_TRUE(want.result.has_value());
+  EXPECT_EQ(want.guard.attempts, 0);  // unsupervised
+  ASSERT_EQ(want_floors.size(), want.result->stats.num_windows);
+
+  // Both executors open the same windows, so the unguarded run's floors
+  // say which window count stalls the threaded run at 1.25 s: the crash
+  // (0.9 s), the session reset (1.0–1.5 s) and the first flap (1.2–1.35 s)
+  // are all in effect there.
+  std::uint64_t outage_window = 0;
+  while (outage_window < want_floors.size() &&
+         want_floors[outage_window] < from_seconds(1.25)) {
+    ++outage_window;
+  }
+  ASSERT_LT(outage_window, want_floors.size());
+
+  // Canonical metrics minus guard.* (timing_metric_excludes drops it) and
+  // the worker count itself.
+  std::vector<std::string_view> excludes(timing_metric_excludes().begin(),
+                                         timing_metric_excludes().end());
+  excludes.push_back("pdes.sched.threads");
+
+  for (const std::uint64_t freeze_after : {std::uint64_t{100}, outage_window}) {
+    SCOPED_TRACE("freeze after " + std::to_string(freeze_after) + " windows");
+    obs::Registry got_registry;
+    std::vector<SimTime> frozen_floors;
+    const MappingRun got =
+        run("executor_threads 2 guard.enabled 1 guard.deadline_s 0.5 "
+            "guard.policy recover guard.retries 0",
+            freeze_after, &frozen_floors, got_registry);
+
+    ASSERT_TRUE(got.result.has_value()) << got.guard.last_error;
+    EXPECT_TRUE(got.guard.completed);
+    EXPECT_EQ(got.guard.attempts, 2);
+    EXPECT_EQ(got.guard.stalls, 1u);
+    EXPECT_EQ(got.guard.degraded_rung, 1);
+    // The frozen attempt stalled in the window the freeze names.
+    ASSERT_EQ(frozen_floors.size(), freeze_after + 1);
+    if (freeze_after == outage_window) {
+      EXPECT_GT(frozen_floors.back(), from_seconds(0.9));
+      EXPECT_LT(frozen_floors.back(), from_seconds(2.2));
+    }
+    EXPECT_EQ(got.result->stats.total_events,
+              want.result->stats.total_events);
+    EXPECT_EQ(got.result->stats.num_windows, want.result->stats.num_windows);
+    EXPECT_EQ(double_bits(got.result->metrics.simulation_time_s),
+              double_bits(want.result->metrics.simulation_time_s));
+    EXPECT_EQ(obs::to_json_excluding(got_registry, excludes),
+              obs::to_json_excluding(want_registry, excludes));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // LinkModel boundary tests: utilization/byte-accounting edge cases on the
 // packet model, the fluid fast path's analytic correctness and its
 // water-fill against a full-slot reference, flow<->packet coupling in both
-// directions, executor-independence of the hybrid model, and checkpoint
-// round trips.
+// directions, and executor-independence of the hybrid model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "ckpt/ckpt.hpp"
 #include "net/fluid_link.hpp"
 #include "net/netsim.hpp"
 #include "routing/forwarding.hpp"
@@ -564,58 +562,6 @@ TEST(LinkModelDeterminism, HybridSequentialEqualsThreaded) {
   EXPECT_EQ(seq.totals.forwarded, thr2.totals.forwarded);
   EXPECT_EQ(seq.totals.delivered, thr2.totals.delivered);
   EXPECT_EQ(seq.totals.flows_completed, thr2.totals.flows_completed);
-}
-
-// ---- checkpoint participation ----------------------------------------------
-
-// Mid-run hybrid state (active flows, published reservations, measured
-// packet rates) round-trips: save -> load into a fresh stack -> save again
-// must be byte-identical.
-TEST(LinkModelCkpt, HybridStateRoundTripsByteIdentical) {
-  NetSimOptions no = hybrid_opts();
-  const auto build = [&no]() {
-    return std::make_unique<Fixture>(std::vector<LpId>{0, 0, 0, 0}, no, 2,
-                                     /*end=*/milliseconds(60));
-  };
-  auto a = build();
-  // Still in flight at the 60 ms horizon: 8 MB at <= 1e8 bps.
-  a->sim->start_background_flow(*a->engine, 0, 4, 10, 8000000, 0);
-  a->sim->start_background_flow(*a->engine, 0, 5, 11, 8000000, 1);
-  a->sim->start_flow(*a->engine, milliseconds(1), 6, 8, 2000000, 100);
-  a->engine->run();
-  const auto* fluid_a =
-      dynamic_cast<const FluidLinkModel*>(&a->sim->link_model());
-  ASSERT_NE(fluid_a, nullptr);
-  ASSERT_GT(fluid_a->active_background_flows(), 0u) << "horizon too late";
-
-  ckpt::Writer wa;
-  a->sim->save(wa);
-
-  auto b = build();
-  ckpt::Reader r(wa.buffer().data(), wa.size());
-  ASSERT_TRUE(b->sim->load(r));
-  ckpt::Writer wb;
-  b->sim->save(wb);
-  EXPECT_EQ(wa.buffer(), wb.buffer());
-
-  const auto* fluid_b =
-      dynamic_cast<const FluidLinkModel*>(&b->sim->link_model());
-  ASSERT_NE(fluid_b, nullptr);
-  EXPECT_EQ(fluid_a->active_background_flows(),
-            fluid_b->active_background_flows());
-  EXPECT_EQ(fluid_a->bg_counters().started, fluid_b->bg_counters().started);
-}
-
-// A packet-model checkpoint must refuse to load into a hybrid stack (and
-// vice versa): the kind marker guards the section shape.
-TEST(LinkModelCkpt, KindMarkerRejectsCrossModelRestore) {
-  Fixture packet({0, 0, 0, 0}, packet_opts());
-  ckpt::Writer w;
-  packet.sim->save(w);
-
-  Fixture hybrid({0, 0, 0, 0}, hybrid_opts());
-  ckpt::Reader r(w.buffer().data(), w.size());
-  EXPECT_FALSE(hybrid.sim->load(r));
 }
 
 }  // namespace

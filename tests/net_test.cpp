@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "ckpt/ckpt.hpp"
 #include "net/netsim.hpp"
 #include "net/packet.hpp"
 #include "net/tcp.hpp"
@@ -273,26 +272,6 @@ TEST(NetSim, ThreadedMatchesSequential) {
                                       completions};
   };
   EXPECT_EQ(run(false), run(true));
-}
-
-// A run's router→LP mapping is fixed, so a checkpoint restores only into a
-// NetSim built on the mapping it was taken under — a different mapping with
-// the same LP count is refused rather than silently adopted.
-TEST(NetSim, CheckpointRefusesDifferentMapping) {
-  Fixture saved({0, 0, 1, 1});
-  saved.sim->start_flow(*saved.engine, milliseconds(1), 4, 5, 50000, 1);
-  saved.engine->run();
-  ckpt::Writer w;
-  saved.sim->save(w);
-
-  Fixture moved({0, 1, 1, 1});  // router 1 on LP 1: same LP count
-  ckpt::Reader r_moved(w.buffer().data(), w.size());
-  EXPECT_FALSE(moved.sim->load(r_moved));
-
-  Fixture same({0, 0, 1, 1});
-  ckpt::Reader r_same(w.buffer().data(), w.size());
-  EXPECT_TRUE(same.sim->load(r_same));
-  EXPECT_TRUE(r_same.done());
 }
 
 TEST(NetSim, NodeProfileCollected) {

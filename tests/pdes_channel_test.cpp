@@ -104,7 +104,7 @@ TEST(ChannelSync, QuiescenceEpochsMatchWindows) {
   const SyncStats& sync = engine->sync_stats();
   EXPECT_EQ(sync.channels, 4u);
   // Every window boundary the channel executor ran was a detected
-  // quiescent epoch — the hook/ckpt contract depends on exactly this.
+  // quiescent epoch — the hook contract depends on exactly this.
   EXPECT_EQ(sync.quiescence_epochs, stats.num_windows);
 }
 

@@ -242,7 +242,7 @@ TEST(Engine, RequestStopEndsRun) {
   EXPECT_LT(p->records.size(), 10u);
 }
 
-TEST(EngineHooks, FiringOrderBarrierCkpt) {
+TEST(EngineHooks, FiringOrderBarrier) {
   for (const std::int32_t threads : {0, 2}) {
     EngineOptions o = base_options();
     o.end_time = milliseconds(8);
@@ -253,28 +253,20 @@ TEST(EngineHooks, FiringOrderBarrierCkpt) {
     engine.add_lp(std::move(lp));
     engine.schedule(0, 0, 3);
     // One entry per boundary; the first barrier hook opens the entry so the
-    // per-boundary stage sequence is recorded exactly as fired.
+    // per-boundary hook sequence is recorded exactly as fired.
     std::vector<std::string> boundaries;
     engine.hooks().barrier.push_back(
         [&boundaries](Engine&, SimTime) { boundaries.emplace_back("a"); });
     engine.hooks().barrier.push_back(
         [&boundaries](Engine&, SimTime) { boundaries.back() += 'b'; });
-    engine.hooks().ckpt_every = 2;
-    engine.hooks().ckpt = [&boundaries](Engine&, SimTime) {
-      boundaries.back() += 'c';
-    };
     const RunStats stats =
         threads > 0 ? engine.run_threaded(threads) : engine.run();
-    // One boundary opens each window, carrying the completed-window count
-    // w: barrier hooks in registration order at every boundary, then the
-    // ckpt stage when w > 0 and w % 2 == 0 (it snapshots post-barrier
-    // state).
+    // One boundary opens each window: barrier hooks in registration order
+    // at every boundary.
     ASSERT_EQ(boundaries.size(), stats.num_windows) << "threads=" << threads;
     ASSERT_GE(boundaries.size(), 8u);
     for (std::size_t w = 0; w < boundaries.size(); ++w) {
-      std::string want = "ab";
-      if (w > 0 && w % 2 == 0) want += 'c';
-      EXPECT_EQ(boundaries[w], want)
+      EXPECT_EQ(boundaries[w], "ab")
           << "boundary w=" << w << " threads=" << threads;
     }
   }

@@ -65,10 +65,6 @@ TEST(ScenarioSpec, ErrorMatrix) {
        "line 3: unknown guard policy 'panic' (recover|abort)"},
       {"Experiment [\n  guard [\n    deadline_s 0\n  ]\n]",
        "line 3: 'deadline_s' must be > 0"},
-      {"Experiment [\n  ckpt [\n    every 5\n  ]\n]",
-       "line 2: ckpt [ every > 0 ] requires a path"},
-      {"Experiment [\n  ckpt [\n    flush 1\n  ]\n]",
-       "line 3: unknown key 'flush' in ckpt [ ] (prefix with x_ to ignore)"},
       {"Experiment [\n  faults [\n    event \"at 1.0 warp link=3\"\n  ]\n]",
        "line 3: fault event: unknown event `warp`"},
       {"Experiment [\n  faults [\n    file no-such-file.txt\n  ]\n]",
@@ -139,8 +135,6 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   o.app = AppKind::kGridNpb;
   o.guard.enabled = true;
   o.guard.on_stall = guard::OnStall::kAbort;
-  o.ckpt.every_windows = 10;
-  o.ckpt.path = "x.ckpt";
   spec.mappings = {MappingKind::kTop2, MappingKind::kHProf};
   spec.guard_retries = 3;
   o.faults.link_down(seconds(1), 3).link_up(seconds(2), 3);
@@ -170,8 +164,6 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   EXPECT_EQ(back.executor_threads, 2);
   EXPECT_TRUE(back.guard.enabled);
   EXPECT_EQ(back.guard.on_stall, guard::OnStall::kAbort);
-  EXPECT_EQ(back.ckpt.every_windows, 10u);
-  EXPECT_EQ(back.ckpt.path, "x.ckpt");
   EXPECT_EQ(reparsed->mappings,
             (std::vector<MappingKind>{MappingKind::kTop2,
                                       MappingKind::kHProf}));
@@ -254,7 +246,6 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
       "  background_flows [ sources 6  think_time_s 2.0  mean_bytes 50000\n"
       "                     recompute_every 4\n"
       "                     stall_timeout_s 30  rate_cap_bps 1e7 ]\n"
-      "  ckpt [ every 5  path x.ckpt  stop_after 1  restore \"\" ]\n"
       "  guard [ enabled 1  deadline_s 5  poll_s 0.1  dump g.json\n"
       "          policy abort  retries 2 ]\n"
       "  faults [ event \"at 0.5 link_down link=1\" ]\n"
@@ -307,21 +298,21 @@ constexpr const char* kOverrideBase =
     "]";
 
 // An override changes the keys it names, creating the sub-block the file
-// lacks (ckpt); every other atom keeps the file's value, also inside a
-// sub-block the override writes into (guard).
+// lacks (background_flows); every other atom keeps the file's value, also
+// inside a sub-block the override writes into (guard).
 TEST(ScenarioSpec, FlagsOverrideFileOnlyWhenSet) {
   std::string error;
   const auto spec = load_overridden(
       kOverrideBase,
-      "guard.poll_s 0.5  seed 7  ckpt.every 16  ckpt.path c.ckpt\n"
-      "ckpt.restore r.ckpt",
+      "guard.poll_s 0.5  seed 7  background_flows.sources 16\n"
+      "background_flows.think_time_s 2.5  background_flows.mean_bytes 9000",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_DOUBLE_EQ(spec->options.guard.poll_interval_s, 0.5);
   EXPECT_EQ(spec->options.seed, 7u);
-  EXPECT_EQ(spec->options.ckpt.every_windows, 16u);
-  EXPECT_EQ(spec->options.ckpt.path, "c.ckpt");
-  EXPECT_EQ(spec->options.ckpt.restore_path, "r.ckpt");
+  EXPECT_EQ(spec->options.num_bg_sources, 16);
+  EXPECT_DOUBLE_EQ(spec->options.background.think_time_mean_s, 2.5);
+  EXPECT_DOUBLE_EQ(spec->options.background.flow_mean_bytes, 9000.0);
 
   EXPECT_TRUE(spec->options.guard.enabled);
   EXPECT_DOUBLE_EQ(spec->options.guard.stall_deadline_s, 20.0);
@@ -343,15 +334,6 @@ TEST(ScenarioSpec, MappingFlagReplacesRunList) {
 
   EXPECT_FALSE(load_overridden(kOverrideBase, "mapping WARP", &error));
   EXPECT_EQ(error, "unknown mapping 'WARP'");
-}
-
-TEST(ScenarioSpec, CkptEveryWithoutPathRejected) {
-  std::string error;
-  EXPECT_FALSE(load_overridden(kOverrideBase, "ckpt.every 5", &error));
-  EXPECT_EQ(error, "ckpt [ every > 0 ] requires a path");
-  EXPECT_TRUE(load_overridden(kOverrideBase, "ckpt.every 5 ckpt.path c.ckpt",
-                              &error))
-      << error;
 }
 
 // Override values go through the strict parser, so a bad one gets the
