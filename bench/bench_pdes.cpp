@@ -100,7 +100,6 @@ Measurement measure(const Workload& w, std::int32_t threads, int repeats,
       // the row measures what supervision costs, not what it does.
       o.guard.enabled = true;
       o.guard.stall_deadline_s = 300.0;
-      o.guard.poll_interval_s = 0.05;
     }
     GoldenRing ring = build_ring(w, o);
     Engine& engine = *ring.engine;

@@ -6,7 +6,7 @@
 //   ./massf_cli --template                        # print a scenario template
 //
 // The scenario file (sim/scenario_config.hpp) is the whole experiment —
-// topology scale, traffic mix, fault schedule, guard policy, mapping run
+// topology scale, traffic mix, fault schedule, stall guard, mapping run
 // list — and the only place a run is configured. --override
 // changes it for one run: its value is the body of a campaign
 // `override [ ]` block, scalar atoms with dotted keys for sub-blocks,
@@ -83,22 +83,7 @@ int main(int argc, char** argv) {
     std::printf("%-7s %10s %9s %9s %8s %12s\n", "mapping", "T(sec)",
                 "MLL(ms)", "imbal", "PE", "events");
     for (const MappingKind kind : spec.mappings) {
-      const MappingRun run = run_mapping(scenario, spec, kind, nullptr);
-      if (!run.result) {
-        std::fprintf(stderr, "guarded run failed permanently: %s\n",
-                     run.guard.last_error.c_str());
-        return 1;
-      }
-      if (run.guard.attempts > 1) {
-        std::printf(
-            "        guard: recovered after %d attempts "
-            "(stalls=%llu errors=%llu rung=%d)\n",
-            run.guard.attempts,
-            static_cast<unsigned long long>(run.guard.stalls),
-            static_cast<unsigned long long>(run.guard.errors),
-            run.guard.degraded_rung);
-      }
-      const ExperimentResult& r = *run.result;
+      const ExperimentResult r = run_mapping(scenario, kind);
       std::printf("%-7s %10.3f %9.3f %9.3f %8.3f %12llu\n",
                   mapping_kind_name(kind), r.metrics.simulation_time_s,
                   to_milliseconds(r.mapping.achieved_mll),

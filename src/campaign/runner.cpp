@@ -1,20 +1,26 @@
 #include "campaign/runner.hpp"
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "campaign/golden.hpp"
-#include "guard/guarded_run.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
-#include "util/error.hpp"
+
+extern char** environ;
 
 namespace massf {
 namespace {
@@ -57,12 +63,7 @@ void execute_scenario(const CampaignRun& run, obs::Registry* registry,
   Scenario scenario(opts);
 
   const MappingKind kind = s.mappings.front();
-  const MappingRun m = run_mapping(scenario, s, kind, registry);
-  if (!m.result) {
-    rec->error = "guarded run failed permanently: " + m.guard.last_error;
-    return;
-  }
-  const ExperimentResult& r = *m.result;
+  const ExperimentResult r = run_mapping(scenario, kind);
   rec->ok = true;
   rec->mapping = mapping_kind_name(kind);
   rec->events = r.metrics.total_events;
@@ -78,38 +79,64 @@ std::string kv_line(const std::string& key, const std::string& value) {
   return key + "\t" + value + "\n";
 }
 
+// Starts `self_exe --campaign=<path> --worker-run=<index> --out=<dir>`
+// with stdout and stderr on <run_dir>/log.txt, waits for it, and returns
+// how it ended: "exited N", "killed by signal N" or "failed to start: ...".
+// The argv goes to the child as is, so no path needs quoting.
+std::string run_worker(const CampaignExecOptions& options, std::size_t index,
+                       const std::string& run_dir) {
+  std::vector<std::string> args = {
+      options.self_exe, "--campaign=" + options.campaign_path,
+      "--worker-run=" + std::to_string(index), "--out=" + options.out_dir};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+
+  const std::string log = run_dir + "/log.txt";
+  posix_spawn_file_actions_t actions;
+  int rc = posix_spawn_file_actions_init(&actions);
+  if (rc != 0) return "failed to start: " + std::string(std::strerror(rc));
+  rc = posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, log.c_str(),
+                                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (rc == 0) {
+    rc = posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO,
+                                          STDERR_FILENO);
+  }
+  pid_t pid = 0;
+  if (rc == 0) {
+    rc = posix_spawn(&pid, options.self_exe.c_str(), &actions, nullptr,
+                     argv.data(), environ);
+  }
+  posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0) return "failed to start: " + std::string(std::strerror(rc));
+
+  int wstatus = 0;
+  while (waitpid(pid, &wstatus, 0) < 0) {
+    if (errno != EINTR) return "lost: " + std::string(std::strerror(errno));
+  }
+  if (WIFSIGNALED(wstatus)) {
+    return "killed by signal " + std::to_string(WTERMSIG(wstatus));
+  }
+  return "exited " + std::to_string(WEXITSTATUS(wstatus));
+}
+
 }  // namespace
 
-MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
-                       MappingKind kind, obs::Registry* registry) {
-  const ScenarioOptions& opts = spec.options;
-  MappingRun out;
-  if (!opts.guard.enabled || opts.guard.on_stall != guard::OnStall::kCancel) {
-    out.result = scenario.run(kind);
-    return out;
-  }
-  guard::GuardedRun::Options gro;
-  gro.max_retries = spec.guard_retries;
-  guard::GuardedRun runner(gro, registry);
-  out.guard = runner.run(
-      opts.executor_threads,
-      [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-        scenario.set_executor_threads(plan.threads);
-        ExperimentResult r;
-        try {
-          r = scenario.run(kind);
-        } catch (const EngineError& e) {
-          if (e.category() == ErrorCategory::kInternal) throw;
-          return {guard::AttemptStatus::kFailed, e.what()};
-        }
-        if (scenario.last_run_cancelled()) {
-          return {guard::AttemptStatus::kStalled,
-                  "watchdog cancelled the run"};
-        }
-        out.result = std::move(r);
-        return {guard::AttemptStatus::kCompleted, ""};
-      });
-  return out;
+ExperimentResult run_mapping(Scenario& scenario, MappingKind kind) {
+  ExperimentResult result = scenario.run(kind);
+  if (!scenario.last_run_cancelled()) return result;
+  std::fprintf(stderr,
+               "massf guard: %s run cancelled after a stall; re-running it "
+               "from t = 0 on the sequential executor\n",
+               mapping_kind_name(kind));
+  std::fflush(stderr);
+  struct RestoreThreads {
+    Scenario& scenario;
+    const std::int32_t threads;
+    ~RestoreThreads() { scenario.set_executor_threads(threads); }
+  } restore{scenario, scenario.options().executor_threads};
+  scenario.set_executor_threads(0);
+  return scenario.run(kind);
 }
 
 std::span<const std::string_view> timing_metric_excludes() {
@@ -277,12 +304,7 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
       // result.kv) and this side only collects.
       std::error_code ec;
       std::filesystem::create_directories(run_dir, ec);
-      const std::string cmd = "'" + options.self_exe + "' --campaign='" +
-                              options.campaign_path + "' --worker-run=" +
-                              std::to_string(i) + " --out='" +
-                              options.out_dir + "' > '" + run_dir +
-                              "/log.txt' 2>&1";
-      const int rc = std::system(cmd.c_str());
+      const std::string status = run_worker(options, i, run_dir);
       RunRecord rec;
       std::ifstream in(run_dir + "/result.kv");
       std::ostringstream buf;
@@ -294,7 +316,7 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
         rec.axis = run.axis;
         rec.golden = run.golden;
         rec.ok = false;
-        rec.error = "worker exited " + std::to_string(rc) +
+        rec.error = "worker " + status +
                     (err.empty() ? " without result.kv" : ": " + err);
       }
       outcome.runs[i] = rec;

@@ -1,7 +1,8 @@
 // Campaign execution: one resolved run at a time, or the whole expansion
 // across parallel workers. The run loop for one mapping (run_mapping) is
 // the one massf_cli executes too, so a scenario file means the same thing
-// to both.
+// to both: it runs the mapping and, when the guard's watchdog cancelled a
+// stalled run, runs it once more from t = 0 on the sequential executor.
 //
 // Every run executes hermetically — its own Scenario (or golden ring),
 // its own obs::Registry — so the result is a pure function of the run's
@@ -21,40 +22,25 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "guard/guarded_run.hpp"
 #include "sim/scenario.hpp"
 
 namespace massf {
 
-namespace obs {
-class Registry;
-}  // namespace obs
-
-/// One mapping's measured run, as massf_cli and the campaign runner both
-/// execute it.
-struct MappingRun {
-  /// Empty when a guarded run failed permanently (guard.last_error says
-  /// why).
-  std::optional<ExperimentResult> result;
-  /// The GuardedRun accounting; attempts == 0 for an unsupervised run.
-  guard::GuardedRunReport guard;
-};
-
-/// Runs `kind` on `scenario` (built from `spec.options`): supervised —
-/// GuardedRun down the degradation ladder, each retry re-running the
-/// Scenario from t = 0 — when the spec arms the guard with the recover
-/// policy, plain otherwise. Every executor produces the bit-identical
-/// trace, so a recovered run reports the same results as an uninterrupted
-/// one. `registry` (optional) receives the guard.* recovery metrics.
-MappingRun run_mapping(Scenario& scenario, const ScenarioSpec& spec,
-                       MappingKind kind, obs::Registry* registry);
+/// Runs `kind` on `scenario`. When the guard's watchdog cancelled a
+/// stalled run (Scenario::last_run_cancelled()), prints one stderr line and
+/// runs the mapping once more from t = 0 on the sequential executor, which
+/// has no synchronization protocol to stall; the scenario's thread count
+/// is restored afterwards for the next mapping. Every executor produces
+/// the bit-identical trace, so a recovered run reports the same results as
+/// an uninterrupted one. An EngineError propagates from the first run: a
+/// config or topology error fails the same way on every executor.
+ExperimentResult run_mapping(Scenario& scenario, MappingKind kind);
 
 /// The outcome of one campaign run: the deterministic result columns the
 /// roll-up reports, plus `wall_s` (timing; excluded from canonical

@@ -3,8 +3,9 @@
 // This header is the only part of src/guard the engine itself sees: it is
 // header-only (no link dependency) so massf_pdes can embed a GuardOptions
 // in EngineOptions and export a GuardTelemetry without depending on the
-// watchdog machinery. The monitor thread, diagnostics, and the recovery
-// ladder live in watchdog.{hpp,cpp} / guarded_run.{hpp,cpp} (massf_guard).
+// watchdog machinery. The monitor thread and its diagnostics live in
+// watchdog.{hpp,cpp} (massf_guard); recovery is one sequential re-run in
+// campaign/runner.hpp (run_mapping).
 //
 // Telemetry discipline: every field the watchdog reads is a std::atomic
 // updated with relaxed stores from the executor threads. The watchdog runs
@@ -24,37 +25,18 @@
 
 namespace massf::guard {
 
-/// What the watchdog does once the no-progress deadline expires (after the
-/// diagnostic has been written to stderr and the dump file).
-enum class OnStall : std::uint8_t {
-  /// Abort the process. The fallback when nothing can catch a stall —
-  /// better a diagnosed corpse than a wedged CI job.
-  kAbort,
-  /// Ask the engine to cancel the run (Engine::cancel_run). The run
-  /// returns with Engine::run_cancelled() set and the caller — typically
-  /// GuardedRun — decides how to recover. Falls back to kAbort when the
-  /// active executor cannot be cancelled (see Engine::cancel_run).
-  kCancel,
-};
-
-inline const char* on_stall_name(OnStall p) {
-  return p == OnStall::kAbort ? "abort" : "cancel";
-}
-
 struct GuardOptions {
   /// Master switch. Off by default; a scenario's `guard [ enabled 1 ]`
   /// or EngineOptions::guard turns it on.
   bool enabled = false;
   /// Wall-clock seconds without progress (windows closed or events
-  /// processed) before the watchdog declares a stall.
+  /// processed) before the watchdog declares a stall. The watchdog samples
+  /// every stall_deadline_s / 8, clamped to [1ms, 250ms]: fine enough that
+  /// detection latency is dominated by the deadline itself, coarse enough
+  /// to be free.
   double stall_deadline_s = 30.0;
-  /// Watchdog sampling period. <= 0 picks stall_deadline_s / 8, clamped
-  /// to [1ms, 250ms] — fine enough that detection latency is dominated by
-  /// the deadline itself, coarse enough to be free.
-  double poll_interval_s = 0;
   /// Where to write the JSON stall diagnostic ("" = stderr only).
   std::string dump_path;
-  OnStall on_stall = OnStall::kCancel;
 };
 
 /// Per-LP liveness cell, padded so the owning worker's relaxed stores do

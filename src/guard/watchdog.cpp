@@ -1,5 +1,6 @@
 #include "guard/watchdog.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -13,10 +14,8 @@ namespace massf::guard {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-double effective_poll_s(const GuardOptions& o) {
-  if (o.poll_interval_s > 0) return o.poll_interval_s;
-  const double p = o.stall_deadline_s / 8.0;
-  return p < 0.001 ? 0.001 : (p > 0.25 ? 0.25 : p);
+double poll_period_s(const GuardOptions& o) {
+  return std::clamp(o.stall_deadline_s / 8.0, 0.001, 0.25);
 }
 }  // namespace
 
@@ -57,7 +56,7 @@ std::string Watchdog::last_diagnostic() const {
 }
 
 void Watchdog::monitor() {
-  const auto poll = std::chrono::duration<double>(effective_poll_s(opts_));
+  const auto poll = std::chrono::duration<double>(poll_period_s(opts_));
   std::uint64_t last_progress = engine_.guard_telemetry().progress();
   Clock::time_point last_change = Clock::now();
 
@@ -77,7 +76,7 @@ void Watchdog::monitor() {
     if (stalled < opts_.stall_deadline_s) continue;
     lk.unlock();
     fire(stalled);
-    return;  // one firing per arm(); the policy decides what happens next
+    return;  // one firing per arm()
   }
 }
 
@@ -87,9 +86,8 @@ void Watchdog::fire(double stalled_for_s) {
 
   std::fprintf(stderr,
                "massf guard: no progress for %.3f s (deadline %.3f s) — "
-               "protocol stall; policy=%s%s%s\n%s\n",
+               "protocol stall%s%s\n%s\n",
                stalled_for_s, opts_.stall_deadline_s,
-               on_stall_name(opts_.on_stall),
                opts_.dump_path.empty() ? "" : "; dump=",
                opts_.dump_path.c_str(), json.c_str());
   std::fflush(stderr);
@@ -112,11 +110,11 @@ void Watchdog::fire(double stalled_for_s) {
     diagnostic_ = json;
   }
 
-  if (opts_.on_stall == OnStall::kCancel && engine_.cancel_run()) {
-    return;  // the run unwinds; GuardedRun (or the caller) recovers
+  if (engine_.cancel_run()) {
+    return;  // the run unwinds; the caller re-runs it (run_mapping)
   }
-  // kAbort, or the active executor cannot be cancelled: die loudly with
-  // the diagnostic already on stderr rather than hang the job.
+  // The active executor cannot be cancelled: die loudly with the
+  // diagnostic already on stderr rather than hang the job.
   std::fprintf(stderr, "massf guard: aborting stalled run\n");
   std::fflush(stderr);
   std::abort();

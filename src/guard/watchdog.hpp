@@ -9,9 +9,9 @@
 // per-LP channel clock, events, queue depth and min event time, channel
 // in-degree, sync wait counters — to stderr and, when configured, a JSON
 // dump file (schema massf.guard.v1, DESIGN.md section 5h), then (2)
-// applies GuardOptions::on_stall: cancel the run (recoverable, the
-// GuardedRun path) or abort the process (diagnosed corpse beats wedged CI
-// job).
+// cancels the run (Engine::cancel_run; the caller re-runs it, see
+// run_mapping in campaign/runner.hpp), or aborts the process when the
+// executor cannot be cancelled (a diagnosed corpse beats a wedged job).
 //
 // Lifecycle: construct with the engine and options, arm() before the run,
 // disarm() (or destroy) after. The monitor only reads engine atomics and

@@ -383,7 +383,7 @@ RunStats Engine::run_channel_sync(std::int32_t num_threads) {
     }
   };
 
-  // Forced cancellation (Engine::cancel_run, the watchdog's stall policy):
+  // Forced cancellation (Engine::cancel_run, from the stall watchdog):
   // raise done and bump the epoch word so parked workers wake — an
   // atomic wait only returns when the value actually changed, so a bare
   // notify would be lost. Every worker reaches its loop top and returns;

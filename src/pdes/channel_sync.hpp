@@ -106,4 +106,11 @@ struct SyncStats {
   double epoch_wait_s = 0;
 };
 
+/// Logs, once per process, that the host cannot report its concurrency
+/// (`hardware_concurrency` == 0): spin budgets are then disabled and every
+/// channel-clock stall yields at once. Returns true on the call that
+/// logged; hc > 0 and every later call return false. Engine::run_threaded
+/// calls it with std::thread::hardware_concurrency().
+bool warn_unknown_host_concurrency(unsigned hardware_concurrency);
+
 }  // namespace massf

@@ -184,8 +184,8 @@ class Engine {
   /// re-reads the flag at every window boundary.
   void request_stop() { stop_requested_.store(true, std::memory_order_release); }
 
-  /// Forcibly cancels the in-flight run from another thread (the watchdog's
-  /// stall policy). Beyond request_stop() — which only takes effect at the
+  /// Forcibly cancels the in-flight run from another thread (the watchdog,
+  /// on a stall). Beyond request_stop() — which only takes effect at the
   /// next window boundary, a boundary a stalled run never reaches — this
   /// additionally wakes the threaded executor's parked/stalling workers so
   /// they observe the stop and return. Returns true for every multi-thread
@@ -194,7 +194,7 @@ class Engine {
   /// window on the calling thread cannot be recovered in-process. After a
   /// cancelled run, run_cancelled() is true, the RunStats are a truncated
   /// prefix, and the engine must not be reused — recovery re-runs from
-  /// t = 0 on a fresh engine (guard/guarded_run.hpp).
+  /// t = 0 on a fresh engine (run_mapping, campaign/runner.hpp).
   bool cancel_run();
 
   /// True when the last run ended via cancel_run() rather than reaching
@@ -213,8 +213,8 @@ class Engine {
   /// channel clock mid-run — in-neighbors can never merge, the epoch never
   /// closes, and the protocol stalls exactly the way a lost/wedged
   /// component would. The sequential window loop (run(), run_threaded(1))
-  /// ignores the freeze, so the degradation ladder's sequential fallback
-  /// completes. kInvalidLp (default) disarms.
+  /// ignores the freeze, so the sequential re-run after a stall completes.
+  /// kInvalidLp (default) disarms.
   void test_freeze_lp_clock(LpId lp, std::uint64_t after_windows = 0) {
     freeze_lp_ = lp;
     freeze_after_windows_ = after_windows;

@@ -2,14 +2,25 @@
 // One thread runs the sequential window loop; two or more run the
 // channel-clock executor (channel_sync.cpp).
 #include <algorithm>
-#include <string>
+#include <atomic>
 #include <thread>
 
 #include "pdes/engine.hpp"
 #include "util/check.hpp"
-#include "util/warn.hpp"
+#include "util/log.hpp"
 
 namespace massf {
+
+bool warn_unknown_host_concurrency(unsigned hardware_concurrency) {
+  if (hardware_concurrency != 0) return false;
+  static std::atomic<bool> warned{false};
+  if (warned.exchange(true, std::memory_order_relaxed)) return false;
+  MASSF_LOG(kWarn) << "hardware_concurrency() == 0: host parallelism is "
+                      "unreportable, spin budgets are disabled and every "
+                      "channel-clock stall yields at once "
+                      "(pdes/channel_sync.cpp)";
+  return true;
+}
 
 RunStats Engine::run_threaded(std::int32_t num_threads) {
   MASSF_CHECK(num_threads >= 1);
@@ -17,11 +28,11 @@ RunStats Engine::run_threaded(std::int32_t num_threads) {
   num_threads = std::min<std::int32_t>(num_threads,
                                        std::max<std::int32_t>(1, num_lps()));
   if (num_threads < requested) {
-    warn(ErrorCategory::kConfig,
-         "run_threaded: " + std::to_string(requested) + " threads requested "
-         "for " + std::to_string(num_lps()) + " LPs; clamped to " +
-         std::to_string(num_threads) +
-         " (a thread with no claimable LP would only spin at the gates)");
+    MASSF_LOG(kWarn) << "run_threaded: " << requested
+                     << " threads requested for " << num_lps()
+                     << " LPs; clamped to " << num_threads
+                     << " (a thread with no claimable LP would only spin "
+                        "at the gates)";
   }
   warn_unknown_host_concurrency(std::thread::hardware_concurrency());
   if (num_threads == 1) {

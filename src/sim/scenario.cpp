@@ -36,6 +36,17 @@ Scenario::Scenario(const ScenarioOptions& options) : opts_(options) {
   opts_.mapping.cluster = opts_.cluster;
 
   if (opts_.multi_as) {
+    // maBrite's AS-level graph needs a core, a regional and a stub AS, and
+    // every AS needs two routers.
+    MASSF_ENFORCE(opts_.num_as >= 3, ErrorCategory::kConfig,
+                  "multi_as 1 needs as >= 3, but as is " +
+                      std::to_string(opts_.num_as));
+    MASSF_ENFORCE(opts_.num_routers / opts_.num_as >= 2,
+                  ErrorCategory::kConfig,
+                  "multi_as 1 needs routers / as >= 2, but routers " +
+                      std::to_string(opts_.num_routers) + " / as " +
+                      std::to_string(opts_.num_as) + " is " +
+                      std::to_string(opts_.num_routers / opts_.num_as));
     MaBriteOptions mo;
     mo.num_as = opts_.num_as;
     mo.routers_per_as = opts_.num_routers / opts_.num_as;
@@ -106,12 +117,27 @@ void Scenario::select_hosts() {
                     std::to_string(opts_.num_bg_sources) +
                     ") but hosts is " +
                     std::to_string(net_.num_hosts()));
-  // Background flows target the server pool, so sources need servers.
+  // Background flows and HTTP clients target the server pool, so both
+  // need servers.
   MASSF_ENFORCE(opts_.num_bg_sources == 0 || opts_.num_servers > 0,
                 ErrorCategory::kConfig,
                 std::to_string(opts_.num_bg_sources) +
                     " background sources need servers to target, but "
                     "servers is 0");
+  MASSF_ENFORCE(opts_.num_clients == 0 || opts_.num_servers > 0,
+                ErrorCategory::kConfig,
+                std::to_string(opts_.num_clients) +
+                    " clients need servers to request from, but servers "
+                    "is 0");
+  // ScaLapack's process grid is at least 2 x 2; the GridNPB mix splits its
+  // hosts over three graphs of at least three.
+  const std::int32_t min_app_hosts = opts_.app == AppKind::kScaLapack ? 4
+                                     : opts_.app == AppKind::kGridNpb ? 9
+                                                                      : 0;
+  MASSF_ENFORCE(app_hosts >= min_app_hosts, ErrorCategory::kConfig,
+                std::string("app ") + app_kind_name(opts_.app) +
+                    " needs app_hosts >= " + std::to_string(min_app_hosts) +
+                    ", but app_hosts is " + std::to_string(app_hosts));
 
   std::vector<NodeId> hosts(static_cast<std::size_t>(net_.num_hosts()));
   std::iota(hosts.begin(), hosts.end(), net_.num_routers);
@@ -274,9 +300,9 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
   ExperimentResult result;
   result.mapping = mapping;
   // Supervision (DESIGN.md section 5h): the watchdog samples the engine's
-  // liveness telemetry for the duration of the run and applies the stall
-  // policy — under kCancel a wedged run comes back with
-  // last_run_cancelled() set instead of hanging the process.
+  // liveness telemetry for the duration of the run; a wedged threaded run
+  // comes back with last_run_cancelled() set instead of hanging the
+  // process.
   {
     guard::Watchdog watchdog(engine, opts_.guard, opts_.registry);
     watchdog.arm();
@@ -292,7 +318,7 @@ ExperimentResult Scenario::run(const Mapping& mapping) {
     result.flow_records = sim.flow_records();
   }
   if (injector != nullptr) result.faults_injected = injector->faults_injected();
-  // A cancelled run is a truncated prefix that the guarded runner re-runs;
+  // A cancelled run is a truncated prefix that run_mapping re-runs;
   // only a completed run publishes, so a recovered run's metrics equal an
   // uninterrupted run's.
   if (opts_.registry != nullptr && !last_run_cancelled_) {

@@ -140,9 +140,9 @@ class Scenario {
   ExperimentResult run(const Mapping& mapping);
   ExperimentResult run(MappingKind kind) { return run(mapping_for(kind)); }
 
-  /// Run-control mutator for subsequent run() calls — the degradation
-  /// ladder (guard/guarded_run.hpp) re-runs one Scenario under
-  /// progressively safer configurations without rebuilding the topology.
+  /// Run-control mutator for subsequent run() calls — run_mapping
+  /// (campaign/runner.hpp) re-runs a stalled mapping on the sequential
+  /// executor without rebuilding the topology.
   void set_executor_threads(std::int32_t threads) {
     opts_.executor_threads = threads;
   }

@@ -59,6 +59,23 @@ bool atom_double(const DmlAttribute& a, double* out, std::string* error) {
   return true;
 }
 
+// An integer atom that counts something (>= 0).
+bool atom_count(const DmlAttribute& a, std::int64_t* out,
+                std::string* error) {
+  if (!atom_int(a, out, error)) return false;
+  if (*out >= 0) return true;
+  if (error) *error = line_err(a.line, "'" + a.key + "' must be >= 0");
+  return false;
+}
+
+// A number atom that must be > 0 (a duration, a mean).
+bool atom_positive(const DmlAttribute& a, double* out, std::string* error) {
+  if (!atom_double(a, out, error)) return false;
+  if (*out > 0) return true;
+  if (error) *error = line_err(a.line, "'" + a.key + "' must be > 0");
+  return false;
+}
+
 bool unknown_key(const DmlAttribute& a, const char* where,
                  std::string* error) {
   if (error) {
@@ -88,18 +105,10 @@ bool parse_background(const DmlNode& node, ScenarioOptions* o,
     std::int64_t i = 0;
     double d = 0;
     if (a.key == "sources") {
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 0) {
-        if (error) *error = line_err(a.line, "'sources' must be >= 0");
-        return false;
-      }
+      if (!atom_count(a, &i, error)) return false;
       o->num_bg_sources = static_cast<std::int32_t>(i);
     } else if (a.key == "think_time_s") {
-      if (!atom_double(a, &d, error)) return false;
-      if (d <= 0) {
-        if (error) *error = line_err(a.line, "'think_time_s' must be > 0");
-        return false;
-      }
+      if (!atom_positive(a, &d, error)) return false;
       o->background.think_time_mean_s = d;
     } else if (a.key == "mean_bytes") {
       if (!atom_double(a, &d, error)) return false;
@@ -116,11 +125,7 @@ bool parse_background(const DmlNode& node, ScenarioOptions* o,
       }
       o->netsim.link_model.fluid_recompute_every = static_cast<std::int32_t>(i);
     } else if (a.key == "stall_timeout_s") {
-      if (!atom_double(a, &d, error)) return false;
-      if (d <= 0) {
-        if (error) *error = line_err(a.line, "'stall_timeout_s' must be > 0");
-        return false;
-      }
+      if (!atom_positive(a, &d, error)) return false;
       o->netsim.link_model.fluid_stall_timeout_s = d;
     } else if (a.key == "rate_cap_bps") {
       if (!atom_double(a, &d, error)) return false;
@@ -137,7 +142,7 @@ bool parse_background(const DmlNode& node, ScenarioOptions* o,
 }
 
 bool parse_guard(const DmlNode& node, guard::GuardOptions* o,
-                 std::int32_t* retries, std::string* error) {
+                 std::string* error) {
   for (const DmlAttribute& a : node.attributes) {
     if (ignored_key(a.key)) continue;
     if (a.child) return unknown_key(a, "guard [ ]", error);
@@ -147,36 +152,10 @@ bool parse_guard(const DmlNode& node, guard::GuardOptions* o,
       if (!atom_int(a, &i, error)) return false;
       o->enabled = i != 0;
     } else if (a.key == "deadline_s") {
-      if (!atom_double(a, &d, error)) return false;
-      if (d <= 0) {
-        if (error) *error = line_err(a.line, "'deadline_s' must be > 0");
-        return false;
-      }
+      if (!atom_positive(a, &d, error)) return false;
       o->stall_deadline_s = d;
-    } else if (a.key == "poll_s") {
-      if (!atom_double(a, &d, error)) return false;
-      o->poll_interval_s = d;
     } else if (a.key == "dump") {
       o->dump_path = a.atom;
-    } else if (a.key == "policy") {
-      if (a.atom == "recover") {
-        o->on_stall = guard::OnStall::kCancel;
-      } else if (a.atom == "abort") {
-        o->on_stall = guard::OnStall::kAbort;
-      } else {
-        if (error) {
-          *error = line_err(a.line, "unknown guard policy '" + a.atom +
-                                        "' (recover|abort)");
-        }
-        return false;
-      }
-    } else if (a.key == "retries") {
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 0) {
-        if (error) *error = line_err(a.line, "'retries' must be >= 0");
-        return false;
-      }
-      *retries = static_cast<std::int32_t>(i);
     } else {
       return unknown_key(a, "guard [ ]", error);
     }
@@ -321,12 +300,7 @@ DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
   DmlNode& g = e.add_child("guard");
   g.add_atom("enabled", static_cast<std::int64_t>(o.guard.enabled ? 1 : 0));
   g.add_atom("deadline_s", o.guard.stall_deadline_s);
-  g.add_atom("poll_s", o.guard.poll_interval_s);
   g.add_atom("dump", o.guard.dump_path);
-  g.add_atom("policy", std::string(o.guard.on_stall == guard::OnStall::kAbort
-                                       ? "abort"
-                                       : "recover"));
-  g.add_atom("retries", static_cast<std::int64_t>(spec.guard_retries));
 
   if (!o.faults.empty()) {
     DmlNode& f = e.add_child("faults");
@@ -361,7 +335,7 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
           return std::nullopt;
         }
       } else if (a.key == "guard") {
-        if (!parse_guard(*a.child, &o.guard, &spec.guard_retries, error)) {
+        if (!parse_guard(*a.child, &o.guard, error)) {
           return std::nullopt;
         }
       } else if (a.key == "faults") {
@@ -392,10 +366,10 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
       if (!atom_int(a, &i, error)) return std::nullopt;
       o.num_as = static_cast<std::int32_t>(i);
     } else if (a.key == "clients") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
+      if (!atom_count(a, &i, error)) return std::nullopt;
       o.num_clients = static_cast<std::int32_t>(i);
     } else if (a.key == "servers") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
+      if (!atom_count(a, &i, error)) return std::nullopt;
       o.num_servers = static_cast<std::int32_t>(i);
     } else if (a.key == "app") {
       if (a.atom == "scalapack" || a.atom == "ScaLapack") {
@@ -412,16 +386,16 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
         return std::nullopt;
       }
     } else if (a.key == "app_hosts") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
+      if (!atom_count(a, &i, error)) return std::nullopt;
       o.num_app_hosts = static_cast<std::int32_t>(i);
     } else if (a.key == "engines") {
       if (!atom_int(a, &i, error)) return std::nullopt;
       o.num_engines = static_cast<std::int32_t>(i);
     } else if (a.key == "seconds") {
-      if (!atom_double(a, &d, error)) return std::nullopt;
+      if (!atom_positive(a, &d, error)) return std::nullopt;
       o.end_time = from_seconds(d);
     } else if (a.key == "profile_seconds") {
-      if (!atom_double(a, &d, error)) return std::nullopt;
+      if (!atom_positive(a, &d, error)) return std::nullopt;
       o.profile_end_time = from_seconds(d);
     } else if (a.key == "think_time_s") {
       if (!atom_double(a, &d, error)) return std::nullopt;
@@ -430,7 +404,7 @@ std::optional<ScenarioSpec> scenario_spec_from_dml(
       if (!atom_double(a, &d, error)) return std::nullopt;
       o.http.file_mean_bytes = d;
     } else if (a.key == "executor_threads") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
+      if (!atom_count(a, &i, error)) return std::nullopt;
       o.executor_threads = static_cast<std::int32_t>(i);
     } else if (a.key == "load_bin_s") {
       if (!atom_double(a, &d, error)) return std::nullopt;

@@ -1,6 +1,6 @@
 // The declarative scenario format: the whole experiment — topology scale,
-// traffic mix, simulated cluster, run control, fault schedule, guard
-// policy, and the mapping run list — round-trips through one DML
+// traffic mix, simulated cluster, run control, fault schedule, stall
+// guard, and the mapping run list — round-trips through one DML
 // file, so experiments are reproducible from a single checked-in file (the
 // MicroGrid workflow). The file is the only place a
 // run is configured: massf_cli changes it only through an override
@@ -31,8 +31,7 @@
 //       stall_timeout_s 60  # fail flows stalled at zero rate this long
 //       rate_cap_bps 0      # per-flow TCP window/RTT ceiling (0 = off)
 //     ]
-//     guard [ enabled 0  deadline_s 30  poll_s 0  dump ""
-//             policy recover  retries 1 ]
+//     guard [ enabled 0  deadline_s 30  dump "" ]   # stall watchdog
 //     faults [              # chaos schedule: embedded lines and/or a file
 //       file "chaos.txt"    # include, relative to the scenario file
 //       event "at 1.0 link_down link=3"   # one fault-format line each
@@ -57,17 +56,14 @@ namespace massf {
 
 /// A fully-specified experiment: ScenarioOptions (fault schedule
 /// included) plus what the tools above the Scenario object consume (the
-/// mapping run list, the supervised retry budget). This is the unit a
-/// scenario file describes and the unit the campaign runner sweeps.
+/// mapping run list). This is the unit a scenario file describes and the
+/// unit the campaign runner sweeps.
 struct ScenarioSpec {
   std::string name;            ///< optional label ("" = unnamed)
   ScenarioOptions options;     ///< everything Scenario consumes
   /// Mappings to run, in order (massf_cli runs all; a campaign run uses
   /// the first — the campaign sweeps mappings as an axis instead).
   std::vector<MappingKind> mappings{MappingKind::kHProf};
-  /// Same-configuration retries before the guarded runner degrades
-  /// (guard::GuardedRun::Options::max_retries).
-  std::int32_t guard_retries = 1;
 };
 
 /// Serializes the complete spec; the output re-parses to an equal spec
@@ -91,7 +87,7 @@ std::optional<ScenarioSpec> parse_scenario(std::string_view text,
 
 /// Reads and parses a scenario file; relative fault includes resolve
 /// against the file's directory. A non-empty `override_text` — the body of
-/// an `override [ ]` block, e.g. "mapping HPROF guard.retries 2" — is merged
+/// an `override [ ]` block, e.g. "mapping HPROF guard.enabled 1" — is merged
 /// over the file (merge_override) before the one validation. Its atoms
 /// have no source line, so the errors they cause carry none.
 std::optional<ScenarioSpec> load_scenario_file(
@@ -106,7 +102,7 @@ DmlNode clone_dml(const DmlNode& node);
 
 /// Merges an override into the Experiment block of `root`. `body` holds
 /// what a campaign `override [ ]` block or `massf_cli --override` holds:
-/// scalar atoms, with dotted keys for sub-block atoms (`guard.retries 2`).
+/// scalar atoms, with dotted keys for sub-block atoms (`guard.enabled 1`).
 /// The first atom for a key replaces every atom the base has under it and
 /// later ones append, so `mapping TOP2 mapping HPROF` is a run list.
 /// Missing sub-blocks are created; `x_` keys are skipped. Atoms keep their

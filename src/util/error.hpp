@@ -5,17 +5,18 @@
 // heap is not recoverable), but most of what actually goes wrong in a run
 // is *configuration*: a channel declared with too little lookahead, a DML
 // attribute of the wrong type, an event injected inside the open window.
-// Those are recoverable at the harness layer — a supervisor (src/guard) can
-// catch them, log a diagnostic, and retry under a safer configuration.
+// Those are the caller's doing, so they throw: massf_cli and the campaign
+// runner report them as a failed run instead of a crash.
 //
 // EngineError carries a category, the throw site (file:line), and a
-// message. The category is the recoverability contract:
+// message. The category names what kind of input was wrong:
 //
-//   kConfig         bad options / DML / injected work   -> fix input, retry
-//   kTopology       ChannelGraph vs engine disagreement -> fall back to the
-//                                                          dense/barrier path
-//   kProtocolStall  sync protocol made no progress      -> re-run + degrade
-//   kInternal       API misuse / invariant adjacent     -> not recoverable
+//   kConfig         bad options / DML / injected work
+//   kTopology       ChannelGraph vs engine disagreement
+//   kInternal       API misuse / invariant adjacent
+//
+// An error is a property of the run's event stream, so it fails the same
+// way on every executor: nothing re-runs a run that threw.
 //
 // MASSF_CHECK (util/check.hpp) remains abort-based and is reserved for true
 // invariants; everything a caller could plausibly have caused throws.
@@ -30,7 +31,6 @@ namespace massf {
 enum class ErrorCategory {
   kConfig,
   kTopology,
-  kProtocolStall,
   kInternal,
 };
 
@@ -38,7 +38,6 @@ inline const char* error_category_name(ErrorCategory c) {
   switch (c) {
     case ErrorCategory::kConfig: return "config";
     case ErrorCategory::kTopology: return "topology";
-    case ErrorCategory::kProtocolStall: return "protocol-stall";
     case ErrorCategory::kInternal: return "internal";
   }
   return "unknown";

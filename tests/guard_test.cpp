@@ -1,13 +1,13 @@
 // Supervision subsystem (src/guard, DESIGN.md section 5h): the liveness
-// watchdog, the structured error taxonomy, and auto-recovery by re-running.
+// watchdog, the structured error taxonomy, and recovery by re-running.
 //
 // The headline property: a run that *stalls* (here: a test-injected frozen
-// channel clock) and is recovered by GuardedRun — re-run from t = 0,
-// degraded to the sequential executor — must still produce the exact
-// golden trace checksum (807988445054369792) that pdes_golden_test.cpp and
-// BENCH_pdes.json pin for uninterrupted runs, and a stalled scenario run
-// must recover to exactly the unguarded sequential result. Recovery is
-// allowed to change who waits on whom, never what happens.
+// channel clock) is cancelled by the watchdog and re-run from t = 0 on the
+// sequential executor, and the re-run must still produce the exact golden
+// trace checksum (807988445054369792) that pdes_golden_test.cpp and
+// BENCH_pdes.json pin for uninterrupted runs; a stalled scenario run must
+// recover to exactly the unguarded sequential result. Recovery is allowed
+// to change who waits on whom, never what happens.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 
 #include "campaign/runner.hpp"
 #include "corpus_shrink.hpp"
-#include "guard/guarded_run.hpp"
 #include "guard/options.hpp"
 #include "guard/watchdog.hpp"
 #include "obs/export.hpp"
@@ -63,8 +62,6 @@ TEST(EngineErrorTaxonomy, EnforcePassesAndThrows) {
 TEST(EngineErrorTaxonomy, CategoryNamesAreStable) {
   EXPECT_STREQ(error_category_name(ErrorCategory::kConfig), "config");
   EXPECT_STREQ(error_category_name(ErrorCategory::kTopology), "topology");
-  EXPECT_STREQ(error_category_name(ErrorCategory::kProtocolStall),
-               "protocol-stall");
   EXPECT_STREQ(error_category_name(ErrorCategory::kInternal), "internal");
 }
 
@@ -75,9 +72,7 @@ EngineOptions guarded_options(double deadline_s, const std::string& dump) {
   EngineOptions o = golden_ring_options();
   o.guard.enabled = true;
   o.guard.stall_deadline_s = deadline_s;
-  o.guard.poll_interval_s = 0.02;
   o.guard.dump_path = dump;
-  o.guard.on_stall = guard::OnStall::kCancel;
   return o;
 }
 
@@ -133,8 +128,8 @@ TEST(Watchdog, StaysQuietOnHealthyRun) {
 }
 
 // Freeze one LP's channel clock mid-run: the watchdog must detect the
-// stall within the deadline, emit a parseable massf.guard.v1 dump, and —
-// under the kCancel policy — unwind the run instead of hanging it.
+// stall within the deadline, emit a parseable massf.guard.v1 dump, and
+// cancel the run instead of hanging it.
 TEST(Watchdog, FiresOnFrozenLpClockAndWritesDump) {
   const std::string dump = ::testing::TempDir() + "/massf_guard_dump.json";
   std::remove(dump.c_str());
@@ -182,126 +177,45 @@ TEST(Watchdog, RenderDiagnosticOnIdleEngineIsWellFormed) {
   EXPECT_NE(json.find("\"lp\": 2"), std::string::npos);
 }
 
-// ---- degradation ladder (no engine involved) --------------------------------
-
-TEST(GuardedRunLadder, WalksRetryThenSequential) {
-  obs::Registry registry;
-  guard::GuardedRun::Options opts;
-  opts.max_retries = 1;
-  guard::GuardedRun runner(opts, &registry);
-
-  std::vector<guard::AttemptPlan> plans;
-  const guard::GuardedRunReport report =
-      runner.run(4, [&](const guard::AttemptPlan& plan) {
-        plans.push_back(plan);
-        return guard::AttemptOutcome{guard::AttemptStatus::kStalled, "frozen"};
-      });
-
-  // rung 0 twice (1 + max_retries), then one thread.
-  ASSERT_EQ(plans.size(), 3u);
-  EXPECT_EQ(plans[0].threads, 4);
-  EXPECT_EQ(plans[0].rung, 0);
-  EXPECT_EQ(plans[0].attempt, 0);
-  EXPECT_EQ(plans[1].threads, 4);
-  EXPECT_EQ(plans[1].rung, 0);
-  EXPECT_EQ(plans[1].attempt, 1);
-  EXPECT_EQ(plans[2].threads, 1);
-  EXPECT_EQ(plans[2].rung, 1);
-  EXPECT_EQ(plans[2].attempt, 2);
-
-  EXPECT_FALSE(report.completed);
-  EXPECT_EQ(report.attempts, 3);
-  EXPECT_EQ(report.stalls, 3u);
-  EXPECT_EQ(report.degraded_rung, -1);
-  EXPECT_EQ(registry.counter("guard.retries").value(), 2u);
-  EXPECT_EQ(registry.gauge("guard.degraded_mode").value(), -1.0);
-}
-
-TEST(GuardedRunLadder, SequentialRequestHasNoDegradationRungs) {
-  guard::GuardedRun runner({}, nullptr);
-  int calls = 0;
-  const guard::GuardedRunReport report =
-      runner.run(0, [&](const guard::AttemptPlan&) {
-        ++calls;
-        return guard::AttemptOutcome{guard::AttemptStatus::kFailed, "boom"};
-      });
-  EXPECT_EQ(calls, 2);  // 1 + default max_retries, nothing to degrade to
-  EXPECT_FALSE(report.completed);
-  EXPECT_EQ(report.errors, 2u);
-  EXPECT_EQ(report.last_error, "boom");
-}
-
-TEST(GuardedRunLadder, FirstTryCompletionIsNotARecovery) {
-  obs::Registry registry;
-  guard::GuardedRun runner({}, &registry);
-  const guard::GuardedRunReport report =
-      runner.run(2, [](const guard::AttemptPlan&) {
-        return guard::AttemptOutcome{};
-      });
-  EXPECT_TRUE(report.completed);
-  EXPECT_EQ(report.attempts, 1);
-  EXPECT_EQ(report.degraded_rung, 0);
-  EXPECT_EQ(registry.counter("guard.recoveries").value(), 0u);
-  EXPECT_EQ(registry.counter("guard.retries").value(), 0u);
-  EXPECT_EQ(registry.gauge("guard.degraded_mode").value(), 0.0);
-}
-
 // ---- end-to-end recovery ----------------------------------------------------
 
 // The headline: the golden ring on the threaded executor, one LP's clock
-// frozen at window 1000. The watchdog cancels the stalled attempt;
-// GuardedRun re-runs a freshly built ring from t = 0 on the sequential
-// fallback — which ignores the freeze — and the run must finish with the
-// same checksum, event count, and window count as an uninterrupted run.
+// frozen at window 1000. The watchdog cancels the stalled run; a freshly
+// built ring re-run from t = 0 on the sequential executor — which ignores
+// the freeze — must finish with the same checksum, event count, and window
+// count as an uninterrupted run.
 TEST(GuardedRun, RecoversFrozenChannelRunToGoldenChecksum) {
   const std::string dump = ::testing::TempDir() + "/massf_guard_golden.json";
   std::remove(dump.c_str());
-
+  const EngineOptions o = guarded_options(/*deadline_s=*/0.3, dump);
   obs::Registry registry;
-  std::uint64_t checksum = 0;
-  RunStats final_stats;
 
-  auto attempt = [&](const guard::AttemptPlan& plan) -> guard::AttemptOutcome {
-    EngineOptions o = guarded_options(/*deadline_s=*/0.3, dump);
-    GoldenRing ring = build_golden_ring(o);
-    Engine* eng = ring.engine.get();
-    // Armed on every attempt: the sequential fallback ignores the freeze
-    // and runs clean — exactly the degradation contract.
-    eng->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
-
-    guard::Watchdog watchdog(*eng, o.guard, &registry);
+  GoldenRing frozen = build_golden_ring(o);
+  frozen.engine->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
+  {
+    guard::Watchdog watchdog(*frozen.engine, o.guard, &registry);
     watchdog.arm();
-    const RunStats stats = plan.threads > 0
-                               ? eng->run_threaded(plan.threads)
-                               : eng->run();
+    const RunStats stats = frozen.engine->run_threaded(2);
     watchdog.disarm();
-    if (eng->run_cancelled()) {
-      return {guard::AttemptStatus::kStalled, watchdog.last_diagnostic()};
-    }
-    checksum = ring.checksum();
-    final_stats = stats;
-    return {};
-  };
+    EXPECT_TRUE(watchdog.fired());
+    EXPECT_LT(stats.num_windows, kGoldenRingWindows);
+  }
+  ASSERT_TRUE(frozen.engine->run_cancelled());
+  EXPECT_EQ(registry.counter("guard.stalls_detected").value(), 1u);
+  EXPECT_EQ(registry.counter("guard.dump_writes").value(), 1u);
 
-  guard::GuardedRun::Options opts;
-  opts.max_retries = 0;  // straight to the sequential fallback after the stall
-  guard::GuardedRun runner(opts, &registry);
-  const guard::GuardedRunReport report = runner.run(2, attempt);
-
-  ASSERT_TRUE(report.completed) << report.last_error;
-  EXPECT_EQ(report.attempts, 2);
-  EXPECT_EQ(report.stalls, 1u);
-  EXPECT_EQ(report.degraded_rung, 1);
-
-  EXPECT_EQ(checksum, kGoldenRingChecksum);
-  EXPECT_EQ(final_stats.total_events, kGoldenRingEvents);
-  EXPECT_EQ(final_stats.num_windows, kGoldenRingWindows);
-
-  EXPECT_GE(registry.counter("guard.stalls_detected").value(), 1u);
-  EXPECT_GE(registry.counter("guard.dump_writes").value(), 1u);
-  EXPECT_EQ(registry.counter("guard.retries").value(), 1u);
-  EXPECT_EQ(registry.counter("guard.recoveries").value(), 1u);
-  EXPECT_EQ(registry.gauge("guard.degraded_mode").value(), 1.0);
+  GoldenRing fresh = build_golden_ring(o);
+  fresh.engine->test_freeze_lp_clock(/*lp=*/3, /*after_windows=*/1000);
+  guard::Watchdog watchdog(*fresh.engine, o.guard, &registry);
+  watchdog.arm();
+  const RunStats stats = fresh.engine->run();
+  watchdog.disarm();
+  EXPECT_FALSE(watchdog.fired());
+  EXPECT_FALSE(fresh.engine->run_cancelled());
+  EXPECT_EQ(fresh.checksum(), kGoldenRingChecksum);
+  EXPECT_EQ(stats.total_events, kGoldenRingEvents);
+  EXPECT_EQ(stats.num_windows, kGoldenRingWindows);
+  EXPECT_EQ(registry.counter("guard.stalls_detected").value(), 1u);
 
   const std::string body = read_file(dump);
   ASSERT_FALSE(body.empty());
@@ -318,21 +232,26 @@ std::uint64_t double_bits(double v) {
   return bits;
 }
 
-// GuardedRun's ladder through a real stall: bgp-chaos.dml, shrunk, on two
-// threads with LP 3's clock frozen. The watchdog cancels the wedged
-// attempt, `retries 0` sends the ladder straight to rung 1 (one thread,
-// which the freeze cannot stall), and the re-run equals an unguarded
-// sequential one. Two freezes: after 100 windows, and inside the
-// crash→restore outage (0.9–2.2 s) where the first attempt leaves router 3
-// crashed, the AS 0 – AS 1 session down and link 0 flapped down. A fresh
-// injector, fresh speakers and the restored forwarding plane must leave
-// nothing of the cancelled attempt behind.
+// One-step recovery through a real stall: bgp-chaos.dml, shrunk, on two
+// threads with LP 3's clock frozen. The watchdog cancels the wedged run,
+// run_mapping re-runs it once on the sequential executor (which the freeze
+// cannot stall), and the re-run equals an unguarded sequential one. Two
+// freezes: after 100 windows, and inside the crash→restore outage
+// (0.9–2.2 s) where the cancelled run leaves router 3 crashed, the AS 0 –
+// AS 1 session down and link 0 flapped down. A fresh injector, fresh
+// speakers and the restored forwarding plane must leave nothing of the
+// cancelled run behind.
 TEST(GuardedScenario, InjectedStallRecoversToTheSequentialResult) {
   const std::string path = std::string(MASSF_SCENARIO_DIR) + "/bgp-chaos.dml";
   const std::string scratch = ::testing::TempDir() + "guarded-bgp-chaos";
+  struct Outcome {
+    ExperimentResult result;
+    int runs = 0;               ///< Scenario::run calls (pre_run count)
+    std::int32_t threads = 0;   ///< executor_threads after run_mapping
+  };
   // Runs the shrunk file; `freeze_after` > 0 freezes LP 3 after that many
-  // windows on every attempt. `floors` gets the first attempt's window
-  // floors, recorded by a barrier hook that changes nothing.
+  // windows on every run. `floors` gets the first run's window floors,
+  // recorded by a barrier hook that changes nothing.
   const auto run = [&](const std::string& override_text,
                        std::uint64_t freeze_after, std::vector<SimTime>* floors,
                        obs::Registry& registry) {
@@ -343,25 +262,25 @@ TEST(GuardedScenario, InjectedStallRecoversToTheSequentialResult) {
     ScenarioOptions opts = spec.options;
     opts.registry = &registry;
     Scenario scenario(opts);
-    bool first = true;
+    Outcome out;
     scenario.set_pre_run([&](Engine& engine, NetSim&) {
       if (freeze_after > 0) engine.test_freeze_lp_clock(3, freeze_after);
-      if (first) {
+      if (out.runs++ == 0) {
         engine.hooks().barrier.push_back(
             [floors](Engine&, SimTime floor) { floors->push_back(floor); });
       }
-      first = false;
     });
-    return run_mapping(scenario, spec, spec.mappings.front(), &registry);
+    out.result = run_mapping(scenario, spec.mappings.front());
+    out.threads = scenario.options().executor_threads;
+    return out;
   };
 
   obs::Registry want_registry;
   std::vector<SimTime> want_floors;
-  const MappingRun want =
+  const Outcome want =
       run("executor_threads 0", 0, &want_floors, want_registry);
-  ASSERT_TRUE(want.result.has_value());
-  EXPECT_EQ(want.guard.attempts, 0);  // unsupervised
-  ASSERT_EQ(want_floors.size(), want.result->stats.num_windows);
+  EXPECT_EQ(want.runs, 1);
+  ASSERT_EQ(want_floors.size(), want.result.stats.num_windows);
 
   // Both executors open the same windows, so the unguarded run's floors
   // say which window count stalls the threaded run at 1.25 s: the crash
@@ -384,27 +303,25 @@ TEST(GuardedScenario, InjectedStallRecoversToTheSequentialResult) {
     SCOPED_TRACE("freeze after " + std::to_string(freeze_after) + " windows");
     obs::Registry got_registry;
     std::vector<SimTime> frozen_floors;
-    const MappingRun got =
-        run("executor_threads 2 guard.enabled 1 guard.deadline_s 0.5 "
-            "guard.policy recover guard.retries 0",
+    const Outcome got =
+        run("executor_threads 2 guard.enabled 1 guard.deadline_s 0.5",
             freeze_after, &frozen_floors, got_registry);
 
-    ASSERT_TRUE(got.result.has_value()) << got.guard.last_error;
-    EXPECT_TRUE(got.guard.completed);
-    EXPECT_EQ(got.guard.attempts, 2);
-    EXPECT_EQ(got.guard.stalls, 1u);
-    EXPECT_EQ(got.guard.degraded_rung, 1);
-    // The frozen attempt stalled in the window the freeze names.
+    // One stall, one sequential re-run, and the configured thread count
+    // back for the next mapping.
+    EXPECT_EQ(got_registry.counter("guard.stalls_detected").value(), 1u);
+    EXPECT_EQ(got.runs, 2);
+    EXPECT_EQ(got.threads, 2);
+    // The frozen run stalled in the window the freeze names.
     ASSERT_EQ(frozen_floors.size(), freeze_after + 1);
     if (freeze_after == outage_window) {
       EXPECT_GT(frozen_floors.back(), from_seconds(0.9));
       EXPECT_LT(frozen_floors.back(), from_seconds(2.2));
     }
-    EXPECT_EQ(got.result->stats.total_events,
-              want.result->stats.total_events);
-    EXPECT_EQ(got.result->stats.num_windows, want.result->stats.num_windows);
-    EXPECT_EQ(double_bits(got.result->metrics.simulation_time_s),
-              double_bits(want.result->metrics.simulation_time_s));
+    EXPECT_EQ(got.result.stats.total_events, want.result.stats.total_events);
+    EXPECT_EQ(got.result.stats.num_windows, want.result.stats.num_windows);
+    EXPECT_EQ(double_bits(got.result.metrics.simulation_time_s),
+              double_bits(want.result.metrics.simulation_time_s));
     EXPECT_EQ(obs::to_json_excluding(got_registry, excludes),
               obs::to_json_excluding(want_registry, excludes));
   }

@@ -139,18 +139,15 @@ ExecutorRun run_with_threads(ScenarioSpec spec, std::int32_t threads) {
   spec.options.executor_threads = threads;
   spec.options.registry = &registry;
   Scenario scenario(spec.options);
-  const MappingRun m =
-      run_mapping(scenario, spec, spec.mappings.front(), &registry);
-  EXPECT_TRUE(m.result.has_value()) << m.guard.last_error;
-  if (!m.result) return {};
+  const ExperimentResult r = run_mapping(scenario, spec.mappings.front());
 
   std::vector<std::string_view> excludes(timing_metric_excludes().begin(),
                                          timing_metric_excludes().end());
   excludes.push_back("pdes.sched.threads");
   ExecutorRun out;
-  out.stats = m.result->stats;
-  out.modeled_time_s = m.result->metrics.simulation_time_s;
-  out.faults_injected = m.result->faults_injected;
+  out.stats = r.stats;
+  out.modeled_time_s = r.metrics.simulation_time_s;
+  out.faults_injected = r.faults_injected;
   out.metrics = obs::to_json_excluding(registry, excludes);
   return out;
 }

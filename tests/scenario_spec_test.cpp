@@ -59,12 +59,26 @@ TEST(ScenarioSpec, ErrorMatrix) {
       {"Experiment [\n  guard [\n    vigor 9\n  ]\n]",
        "line 3: unknown key 'vigor' in guard [ ] (prefix with x_ to "
        "ignore)"},
-      {"Experiment [\n  guard [\n    retries -1\n  ]\n]",
-       "line 3: 'retries' must be >= 0"},
-      {"Experiment [\n  guard [\n    policy panic\n  ]\n]",
-       "line 3: unknown guard policy 'panic' (recover|abort)"},
+      {"Experiment [\n  guard [\n    policy recover\n  ]\n]",
+       "line 3: unknown key 'policy' in guard [ ] (prefix with x_ to "
+       "ignore)"},
+      {"Experiment [\n  guard [\n    retries 1\n  ]\n]",
+       "line 3: unknown key 'retries' in guard [ ] (prefix with x_ to "
+       "ignore)"},
+      {"Experiment [\n  guard [\n    poll_s 0.1\n  ]\n]",
+       "line 3: unknown key 'poll_s' in guard [ ] (prefix with x_ to "
+       "ignore)"},
       {"Experiment [\n  guard [\n    deadline_s 0\n  ]\n]",
        "line 3: 'deadline_s' must be > 0"},
+      {"Experiment [\n  clients -1\n]", "line 2: 'clients' must be >= 0"},
+      {"Experiment [\n  servers -1\n]", "line 2: 'servers' must be >= 0"},
+      {"Experiment [\n  app_hosts -2\n]",
+       "line 2: 'app_hosts' must be >= 0"},
+      {"Experiment [\n  executor_threads -3\n]",
+       "line 2: 'executor_threads' must be >= 0"},
+      {"Experiment [\n  seconds 0\n]", "line 2: 'seconds' must be > 0"},
+      {"Experiment [\n  profile_seconds -1\n]",
+       "line 2: 'profile_seconds' must be > 0"},
       {"Experiment [\n  faults [\n    event \"at 1.0 warp link=3\"\n  ]\n]",
        "line 3: fault event: unknown event `warp`"},
       {"Experiment [\n  faults [\n    file no-such-file.txt\n  ]\n]",
@@ -134,9 +148,9 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   o.executor_threads = 2;
   o.app = AppKind::kGridNpb;
   o.guard.enabled = true;
-  o.guard.on_stall = guard::OnStall::kAbort;
+  o.guard.stall_deadline_s = 12.5;
+  o.guard.dump_path = "stall.json";
   spec.mappings = {MappingKind::kTop2, MappingKind::kHProf};
-  spec.guard_retries = 3;
   o.faults.link_down(seconds(1), 3).link_up(seconds(2), 3);
 
   const std::string text1 = write_dml(scenario_spec_to_dml(spec));
@@ -163,11 +177,11 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   EXPECT_EQ(back.seed, 99u);
   EXPECT_EQ(back.executor_threads, 2);
   EXPECT_TRUE(back.guard.enabled);
-  EXPECT_EQ(back.guard.on_stall, guard::OnStall::kAbort);
+  EXPECT_DOUBLE_EQ(back.guard.stall_deadline_s, 12.5);
+  EXPECT_EQ(back.guard.dump_path, "stall.json");
   EXPECT_EQ(reparsed->mappings,
             (std::vector<MappingKind>{MappingKind::kTop2,
                                       MappingKind::kHProf}));
-  EXPECT_EQ(reparsed->guard_retries, 3);
   EXPECT_EQ(back.faults.size(), 2u);
 }
 
@@ -246,8 +260,7 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
       "  background_flows [ sources 6  think_time_s 2.0  mean_bytes 50000\n"
       "                     recompute_every 4\n"
       "                     stall_timeout_s 30  rate_cap_bps 1e7 ]\n"
-      "  guard [ enabled 1  deadline_s 5  poll_s 0.1  dump g.json\n"
-      "          policy abort  retries 2 ]\n"
+      "  guard [ enabled 1  deadline_s 5  dump g.json ]\n"
       "  faults [ event \"at 0.5 link_down link=1\" ]\n"
       "]";
   std::string error;
@@ -304,11 +317,11 @@ TEST(ScenarioSpec, FlagsOverrideFileOnlyWhenSet) {
   std::string error;
   const auto spec = load_overridden(
       kOverrideBase,
-      "guard.poll_s 0.5  seed 7  background_flows.sources 16\n"
+      "guard.dump stall.json  seed 7  background_flows.sources 16\n"
       "background_flows.think_time_s 2.5  background_flows.mean_bytes 9000",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_DOUBLE_EQ(spec->options.guard.poll_interval_s, 0.5);
+  EXPECT_EQ(spec->options.guard.dump_path, "stall.json");
   EXPECT_EQ(spec->options.seed, 7u);
   EXPECT_EQ(spec->options.num_bg_sources, 16);
   EXPECT_DOUBLE_EQ(spec->options.background.think_time_mean_s, 2.5);
@@ -352,6 +365,14 @@ TEST(ScenarioSpec, OverrideBadValueGivesParserMessage) {
        "unknown key 'rebalance' in Experiment (prefix with x_ to ignore)"},
       {"guard.vigor 9",
        "unknown key 'vigor' in guard [ ] (prefix with x_ to ignore)"},
+      {"guard.policy recover",
+       "unknown key 'policy' in guard [ ] (prefix with x_ to ignore)"},
+      {"guard.retries 2",
+       "unknown key 'retries' in guard [ ] (prefix with x_ to ignore)"},
+      {"guard.poll_s 0.1",
+       "unknown key 'poll_s' in guard [ ] (prefix with x_ to ignore)"},
+      {"clients -1", "'clients' must be >= 0"},
+      {"executor_threads -3", "'executor_threads' must be >= 0"},
       {"guard [ enabled 0 ]",
        "override entries must be scalar (use dotted keys for sub-blocks)"},
   };

@@ -189,6 +189,42 @@ TEST(Scenario, HostPoolLargerThanNetworkIsAConfigError) {
                     "servers is 0"),
             std::string::npos)
       << bg;
+
+  // The cross-key cases the parser cannot see. Unchecked, each crashes:
+  // SIGFPE on as 0, a MASSF_CHECK abort in maBrite, the HTTP workload or
+  // the app builders.
+  o = small_options(false);
+  o.num_servers = 0;
+  const std::string clients = construction_error(o);
+  EXPECT_NE(clients.find("40 clients need servers to request from, but "
+                         "servers is 0"),
+            std::string::npos)
+      << clients;
+
+  o = small_options(false);
+  o.num_app_hosts = 3;
+  const std::string app = construction_error(o);
+  EXPECT_NE(app.find("app ScaLapack needs app_hosts >= 4, but app_hosts is 3"),
+            std::string::npos)
+      << app;
+
+  const struct {
+    std::int32_t routers;
+    std::int32_t as;
+    const char* error;
+  } kMultiAs[] = {
+      {240, 0, "multi_as 1 needs as >= 3, but as is 0"},
+      {240, 1, "multi_as 1 needs as >= 3, but as is 1"},
+      {30, 20, "multi_as 1 needs routers / as >= 2, but routers 30 / as 20 "
+               "is 1"},
+  };
+  for (const auto& c : kMultiAs) {
+    o = small_options(true);
+    o.num_routers = c.routers;
+    o.num_as = c.as;
+    const std::string multi_as = construction_error(o);
+    EXPECT_NE(multi_as.find(c.error), std::string::npos) << multi_as;
+  }
 }
 
 // ---- Faults ----------------------------------------------------------------
