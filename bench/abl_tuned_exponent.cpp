@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   std::string error;
   const auto spec = load_scenario_file(flags.get_string("config"), &error);
   if (!spec) {
-    std::fprintf(stderr, "%s: %s\n", flags.get_string("config").c_str(),
-                 error.c_str());
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
 

@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "sim/scenario.hpp"
+#include "campaign/runner.hpp"
 #include "sim/scenario_config.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   std::string error;
   const auto spec = load_scenario_file(flags.get_string("config"), &error);
   if (!spec) {
-    std::fprintf(stderr, "%s: %s\n", flags.get_string("config").c_str(),
-                 error.c_str());
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
 
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
   // The figure needs a load trace: 250 ms bins unless the file sets one.
   if (opts.load_bin == 0) opts.load_bin = milliseconds(250);
   Scenario scenario(opts);
-  const ExperimentResult r = scenario.run(MappingKind::kHProf);
+  const ExperimentResult r = run_mapping(scenario, MappingKind::kHProf);
 
   std::printf("# Figure 3: Load Variation over the Lifetime of Simulation\n");
   std::printf(

@@ -1,38 +1,11 @@
 // Reproduces paper Figure 5: synchronization cost of the (TeraGrid)
-// cluster versus engine-node count. Prints two series:
-//   model    — the calibrated C(N) every experiment in this repository
-//              charges per window (C(100) ~= 0.58 ms, per the paper);
-//   measured — a real std::barrier round on this machine's threads, the
-//              in-process analog of the cluster's MPI barrier (bounded by
-//              the available hardware parallelism, so it flattens out on
-//              small hosts; printed for reference, not used by the model).
-#include <barrier>
-#include <chrono>
+// cluster versus engine-node count — the calibrated C(N) every experiment
+// in this repository charges per window (C(100) ~= 0.58 ms, per the
+// paper).
 #include <cstdio>
-#include <thread>
-#include <vector>
+#include <initializer_list>
 
 #include "cluster/cost_model.hpp"
-
-namespace {
-
-double measure_barrier_round_us(int threads, int rounds) {
-  std::barrier sync(threads);
-  std::vector<std::jthread> workers;
-  const auto start = std::chrono::steady_clock::now();
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (int r = 0; r < rounds; ++r) sync.arrive_and_wait();
-    });
-  }
-  workers.clear();
-  const double total =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return total / rounds * 1e6;
-}
-
-}  // namespace
 
 int main() {
   massf::ClusterModel cluster;
@@ -40,13 +13,6 @@ int main() {
   std::printf("# nodes\tmodel_us\n");
   for (const int n : {6, 16, 32, 48, 64, 80, 96, 100, 112, 128}) {
     std::printf("%d\t%.1f\n", n, cluster.sync_cost_s(n) * 1e6);
-  }
-
-  std::printf("# threads\tmeasured_barrier_us (this host)\n");
-  const unsigned hw = std::thread::hardware_concurrency();
-  for (int t = 2; t <= 8; t *= 2) {
-    if (static_cast<unsigned>(t) > std::max(2u, hw * 4)) break;
-    std::printf("%d\t%.1f\n", t, measure_barrier_round_us(t, 2000));
   }
   return 0;
 }

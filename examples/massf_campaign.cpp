@@ -11,7 +11,7 @@
 // of its resolved spec.
 //
 // Artifacts under --out:
-//   campaign.json            massf.campaign.v1 roll-up (report.hpp)
+//   campaign.json            massf.campaign.v2 roll-up (report.hpp)
 //   runs/<NNN>-<id>/         per-run metrics.json, metrics.canonical.json,
 //                            result.kv, log.txt (subprocess mode)
 //

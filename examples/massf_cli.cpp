@@ -56,21 +56,13 @@ int main(int argc, char** argv) {
   }
   const std::string config = flags.get_string("config");
   std::string error;
-  std::optional<ScenarioSpec> loaded = load_scenario_file(config, &error);
+  const std::optional<ScenarioSpec> loaded =
+      load_scenario_file(config, &error, flags.get_string("override"));
   if (!loaded) {
-    std::fprintf(stderr, "%s: %s\n", config.c_str(), error.c_str());
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  if (flags.set("override")) {
-    // The file is valid on its own, so whatever fails now is the
-    // override's doing.
-    loaded = load_scenario_file(config, &error, flags.get_string("override"));
-    if (!loaded) {
-      std::fprintf(stderr, "--override: %s\n", error.c_str());
-      return 1;
-    }
-  }
-  ScenarioSpec& spec = *loaded;
+  const ScenarioSpec& spec = *loaded;
 
   const ScenarioOptions& opts = spec.options;
   std::printf("experiment: %s, %d routers, %d hosts, %d engines, app=%s, "

@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "campaign/runner.hpp"
 #include "routing/bgp.hpp"
 #include "sim/report.hpp"
 #include "sim/scenario.hpp"
@@ -72,8 +73,9 @@ void run_study(const ScenarioSpec& spec) {
   for (AsId a : path) std::printf(" %d", a);
   std::printf("\n");
 
-  // The scenario's own run: its first mapping, its traffic and faults.
-  const ExperimentResult r = scenario.run(spec.mappings.front());
+  // The scenario's own run: its first mapping, its traffic and faults,
+  // run as massf_cli runs it.
+  const ExperimentResult r = run_mapping(scenario, spec.mappings.front());
   std::printf("%s\n", summarize(r).c_str());
 }
 
@@ -94,16 +96,10 @@ int main(int argc, char** argv) {
 
   const std::string config = flags.get_string("config");
   std::string error;
-  std::optional<ScenarioSpec> spec = load_scenario_file(config, &error);
-  std::string source = config;
-  if (spec && flags.set("override")) {
-    // The file is valid on its own, so whatever fails now is the
-    // override's doing.
-    source = "--override";
-    spec = load_scenario_file(config, &error, flags.get_string("override"));
-  }
+  const std::optional<ScenarioSpec> spec =
+      load_scenario_file(config, &error, flags.get_string("override"));
   if (!spec) {
-    std::fprintf(stderr, "%s: %s\n", source.c_str(), error.c_str());
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   if (!spec->options.multi_as) {

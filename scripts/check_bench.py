@@ -28,12 +28,9 @@ Schemas understood (each mode checks the report's "schema" field):
       Guarded entries carry "guard": true and are matched against their own
       baselines in the throughput check, never against unguarded rows.
 
-  massf.campaign.v1 — gate on a `massf_campaign` roll-up, selected with
+  massf.campaign.v2 — gate on a `massf_campaign` roll-up, selected with
   --campaign PATH (no baseline file needed):
     * no failed runs (the "failed" list must be empty and every run ok);
-    * every golden calibration row must report --golden-checksum (default:
-      the pinned PDES-ring value), wiring the engine-determinism contract
-      into campaign artifacts;
     * with --compare OTHER.json, the two roll-ups must be identical once
       their "timing" sections are dropped — the 1-vs-N-workers
       reproducibility check the nightly job runs.
@@ -202,9 +199,9 @@ def check_pdes(baseline, current, args):
 def check_campaign(args):
     doc = load_json(args.campaign,
                     "run massf_campaign --campaign=... --out=... first")
-    if doc.get("schema") != "massf.campaign.v1":
+    if doc.get("schema") != "massf.campaign.v2":
         die(f"{args.campaign}: unexpected schema {doc.get('schema')!r} "
-            f"(want massf.campaign.v1)")
+            f"(want massf.campaign.v2)")
     failures = []
 
     failed = get(doc, "failed", args.campaign)
@@ -217,12 +214,6 @@ def check_campaign(args):
         if not run.get("ok", False) and run.get("id") not in failed:
             failures.append(f"run '{run.get('id')}' not ok but absent from "
                             f"the failed list — roll-up is inconsistent")
-
-    golden = get(doc, "golden", args.campaign)
-    for run_id, checksum in golden.items():
-        if checksum != args.golden_checksum:
-            failures.append(f"{run_id}: checksum {checksum} != pinned "
-                            f"{args.golden_checksum}")
 
     if args.compare:
         other = load_json(args.compare,
@@ -244,8 +235,7 @@ def check_campaign(args):
     compared = f", matches {args.compare} modulo timing" if args.compare \
         else ""
     print(f"check_bench: OK — campaign '{doc.get('name', '')}': "
-          f"{len(runs)} runs ok, {len(golden)} golden row(s) at the pinned "
-          f"checksum{compared}")
+          f"{len(runs)} runs ok{compared}")
     return 0
 
 
@@ -264,14 +254,11 @@ def main():
                              "row vs the unguarded sequential row in the "
                              "same report (default 0.10)")
     parser.add_argument("--campaign", metavar="ROLLUP",
-                        help="massf.campaign.v1: gate this campaign roll-up "
+                        help="massf.campaign.v2: gate this campaign roll-up "
                              "instead of a bench report")
     parser.add_argument("--compare", metavar="ROLLUP",
                         help="with --campaign: a second roll-up that must "
                              "be identical modulo its 'timing' section")
-    parser.add_argument("--golden-checksum", default="807988445054369792",
-                        help="with --campaign: the pinned golden-row "
-                             "checksum (string, as serialized)")
     args = parser.parse_args()
 
     if args.campaign:

@@ -1,25 +1,14 @@
 #include "campaign/campaign.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 namespace massf {
 namespace {
 
-std::string line_err(int line, const std::string& what) {
-  return "line " + std::to_string(line) + ": " + what;
-}
-
-bool ignored_key(const std::string& key) { return key.rfind("x_", 0) == 0; }
-
-bool parse_i64(const std::string& s, std::int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(s.c_str(), &end, 10);
-  return !s.empty() && end == s.c_str() + s.size();
-}
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
 std::string resolve_include(const std::string& include_dir,
                             const std::string& path) {
@@ -49,9 +38,9 @@ struct Axis {
     for (const AxisPoint& q : points) {
       if (q.label != p.label) continue;
       if (error) {
-        *error = line_err(p.line, "duplicate " + name + " label '" +
-                                      p.label + "' (first at line " +
-                                      std::to_string(q.line) + ")");
+        *error = dml_error(p.line, "duplicate " + name + " label '" +
+                                       p.label + "' (first at line " +
+                                       std::to_string(q.line) + ")");
       }
       return false;
     }
@@ -59,16 +48,6 @@ struct Axis {
     return true;
   }
 };
-
-bool unknown_key(const DmlAttribute& a, const char* where,
-                 std::string* error) {
-  if (error) {
-    *error = line_err(a.line, std::string("unknown key '") + a.key +
-                                  "' in " + where +
-                                  " (prefix with x_ to ignore)");
-  }
-  return false;
-}
 
 // A one-atom axis point: `key` set to the sweep atom's value, at its line.
 AxisPoint scalar_point(const DmlAttribute& a, const char* key) {
@@ -83,7 +62,7 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
   Axis over{"override", {}}, mapping{"mapping", {}}, threads{"threads", {}},
       seed{"seed", {}};
   for (const DmlAttribute& a : node.attributes) {
-    if (ignored_key(a.key)) continue;
+    if (dml_ignored(a.key)) continue;
     if (a.key == "override" && a.child) {
       AxisPoint p{"", clone_dml(*a.child), a.line};
       const auto is_tag = [](const DmlAttribute& o) {
@@ -99,17 +78,17 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
       }
       if (!over.add(std::move(p), error)) return false;
     } else if (a.key == "seed" || a.key == "threads") {
+      // The ranges of the scenario keys the points set.
+      const bool is_seed = a.key == "seed";
       std::int64_t v = 0;
-      if (!parse_i64(a.atom, &v) || (a.key == "threads" && v < 0)) {
-        if (error) {
-          *error = line_err(a.line, "'" + a.key +
-                                        "' wants a non-negative integer, "
-                                        "got '" + a.atom + "'");
-        }
+      if (!dml_read_int(a, 0,
+                        is_seed ? std::numeric_limits<std::int64_t>::max()
+                                : kInt32Max,
+                        &v, error)) {
         return false;
       }
-      Axis& axis = a.key == "seed" ? seed : threads;
-      const char* key = a.key == "seed" ? "seed" : "executor_threads";
+      Axis& axis = is_seed ? seed : threads;
+      const char* key = is_seed ? "seed" : "executor_threads";
       if (!axis.add(scalar_point(a, key), error)) return false;
     } else if (a.key == "mapping") {
       // Value validity is checked when the merged run re-parses, with
@@ -117,9 +96,9 @@ bool parse_sweep(const DmlNode& node, std::vector<Axis>* axes,
       if (!mapping.add(scalar_point(a, "mapping"), error)) return false;
     } else {
       if (error) {
-        *error = line_err(a.line, "unknown sweep axis '" + a.key +
-                                      "' (seed|threads|mapping|"
-                                      "override)");
+        *error = dml_error(a.line, "unknown sweep axis '" + a.key +
+                                       "' (seed|threads|mapping|"
+                                       "override)");
       }
       return false;
     }
@@ -138,7 +117,7 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
   DmlParseError perr;
   const auto root = parse_dml(text, &perr);
   if (!root) {
-    if (error) *error = line_err(perr.line, perr.message);
+    if (error) *error = dml_error(perr.line, perr.message);
     return std::nullopt;
   }
   const DmlNode* c = root->find("Campaign");
@@ -149,18 +128,17 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
 
   CampaignSpec spec;
   std::optional<DmlNode> base;      // root holding one Experiment attribute
-  std::string base_include_dir = include_dir;
   int base_line = 0;
   std::vector<Axis> axes;
 
   for (const DmlAttribute& a : c->attributes) {
-    if (ignored_key(a.key)) continue;
+    if (dml_ignored(a.key)) continue;
     if (a.key == "Experiment" && a.child) {
       if (base) {
         if (error) {
-          *error = line_err(a.line,
-                            "both `scenario` and an embedded "
-                            "Experiment [ ] block given");
+          *error = dml_error(a.line,
+                             "both `scenario` and an embedded "
+                             "Experiment [ ] block given");
         }
         return std::nullopt;
       }
@@ -176,7 +154,7 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
       if (a.key == "sweep") {
         if (!parse_sweep(*a.child, &axes, error)) return std::nullopt;
       } else {
-        unknown_key(a, "Campaign", error);
+        dml_unknown_key(a, "Campaign", error);
         return std::nullopt;
       }
     } else if (a.key == "name") {
@@ -184,9 +162,9 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
     } else if (a.key == "scenario") {
       if (base) {
         if (error) {
-          *error = line_err(a.line,
-                            "both `scenario` and an embedded "
-                            "Experiment [ ] block given");
+          *error = dml_error(a.line,
+                             "both `scenario` and an embedded "
+                             "Experiment [ ] block given");
         }
         return std::nullopt;
       }
@@ -195,7 +173,7 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
       std::ifstream in(path);
       if (!in) {
         if (error) {
-          *error = line_err(a.line, "cannot open scenario '" + a.atom + "'");
+          *error = dml_error(a.line, "cannot open scenario '" + a.atom + "'");
         }
         return std::nullopt;
       }
@@ -205,35 +183,19 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
       auto sroot = parse_dml(buf.str(), &serr);
       if (!sroot) {
         if (error) {
-          *error = line_err(a.line, "scenario '" + a.atom + "': " +
-                                        line_err(serr.line, serr.message));
+          *error = dml_error(a.line, "scenario '" + a.atom + "': " +
+                                         dml_error(serr.line, serr.message));
         }
         return std::nullopt;
       }
       base = std::move(*sroot);
-      base_include_dir = dirname_of(path);
       base_line = a.line;
     } else if (a.key == "workers") {
       std::int64_t v = 0;
-      if (!parse_i64(a.atom, &v) || v < 1) {
-        if (error) {
-          *error = line_err(a.line, "'workers' must be an integer >= 1");
-        }
-        return std::nullopt;
-      }
+      if (!dml_read_int(a, 1, kInt32Max, &v, error)) return std::nullopt;
       spec.workers = static_cast<std::int32_t>(v);
-    } else if (a.key == "golden") {
-      std::int64_t v = 0;
-      if (!parse_i64(a.atom, &v)) {
-        if (error) {
-          *error = line_err(a.line, "'golden' wants an integer, got '" +
-                                        a.atom + "'");
-        }
-        return std::nullopt;
-      }
-      spec.golden = v != 0;
     } else {
-      unknown_key(a, "Campaign", error);
+      dml_unknown_key(a, "Campaign", error);
       return std::nullopt;
     }
   }
@@ -249,12 +211,12 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
   // directly rather than once per expanded run.
   {
     std::string berr;
-    if (!scenario_spec_from_dml(*base, &berr, base_include_dir)) {
+    if (!scenario_spec_from_dml(*base, &berr)) {
       if (error) {
         *error = spec.scenario.empty()
                      ? berr
-                     : line_err(base_line, "scenario '" + spec.scenario +
-                                               "': " + berr);
+                     : dml_error(base_line, "scenario '" + spec.scenario +
+                                                "': " + berr);
       }
       return std::nullopt;
     }
@@ -275,7 +237,7 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
     }
     if (run.id.empty()) run.id = "base";
     std::string rerr;
-    auto parsed = scenario_spec_from_dml(merged, &rerr, base_include_dir);
+    auto parsed = scenario_spec_from_dml(merged, &rerr);
     if (!parsed) {
       if (error) *error = rerr;
       return std::nullopt;
@@ -295,27 +257,6 @@ std::optional<CampaignSpec> parse_campaign(std::string_view text,
     if (wrapped) break;
   }
 
-  if (spec.golden) {
-    // One calibration row per distinct thread count the expansion
-    // exercises, in first-appearance order. The counts are collected
-    // first: appending to spec.runs while iterating it would invalidate
-    // the iteration.
-    std::vector<std::int32_t> thread_counts;
-    for (const CampaignRun& r : spec.runs) {
-      const std::int32_t threads = r.spec.options.executor_threads;
-      if (std::find(thread_counts.begin(), thread_counts.end(), threads) ==
-          thread_counts.end()) {
-        thread_counts.push_back(threads);
-      }
-    }
-    for (const std::int32_t threads : thread_counts) {
-      CampaignRun g;
-      g.golden = true;
-      g.spec.options.executor_threads = threads;
-      g.id = "golden[threads=" + std::to_string(threads) + "]";
-      spec.runs.push_back(std::move(g));
-    }
-  }
   return spec;
 }
 

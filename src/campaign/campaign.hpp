@@ -8,7 +8,6 @@
 //     scenario tiny.dml     # base scenario file, relative to this file —
 //                           # or an embedded Experiment [ ... ] block
 //     workers 2             # default worker parallelism (CLI overrides)
-//     golden 1              # add PDES-ring calibration rows (golden.hpp)
 //     sweep [
 //       seed 1   seed 2     # each repeated atom is one point on its axis
 //       threads 0  threads 2
@@ -31,11 +30,8 @@
 // Labels are unique within an axis: a repeated `seed 1`, `mapping HPROF`
 // or override tag (an explicit `tag o1` included) is a line-numbered
 // error, since both points would share a run id and a roll-up aggregate.
-//
-// With `golden 1`, one calibration row per distinct thread count in the
-// expansion runs the pinned PDES ring workload
-// (pdes/golden_ring.hpp) instead of a scenario — putting the
-// engine-determinism golden checksum in every campaign roll-up.
+// `workers` and the `seed` and `threads` points are read as the scenario
+// parser reads its numbers, with the ranges of the keys they set.
 #pragma once
 
 #include <cstdint>
@@ -56,28 +52,22 @@ struct CampaignAxisValue {
 
 /// A fully-resolved unit of campaign work.
 struct CampaignRun {
-  std::string id;  ///< "threads=2,seed=1" / "base" / "golden[...]"
+  std::string id;  ///< "threads=2,seed=1" / "base"
   std::vector<CampaignAxisValue> axis;
   ScenarioSpec spec;
-  /// True for a PDES-ring calibration row: the runner executes the
-  /// golden workload under spec.options.executor_threads and records
-  /// its checksum instead of running the scenario.
-  bool golden = false;
 };
 
 struct CampaignSpec {
   std::string name;      ///< "" = unnamed
   std::string scenario;  ///< base scenario path as written ("" = embedded)
   std::int32_t workers = 1;
-  bool golden = false;
-  /// The expansion, in deterministic order (golden rows last).
+  /// The expansion, in deterministic order.
   std::vector<CampaignRun> runs;
 };
 
 /// Parses + expands a campaign document. Strict like the scenario parser:
 /// unknown keys and malformed values are "line N: what" errors (x_ keys
-/// ignored). `include_dir` anchors the `scenario` file and, transitively,
-/// its fault includes.
+/// ignored). `include_dir` anchors the `scenario` file.
 std::optional<CampaignSpec> parse_campaign(std::string_view text,
                                            std::string* error = nullptr,
                                            const std::string& include_dir = "");

@@ -9,19 +9,9 @@
 namespace massf {
 namespace {
 
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 std::string quoted(const std::string& s) {
   std::string out = "\"";
-  out += escape_json(s);
+  out += obs::escape_json(s);
   out += '"';
   return out;
 }
@@ -38,7 +28,7 @@ struct Aggregate {
 
 std::string campaign_to_json(const CampaignSpec& spec,
                              const CampaignOutcome& outcome) {
-  std::string out = "{\n  \"schema\": \"massf.campaign.v1\",\n";
+  std::string out = "{\n  \"schema\": \"massf.campaign.v2\",\n";
   out += "  \"name\": " + quoted(spec.name) + ",\n";
   out += "  \"scenario\": " + quoted(spec.scenario) + ",\n";
 
@@ -62,10 +52,6 @@ std::string campaign_to_json(const CampaignSpec& spec,
            obs::format_double(r.parallel_efficiency);
     out += ", \"mll_ms\": " + obs::format_double(r.mll_ms);
     out += ", \"faults_injected\": " + std::to_string(r.faults_injected);
-    if (r.has_checksum) {
-      // Checksums exceed 2^53; a string survives every JSON reader.
-      out += ", \"checksum\": " + quoted(std::to_string(r.checksum));
-    }
     if (!r.ok) out += ", \"error\": " + quoted(r.error);
     out += "}";
   }
@@ -81,11 +67,11 @@ std::string campaign_to_json(const CampaignSpec& spec,
   }
   out += "],\n";
 
-  // Per-axis-value aggregates over the successful scenario rows; the
-  // std::map keys the section in sorted order for byte stability.
+  // Per-axis-value aggregates over the successful rows; the std::map
+  // keys the section in sorted order for byte stability.
   std::map<std::string, Aggregate> agg;
   for (const RunRecord& r : outcome.runs) {
-    if (!r.ok || r.golden) continue;
+    if (!r.ok) continue;
     for (const CampaignAxisValue& a : r.axis) {
       Aggregate& g = agg[a.axis + "=" + a.label];
       g.runs += 1;
@@ -112,16 +98,6 @@ std::string campaign_to_json(const CampaignSpec& spec,
   }
   out += agg.empty() ? "},\n" : "\n  },\n";
 
-  out += "  \"golden\": {";
-  first = true;
-  for (const RunRecord& r : outcome.runs) {
-    if (!r.has_checksum) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    " + quoted(r.id) + ": " + quoted(std::to_string(r.checksum));
-  }
-  out += first ? "},\n" : "\n  },\n";
-
   out += "  \"timing\": {\"wall_s\": " + obs::format_double(outcome.wall_s) +
          ", \"workers\": " + std::to_string(outcome.workers) +
          ", \"run_wall_s\": [";
@@ -147,10 +123,7 @@ std::string campaign_table(const CampaignSpec& spec,
   std::string out = spec.name.empty() ? "" : "campaign: " + spec.name + "\n";
   out += buf;
   for (const RunRecord& r : outcome.runs) {
-    std::string status = r.ok ? "ok" : "FAILED " + r.error;
-    if (r.has_checksum) {
-      status += " checksum=" + std::to_string(r.checksum);
-    }
+    const std::string status = r.ok ? "ok" : "FAILED " + r.error;
     std::snprintf(buf, sizeof buf,
                   "%-*s %-7s %10llu %9.3f %8.3f %7.3f %6.3f %7.2f  %s\n",
                   static_cast<int>(id_width), r.id.c_str(),

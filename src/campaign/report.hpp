@@ -1,9 +1,9 @@
 // Campaign roll-up: the machine-readable artifact and the human table.
 //
-// JSON layout (schema id "massf.campaign.v1"):
+// JSON layout (schema id "massf.campaign.v2"):
 //
 //   {
-//     "schema": "massf.campaign.v1",
+//     "schema": "massf.campaign.v2",
 //     "name": "<campaign name>",
 //     "scenario": "<base scenario path or \"\">",
 //     "runs": [                       // expansion order
@@ -12,16 +12,14 @@
 //         "modeled_time_s": <d>, "load_imbalance": <d>,
 //         "parallel_efficiency": <d>, "mll_ms": <d>,
 //         "faults_injected": <uint>,
-//         "checksum": "<uint as string>",   // golden rows only
-//         "error": "..." }                  // failed rows only
+//         "error": "..." }              // failed rows only
 //     ],
 //     "failed": ["<id>", ...],
-//     "aggregates": {                 // key-ordered; scenario rows only
+//     "aggregates": {                 // key-ordered; successful rows only
 //       "<axis>=<value>": { "runs": <uint>, "events": <uint>,
 //         "modeled_time_s_mean": <d>, "load_imbalance_mean": <d>,
 //         "parallel_efficiency_mean": <d> }
 //     },
-//     "golden": { "<id>": "<checksum>" },   // the golden-checksum column
 //     "timing": { "wall_s": <d>, "workers": <int>,
 //                 "run_wall_s": [<d>, ...] }
 //   }

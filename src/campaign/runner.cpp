@@ -15,7 +15,6 @@
 #include <sstream>
 #include <thread>
 
-#include "campaign/golden.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
@@ -148,21 +147,10 @@ RunRecord execute_run(const CampaignRun& run, const std::string& run_dir) {
   RunRecord rec;
   rec.id = run.id;
   rec.axis = run.axis;
-  rec.golden = run.golden;
 
   obs::Registry registry;
   try {
-    if (run.golden) {
-      rec.checksum = golden_ring_checksum(run.spec.options.executor_threads,
-                                          &rec.events, &rec.windows);
-      rec.has_checksum = true;
-      rec.ok = true;
-      registry.counter("pdes.events").inc(rec.events);
-      registry.counter("pdes.windows").inc(rec.windows);
-      registry.counter("golden.checksum").inc(rec.checksum);
-    } else {
-      execute_scenario(run, &registry, &rec);
-    }
+    execute_scenario(run, &registry, &rec);
   } catch (const std::exception& e) {
     rec.ok = false;
     rec.error = e.what();
@@ -200,7 +188,6 @@ std::string run_record_to_kv(const RunRecord& rec) {
   for (const CampaignAxisValue& a : rec.axis) {
     out += kv_line("axis." + a.axis, a.label);
   }
-  out += kv_line("golden", rec.golden ? "1" : "0");
   out += kv_line("ok", rec.ok ? "1" : "0");
   if (!rec.error.empty()) out += kv_line("error", sanitize_error(rec.error));
   if (!rec.mapping.empty()) out += kv_line("mapping", rec.mapping);
@@ -212,9 +199,6 @@ std::string run_record_to_kv(const RunRecord& rec) {
                  obs::format_double(rec.parallel_efficiency));
   out += kv_line("mll_ms", obs::format_double(rec.mll_ms));
   out += kv_line("faults_injected", std::to_string(rec.faults_injected));
-  if (rec.has_checksum) {
-    out += kv_line("checksum", std::to_string(rec.checksum));
-  }
   out += kv_line("wall_s", obs::format_double(rec.wall_s));
   return out;
 }
@@ -237,8 +221,6 @@ bool run_record_from_kv(const std::string& text, RunRecord* rec,
       rec->id = value;
     } else if (key.rfind("axis.", 0) == 0) {
       rec->axis.push_back({key.substr(5), value});
-    } else if (key == "golden") {
-      rec->golden = value == "1";
     } else if (key == "ok") {
       rec->ok = value == "1";
       saw_ok = true;
@@ -260,9 +242,6 @@ bool run_record_from_kv(const std::string& text, RunRecord* rec,
       rec->mll_ms = std::strtod(value.c_str(), nullptr);
     } else if (key == "faults_injected") {
       rec->faults_injected = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "checksum") {
-      rec->checksum = std::strtoull(value.c_str(), nullptr, 10);
-      rec->has_checksum = true;
     } else if (key == "wall_s") {
       rec->wall_s = std::strtod(value.c_str(), nullptr);
     }
@@ -314,7 +293,6 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
         rec = RunRecord{};
         rec.id = run.id;
         rec.axis = run.axis;
-        rec.golden = run.golden;
         rec.ok = false;
         rec.error = "worker " + status +
                     (err.empty() ? " without result.kv" : ": " + err);

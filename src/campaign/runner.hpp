@@ -1,11 +1,12 @@
 // Campaign execution: one resolved run at a time, or the whole expansion
 // across parallel workers. The run loop for one mapping (run_mapping) is
-// the one massf_cli executes too, so a scenario file means the same thing
-// to both: it runs the mapping and, when the guard's watchdog cancelled a
-// stalled run, runs it once more from t = 0 on the sequential executor.
+// the one massf_cli, multi_as_bgp and fig03_load_variation execute too,
+// so a scenario file means the same thing to all: it runs the mapping
+// and, when the guard's watchdog cancelled a stalled run, runs it once
+// more from t = 0 on the sequential executor.
 //
-// Every run executes hermetically — its own Scenario (or golden ring),
-// its own obs::Registry — so the result is a pure function of the run's
+// Every run executes hermetically — its own Scenario, its own
+// obs::Registry — so the result is a pure function of the run's
 // spec. run_campaign exploits that: whether runs execute in-process on
 // worker threads, or in worker subprocesses (massf_campaign re-invoking
 // itself with --worker-run=K), with 1 worker or N, the per-run records
@@ -48,12 +49,11 @@ ExperimentResult run_mapping(Scenario& scenario, MappingKind kind);
 struct RunRecord {
   std::string id;
   std::vector<CampaignAxisValue> axis;
-  bool golden = false;
   bool ok = false;
   std::string error;  ///< failure diagnostic ("" when ok)
 
-  // Deterministic results (scenario rows).
-  std::string mapping;  ///< mapping kind name ("" for golden rows)
+  // Deterministic results.
+  std::string mapping;  ///< mapping kind name ("" when the run failed)
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
   double modeled_time_s = 0;
@@ -61,10 +61,6 @@ struct RunRecord {
   double parallel_efficiency = 0;
   double mll_ms = 0;
   std::uint64_t faults_injected = 0;
-
-  // Golden rows only.
-  bool has_checksum = false;
-  std::uint64_t checksum = 0;
 
   // Timing — never part of canonical comparisons.
   double wall_s = 0;

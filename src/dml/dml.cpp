@@ -2,12 +2,11 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-
-#include "util/check.hpp"
-#include "util/error.hpp"
+#include <system_error>
 
 namespace massf {
 namespace {
@@ -129,16 +128,6 @@ bool parse_list(Lexer& lex, DmlNode& node, bool top_level,
   }
 }
 
-[[noreturn]] void config_error(std::string_view key, const char* what) {
-  // Thrown rather than aborted: a bad attribute in a scenario file is a
-  // user input error the CLI / guard harness reports and survives.
-  std::string msg = "DML attribute '";
-  msg.append(key.data(), key.size());
-  msg += "' ";
-  msg += what;
-  MASSF_THROW(ErrorCategory::kConfig, msg);
-}
-
 void write_node(const DmlNode& node, std::ostringstream& os, int depth) {
   const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
   for (const DmlAttribute& attr : node.attributes) {
@@ -171,62 +160,6 @@ const DmlNode* DmlNode::find(std::string_view key) const {
   return nullptr;
 }
 
-std::vector<const DmlNode*> DmlNode::find_all(std::string_view key) const {
-  std::vector<const DmlNode*> result;
-  for (const DmlAttribute& attr : attributes) {
-    if (attr.key == key && attr.child) result.push_back(attr.child.get());
-  }
-  return result;
-}
-
-std::optional<std::string> DmlNode::atom(std::string_view key) const {
-  for (const DmlAttribute& attr : attributes) {
-    if (attr.key == key && !attr.child) return attr.atom;
-  }
-  return std::nullopt;
-}
-
-std::string DmlNode::require_string(std::string_view key) const {
-  auto v = atom(key);
-  if (!v) config_error(key, "is missing");
-  return *v;
-}
-
-std::int64_t DmlNode::require_int(std::string_view key) const {
-  const std::string v = require_string(key);
-  char* end = nullptr;
-  const std::int64_t result = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') {
-    config_error(key, "is not an integer");
-  }
-  return result;
-}
-
-double DmlNode::require_double(std::string_view key) const {
-  const std::string v = require_string(key);
-  char* end = nullptr;
-  const double result = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    config_error(key, "is not a number");
-  }
-  return result;
-}
-
-std::int64_t DmlNode::get_int(std::string_view key,
-                              std::int64_t fallback) const {
-  return atom(key) ? require_int(key) : fallback;
-}
-
-double DmlNode::get_double(std::string_view key, double fallback) const {
-  return atom(key) ? require_double(key) : fallback;
-}
-
-std::string DmlNode::get_string(std::string_view key,
-                                std::string fallback) const {
-  auto v = atom(key);
-  return v ? *v : std::move(fallback);
-}
-
 void DmlNode::add_atom(std::string key, std::string value) {
   DmlAttribute attr;
   attr.key = std::move(key);
@@ -250,6 +183,89 @@ DmlNode& DmlNode::add_child(std::string key) {
   attr.child = std::make_unique<DmlNode>();
   attributes.push_back(std::move(attr));
   return *attributes.back().child;
+}
+
+std::string dml_error(int line, const std::string& what) {
+  return line > 0 ? "line " + std::to_string(line) + ": " + what : what;
+}
+
+namespace {
+
+std::string bound_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+bool bound_error(const DmlAttribute& a, const char* op,
+                 const std::string& bound, std::string* error) {
+  if (error) {
+    *error = dml_error(a.line, "'" + a.key + "' must be " + op + " " + bound);
+  }
+  return false;
+}
+
+bool type_error(const DmlAttribute& a, const char* want,
+                std::string* error) {
+  if (error) {
+    *error = dml_error(a.line, "'" + a.key + "' wants " + want + ", got '" +
+                                   a.atom + "'");
+  }
+  return false;
+}
+
+}  // namespace
+
+bool dml_read_int(const DmlAttribute& a, std::int64_t lo, std::int64_t hi,
+                  std::int64_t* out, std::string* error) {
+  const char* first = a.atom.data();
+  const char* last = first + a.atom.size();
+  std::int64_t v = 0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc::result_out_of_range) {
+    // Past the 64-bit range, so past [lo, hi] on the side of its sign.
+    return a.atom.front() == '-'
+               ? bound_error(a, ">=", std::to_string(lo), error)
+               : bound_error(a, "<=", std::to_string(hi), error);
+  }
+  if (ec != std::errc() || end != last) {
+    return type_error(a, "an integer", error);
+  }
+  if (v < lo) return bound_error(a, ">=", std::to_string(lo), error);
+  if (v > hi) return bound_error(a, "<=", std::to_string(hi), error);
+  *out = v;
+  return true;
+}
+
+bool dml_read_number(const DmlAttribute& a, const DmlRange& range,
+                     double* out, std::string* error) {
+  char* end = nullptr;
+  const double v = std::strtod(a.atom.c_str(), &end);
+  if (a.atom.empty() || end != a.atom.c_str() + a.atom.size() ||
+      std::isnan(v)) {
+    return type_error(a, "a number", error);
+  }
+  if (range.lo_open ? !(v > range.lo) : !(v >= range.lo)) {
+    return bound_error(a, range.lo_open ? ">" : ">=", bound_text(range.lo),
+                       error);
+  }
+  if (!(v <= range.hi)) {
+    return bound_error(a, "<=", bound_text(range.hi), error);
+  }
+  *out = v;
+  return true;
+}
+
+bool dml_ignored(std::string_view key) { return key.starts_with("x_"); }
+
+bool dml_unknown_key(const DmlAttribute& a, std::string_view where,
+                     std::string* error) {
+  if (error) {
+    *error = dml_error(a.line, "unknown key '" + a.key + "' in " +
+                                   std::string(where) +
+                                   " (prefix with x_ to ignore)");
+  }
+  return false;
 }
 
 std::optional<DmlNode> parse_dml(std::string_view text,

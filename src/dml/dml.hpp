@@ -32,8 +32,8 @@ struct DmlAttribute {
   std::string key;
   std::string atom;                    ///< valid when child == nullptr
   std::unique_ptr<DmlNode> child;      ///< valid when non-null
-  /// Source line of the key (1-based); 0 for programmatically built trees.
-  /// Consumers use it for fault-parser-style "line N: what" diagnostics.
+  /// Source line of the key (1-based); 0 for atoms built in code or given
+  /// on a command line. The atom readers below put it in their messages.
   int line = 0;
 };
 
@@ -48,27 +48,52 @@ class DmlNode {
   /// First child list under `key`, or nullptr.
   const DmlNode* find(std::string_view key) const;
 
-  /// All child lists under `key`, in document order.
-  std::vector<const DmlNode*> find_all(std::string_view key) const;
-
-  /// First atom under `key`.
-  std::optional<std::string> atom(std::string_view key) const;
-
-  /// Typed accessors; abort with a parse-style error message when the key
-  /// is missing or malformed (configuration errors must be loud).
-  std::string require_string(std::string_view key) const;
-  std::int64_t require_int(std::string_view key) const;
-  double require_double(std::string_view key) const;
-  std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
-  double get_double(std::string_view key, double fallback) const;
-  std::string get_string(std::string_view key, std::string fallback) const;
-
   // -- construction helpers (for writers) ---------------------------------
   void add_atom(std::string key, std::string value);
   void add_atom(std::string key, std::int64_t value);
   void add_atom(std::string key, double value);
   DmlNode& add_child(std::string key);
 };
+
+// -- strict atom readers ------------------------------------------------------
+//
+// The formats built on DML (scenarios, campaigns) read their atoms through
+// these: a malformed or out-of-range value fails with a message in the
+// fault parser's idiom, "line N: what" (the bare `what` for an atom with
+// no line), and never aborts — a bad value in a file is an input error
+// the caller reports.
+
+/// "line N: what", or `what` alone when `line` is 0.
+std::string dml_error(int line, const std::string& what);
+
+/// Reads an integer atom in [lo, hi] into `out`. Fails with
+/// "'<key>' wants an integer, got '<atom>'", "'<key>' must be >= <lo>" or
+/// "'<key>' must be <= <hi>".
+bool dml_read_int(const DmlAttribute& a, std::int64_t lo, std::int64_t hi,
+                  std::int64_t* out, std::string* error);
+
+/// The values a number atom may take: [lo, hi], or (lo, hi] with lo_open.
+struct DmlRange {
+  double lo = 0;
+  double hi = 0;
+  bool lo_open = false;
+};
+
+/// Reads a number atom in `range` into `out`. Fails with "'<key>' wants a
+/// number, got '<atom>'" (NaN included), "'<key>' must be >= <lo>" (or
+/// "> <lo>") or "'<key>' must be <= <hi>".
+bool dml_read_number(const DmlAttribute& a, const DmlRange& range,
+                     double* out, std::string* error);
+
+/// True for an `x_`-prefixed key, which strict readers skip: the
+/// forward-compatibility escape hatch, so a file can carry knobs for newer
+/// binaries.
+bool dml_ignored(std::string_view key);
+
+/// Fails with "unknown key '<key>' in <where> (prefix with x_ to ignore)";
+/// returns false.
+bool dml_unknown_key(const DmlAttribute& a, std::string_view where,
+                     std::string* error);
 
 struct DmlParseError {
   std::string message;

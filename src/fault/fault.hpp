@@ -4,7 +4,8 @@
 // trains, router crash/restore, loss bursts on a link, BGP session resets,
 // and BGP beacon toggles (an AS withdrawing or re-announcing its prefix).
 // Schedules are built programmatically or parsed from a small line-based
-// text format (one event per line, key=value arguments):
+// text format (one event per line, key=value arguments); a scenario file
+// holds each line as one `faults [ event "..." ]` atom:
 //
 //   # seconds are virtual time; '#' comments run to end of line
 //   at 1.0  link_down link=3
@@ -78,8 +79,8 @@ class FaultSchedule {
   FaultSchedule& bgp_withdraw(SimTime at, AsId as);
   FaultSchedule& bgp_announce(SimTime at, AsId as);
 
-  /// Splices another schedule's events in (scenario files may combine an
-  /// included fault file with embedded event lines).
+  /// Splices another schedule's events in (a scenario file's `event`
+  /// atoms, one line each).
   FaultSchedule& append(const FaultSchedule& other);
 
   const std::vector<FaultEvent>& events() const { return events_; }

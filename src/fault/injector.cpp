@@ -158,7 +158,7 @@ void FaultInjector::arm(Engine& engine, NetSim& sim,
               return a.at < b.at;
             });
 
-  engine.hooks().barrier.push_back(
+  engine.barrier_hooks().push_back(
       [this](Engine&, SimTime window_start) { on_barrier(window_start); });
 }
 

@@ -16,6 +16,12 @@ namespace {
 /// timeout keys on).
 constexpr double kFluidMinShare = 0.01;
 
+/// Rate recompute cadence in window boundaries: arrivals and coupling
+/// refreshes are batched so a recompute runs at most once per this many
+/// windows (departures and link-state changes also trigger one). Larger =
+/// faster, coarser fidelity.
+constexpr std::int64_t kRecomputeEvery = 8;
+
 }  // namespace
 
 void route_slots(const Network& net, const ForwardingPlane& fp, NodeId src,
@@ -175,15 +181,13 @@ FluidLinkModel::FluidLinkModel(const Network& net, const ForwardingPlane& fp,
   packet_bps_.assign(slots, 0.0);
   // Let the first boundary with work recompute immediately instead of
   // waiting out a full cadence.
-  last_recompute_boundary_ =
-      -static_cast<std::int64_t>(
-          std::max<std::int32_t>(1, opts.link_model.fluid_recompute_every));
+  last_recompute_boundary_ = -kRecomputeEvery;
 }
 
 void FluidLinkModel::attach(NetSim& sim, Engine& engine) {
   PacketLinkModel::attach(sim, engine);
   pending_.resize(static_cast<std::size_t>(sim.num_lps()) + 1);
-  engine.hooks().barrier.push_back(
+  engine.barrier_hooks().push_back(
       [this](Engine& e, SimTime floor) { on_boundary(e, floor); });
 }
 
@@ -257,14 +261,12 @@ bool FluidLinkModel::has_pending() const {
 
 void FluidLinkModel::on_boundary(Engine& engine, SimTime floor) {
   ++boundaries_;
-  const auto cadence = static_cast<std::int64_t>(
-      std::max<std::int32_t>(1, opts_.link_model.fluid_recompute_every));
   const bool due = earliest_completion_ <= floor || earliest_deadline_ <= floor;
   const bool work =
       dirty_ || link_dirty_.load(std::memory_order_relaxed) || has_pending();
   if (!due &&
       !(work && static_cast<std::int64_t>(boundaries_) -
-                        last_recompute_boundary_ >= cadence)) {
+                        last_recompute_boundary_ >= kRecomputeEvery)) {
     schedule_wake(engine, floor);
     return;
   }
@@ -511,11 +513,10 @@ void FluidLinkModel::schedule_wake(Engine& engine, SimTime floor) {
   SimTime target = std::min(earliest_completion_, earliest_deadline_);
   if (dirty_ || link_dirty_.load(std::memory_order_relaxed) ||
       has_pending()) {
-    const auto cadence = static_cast<std::int64_t>(
-        std::max<std::int32_t>(1, opts_.link_model.fluid_recompute_every));
     const std::int64_t since =
         static_cast<std::int64_t>(boundaries_) - last_recompute_boundary_;
-    const std::int64_t left = std::max<std::int64_t>(cadence - since, 1);
+    const std::int64_t left =
+        std::max<std::int64_t>(kRecomputeEvery - since, 1);
     target = std::min(target, floor + left * engine.options().lookahead);
   }
   if (target == kNever) return;

@@ -14,7 +14,7 @@
 //     below) over the directed-slot capacities left by the packet class
 //     (measured from per-slot packet byte counters over the elapsed
 //     windows); it touches only the slots unblocked flows cross. Recomputes
-//     are batched: at most one per `fluid_recompute_every` boundaries,
+//     are batched: at most one per `kRecomputeEvery` (8) boundaries,
 //     plus one whenever a completion falls due. Between recomputes, rates
 //     are piecewise-constant, so per-flow progress and completion times
 //     are closed-form — the fidelity error is bounded by the batching

@@ -16,18 +16,6 @@ const char* link_model_kind_name(LinkModelKind kind) {
   return "unknown";
 }
 
-bool parse_link_model_kind(const std::string& text, LinkModelKind* out) {
-  if (text == "packet") {
-    *out = LinkModelKind::kPacket;
-    return true;
-  }
-  if (text == "hybrid") {
-    *out = LinkModelKind::kHybrid;
-    return true;
-  }
-  return false;
-}
-
 void LinkModel::start_background_flow(Engine&, SimTime, NodeId, NodeId,
                                       std::uint32_t, std::uint32_t) {
   MASSF_THROW(ErrorCategory::kConfig,

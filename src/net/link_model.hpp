@@ -24,7 +24,7 @@
 //     NetSim's node→LP table is fixed for the run, so a slot keeps its
 //     owner from construction to the end.
 //   * Fluid state. All background-flow state is coordinator-owned: it is
-//     read and written only at window boundaries (EngineHooks barrier
+//     read and written only at window boundaries (Engine barrier
 //     hooks, every LP quiescent) or before the run. During a window, LPs may only
 //     *append* arrivals to their own per-LP admission queue and *read* the
 //     per-slot fluid reservation published at the previous boundary — both
@@ -64,8 +64,6 @@ enum class LinkModelKind : std::int32_t {
 };
 
 const char* link_model_kind_name(LinkModelKind kind);
-/// Parses "packet" / "hybrid"; returns false on anything else.
-bool parse_link_model_kind(const std::string& text, LinkModelKind* out);
 
 /// NetFlow-style record of one finished flow — packet TCP or analytic
 /// background (background flow ids carry FluidLinkModel::kFluidFlowBit).
@@ -91,11 +89,6 @@ struct FlowRecord {
 /// Model-level knobs, a sub-struct of NetSimOptions.
 struct LinkModelOptions {
   LinkModelKind kind = LinkModelKind::kPacket;
-  /// Fluid rate recompute cadence in window boundaries: arrivals and
-  /// coupling refreshes are batched so a recompute runs at most once per
-  /// this many windows (departures and link-state changes also trigger
-  /// one). Larger = faster, coarser fidelity.
-  std::int32_t fluid_recompute_every = 8;
   /// Fraction of a link's bandwidth the packet path always keeps, however
   /// much fluid demand shares the link: packets must never starve, and the
   /// floor keeps the service-time math away from division blow-ups.
@@ -138,8 +131,8 @@ class LinkModel {
 
   /// Called once from the NetSim constructor, after LP registration. The
   /// model may keep the NetSim pointer (completion dispatch, lp_of) and
-  /// register EngineHooks boundary work. A pure-packet model registers
-  /// nothing — a pure-packet run's hook sequence is untouched.
+  /// register boundary work (Engine::barrier_hooks). A pure-packet model
+  /// registers nothing — a pure-packet run's hook sequence is untouched.
   virtual void attach(NetSim& sim, Engine& engine) = 0;
 
   // ---- packet path (runs on the transmitting endpoint's LP) ----
@@ -198,8 +191,7 @@ class LinkModel {
   virtual void publish_metrics(obs::Registry& registry) const;
 };
 
-/// Factory used by NetSim; custom models can be injected through the
-/// NetSim constructor overload instead.
+/// The model NetSim carries its traffic on: opts.link_model.kind's.
 std::unique_ptr<LinkModel> make_link_model(const Network& net,
                                            const ForwardingPlane& fp,
                                            const struct NetSimOptions& opts);

@@ -25,14 +25,8 @@ class PartitionLp final : public LogicalProcess {
 NetSim::NetSim(const Network& net, const ForwardingPlane& fp,
                std::span<const LpId> router_lp, Engine& engine,
                const NetSimOptions& opts)
-    : NetSim(net, fp, router_lp, engine, opts,
-             make_link_model(net, fp, opts)) {}
-
-NetSim::NetSim(const Network& net, const ForwardingPlane& fp,
-               std::span<const LpId> router_lp, Engine& engine,
-               const NetSimOptions& opts, std::unique_ptr<LinkModel> model)
-    : net_(&net), fp_(&fp), opts_(opts), model_(std::move(model)) {
-  MASSF_CHECK(model_ != nullptr);
+    : net_(&net), fp_(&fp), opts_(opts),
+      model_(make_link_model(net, fp, opts)) {
   MASSF_CHECK(static_cast<NodeId>(router_lp.size()) == net.num_routers);
 
   node_lp_.resize(net.nodes.size());

@@ -91,13 +91,6 @@ class NetSim {
          std::span<const LpId> router_lp, Engine& engine,
          const NetSimOptions& opts);
 
-  /// Same, but with an injected LinkModel (tests / custom models); the
-  /// default constructor builds one from opts.link_model via
-  /// make_link_model.
-  NetSim(const Network& net, const ForwardingPlane& fp,
-         std::span<const LpId> router_lp, Engine& engine,
-         const NetSimOptions& opts, std::unique_ptr<LinkModel> model);
-
   LpId lp_of(NodeId node) const;
   std::int32_t num_lps() const { return num_lps_; }
 

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 
 namespace massf::obs {
-namespace {
 
 std::string escape_json(const std::string& s) {
   std::string out;
@@ -38,6 +37,8 @@ std::string escape_json(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 bool excluded(std::string_view name,
               std::span<const std::string_view> exclude) {
@@ -105,27 +106,6 @@ std::string to_json_excluding(const Registry& registry,
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
-  return out;
-}
-
-std::string to_csv(const Registry& registry) {
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, value] : registry.counters()) {
-    out += "counter," + name + ",value," + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    out += "gauge," + name + ",value," + format_double(value) + "\n";
-  }
-  for (const auto& h : registry.histograms()) {
-    out += "histogram," + h.name + ",count," + std::to_string(h.count) + "\n";
-    out += "histogram," + h.name + ",sum," + format_double(h.sum) + "\n";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      const std::string le =
-          i < h.bounds.size() ? "le_" + format_double(h.bounds[i]) : "le_inf";
-      out += "histogram," + h.name + "," + le + "," +
-             std::to_string(h.counts[i]) + "\n";
-    }
-  }
   return out;
 }
 

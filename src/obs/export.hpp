@@ -13,10 +13,6 @@
 //     }
 //   }
 //
-// CSV layout: header "kind,name,field,value"; counters/gauges emit one
-// `value` row, histograms emit `count`, `sum`, then one `le_<bound>` row
-// per bucket and a final `le_inf` overflow row.
-//
 // Doubles are rendered with std::to_chars shortest round-trip form, so
 // output is byte-stable across runs and platforms with IEEE doubles.
 #pragma once
@@ -42,7 +38,10 @@ std::string to_json(const Registry& registry);
 /// same run compare byte-identical.
 std::string to_json_excluding(const Registry& registry,
                               std::span<const std::string_view> exclude);
-std::string to_csv(const Registry& registry);
+
+/// `s` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped.
+std::string escape_json(const std::string& s);
 
 /// Writes `content` to `path` (truncating); returns false on I/O failure.
 bool write_file(const std::string& path, const std::string& content);

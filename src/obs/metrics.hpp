@@ -9,8 +9,8 @@
 //    takes an optional `Registry*` and publishes nothing when it is null;
 //    the per-packet event path stays allocation-free and branchless apart
 //    from pointer checks that sit outside the hot loops.
-//  * Stable export schema. Metrics iterate in name order so the JSON/CSV
-//    exporters (export.hpp) produce byte-stable output for golden tests
+//  * Stable export schema. Metrics iterate in name order so the JSON
+//    exporter (export.hpp) produces byte-stable output for golden tests
 //    and for diffing BENCH_*.json across PRs.
 //  * Thread-safe increments. Counters/gauges/histogram buckets are atomics
 //    with relaxed ordering — safe to bump from threaded-executor workers;

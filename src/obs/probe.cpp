@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -68,37 +67,6 @@ void WindowProbe::publish(Registry& registry, std::string_view prefix) const {
   registry.gauge(p + ".process_s").add(summary_.process_s);
   registry.gauge(p + ".barrier_wait_s").add(summary_.barrier_wait_s);
   registry.gauge(p + ".merge_s").add(summary_.merge_s);
-}
-
-std::string WindowProbe::to_csv() const {
-  std::string out =
-      "window,start_vtime_s,events,max_lp_events,queue_depth,"
-      "max_queue_depth,outbox,hook_s,process_s,barrier_wait_s,merge_s\n";
-  for (const Window& w : windows_) {
-    out += std::to_string(w.index);
-    out += ',';
-    out += format_double(w.start_vtime_s);
-    out += ',';
-    out += std::to_string(w.events);
-    out += ',';
-    out += std::to_string(w.max_lp_events);
-    out += ',';
-    out += std::to_string(w.queue_depth);
-    out += ',';
-    out += std::to_string(w.max_queue_depth);
-    out += ',';
-    out += std::to_string(w.outbox);
-    out += ',';
-    out += format_double(w.hook_s);
-    out += ',';
-    out += format_double(w.process_s);
-    out += ',';
-    out += format_double(w.barrier_wait_s);
-    out += ',';
-    out += format_double(w.merge_s);
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace massf::obs

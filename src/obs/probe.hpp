@@ -93,9 +93,6 @@ class WindowProbe {
   /// gauges (schema documented in DESIGN.md).
   void publish(Registry& registry, std::string_view prefix = "pdes.probe") const;
 
-  /// One CSV row per recorded window, with a fixed header (DESIGN.md).
-  std::string to_csv() const;
-
  private:
   std::size_t max_windows_;
   Window current_;

@@ -11,7 +11,7 @@ namespace massf {
 Agent::Agent(const AgentOptions& options) : opts_(options) {}
 
 void Agent::attach(Engine& engine) {
-  engine.hooks().barrier.push_back([this](Engine& eng, SimTime window_start) {
+  engine.barrier_hooks().push_back([this](Engine& eng, SimTime window_start) {
     on_barrier(eng, window_start);
   });
 }

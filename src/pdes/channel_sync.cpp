@@ -16,7 +16,7 @@
 // window end, which is exactly the global quiescent point the sequential
 // loop reaches after its merge phase. That thread becomes the *epoch
 // closer*: it runs the unchanged boundary sequence (probe, outbox
-// accounting, EngineHooks barrier hooks, next-floor scan) single-
+// accounting, barrier hooks, next-floor scan) single-
 // threadedly, then publishes the next epoch with one release store on the
 // epoch word (the only futex wake of the whole window). Hook semantics are
 // therefore identical to the sequential reference — only who waits on whom

@@ -9,7 +9,7 @@
 // and engines whose neighbors are already ahead run free with no gate at
 // all. A quiescence detector — the thread that completes a window's last
 // merge observes every channel clock at the window end — collapses the
-// per-pair clocks into a global epoch and runs the EngineHooks barrier
+// per-pair clocks into a global epoch and runs the engine's barrier
 // hooks exactly where the sequential window loop runs them, so boundary
 // semantics and the bit-exact event trace are unchanged (DESIGN.md
 // section 5g).

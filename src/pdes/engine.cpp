@@ -263,7 +263,7 @@ void Engine::open_window_boundary(SimTime floor) {
   // Hooks observe the window floor through now() under both executors
   // (current_lp() is invalid here, so schedule() takes the injection path).
   now_ = floor;
-  for (auto& hook : hooks_.barrier) hook(*this, floor);
+  for (auto& hook : barrier_hooks_) hook(*this, floor);
 }
 
 void Engine::probe_window(SimTime floor) {

@@ -42,15 +42,8 @@ class WindowProbe;
 
 class Engine;
 
-/// Every hook the engine fires at a window boundary, installed as one
-/// struct (set_hooks / hooks()). At each boundary the barrier hooks run in
-/// registration order — online pacing, fault injection, routing changes —
-/// on one thread under every executor (other workers quiescent, no handler
-/// running). A hook may call request_stop(): the boundary's window is
-/// still processed before the run ends (matching the loop-top stop check).
-struct EngineHooks {
-  std::vector<std::function<void(Engine&, SimTime)>> barrier;
-};
+/// Work the engine runs at a window boundary, given the window's floor.
+using BarrierHook = std::function<void(Engine&, SimTime)>;
 
 /// One logical process: a simulation engine node owning a partition of the
 /// network. Implementations must be deterministic functions of the event
@@ -220,15 +213,16 @@ class Engine {
     freeze_after_windows_ = after_windows;
   }
 
-  /// Installs the window-boundary hook set, replacing whatever was
-  /// installed before. See EngineHooks for the firing-order contract.
-  void set_hooks(EngineHooks hooks) { hooks_ = std::move(hooks); }
-
-  /// Mutable access to the installed hooks — the composition path: each
-  /// subsystem (fault injector, online pacing) appends its own hook without
-  /// clobbering the others.
-  EngineHooks& hooks() { return hooks_; }
-  const EngineHooks& hooks() const { return hooks_; }
+  /// The window-boundary hooks; each subsystem (fault injector, online
+  /// pacing, the fluid link model) appends its own. At each boundary they
+  /// run in registration order on one thread under every executor (other
+  /// workers quiescent, no handler running). A hook may call
+  /// request_stop(): the boundary's window is still processed before the
+  /// run ends (matching the loop-top stop check).
+  std::vector<BarrierHook>& barrier_hooks() { return barrier_hooks_; }
+  const std::vector<BarrierHook>& barrier_hooks() const {
+    return barrier_hooks_;
+  }
 
   /// Attaches a window telemetry probe (obs/probe.hpp): per window the
   /// engine records per-LP events, queue depths, outbox sizes, and real
@@ -282,7 +276,7 @@ class Engine {
   void clear_outboxes();
   void account_window();
   void process_lp_window(LpId i);
-  /// The boundary sequence (EngineHooks contract) for the window opening
+  /// The boundary sequence (barrier_hooks contract) for the window opening
   /// at `floor`: sets the window end, then runs the barrier hooks.
   void open_window_boundary(SimTime floor);
   void probe_window(SimTime floor);
@@ -344,7 +338,7 @@ class Engine {
   /// Thread count of the last run (0 = sequential), for pdes.sched.*.
   std::int32_t run_threads_ = 0;
   RunStats stats_;
-  EngineHooks hooks_;
+  std::vector<BarrierHook> barrier_hooks_;
   /// Declared cross-LP topology (empty = all-pairs). Finalized.
   ChannelGraph channels_;
   /// Per-destination sender masks: destination d owns words

@@ -8,8 +8,8 @@
 // 2000 hops) under golden_ring_options() the trace is pinned: sequential,
 // threaded, and recovered (re-run) runs must all reproduce
 // kGoldenRingChecksum, kGoldenRingEvents, and kGoldenRingWindows. The same
-// values appear in BENCH_pdes.json and in every campaign golden row;
-// regenerate them only through tests/regen_golden.sh.
+// values appear in BENCH_pdes.json; regenerate them only through
+// tests/regen_golden.sh.
 #pragma once
 
 #include <cstdint>

@@ -172,7 +172,7 @@ BgpSpeakers* Scenario::install_traffic(Engine& engine, NetSim& sim,
   }
 
   if (opts_.num_bg_sources > 0) {
-    BackgroundOptions bg = opts_.background;
+    BackgroundOptions bg;
     bg.seed = opts_.seed ^ 0x42474644;  // "BGFD"
     if (profiling) bg.seed ^= 0x50524F46;  // "PROF"
     manager.add(TrafficKind::kBackground, std::make_unique<BackgroundWorkload>(

@@ -54,7 +54,6 @@ struct ScenarioOptions {
   /// netsim.link_model.kind == kHybrid these ride the analytic fluid fast
   /// path; under the packet model they fall back to packet TCP.
   std::int32_t num_bg_sources = 0;
-  BackgroundOptions background;
   AppKind app = AppKind::kNone;
   std::int32_t num_app_hosts = 16;
   ScaLapackOptions scalapack;

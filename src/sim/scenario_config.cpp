@@ -1,213 +1,267 @@
 #include "sim/scenario_config.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <span>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "fault/fault.hpp"
 
 namespace massf {
 namespace {
 
-// Atoms with no source line (line 0: an override given on the command
-// line) report the bare message.
-std::string line_err(int line, const std::string& what) {
-  return line > 0 ? "line " + std::to_string(line) + ": " + what : what;
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+// The longest duration a key may give. SimTime counts nanoseconds in 63
+// bits (292 years); 1e9 s (31.7 years) leaves the engine's window
+// arithmetic headroom past the horizon.
+constexpr double kMaxDurationS = 1e9;
+
+// ---- the kinds of key ------------------------------------------------------
+
+// The fields an integer atom lands in; one-of-names keys store their
+// name's value the same way.
+using IntField = std::variant<std::int32_t*, std::uint64_t*, bool*, AppKind*,
+                              LinkModelKind*>;
+
+// A count, a 0/1 switch or the seed, in [lo, hi].
+struct IntKey {
+  IntField field;
+  std::int64_t lo, hi;
+};
+// A number in `range` (seconds held as a double, bits per second).
+struct NumberKey {
+  double* field;
+  DmlRange range;
+};
+// Seconds held as SimTime ticks: > 0, or >= 0 unless `positive`, and at
+// most kMaxDurationS.
+struct DurationKey {
+  SimTime* field;
+  bool positive;
+};
+// One name of a fixed set, each standing for an enum value; the error
+// lists the names in this order.
+struct Name {
+  const char* text;
+  std::int64_t value;
+};
+struct NamesKey {
+  IntField field;
+  std::span<const Name> names;
+};
+struct StringKey {
+  std::string* field;
+};
+// Repeated atoms: each `mapping` appends to the run list, each
+// `faults.event` (one fault-format line) to the schedule.
+struct MappingKey {
+  std::vector<MappingKind>* field;
+};
+struct EventKey {
+  FaultSchedule* field;
+};
+
+struct Key {
+  const char* block;  ///< "" = the Experiment block itself
+  const char* name;
+  std::variant<IntKey, NumberKey, DurationKey, NamesKey, StringKey,
+               MappingKey, EventKey>
+      kind;
+};
+
+constexpr Name kAppNames[] = {
+    {"scalapack", static_cast<std::int64_t>(AppKind::kScaLapack)},
+    {"gridnpb", static_cast<std::int64_t>(AppKind::kGridNpb)},
+    {"none", static_cast<std::int64_t>(AppKind::kNone)},
+};
+constexpr Name kLinkModelNames[] = {
+    {"packet", static_cast<std::int64_t>(LinkModelKind::kPacket)},
+    {"hybrid", static_cast<std::int64_t>(LinkModelKind::kHybrid)},
+};
+
+// The scenario format: one row per key, bound to the field of `s` it
+// reads and writes, in the order scenario_spec_to_dml writes them. Each
+// range is what the key's consumer needs; cross-key checks (`as` against
+// `routers`, clients need servers) are Scenario's constructor's.
+std::vector<Key> scenario_keys(ScenarioSpec& s) {
+  ScenarioOptions& o = s.options;
+  LinkModelOptions& lm = o.netsim.link_model;
+  return {
+      {"", "name", StringKey{&s.name}},
+      {"", "multi_as", IntKey{&o.multi_as, 0, 1}},
+      {"", "routers", IntKey{&o.num_routers, 2, kInt32Max}},
+      {"", "hosts", IntKey{&o.num_hosts, 1, kInt32Max}},
+      {"", "as", IntKey{&o.num_as, 0, kInt32Max}},
+      {"", "clients", IntKey{&o.num_clients, 0, kInt32Max}},
+      {"", "servers", IntKey{&o.num_servers, 0, kInt32Max}},
+      {"", "app", NamesKey{&o.app, kAppNames}},
+      {"", "app_hosts", IntKey{&o.num_app_hosts, 0, kInt32Max}},
+      {"", "engines", IntKey{&o.num_engines, 1, kInt32Max}},
+      {"", "seconds", DurationKey{&o.end_time, true}},
+      {"", "profile_seconds", DurationKey{&o.profile_end_time, true}},
+      {"", "think_time_s",
+       NumberKey{&o.http.think_time_mean_s, {0, kMaxDurationS, true}}},
+      {"", "executor_threads", IntKey{&o.executor_threads, 0, kInt32Max}},
+      {"", "load_bin_s", DurationKey{&o.load_bin, false}},
+      {"", "seed", IntKey{&o.seed, 0, kInt64Max}},
+      {"", "link_model", NamesKey{&lm.kind, kLinkModelNames}},
+      {"", "mapping", MappingKey{&s.mappings}},
+      {"background_flows", "sources",
+       IntKey{&o.num_bg_sources, 0, kInt32Max}},
+      {"background_flows", "rate_cap_bps",
+       NumberKey{&lm.fluid_flow_rate_cap_bps,
+                 {0, std::numeric_limits<double>::max()}}},
+      {"guard", "enabled", IntKey{&o.guard.enabled, 0, 1}},
+      {"guard", "deadline_s",
+       NumberKey{&o.guard.stall_deadline_s, {0, kMaxDurationS, true}}},
+      {"guard", "dump", StringKey{&o.guard.dump_path}},
+      {"faults", "event", EventKey{&o.faults}},
+  };
 }
 
-bool parse_i64(const std::string& s, std::int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(s.c_str(), &end, 10);
-  return !s.empty() && end == s.c_str() + s.size();
+// Overload set for std::visit.
+template <class... F>
+struct Visitor : F... {
+  using F::operator()...;
+};
+template <class... F>
+Visitor(F...) -> Visitor<F...>;
+
+void store(const IntField& field, std::int64_t v) {
+  std::visit(
+      [v](auto* f) { *f = static_cast<std::remove_pointer_t<decltype(f)>>(v); },
+      field);
 }
 
-bool parse_f64(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return !s.empty() && end == s.c_str() + s.size();
+std::int64_t load(const IntField& field) {
+  return std::visit([](auto* f) { return static_cast<std::int64_t>(*f); },
+                    field);
 }
 
-bool ignored_key(const std::string& key) {
-  // The forward-compatibility escape hatch: x_-prefixed keys parse (and
-  // are dropped) everywhere, so a file can carry knobs for newer binaries.
-  return key.rfind("x_", 0) == 0;
-}
-
-// Fetches a typed atom value, or fails with the attribute's source line.
-bool atom_int(const DmlAttribute& a, std::int64_t* out, std::string* error) {
-  if (!parse_i64(a.atom, out)) {
-    if (error) {
-      *error = line_err(a.line,
-                        "'" + a.key + "' wants an integer, got '" + a.atom +
-                            "'");
-    }
+// Reads atom `a` into the field of key `k`, range-checked.
+bool read_atom(const Key& k, const DmlAttribute& a, std::string* error) {
+  const auto fail = [&](const std::string& what) {
+    if (error) *error = dml_error(a.line, what);
     return false;
-  }
-  return true;
+  };
+  return std::visit(
+      Visitor{
+          [&](const IntKey& r) {
+            std::int64_t v = 0;
+            if (!dml_read_int(a, r.lo, r.hi, &v, error)) return false;
+            store(r.field, v);
+            return true;
+          },
+          [&](const NumberKey& r) {
+            return dml_read_number(a, r.range, r.field, error);
+          },
+          [&](const DurationKey& r) {
+            double s = 0;
+            if (!dml_read_number(a, {0, kMaxDurationS, r.positive}, &s,
+                                 error)) {
+              return false;
+            }
+            *r.field = from_seconds(s);
+            return true;
+          },
+          [&](const NamesKey& r) {
+            std::string list;
+            for (const Name& n : r.names) {
+              if (a.atom == n.text) {
+                store(r.field, n.value);
+                return true;
+              }
+              list += list.empty() ? "" : "|";
+              list += n.text;
+            }
+            return fail("unknown " + a.key + " '" + a.atom + "' (" + list +
+                        ")");
+          },
+          [&](const StringKey& r) {
+            *r.field = a.atom;
+            return true;
+          },
+          [&](const MappingKey& r) {
+            const auto kind = mapping_kind_from_name(a.atom);
+            if (!kind) return fail("unknown mapping '" + a.atom + "'");
+            r.field->push_back(*kind);
+            return true;
+          },
+          [&](const EventKey& r) {
+            std::string what;
+            const auto parsed = parse_fault_schedule(a.atom, &what);
+            if (!parsed) {
+              // One embedded line: strip the fault parser's "line 1: " so
+              // the message points at the scenario file's line instead.
+              const std::string prefix = "line 1: ";
+              if (what.starts_with(prefix)) what.erase(0, prefix.size());
+              return fail("fault event: " + what);
+            }
+            r.field->append(*parsed);
+            return true;
+          },
+      },
+      k.kind);
 }
 
-bool atom_double(const DmlAttribute& a, double* out, std::string* error) {
-  if (!parse_f64(a.atom, out)) {
-    if (error) {
-      *error = line_err(a.line,
-                        "'" + a.key + "' wants a number, got '" + a.atom +
-                            "'");
-    }
-    return false;
-  }
-  return true;
+// Appends the atoms of key `k` to `out`: one, or one per mapping or fault
+// event.
+void write_atoms(const Key& k, DmlNode& out) {
+  std::visit(
+      Visitor{
+          [&](const IntKey& r) { out.add_atom(k.name, load(r.field)); },
+          [&](const NumberKey& r) { out.add_atom(k.name, *r.field); },
+          [&](const DurationKey& r) {
+            out.add_atom(k.name, to_seconds(*r.field));
+          },
+          [&](const NamesKey& r) {
+            for (const Name& n : r.names) {
+              if (n.value == load(r.field)) {
+                out.add_atom(k.name, std::string(n.text));
+              }
+            }
+          },
+          [&](const StringKey& r) { out.add_atom(k.name, *r.field); },
+          [&](const MappingKey& r) {
+            for (const MappingKind m : *r.field) {
+              out.add_atom(k.name, std::string(mapping_kind_name(m)));
+            }
+          },
+          [&](const EventKey& r) {
+            // One atom per schedule line; to_text sorts by time, so the
+            // emission is canonical and parse -> to_dml is a fixed point.
+            std::istringstream lines(r.field->to_text());
+            std::string line;
+            while (std::getline(lines, line)) {
+              if (!line.empty()) out.add_atom(k.name, line);
+            }
+          },
+      },
+      k.kind);
 }
 
-// An integer atom that counts something (>= 0).
-bool atom_count(const DmlAttribute& a, std::int64_t* out,
-                std::string* error) {
-  if (!atom_int(a, out, error)) return false;
-  if (*out >= 0) return true;
-  if (error) *error = line_err(a.line, "'" + a.key + "' must be >= 0");
-  return false;
-}
-
-// A number atom that must be > 0 (a duration, a mean).
-bool atom_positive(const DmlAttribute& a, double* out, std::string* error) {
-  if (!atom_double(a, out, error)) return false;
-  if (*out > 0) return true;
-  if (error) *error = line_err(a.line, "'" + a.key + "' must be > 0");
-  return false;
-}
-
-bool unknown_key(const DmlAttribute& a, const char* where,
-                 std::string* error) {
-  if (error) {
-    *error = line_err(a.line, std::string("unknown key '") + a.key +
-                                  "' in " + where +
-                                  " (prefix with x_ to ignore)");
-  }
-  return false;
-}
-
-std::string resolve_include(const std::string& include_dir,
-                            const std::string& path) {
-  if (include_dir.empty() || path.empty() || path.front() == '/') return path;
-  return include_dir + "/" + path;
-}
-
-std::string dirname_of(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
-}
-
-bool parse_background(const DmlNode& node, ScenarioOptions* o,
-                      std::string* error) {
+// Reads the atoms of `node`, the Experiment block (`block` "") or one of
+// its sub-blocks, through the rows of `keys`.
+bool read_block(const DmlNode& node, std::string_view block,
+                const std::vector<Key>& keys, std::string* error) {
+  const std::string where =
+      block.empty() ? "Experiment" : std::string(block) + " [ ]";
   for (const DmlAttribute& a : node.attributes) {
-    if (ignored_key(a.key)) continue;
-    if (a.child) return unknown_key(a, "background_flows [ ]", error);
-    std::int64_t i = 0;
-    double d = 0;
-    if (a.key == "sources") {
-      if (!atom_count(a, &i, error)) return false;
-      o->num_bg_sources = static_cast<std::int32_t>(i);
-    } else if (a.key == "think_time_s") {
-      if (!atom_positive(a, &d, error)) return false;
-      o->background.think_time_mean_s = d;
-    } else if (a.key == "mean_bytes") {
-      if (!atom_double(a, &d, error)) return false;
-      if (d < 1) {
-        if (error) *error = line_err(a.line, "'mean_bytes' must be >= 1");
-        return false;
-      }
-      o->background.flow_mean_bytes = d;
-    } else if (a.key == "recompute_every") {
-      if (!atom_int(a, &i, error)) return false;
-      if (i < 1) {
-        if (error) *error = line_err(a.line, "'recompute_every' must be >= 1");
-        return false;
-      }
-      o->netsim.link_model.fluid_recompute_every = static_cast<std::int32_t>(i);
-    } else if (a.key == "stall_timeout_s") {
-      if (!atom_positive(a, &d, error)) return false;
-      o->netsim.link_model.fluid_stall_timeout_s = d;
-    } else if (a.key == "rate_cap_bps") {
-      if (!atom_double(a, &d, error)) return false;
-      if (d < 0) {
-        if (error) *error = line_err(a.line, "'rate_cap_bps' must be >= 0");
-        return false;
-      }
-      o->netsim.link_model.fluid_flow_rate_cap_bps = d;
-    } else {
-      return unknown_key(a, "background_flows [ ]", error);
-    }
-  }
-  return true;
-}
-
-bool parse_guard(const DmlNode& node, guard::GuardOptions* o,
-                 std::string* error) {
-  for (const DmlAttribute& a : node.attributes) {
-    if (ignored_key(a.key)) continue;
-    if (a.child) return unknown_key(a, "guard [ ]", error);
-    std::int64_t i = 0;
-    double d = 0;
-    if (a.key == "enabled") {
-      if (!atom_int(a, &i, error)) return false;
-      o->enabled = i != 0;
-    } else if (a.key == "deadline_s") {
-      if (!atom_positive(a, &d, error)) return false;
-      o->stall_deadline_s = d;
-    } else if (a.key == "dump") {
-      o->dump_path = a.atom;
-    } else {
-      return unknown_key(a, "guard [ ]", error);
-    }
-  }
-  return true;
-}
-
-bool parse_faults(const DmlNode& node, const std::string& include_dir,
-                  FaultSchedule* out, std::string* error) {
-  for (const DmlAttribute& a : node.attributes) {
-    if (ignored_key(a.key)) continue;
-    if (a.child) return unknown_key(a, "faults [ ]", error);
-    if (a.key == "file") {
-      const std::string path = resolve_include(include_dir, a.atom);
-      std::ifstream in(path);
-      if (!in) {
-        if (error) {
-          *error = line_err(a.line,
-                            "cannot open fault file '" + a.atom + "'");
-        }
-        return false;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string what;
-      const auto parsed = parse_fault_schedule(buf.str(), &what);
-      if (!parsed) {
-        // `what` carries the fault parser's own "line N: ..." for the
-        // included file; keep both coordinates.
-        if (error) {
-          *error = line_err(a.line,
-                            "fault file '" + a.atom + "': " + what);
-        }
-        return false;
-      }
-      out->append(*parsed);
-    } else if (a.key == "event") {
-      std::string what;
-      const auto parsed = parse_fault_schedule(a.atom, &what);
-      if (!parsed) {
-        // One embedded line: strip the fault parser's "line 1: " so the
-        // message points at the scenario file's line instead.
-        const std::string prefix = "line 1: ";
-        if (what.rfind(prefix, 0) == 0) what.erase(0, prefix.size());
-        if (error) {
-          *error = line_err(a.line, "fault event: " + what);
-        }
-        return false;
-      }
-      out->append(*parsed);
-    } else {
-      return unknown_key(a, "faults [ ]", error);
+    if (dml_ignored(a.key)) continue;
+    // A sub-block names its rows' block; an atom names its row.
+    const auto row = std::find_if(keys.begin(), keys.end(), [&](const Key& k) {
+      if (a.child) return block.empty() && *k.block && a.key == k.block;
+      return block == k.block && a.key == k.name;
+    });
+    if (row == keys.end()) return dml_unknown_key(a, where, error);
+    if (a.child ? !read_block(*a.child, a.key, keys, error)
+                : !read_atom(*row, a, error)) {
+      return false;
     }
   }
   return true;
@@ -259,229 +313,83 @@ std::optional<MappingKind> mapping_kind_from_name(const std::string& name) {
 }
 
 DmlNode scenario_spec_to_dml(const ScenarioSpec& spec) {
-  const ScenarioOptions& o = spec.options;
+  ScenarioSpec copy = spec;  // the rows bind mutable fields
   DmlNode root;
   DmlNode& e = root.add_child("Experiment");
-  if (!spec.name.empty()) e.add_atom("name", spec.name);
-  e.add_atom("multi_as", static_cast<std::int64_t>(o.multi_as ? 1 : 0));
-  e.add_atom("routers", static_cast<std::int64_t>(o.num_routers));
-  e.add_atom("hosts", static_cast<std::int64_t>(o.num_hosts));
-  e.add_atom("as", static_cast<std::int64_t>(o.num_as));
-  e.add_atom("clients", static_cast<std::int64_t>(o.num_clients));
-  e.add_atom("servers", static_cast<std::int64_t>(o.num_servers));
-  e.add_atom("app", std::string(o.app == AppKind::kScaLapack ? "scalapack"
-                                : o.app == AppKind::kGridNpb ? "gridnpb"
-                                                             : "none"));
-  e.add_atom("app_hosts", static_cast<std::int64_t>(o.num_app_hosts));
-  e.add_atom("engines", static_cast<std::int64_t>(o.num_engines));
-  e.add_atom("seconds", to_seconds(o.end_time));
-  e.add_atom("profile_seconds", to_seconds(o.profile_end_time));
-  e.add_atom("think_time_s", o.http.think_time_mean_s);
-  e.add_atom("file_mean_bytes", o.http.file_mean_bytes);
-  e.add_atom("executor_threads",
-             static_cast<std::int64_t>(o.executor_threads));
-  e.add_atom("load_bin_s", to_seconds(o.load_bin));
-  e.add_atom("seed", static_cast<std::int64_t>(o.seed));
-  e.add_atom("link_model",
-             std::string(link_model_kind_name(o.netsim.link_model.kind)));
-  for (const MappingKind k : spec.mappings) {
-    e.add_atom("mapping", std::string(mapping_kind_name(k)));
-  }
-
-  DmlNode& bg = e.add_child("background_flows");
-  bg.add_atom("sources", static_cast<std::int64_t>(o.num_bg_sources));
-  bg.add_atom("think_time_s", o.background.think_time_mean_s);
-  bg.add_atom("mean_bytes", o.background.flow_mean_bytes);
-  bg.add_atom("recompute_every",
-              static_cast<std::int64_t>(o.netsim.link_model.fluid_recompute_every));
-  bg.add_atom("stall_timeout_s", o.netsim.link_model.fluid_stall_timeout_s);
-  bg.add_atom("rate_cap_bps", o.netsim.link_model.fluid_flow_rate_cap_bps);
-
-  DmlNode& g = e.add_child("guard");
-  g.add_atom("enabled", static_cast<std::int64_t>(o.guard.enabled ? 1 : 0));
-  g.add_atom("deadline_s", o.guard.stall_deadline_s);
-  g.add_atom("dump", o.guard.dump_path);
-
-  if (!o.faults.empty()) {
-    DmlNode& f = e.add_child("faults");
-    // One `event` atom per schedule line; to_text sorts by time, so the
-    // emission is canonical and parse -> to_dml is a fixed point.
-    std::istringstream lines(o.faults.to_text());
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!line.empty()) f.add_atom("event", line);
+  for (const Key& k : scenario_keys(copy)) {
+    if (!*k.block) {
+      write_atoms(k, e);
+      continue;
+    }
+    // A block's rows are adjacent, and a block with no atoms (an empty
+    // fault schedule) is not written.
+    DmlNode atoms;
+    write_atoms(k, atoms);
+    if (atoms.attributes.empty()) continue;
+    DmlAttribute& last = e.attributes.back();
+    DmlNode& block =
+        last.child && last.key == k.block ? *last.child : e.add_child(k.block);
+    for (DmlAttribute& a : atoms.attributes) {
+      block.attributes.push_back(std::move(a));
     }
   }
   return root;
 }
 
-std::optional<ScenarioSpec> scenario_spec_from_dml(
-    const DmlNode& root, std::string* error,
-    const std::string& include_dir) {
+std::optional<ScenarioSpec> scenario_spec_from_dml(const DmlNode& root,
+                                                   std::string* error) {
   const DmlNode* e = root.find("Experiment");
   if (e == nullptr) {
     if (error) *error = "missing top-level Experiment [ ] block";
     return std::nullopt;
   }
   ScenarioSpec spec;
-  ScenarioOptions& o = spec.options;
   spec.mappings.clear();
-
-  for (const DmlAttribute& a : e->attributes) {
-    if (ignored_key(a.key)) continue;
-    if (a.child) {
-      if (a.key == "background_flows") {
-        if (!parse_background(*a.child, &o, error)) {
-          return std::nullopt;
-        }
-      } else if (a.key == "guard") {
-        if (!parse_guard(*a.child, &o.guard, error)) {
-          return std::nullopt;
-        }
-      } else if (a.key == "faults") {
-        if (!parse_faults(*a.child, include_dir, &o.faults, error)) {
-          return std::nullopt;
-        }
-      } else {
-        unknown_key(a, "Experiment", error);
-        return std::nullopt;
-      }
-      continue;
-    }
-
-    std::int64_t i = 0;
-    double d = 0;
-    if (a.key == "name") {
-      spec.name = a.atom;
-    } else if (a.key == "multi_as") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
-      o.multi_as = i != 0;
-    } else if (a.key == "routers") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
-      o.num_routers = static_cast<std::int32_t>(i);
-    } else if (a.key == "hosts") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
-      o.num_hosts = static_cast<std::int32_t>(i);
-    } else if (a.key == "as") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
-      o.num_as = static_cast<std::int32_t>(i);
-    } else if (a.key == "clients") {
-      if (!atom_count(a, &i, error)) return std::nullopt;
-      o.num_clients = static_cast<std::int32_t>(i);
-    } else if (a.key == "servers") {
-      if (!atom_count(a, &i, error)) return std::nullopt;
-      o.num_servers = static_cast<std::int32_t>(i);
-    } else if (a.key == "app") {
-      if (a.atom == "scalapack" || a.atom == "ScaLapack") {
-        o.app = AppKind::kScaLapack;
-      } else if (a.atom == "gridnpb" || a.atom == "GridNPB") {
-        o.app = AppKind::kGridNpb;
-      } else if (a.atom == "none") {
-        o.app = AppKind::kNone;
-      } else {
-        if (error) {
-          *error = line_err(a.line, "unknown app '" + a.atom +
-                                        "' (scalapack|gridnpb|none)");
-        }
-        return std::nullopt;
-      }
-    } else if (a.key == "app_hosts") {
-      if (!atom_count(a, &i, error)) return std::nullopt;
-      o.num_app_hosts = static_cast<std::int32_t>(i);
-    } else if (a.key == "engines") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
-      o.num_engines = static_cast<std::int32_t>(i);
-    } else if (a.key == "seconds") {
-      if (!atom_positive(a, &d, error)) return std::nullopt;
-      o.end_time = from_seconds(d);
-    } else if (a.key == "profile_seconds") {
-      if (!atom_positive(a, &d, error)) return std::nullopt;
-      o.profile_end_time = from_seconds(d);
-    } else if (a.key == "think_time_s") {
-      if (!atom_double(a, &d, error)) return std::nullopt;
-      o.http.think_time_mean_s = d;
-    } else if (a.key == "file_mean_bytes") {
-      if (!atom_double(a, &d, error)) return std::nullopt;
-      o.http.file_mean_bytes = d;
-    } else if (a.key == "executor_threads") {
-      if (!atom_count(a, &i, error)) return std::nullopt;
-      o.executor_threads = static_cast<std::int32_t>(i);
-    } else if (a.key == "load_bin_s") {
-      if (!atom_double(a, &d, error)) return std::nullopt;
-      o.load_bin = from_seconds(d);
-    } else if (a.key == "seed") {
-      if (!atom_int(a, &i, error)) return std::nullopt;
-      o.seed = static_cast<std::uint64_t>(i);
-    } else if (a.key == "link_model") {
-      if (!parse_link_model_kind(a.atom, &o.netsim.link_model.kind)) {
-        if (error) {
-          *error = line_err(a.line, "unknown link_model '" + a.atom +
-                                        "' (packet|hybrid)");
-        }
-        return std::nullopt;
-      }
-    } else if (a.key == "mapping") {
-      const auto k = mapping_kind_from_name(a.atom);
-      if (!k) {
-        if (error) {
-          *error = line_err(a.line, "unknown mapping '" + a.atom + "'");
-        }
-        return std::nullopt;
-      }
-      spec.mappings.push_back(*k);
-    } else {
-      unknown_key(a, "Experiment", error);
-      return std::nullopt;
-    }
-  }
-
+  if (!read_block(*e, "", scenario_keys(spec), error)) return std::nullopt;
   if (spec.mappings.empty()) spec.mappings = {MappingKind::kHProf};
-  if (o.num_routers < 2 || o.num_hosts < 1 || o.num_engines < 1) {
-    if (error) *error = "routers/hosts/engines out of range";
-    return std::nullopt;
-  }
   return spec;
 }
 
 std::optional<ScenarioSpec> parse_scenario(std::string_view text,
-                                           std::string* error,
-                                           const std::string& include_dir) {
+                                           std::string* error) {
   DmlParseError perr;
   const auto root = parse_dml(text, &perr);
   if (!root) {
-    if (error) *error = line_err(perr.line, perr.message);
+    if (error) *error = dml_error(perr.line, perr.message);
     return std::nullopt;
   }
-  return scenario_spec_from_dml(*root, error, include_dir);
+  return scenario_spec_from_dml(*root, error);
 }
 
 std::optional<ScenarioSpec> load_scenario_file(const std::string& path,
                                                std::string* error,
                                                std::string_view override_text) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error) *error = "cannot open '" + path + "'";
+  // Every error names its source: the file, or the override.
+  const auto fail = [&](const std::string& source, const std::string& what) {
+    if (error) *error = source + ": " + what;
     return std::nullopt;
-  }
+  };
+  std::ifstream in(path);
+  if (!in) return fail(path, "cannot open '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
   DmlParseError perr;
   auto root = parse_dml(buf.str(), &perr);
-  if (!root) {
-    if (error) *error = line_err(perr.line, perr.message);
-    return std::nullopt;
-  }
-  if (!override_text.empty()) {
-    auto body = parse_dml(override_text, &perr);
-    if (!body) {
-      if (error) *error = perr.message;
-      return std::nullopt;
-    }
-    // The override is not part of the file: no line of it to report.
-    for (DmlAttribute& a : body->attributes) a.line = 0;
-    if (!merge_override(&*root, *body, error)) return std::nullopt;
-  }
-  return scenario_spec_from_dml(*root, error, dirname_of(path));
+  if (!root) return fail(path, dml_error(perr.line, perr.message));
+  std::string what;
+  auto spec = scenario_spec_from_dml(*root, &what);
+  if (!spec) return fail(path, what);
+  if (override_text.empty()) return spec;
+
+  // The file is valid on its own, so whatever fails now is the override's
+  // doing. Its atoms have no line in the file to report.
+  auto body = parse_dml(override_text, &perr);
+  if (!body) return fail("--override", perr.message);
+  for (DmlAttribute& a : body->attributes) a.line = 0;
+  if (!merge_override(&*root, *body, &what)) return fail("--override", what);
+  spec = scenario_spec_from_dml(*root, &what);
+  if (!spec) return fail("--override", what);
+  return spec;
 }
 
 DmlNode clone_dml(const DmlNode& node) {
@@ -514,11 +422,11 @@ bool merge_override(DmlNode* root, const DmlNode& body, std::string* error) {
   }
   std::set<std::string> replaced;  // keys whose base atoms are gone
   for (const DmlAttribute& a : body.attributes) {
-    if (ignored_key(a.key)) continue;
+    if (dml_ignored(a.key)) continue;
     if (a.child) {
       if (error) {
-        *error = line_err(a.line, "override entries must be scalar (use "
-                                  "dotted keys for sub-blocks)");
+        *error = dml_error(a.line, "override entries must be scalar (use "
+                                   "dotted keys for sub-blocks)");
       }
       return false;
     }

@@ -7,41 +7,43 @@
 // (merge_override), the same dotted-key override a campaign sweeps.
 //
 // Schema (scenario_spec_to_dml emits every key; all are optional on input
-// and default to the ScenarioOptions defaults):
+// and default to the ScenarioOptions defaults). Each key is one row of
+// the table in scenario_config.cpp, which parses, range-checks and writes
+// it; the ranges are noted here:
 //
 //   Experiment [
 //     name quickstart       # optional label (run directories, reports)
 //     multi_as 0            # 1 = maBrite multi-AS, 0 = flat single-AS
-//     routers 2000  hosts 1000  as 20
+//     routers 2000  hosts 1000  as 20        # routers >= 2, hosts >= 1
 //     clients 400   servers 100
 //     app scalapack         # scalapack | gridnpb | none
 //     app_hosts 16
-//     engines 24
-//     seconds 8  profile_seconds 3
-//     think_time_s 1.0  file_mean_bytes 12000
+//     engines 24            # >= 1
+//     seconds 8  profile_seconds 3           # > 0, at most 1e9
+//     think_time_s 1.0      # HTTP client think-time mean, > 0
 //     executor_threads 0    # 0 = sequential reference executor
 //     load_bin_s 0          # per-engine load-trace bin (0 = off)
-//     seed 42
+//     seed 42               # >= 0
 //     link_model packet     # packet | hybrid (fluid background fast path)
 //     mapping HPROF         # repeatable: the run list (default HPROF)
 //     background_flows [    # long-lived flows toward the server pool
 //       sources 0           # 0 = no background-flow workload
-//       think_time_s 5.0  mean_bytes 1000000
-//       recompute_every 8   # fluid rate-recompute cadence (boundaries)
-//       stall_timeout_s 60  # fail flows stalled at zero rate this long
 //       rate_cap_bps 0      # per-flow TCP window/RTT ceiling (0 = off)
 //     ]
 //     guard [ enabled 0  deadline_s 30  dump "" ]   # stall watchdog
-//     faults [              # chaos schedule: embedded lines and/or a file
-//       file "chaos.txt"    # include, relative to the scenario file
-//       event "at 1.0 link_down link=3"   # one fault-format line each
+//     faults [              # chaos schedule, one fault-format line each
+//       event "at 1.0 link_down link=3"
 //     ]
 //   ]
 //
-// Parsing is strict: an unknown key anywhere in the Experiment tree is a
-// line-numbered error (a typo'd knob must not silently no-op). Keys
-// prefixed `x_` are ignored everywhere — the forward-compatibility escape
-// hatch for files that must also parse under older binaries.
+// Counts (as, clients, servers, app_hosts, executor_threads, sources) are
+// >= 0 and every integer fits the 32-bit field it lands in; multi_as and
+// enabled are 0 or 1. Parsing is strict: an unknown key anywhere in the
+// Experiment tree, a malformed value or one outside its range is a
+// line-numbered error naming the key (a typo'd knob must not silently
+// no-op, and a count must not wrap). Keys prefixed `x_` are ignored
+// everywhere — the forward-compatibility escape hatch for files that must
+// also parse under older binaries.
 #pragma once
 
 #include <optional>
@@ -72,24 +74,22 @@ struct ScenarioSpec {
 DmlNode scenario_spec_to_dml(const ScenarioSpec& spec);
 
 /// Parses an Experiment block into a full spec. Strict: unknown keys and
-/// malformed values fail with "line N: what" via `error` (the fault
-/// parser's idiom); keys prefixed `x_` are ignored. `include_dir` anchors
-/// relative `faults [ file ... ]` includes ("" = process CWD).
+/// malformed or out-of-range values fail with "line N: what" via `error`
+/// (the fault parser's idiom); keys prefixed `x_` are ignored.
 std::optional<ScenarioSpec> scenario_spec_from_dml(
-    const DmlNode& root, std::string* error = nullptr,
-    const std::string& include_dir = "");
+    const DmlNode& root, std::string* error = nullptr);
 
 /// parse_dml + scenario_spec_from_dml in one call; DML syntax errors are
 /// reported in the same "line N: what" form.
 std::optional<ScenarioSpec> parse_scenario(std::string_view text,
-                                           std::string* error = nullptr,
-                                           const std::string& include_dir = "");
+                                           std::string* error = nullptr);
 
-/// Reads and parses a scenario file; relative fault includes resolve
-/// against the file's directory. A non-empty `override_text` — the body of
-/// an `override [ ]` block, e.g. "mapping HPROF guard.enabled 1" — is merged
-/// over the file (merge_override) before the one validation. Its atoms
-/// have no source line, so the errors they cause carry none.
+/// Reads and parses a scenario file, the one way every tool loads one.
+/// A non-empty `override_text` — the body of an `override [ ]` block, e.g.
+/// "mapping HPROF guard.enabled 1" — is merged over the file
+/// (merge_override) once the file is valid on its own. The error names
+/// its source as massf_cli prints it: "<path>: line N: what" for the
+/// file, "--override: what" for the override, whose atoms have no line.
 std::optional<ScenarioSpec> load_scenario_file(
     const std::string& path, std::string* error = nullptr,
     std::string_view override_text = {});

@@ -15,13 +15,7 @@
 namespace massf {
 
 struct BackgroundOptions {
-  double think_time_mean_s = 5.0;
-  /// Mean transfer size (exponential). Background flows are meant to be
-  /// long-lived, so the default is 20x the HTTP file mean.
-  double flow_mean_bytes = 1e6;
   std::uint64_t seed = 1;
-  /// First transfers are staggered over [0, think_time_mean_s).
-  bool staggered_start = true;
 };
 
 class BackgroundWorkload final : public TrafficComponent {
@@ -53,25 +47,24 @@ class BackgroundWorkload final : public TrafficComponent {
     NodeId host;
     Rng rng;  ///< owned by the source's LP: touched only in on_timer/start
     std::uint64_t issued = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
     std::uint64_t fluid = 0;
   };
 
   // Completion and failure handlers run on foreign LPs (the receiver's,
   // or a window-boundary hook for fluid flows), so they must not touch
-  // per-source state. They only schedule a timer back to the source host
-  // carrying one of these outcome bits; the source's own LP does the
-  // counting and issues the next transfer.
-  static constexpr std::uint64_t kTimerCompletedBit = 1ULL << 32;
-  static constexpr std::uint64_t kTimerFailedBit = 1ULL << 33;
-
+  // per-source state: they count the outcome and schedule a timer back to
+  // the source host, whose own LP starts the next transfer.
   void issue_flow(Engine& engine, NetSim& sim, std::uint32_t source_idx);
 
   std::vector<Source> sources_;
   std::vector<NodeId> servers_;
-  BackgroundOptions opts_;
   Rng base_rng_;
+  /// Outcomes, one cell per LP, counted where they happen: a packet
+  /// completion in its receiver's cell on the receiver's LP, a packet
+  /// failure in its source's cell on the source's LP, and a fluid outcome
+  /// at a window boundary (every LP quiescent) in the cell of the same
+  /// host. So one thread at a time writes a cell; publish_metrics sums.
+  std::vector<std::uint64_t> completed_, failed_;
 };
 
 }  // namespace massf

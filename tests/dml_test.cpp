@@ -1,9 +1,47 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "dml/dml.hpp"
 
 namespace massf {
 namespace {
+
+// The first atom under `key` (a failure when there is none).
+const DmlAttribute& atom_of(const DmlNode& node, std::string_view key) {
+  for (const DmlAttribute& a : node.attributes) {
+    if (a.key == key && !a.child) return a;
+  }
+  ADD_FAILURE() << "no atom '" << key << "'";
+  static const DmlAttribute kNone;
+  return kNone;
+}
+
+std::int64_t int_of(const DmlNode& node, std::string_view key) {
+  std::int64_t v = 0;
+  std::string error;
+  EXPECT_TRUE(dml_read_int(atom_of(node, key),
+                           std::numeric_limits<std::int64_t>::min(),
+                           std::numeric_limits<std::int64_t>::max(), &v,
+                           &error))
+      << error;
+  return v;
+}
+
+double number_of(const DmlNode& node, std::string_view key) {
+  double v = 0;
+  std::string error;
+  EXPECT_TRUE(dml_read_number(atom_of(node, key),
+                              {-std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::max()},
+                              &v, &error))
+      << error;
+  return v;
+}
 
 TEST(Dml, ParsesBasicDocument) {
   const auto root = parse_dml(R"(
@@ -17,10 +55,14 @@ TEST(Dml, ParsesBasicDocument) {
   ASSERT_TRUE(root.has_value());
   const DmlNode* net = root->find("Net");
   ASSERT_NE(net, nullptr);
-  EXPECT_EQ(net->require_int("frequency"), 1000000000);
-  EXPECT_EQ(net->require_string("name"), "my network");
-  EXPECT_EQ(net->find_all("router").size(), 2u);
-  EXPECT_EQ(net->find_all("router")[1]->require_int("id"), 4);
+  EXPECT_EQ(int_of(*net, "frequency"), 1000000000);
+  EXPECT_EQ(atom_of(*net, "name").atom, "my network");
+  std::vector<const DmlNode*> routers;
+  for (const DmlAttribute& a : net->attributes) {
+    if (a.key == "router" && a.child) routers.push_back(a.child.get());
+  }
+  ASSERT_EQ(routers.size(), 2u);
+  EXPECT_EQ(int_of(*routers[1], "id"), 4);
 }
 
 TEST(Dml, CommentsIgnored) {
@@ -31,14 +73,14 @@ TEST(Dml, CommentsIgnored) {
     other [ inner 2 ]  # trailing
   )");
   ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->require_int("key"), 1);
-  EXPECT_EQ(root->find("other")->require_int("inner"), 2);
+  EXPECT_EQ(int_of(*root, "key"), 1);
+  EXPECT_EQ(int_of(*root->find("other"), "inner"), 2);
 }
 
 TEST(Dml, NestedLists) {
   const auto root = parse_dml("a [ b [ c [ d 7 ] ] ]");
   ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->find("a")->find("b")->find("c")->require_int("d"), 7);
+  EXPECT_EQ(int_of(*root->find("a")->find("b")->find("c"), "d"), 7);
 }
 
 TEST(Dml, ErrorsReportLine) {
@@ -49,15 +91,49 @@ TEST(Dml, ErrorsReportLine) {
   EXPECT_FALSE(parse_dml("key", &err).has_value());  // key without value
 }
 
-TEST(Dml, TypedAccessorsWithFallback) {
-  const auto root = parse_dml("x 3 y 2.5 s hello");
+// The strict readers name the key and its line, and check the range.
+TEST(Dml, TypedReadersCheckTypeAndRange) {
+  const auto root = parse_dml("x 3\ny 2.5\nbig 9999999999999999999\nn nan");
   ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->get_int("x", -1), 3);
-  EXPECT_DOUBLE_EQ(root->get_double("y", 0), 2.5);
-  EXPECT_EQ(root->get_string("s", ""), "hello");
-  EXPECT_EQ(root->get_int("missing", 42), 42);
-  EXPECT_DOUBLE_EQ(root->get_double("missing", 1.5), 1.5);
-  EXPECT_EQ(root->get_string("missing", "dflt"), "dflt");
+  std::int64_t i = 0;
+  double d = 0;
+  std::string error;
+  EXPECT_TRUE(dml_read_int(atom_of(*root, "x"), 0, 3, &i, &error));
+  EXPECT_EQ(i, 3);
+  EXPECT_FALSE(dml_read_int(atom_of(*root, "x"), 4, 9, &i, &error));
+  EXPECT_EQ(error, "line 1: 'x' must be >= 4");
+  EXPECT_FALSE(dml_read_int(atom_of(*root, "x"), 0, 2, &i, &error));
+  EXPECT_EQ(error, "line 1: 'x' must be <= 2");
+  EXPECT_FALSE(dml_read_int(atom_of(*root, "y"), 0, 9, &i, &error));
+  EXPECT_EQ(error, "line 2: 'y' wants an integer, got '2.5'");
+  EXPECT_FALSE(dml_read_int(atom_of(*root, "big"), 0,
+                            std::numeric_limits<std::int64_t>::max(), &i,
+                            &error));
+  EXPECT_EQ(error, "line 3: 'big' must be <= 9223372036854775807");
+
+  EXPECT_TRUE(dml_read_number(atom_of(*root, "y"), {0, 2.5, true}, &d,
+                              &error));
+  EXPECT_DOUBLE_EQ(d, 2.5);
+  EXPECT_FALSE(dml_read_number(atom_of(*root, "y"), {2.5, 9, true}, &d,
+                               &error));
+  EXPECT_EQ(error, "line 2: 'y' must be > 2.5");
+  EXPECT_FALSE(dml_read_number(atom_of(*root, "y"), {0, 1}, &d, &error));
+  EXPECT_EQ(error, "line 2: 'y' must be <= 1");
+  EXPECT_FALSE(dml_read_number(atom_of(*root, "n"), {0, 1}, &d, &error));
+  EXPECT_EQ(error, "line 4: 'n' wants a number, got 'nan'");
+
+  // An atom with no source line (built in code, or given on a command
+  // line) reports the bare message.
+  DmlAttribute flag;
+  flag.key = "routers";
+  flag.atom = "many";
+  EXPECT_FALSE(dml_read_int(flag, 0, 9, &i, &error));
+  EXPECT_EQ(error, "'routers' wants an integer, got 'many'");
+  EXPECT_FALSE(dml_unknown_key(flag, "Experiment", &error));
+  EXPECT_EQ(error,
+            "unknown key 'routers' in Experiment (prefix with x_ to ignore)");
+  EXPECT_TRUE(dml_ignored("x_future"));
+  EXPECT_FALSE(dml_ignored("future"));
 }
 
 TEST(Dml, WriteParsesBack) {
@@ -74,16 +150,16 @@ TEST(Dml, WriteParsesBack) {
   ASSERT_TRUE(parsed.has_value());
   const DmlNode* t = parsed->find("Top");
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->require_int("count"), 12);
-  EXPECT_DOUBLE_EQ(t->require_double("rate"), 2.5);
-  EXPECT_EQ(t->require_string("label"), "has spaces");
-  EXPECT_EQ(t->find("inner")->require_int("v"), -3);
+  EXPECT_EQ(int_of(*t, "count"), 12);
+  EXPECT_DOUBLE_EQ(number_of(*t, "rate"), 2.5);
+  EXPECT_EQ(atom_of(*t, "label").atom, "has spaces");
+  EXPECT_EQ(int_of(*t->find("inner"), "v"), -3);
 }
 
 TEST(Dml, QuotedStringsWithBrackets) {
   const auto root = parse_dml(R"(s "a [weird] # string")");
   ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->require_string("s"), "a [weird] # string");
+  EXPECT_EQ(atom_of(*root, "s").atom, "a [weird] # string");
 }
 
 TEST(Dml, EmptyListAndEmptyDocument) {
@@ -103,24 +179,22 @@ TEST(Dml, RepeatedKeysPreserveOrder) {
   ASSERT_EQ(root->attributes.size(), 3u);
   EXPECT_EQ(root->attributes[0].atom, "1");
   EXPECT_EQ(root->attributes[2].atom, "3");
-  // atom() returns the first.
-  EXPECT_EQ(root->require_int("v"), 1);
 }
 
 TEST(Dml, AtomsWithPunctuation) {
   const auto root = parse_dml("path /a/b-c.d_e ratio -2.5e-3");
   ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->require_string("path"), "/a/b-c.d_e");
-  EXPECT_DOUBLE_EQ(root->require_double("ratio"), -2.5e-3);
+  EXPECT_EQ(atom_of(*root, "path").atom, "/a/b-c.d_e");
+  EXPECT_DOUBLE_EQ(number_of(*root, "ratio"), -2.5e-3);
 }
 
 TEST(Dml, MixedAtomAndChildSameKey) {
-  // `find` must skip atoms, `atom` must skip children.
+  // `find` must skip atoms.
   const auto root = parse_dml("x 5 x [ y 6 ]");
   ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->require_int("x"), 5);
+  EXPECT_EQ(int_of(*root, "x"), 5);
   ASSERT_NE(root->find("x"), nullptr);
-  EXPECT_EQ(root->find("x")->require_int("y"), 6);
+  EXPECT_EQ(int_of(*root->find("x"), "y"), 6);
 }
 
 }  // namespace

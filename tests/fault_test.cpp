@@ -468,7 +468,7 @@ TEST(FaultInjector, ArmRejectsWhatTheNetworkCannotCarry) {
       what = e.what();
     }
     EXPECT_EQ(rig.engine->lp_pending(0), 0u);
-    EXPECT_TRUE(rig.engine->hooks().barrier.empty());
+    EXPECT_TRUE(rig.engine->barrier_hooks().empty());
     return what;
   };
 

@@ -266,7 +266,7 @@ TEST(GuardedScenario, InjectedStallRecoversToTheSequentialResult) {
     scenario.set_pre_run([&](Engine& engine, NetSim&) {
       if (freeze_after > 0) engine.test_freeze_lp_clock(3, freeze_after);
       if (out.runs++ == 0) {
-        engine.hooks().barrier.push_back(
+        engine.barrier_hooks().push_back(
             [floors](Engine&, SimTime floor) { floors->push_back(floor); });
       }
     });

@@ -133,21 +133,9 @@ TEST(Export, EmptyRegistryJsonIsValid) {
   EXPECT_EQ(to_json(r), expected);
 }
 
-TEST(Export, CsvGolden) {
-  Registry r;
-  r.counter("c").inc(3);
-  r.gauge("g").set(0.5);
-  const std::array<double, 1> bounds = {1.0};
-  r.histogram("h", bounds).observe(0.5);
-  const std::string expected =
-      "kind,name,field,value\n"
-      "counter,c,value,3\n"
-      "gauge,g,value,0.5\n"
-      "histogram,h,count,1\n"
-      "histogram,h,sum,0.5\n"
-      "histogram,h,le_1,1\n"
-      "histogram,h,le_inf,0\n";
-  EXPECT_EQ(to_csv(r), expected);
+TEST(Export, EscapeJsonEscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(escape_json("a\"b\\c\nd\te\x01"),
+            "a\\\"b\\\\c\\nd\\te\\u0001");
 }
 
 TEST(Export, WriteFileRoundTrips) {
@@ -205,18 +193,6 @@ TEST(Probe, MaxWindowsCapsRowsNotSummary) {
   EXPECT_EQ(probe.windows().size(), 1u);
   EXPECT_EQ(probe.summary().windows, 3u);
   EXPECT_EQ(probe.summary().events, 3u);
-}
-
-TEST(Probe, CsvHasFixedHeaderAndOneRowPerWindow) {
-  WindowProbe probe;
-  probe.begin_window(0, 0.5);
-  probe.record_lp(0, 2, 1, 0);
-  probe.end_window(0, 0.25, 0, 0);
-  const std::string csv = probe.to_csv();
-  EXPECT_EQ(csv,
-            "window,start_vtime_s,events,max_lp_events,queue_depth,"
-            "max_queue_depth,outbox,hook_s,process_s,barrier_wait_s,merge_s\n"
-            "0,0.5,2,2,1,1,0,0,0.25,0,0\n");
 }
 
 TEST(Probe, PublishesSummaryIntoRegistry) {

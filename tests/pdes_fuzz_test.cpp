@@ -178,7 +178,7 @@ std::vector<std::uint64_t> run_signature(std::uint64_t seed,
 
   std::uint64_t hook_rng = seed ^ 0xf00dULL;
   std::uint64_t windows_seen = 0;
-  engine.hooks().barrier.push_back([&](Engine& eng, SimTime floor) {
+  engine.barrier_hooks().push_back([&](Engine& eng, SimTime floor) {
     ++windows_seen;
     if (sc.hook_injects && mix64(hook_rng) % 7 == 0) {
       const std::uint64_t r = mix64(hook_rng);

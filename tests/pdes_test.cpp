@@ -201,7 +201,7 @@ TEST(Engine, BarrierHookInjectsLiveEvents) {
   engine.add_lp(std::move(lp));
   engine.schedule(0, milliseconds(1), 7);
   bool injected = false;
-  engine.hooks().barrier.push_back([&](Engine& eng, SimTime window_start) {
+  engine.barrier_hooks().push_back([&](Engine& eng, SimTime window_start) {
     if (!injected) {
       injected = true;
       eng.schedule(0, window_start + eng.options().lookahead, 9, 42);
@@ -218,8 +218,10 @@ TEST(Engine, MultipleBarrierHooksRunInOrder) {
   engine.add_lp(std::move(lp));
   engine.schedule(0, milliseconds(1), 7);
   std::vector<int> order;
-  engine.hooks().barrier.push_back([&](Engine&, SimTime) { order.push_back(1); });
-  engine.hooks().barrier.push_back([&](Engine&, SimTime) { order.push_back(2); });
+  engine.barrier_hooks().push_back(
+      [&](Engine&, SimTime) { order.push_back(1); });
+  engine.barrier_hooks().push_back(
+      [&](Engine&, SimTime) { order.push_back(2); });
   engine.run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
@@ -235,7 +237,7 @@ TEST(Engine, RequestStopEndsRun) {
   engine.add_lp(std::move(lp));
   engine.schedule(0, milliseconds(1), 3);
   int windows = 0;
-  engine.hooks().barrier.push_back([&](Engine& eng, SimTime) {
+  engine.barrier_hooks().push_back([&](Engine& eng, SimTime) {
     if (++windows == 5) eng.request_stop();
   });
   engine.run();
@@ -255,9 +257,9 @@ TEST(EngineHooks, FiringOrderBarrier) {
     // One entry per boundary; the first barrier hook opens the entry so the
     // per-boundary hook sequence is recorded exactly as fired.
     std::vector<std::string> boundaries;
-    engine.hooks().barrier.push_back(
+    engine.barrier_hooks().push_back(
         [&boundaries](Engine&, SimTime) { boundaries.emplace_back("a"); });
-    engine.hooks().barrier.push_back(
+    engine.barrier_hooks().push_back(
         [&boundaries](Engine&, SimTime) { boundaries.back() += 'b'; });
     const RunStats stats =
         threads > 0 ? engine.run_threaded(threads) : engine.run();
@@ -478,7 +480,7 @@ void run_hook_injection_at(SimTime offset_from_window_end, bool threaded) {
   engine.add_lp(std::move(lp));
   engine.schedule(0, milliseconds(1), 3);
   bool injected = false;
-  engine.hooks().barrier.push_back([&](Engine& eng, SimTime floor) {
+  engine.barrier_hooks().push_back([&](Engine& eng, SimTime floor) {
     if (!injected) {
       injected = true;
       eng.schedule(0, floor + eng.options().lookahead + offset_from_window_end,
@@ -572,7 +574,7 @@ TEST(ThreadedEngine, BitIdenticalStatsWithHooksAndStop) {
     }
     engine.schedule(0, milliseconds(1), 1, 2000);
     int windows = 0;
-    engine.hooks().barrier.push_back([&](Engine& eng, SimTime floor) {
+    engine.barrier_hooks().push_back([&](Engine& eng, SimTime floor) {
       // Inject from the hook every 8th window, stop after 100.
       if (++windows % 8 == 0) {
         eng.schedule(1, floor + eng.options().lookahead, 1, 3);
@@ -611,7 +613,7 @@ TEST(ThreadedEngine, HooksSeeWindowFloorViaNow) {
     engine.add_lp(std::move(lp));
     engine.schedule(0, milliseconds(1), 3);
     std::vector<std::pair<SimTime, SimTime>> seen;
-    engine.hooks().barrier.push_back([&](Engine& eng, SimTime floor) {
+    engine.barrier_hooks().push_back([&](Engine& eng, SimTime floor) {
       seen.emplace_back(floor, eng.now());
     });
     if (threaded) {

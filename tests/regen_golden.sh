@@ -5,8 +5,7 @@
 # lookahead 1 ms) that appears in:
 #   - BENCH_pdes.json            ("checksum" of every executor entry)
 #   - src/pdes/golden_ring.hpp   (kGoldenRingChecksum, which every golden
-#                                 test and campaign golden row compares to)
-#   - scripts/check_bench.py     (--golden-checksum default)
+#                                 test compares to)
 #
 # Only regenerate after an *intentional* change to the workload or the
 # event-ordering contract; an unexpected drift is a regression, not a

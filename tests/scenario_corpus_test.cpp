@@ -65,8 +65,7 @@ TEST_F(ScenarioCorpus, EveryScenarioParsesAndRoundTrips) {
     ASSERT_TRUE(spec.has_value()) << path << ": " << error;
 
     // Canonical-form fixed point: serialize, re-parse, re-serialize,
-    // compare text. (The serializer inlines fault-file includes as event
-    // atoms, so the round trip is closed even for chaos scenarios.)
+    // compare text.
     const std::string text1 = write_dml(scenario_spec_to_dml(*spec));
     const auto reparsed = parse_scenario(text1, &error);
     ASSERT_TRUE(reparsed.has_value()) << path << ": " << error;
@@ -207,19 +206,23 @@ TEST_F(ScenarioCorpus, BgpChaosEventsTakeEffect) {
 // flows.
 struct BackgroundStudy {
   std::uint64_t events = 0;
-  std::uint64_t completed = 0;
+  std::uint64_t completed = 0;  ///< from the flow records
+  std::uint64_t counted = 0;    ///< traffic.bg.completed
   double mean_duration_s = 0;
   double mean_goodput_bps = 0;
 };
 
 // Runs one campaign run with flow records on, and prints its row.
 BackgroundStudy run_background_study(const CampaignRun& run) {
+  obs::Registry registry;
   ScenarioOptions options = run.spec.options;
   options.netsim.collect_flow_records = true;
+  options.registry = &registry;
   Scenario scenario(options);
   const ExperimentResult r = scenario.run(run.spec.mappings.front());
   BackgroundStudy s;
   s.events = r.stats.total_events;
+  s.counted = registry.counter("traffic.bg.completed").value();
   double duration_s = 0;
   double goodput_bps = 0;
   for (const FlowRecord& rec : r.flow_records) {
@@ -271,8 +274,12 @@ TEST_F(ScenarioCorpus, HybridFidelityCampaignMeetsBounds) {
   const std::int32_t base_sources = reference->spec.options.num_bg_sources;
   ASSERT_GT(base_sources, 0);
 
+  // The workload counts a completion where it happens, so its counter
+  // holds every completed flow the records show, also those whose next
+  // think time would end past the horizon.
   const BackgroundStudy packet = run_background_study(*reference);
   EXPECT_GT(packet.completed, 0u);
+  EXPECT_EQ(packet.counted, packet.completed);
 
   std::optional<BackgroundStudy> hybrid;  // at the reference's sources
   double host_scale = 0;
@@ -283,6 +290,7 @@ TEST_F(ScenarioCorpus, HybridFidelityCampaignMeetsBounds) {
     const std::int32_t sources = run.spec.options.num_bg_sources;
     const BackgroundStudy s = run_background_study(run);
     EXPECT_GT(s.completed, 0u);
+    EXPECT_EQ(s.counted, s.completed);
     if (sources == base_sources) hybrid = s;
     if (s.events <= packet.events) {
       host_scale = std::max(host_scale, static_cast<double>(sources) /

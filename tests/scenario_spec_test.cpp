@@ -81,11 +81,62 @@ TEST(ScenarioSpec, ErrorMatrix) {
        "line 2: 'profile_seconds' must be > 0"},
       {"Experiment [\n  faults [\n    event \"at 1.0 warp link=3\"\n  ]\n]",
        "line 3: fault event: unknown event `warp`"},
-      {"Experiment [\n  faults [\n    file no-such-file.txt\n  ]\n]",
-       "line 3: cannot open fault file 'no-such-file.txt'"},
-      {"Experiment [\n  routers 1\n]", "routers/hosts/engines out of range"},
-      {"Experiment [ routers 0 ]", "routers/hosts/engines out of range"},
+      {"Experiment [\n  routers 1\n]", "line 2: 'routers' must be >= 2"},
+      {"Experiment [ routers 0 ]", "line 1: 'routers' must be >= 2"},
       {"Other [ ]", "missing top-level Experiment [ ] block"},
+      // Every number is read as 64 bits and checked against the range of
+      // the field it lands in, so nothing wraps.
+      {"Experiment [\n  routers 4294967298\n]",
+       "line 2: 'routers' must be <= 2147483647"},
+      {"Experiment [\n  engines 4294967297\n]",
+       "line 2: 'engines' must be <= 2147483647"},
+      {"Experiment [\n  hosts 4294967336\n]",
+       "line 2: 'hosts' must be <= 2147483647"},
+      {"Experiment [\n  clients 4294967295\n]",
+       "line 2: 'clients' must be <= 2147483647"},
+      {"Experiment [\n  seed 99999999999999999999\n]",
+       "line 2: 'seed' must be <= 9223372036854775807"},
+      {"Experiment [\n  engines 0\n]", "line 2: 'engines' must be >= 1"},
+      {"Experiment [\n  hosts 0\n]", "line 2: 'hosts' must be >= 1"},
+      {"Experiment [\n  think_time_s -1\n]",
+       "line 2: 'think_time_s' must be > 0"},
+      {"Experiment [\n  seconds 1e30\n]", "line 2: 'seconds' must be <= 1e+09"},
+      {"Experiment [\n  load_bin_s -1\n]", "line 2: 'load_bin_s' must be >= 0"},
+      {"Experiment [\n  multi_as 7\n]", "line 2: 'multi_as' must be <= 1"},
+      {"Experiment [\n  seed -1\n]", "line 2: 'seed' must be >= 0"},
+      {"Experiment [\n  guard [ enabled 2 ]\n]",
+       "line 2: 'enabled' must be <= 1"},
+      {"Experiment [\n  background_flows [ rate_cap_bps -1 ]\n]",
+       "line 2: 'rate_cap_bps' must be >= 0"},
+      {"Experiment [\n  background_flows [ rate_cap_bps inf ]\n]",
+       "line 2: 'rate_cap_bps' must be <= 1.79769e+308"},
+      {"Experiment [\n  think_time_s nan\n]",
+       "line 2: 'think_time_s' wants a number, got 'nan'"},
+      // Keys the format no longer has.
+      {"Experiment [\n  faults [\n    file chaos-faults.txt\n  ]\n]",
+       "line 3: unknown key 'file' in faults [ ] (prefix with x_ to "
+       "ignore)"},
+      {"Experiment [\n  file_mean_bytes 50000\n]",
+       "line 2: unknown key 'file_mean_bytes' in Experiment (prefix with x_ "
+       "to ignore)"},
+      {"Experiment [\n  background_flows [ think_time_s 5 ]\n]",
+       "line 2: unknown key 'think_time_s' in background_flows [ ] (prefix "
+       "with x_ to ignore)"},
+      {"Experiment [\n  background_flows [ mean_bytes 1e6 ]\n]",
+       "line 2: unknown key 'mean_bytes' in background_flows [ ] (prefix "
+       "with x_ to ignore)"},
+      {"Experiment [\n  background_flows [ recompute_every 8 ]\n]",
+       "line 2: unknown key 'recompute_every' in background_flows [ ] "
+       "(prefix with x_ to ignore)"},
+      {"Experiment [\n  background_flows [ stall_timeout_s 60 ]\n]",
+       "line 2: unknown key 'stall_timeout_s' in background_flows [ ] "
+       "(prefix with x_ to ignore)"},
+      {"Experiment [\n  app ScaLapack\n]",
+       "line 2: unknown app 'ScaLapack' (scalapack|gridnpb|none)"},
+      {"Experiment [\n  app GridNPB\n]",
+       "line 2: unknown app 'GridNPB' (scalapack|gridnpb|none)"},
+      {"Experiment [\n  link_model fluid\n]",
+       "line 2: unknown link_model 'fluid' (packet|hybrid)"},
   };
   for (const auto& c : kCases) {
     EXPECT_EQ(parse_error(c.text), c.error) << c.text;
@@ -185,45 +236,6 @@ TEST(ScenarioSpec, SerializeParseFixedPoint) {
   EXPECT_EQ(back.faults.size(), 2u);
 }
 
-TEST(ScenarioSpec, FaultFileIncludeMergesWithEmbeddedEvents) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/inc-faults.txt";
-  {
-    std::ofstream out(path);
-    out << "at 1.0 link_down link=3\nat 2.0 link_up link=3\n";
-  }
-  std::string error;
-  const auto spec = parse_scenario(
-      "Experiment [\n"
-      "  routers 60\n"
-      "  faults [\n"
-      "    file inc-faults.txt\n"
-      "    event \"at 0.5 crash router=7\"\n"
-      "  ]\n"
-      "]",
-      &error, dir);
-  ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_EQ(spec->options.faults.size(), 3u);
-  std::remove(path.c_str());
-}
-
-TEST(ScenarioSpec, FaultFileErrorsKeepBothCoordinates) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/bad-faults.txt";
-  {
-    std::ofstream out(path);
-    out << "at 1.0 link_down link=3\nat nope crash router=1\n";
-  }
-  std::string error;
-  EXPECT_FALSE(parse_scenario("Experiment [\n  faults [\n    file "
-                              "bad-faults.txt\n  ]\n]",
-                              &error, dir)
-                   .has_value());
-  EXPECT_EQ(error,
-            "line 3: fault file 'bad-faults.txt': line 2: bad time `nope`");
-  std::remove(path.c_str());
-}
-
 // (block, key) for every atom of the Experiment block and of its
 // sub-blocks; block "" is the Experiment level.
 std::set<std::pair<std::string, std::string>> experiment_keys(
@@ -246,20 +258,16 @@ std::set<std::pair<std::string, std::string>> experiment_keys(
 
 // A file that sets every key parses, and the keys it sets are exactly the
 // ones scenario_spec_to_dml emits: nothing is emitted that a file cannot
-// set, and nothing parses that the template omits. `faults [ file ]` is
-// the one input-only key — emission inlines the included lines as
-// `event` atoms (FaultFileIncludeMergesWithEmbeddedEvents covers it).
+// set, and nothing parses that the template omits. The format has 24 keys.
 TEST(ScenarioSpec, EverySchemaKeyParses) {
   const std::string text =
       "Experiment [\n"
       "  name all\n  multi_as 0\n  routers 60\n  hosts 40\n  as 4\n"
       "  clients 10\n  servers 4\n  app none\n  app_hosts 4\n  engines 4\n"
       "  seconds 1\n  profile_seconds 0.3\n  think_time_s 1.0\n"
-      "  file_mean_bytes 9000\n  executor_threads 2\n"
+      "  executor_threads 2\n"
       "  load_bin_s 0.5\n  seed 9\n  link_model hybrid\n  mapping TOP\n"
-      "  background_flows [ sources 6  think_time_s 2.0  mean_bytes 50000\n"
-      "                     recompute_every 4\n"
-      "                     stall_timeout_s 30  rate_cap_bps 1e7 ]\n"
+      "  background_flows [ sources 6  rate_cap_bps 1e7 ]\n"
       "  guard [ enabled 1  deadline_s 5  dump g.json ]\n"
       "  faults [ event \"at 0.5 link_down link=1\" ]\n"
       "]";
@@ -269,6 +277,7 @@ TEST(ScenarioSpec, EverySchemaKeyParses) {
 
   const auto written = experiment_keys(*parse_dml(text));
   const auto emitted = experiment_keys(scenario_spec_to_dml(*spec));
+  EXPECT_EQ(written.size(), 24u);
   for (const auto& [block, key] : emitted) {
     EXPECT_TRUE(written.count({block, key}))
         << block << "." << key << " is emitted but the text does not set it";
@@ -318,14 +327,14 @@ TEST(ScenarioSpec, FlagsOverrideFileOnlyWhenSet) {
   const auto spec = load_overridden(
       kOverrideBase,
       "guard.dump stall.json  seed 7  background_flows.sources 16\n"
-      "background_flows.think_time_s 2.5  background_flows.mean_bytes 9000",
+      "background_flows.rate_cap_bps 5e6",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->options.guard.dump_path, "stall.json");
   EXPECT_EQ(spec->options.seed, 7u);
   EXPECT_EQ(spec->options.num_bg_sources, 16);
-  EXPECT_DOUBLE_EQ(spec->options.background.think_time_mean_s, 2.5);
-  EXPECT_DOUBLE_EQ(spec->options.background.flow_mean_bytes, 9000.0);
+  EXPECT_DOUBLE_EQ(spec->options.netsim.link_model.fluid_flow_rate_cap_bps,
+                   5e6);
 
   EXPECT_TRUE(spec->options.guard.enabled);
   EXPECT_DOUBLE_EQ(spec->options.guard.stall_deadline_s, 20.0);
@@ -346,12 +355,12 @@ TEST(ScenarioSpec, MappingFlagReplacesRunList) {
                                       MappingKind::kHProf}));
 
   EXPECT_FALSE(load_overridden(kOverrideBase, "mapping WARP", &error));
-  EXPECT_EQ(error, "unknown mapping 'WARP'");
+  EXPECT_EQ(error, "--override: unknown mapping 'WARP'");
 }
 
 // Override values go through the strict parser, so a bad one gets the
-// parser's own message — without a line, since the override is not part
-// of the file.
+// parser's own message — naming the override and without a line, since
+// the override is not part of the file.
 TEST(ScenarioSpec, OverrideBadValueGivesParserMessage) {
   const struct {
     const char* override_text;
@@ -373,6 +382,16 @@ TEST(ScenarioSpec, OverrideBadValueGivesParserMessage) {
        "unknown key 'poll_s' in guard [ ] (prefix with x_ to ignore)"},
       {"clients -1", "'clients' must be >= 0"},
       {"executor_threads -3", "'executor_threads' must be >= 0"},
+      {"routers 4294967298", "'routers' must be <= 2147483647"},
+      {"seconds 1e30", "'seconds' must be <= 1e+09"},
+      {"faults.file chaos-faults.txt",
+       "unknown key 'file' in faults [ ] (prefix with x_ to ignore)"},
+      {"file_mean_bytes 50000",
+       "unknown key 'file_mean_bytes' in Experiment (prefix with x_ to "
+       "ignore)"},
+      {"background_flows.recompute_every 8",
+       "unknown key 'recompute_every' in background_flows [ ] (prefix with "
+       "x_ to ignore)"},
       {"guard [ enabled 0 ]",
        "override entries must be scalar (use dotted keys for sub-blocks)"},
   };
@@ -380,8 +399,24 @@ TEST(ScenarioSpec, OverrideBadValueGivesParserMessage) {
     std::string error;
     EXPECT_FALSE(load_overridden(kOverrideBase, c.override_text, &error))
         << c.override_text;
-    EXPECT_EQ(error, c.error) << c.override_text;
+    EXPECT_EQ(error, std::string("--override: ") + c.error)
+        << c.override_text;
   }
+}
+
+// A file's own error names the file, as massf_cli prints it; the file is
+// checked before the override, so its error wins.
+TEST(ScenarioSpec, LoadErrorNamesTheFileOrTheOverride) {
+  const std::string missing = ::testing::TempDir() + "/no-such-scenario.dml";
+  std::string error;
+  EXPECT_FALSE(load_scenario_file(missing, &error, "routers 60"));
+  EXPECT_EQ(error, missing + ": cannot open '" + missing + "'");
+
+  EXPECT_FALSE(load_overridden("Experiment [\n  routers 1\n]",
+                               "routers 60", &error));
+  EXPECT_TRUE(error.starts_with(::testing::TempDir())) << error;
+  EXPECT_TRUE(error.ends_with(".dml: line 2: 'routers' must be >= 2"))
+      << error;
 }
 
 }  // namespace
