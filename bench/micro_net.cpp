@@ -2,12 +2,11 @@
 // throughput (events/second of wall clock) through NetSim including
 // forwarding lookups, queue model, and TCP processing — the constant that
 // determines how much virtual time per second of wall clock the simulator
-// delivers — and the fluid model's max-min water-fill, the cost of one
-// background-rate recompute.
+// delivers — and the fluid model's max-min water-fill as one recompute runs
+// it: one flow leaves, one arrives, then a fill.
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -58,16 +57,19 @@ void BM_NetSimTcpThroughput(benchmark::State& state) {
 BENCHMARK(BM_NetSimTcpThroughput)->Arg(200)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-// One WaterFill::fill on the bench_e2e hybrid_background shape: flat
-// BRITE with 2000 routers and 3500 hosts (~15k directed slots), 500
-// background flows from seeded sources to 100 servers, and the servers'
-// access links partly taken by packet traffic (a seeded 0-30% of their
-// bandwidth). Capped at 1e7 bps the fill runs 7 bottleneck rounds, as
-// hybrid_background's recomputes do on average; uncapped, 100.
+// The fluid model's steady state on the bench_e2e hybrid_background
+// shape: flat BRITE with 2000 routers and 3500 hosts (~15k directed
+// slots), 500 background flows registered from seeded sources to 100
+// servers, and the servers' access links partly taken by packet traffic (a
+// seeded 0-30% of their bandwidth). Each iteration is one recompute's
+// water-fill work: the oldest flow leaves, a new one arrives, and the
+// registered flows are filled. Capped at 1e7 bps a fill runs about 7
+// bottleneck rounds, as hybrid_background's recomputes do on average;
+// uncapped, about 100.
 // Arg: the per-flow rate cap in bps, 0 = uncapped.
 void BM_FluidWaterFill(benchmark::State& state) {
   constexpr int kServers = 100;
-  constexpr int kFlows = 500;
+  constexpr std::size_t kFlows = 500;
   BriteOptions o;
   o.num_routers = 2000;
   o.num_hosts = 3500;
@@ -95,27 +97,38 @@ void BM_FluidWaterFill(benchmark::State& state) {
       }
     }
   }
-  std::vector<std::vector<std::uint32_t>> paths(kFlows);
+  // Arrivals cycle through a pool of routes four times the registered
+  // count, so an arriving route is never one still registered.
+  std::vector<std::vector<std::uint32_t>> paths(4 * kFlows);
   for (auto& path : paths) {
     const auto src = static_cast<NodeId>(
         net.num_routers + kServers + rng.uniform(o.num_hosts - kServers));
     const auto dst = static_cast<NodeId>(net.num_routers + rng.uniform(kServers));
     route_slots(net, fp, src, dst, path);
   }
-  const std::vector<std::span<const std::uint32_t>> spans(paths.begin(),
-                                                          paths.end());
-  const double rate_cap = static_cast<double>(state.range(0));
   WaterFill water_fill(slots);
+  std::vector<std::uint32_t> handles(kFlows);  // registered flows, by age
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    handles[i] = water_fill.add(paths[i]);
+  }
+  const double rate_cap = static_cast<double>(state.range(0));
+  std::size_t oldest = 0;
+  std::size_t next = kFlows;
   for (auto _ : state) {
+    water_fill.remove(handles[oldest]);
+    handles[oldest] = water_fill.add(paths[next]);
+    oldest = (oldest + 1) % kFlows;
+    next = (next + 1) % paths.size();
     const std::vector<double>& rates = water_fill.fill(
-        spans, [&cap](std::uint32_t s) { return cap[s]; }, rate_cap);
+        [&cap](std::uint32_t s) { return cap[s]; }, rate_cap);
     benchmark::DoNotOptimize(rates.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kFlows);
+                          static_cast<std::int64_t>(kFlows));
   state.SetLabel(std::to_string(slots) + " slots, " +
-                 (rate_cap > 0 ? "capped" : "uncapped"));
+                 std::to_string(water_fill.loaded_slots().size()) +
+                 " loaded, " + (rate_cap > 0 ? "capped" : "uncapped"));
 }
 BENCHMARK(BM_FluidWaterFill)->Arg(10000000)->Arg(0)
     ->Unit(benchmark::kMicrosecond);

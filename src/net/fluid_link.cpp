@@ -50,58 +50,106 @@ void route_slots(const Network& net, const ForwardingPlane& fp, NodeId src,
 
 WaterFill::WaterFill(std::size_t num_slots) : dense_(num_slots, -1) {}
 
-const std::vector<double>& WaterFill::fill(
-    std::span<const std::span<const std::uint32_t>> paths,
-    const std::function<double(std::uint32_t)>& capacity, double rate_cap) {
-  const std::size_t n = paths.size();
-  MASSF_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
+std::uint32_t WaterFill::add(std::span<const std::uint32_t> path) {
+  std::uint32_t h;
+  if (!free_handles_.empty()) {
+    h = free_handles_.back();
+    free_handles_.pop_back();
+  } else {
+    MASSF_CHECK(first_.size() < kNone);
+    h = static_cast<std::uint32_t>(first_.size());
+    first_.push_back(kNone);
+    state_.push_back(kFree);
+  }
+  state_[h] = path.empty() ? kBlocked : kLoading;
+  if (!path.empty()) ++loading_;
+  std::uint32_t last = kNone;
+  for (const std::uint32_t s : path) {
+    MASSF_CHECK(s < dense_.size());
+    if (dense_[s] < 0) {
+      dense_[s] = static_cast<std::int32_t>(slot_.size());
+      slot_.push_back(s);
+      load_.push_back(0);
+      head_.push_back(kNone);
+    }
+    const auto d = static_cast<std::size_t>(dense_[s]);
+    std::uint32_t c = free_crossing_;
+    if (c != kNone) {
+      free_crossing_ = crossings_[c].flow_next;
+    } else {
+      MASSF_CHECK(crossings_.size() < kNone);
+      c = static_cast<std::uint32_t>(crossings_.size());
+      crossings_.emplace_back();
+    }
+    crossings_[c] = Crossing{h, s, head_[d], kNone, kNone};
+    if (head_[d] != kNone) crossings_[head_[d]].prev = c;
+    head_[d] = c;
+    ++load_[d];
+    (last == kNone ? first_[h] : crossings_[last].flow_next) = c;
+    last = c;
+  }
+  return h;
+}
+
+void WaterFill::remove(std::uint32_t h) {
+  MASSF_CHECK(h < state_.size() && state_[h] != kFree);
+  if (state_[h] == kLoading) --loading_;
+  for (std::uint32_t c = first_[h]; c != kNone;) {
+    Crossing& x = crossings_[c];
+    const auto d = static_cast<std::size_t>(dense_[x.slot]);
+    if (x.prev != kNone) {
+      crossings_[x.prev].next = x.next;
+    } else {
+      head_[d] = x.next;
+    }
+    if (x.next != kNone) crossings_[x.next].prev = x.prev;
+    if (--load_[d] == 0) drop_slot(d);
+    const std::uint32_t next = x.flow_next;
+    x.flow_next = free_crossing_;
+    free_crossing_ = c;
+    c = next;
+  }
+  first_[h] = kNone;
+  state_[h] = kFree;
+  free_handles_.push_back(h);
+}
+
+void WaterFill::clear() {
   for (const std::uint32_t s : slot_) dense_[s] = -1;
   slot_.clear();
   load_.clear();
-  rates_.assign(n, 0.0);
-  frozen_.assign(n, 0);
+  head_.clear();
+  crossings_.clear();
+  free_crossing_ = kNone;
+  first_.clear();
+  state_.clear();
+  free_handles_.clear();
+  loading_ = 0;
+}
 
-  // Index the slots unblocked flows load, in first-touch order.
-  std::size_t unfrozen = 0;
-  std::size_t crossings = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (paths[i].empty()) {
-      frozen_[i] = 1;  // blocked: stays at rate 0
-      continue;
-    }
-    ++unfrozen;
-    crossings += paths[i].size();
-    for (const std::uint32_t s : paths[i]) {
-      MASSF_CHECK(s < dense_.size());
-      if (dense_[s] < 0) {
-        dense_[s] = static_cast<std::int32_t>(slot_.size());
-        slot_.push_back(s);
-        load_.push_back(0);
-      }
-      ++load_[static_cast<std::size_t>(dense_[s])];
-    }
+void WaterFill::drop_slot(std::size_t d) {
+  dense_[slot_[d]] = -1;
+  const std::size_t last = slot_.size() - 1;
+  if (d != last) {
+    slot_[d] = slot_[last];
+    load_[d] = load_[last];
+    head_[d] = head_[last];
+    dense_[slot_[d]] = static_cast<std::int32_t>(d);
   }
+  slot_.pop_back();
+  load_.pop_back();
+  head_.pop_back();
+}
+
+const std::vector<double>& WaterFill::run_rounds(double rate_cap) {
+  const std::size_t n = state_.size();
   const std::size_t loaded = slot_.size();
-  cap_.resize(loaded);
+  rates_.assign(n, 0.0);
+  frozen_.resize(n);
+  for (std::size_t h = 0; h < n; ++h) frozen_[h] = state_[h] != kLoading;
+  left_.assign(load_.begin(), load_.end());
   share_.resize(loaded);
-  for (std::size_t d = 0; d < loaded; ++d) {
-    cap_[d] = capacity(slot_[d]);
-    share_[d] = cap_[d] / load_[d];
-  }
-
-  // Slot -> flow lists. first_[d + 1] starts as slot d's offset and is
-  // advanced past each member, ending as slot d + 1's offset.
-  first_.assign(loaded + 1, 0);
-  for (std::size_t d = 1; d < loaded; ++d) {
-    first_[d + 1] = first_[d] + static_cast<std::size_t>(load_[d - 1]);
-  }
-  members_.resize(crossings);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint32_t s : paths[i]) {
-      const auto d = static_cast<std::size_t>(dense_[s]);
-      members_[first_[d + 1]++] = static_cast<std::uint32_t>(i);
-    }
-  }
+  for (std::size_t d = 0; d < loaded; ++d) share_[d] = cap_[d] / left_[d];
 
   // Bottleneck candidates: the loaded slots whose fair share is at most
   // the rate cap (all of them when uncapped). A share above the cap only
@@ -118,6 +166,7 @@ const std::vector<double>& WaterFill::fill(
       live_.push_back(static_cast<std::uint32_t>(d));
     }
   }
+  std::size_t unfrozen = loading_;
   while (unfrozen > 0) {
     // Bottleneck: the minimum (fair share, slot id) over the candidates —
     // the slot a scan of every slot in id order picks. Slots whose flows
@@ -127,7 +176,7 @@ const std::vector<double>& WaterFill::fill(
     std::size_t keep = 0;
     for (std::size_t k = 0; k < live_.size(); ++k) {
       const std::uint32_t d = live_[k];
-      if (load_[d] <= 0) continue;
+      if (left_[d] <= 0) continue;
       live_[keep++] = d;
       if (bn == loaded || share_[d] < share ||
           (share_[d] == share && slot_[d] < slot_[bn])) {
@@ -143,22 +192,26 @@ const std::vector<double>& WaterFill::fill(
       // share exceeds the cap, hence cap * load < capacity). With flows
       // left unfrozen, only a capped fill can run out of candidates.
       MASSF_DCHECK(rate_cap > 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!frozen_[i]) rates_[i] = rate_cap;
+      for (std::size_t h = 0; h < n; ++h) {
+        if (!frozen_[h]) rates_[h] = rate_cap;
       }
       break;
     }
-    for (std::size_t k = first_[bn]; k < first_[bn + 1]; ++k) {
-      const std::uint32_t i = members_[k];
-      if (frozen_[i]) continue;
-      rates_[i] = share;
-      frozen_[i] = 1;
+    // Each slot a frozen flow crosses loses `share` per crossing. Every
+    // freeze of a round subtracts the same share, so the order of the
+    // member list does not change any result.
+    for (std::uint32_t m = head_[bn]; m != kNone; m = crossings_[m].next) {
+      const std::uint32_t h = crossings_[m].flow;
+      if (frozen_[h]) continue;
+      rates_[h] = share;
+      frozen_[h] = 1;
       --unfrozen;
-      for (const std::uint32_t s : paths[i]) {
-        const auto d = static_cast<std::size_t>(dense_[s]);
+      for (std::uint32_t c = first_[h]; c != kNone;
+           c = crossings_[c].flow_next) {
+        const auto d = static_cast<std::size_t>(dense_[crossings_[c].slot]);
         cap_[d] = std::max(cap_[d] - share, 0.0);
-        if (--load_[d] <= 0) continue;
-        share_[d] = cap_[d] / load_[d];
+        if (--left_[d] <= 0) continue;
+        share_[d] = cap_[d] / left_[d];
         if (!listed_[d] && share_[d] <= limit) {
           listed_[d] = 1;
           live_.push_back(static_cast<std::uint32_t>(d));
@@ -176,9 +229,7 @@ FluidLinkModel::FluidLinkModel(const Network& net, const ForwardingPlane& fp,
       water_fill_(net.links.size() * 2) {
   const std::size_t slots = net.links.size() * 2;
   fluid_share_bps_.assign(slots, 0.0);
-  packet_window_bytes_.assign(slots, 0);
-  packet_bytes_snapshot_.assign(slots, 0);
-  packet_bps_.assign(slots, 0.0);
+  packet_bytes_.assign(slots, PacketBytes{});
   // Let the first boundary with work recompute immediately instead of
   // waiting out a full cadence.
   last_recompute_boundary_ = -kRecomputeEvery;
@@ -207,8 +258,10 @@ TransmitResult FluidLinkModel::transmit(Engine& engine, NodeId from,
   }
   const TransmitResult res = transmit_impl(engine, from, link, p, bw);
   if (res.status == TransmitResult::kSent) {
-    // Packet -> flow coupling input, differenced at recompute boundaries.
-    packet_window_bytes_[slot] += p.wire_bytes();
+    // Packet -> flow coupling input: this recompute interval's bytes.
+    PacketBytes& b = packet_bytes_[slot];
+    if (b.epoch != epoch_) b = PacketBytes{epoch_, 0};
+    b.bytes += p.wire_bytes();
   }
   return res;
 }
@@ -392,7 +445,12 @@ bool FluidLinkModel::path_blocked(const ActiveFlow& f) const {
 void FluidLinkModel::drop_flows(const std::vector<char>& dead) {
   std::size_t out = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (dead[i]) continue;
+    if (dead[i]) {
+      if (active_[i].handle != kNoHandle) {
+        water_fill_.remove(active_[i].handle);
+      }
+      continue;
+    }
     // Never self-move: libstdc++'s vector move-assignment empties a vector
     // assigned to itself, which would erase the survivor's path.
     if (out != i) active_[out] = std::move(active_[i]);
@@ -404,56 +462,69 @@ void FluidLinkModel::drop_flows(const std::vector<char>& dead) {
 void FluidLinkModel::recompute(Engine& engine, SimTime floor) {
   ++bg_.recomputes;
   dirty_ = false;
-  link_dirty_.store(false, std::memory_order_relaxed);
+  const bool links_changed =
+      link_dirty_.exchange(false, std::memory_order_relaxed);
   last_recompute_boundary_ = static_cast<std::int64_t>(boundaries_);
 
-  // Packet -> flow coupling: measured packet throughput since the last
-  // recompute shrinks what the water-fill may hand out.
-  const std::size_t slots = packet_window_bytes_.size();
-  if (last_recompute_floor_ >= 0 && floor > last_recompute_floor_) {
-    const double el = to_seconds(floor - last_recompute_floor_);
-    for (std::size_t s = 0; s < slots; ++s) {
-      packet_bps_[s] = static_cast<double>(packet_window_bytes_[s] -
-                                           packet_bytes_snapshot_[s]) *
-                       8.0 / el;
-    }
-  }
-  packet_bytes_snapshot_ = packet_window_bytes_;
-  last_recompute_floor_ = floor;
-
   // Re-path around failed links before rating; flows still blocked stay
-  // at rate 0 and are handled by the stall machinery.
-  fill_paths_.clear();
+  // at rate 0 and are handled by the stall machinery. Only link and loss
+  // events change which slots are up, so an unblocked flow needs a
+  // re-check only after one; a blocked flow is re-checked every time.
   for (ActiveFlow& f : active_) {
-    if (path_blocked(f)) repath(f);
-    using Path = std::span<const std::uint32_t>;
-    fill_paths_.push_back(path_blocked(f) ? Path() : Path(f.path));
+    const bool registered = f.handle != kNoHandle;
+    if (registered && !links_changed) continue;
+    if (!path_blocked(f)) {
+      if (!registered) f.handle = water_fill_.add(f.path);
+      continue;
+    }
+    if (registered) {
+      water_fill_.remove(f.handle);
+      f.handle = kNoHandle;
+    }
+    repath(f);
+    if (!path_blocked(f)) f.handle = water_fill_.add(f.path);
   }
 
-  // Max-min water-fill over residual slot capacities. Loss bursts scale a
-  // slot's usable capacity by the delivery probability (goodput view).
-  // Only slots on unblocked paths are loaded, and those are all up.
+  // Max-min water-fill over residual slot capacities. Packet -> flow
+  // coupling: the packet rate a loaded slot carried since the last
+  // recompute shrinks what the fill may hand out (window floors strictly
+  // increase, so only the first recompute has no interval to measure).
+  // Loss bursts scale a slot's usable capacity by the delivery probability
+  // (goodput view). Only slots on unblocked paths are loaded, and those
+  // are all up.
+  const double el = last_recompute_floor_ >= 0 && floor > last_recompute_floor_
+                        ? to_seconds(floor - last_recompute_floor_)
+                        : 0.0;
+  const std::uint64_t interval = epoch_++;
+  last_recompute_floor_ = floor;
   const std::vector<double>& rates = water_fill_.fill(
-      fill_paths_,
-      [this](std::uint32_t s) {
+      [&](std::uint32_t s) {
         const NetLink& l = net_->links[s / 2];
-        double c = std::max(l.bandwidth_bps - packet_bps_[s],
+        const PacketBytes& b = packet_bytes_[s];
+        const double packet_bps =
+            el > 0 && b.epoch == interval
+                ? static_cast<double>(b.bytes) * 8.0 / el
+                : 0.0;
+        double c = std::max(l.bandwidth_bps - packet_bps,
                             kFluidMinShare * l.bandwidth_bps);
         c *= 1.0 - static_cast<double>(loss_rate_ppm_[s]) / 1e6;
         return c;
       },
       opts_.link_model.fluid_flow_rate_cap_bps);
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    active_[i].rate_bps = rates[i];
-  }
 
-  // Publish the flow -> packet coupling for the coming windows.
-  std::fill(fluid_share_bps_.begin(), fluid_share_bps_.end(), 0.0);
-  for (const ActiveFlow& f : active_) {
-    for (const std::uint32_t slot : f.path) {
-      fluid_share_bps_[slot] += f.rate_bps;
+  // Publish the flow -> packet coupling for the coming windows. Only the
+  // slots the last publish set can be non-zero.
+  for (const std::uint32_t s : published_) fluid_share_bps_[s] = 0.0;
+  for (ActiveFlow& f : active_) {
+    if (f.handle == kNoHandle) {
+      f.rate_bps = 0;
+      continue;
     }
+    f.rate_bps = rates[f.handle];
+    for (const std::uint32_t s : f.path) fluid_share_bps_[s] += f.rate_bps;
   }
+  const std::span<const std::uint32_t> loaded = water_fill_.loaded_slots();
+  published_.assign(loaded.begin(), loaded.end());
 
   // Completion horizon, stall deadlines, and stall failures.
   earliest_completion_ = kNever;

@@ -13,12 +13,14 @@
 //   * Rates. A recompute runs the classic max-min water-fill (WaterFill
 //     below) over the directed-slot capacities left by the packet class
 //     (measured from per-slot packet byte counters over the elapsed
-//     windows); it touches only the slots unblocked flows cross. Recomputes
-//     are batched: at most one per `kRecomputeEvery` (8) boundaries,
-//     plus one whenever a completion falls due. Between recomputes, rates
-//     are piecewise-constant, so per-flow progress and completion times
-//     are closed-form — the fidelity error is bounded by the batching
-//     cadence times the window width.
+//     windows). The fill keeps unblocked flows registered between
+//     recomputes, so a recompute touches only the slots they cross and
+//     the paths that changed. Recomputes are batched: at most one per
+//     `kRecomputeEvery` (8) boundaries, plus one whenever a completion
+//     falls due. Between recomputes, rates are piecewise-constant, so
+//     per-flow progress and completion times are closed-form — the
+//     fidelity error is bounded by the batching cadence times the window
+//     width.
 //   * Completions. Detected at boundaries; the recorded finish time is the
 //     exact analytic crossing under the constant rate, while the
 //     application callback fires at the boundary (documented skew <= one
@@ -42,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -58,36 +59,91 @@ void route_slots(const Network& net, const ForwardingPlane& fp, NodeId src,
 /// Max-min fair rates over directed slots (progressive filling): each
 /// round finds the bottleneck slot — the smallest fair share, ties to the
 /// lowest slot id — and freezes every flow crossing it at that share.
-/// One fill costs at most O(sum of unblocked path lengths + loaded slots
-/// x rounds): slots no unblocked flow crosses are never read, and the
-/// workspace is reused across fills.
+///
+/// Flows are registered once and stay registered across fills: add() and
+/// remove() keep each slot's load and member list, and the set of loaded
+/// slots (those some registered flow crosses), up to date in O(path
+/// length). A fill then costs O(loaded slots + handles) to start plus the
+/// rounds; slots no registered flow crosses are never read. Rates are a
+/// function of the registered paths alone, whatever the order they were
+/// added in or the handles they got.
 class WaterFill {
  public:
   explicit WaterFill(std::size_t num_slots);
 
-  /// `paths[i]` is flow i's slot path; an empty path marks a blocked flow,
-  /// whose rate is 0. `capacity(slot)` is called once per slot an
-  /// unblocked flow crosses and must return a finite value >= 0. A
-  /// positive `rate_cap` bounds every rate. Returns one rate per flow,
-  /// valid until the next fill.
+  /// Registers a flow over the directed slots of `path` and returns its
+  /// handle: the most recently removed one, else the next unused. A slot
+  /// may repeat; each crossing loads it once. An empty path registers a
+  /// blocked flow, which loads nothing and whose rate is 0.
+  std::uint32_t add(std::span<const std::uint32_t> path);
+  /// Unregisters flow `h`, whose handle a later add() may return.
+  void remove(std::uint32_t h);
+
+  /// The registered flows' rates, indexed by handle (0 for blocked flows
+  /// and free handles), valid until the next fill.
+  /// `capacity(slot)` is called once per loaded slot and must return a
+  /// finite value >= 0. A positive `rate_cap` bounds every rate.
+  template <class Capacity>
+  const std::vector<double>& fill(const Capacity& capacity, double rate_cap) {
+    cap_.resize(slot_.size());
+    for (std::size_t d = 0; d < slot_.size(); ++d) cap_[d] = capacity(slot_[d]);
+    return run_rounds(rate_cap);
+  }
+
+  /// One-shot fill: `paths[i]` becomes flow i, in place of every flow
+  /// registered before (an empty path marks a blocked flow).
+  template <class Capacity>
   const std::vector<double>& fill(
       std::span<const std::span<const std::uint32_t>> paths,
-      const std::function<double(std::uint32_t)>& capacity, double rate_cap);
+      const Capacity& capacity, double rate_cap) {
+    clear();
+    for (const std::span<const std::uint32_t> path : paths) add(path);
+    return fill(capacity, rate_cap);
+  }
+
+  /// The loaded slots, in no particular order.
+  std::span<const std::uint32_t> loaded_slots() const { return slot_; }
 
  private:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+  /// One slot crossing of a registered flow: a node of its slot's member
+  /// list (next/prev) and of its flow's crossing list (flow_next, which
+  /// also links the free nodes).
+  struct Crossing {
+    std::uint32_t flow;
+    std::uint32_t slot;
+    std::uint32_t next;
+    std::uint32_t prev;
+    std::uint32_t flow_next;
+  };
+  enum : char { kFree, kBlocked, kLoading };
+
+  /// Unregisters every flow; the following adds return 0, 1, 2, ...
+  void clear();
+  const std::vector<double>& run_rounds(double rate_cap);
+  void drop_slot(std::size_t d);
+
+  // Membership, kept across fills.
   std::vector<std::int32_t> dense_;  ///< slot -> loaded index, -1 = unloaded
   std::vector<std::uint32_t> slot_;  ///< loaded index -> slot
-  std::vector<double> cap_;          ///< residual capacity, per loaded index
-  std::vector<std::int32_t> load_;   ///< unfrozen crossings, per loaded index
-  std::vector<double> share_;        ///< cap_ / load_ while load_ > 0
-  /// Flows crossing each loaded slot, in flow-index order:
-  /// members_[first_[d] .. first_[d + 1]).
-  std::vector<std::size_t> first_;
-  std::vector<std::uint32_t> members_;
+  std::vector<std::int32_t> load_;   ///< crossings, per loaded index
+  std::vector<std::uint32_t> head_;  ///< first crossing, per loaded index
+  std::vector<Crossing> crossings_;
+  std::uint32_t free_crossing_ = kNone;
+  std::vector<std::uint32_t> first_;  ///< per handle: first crossing
+  std::vector<char> state_;           ///< per handle: kFree/kBlocked/kLoading
+  std::vector<std::uint32_t> free_handles_;
+  std::size_t loading_ = 0;  ///< handles in kLoading
+
+  // Per-fill workspace.
+  std::vector<double> cap_;         ///< residual capacity, per loaded index
+  std::vector<std::int32_t> left_;  ///< unfrozen crossings, per loaded index
+  std::vector<double> share_;       ///< cap_ / left_ while left_ > 0
   std::vector<std::uint32_t> live_;  ///< bottleneck candidates
   std::vector<char> listed_;         ///< per loaded index: in live_
-  std::vector<char> frozen_;
-  std::vector<double> rates_;
+  std::vector<char> frozen_;         ///< per handle
+  std::vector<double> rates_;        ///< per handle
 };
 
 class FluidLinkModel : public PacketLinkModel {
@@ -135,6 +191,8 @@ class FluidLinkModel : public PacketLinkModel {
     std::uint32_t bytes = 0;
     std::uint32_t tag = 0;
   };
+  static constexpr std::uint32_t kNoHandle =
+      std::numeric_limits<std::uint32_t>::max();
   struct ActiveFlow {
     FlowId flow = 0;
     NodeId src = kInvalidNode;
@@ -146,6 +204,8 @@ class FluidLinkModel : public PacketLinkModel {
     double rate_bps = 0;       ///< max-min share set at the last recompute
     SimTime stall_since = -1;  ///< first boundary with zero rate, -1 = none
     std::vector<std::uint32_t> path;  ///< directed slots src->dst
+    /// Water-fill handle while the path is unblocked, else kNoHandle.
+    std::uint32_t handle = kNoHandle;
   };
 
   void on_boundary(Engine& engine, SimTime floor);
@@ -170,8 +230,7 @@ class FluidLinkModel : public PacketLinkModel {
 
   // Coordinator-owned fluid state (boundary hook only).
   std::vector<ActiveFlow> active_;
-  WaterFill water_fill_;
-  std::vector<std::span<const std::uint32_t>> fill_paths_;  ///< fill input
+  WaterFill water_fill_;  ///< registers every unblocked active flow
   std::uint64_t next_flow_seq_ = 0;
   std::uint64_t boundaries_ = 0;
   std::int64_t last_recompute_boundary_ = 0;
@@ -186,11 +245,19 @@ class FluidLinkModel : public PacketLinkModel {
   /// Published fluid reservation per directed slot: written at recompute
   /// boundaries, read by the packet path on owner LPs during windows.
   std::vector<double> fluid_share_bps_;
-  /// Packet bytes per slot, accumulated by owner LPs during windows and
-  /// differenced at recompute boundaries to measure packet throughput.
-  std::vector<std::uint64_t> packet_window_bytes_;
-  std::vector<std::uint64_t> packet_bytes_snapshot_;
-  std::vector<double> packet_bps_;  ///< measured packet rate per slot
+  std::vector<std::uint32_t> published_;  ///< slots the last publish set
+  /// Packet bytes a slot carried in the recompute interval `epoch`. Owner
+  /// LPs count them during windows; a counter tagged with an earlier
+  /// interval is reset by the first packet of the current one, and a
+  /// recompute reads only the loaded slots' counters.
+  struct PacketBytes {
+    std::uint64_t epoch = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<PacketBytes> packet_bytes_;
+  /// The current recompute interval: written by each recompute, read by
+  /// the packet path on owner LPs during windows.
+  std::uint64_t epoch_ = 0;
 
   /// Set by on_link_state/on_loss_state on owner LPs; consumed at the next
   /// boundary. Relaxed is enough: the value is only examined at quiescent
