@@ -1,7 +1,6 @@
 #include "graph/algorithms.hpp"
 
 #include <cmath>
-#include <queue>
 
 #include "util/check.hpp"
 
@@ -38,27 +37,6 @@ bool is_connected(const Graph& g) {
   VertexId nc = 0;
   connected_components(g, &nc);
   return nc == 1;
-}
-
-std::vector<std::int32_t> bfs_distances(const Graph& g, VertexId source) {
-  MASSF_CHECK(source >= 0 && source < g.num_vertices());
-  std::vector<std::int32_t> dist(static_cast<std::size_t>(g.num_vertices()),
-                                 -1);
-  std::queue<VertexId> q;
-  dist[static_cast<std::size_t>(source)] = 0;
-  q.push(source);
-  while (!q.empty()) {
-    const VertexId v = q.front();
-    q.pop();
-    for (VertexId u : g.neighbors(v)) {
-      if (dist[static_cast<std::size_t>(u)] == -1) {
-        dist[static_cast<std::size_t>(u)] =
-            dist[static_cast<std::size_t>(v)] + 1;
-        q.push(u);
-      }
-    }
-  }
-  return dist;
 }
 
 std::vector<std::int64_t> degree_histogram(const Graph& g) {

@@ -14,9 +14,6 @@ std::vector<VertexId> connected_components(const Graph& g,
 
 bool is_connected(const Graph& g);
 
-/// BFS hop distance from source; unreachable vertices get -1.
-std::vector<std::int32_t> bfs_distances(const Graph& g, VertexId source);
-
 /// Degree histogram: result[d] = number of vertices with degree d.
 std::vector<std::int64_t> degree_histogram(const Graph& g);
 

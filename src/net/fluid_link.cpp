@@ -1,7 +1,6 @@
 #include "net/fluid_link.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -346,11 +345,6 @@ void FluidLinkModel::advance_to(Engine& engine, SimTime floor) {
     ActiveFlow& f = active_[i];
     if (f.rate_bps <= 0) continue;
     const double progress = f.rate_bps * dt_s / 8.0;  // bytes
-    const double carried = std::min(f.remaining, progress);
-    if (!link_bytes_.empty() && carried > 0) {
-      const auto b = static_cast<std::uint64_t>(std::llround(carried));
-      for (const std::uint32_t slot : f.path) link_bytes_[slot] += b;
-    }
     if (f.remaining <= progress + 0.5) {
       // Piecewise-constant rate: the crossing time is closed-form.
       const SimTime at =

@@ -1,5 +1,5 @@
 // Pluggable link-model boundary: the contract between NetSim (event
-// dispatch, TCP/UDP endpoints, application callbacks) and the thing that
+// dispatch, TCP endpoints, application callbacks) and the thing that
 // decides what happens when a packet — or an analytic background flow — is
 // offered to a link.
 //
@@ -175,14 +175,6 @@ class LinkModel {
 
   // ---- observation ----
 
-  /// Bytes carried per directed slot (empty unless collect_link_stats).
-  /// For hybrid models this includes fluid bytes, accrued at boundary
-  /// granularity.
-  virtual const std::vector<std::uint64_t>& link_bytes() const = 0;
-  /// Carried bits over capacity for one direction of `link`. Throws
-  /// kConfig when stats are off or `duration` is not positive.
-  virtual double link_utilization(LinkId link, int direction,
-                                  SimTime duration) const = 0;
   /// Finished background flows in completion order (empty for packet-only
   /// models; packet TCP records live in NetSim's per-LP state).
   virtual std::vector<FlowRecord> background_flow_records() const;

@@ -106,24 +106,6 @@ FlowId NetSim::start_flow(Engine& engine, SimTime when, NodeId src_host,
   return flow;
 }
 
-void NetSim::send_udp(Engine& engine, SimTime when, NodeId src_host,
-                      NodeId dst_host, std::uint32_t payload_bytes,
-                      std::uint32_t tag) {
-  MASSF_CHECK(net_->is_host(src_host) && net_->is_host(dst_host));
-  MASSF_CHECK(payload_bytes <= kMss);
-  Packet p;
-  p.src = src_host;
-  p.dst = dst_host;
-  p.flow = 0;
-  p.len = payload_bytes;
-  p.flags = kFlagUdp;
-  p.ack = tag;
-  p.arrive = src_host;
-  Event ev;
-  p.encode(ev);
-  engine.schedule(lp_of(src_host), when, kEvUdpSend, ev.a, ev.b, ev.c, ev.d);
-}
-
 void NetSim::schedule_app_timer(Engine& engine, NodeId host, SimTime when,
                                 std::uint64_t b, std::uint64_t c) {
   MASSF_CHECK(net_->is_host(host));
@@ -210,15 +192,6 @@ void NetSim::handle(Engine& engine, const Event& ev) {
       // Heartbeat: its only job was forcing the window boundary that just
       // ran the fluid model's hook.
       break;
-    case kEvUdpSend: {
-      const Packet p = Packet::decode(ev);
-      count_node_event(p.src);
-      // Host egress over its access link.
-      const auto inc = net_->incident(p.src);
-      MASSF_CHECK(inc.size() == 1);
-      transmit(engine, p.src, inc[0].link, p);
-      break;
-    }
     default:
       MASSF_CHECK(false && "unknown event type");
   }
@@ -272,11 +245,6 @@ void NetSim::on_arrive(Engine& engine, const Packet& p) {
 
 void NetSim::deliver(Engine& engine, const Packet& p) {
   auto& state = lp_state_[static_cast<std::size_t>(lp_of(p.dst))];
-  if (p.flags & kFlagUdp) {
-    ++state.counters.udp_delivered;
-    if (on_udp_) on_udp_(engine, *this, p);
-    return;
-  }
   if (p.flags & kFlagAck) {
     ++state.counters.acks;
     on_ack(engine, p);
@@ -517,7 +485,6 @@ NetSim::Counters NetSim::totals() const {
     total.flows_started += st.counters.flows_started;
     total.flows_completed += st.counters.flows_completed;
     total.flows_failed += st.counters.flows_failed;
-    total.udp_delivered += st.counters.udp_delivered;
   }
   return total;
 }
@@ -537,7 +504,6 @@ void NetSim::publish_metrics(obs::Registry& registry) const {
   registry.counter("net.flows_started").inc(t.flows_started);
   registry.counter("net.flows_completed").inc(t.flows_completed);
   registry.counter("net.flows_failed").inc(t.flows_failed);
-  registry.counter("net.udp_delivered").inc(t.udp_delivered);
   model_->publish_metrics(registry);
 }
 

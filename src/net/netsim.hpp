@@ -3,11 +3,10 @@
 // NetSim instantiates one logical process per simulation engine node (the
 // partition produced by the load balancer), owns every router/host/link of
 // the virtual network, and simulates hop-by-hop packet forwarding with
-// drop-tail output queues, TCP Reno flows, and UDP datagrams. Applications
-// (the traffic module and the online layer) interact through flows, UDP
-// messages, app timers, and completion callbacks, all of which execute on
-// the logical process owning the relevant host — which is what makes the
-// threaded executor race-free.
+// drop-tail output queues and TCP Reno flows. Applications (the traffic
+// module and the online layer) interact through flows, app timers, and
+// completion callbacks, all of which execute on the logical process owning
+// the relevant host — which is what makes the threaded executor race-free.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,6 @@ enum NetEventType : std::int32_t {
   kEvFlowStart = 2,   ///< a = flow id
   kEvTcpTimeout = 3,  ///< a = flow id, b = timer epoch
   kEvAppTimer = 4,    ///< a = host, b/c = user payload
-  kEvUdpSend = 5,     ///< payload = encoded Packet (transmit from src host)
   kEvLinkState = 6,   ///< a = directed slot (link*2+dir), b = up (0/1)
   kEvNodeState = 7,   ///< a = router id, b = up (0/1); crash/restore
   kEvLossState = 8,   ///< a = directed slot, b = loss rate in ppm (0 = off)
@@ -53,8 +51,6 @@ struct NetSimOptions {
   /// retransmission timeouts (a partitioned path would otherwise emit
   /// retransmissions until the simulation horizon).
   std::int32_t tcp_max_consecutive_timeouts = 8;
-  /// Track per-directed-interface bytes carried (for utilization reports).
-  bool collect_link_stats = false;
   /// Record one FlowRecord per finished (completed or abandoned) TCP flow.
   bool collect_flow_records = false;
   /// Seed for the deterministic loss-burst hash (fault injection). The drop
@@ -76,9 +72,6 @@ class NetSim {
   using FlowCompleteFn = std::function<void(
       Engine&, NetSim&, FlowId flow, NodeId src_host, NodeId dst_host,
       std::uint32_t tag, bool failed)>;
-  /// Invoked on the destination host's LP for each delivered datagram.
-  using UdpReceiveFn =
-      std::function<void(Engine&, NetSim&, const Packet& packet)>;
   /// Invoked on the host's LP when an app timer fires.
   using AppTimerFn = std::function<void(Engine&, NetSim&, NodeId host,
                                         std::uint64_t b, std::uint64_t c)>;
@@ -95,8 +88,8 @@ class NetSim {
   std::int32_t num_lps() const { return num_lps_; }
 
   /// The pluggable network model carrying this simulation's traffic. Link
-  /// control (fault injection), link statistics, and background flows all
-  /// live here; see link_model.hpp for the contract.
+  /// control (fault injection) and background flows live here; see
+  /// link_model.hpp for the contract.
   LinkModel& link_model() { return *model_; }
   const LinkModel& link_model() const { return *model_; }
 
@@ -118,11 +111,6 @@ class NetSim {
                              NodeId dst_host, std::uint32_t bytes,
                              std::uint32_t tag);
 
-  /// Sends one UDP datagram (payload <= kMss bytes).
-  void send_udp(Engine& engine, SimTime when, NodeId src_host,
-                NodeId dst_host, std::uint32_t payload_bytes,
-                std::uint32_t tag);
-
   /// Schedules an app timer on `host`'s LP.
   void schedule_app_timer(Engine& engine, NodeId host, SimTime when,
                           std::uint64_t b = 0, std::uint64_t c = 0);
@@ -138,7 +126,6 @@ class NetSim {
                            bool up);
 
   void set_flow_complete(FlowCompleteFn fn) { on_flow_complete_ = std::move(fn); }
-  void set_udp_receive(UdpReceiveFn fn) { on_udp_ = std::move(fn); }
   void set_app_timer(AppTimerFn fn) { on_app_timer_ = std::move(fn); }
 
   struct Counters {
@@ -155,6 +142,8 @@ class NetSim {
     std::uint64_t flows_started = 0;
     std::uint64_t flows_completed = 0;
     std::uint64_t flows_failed = 0;  ///< abandoned after repeated timeouts
+    /// Always 0: nothing sends datagrams. Kept only because the end-to-end
+    /// benchmark (bench_e2e) prints it in every cell's signature.
     std::uint64_t udp_delivered = 0;
   };
   /// Aggregated over all LPs; call after the run.
@@ -235,8 +224,8 @@ class NetSim {
   NetSimOptions opts_;
 
   /// The pluggable link model: per-interface state (busy-until clocks,
-  /// up/down, loss cursors, byte counters) and, under the hybrid model,
-  /// the analytic background-flow machinery all live behind this boundary.
+  /// up/down, loss cursors) and, under the hybrid model, the analytic
+  /// background-flow machinery all live behind this boundary.
   std::unique_ptr<LinkModel> model_;
 
   /// Node up/down state (router crash); slot owned by the node's LP.
@@ -246,7 +235,6 @@ class NetSim {
   std::vector<std::uint64_t> profile_;
 
   FlowCompleteFn on_flow_complete_;
-  UdpReceiveFn on_udp_;
   AppTimerFn on_app_timer_;
 };
 

@@ -20,7 +20,6 @@ using FlowId = std::uint64_t;
 enum PacketFlags : std::uint8_t {
   kFlagAck = 1,  ///< pure TCP acknowledgment
   kFlagFin = 2,  ///< last data segment of the flow
-  kFlagUdp = 4,  ///< datagram (no transport state)
 };
 
 /// IP+TCP header overhead added to every packet's wire size.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/error.hpp"
 
 namespace massf {
 namespace {
@@ -35,9 +34,6 @@ PacketLinkModel::PacketLinkModel(const Network& net, const NetSimOptions& opts)
   iface_up_.assign(net.links.size() * 2, 1);
   loss_rate_ppm_.assign(net.links.size() * 2, 0);
   loss_seq_.assign(net.links.size() * 2, 0);
-  if (opts_.collect_link_stats) {
-    link_bytes_.assign(net.links.size() * 2, 0);
-  }
 }
 
 void PacketLinkModel::attach(NetSim& sim, Engine& engine) {
@@ -85,7 +81,6 @@ TransmitResult PacketLinkModel::transmit_impl(Engine& engine, NodeId from,
   }
   const SimTime depart = start + service_time(p.wire_bytes(), bandwidth_bps);
   iface_free_[slot] = depart;
-  if (!link_bytes_.empty()) link_bytes_[slot] += p.wire_bytes();
 
   res.status = TransmitResult::kSent;
   res.arrive = depart + l.latency;
@@ -123,21 +118,6 @@ void PacketLinkModel::on_link_state(std::uint64_t slot, bool up) {
 
 void PacketLinkModel::on_loss_state(std::uint64_t slot, std::uint32_t ppm) {
   loss_rate_ppm_[slot] = ppm;
-}
-
-double PacketLinkModel::link_utilization(LinkId link, int direction,
-                                         SimTime duration) const {
-  MASSF_ENFORCE(!link_bytes_.empty(), ErrorCategory::kConfig,
-                "link_utilization requires collect_link_stats");
-  MASSF_ENFORCE(direction == 0 || direction == 1, ErrorCategory::kConfig,
-                "link direction must be 0 or 1");
-  MASSF_ENFORCE(duration > 0, ErrorCategory::kConfig,
-                "link_utilization over a zero-duration window");
-  const NetLink& l = net_->links[static_cast<std::size_t>(link)];
-  const std::size_t slot = static_cast<std::size_t>(link) * 2 +
-                           static_cast<std::size_t>(direction);
-  return static_cast<double>(link_bytes_[slot]) * 8.0 /
-         (l.bandwidth_bps * to_seconds(duration));
 }
 
 }  // namespace massf

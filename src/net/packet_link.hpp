@@ -27,12 +27,6 @@ class PacketLinkModel : public LinkModel {
   void on_link_state(std::uint64_t slot, bool up) override;
   void on_loss_state(std::uint64_t slot, std::uint32_t ppm) override;
 
-  const std::vector<std::uint64_t>& link_bytes() const override {
-    return link_bytes_;
-  }
-  double link_utilization(LinkId link, int direction,
-                          SimTime duration) const override;
-
  protected:
   /// The shared drop-tail transmission path, parameterized on the
   /// bandwidth the packet class may use: the pure-packet model passes the
@@ -55,9 +49,6 @@ class PacketLinkModel : public LinkModel {
   /// follow the iface ownership discipline.
   std::vector<std::uint32_t> loss_rate_ppm_;
   std::vector<std::uint64_t> loss_seq_;
-  /// Bytes carried per directed interface (same ownership discipline);
-  /// empty unless collect_link_stats.
-  std::vector<std::uint64_t> link_bytes_;
 };
 
 }  // namespace massf

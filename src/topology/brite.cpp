@@ -127,68 +127,6 @@ NodeId append_router_topology(Network& net, std::int32_t count, AsId as_id,
   return first;
 }
 
-NodeId append_waxman_topology(Network& net, std::int32_t count, AsId as_id,
-                              double cx, double cy, double radius,
-                              double alpha, double beta,
-                              std::int32_t links_per_node,
-                              double bandwidth_bps, Rng& rng) {
-  MASSF_CHECK(count >= 1);
-  MASSF_CHECK(alpha > 0 && beta > 0);
-  const auto first = static_cast<NodeId>(net.nodes.size());
-  MASSF_CHECK(first == net.num_routers);
-
-  for (std::int32_t i = 0; i < count; ++i) {
-    NetNode node;
-    node.kind = NodeKind::kRouter;
-    node.as_id = as_id;
-    node.x = cx + rng.uniform_real(-radius, radius);
-    node.y = cy + rng.uniform_real(-radius, radius);
-    net.nodes.push_back(node);
-  }
-  net.num_routers += count;
-
-  const auto add_link = [&](NodeId a, NodeId b) {
-    NetLink l;
-    l.a = a;
-    l.b = b;
-    l.latency = latency_for_distance(
-        distance_miles(net.nodes[static_cast<std::size_t>(a)].x,
-                       net.nodes[static_cast<std::size_t>(a)].y,
-                       net.nodes[static_cast<std::size_t>(b)].x,
-                       net.nodes[static_cast<std::size_t>(b)].y));
-    l.bandwidth_bps = bandwidth_bps;
-    net.links.push_back(l);
-  };
-
-  // L: the maximum possible distance in the region.
-  const double max_dist = 2 * radius * std::sqrt(2.0);
-  const std::int32_t degree_cap = 3 * links_per_node;
-
-  for (std::int32_t i = 1; i < count; ++i) {
-    const auto& ni = net.nodes[static_cast<std::size_t>(first + i)];
-    std::int32_t added = 0;
-    std::int32_t nearest = 0;
-    double nearest_d = 1e18;
-    for (std::int32_t j = 0; j < i && added < degree_cap; ++j) {
-      const auto& nj = net.nodes[static_cast<std::size_t>(first + j)];
-      const double d = distance_miles(ni.x, ni.y, nj.x, nj.y);
-      if (d < nearest_d) {
-        nearest_d = d;
-        nearest = j;
-      }
-      const double p = alpha * std::exp(-d / (beta * max_dist));
-      if (rng.bernoulli(p)) {
-        add_link(first + i, first + j);
-        ++added;
-      }
-    }
-    // Waxman leaves isolated nodes with nonzero probability; repair by
-    // linking to the nearest earlier node (keeps the graph connected).
-    if (added == 0) add_link(first + i, first + nearest);
-  }
-  return first;
-}
-
 NodeId attach_hosts(Network& net, std::int32_t count, NodeId router_begin,
                     NodeId router_end, double bandwidth_bps, Rng& rng) {
   MASSF_CHECK(router_begin >= 0 && router_end <= net.num_routers &&
@@ -225,19 +163,11 @@ Network generate_flat(const BriteOptions& opts) {
   Rng rng(opts.seed);
   Network net;
   Rng router_rng = rng.fork("routers");
-  if (opts.model == TopologyModel::kWaxman) {
-    append_waxman_topology(net, opts.num_routers, /*as_id=*/0,
-                           opts.plane_miles / 2, opts.plane_miles / 2,
-                           opts.plane_miles / 2, opts.waxman_alpha,
-                           opts.waxman_beta, opts.links_per_node,
-                           opts.router_bandwidth_bps, router_rng);
-  } else {
-    append_router_topology(net, opts.num_routers, /*as_id=*/0,
-                           opts.plane_miles / 2, opts.plane_miles / 2,
-                           opts.plane_miles / 2, opts.links_per_node,
-                           opts.locality_miles, opts.router_bandwidth_bps,
-                           router_rng);
-  }
+  append_router_topology(net, opts.num_routers, /*as_id=*/0,
+                         opts.plane_miles / 2, opts.plane_miles / 2,
+                         opts.plane_miles / 2, opts.links_per_node,
+                         opts.locality_miles, opts.router_bandwidth_bps,
+                         router_rng);
   Rng host_rng = rng.fork("hosts");
   attach_hosts(net, opts.num_hosts, 0, net.num_routers,
                opts.access_bandwidth_bps, host_rng);

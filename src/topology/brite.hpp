@@ -13,32 +13,17 @@
 
 namespace massf {
 
-/// Router-level wiring models (both are BRITE modes).
-enum class TopologyModel {
-  /// Barabasi-Albert preferential attachment with a locality bias — the
-  /// degree-based power-law family the paper's experiments use.
-  kBarabasiAlbert,
-  /// Waxman: every new node links to existing ones with probability
-  /// alpha * exp(-d / (beta * L)) — geometric, no heavy-tailed degrees.
-  kWaxman,
-};
-
 struct BriteOptions {
   std::int32_t num_routers = 2000;
   std::int32_t num_hosts = 1000;
   /// Side of the square plane in miles (paper: 5000 x 5000, roughly the
   /// North American continent).
   double plane_miles = 5000;
-  TopologyModel model = TopologyModel::kBarabasiAlbert;
-  /// Edges added per new node (BA "m"; also the expected degree target for
-  /// Waxman).
+  /// Edges added per new node (BA "m").
   std::int32_t links_per_node = 2;
-  /// BA only — locality scale in miles: candidate targets are weighted by
+  /// Locality scale in miles: candidate targets are weighted by
   /// exp(-distance / locality_miles) on top of degree. <= 0 disables.
   double locality_miles = 250;
-  /// Waxman parameters (classic defaults).
-  double waxman_alpha = 0.2;
-  double waxman_beta = 0.15;
   double router_bandwidth_bps = 2.5e9;  ///< backbone links (OC-48 class)
   double access_bandwidth_bps = 1e8;    ///< host access links
   std::uint64_t seed = 1;
@@ -58,15 +43,6 @@ NodeId append_router_topology(Network& net, std::int32_t count, AsId as_id,
                               std::int32_t links_per_node,
                               double locality_miles, double bandwidth_bps,
                               Rng& rng);
-
-/// Waxman variant of append_router_topology: connectivity is repaired by
-/// attaching any node the probabilistic pass left isolated to its nearest
-/// already-connected neighbor.
-NodeId append_waxman_topology(Network& net, std::int32_t count, AsId as_id,
-                              double cx, double cy, double radius,
-                              double alpha, double beta,
-                              std::int32_t links_per_node,
-                              double bandwidth_bps, Rng& rng);
 
 /// Appends `count` hosts, each attached by a short access link to a router
 /// drawn uniformly from [router_begin, router_end). Returns the id of the

@@ -10,7 +10,6 @@ void TrafficComponent::on_flow_failed(Engine&, NetSim&, FlowId, NodeId,
                                       NodeId, std::uint32_t) {}
 void TrafficComponent::on_timer(Engine&, NetSim&, NodeId, std::uint64_t,
                                 std::uint64_t) {}
-void TrafficComponent::on_udp(Engine&, NetSim&, const Packet&) {}
 void TrafficComponent::publish_metrics(obs::Registry&) const {}
 
 TrafficManager::TrafficManager(NetSim& sim) {
@@ -29,11 +28,6 @@ TrafficManager::TrafficManager(NetSim& sim) {
                            std::uint64_t b, std::uint64_t c) {
     if (auto* comp = component(timer_kind(b))) {
       comp->on_timer(engine, s, host, timer_payload(b), c);
-    }
-  });
-  sim.set_udp_receive([this](Engine& engine, NetSim& s, const Packet& p) {
-    if (auto* c = component(tag_kind(p.ack))) {
-      c->on_udp(engine, s, p);
     }
   });
 }

@@ -26,8 +26,6 @@ enum class TrafficKind : std::uint32_t {
   kOnline = 3,  ///< live-traffic agent
   kBgp = 4,     ///< dynamic BGP4 session layer
   kVm = 5,      ///< virtual-host CPU scheduler
-  kPing = 6,    ///< echo-style latency probe
-  kCbr = 7,     ///< constant-bit-rate UDP streams
   kBackground = 8,  ///< long-lived background flows (flow-level fast path)
   kMax = 15,
 };
@@ -75,7 +73,6 @@ class TrafficComponent {
                               std::uint32_t tag);
   virtual void on_timer(Engine& engine, NetSim& sim, NodeId host,
                         std::uint64_t payload, std::uint64_t c);
-  virtual void on_udp(Engine& engine, NetSim& sim, const Packet& packet);
 
   /// Publishes this component's counters into `registry` (called after the
   /// run, outside any handler). Default publishes nothing — the null-sink

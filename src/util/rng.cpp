@@ -79,12 +79,6 @@ std::uint64_t Rng::uniform(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  MASSF_DCHECK(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::uniform01() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
@@ -99,31 +93,6 @@ double Rng::exponential(double mean) {
   // Avoid log(0).
   if (u <= 0) u = 0x1.0p-53;
   return -mean * std::log(u);
-}
-
-double Rng::pareto(double alpha, double xm) {
-  MASSF_DCHECK(alpha > 0 && xm > 0);
-  double u = uniform01();
-  if (u <= 0) u = 0x1.0p-53;
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-bool Rng::bernoulli(double p) { return uniform01() < p; }
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  MASSF_CHECK(!weights.empty());
-  double total = 0;
-  for (double w : weights) {
-    MASSF_DCHECK(w >= 0);
-    total += w;
-  }
-  MASSF_CHECK(total > 0);
-  double r = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0) return i;
-  }
-  return weights.size() - 1;
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {

@@ -36,9 +36,6 @@ class Rng {
   /// Uniform integer in [0, n). n must be > 0.
   std::uint64_t uniform(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01();
 
@@ -47,12 +44,6 @@ class Rng {
 
   /// Exponential with the given mean (mean = 1/lambda).
   double exponential(double mean);
-
-  /// Bounded Pareto with shape alpha and scale xm (minimum value).
-  double pareto(double alpha, double xm);
-
-  /// True with probability p.
-  bool bernoulli(double p);
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -63,10 +54,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Weights must be non-negative with a positive sum.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
  private:
   std::uint64_t s_[4];

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -61,15 +60,6 @@ void TimeSeries::add(double t, double value) {
   const auto idx = static_cast<std::size_t>(t / bin_width_);
   if (idx >= bins_.size()) bins_.resize(idx + 1, 0.0);
   bins_[idx] += value;
-}
-
-std::string format_series(const TimeSeries& series, const std::string& label) {
-  std::ostringstream os;
-  os << "# " << label << " (bin width " << series.bin_width() << ")\n";
-  for (std::size_t i = 0; i < series.num_bins(); ++i) {
-    os << i * series.bin_width() << "\t" << series.bin(i) << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace massf

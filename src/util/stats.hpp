@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace massf {
@@ -70,9 +69,5 @@ class TimeSeries {
   double bin_width_;
   std::vector<double> bins_;
 };
-
-/// Renders `series` as a compact ASCII table (one row per bin); used by the
-/// figure harnesses so their output is self-describing.
-std::string format_series(const TimeSeries& series, const std::string& label);
 
 }  // namespace massf

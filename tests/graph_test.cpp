@@ -200,24 +200,6 @@ TEST(ConnectedComponents, EmptyGraphConnected) {
   EXPECT_TRUE(is_connected(b.build()));
 }
 
-TEST(BfsDistances, PathGraph) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  const Graph g = b.build();
-  const auto d = bfs_distances(g, 0);
-  EXPECT_EQ(d[0], 0);
-  EXPECT_EQ(d[3], 3);
-}
-
-TEST(BfsDistances, UnreachableIsMinusOne) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  const Graph g = b.build();
-  EXPECT_EQ(bfs_distances(g, 0)[2], -1);
-}
-
 TEST(DegreeHistogram, Counts) {
   const Graph g = triangle();
   const auto h = degree_histogram(g);

@@ -1,5 +1,5 @@
-// LinkModel boundary tests: utilization/byte-accounting edge cases on the
-// packet model, the fluid fast path's analytic correctness and its
+// LinkModel boundary tests: drop-tail queueing and drops on the packet
+// model, the fluid fast path's analytic correctness and its
 // water-fill against a full-slot reference, flow<->packet coupling in both
 // directions, and executor-independence of the hybrid model.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "net/netsim.hpp"
 #include "routing/forwarding.hpp"
 #include "topology/brite.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace massf {
@@ -80,7 +79,6 @@ struct Fixture {
 
 NetSimOptions packet_opts() {
   NetSimOptions no;
-  no.collect_link_stats = true;
   no.collect_flow_records = true;
   return no;
 }
@@ -91,58 +89,75 @@ NetSimOptions hybrid_opts() {
   return no;
 }
 
-// ---- link_utilization / link_bytes edge cases -------------------------------
+// ---- packet path: drop-tail queueing, drops --------------------------------
 
-TEST(LinkModelPacket, UtilizationZeroDurationWindowThrows) {
-  Fixture f({0, 0, 0, 0}, packet_opts());
-  EXPECT_THROW(f.sim->link_model().link_utilization(0, 0, 0), EngineError);
-  EXPECT_THROW(f.sim->link_model().link_utilization(0, 0, -seconds(1)),
-               EngineError);
+// A full-size data packet: 1500 wire bytes, 120 us of service at 1e8 bps.
+Packet full_packet() {
+  Packet p;
+  p.len = kMss;
+  return p;
 }
+constexpr SimTime kFullPacketService = microseconds(120);
 
-TEST(LinkModelPacket, UtilizationWithoutStatsThrows) {
-  NetSimOptions no;  // collect_link_stats off
+// Packets offered back to back at t = 0 queue behind each other, each
+// arriving one service time after the previous; once the backlog ahead of
+// a packet exceeds the buffer, it is dropped. The buffer (10,000 B) is not
+// a multiple of the wire size, so no backlog sits on the bound.
+TEST(LinkModelPacket, DropTailQueuesThenDrops) {
+  NetSimOptions no = packet_opts();
+  no.queue_capacity_bytes = 10000;
   Fixture f({0, 0, 0, 0}, no);
-  EXPECT_THROW(f.sim->link_model().link_utilization(0, 0, seconds(1)),
-               EngineError);
+  LinkModel& m = f.sim->link_model();
+  const Packet p = full_packet();
+  // Backlogs 0, 1500, ..., 9000 B fit; 10,500 B does not.
+  for (int k = 0; k < 7; ++k) {
+    const TransmitResult r = m.transmit(*f.engine, 0, 0, p);
+    ASSERT_EQ(r.status, TransmitResult::kSent) << k;
+    EXPECT_EQ(r.peer, 1);
+    EXPECT_EQ(r.arrive, (k + 1) * kFullPacketService + milliseconds(1)) << k;
+  }
+  EXPECT_EQ(m.transmit(*f.engine, 0, 0, p).status, TransmitResult::kQueueFull);
+  // The other direction has its own queue.
+  EXPECT_EQ(m.transmit(*f.engine, 1, 0, p).arrive,
+            kFullPacketService + milliseconds(1));
 }
 
-TEST(LinkModelPacket, UtilizationBadDirectionThrows) {
-  Fixture f({0, 0, 0, 0}, packet_opts());
-  EXPECT_THROW(f.sim->link_model().link_utilization(0, 2, seconds(1)),
-               EngineError);
-  EXPECT_THROW(f.sim->link_model().link_utilization(0, -1, seconds(1)),
-               EngineError);
-}
-
+// Packets offered to a down slot are dropped without occupying it: the
+// first packet after it comes back up leaves at once.
 TEST(LinkModelPacket, DownLinkAccruesNoBytes) {
   Fixture f({0, 0, 0, 0}, packet_opts());
-  // Source's access link (id 3) down before any traffic.
-  f.sim->link_model().schedule_link_state(*f.engine, 3, microseconds(1),
-                                          false);
-  f.sim->start_flow(*f.engine, milliseconds(5), f.host(0), f.host(3), 50000,
-                    0);
-  f.engine->run();
-  EXPECT_GT(f.sim->totals().dropped_link_down, 0u);
-  const auto& bytes = f.sim->link_model().link_bytes();
-  EXPECT_EQ(bytes[3 * 2 + 0], 0u);
-  EXPECT_EQ(bytes[3 * 2 + 1], 0u);
-  EXPECT_EQ(f.sim->link_model().link_utilization(3, 0, seconds(1)), 0.0);
-  EXPECT_EQ(f.sim->link_model().link_utilization(3, 1, seconds(1)), 0.0);
+  LinkModel& m = f.sim->link_model();
+  const Packet p = full_packet();
+  // Access link 3 joins r0 (end a) and host 4 (end b); slot 3*2+1 is the
+  // host's transmit direction.
+  m.on_link_state(3 * 2 + 1, false);
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_EQ(m.transmit(*f.engine, f.host(0), 3, p).status,
+              TransmitResult::kLinkDown);
+  }
+  m.on_link_state(3 * 2 + 1, true);
+  const TransmitResult r = m.transmit(*f.engine, f.host(0), 3, p);
+  ASSERT_EQ(r.status, TransmitResult::kSent);
+  EXPECT_EQ(r.peer, 0);
+  EXPECT_EQ(r.arrive, kFullPacketService + microseconds(10));
 }
 
+// Likewise for loss-burst drops (a corrupted frame is dropped at ingress).
+// The loss rate must stay < 1.0; at 0.999999 every one of these packets
+// is dropped.
 TEST(LinkModelPacket, LossDropsConsumeNoBandwidth) {
   Fixture f({0, 0, 0, 0}, packet_opts());
-  // Near-total loss on the source's access link (the loss rate must stay
-  // < 1.0): dropped packets must not accrue carried bytes.
-  f.sim->link_model().schedule_loss_state(*f.engine, 3, microseconds(1),
-                                          0.999999);
-  f.sim->start_flow(*f.engine, milliseconds(5), f.host(0), f.host(3), 50000,
-                    0);
-  f.engine->run();
-  EXPECT_GT(f.sim->totals().dropped_loss, 0u);
-  const auto& bytes = f.sim->link_model().link_bytes();
-  EXPECT_EQ(bytes[3 * 2 + 0] + bytes[3 * 2 + 1], 0u);
+  LinkModel& m = f.sim->link_model();
+  const Packet p = full_packet();
+  m.on_loss_state(3 * 2 + 1, 999999);
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_EQ(m.transmit(*f.engine, f.host(0), 3, p).status,
+              TransmitResult::kLoss);
+  }
+  m.on_loss_state(3 * 2 + 1, 0);
+  const TransmitResult r = m.transmit(*f.engine, f.host(0), 3, p);
+  ASSERT_EQ(r.status, TransmitResult::kSent);
+  EXPECT_EQ(r.arrive, kFullPacketService + microseconds(10));
 }
 
 // ---- fluid fast path --------------------------------------------------------
@@ -232,7 +247,7 @@ TEST(LinkModelFluid, DownLinkStallFailsFlow) {
 
 // A stall failure must not disturb the flows that survive it: the 20 MB
 // flow on links 3 -> 0 -> 4 sits before the failed flow in the active list
-// and keeps its path, so every byte it carries is accounted on link 0.
+// and keeps its path and its full 1e8 bps share, so it completes in 1.6 s.
 TEST(LinkModelFluid, StallFailureKeepsSurvivorsAccounted) {
   NetSimOptions no = hybrid_opts();
   no.link_model.fluid_stall_timeout_s = 0.5;
@@ -249,8 +264,13 @@ TEST(LinkModelFluid, StallFailureKeepsSurvivorsAccounted) {
   ASSERT_NE(fluid, nullptr);
   EXPECT_EQ(fluid->bg_counters().failed, 1u);
   EXPECT_EQ(fluid->bg_counters().completed, 1u);
-  EXPECT_NEAR(static_cast<double>(f.sim->link_model().link_bytes()[0 * 2 + 0]),
-              2e7, 1e4);
+  const auto recs = f.sim->flow_records();
+  const auto survivor = std::find_if(
+      recs.begin(), recs.end(), [](const FlowRecord& r) { return r.tag == 0; });
+  ASSERT_NE(survivor, recs.end());
+  EXPECT_FALSE(survivor->failed);
+  EXPECT_EQ(survivor->bytes, 20000000u);
+  EXPECT_NEAR(survivor->duration_s(), 1.6, 0.02);
 }
 
 // ---- water-fill oracle ------------------------------------------------------
@@ -716,20 +736,6 @@ TEST(LinkModelCoupling, FluidReservationSlowsButNeverStarvesPackets) {
   ASSERT_GT(clear, 0.0);
   ASSERT_GT(contended, 0.0) << "packet flow starved by fluid reservation";
   EXPECT_GT(contended, clear);
-}
-
-// Fluid bytes show up in the link accounting at boundary granularity.
-TEST(LinkModelFluid, FluidBytesAccrueIntoLinkStats) {
-  Fixture f({0, 0, 0, 0}, hybrid_opts());
-  ASSERT_TRUE(f.sim->start_background_flow(*f.engine, 0, f.host(0), f.host(3),
-                                           1000000, 0));
-  f.engine->run();
-  const auto& bytes = f.sim->link_model().link_bytes();
-  // Every slot on the forward path carried the megabyte (within rounding).
-  for (const std::uint64_t slot_bytes :
-       {bytes[0 * 2 + 0], bytes[1 * 2 + 0], bytes[2 * 2 + 0]}) {
-    EXPECT_NEAR(static_cast<double>(slot_bytes), 1e6, 1e4);
-  }
 }
 
 // ---- determinism across executors ------------------------------------------

@@ -202,20 +202,27 @@ TEST(NetSim, LossyLinkRecoversViaRetransmission) {
   EXPECT_GT(c.retransmits, 0u);
 }
 
-TEST(NetSim, UdpDelivered) {
+// A one-segment flow's data packet crosses h4 - r0 - r1 - r2 - r3 - h5 store
+// and forward: it arrives after the path's propagation latency plus one
+// serialization time on each of the five links.
+TEST(NetSim, OneSegmentFlowTakesPathLatencyPlusSerialization) {
   Fixture f({0, 0, 0, 0});
-  std::uint32_t received = 0;
-  f.sim->set_udp_receive([&](Engine&, NetSim&, const Packet& p) {
-    ++received;
-    EXPECT_EQ(p.src, 4);
-    EXPECT_EQ(p.dst, 5);
-    EXPECT_EQ(p.len, 900u);
-    EXPECT_EQ(p.ack, 55u);  // tag
+  SimTime completed_at = -1;
+  f.sim->set_flow_complete([&](Engine& e, NetSim&, FlowId, NodeId src,
+                               NodeId dst, std::uint32_t tag, bool failed) {
+    EXPECT_FALSE(failed);
+    EXPECT_EQ(src, 4);
+    EXPECT_EQ(dst, 5);
+    EXPECT_EQ(tag, 55u);
+    completed_at = e.now();
   });
-  f.sim->send_udp(*f.engine, milliseconds(1), 4, 5, 900, 55);
+  f.sim->start_flow(*f.engine, milliseconds(1), 4, 5, 400, 55);
   f.engine->run();
-  EXPECT_EQ(received, 1u);
-  EXPECT_EQ(f.sim->totals().udp_delivered, 1u);
+  // 400 payload + 40 header bytes at 1e8 bps.
+  const SimTime serialization = nanoseconds(35'200);
+  EXPECT_EQ(completed_at, milliseconds(1) + 3 * milliseconds(1) +
+                              2 * microseconds(10) + 5 * serialization);
+  EXPECT_EQ(f.sim->totals().flows_completed, 1u);
 }
 
 TEST(NetSim, AppTimerFires) {
@@ -369,18 +376,6 @@ TEST(NetSim, PermanentOutageAbandonsFlow) {
   EXPECT_LT(stats.total_events, 500u);
   // Exponential backoff ran its course (bounded retransmissions).
   EXPECT_LE(c.retransmits, 16u);
-}
-
-TEST(NetSim, UdpSilentlyLostOnDownLink) {
-  Fixture f({0, 0, 0, 0});
-  std::uint32_t received = 0;
-  f.sim->set_udp_receive(
-      [&](Engine&, NetSim&, const Packet&) { ++received; });
-  f.sim->link_model().schedule_link_state(*f.engine, 0, milliseconds(1), false);
-  f.sim->send_udp(*f.engine, milliseconds(5), 4, 5, 500, 1);
-  f.engine->run();
-  EXPECT_EQ(received, 0u);
-  EXPECT_EQ(f.sim->totals().dropped_link_down, 1u);
 }
 
 // ---- Parameterized TCP property sweep ----------------------------------

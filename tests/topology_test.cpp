@@ -126,52 +126,6 @@ TEST(BriteFlat, RouterGraphLatenciesAligned) {
   }
 }
 
-TEST(Waxman, ConnectedAndValid) {
-  BriteOptions o = small_flat();
-  o.model = TopologyModel::kWaxman;
-  o.num_routers = 400;
-  const Network net = generate_flat(o);
-  EXPECT_EQ(net.validate(), "");
-  EXPECT_TRUE(is_connected(net.router_graph()));
-}
-
-TEST(Waxman, NoHeavyTail) {
-  // Waxman degrees concentrate; the max degree stays far below a BA hub's.
-  BriteOptions o = small_flat();
-  o.num_routers = 1000;
-  o.model = TopologyModel::kWaxman;
-  const Network waxman = generate_flat(o);
-  o.model = TopologyModel::kBarabasiAlbert;
-  const Network ba = generate_flat(o);
-  const auto max_degree = [](const Network& net) {
-    std::size_t best = 0;
-    for (NodeId r = 0; r < net.num_routers; ++r) {
-      best = std::max(best, net.incident(r).size());
-    }
-    return best;
-  };
-  EXPECT_LT(max_degree(waxman), max_degree(ba));
-}
-
-TEST(Waxman, ShortLinksPreferred) {
-  BriteOptions o = small_flat();
-  o.model = TopologyModel::kWaxman;
-  o.num_routers = 500;
-  const Network net = generate_flat(o);
-  // Mean router-link span must be well under the plane diagonal.
-  double sum = 0;
-  int n = 0;
-  for (const NetLink& l : net.links) {
-    if (!net.is_router(l.a) || !net.is_router(l.b)) continue;
-    sum += distance_miles(net.nodes[static_cast<std::size_t>(l.a)].x,
-                          net.nodes[static_cast<std::size_t>(l.a)].y,
-                          net.nodes[static_cast<std::size_t>(l.b)].x,
-                          net.nodes[static_cast<std::size_t>(l.b)].y);
-    ++n;
-  }
-  EXPECT_LT(sum / n, o.plane_miles * 0.4);
-}
-
 TEST(MaBrite, ValidNetwork) {
   const Network net = generate_multi_as(small_multi());
   EXPECT_EQ(net.validate(), "");

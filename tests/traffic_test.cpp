@@ -8,11 +8,9 @@
 #include "routing/forwarding.hpp"
 #include "topology/brite.hpp"
 #include "traffic/apps.hpp"
-#include "traffic/cbr.hpp"
 #include "traffic/dataflow.hpp"
 #include "traffic/http.hpp"
 #include "traffic/manager.hpp"
-#include "traffic/ping.hpp"
 #include "traffic/vm.hpp"
 
 namespace massf {
@@ -321,212 +319,6 @@ TEST(VmHosts, DataflowComputeStretchesUnderColocation) {
   const auto shared = firings_with(true);
   EXPECT_GT(fixed, 20u);
   EXPECT_LT(shared, fixed);  // contention slows the chains down
-}
-
-// ---- Ping probe ------------------------------------------------------------
-
-TEST(Ping, RttMatchesPathLatency) {
-  Fixture f(seconds(10));
-  auto probe_ptr = std::make_unique<PingProbe>();
-  PingProbe* probe = probe_ptr.get();
-  f.manager->add(TrafficKind::kPing, std::move(probe_ptr));
-
-  const NodeId src = f.hosts[0];
-  const NodeId dst = f.hosts[5];
-  probe->ping(*f.engine, *f.sim, src, dst, milliseconds(1));
-  f.engine->run();
-  ASSERT_EQ(probe->replies(), 1u);
-  const SimTime rtt = probe->results()[0].rtt;
-  ASSERT_GT(rtt, 0);
-
-  // Compute the one-way path latency along the forwarding path.
-  SimTime one_way = 0;
-  NodeId cur = f.net.nodes[static_cast<std::size_t>(src)].attach_router;
-  one_way += f.net.links[static_cast<std::size_t>(
-                             f.net.incident(src)[0].link)]
-                 .latency;
-  int hops = 0;
-  while (true) {
-    const LinkId l = f.fp->next_link(cur, dst);
-    ASSERT_NE(l, kInvalidLink);
-    const NetLink& link = f.net.links[static_cast<std::size_t>(l)];
-    one_way += link.latency;
-    const NodeId next = link.a == cur ? link.b : link.a;
-    if (next == dst) break;
-    cur = next;
-    ASSERT_LT(++hops, 100);
-  }
-  // RTT = 2 x (propagation) + serialization; serialization of ~100-byte
-  // datagrams on >= 100 Mbps links is tiny, so RTT is within a few percent
-  // of 2 x one-way.
-  EXPECT_GE(rtt, 2 * one_way);
-  EXPECT_LE(to_seconds(rtt), 2 * to_seconds(one_way) * 1.05 + 1e-4);
-}
-
-TEST(Ping, ManyProbesAllAnswered) {
-  Fixture f(seconds(20));
-  auto probe_ptr = std::make_unique<PingProbe>();
-  PingProbe* probe = probe_ptr.get();
-  f.manager->add(TrafficKind::kPing, std::move(probe_ptr));
-  const int n = 20;
-  for (int i = 0; i < n; ++i) {
-    probe->ping(*f.engine, *f.sim, f.hosts[i % 10],
-                f.hosts[10 + (i % 8)], milliseconds(1 + i));
-  }
-  f.engine->run();
-  EXPECT_EQ(probe->replies(), static_cast<std::size_t>(n));
-}
-
-TEST(Ping, LostOnDownLinkLeavesNoReply) {
-  Fixture f(seconds(10));
-  auto probe_ptr = std::make_unique<PingProbe>();
-  PingProbe* probe = probe_ptr.get();
-  f.manager->add(TrafficKind::kPing, std::move(probe_ptr));
-  // Cut the source host's access link: the request is dropped silently.
-  const NodeId src = f.hosts[0];
-  f.sim->link_model().schedule_link_state(
-      *f.engine, f.net.incident(src)[0].link, microseconds(100), false);
-  probe->ping(*f.engine, *f.sim, src, f.hosts[3], milliseconds(1));
-  f.engine->run();
-  EXPECT_EQ(probe->replies(), 0u);
-  EXPECT_EQ(probe->results()[0].rtt, -1);
-}
-
-// Echo pings toward a host whose access link CBR cross-traffic
-// oversubscribes (3 x 40 Mbps into 100 Mbps) from 5 s on. Before the
-// streams start every probe sees the same unloaded RTT; once the
-// drop-tail queue has filled, each probe is dropped or waits behind it for
-// at least half the queue's drain time.
-TEST(Ping, RttGrowsUnderCbrCongestion) {
-  Fixture f(seconds(10));
-  const NodeId target = f.hosts[5];
-  CbrOptions co;
-  co.rate_bps = 4e7;
-  co.packet_bytes = 1200;
-  co.start_at = seconds(5);
-  std::vector<CbrWorkload::Stream> streams{
-      {f.hosts[1], target}, {f.hosts[2], target}, {f.hosts[3], target}};
-  f.manager->add(TrafficKind::kCbr,
-                 std::make_unique<CbrWorkload>(streams, co));
-  auto probe_ptr = std::make_unique<PingProbe>();
-  PingProbe* probe = probe_ptr.get();
-  f.manager->add(TrafficKind::kPing, std::move(probe_ptr));
-  for (int i = 0; i < 10; ++i) {
-    probe->ping(*f.engine, *f.sim, f.hosts[0], target,
-                milliseconds(200) + seconds(i));
-  }
-  f.manager->start(*f.engine, *f.sim);
-  f.engine->run();
-
-  // The 20 Mbps excess fills the access link's drop-tail queue this long
-  // after the streams start; a packet behind a full queue waits `drain`.
-  const double access_bps =
-      f.net.links[static_cast<std::size_t>(f.net.incident(target)[0].link)]
-          .bandwidth_bps;
-  const double queue_bits = NetSimOptions{}.queue_capacity_bytes * 8.0;
-  const SimTime saturated =
-      co.start_at + from_seconds(queue_bits / (3 * co.rate_bps - access_bps));
-  const SimTime drain = from_seconds(queue_bits / access_bps);
-  const SimTime unloaded = probe->results()[0].rtt;
-  ASSERT_GT(unloaded, 0);
-  int before = 0;
-  int after = 0;
-  for (const PingProbe::Result& r : probe->results()) {
-    SCOPED_TRACE(to_seconds(r.sent_at));
-    if (r.sent_at < co.start_at) {
-      EXPECT_EQ(r.rtt, unloaded);
-      ++before;
-    } else if (r.sent_at >= saturated) {
-      EXPECT_TRUE(r.rtt == -1 || r.rtt >= unloaded + drain / 2)
-          << to_milliseconds(r.rtt);
-      ++after;
-    }
-  }
-  EXPECT_EQ(before, 5);
-  EXPECT_EQ(after, 5);
-}
-
-// ---- CBR streams ------------------------------------------------------------
-
-TEST(Cbr, DeliversAtConfiguredRate) {
-  Fixture f(seconds(10));
-  CbrOptions co;
-  co.rate_bps = 800e3;  // 100 packets/s at 1000 B
-  co.packet_bytes = 1000;
-  std::vector<CbrWorkload::Stream> streams{{f.hosts[0], f.hosts[5]},
-                                           {f.hosts[1], f.hosts[6]}};
-  auto cbr_ptr = std::make_unique<CbrWorkload>(streams, co);
-  CbrWorkload* cbr = cbr_ptr.get();
-  f.manager->add(TrafficKind::kCbr, std::move(cbr_ptr));
-  f.manager->start(*f.engine, *f.sim);
-  f.engine->run();
-  // ~100 packets/s per stream over ~10 s.
-  EXPECT_NEAR(static_cast<double>(cbr->packets_sent()), 2 * 1000, 30);
-  // Uncongested network: everything arrives except datagrams still in
-  // flight when the horizon closes.
-  EXPECT_GE(cbr->packets_received() + 10, cbr->packets_sent());
-  EXPECT_LE(cbr->packets_received(), cbr->packets_sent());
-  EXPECT_EQ(f.sim->totals().dropped_queue, 0u);
-  EXPECT_NEAR(static_cast<double>(cbr->received_per_stream()[0]),
-              static_cast<double>(cbr->received_per_stream()[1]), 5);
-}
-
-TEST(Cbr, LossUnderCongestionWithoutRecovery) {
-  // A CBR stream over a link it oversubscribes: packets drop and stay
-  // dropped (no congestion response — by design).
-  Fixture f(seconds(5));
-  CbrOptions co;
-  co.rate_bps = 2e8;  // 200 Mbps into 100 Mbps access links
-  co.packet_bytes = 1400;
-  std::vector<CbrWorkload::Stream> streams{{f.hosts[0], f.hosts[5]}};
-  auto cbr_ptr = std::make_unique<CbrWorkload>(streams, co);
-  CbrWorkload* cbr = cbr_ptr.get();
-  f.manager->add(TrafficKind::kCbr, std::move(cbr_ptr));
-  f.manager->start(*f.engine, *f.sim);
-  f.engine->run();
-  EXPECT_LT(cbr->packets_received(), cbr->packets_sent());
-  EXPECT_GT(f.sim->totals().dropped_queue, 0u);
-}
-
-// ---- Link statistics ------------------------------------------------------
-
-TEST(LinkStats, UtilizationReflectsCarriedBytes) {
-  Network net = Fixture::make_net();
-  std::vector<NodeId> hosts, dests;
-  for (NodeId h = net.num_routers;
-       h < static_cast<NodeId>(net.nodes.size()); ++h) {
-    hosts.push_back(h);
-    dests.push_back(net.nodes[static_cast<std::size_t>(h)].attach_router);
-  }
-  const ForwardingPlane fp = ForwardingPlane::build_flat(net, dests);
-  EngineOptions eo;
-  eo.lookahead = microseconds(100);
-  eo.end_time = seconds(30);
-  Engine engine(eo);
-  const std::vector<LpId> map(static_cast<std::size_t>(net.num_routers), 0);
-  NetSimOptions no;
-  no.collect_link_stats = true;
-  NetSim sim(net, fp, map, engine, no);
-  TrafficManager manager(sim);
-
-  sim.start_flow(engine, milliseconds(1), hosts[0], hosts[1], 500000, 1);
-  const RunStats stats = engine.run();
-  (void)stats;
-
-  // The source host's access link carried at least the flow's bytes
-  // (payload + headers) in the host->router direction.
-  const LinkId access = net.incident(hosts[0])[0].link;
-  const NetLink& l = net.links[static_cast<std::size_t>(access)];
-  const int dir = l.a == hosts[0] ? 0 : 1;
-  const auto& bytes = sim.link_model().link_bytes();
-  EXPECT_GE(bytes[static_cast<std::size_t>(access) * 2 +
-                  static_cast<std::size_t>(dir)],
-            500000u);
-  // Utilization over the active second is meaningful and <= 1.
-  const double util =
-      sim.link_model().link_utilization(access, dir, seconds(1));
-  EXPECT_GT(util, 0.0);
-  EXPECT_LE(util, 1.0);
 }
 
 TEST(AppFactories, ScalapackShape) {
