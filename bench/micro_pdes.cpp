@@ -1,12 +1,13 @@
 // Microbenchmarks for the conservative engine: raw event throughput, the
-// quantity behind the per-event cost calibration in the cluster model, and
-// the per-window cross-LP exchange.
+// quantity behind the per-event cost calibration in the cluster model, the
+// per-window cross-LP exchange, and one LP's event queue at depth.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
 
 #include "pdes/engine.hpp"
+#include "pdes/sched.hpp"
 
 namespace {
 
@@ -113,6 +114,41 @@ void BM_SparseWindowExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseWindowExchange)->Arg(24)->Arg(90)
     ->Unit(benchmark::kMillisecond);
+
+// The hold model on one LP's queue alone: pop the earliest event, push one
+// ahead of it. The engine benchmarks above keep about one pending event
+// per LP; here the queue holds state.range(0), and the offsets follow
+// bench_e2e link_flaps' mix (two thirds TCP timeouts 0.1-1 s ahead, one
+// third hops 10 us-2 ms ahead), so the heap's depth sets the cost.
+void BM_EventSchedHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::uint64_t rng = 2004;
+  const auto ahead = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t r = rng >> 33;
+    const auto span = static_cast<SimTime>(r >> 2);
+    return r % 3 != 0 ? milliseconds(100) + span % milliseconds(900)
+                      : microseconds(10) + span % microseconds(1990);
+  };
+  EventSched queue;
+  Event ev;
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < pending; ++i) {
+    ev.time = ahead();
+    ev.seq = seq++;
+    queue.push(ev);
+  }
+  for (auto _ : state) {
+    ev = queue.top();
+    queue.pop();
+    benchmark::DoNotOptimize(ev.time);
+    ev.time += ahead();
+    ev.seq = seq++;
+    queue.push(ev);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventSchedHold)->Arg(64)->Arg(512)->Arg(4096);
 
 }  // namespace
 

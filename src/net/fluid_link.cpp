@@ -431,7 +431,7 @@ void FluidLinkModel::repath(ActiveFlow& f) const {
 bool FluidLinkModel::path_blocked(const ActiveFlow& f) const {
   if (f.path.empty()) return true;
   for (const std::uint32_t slot : f.path) {
-    if (!iface_up_[slot]) return true;
+    if (!iface_[slot].up) return true;
   }
   return false;
 }
@@ -501,7 +501,7 @@ void FluidLinkModel::recompute(Engine& engine, SimTime floor) {
                 : 0.0;
         double c = std::max(l.bandwidth_bps - packet_bps,
                             kFluidMinShare * l.bandwidth_bps);
-        c *= 1.0 - static_cast<double>(loss_rate_ppm_[s]) / 1e6;
+        c *= 1.0 - static_cast<double>(iface_[s].loss_rate_ppm) / 1e6;
         return c;
       },
       opts_.link_model.fluid_flow_rate_cap_bps);

@@ -29,12 +29,7 @@ std::uint64_t loss_hash(std::uint64_t seed, std::uint64_t slot,
 }  // namespace
 
 PacketLinkModel::PacketLinkModel(const Network& net, const NetSimOptions& opts)
-    : net_(&net), opts_(opts) {
-  iface_free_.assign(net.links.size() * 2, 0);
-  iface_up_.assign(net.links.size() * 2, 1);
-  loss_rate_ppm_.assign(net.links.size() * 2, 0);
-  loss_seq_.assign(net.links.size() * 2, 0);
-}
+    : net_(&net), opts_(opts), iface_(net.links.size() * 2) {}
 
 void PacketLinkModel::attach(NetSim& sim, Engine& engine) {
   (void)engine;  // the packet model registers no boundary work
@@ -56,15 +51,16 @@ TransmitResult PacketLinkModel::transmit_impl(Engine& engine, NodeId from,
   res.peer = l.a == from ? l.b : l.a;
   const std::size_t slot = static_cast<std::size_t>(link) * 2 +
                            (l.a == from ? 0 : 1);
+  Iface& iface = iface_[slot];
 
-  if (!iface_up_[slot]) {
+  if (!iface.up) {
     res.status = TransmitResult::kLinkDown;
     return res;
   }
-  if (const std::uint32_t rate = loss_rate_ppm_[slot]; rate > 0) {
+  if (const std::uint32_t rate = iface.loss_rate_ppm; rate > 0) {
     // Loss/corruption burst: deterministic per-slot counter hash (the
     // corrupted frame is dropped at ingress and consumes no bandwidth).
-    const std::uint64_t seq = loss_seq_[slot]++;
+    const std::uint64_t seq = iface.loss_seq++;
     if (loss_hash(opts_.fault_seed, slot, seq) % 1000000u < rate) {
       res.status = TransmitResult::kLoss;
       return res;
@@ -72,7 +68,7 @@ TransmitResult PacketLinkModel::transmit_impl(Engine& engine, NodeId from,
   }
 
   const SimTime now = engine.now();
-  const SimTime start = std::max(now, iface_free_[slot]);
+  const SimTime start = std::max(now, iface.free);
   // Drop-tail: the backlog currently queued ahead of this packet, in bytes.
   const double backlog_bytes = to_seconds(start - now) * bandwidth_bps / 8.0;
   if (backlog_bytes > opts_.queue_capacity_bytes) {
@@ -80,7 +76,7 @@ TransmitResult PacketLinkModel::transmit_impl(Engine& engine, NodeId from,
     return res;
   }
   const SimTime depart = start + service_time(p.wire_bytes(), bandwidth_bps);
-  iface_free_[slot] = depart;
+  iface.free = depart;
 
   res.status = TransmitResult::kSent;
   res.arrive = depart + l.latency;
@@ -113,11 +109,11 @@ void PacketLinkModel::schedule_loss_state(Engine& engine, LinkId link,
 void PacketLinkModel::on_link_state(std::uint64_t slot, bool up) {
   // The slot's state is owned by the transmitting endpoint's LP, which is
   // where the kEvLinkState event was addressed.
-  iface_up_[slot] = up ? 1 : 0;
+  iface_[slot].up = up;
 }
 
 void PacketLinkModel::on_loss_state(std::uint64_t slot, std::uint32_t ppm) {
-  loss_rate_ppm_[slot] = ppm;
+  iface_[slot].loss_rate_ppm = ppm;
 }
 
 }  // namespace massf

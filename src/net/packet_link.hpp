@@ -39,16 +39,16 @@ class PacketLinkModel : public LinkModel {
   NetSim* sim_ = nullptr;
   NetSimOptions opts_;
 
-  /// Busy-until time per directed interface (link*2 + dir); each slot is
-  /// only touched by the LP owning the transmitting endpoint.
-  std::vector<SimTime> iface_free_;
-  /// Interface administrative state (same indexing/ownership discipline).
-  std::vector<char> iface_up_;
-  /// Loss-burst rate per directed interface in ppm (0 = no loss), and the
-  /// per-slot transmit counter feeding the deterministic drop hash. Both
-  /// follow the iface ownership discipline.
-  std::vector<std::uint32_t> loss_rate_ppm_;
-  std::vector<std::uint64_t> loss_seq_;
+  /// The state of one directed interface (link*2 + dir), all of it read
+  /// by every hop. Each record is only touched by the LP owning the
+  /// transmitting endpoint.
+  struct Iface {
+    SimTime free = 0;                 // busy-until time
+    std::uint64_t loss_seq = 0;       // transmits, fed to the drop hash
+    std::uint32_t loss_rate_ppm = 0;  // loss-burst rate, 0 = no loss
+    bool up = true;                   // administrative state
+  };
+  std::vector<Iface> iface_;
 };
 
 }  // namespace massf

@@ -1,18 +1,26 @@
 // Cache-friendly per-LP event scheduling for the conservative engine.
 //
-// EventSched replaces the former std::priority_queue<Event>: a 4-ary
-// min-heap of compact 24-byte (time, seq, slot) keys over a slab arena of
-// event payloads. Sift operations move only the small keys, the payloads
-// never move, and freed arena slots are recycled, so a steady-state run
-// performs no allocator traffic at all after warm-up. min_time() is a
-// single load, which turns Engine::next_event_floor() into a plain scan of
-// per-LP fields instead of a walk over priority-queue tops.
+// EventSched is a 4-ary min-heap (util/quad_heap.hpp) of one 16-byte key
+// per pending event over a slab arena of event payloads. The key packs the
+// whole pop order into one unsigned 128-bit integer:
 //
-// Pop order is the strict total order (time, seq) — seq is unique within
-// an LP — so execution order is independent of the heap's internal shape
-// and of which executor (sequential or threaded) drives the LP. That
-// property is what lets the engine swap heap layouts without perturbing
-// the bit-exact event trace.
+//   (uint64(time) ^ 2^63) << 64  |  seq << 24  |  slot
+//
+// The sign bias makes the unsigned compare of the high word order signed
+// times; the low word orders equal times by seq and carries the payload's
+// arena slot, which the order never reaches because seq is unique within
+// an LP. seq must stay below 2^40 (an LP's lifetime count of events) and
+// slot below 2^24 (its pending events at once); push checks both. Sift
+// operations move only keys, the payloads never move, and freed arena
+// slots are recycled, so a steady-state run performs no allocator traffic
+// at all after warm-up. min_time() is a single load, which turns
+// Engine::next_event_floor() into a plain scan of per-LP fields instead of
+// a walk over priority-queue tops.
+//
+// Pop order is the strict total order (time, seq), so execution order is
+// independent of the heap's internal shape and of which executor
+// (sequential or threaded) drives the LP. That property is what lets the
+// engine swap heap layouts without perturbing the bit-exact event trace.
 //
 // Outbox buffers one source LP's cross-LP sends, one bucket per
 // destination: each send is appended to its bucket in send order, and the
@@ -33,17 +41,25 @@
 
 #include "pdes/event.hpp"
 #include "util/check.hpp"
+#include "util/quad_heap.hpp"
 
 namespace massf {
 
 class EventSched {
  public:
+  /// Bounds of the packed key's fields: an LP's event seq and its arena
+  /// slot (pending events at once).
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
+  static constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << 24;
+
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
   /// Timestamp of the earliest pending event; kSimTimeMax when empty.
   SimTime min_time() const {
-    return heap_.empty() ? kSimTimeMax : heap_[0].time;
+    if (heap_.empty()) return kSimTimeMax;
+    return static_cast<SimTime>(
+        static_cast<std::uint64_t>(heap_.top() >> 64) ^ kTimeBias);
   }
 
   /// Deepest the heap has been over the scheduler's lifetime.
@@ -59,6 +75,7 @@ class EventSched {
 
   /// Inserts an event (seq must already be assigned by the engine).
   void push(const Event& ev) {
+    MASSF_CHECK(ev.seq < kSeqLimit && "event seq must be below 2^40");
     std::uint32_t slot;
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(arena_.size());
@@ -68,71 +85,28 @@ class EventSched {
       free_.pop_back();
       arena_[slot] = ev;
     }
-    heap_.push_back(Key{ev.time, ev.seq, slot});
-    sift_up(heap_.size() - 1);
+    MASSF_CHECK(slot < kSlotLimit &&
+                "an LP may hold at most 2^24 pending events");
+    const std::uint64_t time = static_cast<std::uint64_t>(ev.time) ^ kTimeBias;
+    heap_.push(QuadHeap::Key{time} << 64 | QuadHeap::Key{ev.seq << 24 | slot});
     peak_ = std::max(peak_, heap_.size());
   }
 
   /// Earliest event by (time, seq). The reference is invalidated by the
   /// next push or pop — copy before handling.
-  const Event& top() const {
-    MASSF_DCHECK(!heap_.empty());
-    return arena_[heap_[0].slot];
-  }
+  const Event& top() const { return arena_[slot_of(heap_.top())]; }
 
-  void pop() {
-    MASSF_DCHECK(!heap_.empty());
-    free_.push_back(heap_[0].slot);
-    const Key last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_[0] = last;
-      sift_down(0);
-    }
-  }
+  void pop() { free_.push_back(slot_of(heap_.pop())); }
 
  private:
-  struct Key {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
+  static constexpr std::uint64_t kTimeBias = std::uint64_t{1} << 63;
 
-  static bool before(const Key& x, const Key& y) {
-    if (x.time != y.time) return x.time < y.time;
-    return x.seq < y.seq;
+  static std::uint32_t slot_of(QuadHeap::Key k) {
+    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
+                                      (kSlotLimit - 1));
   }
 
-  void sift_up(std::size_t i) {
-    const Key k = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (!before(k, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = k;
-  }
-
-  void sift_down(std::size_t i) {
-    const Key k = heap_[i];
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], k)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = k;
-  }
-
-  std::vector<Key> heap_;
+  QuadHeap heap_;
   std::vector<Event> arena_;          // stable payload slots
   std::vector<std::uint32_t> free_;   // recycled arena slots
   std::size_t peak_ = 0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
+#include <utility>
 
 #include "util/parallel.hpp"
 
@@ -19,18 +19,16 @@ constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
 constexpr std::uint8_t kHasNew = 1;  // new_ws_ holds the repaired distance
 constexpr std::uint8_t kListed = 2;  // in list_ws_
 
-using HeapEntry = std::pair<std::int64_t, std::int32_t>;  // (dist, router)
-
-void push(std::vector<HeapEntry>& heap, std::int64_t dist, std::int32_t x) {
-  heap.emplace_back(dist, x);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>());
+// SPF queue keys: distance (>= 0) in the high word, router in the low, so
+// the heap pops in (distance, router) order.
+QuadHeap::Key spf_key(std::int64_t dist, std::int32_t x) {
+  return QuadHeap::Key{static_cast<std::uint64_t>(dist)} << 64 |
+         static_cast<std::uint32_t>(x);
 }
 
-HeapEntry pop(std::vector<HeapEntry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-  const HeapEntry top = heap.back();
-  heap.pop_back();
-  return top;
+std::pair<std::int64_t, std::int32_t> spf_entry(QuadHeap::Key k) {
+  return {static_cast<std::int64_t>(k >> 64),
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(k))};
 }
 
 }  // namespace
@@ -245,9 +243,9 @@ void OspfDomain::build_tree(std::size_t slot, SptWorkspace& ws) {
   const std::int32_t t = dests_[slot];
   dist[static_cast<std::size_t>(t)] = 0;
   ws.heap.clear();
-  push(ws.heap, 0, t);
+  ws.heap.push(spf_key(0, t));
   while (!ws.heap.empty()) {
-    const auto [d, x] = pop(ws.heap);
+    const auto [d, x] = spf_entry(ws.heap.pop());
     if (d != dist[static_cast<std::size_t>(x)]) continue;
     for (const Arc& a : arcs(x)) {
       if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;
@@ -257,7 +255,7 @@ void OspfDomain::build_tree(std::size_t slot, SptWorkspace& ws) {
       if (nd < dist[pi]) {
         dist[pi] = nd;
         next[pi] = a.rev;
-        push(ws.heap, nd, a.peer);
+        ws.heap.push(spf_key(nd, a.peer));
       } else if (a.rev < next[pi]) {
         next[pi] = a.rev;
       }
@@ -374,7 +372,7 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
     }
   }
 
-  Heap& heap = ws_.heap;
+  QuadHeap& heap = ws_.heap;
   heap.clear();
   for (const std::int32_t x : list_ws_) {
     std::int64_t best = kUnreached;
@@ -387,10 +385,10 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
       if (pd != kUnreached) best = std::min(best, pd + a.cost);
     }
     new_ws_[static_cast<std::size_t>(x)] = best;
-    if (best != kUnreached) push(heap, best, x);
+    if (best != kUnreached) heap.push(spf_key(best, x));
   }
   while (!heap.empty()) {
-    const auto [d, x] = pop(heap);
+    const auto [d, x] = spf_entry(heap.pop());
     if (d != new_ws_[static_cast<std::size_t>(x)]) continue;
     for (const Arc& a : arcs(x)) {
       const auto pi = static_cast<std::size_t>(a.peer);
@@ -400,7 +398,7 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
       }
       if (d + a.cost < new_ws_[pi]) {
         new_ws_[pi] = d + a.cost;
-        push(heap, d + a.cost, a.peer);
+        heap.push(spf_key(d + a.cost, a.peer));
       }
     }
   }
@@ -412,12 +410,12 @@ void OspfDomain::repair_withdrawn(std::size_t slot) {
 // whose distance fell, at its neighbours (a link to it may have become
 // tight) and at the restored links' endpoints.
 void OspfDomain::repair_restored(std::size_t slot) {
-  Heap& heap = ws_.heap;
+  QuadHeap& heap = ws_.heap;
   const auto lower = [this, slot, &heap](std::int32_t x, std::int64_t d) {
     if (d < cur_distance(slot, x)) {
       new_ws_[static_cast<std::size_t>(x)] = d;
       list(x, kHasNew);
-      push(heap, d, x);
+      heap.push(spf_key(d, x));
     }
   };
   heap.clear();
@@ -431,7 +429,7 @@ void OspfDomain::repair_restored(std::size_t slot) {
     if (dv != kUnreached) lower(l.u, dv + l.cost);
   }
   while (!heap.empty()) {
-    const auto [d, x] = pop(heap);
+    const auto [d, x] = spf_entry(heap.pop());
     if (d != new_ws_[static_cast<std::size_t>(x)]) continue;
     for (const Arc& a : arcs(x)) {
       if (excluded_[static_cast<std::size_t>(a.dlink)] != 0) continue;

@@ -14,7 +14,10 @@
 // only the trees it can change (dynamic SPT maintenance after Ramalingam &
 // Reps, J. Algorithms 1996, and Narváez, Siu & Tzeng, IEEE/ACM ToN 8(6),
 // 2000); the tables stay a pure function of (topology, excluded links):
-// next hop = lowest-id usable link on a shortest path.
+// next hop = lowest-id usable link on a shortest path, whatever order the
+// SPF queue pops equal distances in. Tree builds and both repairs run
+// Dijkstra on the engine's 4-ary heap (util/quad_heap.hpp), with keys
+// distance << 64 | router.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 
 #include "topology/network.hpp"
 #include "util/check.hpp"
+#include "util/quad_heap.hpp"
 
 namespace massf {
 
@@ -121,12 +125,12 @@ class OspfDomain {
     Hop at_u, at_v;     // the link's index in u's and v's adjacency
     std::int64_t cost;
   };
-  // Dijkstra state of one thread building trees.
-  using Heap = std::vector<std::pair<std::int64_t, std::int32_t>>;
+  // Dijkstra state of one thread building trees. The queue's keys pack
+  // (distance, router) into one integer (ospf.cpp: spf_key).
   struct SptWorkspace {
     std::vector<std::int64_t> dist;  // per router
     std::vector<Hop> hop;            // per router, the tree being built
-    Heap heap;
+    QuadHeap heap;
   };
 
   std::int32_t local_index(NodeId router) const {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
 
 #include "net/netsim.hpp"
 #include "net/packet.hpp"
@@ -390,6 +392,29 @@ struct TcpCase {
   std::uint32_t size;
 };
 
+// Prints a case from its fields, bw1e9_q256k_lat100us_100000B, which is
+// also its name in test listings (PrintToStringParamName below), so no
+// padding byte of TcpCase reaches a ctest name.
+void PrintTo(const TcpCase& c, std::ostream* os) {
+  double mantissa = c.bandwidth_bps;
+  int exponent = 0;
+  for (; mantissa >= 10; mantissa /= 10) ++exponent;
+  const auto queue = static_cast<std::uint64_t>(c.queue_bytes);
+  *os << "bw" << mantissa << "e" << exponent << "_q";
+  if (queue % 1000 == 0) {
+    *os << queue / 1000 << "k";
+  } else {
+    *os << queue;
+  }
+  *os << "_lat";
+  if (c.latency % milliseconds(1) == 0) {
+    *os << c.latency / milliseconds(1) << "ms";
+  } else {
+    *os << c.latency / microseconds(1) << "us";
+  }
+  *os << "_" << c.size << "B";
+}
+
 class TcpSweep : public ::testing::TestWithParam<TcpCase> {};
 
 TEST_P(TcpSweep, ReliableDeliveryWithinPhysicalBounds) {
@@ -439,7 +464,8 @@ INSTANTIATE_TEST_SUITE_P(
         TcpCase{1e8, 64e3, milliseconds(1), 1460},
         TcpCase{1e8, 64e3, milliseconds(1), 1461},
         // High-latency lossy path.
-        TcpCase{5e6, 8000, milliseconds(25), 100000}));
+        TcpCase{5e6, 8000, milliseconds(25), 100000}),
+    ::testing::PrintToStringParamName());
 
 TEST(NetSim, ThroughputBoundedByBandwidth) {
   // 10 Mbps bottleneck, 1 MB transfer: needs >= 0.8 s of virtual time.

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
+#include <queue>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +17,7 @@
 #include "obs/probe.hpp"
 #include "pdes/engine.hpp"
 #include "util/error.hpp"
+#include "util/quad_heap.hpp"
 
 namespace massf {
 namespace {
@@ -759,6 +764,164 @@ TEST(ThreadedEngine, SingleThreadDegenerate) {
   const RunStats stats = engine.run_threaded(1);
   EXPECT_EQ(stats.total_events, 1u);
   EXPECT_EQ(p->records.size(), 1u);
+}
+
+// ---- The per-LP queue itself (util/quad_heap.hpp, pdes/sched.hpp) ------
+
+std::uint64_t splitmix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// (high word, low word): printable, and ordered like the key.
+std::pair<std::uint64_t, std::uint64_t> words(QuadHeap::Key k) {
+  return {static_cast<std::uint64_t>(k >> 64), static_cast<std::uint64_t>(k)};
+}
+
+TEST(QuadHeap, MatchesPriorityQueueAtEverySizeModFour) {
+  // Fill to n, drain half, refill and drain to empty: the sift-down meets
+  // full and partial last groups at every n mod 4. High words come from a
+  // narrow range, so many keys tie there and some repeat outright.
+  for (std::size_t n = 1; n <= 70; n += n < 16 ? 1 : 7) {
+    std::uint64_t rng = 0x5eed + n;
+    QuadHeap heap;
+    std::priority_queue<QuadHeap::Key, std::vector<QuadHeap::Key>,
+                        std::greater<>>
+        ref;
+    const auto push = [&] {
+      const std::uint64_t hi = splitmix(rng) % 8;
+      const std::uint64_t lo = splitmix(rng) % 16;
+      const QuadHeap::Key k = QuadHeap::Key{hi} << 64 | lo;
+      heap.push(k);
+      ref.push(k);
+    };
+    const auto pop_checked = [&] {
+      EXPECT_EQ(words(heap.top()), words(ref.top())) << "n=" << n;
+      EXPECT_EQ(words(heap.pop()), words(ref.top())) << "n=" << n;
+      ref.pop();
+    };
+    for (std::size_t i = 0; i < n; ++i) push();
+    for (std::size_t i = 0; i < n / 2; ++i) pop_checked();
+    for (std::size_t i = 0; i < n; ++i) push();
+    while (!ref.empty()) pop_checked();
+    EXPECT_TRUE(heap.empty());
+    if (HasFailure()) return;
+  }
+}
+
+TEST(QuadHeap, LargeRandomKeysDrainInOrder) {
+  for (const std::size_t n : {1000u, 1001u, 1002u, 1003u}) {
+    std::uint64_t rng = n;
+    QuadHeap heap;
+    std::vector<QuadHeap::Key> keys;
+    for (std::size_t i = 0; i < n; ++i) {
+      const QuadHeap::Key k =
+          QuadHeap::Key{splitmix(rng)} << 64 | splitmix(rng);
+      keys.push_back(k);
+      heap.push(k);
+    }
+    std::sort(keys.begin(), keys.end());
+    for (const QuadHeap::Key k : keys) EXPECT_EQ(words(heap.pop()), words(k));
+    EXPECT_TRUE(heap.empty());
+    if (HasFailure()) return;
+  }
+}
+
+// Drives one EventSched and a sorted reference of (time, seq) -> payload
+// through the same seeded operations.
+struct SchedHarness {
+  EventSched q;
+  std::map<std::pair<SimTime, std::uint64_t>, std::uint64_t> ref;
+  std::uint64_t next_seq = 0;
+
+  void push(SimTime t, std::uint64_t payload) {
+    Event ev;
+    ev.time = t;
+    ev.seq = next_seq++;
+    ev.a = payload;
+    q.push(ev);
+    ref.emplace(std::make_pair(t, ev.seq), payload);
+  }
+
+  // Checks the top against the reference's first entry, then pops both.
+  void pop_checked() {
+    ASSERT_FALSE(ref.empty());
+    const auto first = ref.begin();
+    ASSERT_EQ(q.min_time(), first->first.first);
+    const Event& top = q.top();
+    ASSERT_EQ(top.time, first->first.first);
+    ASSERT_EQ(top.seq, first->first.second);
+    ASSERT_EQ(top.a, first->second);
+    q.pop();
+    ref.erase(first);
+    ASSERT_EQ(q.size(), ref.size());
+    // Freed slots are reused before the arena grows.
+    ASSERT_EQ(q.arena_slots(), q.peak_size());
+  }
+};
+
+TEST(EventSched, PopsTheSortedTimeSeqOrderOfSeededInterleavings) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    std::uint64_t rng = seed;
+    SchedHarness h;
+    SimTime now = 0;
+    // Times on a coarse grid, so many events tie on time and the order
+    // among them is their seq.
+    const auto ahead = [&] {
+      return now + static_cast<SimTime>(splitmix(rng) % 8) * 1000;
+    };
+    for (int round = 0; round < 2; ++round) {  // drain to empty, refill
+      for (int i = 0; i < 300; ++i) {
+        if (h.ref.empty() || splitmix(rng) % 3 != 0) {
+          h.push(ahead(), splitmix(rng));
+        } else {
+          now = h.q.min_time();
+          h.pop_checked();
+          if (HasFatalFailure()) return;
+        }
+      }
+      while (!h.ref.empty()) {  // drain, pushing while draining
+        now = h.q.min_time();
+        h.pop_checked();
+        if (HasFatalFailure()) return;
+        if (splitmix(rng) % 4 == 0) h.push(ahead(), splitmix(rng));
+      }
+      EXPECT_TRUE(h.q.empty());
+      EXPECT_EQ(h.q.min_time(), kSimTimeMax);
+    }
+  }
+}
+
+TEST(EventSched, NegativeTimeSortsBeforeZero) {
+  SchedHarness h;
+  const SimTime lowest = std::numeric_limits<SimTime>::min();
+  for (const SimTime t : {SimTime{0}, SimTime{5}, SimTime{-1}, lowest,
+                          SimTime{-5}, kSimTimeMax - 1, SimTime{0}}) {
+    h.push(t, static_cast<std::uint64_t>(t));
+  }
+  EXPECT_EQ(h.q.min_time(), lowest);
+  std::vector<SimTime> order;
+  while (!h.ref.empty()) {
+    order.push_back(h.q.top().time);
+    h.pop_checked();
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  EXPECT_EQ(order, (std::vector<SimTime>{lowest, -5, -1, 0, 0, 5,
+                                         kSimTimeMax - 1}));
+}
+
+TEST(EventSchedDeathTest, SeqAtTheKeyLimitAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EventSched q;
+  Event ev;
+  ev.seq = EventSched::kSeqLimit - 1;
+  q.push(ev);  // the last seq the key can hold
+  EXPECT_EQ(q.top().seq, EventSched::kSeqLimit - 1);
+  ev.seq = EventSched::kSeqLimit;
+  EXPECT_DEATH(q.push(ev), "seq must be below 2\\^40");
 }
 
 }  // namespace
